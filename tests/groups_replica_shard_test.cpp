@@ -13,6 +13,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
+#include <iterator>
 #include <memory>
 #include <set>
 #include <string>
@@ -21,6 +23,7 @@
 
 #include "groups_test_util.hpp"
 #include "obs/snapshot.hpp"
+#include "obs/trace.hpp"
 
 namespace geomcast::groups {
 namespace {
@@ -34,6 +37,8 @@ struct CellResult {
   DeliveredSet delivered;
   bool probe_duplicates = false;  // same (peer, seq) reported twice
   GroupStats stats;
+  /// obs::to_json of the run's GroupStats + NetworkStats + HopStats.
+  std::string stats_json;
 };
 
 struct CellConfig {
@@ -72,7 +77,8 @@ sim::LossModel lossy_data_plane() {
 
 /// The shared workload: 16 subscribers, then 12 publishes from 4 distinct
 /// origins spread over the graph (so at R > 1 several slots ingest).
-CellResult run_cell(const overlay::OverlayGraph& graph, const CellConfig& cell) {
+CellResult run_cell(const overlay::OverlayGraph& graph, const CellConfig& cell,
+                    obs::TraceSink* sink = nullptr) {
   const GroupId g = 0;
   PubSubConfig config;
   config.seed = 211;
@@ -84,6 +90,7 @@ CellResult run_cell(const overlay::OverlayGraph& graph, const CellConfig& cell) 
   config.publisher_batch_window = cell.publisher_batch_window;
   if (cell.loss) config.loss = lossy_data_plane();
   PubSubSystem system(graph, config);
+  system.set_trace_sink(sink);
   CellResult result;
   system.set_delivery_probe(
       [&result](PeerId p, GroupId, std::uint64_t seq, double) {
@@ -94,7 +101,73 @@ CellResult run_cell(const overlay::OverlayGraph& graph, const CellConfig& cell) 
     system.publish_at(2.0 + 0.11 * static_cast<double>(i), members[i % 4], g);
   system.run();
   result.stats = system.stats(g);
+  result.stats_json = obs::to_json(system.total_stats()) +
+                      obs::to_json(system.simulator().stats()) +
+                      obs::to_json(system.hop_stats());
   return result;
+}
+
+/// The delivered-set battery's cells: QoS rungs, data-plane loss, and
+/// root-side / publisher-side coalescing.
+std::vector<CellConfig> oracle_cells() {
+  return {
+      // QoS rungs, lossless, no batching.
+      {1, multicast::QoS::kFireAndForget, false, 0.0, 0.0},
+      {1, multicast::QoS::kAcked, false, 0.0, 0.0},
+      {1, multicast::QoS::kEndToEnd, false, 0.0, 0.0},
+      // Data-plane loss (acked rungs only: retransmission makes delivery a
+      // guarantee, so the sets stay comparable across topologies).
+      {1, multicast::QoS::kAcked, true, 0.0, 0.0},
+      {1, multicast::QoS::kEndToEnd, true, 0.0, 0.0},
+      // Root-side coalescing, publisher-side coalescing, and both.
+      {1, multicast::QoS::kEndToEnd, false, 0.05, 0.0},
+      {1, multicast::QoS::kEndToEnd, false, 0.0, 0.05},
+      {1, multicast::QoS::kEndToEnd, true, 0.05, 0.05},
+  };
+}
+
+/// 64-bit FNV-1a: the golden pins below compare digests of the delivered
+/// set, the stats JSON and the trace stream instead of the raw bytes.
+std::uint64_t fnv1a(const std::string& bytes) {
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  for (const unsigned char c : bytes) {
+    hash ^= c;
+    hash *= 0x100000001b3ULL;
+  }
+  return hash;
+}
+
+std::uint64_t delivered_digest(const DeliveredSet& delivered) {
+  std::string bytes;
+  for (const auto& [peer, seq] : delivered)
+    bytes += std::to_string(peer) + ':' + std::to_string(seq) + ';';
+  return fnv1a(bytes);
+}
+
+/// Stats digest with the retired prefix-batch counters left out: they were
+/// always 0 in these cells, and removing them from the JSON schema must
+/// not move the pins.
+std::uint64_t stats_digest(std::string json) {
+  for (const std::string key : {",\"graft_prefix_batches\":0", ",\"graft_prefix_merged\":0"}) {
+    for (auto at = json.find(key); at != std::string::npos; at = json.find(key))
+      json.erase(at, key.size());
+  }
+  return fnv1a(json);
+}
+
+/// Every field of every event, the time bit-exact (hex float).
+std::uint64_t trace_digest(const std::vector<obs::TraceEvent>& events) {
+  std::string bytes;
+  char line[256];
+  for (const obs::TraceEvent& e : events) {
+    std::snprintf(line, sizeof(line), "%a %u %llu %llu %llu %llu %u %u\n", e.time,
+                  static_cast<unsigned>(e.type), static_cast<unsigned long long>(e.group),
+                  static_cast<unsigned long long>(e.wave),
+                  static_cast<unsigned long long>(e.seq_lo),
+                  static_cast<unsigned long long>(e.seq_hi), e.peer, e.other);
+    bytes += line;
+  }
+  return fnv1a(bytes);
 }
 
 TEST(GroupsReplicaShardTest, AnchorsPartitionPeersAcrossDistinctSlotRoots) {
@@ -133,21 +206,7 @@ TEST(GroupsReplicaShardTest, AnchorsPartitionPeersAcrossDistinctSlotRoots) {
 
 TEST(GroupsReplicaShardTest, DeliveredSetsMatchTheSingleRootOracleAcrossCells) {
   const auto graph = make_overlay(200, 2, 1502);
-  const CellConfig cells[] = {
-      // QoS rungs, lossless, no batching.
-      {1, multicast::QoS::kFireAndForget, false, 0.0, 0.0},
-      {1, multicast::QoS::kAcked, false, 0.0, 0.0},
-      {1, multicast::QoS::kEndToEnd, false, 0.0, 0.0},
-      // Data-plane loss (acked rungs only: retransmission makes delivery a
-      // guarantee, so the sets stay comparable across topologies).
-      {1, multicast::QoS::kAcked, true, 0.0, 0.0},
-      {1, multicast::QoS::kEndToEnd, true, 0.0, 0.0},
-      // Root-side coalescing, publisher-side coalescing, and both.
-      {1, multicast::QoS::kEndToEnd, false, 0.05, 0.0},
-      {1, multicast::QoS::kEndToEnd, false, 0.0, 0.05},
-      {1, multicast::QoS::kEndToEnd, true, 0.05, 0.05},
-  };
-  for (const CellConfig& base : cells) {
+  for (const CellConfig& base : oracle_cells()) {
     CellConfig oracle_cell = base;
     oracle_cell.replicas = 1;
     const CellResult oracle = run_cell(graph, oracle_cell);
@@ -171,6 +230,45 @@ TEST(GroupsReplicaShardTest, DeliveredSetsMatchTheSingleRootOracleAcrossCells) {
       EXPECT_GT(sharded.stats.shard_handoffs, 0u);
     }
   }
+}
+
+/// R = 1 golden pins, captured from the separate single-root pipeline
+/// before R = 1 became the one-slot case of the sharded one. The battery
+/// above compares R in {2, 4} against R = 1, so R = 1 itself needs an
+/// independent reference: the delivered (peer, seq) set and the full stats
+/// JSON of every battery cell, byte for byte.
+TEST(GroupsReplicaShardTest, SingleSlotCellsMatchTheirGoldenDigests) {
+  const auto graph = make_overlay(200, 2, 1502);
+  const std::pair<std::uint64_t, std::uint64_t> golden[] = {
+      {0x2bca168771a9ff45ULL, 0xeba3b4cdeca50715ULL},
+      {0x2bca168771a9ff45ULL, 0x1fab4059356250c0ULL},
+      {0x2bca168771a9ff45ULL, 0x1fab4059356250c0ULL},
+      {0x2bca168771a9ff45ULL, 0x7a94d24bfff2c3c8ULL},
+      {0x2bca168771a9ff45ULL, 0xf30bee49d5d6a418ULL},
+      {0x2bca168771a9ff45ULL, 0x42b57d6008b9f08bULL},
+      {0x2bca168771a9ff45ULL, 0x1c96019a0a5aef6eULL},
+      {0x2bca168771a9ff45ULL, 0x07c0185818d3a543ULL},
+  };
+  const auto cells = oracle_cells();
+  ASSERT_EQ(cells.size(), std::size(golden));
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    const CellResult result = run_cell(graph, cells[i]);
+    EXPECT_EQ(delivered_digest(result.delivered), golden[i].first)
+        << "cell " << i << std::hex << " got 0x" << delivered_digest(result.delivered);
+    EXPECT_EQ(stats_digest(result.stats_json), golden[i].second)
+        << "cell " << i << std::hex << " got 0x" << stats_digest(result.stats_json);
+  }
+}
+
+/// The full trace stream of one lossy, batched QoS 2 cell at R = 1 —
+/// event order included — pinned the same way.
+TEST(GroupsReplicaShardTest, SingleSlotTraceStreamMatchesItsGoldenDigest) {
+  const auto graph = make_overlay(200, 2, 1502);
+  obs::TraceSink sink;
+  (void)run_cell(graph, {1, multicast::QoS::kEndToEnd, true, 0.05, 0.05}, &sink);
+  ASSERT_EQ(sink.dropped(), 0u) << "ring overflowed: the digest would miss events";
+  const std::uint64_t digest = trace_digest(sink.events());
+  EXPECT_EQ(digest, 0x4f4ac9eb373a7c8eULL) << std::hex << "got 0x" << digest;
 }
 
 TEST(GroupsReplicaShardTest, SeqLeaseKeepsTheSeqSpaceDenseAndUnique) {

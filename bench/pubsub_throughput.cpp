@@ -34,15 +34,14 @@
 //        --batch-compare --graft-cost --latency --root-kill
 //        --trace=FILE --snapshot=FILE --snapshot-interval=T
 //        --hot-group --replicas=1,2,4 --publisher-batch-window=W
-//        --graft-prefix-batch
 //
 // Hot group (replica-sharded roots PR): --hot-group prices the single-hot-
 // group regime — ONE group, every eligible peer subscribed, burst
 // publishes — swept over the PubSubConfig::root_replicas axis
 // (--replicas, default {1, 2, 4}) at every QoS rung, with root-side AND
-// publisher-side batching plus prefix-batched grafts on by default (the
-// stack the hot-root load multiplies through). R=1 is the oracle: gates
-// are bit-identical delivered (peer, group, seq) sets per qos, hot-root
+// publisher-side batching on by default (the stack the hot-root load
+// multiplies through). R=1 is the reference cell: gates are identical
+// delivered (peer, group, seq) sets per qos, hot-root
 // (sent + received) load max flattening monotonically along the axis, and
 // a >= 1.8x drop at the axis maximum (QoS 1 cells). BENCH_hotgroup.json
 // is the checked-in full-size run.
@@ -146,14 +145,13 @@ struct ScenarioParams {
   double batch_window = 0.0;   // root-side coalescing window (0 = off)
   std::size_t max_batch = 16;  // publishes per coalesced wave
   std::size_t pub_burst = 1;   // publishes per burst in the schedule
-  /// Replica-sharded roots: R rendezvous anchors per group, 1 = the
-  /// historic single-root pipeline. Only --hot-group sweeps this axis.
+  /// Replica-sharded roots: R rendezvous anchors per group, 1 = one slot
+  /// rooted at the group's rendezvous point. Only --hot-group sweeps this
+  /// axis.
   std::size_t root_replicas = 1;
   /// Publisher-side coalescing window (0 = off, the historic one-envelope-
   /// per-publish path).
   double publisher_batch_window = 0.0;
-  /// Same-instant graft descent steps sharing a hop ride one carrier.
-  bool graft_prefix_batch = false;
   /// Simulator-core fast path (timer wheel + interval dedup); false runs
   /// the historic heap/set oracle. Only --simcore mode flips this.
   bool sim_core = true;
@@ -222,7 +220,6 @@ ScenarioOutcome run_scenario(const overlay::OverlayGraph& graph,
   config.max_batch = params.max_batch;
   config.root_replicas = params.root_replicas;
   config.publisher_batch_window = params.publisher_batch_window;
-  config.graft_prefix_batch = params.graft_prefix_batch;
   config.sim_core = params.sim_core;
   config.sim_shards = params.sim_shards;
   groups::PubSubSystem system(graph, config);
@@ -516,7 +513,6 @@ std::string params_json(const ScenarioParams& params) {
     << ",\"max_batch\":" << params.max_batch
     << ",\"replicas\":" << params.root_replicas
     << ",\"publisher_batch_window\":" << params.publisher_batch_window
-    << ",\"graft_prefix_batch\":" << (params.graft_prefix_batch ? "true" : "false")
     << ",\"retention\":" << params.retention_window
     << ",\"seed\":" << params.seed << "}";
   return o.str();
@@ -1663,7 +1659,6 @@ HotGroupCell run_hot_group_cell(const overlay::OverlayGraph& graph,
   config.max_batch = params.max_batch;
   config.root_replicas = replicas;
   config.publisher_batch_window = params.publisher_batch_window;
-  config.graft_prefix_batch = params.graft_prefix_batch;
   groups::PubSubSystem system(graph, config);
   HotGroupCell cell;
   cell.replicas = replicas;
@@ -1739,8 +1734,6 @@ std::string hot_group_cell_json(const HotGroupCell& cell) {
     << ",\"control_envelopes\":" << cell.net.control_envelopes
     << ",\"graft_hops\":" << cell.total.graft_hops
     << ",\"grafts\":" << cell.total.grafts
-    << ",\"graft_prefix_batches\":" << cell.total.graft_prefix_batches
-    << ",\"graft_prefix_merged\":" << cell.total.graft_prefix_merged
     << ",\"seq_lease_requests\":" << cell.total.seq_lease_requests
     << ",\"seq_leases_granted\":" << cell.total.seq_leases_granted
     << ",\"seq_grants_lost\":" << cell.total.seq_grants_lost
@@ -1762,9 +1755,9 @@ std::string hot_group_cell_json(const HotGroupCell& cell) {
   return o.str();
 }
 
-/// The ISSUE 10 acceptance harness (--hot-group): one group, all eligible
+/// The hot-group acceptance harness (--hot-group): one group, all eligible
 /// peers subscribed, burst publishes, swept over the root_replicas axis
-/// (default {1, 2, 4}) at every QoS rung. R=1 is the oracle: delivered
+/// (default {1, 2, 4}) at every QoS rung. R=1 is the reference: delivered
 /// (peer, group, seq) sets must be bit-identical at each qos, and the
 /// busiest root replica's (sent + received) load — the hot-root hot spot —
 /// must flatten monotonically with R and drop >= 1.8x at the axis maximum
@@ -1973,7 +1966,6 @@ int main(int argc, char** argv) {
     const bool simcore = flags.get_bool("simcore", false);
     const bool hot_group = flags.get_bool("hot-group", false);
     params.publisher_batch_window = flags.get_double("publisher-batch-window", 0.0);
-    params.graft_prefix_batch = flags.get_bool("graft-prefix-batch", false);
     const std::string json_path = flags.get_string("json", "");
     const std::string trace_path = flags.get_string("trace", "");
     const std::string snapshot_path = flags.get_string("snapshot", "");
@@ -2024,13 +2016,12 @@ int main(int argc, char** argv) {
     // burst publishes, swept over the --replicas axis at every QoS rung.
     // Defaults make the workload the regime replica sharding exists for:
     // bursts of 8 coalesced at both ends (root batching + publisher
-    // batching) with prefix-batched grafts on.
+    // batching).
     if (hot_group) {
       if (!flags.has("publishes")) params.publishes = 64;
       if (!flags.has("pub-burst")) params.pub_burst = 8;
       if (!flags.has("batch-window")) params.batch_window = 0.05;
       if (!flags.has("publisher-batch-window")) params.publisher_batch_window = 0.02;
-      if (!flags.has("graft-prefix-batch")) params.graft_prefix_batch = true;
       const auto replica_list = flags.get_int_list("replicas", {1, 2, 4});
       std::vector<std::size_t> axis;
       for (const std::int64_t r : replica_list) {

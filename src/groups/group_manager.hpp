@@ -99,12 +99,11 @@ struct GroupConfig {
   std::uint64_t rendezvous_seed = 0x67656f6d63617374ULL;
   /// Replica-sharded roots: rendezvous-hash each group to this many anchor
   /// points in coordinate space and partition the root's state across the
-  /// nearest alive peer to each anchor. 1 (the default) is the historic
-  /// single-root pipeline — the bit-identical oracle; slot 0's anchor is
-  /// exactly the legacy rendezvous point, so root_of() never changes
-  /// meaning. Subscribers are owned by the slot whose ANCHOR is nearest
-  /// their coordinate (anchors are immutable, so churn moves slot roots
-  /// but never reshuffles the shard partition).
+  /// nearest alive peer to each anchor. 1 (the default) is the one-slot
+  /// case: slot 0's anchor is exactly the group's rendezvous point, so
+  /// root_of() never changes meaning. Subscribers are owned by the slot
+  /// whose ANCHOR is nearest their coordinate (anchors are immutable, so
+  /// churn moves slot roots but never reshuffles the shard partition).
   std::size_t root_replicas = 1;
 };
 
@@ -214,8 +213,8 @@ class GroupManager {
   // partition is a pure function of geometry and never reshuffles under
   // churn — a slot-root death promotes the next-nearest peer to the SAME
   // anchor, which inherits the whole shard (membership bits, graft
-  // cursors, tree) by construction. At R == 1 these collapse to the legacy
-  // accessors and the slot machinery stays entirely dormant.
+  // cursors, tree) by construction. At R == 1 these answer slot 0 with the
+  // group's own root and tree, and the slot machinery stays dormant.
 
   /// Whether the replica-sharded pipeline is active (root_replicas > 1).
   [[nodiscard]] bool sharded() const noexcept { return config_.root_replicas > 1; }

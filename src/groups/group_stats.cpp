@@ -84,8 +84,6 @@ GroupStats& GroupStats::operator+=(const GroupStats& other) noexcept {
   graft_retries += other.graft_retries;
   graft_aborts += other.graft_aborts;
   graft_resubscribes += other.graft_resubscribes;
-  graft_prefix_batches += other.graft_prefix_batches;
-  graft_prefix_merged += other.graft_prefix_merged;
   seq_lease_requests += other.seq_lease_requests;
   seq_leases_granted += other.seq_leases_granted;
   seq_grants_lost += other.seq_grants_lost;
@@ -150,9 +148,6 @@ std::string GroupStats::summary() const {
     out << " publisher_batches=" << publisher_batches << " (publishes "
         << publisher_batched_publishes << ", envelopes_saved "
         << publisher_envelopes_saved << ")";
-  if (graft_prefix_batches > 0)
-    out << " graft_prefix_batches=" << graft_prefix_batches << " (merged "
-        << graft_prefix_merged << ")";
   return out.str();
 }
 

@@ -131,12 +131,9 @@ struct GroupStats {
   std::uint64_t graft_retries = 0;       // graft control envelopes retransmitted
   std::uint64_t graft_aborts = 0;        // in-flight grafts given up (tree dirtied)
   std::uint64_t graft_resubscribes = 0;  // aborts that re-issued the subscribe
-  // Graft prefix batching (PubSubConfig::graft_prefix_batch): same-instant
-  // descent steps sharing a (from, to) hop coalesced into one carrier.
-  std::uint64_t graft_prefix_batches = 0;  // kGraftBatchKind carriers sent
-  std::uint64_t graft_prefix_merged = 0;   // descent steps that rode a carrier
   // Replica-sharded roots (PubSubConfig::root_replicas > 1): the seq-lease
-  // protocol among slot roots and the per-slot wave handoffs.
+  // protocol among slot roots and the per-slot wave handoffs. All stay 0
+  // with one slot.
   std::uint64_t seq_lease_requests = 0;  // kSeqLeaseKind asks sent to the authority
   std::uint64_t seq_leases_granted = 0;  // dense ranges the authority assigned
   std::uint64_t seq_grants_lost = 0;     // grants whose requester died (seq holes)

@@ -31,7 +31,7 @@
 // | kSeqGrantKind     | 36 | shard   | SeqGrant      | QoS 1 (acked)      |
 // | kShardWaveKind    | 37 | shard   | ShardWave     | QoS 1 (acked)      |
 // | kCoordAckKind     | 38 | shard   | HopAck        | (ack of 35–37)     |
-// | kGraftBatchKind   | 39 | graft   | GraftBatch    | QoS 1 (ack = 31)   |
+// | kGraftBatchKind   | 39 | reserved| —             | never sent         |
 //
 // README.md carries the same table for readers who never open headers.
 #pragma once
@@ -83,21 +83,20 @@ inline constexpr sim::MessageKind kReplicaSyncKind = 32;  // root -> replica del
 inline constexpr sim::MessageKind kReplicaAckKind = 33;   // per-hop replica ack
 inline constexpr sim::MessageKind kHeartbeatKind = 34;    // idle seq beacon
 
-// -- replica-shard coordination plane (PubSubConfig::root_replicas > 1).
+// -- replica-shard coordination plane (silent when root_replicas is 1).
 // The R slot roots of a group coordinate over a dedicated ReliableHopLayer
 // at QoS 1 (acked as kCoordAckKind): a non-authority slot root leases a
 // dense (group, seq) range from the slot-0 authority (kSeqLeaseKind ->
 // kSeqGrantKind) so sequence assignment stays globally unique and dense,
 // then hands the committed range to every peer slot root (kShardWaveKind),
 // each of which drives the wave over its own shard tree. kGraftBatchKind
-// is the graft plane's prefix coalescer (PubSubConfig::graft_prefix_batch):
-// several same-instant descents sharing a (from, to) hop ride one acked
-// carrier envelope instead of one each.
+// is reserved and never sent: it named a retired same-instant graft
+// carrier, and per-kind traffic reports still list it (always 0).
 inline constexpr sim::MessageKind kSeqLeaseKind = 35;   // slot root -> authority
 inline constexpr sim::MessageKind kSeqGrantKind = 36;   // authority -> slot root
 inline constexpr sim::MessageKind kShardWaveKind = 37;  // committed-range handoff
 inline constexpr sim::MessageKind kCoordAckKind = 38;   // per-hop ack of 35–37
-inline constexpr sim::MessageKind kGraftBatchKind = 39; // batched descent carrier
+inline constexpr sim::MessageKind kGraftBatchKind = 39; // reserved, never sent
 
 namespace detail {
 /// The full registry this simulation family dispatches on: the multicast

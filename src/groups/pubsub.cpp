@@ -228,11 +228,6 @@ class PubSubSystem::PubSubNode final : public sim::Node {
         system_.coord_hop_->on_ack(envelope);
         return;
       }
-      case kGraftBatchKind: {
-        system_.on_graft_batch(id(), envelope.from,
-                               std::any_cast<const GraftBatch&>(envelope.payload));
-        return;
-      }
       default:
         throw std::logic_error("PubSubNode: unexpected message kind");
     }
@@ -300,29 +295,14 @@ PubSubSystem::PubSubSystem(const overlay::OverlayGraph& graph, PubSubConfig conf
     // cache and re-issues the subscribe, so the subscriber converges
     // through the rebuild path instead.
     multicast::ReliableHopLayer::Hooks graft_hooks;
-    // Both hooks type-test for a prefix-batched carrier first: a GraftBatch
-    // retries or dies as a unit, so every member is charged/aborted. With
-    // graft_prefix_batch off no carrier ever exists and the cast is a
-    // guaranteed-miss null test in front of the historic path.
     graft_hooks.on_retransmit = [this](sim::NodeId, sim::NodeId, std::uint64_t,
                                        const std::any& payload) {
-      if (const auto* batch = std::any_cast<GraftBatch>(&payload)) {
-        for (const GraftEnvelope& graft : batch->grafts) {
-          ++manager_->stats(graft.group).graft_retries;
-          sim_->network().note_graft_retry();
-        }
-        return;
-      }
       const auto& graft = std::any_cast<const GraftEnvelope&>(payload);
       ++manager_->stats(graft.group).graft_retries;
       sim_->network().note_graft_retry();
     };
     graft_hooks.on_abandon = [this](sim::NodeId, sim::NodeId, std::uint64_t,
                                     const std::any& payload) {
-      if (const auto* batch = std::any_cast<GraftBatch>(&payload)) {
-        for (const GraftEnvelope& graft : batch->grafts) abort_graft(graft.graft_id);
-        return;
-      }
       abort_graft(std::any_cast<const GraftEnvelope&>(payload).graft_id);
     };
     graft_hooks.sender_alive = [this](sim::NodeId p) { return manager_->alive(p); };
@@ -333,30 +313,27 @@ PubSubSystem::PubSubSystem(const overlay::OverlayGraph& graph, PubSubConfig conf
                                      config_.reliability.max_retries},
         std::move(graft_hooks));
     graft_seen_.resize(graph.size());
-    if (config_.graft_prefix_batch) graft_outbox_.resize(graph.size());
   }
 
-  if (sharded()) {
-    // Slot-root coordination (seq leases/grants, shard-wave handoffs) is
-    // ALWAYS acked like the graft plane: a committed range must reach its
-    // peer slot roots or be re-dispatched, never silently drop. The abandon
-    // hook is the re-dispatch path — addressee died, retries spent, so the
-    // payload re-routes to the CURRENT authority / slot root.
-    multicast::ReliableHopLayer::Hooks coord_hooks;
-    coord_hooks.on_abandon = [this](sim::NodeId, sim::NodeId, std::uint64_t,
-                                    const std::any& payload) {
-      on_coord_abandon(payload);
-    };
-    coord_hooks.sender_alive = [this](sim::NodeId p) { return manager_->alive(p); };
-    coord_hop_ = std::make_unique<multicast::ReliableHopLayer>(
-        *sim_, kSeqLeaseKind, kCoordAckKind,
-        multicast::ReliabilityConfig{multicast::QoS::kAcked,
-                                     config_.reliability.ack_timeout,
-                                     config_.reliability.max_retries},
-        std::move(coord_hooks));
-    coord_seen_.resize(graph.size());
-    wave_seen_.resize(graph.size());
-  }
+  // Slot-root coordination (seq leases/grants, shard-wave handoffs) is
+  // ALWAYS acked like the graft plane: a committed range must reach its
+  // peer slot roots or be re-dispatched, never silently drop. The abandon
+  // hook is the re-dispatch path — addressee died, retries spent, so the
+  // payload re-routes to the CURRENT authority / slot root. With one slot
+  // the plane never sends: slot 0 is its own seq authority and has no peer
+  // slot to hand a range to.
+  multicast::ReliableHopLayer::Hooks coord_hooks;
+  coord_hooks.on_abandon = [this](sim::NodeId, sim::NodeId, std::uint64_t,
+                                  const std::any& payload) {
+    on_coord_abandon(payload);
+  };
+  coord_hooks.sender_alive = [this](sim::NodeId p) { return manager_->alive(p); };
+  coord_hop_ = std::make_unique<multicast::ReliableHopLayer>(
+      *sim_, kSeqLeaseKind, kCoordAckKind,
+      multicast::ReliabilityConfig{multicast::QoS::kAcked,
+                                   config_.reliability.ack_timeout,
+                                   config_.reliability.max_retries},
+      std::move(coord_hooks));
 
   if (warm()) {
     // The replication stream is ALWAYS acked (QoS 1) like the graft plane:
@@ -378,7 +355,6 @@ PubSubSystem::PubSubSystem(const overlay::OverlayGraph& graph, PubSubConfig conf
         std::move(replica_hooks));
     sync_seen_.resize(graph.size());
   }
-  if (heartbeats_enabled()) hb_seen_.resize(graph.size());
 
   // Slot 0 serves the classic loop and every coordinator-side context;
   // setup_shards widens this to one slot per lane.
@@ -575,118 +551,15 @@ void PubSubSystem::handle_at_root(PeerId self, sim::MessageKind kind,
       return;
     }
     case kPublishKind: {
-      GroupStats& stats = manager_->stats(request.group);
-      // `n` is the publisher-batch factor: 1 on the historic path, the app
-      // message count behind one envelope when the publisher coalesced.
+      // `n` is the publisher-batch factor: 1 unless the publisher coalesced
+      // n app messages into this one envelope.
       const std::uint32_t n = request.count > 0 ? request.count : 1;
-      stats.publishes += n;
-      if (sharded()) {
-        // `self` is the ORIGIN's owner-slot root: it ingests the publish,
-        // coalesces locally, and commits through the seq-lease protocol.
-        shard_publish(self, request.group,
-                      manager_->owner_slot(request.group, request.origin), n);
-        return;
-      }
-      if (!batching()) {
-        if (n == 1) {
-          // Immediate flush: the historic single-seq wave, bit-identical to
-          // the unbatched pipeline (no buffer, no timer, same send order).
-          const auto snapshot = manager_->tree_snapshot(request.group);
-          if (snapshot == nullptr) return;  // nobody subscribed
-          stats.expected_deliveries += snapshot->reached_subscribers;
-          const std::uint64_t seq = next_seq_[request.group]++;
-          const std::uint64_t wave = next_wave_++;
-          // Accept-time and wave->group bookkeeping is unconditional: the
-          // latency histograms must be identical with or without a sink.
-          accept_times_[request.group].push_back(sim_->now());
-          wave_groups_.push_back(request.group);
-          if (tracer_.enabled()) {
-            tracer_.emit({sim_->now(), obs::TraceEventType::kPublishAccepted,
-                          request.group, wave, seq, seq, self, request.origin});
-            tracer_.emit({sim_->now(), obs::TraceEventType::kRootFlush,
-                          request.group, wave, seq, seq, self});
-          }
-          disseminate(self, kInvalidPeer,
-                      payload_pool_.make(
-                          GroupDelivery{request.group, seq, seq, wave, snapshot}));
-          if (heartbeats_enabled()) schedule_heartbeat(request.group);
-          return;
-        }
-        // Publisher-batched arrival without root coalescing: the envelope's
-        // n app messages flush as one dense range wave at once.
-        const auto snapshot = manager_->tree_snapshot(request.group);
-        if (snapshot == nullptr) return;  // nobody subscribed
-        stats.expected_deliveries +=
-            static_cast<std::uint64_t>(n) * snapshot->reached_subscribers;
-        std::uint64_t& next = next_seq_[request.group];
-        const std::uint64_t seq_lo = next;
-        next += n;
-        const std::uint64_t wave = next_wave_++;
-        auto& times = accept_times_[request.group];
-        times.insert(times.end(), n, sim_->now());
-        wave_groups_.push_back(request.group);
-        const std::uint64_t saved = static_cast<std::uint64_t>(n - 1) *
-                                    snapshot->tree.edge_count() * (acked() ? 2 : 1);
-        stats.envelopes_saved += saved;
-        sim_->network().note_batched_wave(saved);
-        if (tracer_.enabled()) {
-          tracer_.emit({sim_->now(), obs::TraceEventType::kPublishAccepted,
-                        request.group, wave, seq_lo, seq_lo + n - 1, self,
-                        request.origin});
-          tracer_.emit({sim_->now(), obs::TraceEventType::kRootFlush,
-                        request.group, wave, seq_lo, seq_lo + n - 1, self});
-        }
-        disseminate(self, kInvalidPeer,
-                    payload_pool_.make(GroupDelivery{request.group, seq_lo,
-                                                     seq_lo + n - 1, wave,
-                                                     snapshot}));
-        if (heartbeats_enabled()) schedule_heartbeat(request.group);
-        return;
-      }
-      PendingBatch& batch = pending_batch_[request.group];
-      if (batch.count > 0 && !manager_->alive(batch.root)) {
-        // The buffering root died with publishes pending: they died with
-        // it (exactly like unbatched publishes addressed to a dead root).
-        // `self` is the migrated-to root starting a fresh buffer; the dead
-        // root's window timer must not flush it early.
-        stats.batch_publishes_lost += batch.count;
-        batch.count = 0;
-        batch.accepted.clear();
-        sim_->cancel(batch.timer);
-      }
-      const bool first = batch.count == 0;
-      batch.count += n;
-      stats.batched_publishes += n;
-      for (std::uint32_t i = 0; i < n; ++i) batch.accepted.push_back(sim_->now());
-      if (warm() && acked()) {
-        // The replica shadows the pending buffer join by join, so a warm
-        // promotion can adopt the batch instead of dropping it. QoS 0
-        // keeps the historic loss — fire-and-forget publishes have no
-        // delivery promise a failover would be preserving.
-        for (std::uint32_t i = 0; i < n; ++i) {
-          ReplicaSync sync;
-          sync.what = ReplicaSync::What::kPendingJoin;
-          sync.accepted_at = sim_->now();
-          replica_send(self, request.group, std::move(sync), false);
-        }
-      }
-      if (tracer_.enabled()) {
-        tracer_.emit({sim_->now(), obs::TraceEventType::kPublishAccepted,
-                      request.group, obs::kNoWave, 0, 0, self, request.origin});
-        // seq_lo doubles as buffer occupancy after this accept.
-        tracer_.emit({sim_->now(), obs::TraceEventType::kRootBuffer, request.group,
-                      obs::kNoWave, batch.count, batch.count, self});
-      }
-      if (first) {
-        batch.root = self;
-        batch.timer = sim_->schedule_after(
-            config_.batch_window,
-            [this, group = request.group]() { flush_batch(group, true); });
-      }
-      if (batch.count >= config_.max_batch) {
-        sim_->cancel(batch.timer);
-        flush_batch(request.group, false);
-      }
+      manager_->stats(request.group).publishes += n;
+      // `self` is the ORIGIN's owner-slot root (the group's root when there
+      // is one slot): it ingests the publish, coalesces locally, and commits.
+      shard_publish(self, request.group,
+                    manager_->owner_slot(request.group, request.origin), n,
+                    request.origin);
       return;
     }
     default:
@@ -708,12 +581,6 @@ void PubSubSystem::advance_graft(PeerId self, const GraftEnvelope& graft) {
   GroupStats& stats = manager_->stats(graft.group);
   switch (advance.status) {
     case GroupManager::GraftAdvance::Status::kDescend:
-      if (config_.graft_prefix_batch) {
-        // Same-instant descents sharing this (self -> next) hop merge into
-        // one carrier; the zero-delay outbox flush preserves the instant.
-        queue_graft(self, advance.next, graft);
-        return;
-      }
       ++stats.graft_hops;
       sim_->network().note_graft_hop();
       if (tracer_.enabled())
@@ -781,145 +648,32 @@ void PubSubSystem::resubscribe(GroupId group, PeerId subscriber) {
   if (!manager_->alive(subscriber) || !manager_->is_subscribed(group, subscriber))
     return;  // died or unsubscribed mid-graft: nothing owed
   ++manager_->stats(group).graft_resubscribes;
-  const GroupRequest request{group, subscriber,
-                             sharded() ? manager_->owner_root(group, subscriber)
-                                       : manager_->root_of(group)};
+  const GroupRequest request{group, subscriber, manager_->owner_root(group, subscriber)};
   if (subscriber == request.target)
     handle_at_root(subscriber, kSubscribeKind, request);
   else
     forward_control(subscriber, kSubscribeKind, request);
 }
 
-void PubSubSystem::queue_graft(PeerId self, PeerId next, const GraftEnvelope& graft) {
-  auto& outbox = graft_outbox_[self];
-  const bool was_empty = outbox.empty();
-  outbox[next].push_back(graft);
-  // One flush event per (peer, instant): armed when the first step lands,
-  // zero-delay so it runs after every same-instant descent has queued.
-  if (was_empty)
-    sim_->schedule_after(0.0, [this, self]() { flush_graft_outbox(self); });
-}
-
-void PubSubSystem::flush_graft_outbox(PeerId self) {
-  auto outbox = std::move(graft_outbox_[self]);
-  graft_outbox_[self].clear();
-  if (outbox.empty()) return;
-  if (!manager_->alive(self)) {
-    // Died between queueing and the flush: these descents are exactly the
-    // ones a departure sweep would have aborted mid-hop.
-    for (auto& [next, grafts] : outbox)
-      for (const GraftEnvelope& graft : grafts) abort_graft(graft.graft_id);
-    return;
-  }
-  for (auto& [next, grafts] : outbox) {
-    GroupStats& stats = manager_->stats(grafts.front().group);
-    if (grafts.size() == 1) {
-      // Singleton: the historic per-envelope path, identical counters.
-      const GraftEnvelope& graft = grafts.front();
-      ++stats.graft_hops;
-      sim_->network().note_graft_hop();
-      if (tracer_.enabled())
-        tracer_.emit({sim_->now(), obs::TraceEventType::kGraftStep, graft.group,
-                      graft.graft_id, 0, 0, self, next});
-      graft_hop_->send(self, next, graft.graft_id, graft, kGraftRequestKind);
-      continue;
-    }
-    // >= 2 same-instant steps to one target: one carrier, one ack. The hop
-    // is charged once (to the front member's group — it owns the token).
-    ++stats.graft_hops;
-    sim_->network().note_graft_hop();
-    ++stats.graft_prefix_batches;
-    stats.graft_prefix_merged += grafts.size() - 1;
-    if (tracer_.enabled())
-      for (const GraftEnvelope& graft : grafts)
-        tracer_.emit({sim_->now(), obs::TraceEventType::kGraftStep, graft.group,
-                      graft.graft_id, 0, 0, self, next});
-    const std::uint64_t token = grafts.front().graft_id;
-    graft_hop_->send(self, next, token, GraftBatch{std::move(grafts)},
-                     kGraftBatchKind);
-  }
-}
-
-void PubSubSystem::on_graft_batch(PeerId self, PeerId from, const GraftBatch& batch) {
-  if (batch.grafts.empty()) return;
-  // One ack covers the carrier (its token is the front member's graft id);
-  // members dedup individually — a retransmitted carrier must not replay
-  // any member's descent decision.
-  graft_hop_->acknowledge(self, from, batch.grafts.front().graft_id);
-  for (const GraftEnvelope& graft : batch.grafts) {
-    if (!graft_seen_[self].insert(graft.graft_id).second) continue;
-    advance_graft(self, graft);
-  }
-}
-
-void PubSubSystem::flush_batch(GroupId group, bool window_expired) {
-  const auto it = pending_batch_.find(group);
-  if (it == pending_batch_.end() || it->second.count == 0) return;
-  const std::size_t count = it->second.count;
-  const PeerId root = it->second.root;
-  // Accept times travel with the buffer: lost or subscriber-less batches
-  // drop them alongside the publishes (no seqs are assigned, so the
-  // accept_times_ <-> seq correspondence stays exact).
-  std::vector<double> accepted = std::move(it->second.accepted);
-  it->second.count = 0;
-  it->second.accepted.clear();
-  GroupStats& stats = manager_->stats(group);
-  if (!manager_->alive(root)) {
-    // Nothing migrates a pending buffer here: it was state of the dead
-    // root. Under warm failover the promotion path adopted (or retired)
-    // the buffer at departure time, so this branch only fires cold.
-    stats.batch_publishes_lost += count;
-    return;
-  }
-  if (warm() && acked()) {
-    // The batch is consumed from here on, whether or not a wave goes out:
-    // the replica's copy must not outlive it (a stale copy would hand a
-    // later promotion phantom publishes).
-    ReplicaSync sync;
-    sync.what = ReplicaSync::What::kPendingFlush;
-    replica_send(root, group, std::move(sync), false);
-  }
-  const auto snapshot = manager_->tree_snapshot(group);
-  if (snapshot == nullptr) return;  // nobody subscribed (publishes counted)
-  ++(window_expired ? stats.batch_flushes_window : stats.batch_flushes_full);
-  stats.batch_occupancy_sum += count;
-  stats.expected_deliveries +=
-      static_cast<std::uint64_t>(count) * snapshot->reached_subscribers;
-  // Envelope amortisation: unbatched, each of the `count` publishes would
-  // have paid one payload envelope per tree edge (and one ack per edge at
-  // QoS 1+); the batch pays each edge once.
-  const std::uint64_t saved = static_cast<std::uint64_t>(count - 1) *
-                              snapshot->tree.edge_count() * (acked() ? 2 : 1);
-  stats.envelopes_saved += saved;
-  sim_->network().note_batched_wave(saved);
-  std::uint64_t& next = next_seq_[group];
-  const std::uint64_t seq_lo = next;
-  next += count;
-  const std::uint64_t wave = next_wave_++;
-  auto& times = accept_times_[group];
-  times.insert(times.end(), accepted.begin(), accepted.end());
-  wave_groups_.push_back(group);
-  if (tracer_.enabled())
-    tracer_.emit({sim_->now(), obs::TraceEventType::kRootFlush, group, wave,
-                  seq_lo, seq_lo + count - 1, root});
-  disseminate(root, kInvalidPeer,
-              payload_pool_.make(
-                  GroupDelivery{group, seq_lo, seq_lo + count - 1, wave, snapshot}));
-  if (heartbeats_enabled()) schedule_heartbeat(group);
-}
-
 void PubSubSystem::shard_publish(PeerId self, GroupId group, std::uint32_t slot,
-                                 std::uint32_t count) {
+                                 std::uint32_t count, PeerId origin) {
   GroupStats& stats = manager_->stats(group);
   if (!batching()) {
-    shard_commit(group, slot, self, count,
-                 std::vector<double>(count, sim_->now()));
+    // Immediate commit: no buffer, no timer. A group nobody subscribes to
+    // is owed nothing, so the publish consumes no seq.
+    if (manager_->subscriber_count(group) == 0) return;
+    shard_commit(group, slot, self, count, std::vector<double>(count, sim_->now()),
+                 origin);
     return;
   }
-  // Per-(group, slot) coalescing buffer — the PR 4 pipeline run locally at
-  // each slot root over the publishes IT ingests.
+  // Per-(group, slot) coalescing buffer: each slot root coalesces the
+  // publishes IT ingests.
   PendingBatch& batch = shard_pending_[{group, slot}];
   if (batch.count > 0 && !manager_->alive(batch.root)) {
+    // The buffering root died with publishes pending: they died with it
+    // (exactly like unbatched publishes addressed to a dead root). `self`
+    // is the migrated-to root starting a fresh buffer; the dead root's
+    // window timer must not flush it early.
     stats.batch_publishes_lost += batch.count;
     batch.count = 0;
     batch.accepted.clear();
@@ -931,7 +685,10 @@ void PubSubSystem::shard_publish(PeerId self, GroupId group, std::uint32_t slot,
   for (std::uint32_t i = 0; i < count; ++i) batch.accepted.push_back(sim_->now());
   if (slot == 0 && warm() && acked()) {
     // Only the authority slot participates in warm failover — its replica
-    // shadows its buffer; other slots' buffers die cold with their root.
+    // shadows its buffer join by join, so a warm promotion can adopt the
+    // batch instead of dropping it; other slots' buffers die cold with their
+    // root. QoS 0 keeps the loss: fire-and-forget publishes have no
+    // delivery promise a failover would be preserving.
     for (std::uint32_t i = 0; i < count; ++i) {
       ReplicaSync sync;
       sync.what = ReplicaSync::What::kPendingJoin;
@@ -940,8 +697,10 @@ void PubSubSystem::shard_publish(PeerId self, GroupId group, std::uint32_t slot,
     }
   }
   if (tracer_.enabled()) {
+    // Buffered: no wave or seq exists yet. seq_lo doubles as buffer
+    // occupancy after this accept.
     tracer_.emit({sim_->now(), obs::TraceEventType::kPublishAccepted, group,
-                  obs::kNoWave, 0, 0, self});
+                  obs::kNoWave, 0, 0, self, origin});
     tracer_.emit({sim_->now(), obs::TraceEventType::kRootBuffer, group,
                   obs::kNoWave, batch.count, batch.count, self});
   }
@@ -968,21 +727,31 @@ void PubSubSystem::flush_shard_batch(GroupId group, std::uint32_t slot,
   it->second.accepted.clear();
   GroupStats& stats = manager_->stats(group);
   if (!manager_->alive(root)) {
+    // Nothing migrates a pending buffer here: it was state of the dead
+    // root. Under warm failover the promotion path adopted (or retired)
+    // the authority's buffer at departure time, so this only fires cold.
     stats.batch_publishes_lost += count;
     return;
   }
   if (slot == 0 && warm() && acked()) {
+    // The batch is consumed from here on, whether or not a wave goes out:
+    // the replica's copy must not outlive it (a stale copy would hand a
+    // later promotion phantom publishes).
     ReplicaSync sync;
     sync.what = ReplicaSync::What::kPendingFlush;
     replica_send(root, group, std::move(sync), false);
   }
+  // Everyone unsubscribed during the window: the publishes stay counted,
+  // but no seq is consumed and no flush is booked.
+  if (manager_->subscriber_count(group) == 0) return;
   ++(window_expired ? stats.batch_flushes_window : stats.batch_flushes_full);
   stats.batch_occupancy_sum += count;
-  shard_commit(group, slot, root, count, std::move(accepted));
+  shard_commit(group, slot, root, count, std::move(accepted), kInvalidPeer);
 }
 
 void PubSubSystem::shard_commit(GroupId group, std::uint32_t slot, PeerId root,
-                                std::uint64_t count, std::vector<double> accepted) {
+                                std::uint64_t count, std::vector<double> accepted,
+                                PeerId origin) {
   if (slot == 0) {
     // The authority assigns its own dense range locally — no lease round
     // trip; slot 0 IS the seq counter's home.
@@ -990,7 +759,7 @@ void PubSubSystem::shard_commit(GroupId group, std::uint32_t slot, PeerId root,
     const std::uint64_t seq_lo = next;
     next += count;
     record_accept_times(group, seq_lo, accepted);
-    launch_wave(group, 0, root, seq_lo, seq_lo + count - 1);
+    launch_wave(group, 0, root, seq_lo, seq_lo + count - 1, origin);
     return;
   }
   GroupStats& stats = manager_->stats(group);
@@ -1006,7 +775,8 @@ void PubSubSystem::shard_commit(GroupId group, std::uint32_t slot, PeerId root,
   if (tracer_.enabled())
     tracer_.emit({sim_->now(), obs::TraceEventType::kSeqLease, group, id, count,
                   count, root, authority});
-  lease_pending_.emplace(id, PendingLease{group, slot, root, std::move(accepted)});
+  lease_pending_.emplace(id,
+                         PendingLease{group, slot, root, origin, std::move(accepted)});
   coord_send(root, authority, id, SeqLease{group, slot, count, id}, kSeqLeaseKind);
 }
 
@@ -1029,7 +799,7 @@ void PubSubSystem::record_accept_times(GroupId group, std::uint64_t seq_lo,
 
 void PubSubSystem::on_seq_lease(PeerId self, PeerId from, const SeqLease& lease) {
   coord_hop_->acknowledge(self, from, lease.coord_id);
-  if (!coord_seen_[self].insert(lease.coord_id).second) return;
+  if (!coord_seen_.insert(lease.coord_id).second) return;
   GroupStats& stats = manager_->stats(lease.group);
   ++stats.seq_leases_granted;
   std::uint64_t& next = next_seq_[lease.group];
@@ -1047,19 +817,19 @@ void PubSubSystem::on_seq_lease(PeerId self, PeerId from, const SeqLease& lease)
 
 void PubSubSystem::on_seq_grant(PeerId self, PeerId from, const SeqGrant& grant) {
   coord_hop_->acknowledge(self, from, grant.coord_id);
-  if (!coord_seen_[self].insert(grant.coord_id).second) return;
+  if (!coord_seen_.insert(grant.coord_id).second) return;
   const auto it = lease_pending_.find(grant.lease_id);
   if (it == lease_pending_.end()) return;  // re-keyed by an abandon, or stale
   PendingLease lease = std::move(it->second);
   lease_pending_.erase(it);
   record_accept_times(lease.group, grant.seq_lo, lease.accepted);
   launch_wave(lease.group, lease.slot, self, grant.seq_lo,
-              grant.seq_lo + grant.count - 1);
+              grant.seq_lo + grant.count - 1, lease.origin);
 }
 
 void PubSubSystem::launch_wave(GroupId group, std::uint32_t origin_slot,
                                PeerId origin_root, std::uint64_t seq_lo,
-                               std::uint64_t seq_hi) {
+                               std::uint64_t seq_hi, PeerId origin) {
   GroupStats& stats = manager_->stats(group);
   const std::size_t replicas = manager_->root_replicas();
   for (std::uint32_t s = 0; s < replicas; ++s) {
@@ -1074,12 +844,12 @@ void PubSubSystem::launch_wave(GroupId group, std::uint32_t origin_slot,
     coord_send(origin_root, target, id, ShardWave{group, s, seq_lo, seq_hi, id},
                kShardWaveKind);
   }
-  drive_shard_wave(group, origin_slot, origin_root, seq_lo, seq_hi);
+  drive_shard_wave(group, origin_slot, origin_root, seq_lo, seq_hi, origin);
 }
 
 void PubSubSystem::on_shard_wave(PeerId self, PeerId from, const ShardWave& sw) {
   coord_hop_->acknowledge(self, from, sw.coord_id);
-  if (!coord_seen_[self].insert(sw.coord_id).second) return;
+  if (!coord_seen_.insert(sw.coord_id).second) return;
   const PeerId current = manager_->slot_root(sw.group, sw.slot);
   if (current != self) {
     // Raced a promotion: forward the handoff to the slot's current root so
@@ -1092,11 +862,11 @@ void PubSubSystem::on_shard_wave(PeerId self, PeerId from, const ShardWave& sw) 
     }
     return;
   }
-  drive_shard_wave(sw.group, sw.slot, self, sw.seq_lo, sw.seq_hi);
+  drive_shard_wave(sw.group, sw.slot, self, sw.seq_lo, sw.seq_hi, kInvalidPeer);
 }
 
 void PubSubSystem::drive_shard_wave(GroupId group, std::uint32_t slot, PeerId root,
-                                    std::uint64_t lo, std::uint64_t hi) {
+                                    std::uint64_t lo, std::uint64_t hi, PeerId origin) {
   // Per-slot heartbeat horizon: one past the highest seq THIS slot root has
   // driven. A global next_seq_ horizon would advertise seqs a slot has not
   // received its handoff for yet, tricking subscribers into doomed NACKs.
@@ -1107,20 +877,33 @@ void PubSubSystem::drive_shard_wave(GroupId group, std::uint32_t slot, PeerId ro
   GroupStats& stats = manager_->stats(group);
   const std::uint64_t count = hi - lo + 1;
   stats.expected_deliveries += count * snapshot->reached_subscribers;
-  ++stats.shard_waves;
-  if (count > 1) {
+  if (manager_->root_replicas() > 1) ++stats.shard_waves;
+  if (batching() || count > 1) {
+    // Envelope amortisation: sent one publish at a time, each of the
+    // `count` seqs would have paid one payload envelope per tree edge (and
+    // one ack per edge at QoS 1+); the range wave pays each edge once.
+    // With root coalescing on, every wave is a flushed batch, so even a
+    // one-publish batch counts as a batched wave.
     const std::uint64_t saved = (count - 1) * snapshot->tree.edge_count() *
                                 (acked() ? 2 : 1);
     stats.envelopes_saved += saved;
     sim_->network().note_batched_wave(saved);
   }
+  // The wave->group map is kept with or without a sink, so attaching one
+  // cannot perturb a run.
   const std::uint64_t wave = next_wave_++;
   wave_groups_.push_back(group);
-  if (tracer_.enabled())
+  if (tracer_.enabled()) {
+    // An unbatched publish's accept names its wave and seq range, so
+    // events_for_wave finds it; a buffered one was traced at buffer time.
+    if (origin != kInvalidPeer)
+      tracer_.emit({sim_->now(), obs::TraceEventType::kPublishAccepted, group, wave,
+                    lo, hi, root, origin});
     tracer_.emit({sim_->now(), obs::TraceEventType::kRootFlush, group, wave, lo,
                   hi, root});
+  }
   disseminate(root, kInvalidPeer,
-              payload_pool_.make(GroupDelivery{group, lo, hi, wave, snapshot}));
+              payload_pool_.make(GroupDelivery{group, lo, hi, wave, snapshot, slot}));
   if (heartbeats_enabled()) schedule_heartbeat(group);
 }
 
@@ -1180,10 +963,6 @@ void PubSubSystem::on_coord_abandon(const std::any& payload) {
 
 void PubSubSystem::disseminate(PeerId self, PeerId from,
                                const DeliveryPtr& delivery_ptr) {
-  if (sharded()) {
-    disseminate_sharded(self, from, delivery_ptr);
-    return;
-  }
   const GroupDelivery& delivery = *delivery_ptr;
   GroupStats& stats = manager_->stats(delivery.group);
   if (acked() && from != kInvalidPeer) {
@@ -1194,12 +973,16 @@ void PubSubSystem::disseminate(PeerId self, PeerId from,
     ++stats.ack_messages;
     hop_->acknowledge(self, from, delivery.wave);
   }
-  // Per-seq dedup over the range: a retransmitted wave is usually stale
-  // end to end, but a repair can have filled part of the range first —
-  // then only the fresh remainder is delivered.
+  // Per-seq dedup over the range, keyed by (group, slot): with several
+  // slots a peer can relay for more than one shard tree, and one slot's
+  // wave must not starve another's subtree just because it carried the
+  // same seqs. A retransmitted wave is usually stale end to end, but a
+  // repair can have filled part of the range first — then only the fresh
+  // remainder is delivered.
   const std::vector<std::pair<std::uint64_t, std::uint64_t>>* fresh;
   if (acked()) {
-    fresh = &fresh_runs(self, delivery.group, delivery.seq, delivery.seq_hi);
+    fresh = &fresh_runs(self, delivery.group, delivery.slot, delivery.seq,
+                        delivery.seq_hi);
     if (fresh->empty()) {
       // Every seq already processed: a pure duplicate, re-acked above but
       // never re-delivered or re-forwarded.
@@ -1213,8 +996,8 @@ void PubSubSystem::disseminate(PeerId self, PeerId from,
     }
   } else {
     // Under QoS 0 the dedup is moot: the snapshot is a tree (one parent
-    // per peer) and every wave has a unique (group, seq range), so without
-    // retransmissions a peer can never receive the same wave twice.
+    // per peer) and every wave has a unique (group, slot, seq range), so
+    // without retransmissions a peer can never receive the same wave twice.
     auto& scratch = fresh_scratch_[sim::Simulator::scratch_lane()];
     scratch.clear();
     scratch.emplace_back(delivery.seq, delivery.seq_hi);
@@ -1224,23 +1007,27 @@ void PubSubSystem::disseminate(PeerId self, PeerId from,
   // mid-wave graft/prune/rebuild affects later publishes only.
   const GroupTree* gt = delivery.tree.get();
   if (gt == nullptr || !gt->tree.reached(self)) return;
-  // QoS 2 repair responders: the root and every forwarder retain the wave
-  // (bounded per-(peer, group) window) so downstream NACKs can be served
-  // from the nearest ancestor instead of the publisher. One slot covers
-  // the whole range.
+  // QoS 2 repair responders: the slot root and every forwarder retain the
+  // wave (bounded per-(peer, group) window) so downstream NACKs can be
+  // served from the nearest ancestor instead of the publisher. One
+  // retained entry covers the whole range.
   if (end_to_end() &&
       (gt->tree.root() == self || !gt->tree.children(self).empty())) {
     stats.retained_evictions += manager_->retain_payload(
         self, delivery.group, delivery.seq, delivery.seq_hi, delivery_ptr);
-    if (warm() && from == kInvalidPeer) {
-      // Root-side flush: mirror the retained range to the replica so a
-      // promoted successor can serve post-migration NACKs for it.
+    if (warm() && from == kInvalidPeer && delivery.slot == 0) {
+      // The authority's own flush: mirror the retained range to the
+      // replica so a promoted successor can serve post-migration NACKs for
+      // it. Other slot roots retain locally and fail cold (their shard
+      // re-fetches via NACKs).
       ReplicaSync sync;
       sync.what = ReplicaSync::What::kRetain;
       sync.wave = delivery;
       replica_send(self, delivery.group, std::move(sync), false);
     }
   }
+  // A subscriber sits in exactly one slot's tree, so the (group, slot)
+  // dedup above keeps delivery exact.
   if (gt->is_subscriber[self]) {
     for (const auto& [lo, hi] : *fresh) {
       if (end_to_end())
@@ -1255,73 +1042,15 @@ void PubSubSystem::disseminate(PeerId self, PeerId from,
   }
 }
 
-void PubSubSystem::disseminate_sharded(PeerId self, PeerId from,
-                                       const DeliveryPtr& delivery_ptr) {
-  const GroupDelivery& delivery = *delivery_ptr;
-  GroupStats& stats = manager_->stats(delivery.group);
-  if (acked() && from != kInvalidPeer) {
-    ++stats.ack_messages;
-    hop_->acknowledge(self, from, delivery.wave);
-  }
-  // Forwarding dedup is by wave id, not (group, seq): with R shard trees a
-  // peer can sit in several of them, and ranges assigned under one slot's
-  // wave must not starve its relays just because another slot's wave
-  // already delivered those seqs here. Seq-level dedup still guards the
-  // subscriber-delivery step below.
-  if (from != kInvalidPeer && !wave_seen_[self].insert(delivery.wave).second) {
-    ++stats.duplicate_deliveries;
-    sim_->network().note_duplicate();
-    if (tracer_.enabled())
-      tracer_.emit({sim_->now(), obs::TraceEventType::kDuplicateSuppressed,
-                    delivery.group, delivery.wave, delivery.seq, delivery.seq_hi,
-                    self, from});
-    return;
-  }
-  const GroupTree* gt = delivery.tree.get();
-  if (gt == nullptr || !gt->tree.reached(self)) return;
-  if (end_to_end() &&
-      (gt->tree.root() == self || !gt->tree.children(self).empty())) {
-    stats.retained_evictions += manager_->retain_payload(
-        self, delivery.group, delivery.seq, delivery.seq_hi, delivery_ptr);
-    if (warm() && from == kInvalidPeer &&
-        self == manager_->root_of(delivery.group)) {
-      // Only the slot-0 authority has a warm replica; other slot roots
-      // retain locally and fail cold (their shard re-fetches via NACKs).
-      ReplicaSync sync;
-      sync.what = ReplicaSync::What::kRetain;
-      sync.wave = delivery;
-      replica_send(self, delivery.group, std::move(sync), false);
-    }
-  }
-  if (gt->is_subscriber[self]) {
-    if (acked()) {
-      const auto& fresh =
-          fresh_runs(self, delivery.group, delivery.seq, delivery.seq_hi);
-      for (const auto& [lo, hi] : fresh) {
-        if (end_to_end())
-          window_observe(self, delivery, lo, hi);
-        else
-          deliver_range(self, delivery.group, lo, hi);
-      }
-    } else {
-      deliver_range(self, delivery.group, delivery.seq, delivery.seq_hi);
-    }
-  }
-  for (PeerId child : gt->tree.children(self)) {
-    ++stats.payload_messages;
-    hop_->send(self, child, delivery.wave, delivery_ptr);
-  }
-}
-
 const std::vector<std::pair<std::uint64_t, std::uint64_t>>& PubSubSystem::fresh_runs(
-    PeerId self, GroupId group, std::uint64_t lo, std::uint64_t hi) {
+    PeerId self, GroupId group, std::uint32_t slot, std::uint64_t lo, std::uint64_t hi) {
   auto& fresh = fresh_scratch_[sim::Simulator::scratch_lane()];
   fresh.clear();
   if (!config_.sim_core) {
     // Oracle path: one set node per seq.
     auto& seen = seen_[self];
     for (std::uint64_t s = lo; s <= hi; ++s) {
-      if (!seen.emplace(group, s).second) continue;
+      if (!seen.emplace(group, slot, s).second) continue;
       if (!fresh.empty() && fresh.back().second + 1 == s)
         fresh.back().second = s;
       else
@@ -1332,7 +1061,7 @@ const std::vector<std::pair<std::uint64_t, std::uint64_t>>& PubSubSystem::fresh_
   // Interval-set path: the map holds disjoint, non-adjacent inclusive
   // ranges (start -> end), so consecutive covered ranges are always
   // separated by a gap and the walk below never emits an empty run.
-  auto& ranges = seen_ranges_[self][group];
+  auto& ranges = seen_ranges_[self][{group, slot}];
   // Hot paths first. In-order traffic lands exactly one past the covered
   // suffix (the map's last range holds both the greatest start and the
   // greatest end), so the overwhelmingly common arrival is an O(1) extend
@@ -1528,11 +1257,10 @@ std::vector<PeerId> PubSubSystem::ancestor_chain(PeerId self, GroupId group,
   if (warm() && !manager_->alive(gt->tree.root())) {
     // The snapshot's root died mid-repair, so the walk above dead-ends
     // below it. The promoted successor holds the replicated history —
-    // append it as the final escalation target. In sharded mode that is
-    // the subscriber's own slot root: every committed range is driven
-    // through every shard tree, so the promoted slot root retains it.
-    const PeerId current = sharded() ? manager_->owner_root(group, self)
-                                     : manager_->root_of(group);
+    // append it as the final escalation target: the subscriber's own slot
+    // root, since every committed range is driven through every shard
+    // tree, so the promoted slot root retains it.
+    const PeerId current = manager_->owner_root(group, self);
     if (manager_->alive(current) && current != self &&
         std::find(chain.begin(), chain.end(), current) == chain.end())
       chain.push_back(current);
@@ -1674,8 +1402,12 @@ void PubSubSystem::on_repair(PeerId self, const DeliveryPtr& delivery_ptr) {
   // Escalation can recruit two responders for one seq (a slow repair plus
   // a retried ancestor): the shared dedup suppresses the second copy. A
   // range repair can also overlap seqs that arrived since the NACK went
-  // out — only the fresh remainder runs through the window.
-  const auto& fresh = fresh_runs(self, delivery.group, delivery.seq, delivery.seq_hi);
+  // out — only the fresh remainder runs through the window. The key is the
+  // subscriber's own slot, whose tree carried its data waves: a responder
+  // relaying for several slots may serve another slot's copy of the range.
+  const auto& fresh =
+      fresh_runs(self, delivery.group, manager_->owner_slot(delivery.group, self),
+                 delivery.seq, delivery.seq_hi);
   if (fresh.empty()) {
     ++stats.duplicate_deliveries;
     sim_->network().note_duplicate();
@@ -1818,18 +1550,11 @@ void PubSubSystem::bootstrap_replica(GroupId group, bool migration) {
     replica_send(root, group, std::move(sync), migration);
   }
   if (acked() && batching()) {
-    // Sharded groups buffer the authority's publishes under {group, slot 0};
-    // only that buffer is warm-replicated, so only it re-joins here.
-    PendingBatch* bp = nullptr;
-    if (sharded()) {
-      const auto it = shard_pending_.find({group, 0u});
-      if (it != shard_pending_.end()) bp = &it->second;
-    } else {
-      const auto it = pending_batch_.find(group);
-      if (it != pending_batch_.end()) bp = &it->second;
-    }
-    if (bp != nullptr && bp->count > 0 && bp->root == root) {
-      for (const double accepted_at : bp->accepted) {
+    // Only the authority's buffer ({group, slot 0}) is warm-replicated, so
+    // only it re-joins here.
+    const auto it = shard_pending_.find({group, 0u});
+    if (it != shard_pending_.end() && it->second.count > 0 && it->second.root == root) {
+      for (const double accepted_at : it->second.accepted) {
         ReplicaSync sync;
         sync.what = ReplicaSync::What::kPendingJoin;
         sync.accepted_at = accepted_at;
@@ -1850,16 +1575,11 @@ void PubSubSystem::handle_promotion(const GroupManager::RootPromotion& promotion
     // Adopt (or retire) the dead root's pending batch. The façade's buffer
     // count is ground truth for how many publishes were pending; the
     // replica's copy bounds how many the successor may claim — min() keeps
-    // a racing flush/join from inventing phantom publishes. Sharded groups
-    // keep the authority's buffer under {group, slot 0}.
+    // a racing flush/join from inventing phantom publishes. The authority's
+    // buffer is the {group, slot 0} one.
     PendingBatch* bp = nullptr;
-    if (sharded()) {
-      const auto bit = shard_pending_.find({promotion.group, 0u});
-      if (bit != shard_pending_.end()) bp = &bit->second;
-    } else {
-      const auto bit = pending_batch_.find(promotion.group);
-      if (bit != pending_batch_.end()) bp = &bit->second;
-    }
+    const auto bit = shard_pending_.find({promotion.group, 0u});
+    if (bit != shard_pending_.end()) bp = &bit->second;
     const std::size_t at_root =
         (bp != nullptr && bp->root == promotion.old_root) ? bp->count : 0;
     if (at_root > 0) {
@@ -1881,12 +1601,8 @@ void PubSubSystem::handle_promotion(const GroupManager::RootPromotion& promotion
         // A fresh window from the adoption instant: the inherited batch
         // flushes from the successor like any other.
         bp->timer = sim_->schedule_after(
-            config_.batch_window, [this, group = promotion.group]() {
-              if (sharded())
-                flush_shard_batch(group, 0, true);
-              else
-                flush_batch(group, true);
-            });
+            config_.batch_window,
+            [this, group = promotion.group]() { flush_shard_batch(group, 0, true); });
       }
     }
   }
@@ -1925,48 +1641,33 @@ void PubSubSystem::heartbeat_tick(GroupId group, std::uint64_t epoch) {
 }
 
 void PubSubSystem::send_heartbeat(GroupId group) {
-  if (sharded()) {
-    // One beacon per slot, advertising the slot's OWN horizon: a global
-    // next_seq_ horizon would name seqs whose handoff a lagging slot has
-    // not driven yet, sending its subscribers into doomed NACK rounds.
-    for (std::uint32_t s = 0; s < manager_->root_replicas(); ++s) {
-      const auto hit = shard_horizon_.find({group, s});
-      if (hit == shard_horizon_.end() || hit->second == 0) continue;
-      const PeerId root = manager_->slot_root(group, s);
-      if (root == kInvalidPeer || !manager_->alive(root)) continue;
-      const auto snapshot = manager_->slot_tree_snapshot(group, s);
-      if (snapshot == nullptr) continue;
-      const std::uint64_t wave = next_wave_++;
-      wave_groups_.push_back(group);
-      const GroupHeartbeat hb{group, hit->second - 1, wave, snapshot};
-      ++manager_->stats(group).heartbeats_sent;
-      if (tracer_.enabled())
-        tracer_.emit({sim_->now(), obs::TraceEventType::kHeartbeat, group, wave,
-                      hb.highest_seq, hb.highest_seq, root});
-      on_heartbeat(root, hb);
-    }
-    return;
+  // One beacon per slot, advertising the slot's OWN horizon: a global
+  // next_seq_ horizon would name seqs whose handoff a lagging slot has not
+  // driven yet, sending its subscribers into doomed NACK rounds.
+  for (std::uint32_t s = 0; s < manager_->root_replicas(); ++s) {
+    const auto hit = shard_horizon_.find({group, s});
+    if (hit == shard_horizon_.end() || hit->second == 0) continue;  // nothing driven
+    const PeerId root = manager_->slot_root(group, s);
+    // A dead slot root's promotion re-arms its own burst.
+    if (root == kInvalidPeer || !manager_->alive(root)) continue;
+    const auto snapshot = manager_->slot_tree_snapshot(group, s);
+    if (snapshot == nullptr) continue;  // nobody subscribed in this shard
+    // Beacons live in the same dense wave-id space as data waves, so
+    // latest-tree ordering works unchanged.
+    const std::uint64_t wave = next_wave_++;
+    wave_groups_.push_back(group);
+    const GroupHeartbeat hb{group, hit->second - 1, wave, snapshot};
+    ++manager_->stats(group).heartbeats_sent;
+    if (tracer_.enabled())
+      tracer_.emit({sim_->now(), obs::TraceEventType::kHeartbeat, group, wave,
+                    hb.highest_seq, hb.highest_seq, root});
+    on_heartbeat(root, hb);  // the root's own copy; forwarding starts here
   }
-  const auto seq_it = next_seq_.find(group);
-  if (seq_it == next_seq_.end() || seq_it->second == 0) return;  // nothing flushed
-  const PeerId root = manager_->root_of(group);
-  if (!manager_->alive(root)) return;  // the promotion re-arms its own burst
-  const auto snapshot = manager_->tree_snapshot(group);
-  if (snapshot == nullptr) return;  // nobody subscribed
-  // Beacons live in the same dense wave-id space as data waves, so the
-  // per-peer dedup and latest-tree ordering work unchanged.
-  const std::uint64_t wave = next_wave_++;
-  wave_groups_.push_back(group);
-  const GroupHeartbeat hb{group, seq_it->second - 1, wave, snapshot};
-  ++manager_->stats(group).heartbeats_sent;
-  if (tracer_.enabled())
-    tracer_.emit({sim_->now(), obs::TraceEventType::kHeartbeat, group, wave,
-                  hb.highest_seq, hb.highest_seq, root});
-  on_heartbeat(root, hb);  // the root's own copy; forwarding starts here
 }
 
 void PubSubSystem::on_heartbeat(PeerId self, const GroupHeartbeat& hb) {
-  if (!hb_seen_[self].insert(hb.wave).second) return;
+  // No dedup: a beacon travels its snapshot tree once (one parent per
+  // peer) and is never retransmitted.
   const GroupTree* gt = hb.tree.get();
   if (gt == nullptr || !gt->tree.reached(self)) return;
   if (gt->is_subscriber[self]) {
@@ -2009,11 +1710,9 @@ void PubSubSystem::schedule_control(double time, PeerId peer, GroupId group,
                                     sim::MessageKind kind) {
   sim_->schedule_at(time, [this, peer, group, kind]() {
     if (!manager_->alive(peer)) return;
-    // Sharded groups address control at the origin's OWN slot root — this
+    // Control goes to the origin's OWN slot root — with several slots this
     // is the load split: each anchor's neighbourhood hits its own replica.
-    const GroupRequest request{group, peer,
-                               sharded() ? manager_->owner_root(group, peer)
-                                         : manager_->root_of(group)};
+    const GroupRequest request{group, peer, manager_->owner_root(group, peer)};
     if (peer == request.target)
       handle_at_root(peer, kind, request);
     else
@@ -2047,10 +1746,7 @@ void PubSubSystem::publisher_flush(PeerId peer, GroupId group) {
   // One control envelope now carries n publishes; the other n-1 were never
   // sent (the whole point of source-side coalescing on a hot group).
   stats.publisher_envelopes_saved += n - 1;
-  const GroupRequest request{group, peer,
-                             sharded() ? manager_->owner_root(group, peer)
-                                       : manager_->root_of(group),
-                             n};
+  const GroupRequest request{group, peer, manager_->owner_root(group, peer), n};
   if (peer == request.target)
     handle_at_root(peer, kPublishKind, request);
   else

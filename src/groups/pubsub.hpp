@@ -51,22 +51,41 @@
 // oracle the routed path is pinned bit-identical against on lossless
 // seeds (tests/groups_routed_graft_test.cpp).
 //
-// Data plane: the root resolves the group's cached pruned tree through
+// Publish pipeline (one path for every PubSubConfig::root_replicas = R):
+//
+//   publisher --kPublishKind--> owner slot root   shard_publish
+//                                  | coalesce      (per-(group, slot) buffer)
+//                                  v
+//                               shard_commit      slot 0 assigns seqs; any
+//                                  |              other slot leases them
+//                                  v              (kSeqLeaseKind/kSeqGrantKind)
+//                               launch_wave       kShardWaveKind handoff to
+//                                  |              every other slot root
+//                                  v
+//                               drive_shard_wave  one wave over the slot's
+//                                  |              shard tree
+//                                  v
+//                               disseminate       hop by hop down the tree
+//
+// R = 1 is the one-slot case: slot 0 is the group's rendezvous root and
+// its own seq authority, so the lease plane and the handoffs stay silent
+// and each commit drives one wave over the whole group tree.
+//
+// Data plane: the slot root resolves its cached pruned shard tree through
 // the GroupManager and pushes the payload down it, one kDeliverKind
-// envelope per tree edge; every peer forwards to its current tree
-// children (the forwarding state the build wave installed) and consumes
-// the payload iff subscribed, with per-(group, seq) duplicate
-// suppression.
+// envelope per tree edge; every peer forwards to its tree children (the
+// forwarding state the build wave installed) and consumes the payload iff
+// subscribed, with per-(group, slot, seq) duplicate suppression.
 //
 // Wave coalescing (PubSubConfig::batch_window / max_batch): back-to-back
-// publishes to the same group are buffered at the rendezvous root and
-// flushed as ONE tree wave whose envelope carries the dense sequence
-// range [seq, seq_hi] — one envelope, one ack, one pending-retransmit
-// entry, and one retained-buffer slot per tree edge per batch instead of
-// per publish, amortising the whole QoS ladder by the batch factor. The
-// buffer flushes when the window expires or max_batch publishes have
-// joined; delivery stays per-seq at the subscribers (the window splits
-// ranges), so the delivered (group, seq) set is identical to unbatched.
+// publishes to the same group are buffered at the slot root and flushed
+// as ONE tree wave whose envelope carries the dense sequence range
+// [seq, seq_hi] — one envelope, one ack, one pending-retransmit entry, and
+// one retained-buffer slot per tree edge per batch instead of per publish,
+// amortising the whole QoS ladder by the batch factor. The buffer flushes
+// when the window expires or max_batch publishes have joined; delivery
+// stays per-seq at the subscribers (the window splits ranges), so the
+// delivered (group, seq) set is identical to unbatched.
 //
 // The data plane has a QoS ladder (PubSubConfig::reliability): QoS 0 is
 // fire-and-forget, QoS 1 runs every kDeliverKind hop through the shared
@@ -109,16 +128,16 @@
 // classic NACK-scheme tail is that a gap is only detectable from later
 // traffic, so a subtree severed during a group's final wave would have
 // nothing to trigger its NACKs. Root-driven idle beacons close it: after
-// each flush the root re-arms a bounded round of kHeartbeatKind beacons
-// carrying the group's highest flushed seq down the current tree; a
-// subscriber whose window is behind that horizon opens gaps and NACKs as
-// if a later wave had revealed them. Beacons are fire-and-forget — the
+// each flush the group re-arms a bounded round of kHeartbeatKind beacons,
+// one per slot root, carrying the slot's highest driven seq down its
+// current shard tree; a subscriber whose window is behind that horizon
+// opens gaps and NACKs as if a later wave had revealed them. Beacons are fire-and-forget — the
 // repeated rounds are their redundancy. Residual blind spot: a subscriber
 // severed on the group's ONLY wave has an uninitialized window, and a
 // beacon must not owe a late joiner the whole history, so it stays silent.
 //
 // Warm root failover (PubSubConfig::warm_failover): each group's root
-// streams its bookkeeping — membership deltas, retained-range inserts,
+// (slot 0, the seq authority) streams its bookkeeping — membership deltas, retained-range inserts,
 // pending-batch joins — to the group's replica (the next-nearest alive
 // peer to the rendezvous point, recomputable by anyone) as
 // kReplicaSyncKind envelopes on a dedicated QoS 1 ReliableHopLayer. On
@@ -149,6 +168,7 @@
 #include <unordered_map>
 #include <memory>
 #include <set>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -199,6 +219,10 @@ struct GroupDelivery {
   /// the entire batch at a hop.
   std::uint64_t wave = 0;
   std::shared_ptr<const GroupTree> tree;
+  /// The replica slot whose shard tree `tree` is (always 0 with one slot).
+  /// Receivers dedup per (group, slot): a peer relaying for several slots
+  /// forwards each slot's copy of a range.
+  std::uint32_t slot = 0;
 
   [[nodiscard]] std::uint64_t count() const noexcept { return seq_hi - seq + 1; }
 };
@@ -296,18 +320,10 @@ struct ShardWave {
   std::uint64_t coord_id = 0;
 };
 
-/// Prefix-batched graft carrier (PubSubConfig::graft_prefix_batch): several
-/// same-instant descent steps sharing a (from, to) hop ride one acked
-/// envelope. The first member's graft_id is the reliability token; the
-/// receiver acks once and advances every member in order.
-struct GraftBatch {
-  std::vector<GraftEnvelope> grafts;
-};
-
-/// Root-driven idle beacon (kHeartbeatKind, fire-and-forget): the group's
-/// highest flushed seq, forwarded down the carried tree snapshot like a
-/// wave. `wave` is a real wave id (same dense space) so per-peer dedup and
-/// latest-tree ordering work unchanged.
+/// Root-driven idle beacon (kHeartbeatKind, fire-and-forget): the slot's
+/// highest driven seq, forwarded down the carried shard-tree snapshot like
+/// a wave. `wave` is a real wave id (same dense space) so latest-tree
+/// ordering works unchanged.
 struct GroupHeartbeat {
   GroupId group = 0;
   std::uint64_t highest_seq = 0;
@@ -352,9 +368,10 @@ struct PubSubConfig {
   /// each. Subscribers are owned by their nearest anchor's slot; control
   /// traffic targets the owner slot's root; each flush drives one pruned
   /// shard tree per slot, with a seq-lease protocol keeping (group, seq)
-  /// globally unique and dense. 1 (the default) is the historic
-  /// single-root pipeline, bit-identical to it on every seed — the oracle
-  /// the R > 1 delivered sets are pinned against.
+  /// globally unique and dense. Every R runs the same pipeline: 1 (the
+  /// default) is its one-slot case — slot 0 is the group's rendezvous root
+  /// and its own seq authority, so the lease plane and the shard handoffs
+  /// stay silent and each publish drives one wave over the whole tree.
   std::size_t root_replicas = 1;
   /// Publisher-side batching: app messages published by one peer to one
   /// group within this window ride ONE kPublishKind envelope (carrying a
@@ -364,13 +381,6 @@ struct PubSubConfig {
   /// App messages per publish envelope before the publisher's buffer
   /// flushes early (mirrors max_batch on the root side).
   std::size_t publisher_max_batch = 16;
-  /// Graft prefix batching: same-instant routed descent steps sharing a
-  /// (from, to) hop coalesce into one kGraftBatchKind carrier (one
-  /// envelope, one ack) instead of one kGraftRequestKind each. Off (the
-  /// default) keeps the historic one-envelope-per-descent path; the
-  /// resulting trees are identical either way — only envelope counts
-  /// change.
-  bool graft_prefix_batch = false;
   sim::LatencyModel latency = sim::LatencyModel::constant(0.01);
   /// Extra stochastic loss on top of the always-on "departed peers drop
   /// everything" rule.
@@ -601,11 +611,11 @@ class PubSubSystem {
     bool timer_armed = false;
   };
 
-  /// Per-group publish coalescing buffer, conceptually resident at the
-  /// rendezvous root: publishes join the pending batch until the window
-  /// timer fires or the batch fills, then flush as one range wave. The
-  /// buffer holds only a count — publishes carry no payload bytes here, so
-  /// a batch is fully described by how many seqs it will span.
+  /// Per-(group, slot) publish coalescing buffer, resident at the slot
+  /// root: publishes join the pending batch until the window timer fires
+  /// or the batch fills, then flush as one range wave. The buffer holds
+  /// only a count — publishes carry no payload bytes here, so a batch is
+  /// fully described by how many seqs it will span.
   struct PendingBatch {
     std::size_t count = 0;
     PeerId root = kInvalidPeer;  // the peer buffering (dies with it)
@@ -619,25 +629,31 @@ class PubSubSystem {
   void schedule_control(double time, PeerId peer, GroupId group, sim::MessageKind kind);
   void handle_at_root(PeerId self, sim::MessageKind kind, const GroupRequest& request);
   void forward_control(PeerId self, sim::MessageKind kind, const GroupRequest& request);
-  /// Books `count` publishes accepted at `self` (a slot root) and commits
-  /// or buffers them per the batching knobs — the sharded (R > 1)
-  /// counterpart of handle_at_root's publish arm.
+  /// Books `count` publishes from `origin` accepted at `self` (its owner
+  /// slot's root) and commits them at once, or buffers them when root
+  /// coalescing is on. The one publish pipeline, whatever the slot count.
   void shard_publish(PeerId self, GroupId group, std::uint32_t slot,
-                     std::uint32_t count);
+                     std::uint32_t count, PeerId origin);
+  /// Commits the (group, slot) pending batch as one range. `window_expired`
+  /// selects the flush-reason counter (window timer vs. batch full). A
+  /// batch whose buffering root died is dropped — those publishes died at
+  /// the root exactly like unbatched publishes addressed to a dead root.
   void flush_shard_batch(GroupId group, std::uint32_t slot, bool window_expired);
   /// Commits `count` accepted publishes at `root` (slot `slot`): slot 0
   /// assigns the dense seq range locally (it IS the authority), any other
-  /// slot leases one via kSeqLeaseKind and launches on the grant.
+  /// slot leases one via kSeqLeaseKind and launches on the grant. `origin`
+  /// is the publisher of an unbatched envelope (its accept is traced with
+  /// the wave), kInvalidPeer for a flushed batch.
   void shard_commit(GroupId group, std::uint32_t slot, PeerId root,
-                    std::uint64_t count, std::vector<double> accepted);
+                    std::uint64_t count, std::vector<double> accepted, PeerId origin);
   /// A committed range fans out: every other alive slot root gets a
   /// kShardWaveKind handoff, then the origin drives its own shard tree.
   void launch_wave(GroupId group, std::uint32_t origin_slot, PeerId origin_root,
-                   std::uint64_t seq_lo, std::uint64_t seq_hi);
+                   std::uint64_t seq_lo, std::uint64_t seq_hi, PeerId origin);
   /// Drives [lo, hi] over `slot`'s shard tree from its root: fresh wave
   /// id, expected-delivery booking, dissemination, heartbeat re-arm.
   void drive_shard_wave(GroupId group, std::uint32_t slot, PeerId root,
-                        std::uint64_t lo, std::uint64_t hi);
+                        std::uint64_t lo, std::uint64_t hi, PeerId origin);
   void on_seq_lease(PeerId self, PeerId from, const SeqLease& lease);
   void on_seq_grant(PeerId self, PeerId from, const SeqGrant& grant);
   void on_shard_wave(PeerId self, PeerId from, const ShardWave& wave);
@@ -673,47 +689,25 @@ class PubSubSystem {
   void on_graft_request(PeerId self, PeerId from, const GraftEnvelope& graft);
   void on_graft_accept(PeerId self, PeerId from, const GraftEnvelope& graft);
   void on_graft_reject(PeerId self, PeerId from, const GraftEnvelope& graft);
-  /// Prefix batching (graft_prefix_batch): queues a descent step for the
-  /// per-instant (self -> next) outbox instead of sending immediately...
-  void queue_graft(PeerId self, PeerId next, const GraftEnvelope& graft);
-  /// ...and flushes `self`'s outbox at the same instant: singleton steps
-  /// go out on the historic per-envelope path, >= 2 steps to one target
-  /// merge into one kGraftBatchKind carrier.
-  void flush_graft_outbox(PeerId self);
-  /// Carrier receiver: ack once, advance every member in order.
-  void on_graft_batch(PeerId self, PeerId from, const GraftBatch& batch);
   /// Abort + abort-and-resubscribe: gives the graft up through the
   /// manager (cache dirtied) and re-issues the subscribe from the
   /// subscriber when it survived — the liveness half of the state machine.
   void abort_graft(std::uint64_t graft_id);
   void resubscribe(GroupId group, PeerId subscriber);
-  /// Pushes the group's pending batch down the tree as one range wave.
-  /// `window_expired` selects the flush-reason counter (window timer vs.
-  /// batch full). A batch whose buffering root died is dropped — those
-  /// publishes died at the root exactly like unbatched publishes addressed
-  /// to a dead root.
-  void flush_batch(GroupId group, bool window_expired);
   /// Handles one arrival of a wave at `self` (`from == kInvalidPeer` for
-  /// the root's own copy at publish time): ack, dedup, retain, deliver
+  /// the slot root's own copy at drive time): ack, dedup, retain, deliver
   /// (QoS 2: through the window), forward. Range-aware end to end — a
   /// partially-duplicate range (a repair filled part of it first) delivers
   /// only the fresh seqs but still forwards the whole envelope.
   void disseminate(PeerId self, PeerId from, const DeliveryPtr& delivery_ptr);
-  /// R > 1 wave handling. Differs from the legacy path in ONE load-bearing
-  /// way: with R shard trees a peer can relay for several slots, so
-  /// forwarding dedup is by wave id (unique per shard drive), while the
-  /// (group, seq) dedup governs only local delivery — a subscriber is in
-  /// exactly one shard tree, so delivery stays exact, and a second slot's
-  /// tree is still forwarded instead of starved.
-  void disseminate_sharded(PeerId self, PeerId from, const DeliveryPtr& delivery_ptr);
-  /// Marks [lo, hi] of `group` seen at `self` and returns the contiguous
-  /// runs of first-sighted seqs — the dedup step shared by the data plane
-  /// and the repair plane (whole range fresh on the common path; empty
-  /// means a pure duplicate). Only meaningful under QoS 1+ (seen_ sized).
-  /// Returns a reference to a reusable scratch buffer (one live result at
-  /// a time — no caller holds it across another dedup).
+  /// Marks [lo, hi] of (`group`, `slot`) seen at `self` and returns the
+  /// contiguous runs of first-sighted seqs — the dedup step shared by the
+  /// data plane and the repair plane (whole range fresh on the common
+  /// path; empty means a pure duplicate). Only meaningful under QoS 1+
+  /// (seen_ sized). Returns a reference to a reusable scratch buffer (one
+  /// live result at a time — no caller holds it across another dedup).
   [[nodiscard]] const std::vector<std::pair<std::uint64_t, std::uint64_t>>& fresh_runs(
-      PeerId self, GroupId group, std::uint64_t lo, std::uint64_t hi);
+      PeerId self, GroupId group, std::uint32_t slot, std::uint64_t lo, std::uint64_t hi);
 
   // -- QoS 2 repair plane -------------------------------------------------
   /// The (self, group) window state, or nullptr when this subscriber never
@@ -791,12 +785,12 @@ class PubSubSystem {
   /// flush; a newer flush's epoch invalidates older pending ticks.
   void schedule_heartbeat(GroupId group);
   void heartbeat_tick(GroupId group, std::uint64_t epoch);
-  /// Issues one beacon from the group's current root down a fresh tree
-  /// snapshot (post-promotion beacons therefore come from the successor).
+  /// Issues one beacon per slot from the slot's current root down a fresh
+  /// shard-tree snapshot (post-promotion beacons therefore come from the
+  /// successor).
   void send_heartbeat(GroupId group);
-  /// Beacon processing at `self`: dedup by beacon wave id, mark the
-  /// window through the advertised horizon (new gaps NACK as usual),
-  /// forward to tree children.
+  /// Beacon processing at `self`: mark the window through the advertised
+  /// horizon (new gaps NACK as usual), forward to tree children.
   void on_heartbeat(PeerId self, const GroupHeartbeat& hb);
   void arm_gap_timer(PeerId self, GroupId group, WindowState& ws);
   /// Books an application-level delivery (counter + probe).
@@ -850,7 +844,6 @@ class PubSubSystem {
   [[nodiscard]] bool batching() const noexcept {
     return config_.batch_window > 0.0 && config_.max_batch > 1;
   }
-  [[nodiscard]] bool sharded() const noexcept { return config_.root_replicas > 1; }
 
   const overlay::OverlayGraph& graph_;
   PubSubConfig config_;
@@ -873,17 +866,15 @@ class PubSubSystem {
   /// stream), sync ids keying the (from, to, seq) space. Built only when
   /// warm_failover is on.
   std::unique_ptr<multicast::ReliableHopLayer> replica_hop_;
-  /// Replica-shard coordination stream (root_replicas > 1 only): seq
-  /// leases/grants and shard-wave handoffs among a group's slot roots,
-  /// always QoS 1 like the graft plane — coordination must retry, not
-  /// silently drop a committed range.
+  /// Replica-shard coordination stream: seq leases/grants and shard-wave
+  /// handoffs among a group's slot roots, always QoS 1 like the graft
+  /// plane — coordination must retry, not silently drop a committed range.
+  /// Silent with one slot.
   std::unique_ptr<multicast::ReliableHopLayer> coord_hop_;
   std::vector<std::unique_ptr<PubSubNode>> nodes_;
   std::map<GroupId, std::uint64_t> next_seq_;
-  std::map<GroupId, PendingBatch> pending_batch_;
-  /// R > 1 counterpart of pending_batch_, one buffer per (group, slot):
-  /// each slot root coalesces the publishes IT ingests; the legacy map
-  /// stays untouched so the R == 1 path is bit-identical.
+  /// One coalescing buffer per (group, slot): each slot root coalesces the
+  /// publishes IT ingests.
   std::map<std::pair<GroupId, std::uint32_t>, PendingBatch> shard_pending_;
   /// A non-authority slot root's accepted publishes awaiting their seq
   /// grant, keyed by the lease's coord_id.
@@ -891,6 +882,7 @@ class PubSubSystem {
     GroupId group = 0;
     std::uint32_t slot = 0;
     PeerId root = kInvalidPeer;
+    PeerId origin = kInvalidPeer;  // unbatched publisher, for the accept trace
     std::vector<double> accepted;
   };
   std::map<std::uint64_t, PendingLease> lease_pending_;
@@ -900,36 +892,33 @@ class PubSubSystem {
   /// tricking subscribers into NACKs that miss at the root and abandon.
   std::map<std::pair<GroupId, std::uint32_t>, std::uint64_t> shard_horizon_;
   std::uint64_t next_coord_id_ = 1;
-  /// Per-peer coord ids already applied (lease/grant/handoff dedup). Sized
-  /// only when sharded.
-  std::vector<std::set<std::uint64_t>> coord_seen_;
-  /// Per-peer wave ids already forwarded — the sharded data plane's
-  /// forwarding dedup (see disseminate_sharded). Sized only when sharded.
-  std::vector<std::set<std::uint64_t>> wave_seen_;
+  /// Coord ids already applied (lease/grant/handoff dedup). One set serves
+  /// every peer: a coord id is globally unique and has one addressee.
+  std::set<std::uint64_t> coord_seen_;
   /// Publisher-side batching buffers, keyed (publisher, group).
   struct PublisherBatch {
     std::size_t count = 0;
     sim::EventId timer = 0;
   };
   std::map<std::pair<PeerId, GroupId>, PublisherBatch> publisher_pending_;
-  /// Per-peer same-instant graft outbox (graft_prefix_batch only): descent
-  /// steps queued by next-hop target, flushed by a zero-delay event.
-  std::vector<std::map<PeerId, std::vector<GraftEnvelope>>> graft_outbox_;
   std::uint64_t next_wave_ = 0;
-  /// Per-peer (group, seq) pairs already processed — the QoS 1+ dedup that
-  /// tells a retransmission (or duplicate repair) from fresh data. Unused
-  /// (empty) under QoS 0, where snapshot-tree forwarding makes duplicates
-  /// impossible. Grows O(waves a peer relays) for the simulation's
-  /// lifetime: an entry is only needed while the parent's retransmission
-  /// window is open, but the receiver cannot observe that locally.
-  std::vector<std::set<std::pair<GroupId, std::uint64_t>>> seen_;
+  /// Per-peer (group, slot, seq) triples already processed — the QoS 1+
+  /// dedup that tells a retransmission (or duplicate repair) from fresh
+  /// data. Unused (empty) under QoS 0, where snapshot-tree forwarding makes
+  /// duplicates impossible. Grows O(waves a peer relays) for the
+  /// simulation's lifetime: an entry is only needed while the parent's
+  /// retransmission window is open, but the receiver cannot observe that
+  /// locally.
+  std::vector<std::set<std::tuple<GroupId, std::uint32_t, std::uint64_t>>> seen_;
   /// sim_core replacement for seen_: disjoint inclusive seq ranges already
-  /// processed, per (peer, group) — O(log ranges) per wave instead of one
-  /// set node per seq, so a batched range wave dedups in one splice and
+  /// processed, per (peer, group, slot) — O(log ranges) per wave instead of
+  /// one set node per seq, so a batched range wave dedups in one splice and
   /// memory stays O(gaps), not O(delivered seqs). Exactly one of
   /// seen_/seen_ranges_ is sized (by the sim_core knob); both produce the
   /// identical fresh_runs output for the same arrival history.
-  std::vector<std::map<GroupId, std::map<std::uint64_t, std::uint64_t>>> seen_ranges_;
+  std::vector<std::map<std::pair<GroupId, std::uint32_t>,
+                       std::map<std::uint64_t, std::uint64_t>>>
+      seen_ranges_;
   /// fresh_runs result buffers, reused across calls so the per-hop dedup
   /// never allocates. One per lane (Simulator::scratch_lane() indexes;
   /// slot 0 covers the classic loop and every coordinator-side context),
@@ -968,9 +957,6 @@ class PubSubSystem {
     std::size_t rounds_left = 0;
   };
   std::map<GroupId, HeartbeatState> heartbeat_;
-  /// Per-peer beacon wave ids already processed (forwarding dedup). Sized
-  /// only when heartbeats are enabled.
-  std::vector<std::set<std::uint64_t>> hb_seen_;
   DeliveryProbe probe_;
   // -- observability (all passive; maintained identically with tracing on
   // or off so attaching a sink cannot perturb a seeded run) ---------------

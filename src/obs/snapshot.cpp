@@ -122,8 +122,6 @@ std::string to_json(const groups::GroupStats& stats) {
   field(out, first, "graft_retries", stats.graft_retries);
   field(out, first, "graft_aborts", stats.graft_aborts);
   field(out, first, "graft_resubscribes", stats.graft_resubscribes);
-  field(out, first, "graft_prefix_batches", stats.graft_prefix_batches);
-  field(out, first, "graft_prefix_merged", stats.graft_prefix_merged);
   field(out, first, "seq_lease_requests", stats.seq_lease_requests);
   field(out, first, "seq_leases_granted", stats.seq_leases_granted);
   field(out, first, "seq_grants_lost", stats.seq_grants_lost);

@@ -131,37 +131,49 @@ TEST(ObsTrace, WorkloadEmitsTheFullLifecycle) {
 
 TEST(ObsTrace, EventsForWaveCollectsTheWaveLifecycle) {
   // Lossless, unbatched, QoS 1: one publish = one wave with a crisp
-  // lifecycle (accept, flush, hop sends, acks, deliveries).
+  // lifecycle (accept, flush, hop sends, acks, deliveries). With several
+  // root replicas the publish's own wave is the one its owner slot root
+  // drives at accept time; the other slots drive handoff copies later.
   const auto graph = make_overlay(40, 2, 3);
-  PubSubConfig config;
-  config.seed = 9;
-  config.reliability.qos = multicast::QoS::kAcked;
-  PubSubSystem system(graph, config);
-  obs::TraceSink sink;
-  system.set_trace_sink(&sink);
-  const GroupId group = 2;
-  const auto members = subscribe_members(system, graph, group, 8, 9);
-  system.publish_at(2.0, members[0], group);
-  system.run();
-  // Find the flushed wave id.
-  std::uint64_t wave = obs::kNoWave;
-  for (const auto& event : sink.events())
-    if (event.type == obs::TraceEventType::kRootFlush && event.group == group)
-      wave = event.wave;
-  ASSERT_NE(wave, obs::kNoWave);
-  const auto lifecycle = sink.events_for_wave(group, wave);
-  std::set<obs::TraceEventType> seen;
-  for (const auto& event : lifecycle) {
-    EXPECT_EQ(event.group, group);
-    seen.insert(event.type);
+  for (const std::size_t replicas : {std::size_t{1}, std::size_t{4}}) {
+    SCOPED_TRACE("root_replicas=" + std::to_string(replicas));
+    PubSubConfig config;
+    config.seed = 9;
+    config.root_replicas = replicas;
+    config.reliability.qos = multicast::QoS::kAcked;
+    PubSubSystem system(graph, config);
+    obs::TraceSink sink;
+    system.set_trace_sink(&sink);
+    const GroupId group = 2;
+    const auto members = subscribe_members(system, graph, group, 8, 9);
+    system.publish_at(2.0, members[0], group);
+    system.run();
+    // Find the first flushed wave id: the accepting root's own drive.
+    std::uint64_t wave = obs::kNoWave;
+    for (const auto& event : sink.events())
+      if (event.type == obs::TraceEventType::kRootFlush && event.group == group) {
+        wave = event.wave;
+        break;
+      }
+    ASSERT_NE(wave, obs::kNoWave);
+    const auto lifecycle = sink.events_for_wave(group, wave);
+    std::set<obs::TraceEventType> seen;
+    for (const auto& event : lifecycle) {
+      EXPECT_EQ(event.group, group);
+      seen.insert(event.type);
+      // The accept names the publisher.
+      if (event.type == obs::TraceEventType::kPublishAccepted) {
+        EXPECT_EQ(event.other, members[0]);
+      }
+    }
+    EXPECT_TRUE(seen.count(obs::TraceEventType::kPublishAccepted));
+    EXPECT_TRUE(seen.count(obs::TraceEventType::kRootFlush));
+    EXPECT_TRUE(seen.count(obs::TraceEventType::kHopSend));
+    EXPECT_TRUE(seen.count(obs::TraceEventType::kHopAck));
+    // Deliveries are seq-scoped (wave == kNoWave) and join by range
+    // intersection with the flushed range.
+    EXPECT_TRUE(seen.count(obs::TraceEventType::kDelivery));
   }
-  EXPECT_TRUE(seen.count(obs::TraceEventType::kPublishAccepted));
-  EXPECT_TRUE(seen.count(obs::TraceEventType::kRootFlush));
-  EXPECT_TRUE(seen.count(obs::TraceEventType::kHopSend));
-  EXPECT_TRUE(seen.count(obs::TraceEventType::kHopAck));
-  // Deliveries are seq-scoped (wave == kNoWave) and join by range
-  // intersection with the flushed range.
-  EXPECT_TRUE(seen.count(obs::TraceEventType::kDelivery));
 }
 
 TEST(ObsTrace, RingOverflowDropsOldestAndCounts) {

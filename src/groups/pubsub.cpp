@@ -1577,9 +1577,8 @@ void PubSubSystem::handle_promotion(const GroupManager::RootPromotion& promotion
     // replica's copy bounds how many the successor may claim — min() keeps
     // a racing flush/join from inventing phantom publishes. The authority's
     // buffer is the {group, slot 0} one.
-    PendingBatch* bp = nullptr;
     const auto bit = shard_pending_.find({promotion.group, 0u});
-    if (bit != shard_pending_.end()) bp = &bit->second;
+    PendingBatch* bp = bit == shard_pending_.end() ? nullptr : &bit->second;
     const std::size_t at_root =
         (bp != nullptr && bp->root == promotion.old_root) ? bp->count : 0;
     if (at_root > 0) {

@@ -131,16 +131,18 @@
 // each flush the group re-arms a bounded round of kHeartbeatKind beacons,
 // one per slot root, carrying the slot's highest driven seq down its
 // current shard tree; a subscriber whose window is behind that horizon
-// opens gaps and NACKs as if a later wave had revealed them. Beacons are fire-and-forget — the
-// repeated rounds are their redundancy. Residual blind spot: a subscriber
-// severed on the group's ONLY wave has an uninitialized window, and a
-// beacon must not owe a late joiner the whole history, so it stays silent.
+// opens gaps and NACKs as if a later wave had revealed them. Beacons are
+// fire-and-forget — the repeated rounds are their redundancy. Residual
+// blind spot: a subscriber severed on the group's ONLY wave has an
+// uninitialized window, and a beacon must not owe a late joiner the whole
+// history, so it stays silent.
 //
 // Warm root failover (PubSubConfig::warm_failover): each group's root
-// (slot 0, the seq authority) streams its bookkeeping — membership deltas, retained-range inserts,
-// pending-batch joins — to the group's replica (the next-nearest alive
-// peer to the rendezvous point, recomputable by anyone) as
-// kReplicaSyncKind envelopes on a dedicated QoS 1 ReliableHopLayer. On
+// (slot 0, the seq authority) streams its bookkeeping — membership
+// deltas, retained-range inserts, pending-batch joins — to the group's
+// replica (the next-nearest alive peer to the rendezvous point,
+// recomputable by anyone) as kReplicaSyncKind envelopes on a dedicated
+// QoS 1 ReliableHopLayer. On
 // root death the recomputed rendezvous root IS that replica, so the
 // migration path promotes a warm successor: it keeps the synced
 // subscriber set, serves post-migration NACKs from its own RetainedBuffer
@@ -189,9 +191,9 @@ namespace geomcast::groups {
 struct GroupRequest {
   GroupId group = 0;
   PeerId origin = kInvalidPeer;  // subscriber / publisher
-  PeerId target = kInvalidPeer;  // rendezvous root at send time
+  PeerId target = kInvalidPeer;  // origin's owner slot root at send time
   /// App messages this publish envelope carries (publisher-side batching,
-  /// PubSubConfig::publisher_batch_window; always 1 on the historic path).
+  /// PubSubConfig::publisher_batch_window; always 1 when that is off).
   std::uint32_t count = 1;
 };
 
@@ -207,7 +209,7 @@ struct GroupRequest {
 /// one envelope per tree edge instead of one per publish, so every hop,
 /// ack, pending-retransmit entry, and retained-buffer slot is amortised by
 /// the batch factor. An unbatched publish is the degenerate seq_hi == seq
-/// range, bit-identical to the historic single-seq wave.
+/// range.
 struct GroupDelivery {
   GroupId group = 0;
   std::uint64_t seq = 0;     // lowest publish seq the wave carries
@@ -351,11 +353,11 @@ struct RepairConfig {
 
 struct PubSubConfig {
   GroupConfig groups;
-  /// Publish coalescing at the rendezvous root: publishes to the same
-  /// group arriving within `batch_window` simulated seconds are merged
-  /// into one tree wave carrying the sequence range they span. 0 (the
-  /// default) disables coalescing — every publish flushes immediately on
-  /// the historic single-seq path. The window is measured from the first
+  /// Publish coalescing at each slot root: publishes to the same group
+  /// arriving within `batch_window` simulated seconds are merged into one
+  /// tree wave carrying the sequence range they span. 0 (the default)
+  /// disables coalescing — every publish envelope commits at once as its
+  /// own wave. The window is measured from the first
   /// buffered publish (a flush timer, not a sliding deadline), so worst-
   /// case added latency is exactly one window.
   double batch_window = 0.0;

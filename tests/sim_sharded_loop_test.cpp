@@ -276,6 +276,10 @@ std::vector<std::string> run_collision(std::size_t workers) {
     static std::size_t lanes_ctx;
     lanes_ctx = workers;
     sim.configure_shards(workers, route, &lanes_ctx);
+    // Worker lanes book their deliveries into per-lane NetworkStats, as
+    // every sharded system wires it; without the lane sinks the workers
+    // race on the shared per-node counters.
+    sim.network().configure_lanes(workers + 1, &Simulator::parallel_lane);
   }
   // All six fan nodes get a same-timestamp kick; their echoes land on node
   // 0 at the identical instant, from different lanes when sharded. The

@@ -1415,9 +1415,9 @@ std::string shard_cell_json(const std::string& name, const ShardScaleCell& cell,
 
 /// The ISSUE tentpole acceptance harness: the 1000-peer QoS 1 batched gate
 /// cell on the full-knowledge overlay, plus a 100k-peer sweep cell on a
-/// grid-kNN local-knowledge overlay (build_equilibrium is O(n^2) selector
-/// input — a 100k full-knowledge build alone would blow the CI budget; the
-/// fast-vs-oracle comparison runs both modes on the SAME overlay, so the
+/// grid-kNN local-knowledge overlay (build_equilibrium stays quadratic in
+/// the peer count, so a 100k full-knowledge build would dominate the cell;
+/// the fast-vs-oracle comparison runs both modes on the SAME overlay, so the
 /// equivalence gate is unaffected by how the overlay was built). Gates on
 /// bit-identical delivered sets, byte-identical stats JSON, and equal
 /// sim_events in every cell; reports events/sec per mode for the

@@ -1,44 +1,12 @@
 #include "overlay/equilibrium.hpp"
 
 #include <algorithm>
-#include <thread>
 
 namespace geomcast::overlay {
 
 OverlayGraph build_equilibrium(const std::vector<geometry::Point>& points,
                                const NeighborSelector& selector, std::size_t threads) {
-  const std::size_t n = points.size();
-  std::vector<std::vector<PeerId>> out(n);
-  if (n <= 1) return OverlayGraph(points, std::move(out));
-
-  if (threads == 0) {
-    const unsigned hw = std::thread::hardware_concurrency();
-    threads = hw ? hw : 1;
-  }
-  threads = std::min(threads, n);
-
-  auto worker = [&](std::size_t begin, std::size_t end) {
-    for (std::size_t p = begin; p < end; ++p) {
-      const auto candidates = candidates_excluding(points, static_cast<PeerId>(p));
-      out[p] = selector.select(points[p], candidates);
-    }
-  };
-
-  if (threads <= 1) {
-    worker(0, n);
-  } else {
-    std::vector<std::thread> pool;
-    pool.reserve(threads);
-    const std::size_t chunk = (n + threads - 1) / threads;
-    for (std::size_t t = 0; t < threads; ++t) {
-      const std::size_t begin = t * chunk;
-      const std::size_t end = std::min(n, begin + chunk);
-      if (begin >= end) break;
-      pool.emplace_back(worker, begin, end);
-    }
-    for (auto& thread : pool) thread.join();
-  }
-  return OverlayGraph(points, std::move(out));
+  return OverlayGraph(points, selector.select_all(points, threads));
 }
 
 bool is_equilibrium(const OverlayGraph& graph, const NeighborSelector& selector) {

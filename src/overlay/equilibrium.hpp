@@ -3,10 +3,11 @@
 // The paper defines the target topology of a neighbour-selection method as
 // the one reached "when every peer P knows all the other peers in the
 // system (i.e. when I(P) contains all the peers except P)". This builder
-// computes that topology directly — each peer runs the selector over the
-// complete candidate set — and is what the figure benches use; the gossip
-// protocol (gossip.hpp) and the incremental builder (incremental.hpp) are
-// tested to converge to (approximately) the same graph.
+// computes that topology directly — NeighborSelector::select_all, whose
+// default runs each peer's selector over the complete candidate set — and
+// is what the figure benches use; the gossip protocol (gossip.hpp) and the
+// incremental builder (incremental.hpp) are tested to converge to
+// (approximately) the same graph.
 #pragma once
 
 #include <cstddef>
@@ -16,9 +17,12 @@
 
 namespace geomcast::overlay {
 
-/// Runs `selector` for every peer over the full candidate set.
-/// `threads` = 0 picks a sensible hardware default; selections are
-/// independent so the result does not depend on the thread count.
+/// The full-knowledge overlay: OverlayGraph(points,
+/// selector.select_all(points, threads)). Every peer's out-list equals
+/// selector.select over all other peers; selectors may share work across
+/// peers (EmptyRectSelector's 2-D staircase sorts the point set once).
+/// `threads` = 0 picks a sensible hardware default; the result does not
+/// depend on the thread count.
 [[nodiscard]] OverlayGraph build_equilibrium(const std::vector<geometry::Point>& points,
                                              const NeighborSelector& selector,
                                              std::size_t threads = 0);

@@ -2,9 +2,11 @@
 // construction over them.
 //
 // build_equilibrium runs every peer's selector over the FULL candidate
-// set — the paper's full-knowledge I(P) — which is O(n^2) selector input
-// and caps simulations around 10^4 peers. The 100k-peer simulator-core
-// sweep needs an overlay in seconds, and the paper's own large-scale
+// set — the paper's full-knowledge I(P) — so it is quadratic in n. The
+// 2-D empty-rect case shares one x-sorted staircase sweep across all
+// peers (O(n^2) compares, no per-peer copy or sort); other selectors pay
+// O(n^2 log n) per-peer selection. The 100k-peer simulator-core sweep
+// needs an overlay in seconds, and the paper's own large-scale
 // story is local knowledge anyway (§ incremental/gossip): a peer knows a
 // neighbourhood, not the world. This module supplies that neighbourhood
 // deterministically: I(P) = the k nearest peers under L2, found with a

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <ostream>
 
 #include "geometry/orthant.hpp"
 #include "geometry/random_points.hpp"
@@ -17,6 +18,44 @@ std::vector<Candidate> to_candidates(const std::vector<geometry::Point>& points,
   for (std::size_t i = 0; i < points.size(); ++i)
     if (i != ego_index) candidates.push_back({static_cast<PeerId>(i), points[i]});
   return candidates;
+}
+
+/// Point layouts for the agreement battery. kDistinct is random_points
+/// (every per-dimension coordinate distinct); the other two tie on purpose.
+enum class Layout { kDistinct, kLattice, kTied };
+
+void PrintTo(Layout layout, std::ostream* os) {
+  *os << (layout == Layout::kLattice ? "lattice" : layout == Layout::kTied ? "tied" : "distinct");
+}
+
+/// The full integer lattice {0..side-1}^dims, in a seed-shuffled order:
+/// every point shares each coordinate with many others.
+std::vector<geometry::Point> lattice_points(util::Rng& rng, std::size_t side, std::size_t dims) {
+  std::size_t total = 1;
+  for (std::size_t d = 0; d < dims; ++d) total *= side;
+  std::vector<geometry::Point> points;
+  points.reserve(total);
+  for (std::size_t index = 0; index < total; ++index) {
+    geometry::Point p(dims);
+    std::size_t rest = index;
+    for (std::size_t d = 0; d < dims; ++d) {
+      p[d] = static_cast<double>(rest % side);
+      rest /= side;
+    }
+    points.push_back(p);
+  }
+  rng.shuffle(points);
+  return points;
+}
+
+/// `count` points with integer coordinates drawn from {0..levels-1}: ties
+/// in single coordinates and whole coincident points are both common.
+std::vector<geometry::Point> tied_points(util::Rng& rng, std::size_t count, std::size_t dims,
+                                         std::uint64_t levels) {
+  std::vector<geometry::Point> points(count, geometry::Point(dims));
+  for (auto& p : points)
+    for (std::size_t d = 0; d < dims; ++d) p[d] = static_cast<double>(rng.next_below(levels));
+  return points;
 }
 
 TEST(EmptyRectTest, NoCandidatesNoNeighbors) {
@@ -73,15 +112,18 @@ TEST(EmptyRectTest, DominatedChainKeepsOnlyClosest) {
 
 // ------------------------------------------------------------------ property
 // The fast selector must agree exactly with the literal O(n^2) paper rule.
+// `count` is the point count, or the side length for kLattice.
 class EmptyRectAgreementTest
-    : public ::testing::TestWithParam<std::tuple<int, int, std::uint64_t>> {};
+    : public ::testing::TestWithParam<std::tuple<int, int, std::uint64_t, Layout>> {};
 
 TEST_P(EmptyRectAgreementTest, FastMatchesBruteForce) {
-  const auto [dims, count, seed] = GetParam();
+  const auto [dims, count, seed, layout] = GetParam();
   util::Rng rng(seed);
-  const auto points =
-      geometry::random_points(rng, static_cast<std::size_t>(count),
-                              static_cast<std::size_t>(dims), 100.0);
+  const auto n = static_cast<std::size_t>(count);
+  const auto d = static_cast<std::size_t>(dims);
+  const auto points = layout == Layout::kLattice ? lattice_points(rng, n, d)
+                      : layout == Layout::kTied  ? tied_points(rng, n, d, 5)
+                                                 : geometry::random_points(rng, n, d, 100.0);
   EmptyRectSelector selector;
   for (std::size_t ego = 0; ego < points.size(); ++ego) {
     const auto candidates = to_candidates(points, ego);
@@ -94,7 +136,21 @@ TEST_P(EmptyRectAgreementTest, FastMatchesBruteForce) {
 INSTANTIATE_TEST_SUITE_P(
     Sweep, EmptyRectAgreementTest,
     ::testing::Combine(::testing::Values(2, 3, 4, 5, 6), ::testing::Values(40, 120),
-                       ::testing::Values(1u, 2u, 3u)));
+                       ::testing::Values(1u, 2u, 3u), ::testing::Values(Layout::kDistinct)));
+
+// Tied coordinates: the fast paths must still equal the literal
+// strict-interior rule (zero offsets always kept, equal-|dx| runs judged
+// as a group, coincident candidates both kept).
+INSTANTIATE_TEST_SUITE_P(
+    Lattice, EmptyRectAgreementTest,
+    ::testing::Values(std::make_tuple(2, 12, 1u, Layout::kLattice),
+                      std::make_tuple(3, 5, 2u, Layout::kLattice),
+                      std::make_tuple(4, 4, 3u, Layout::kLattice)));
+
+INSTANTIATE_TEST_SUITE_P(
+    Tied, EmptyRectAgreementTest,
+    ::testing::Combine(::testing::Values(2, 3, 4), ::testing::Values(60),
+                       ::testing::Values(4u, 5u, 6u, 7u), ::testing::Values(Layout::kTied)));
 
 // Symmetry: the box spanned by {P,Q} is the same from both ends, so under
 // full knowledge the neighbour relation is symmetric.
@@ -161,6 +217,24 @@ TEST(EmptyRectTest, OrderInvariance) {
   for (int trial = 0; trial < 5; ++trial) {
     shuffle_rng.shuffle(candidates);
     EXPECT_EQ(selector.select(points[0], candidates), baseline);
+  }
+
+  // Coincident candidates never block each other: both are neighbours,
+  // whichever comes first, in 2-D and n-D alike.
+  for (std::size_t dims : {2u, 3u}) {
+    auto diagonal = [dims](double v) {
+      geometry::Point p(dims);
+      for (std::size_t d = 0; d < dims; ++d) p[d] = v;
+      return p;
+    };
+    const geometry::Point ego = diagonal(0.0), same = diagonal(1.0), beyond = diagonal(2.0);
+    std::vector<Candidate> coincident{{5, same}, {6, same}, {7, beyond}};
+    for (int order = 0; order < 2; ++order) {
+      EXPECT_EQ(selector.select(ego, coincident), (std::vector<PeerId>{5, 6})) << dims;
+      EXPECT_EQ(EmptyRectSelector::select_brute_force(ego, coincident),
+                (std::vector<PeerId>{5, 6}));
+      std::swap(coincident[0], coincident[1]);
+    }
   }
 }
 

@@ -12,6 +12,54 @@
 namespace geomcast::overlay {
 namespace {
 
+/// build_equilibrium's out-lists must equal the per-peer selector run over
+/// every other peer, whatever select_all does to share work.
+void expect_matches_per_peer(const std::vector<geometry::Point>& points,
+                             const NeighborSelector& selector, std::size_t threads) {
+  const auto graph = build_equilibrium(points, selector, threads);
+  ASSERT_EQ(graph.size(), points.size());
+  for (PeerId p = 0; p < points.size(); ++p) {
+    EXPECT_EQ(graph.selected(p), selector.select(points[p], candidates_excluding(points, p)))
+        << selector.name() << " peer " << p << " of " << points.size() << ", threads "
+        << threads;
+  }
+}
+
+TEST(EquilibriumTest, SelectAllMatchesPerPeerSelect2D) {
+  const EmptyRectSelector selector;
+  for (std::size_t n : {0u, 1u, 2u, 3u, 64u, 1500u}) {
+    util::Rng rng(40 + n);
+    const auto points = geometry::random_points(rng, n, 2, 100.0);
+    for (std::size_t threads : {1u, 8u}) expect_matches_per_peer(points, selector, threads);
+  }
+}
+
+TEST(EquilibriumTest, SelectAllMatchesPerPeerSelectOnLattice) {
+  // A 12x12 integer lattice with a few points removed: every x and y value
+  // is shared by up to 12 peers, so the staircase must judge equal-x runs
+  // as a group, and zero offsets must be kept.
+  std::vector<geometry::Point> points;
+  for (int i = 0; i < 144; ++i)
+    if (i % 7 != 3) points.push_back(geometry::Point({double(i % 12), double(i / 12)}));
+  const EmptyRectSelector selector;
+  expect_matches_per_peer(points, selector, 1);
+  expect_matches_per_peer(points, selector, 8);
+  const auto graph = build_equilibrium(points, selector);
+  for (PeerId p = 0; p < points.size(); ++p) {
+    EXPECT_EQ(graph.selected(p),
+              EmptyRectSelector::select_brute_force(points[p], candidates_excluding(points, p)))
+        << "peer " << p;
+  }
+}
+
+TEST(EquilibriumTest, SelectAllMatchesPerPeerSelectOtherDimsAndSelectors) {
+  util::Rng rng(41);
+  const auto points3 = geometry::random_points(rng, 200, 3, 100.0);
+  expect_matches_per_peer(points3, EmptyRectSelector{}, 4);
+  const auto points2 = geometry::random_points(rng, 200, 2, 100.0);
+  expect_matches_per_peer(points2, KClosestSelector(4), 4);
+}
+
 TEST(EquilibriumTest, EmptyAndSingletonInputs) {
   EmptyRectSelector selector;
   EXPECT_EQ(build_equilibrium({}, selector).size(), 0u);

@@ -17,6 +17,7 @@
 #include "multicast/space_partition.hpp"
 #include "overlay/empty_rect.hpp"
 #include "overlay/equilibrium.hpp"
+#include "overlay/grid_knn.hpp"
 #include "overlay/hyperplane_k.hpp"
 #include "overlay/orthant_sweep.hpp"
 #include "sim/event_queue.hpp"
@@ -348,6 +349,32 @@ void BM_GraftCursorStep(benchmark::State& state) {
   state.SetItemsProcessed(steps);
 }
 BENCHMARK(BM_GraftCursorStep)->Arg(200)->Arg(1000);
+
+// One pruned 32-subscriber group-tree build: the lazy rebuild a cached
+// tree pays after churn. Zones are kept only for reached peers, so the
+// per-build cost follows the tree (the subscribers' root paths), not the
+// overlay: the n = 20000 cell pays no n-rect zone fill. The large cell
+// runs on a grid-kNN (k = 16) overlay, whose O(n k) build keeps the
+// fixture cheap; the small one on the full-knowledge equilibrium.
+void BM_GroupTreeBuild(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const auto points = make_points(n, 2);
+  const auto graph =
+      n <= 1000 ? overlay::build_equilibrium(points, overlay::EmptyRectSelector{})
+                : overlay::build_equilibrium_local(points, overlay::EmptyRectSelector{}, 16);
+  util::Rng rng(29);
+  std::vector<bool> subscribers(n, false);
+  for (std::size_t picked = 0; picked < 32;) {
+    const auto p = static_cast<overlay::PeerId>(rng.next_below(n));
+    if (p == 0 || subscribers[p]) continue;
+    subscribers[p] = true;
+    ++picked;
+  }
+  for (auto _ : state)
+    benchmark::DoNotOptimize(groups::build_group_tree(graph, /*root=*/0, subscribers));
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_GroupTreeBuild)->Arg(1000)->Arg(20000)->Unit(benchmark::kMicrosecond);
 
 // Routed vs local graft, end to end on the simulated network: 16 early
 // subscribers build the tree, 16 late ones graft into it — arg 1 drives

@@ -455,26 +455,6 @@ GroupTree& GroupManager::writable_tree(std::shared_ptr<GroupTree>& cached) {
   return *cached;
 }
 
-GroupTree& GroupManager::writable_tree_stale(std::shared_ptr<GroupTree>& cached) {
-  if (cached.use_count() > 1) {
-    const GroupTree& src = *cached;
-    auto clone = std::make_shared<GroupTree>();
-    clone->tree = src.tree;
-    clone->is_subscriber = src.is_subscriber;
-    clone->subscriber_count = src.subscriber_count;
-    clone->reached_subscribers = src.reached_subscribers;
-    clone->build_messages = src.build_messages;
-    clone->zones_stale = true;
-    cached = std::move(clone);
-  } else {
-    // Sole owner: no clone needed, but the zones are dead weight now.
-    cached->zones.clear();
-    cached->zones.shrink_to_fit();
-    cached->zones_stale = true;
-  }
-  return *cached;
-}
-
 void GroupManager::refresh_tree_core(GroupId group, GroupStats& stats, PeerId root,
                                      const std::vector<bool>& members,
                                      std::size_t count,
@@ -761,20 +741,16 @@ GroupManager::DepartureOutcome GroupManager::handle_departure(PeerId peer) {
           break;
         }
       if (stranded_member || neighbours_tree) {
-        GroupTree& gt = neighbours_tree ? writable_tree_stale(gs.cached)
-                                        : writable_tree(gs.cached);
+        GroupTree& gt = writable_tree(gs.cached);
         if (stranded_member) {  // membership only; never spanned
           gt.is_subscriber[peer] = false;
           --gt.subscriber_count;
         }
-        if (neighbours_tree) gt.zones_stale = true;
+        if (neighbours_tree) mark_zones_stale(gt);
       }
       continue;
     }
-    // repair_group_tree stales the zones unconditionally, so the COW clone
-    // skips copying them.
-    const auto repair =
-        repair_group_tree(graph_, writable_tree_stale(gs.cached), peer, alive_);
+    const auto repair = repair_group_tree(graph_, writable_tree(gs.cached), peer, alive_);
     ++gs.stats.repairs;
     gs.stats.repair_messages += repair.messages;
     if (repair.needs_rebuild) {
@@ -881,18 +857,16 @@ void GroupManager::handle_departure_sharded_group(GroupId group, GroupState& gs,
           break;
         }
       if (stranded_member || neighbours_tree) {
-        GroupTree& gt = neighbours_tree ? writable_tree_stale(slot.cached)
-                                        : writable_tree(slot.cached);
+        GroupTree& gt = writable_tree(slot.cached);
         if (stranded_member) {
           gt.is_subscriber[peer] = false;
           --gt.subscriber_count;
         }
-        if (neighbours_tree) gt.zones_stale = true;
+        if (neighbours_tree) mark_zones_stale(gt);
       }
       continue;
     }
-    const auto repair =
-        repair_group_tree(graph_, writable_tree_stale(slot.cached), peer, alive_);
+    const auto repair = repair_group_tree(graph_, writable_tree(slot.cached), peer, alive_);
     ++gs.stats.repairs;
     gs.stats.repair_messages += repair.messages;
     if (repair.needs_rebuild) {

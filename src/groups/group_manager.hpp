@@ -445,11 +445,6 @@ class GroupManager {
   /// COW gate: clones the cached tree iff publish-wave snapshots still
   /// reference it, then returns it for mutation.
   [[nodiscard]] GroupTree& writable_tree(std::shared_ptr<GroupTree>& cached);
-  /// COW gate for callers about to stale the zones (departure repair,
-  /// neighbour-set shrink): the clone skips the zones vector — the tree's
-  /// largest member — because no reader may consult zones once zones_stale
-  /// is set, and nothing resets the flag short of a full rebuild.
-  [[nodiscard]] GroupTree& writable_tree_stale(std::shared_ptr<GroupTree>& cached);
 
   struct InFlightGraft {
     GroupId group = 0;

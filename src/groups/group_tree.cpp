@@ -28,13 +28,15 @@ std::vector<overlay::Candidate> alive_neighbors(const overlay::OverlayGraph& gra
 }
 
 /// Removes the relay-only leaf chain starting at `v` (stops at the root, a
-/// subscriber, or a branching point). Returns edges removed.
+/// subscriber, or a branching point), dropping each removed peer's zone.
+/// Returns edges removed.
 std::size_t cascade_relays(GroupTree& gt, PeerId v) {
   std::size_t removed = 0;
   while (v != gt.tree.root() && !gt.is_subscriber[v] && gt.tree.reached(v) &&
          gt.tree.children(v).empty()) {
     const PeerId up = gt.tree.parent(v);
     gt.tree.remove_leaf(v);
+    gt.zones.erase(v);
     ++removed;
     v = up;
   }
@@ -50,6 +52,11 @@ void check_deterministic(const multicast::MulticastConfig& config) {
 
 }  // namespace
 
+void mark_zones_stale(GroupTree& gt) {
+  gt.zones_stale = true;
+  gt.zones.clear();
+}
+
 GroupTree build_group_tree(const overlay::OverlayGraph& graph, PeerId root,
                            const std::vector<bool>& subscribers,
                            const multicast::MulticastConfig& config,
@@ -64,7 +71,6 @@ GroupTree build_group_tree(const overlay::OverlayGraph& graph, PeerId root,
 
   GroupTree gt;
   gt.tree = multicast::MulticastTree(n, root);
-  gt.zones.assign(n, geometry::Rect(graph.dims()));
   gt.is_subscriber = subscribers;
   std::vector<PeerId> subscriber_ids;
   for (PeerId p = 0; p < n; ++p)
@@ -84,9 +90,10 @@ GroupTree build_group_tree(const overlay::OverlayGraph& graph, PeerId root,
     geometry::Rect zone;
     std::vector<PeerId> subs;
   };
-  gt.zones[root] = multicast::initiator_zone(graph.dims());
+  const geometry::Rect root_zone = multicast::initiator_zone(graph.dims());
+  gt.zones.emplace(root, root_zone);
   std::deque<Pending> queue;
-  queue.push_back(Pending{root, gt.zones[root], subscriber_ids});
+  queue.push_back(Pending{root, root_zone, subscriber_ids});
 
   while (!queue.empty()) {
     const Pending current = std::move(queue.front());
@@ -107,7 +114,7 @@ GroupTree build_group_tree(const overlay::OverlayGraph& graph, PeerId root,
       const multicast::ZoneAssignment& a = assignments[i];
       ++gt.build_messages;
       gt.tree.add_edge(current.peer, a.child);
-      gt.zones[a.child] = a.zone;
+      gt.zones.emplace(a.child, a.zone);
       queue.push_back(Pending{a.child, a.zone, std::move(split[i])});
     }
   }
@@ -148,7 +155,7 @@ GraftStep graft_step(const overlay::OverlayGraph& graph, GroupTree& gt,
   const geometry::Point& target = graph.point(s);
   const auto neighbors = alive_neighbors(graph, cursor.current, alive);
   const auto assignments =
-      multicast::partition_step(graph.point(cursor.current), gt.zones[cursor.current],
+      multicast::partition_step(graph.point(cursor.current), gt.zones.at(cursor.current),
                                 neighbors, config.policy, config.metric);
   const multicast::ZoneAssignment* next = nullptr;
   for (const multicast::ZoneAssignment& a : assignments)
@@ -160,7 +167,7 @@ GraftStep graft_step(const overlay::OverlayGraph& graph, GroupTree& gt,
   ++cursor.steps;
   if (!gt.tree.reached(next->child)) {
     gt.tree.add_edge(cursor.current, next->child);
-    gt.zones[next->child] = next->zone;
+    gt.zones.emplace(next->child, next->zone);
     // A stranded subscriber recruited as a relay is spanned again.
     if (gt.is_subscriber[next->child]) ++gt.reached_subscribers;
   }
@@ -299,7 +306,7 @@ GroupRepairResult repair_group_tree(const overlay::OverlayGraph& graph, GroupTre
   // Even a pure leaf removal stales the zones: the departed peer leaves
   // the candidate sets of its in-tree overlay neighbours, so replaying the
   // recursion (what a graft does) would pick different delegates there.
-  gt.zones_stale = true;
+  mark_zones_stale(gt);
   return result;
 }
 
@@ -347,7 +354,7 @@ StrandRescueResult rescue_stranded(const overlay::OverlayGraph& graph, GroupTree
   }
   // Splice paths are not what the recursion would have produced: replaying
   // a zone descent against them is undefined, so grafts must rebuild.
-  if (result.rescued > 0 || result.spliced_relays > 0) gt.zones_stale = true;
+  if (result.rescued > 0 || result.spliced_relays > 0) mark_zones_stale(gt);
   return result;
 }
 

@@ -19,8 +19,8 @@
 //    precisely the branches whose slices lose their last subscriber.
 // Churn repair (departure of an in-tree peer) reattaches orphan subtrees
 // via stability::repair_orphans and therefore CAN deviate from a fresh
-// build; it marks the zones stale, which blocks further zone-guided grafts
-// until the GroupManager rebuilds.
+// build; it marks the zones stale (and drops them), which blocks further
+// zone-guided grafts until the GroupManager rebuilds.
 //
 // General-position caveat (inherited from the paper's open-zone recursion):
 // a subscriber whose identifier ties a delegating peer's coordinate lies on
@@ -31,6 +31,7 @@
 #pragma once
 
 #include <cstdint>
+#include <unordered_map>
 #include <vector>
 
 #include "multicast/space_partition.hpp"
@@ -43,22 +44,32 @@ using overlay::kInvalidPeer;
 
 struct GroupTree {
   multicast::MulticastTree tree;      // spans subscribers and relays
-  std::vector<geometry::Rect> zones;  // responsibility zone per reached peer
+  /// Responsibility zone of each reached peer, keyed by peer: as in the
+  /// paper, a peer holds a zone only once a request has reached it, so
+  /// the map follows the tree (O(reached)), not the overlay (O(n)).
+  /// Invariant: while !zones_stale, the keys are exactly the reached
+  /// peers (zones.size() == tree.reached_count()); once stale it is empty.
+  std::unordered_map<PeerId, geometry::Rect> zones;
   std::vector<bool> is_subscriber;    // delivery flag per peer
   std::size_t subscriber_count = 0;   // peers with the delivery flag set
   /// Subscribers the tree actually spans (== subscriber_count unless a
   /// build stranded); maintained incrementally by graft/prune/repair.
   std::size_t reached_subscribers = 0;
   std::uint64_t build_messages = 0;   // construction requests of the build wave
-  /// Set by repair (and by the GroupManager when a departure changes some
-  /// in-tree peer's candidate set): the recursion that produced `zones`
-  /// can no longer be replayed, so zone-guided grafts must rebuild.
+  /// Set by mark_zones_stale (repair, strand rescue, and the GroupManager
+  /// when a departure changes some in-tree peer's candidate set): the
+  /// recursion that produced `zones` can no longer be replayed, so
+  /// zone-guided grafts must rebuild.
   bool zones_stale = false;
 
   [[nodiscard]] std::size_t relay_count() const noexcept {
     return tree.reached_count() - reached_subscribers;
   }
 };
+
+/// Sets `zones_stale` and drops the zones: no reader may consult a zone
+/// once the flag is set, and nothing but a fresh build resets it.
+void mark_zones_stale(GroupTree& gt);
 
 /// Builds the pruned construction for `subscribers` (indexed by peer id)
 /// rooted at `root`. Peers with `alive[p] == false` are skipped as
@@ -80,8 +91,9 @@ struct GraftResult {
 /// partition step at `current` — so the descent can be driven hop by hop
 /// from routed envelopes (the distributed control plane) or looped locally
 /// (graft_subscriber, the synchronous oracle). The cursor holds only peer
-/// indices, never tree pointers: steps always run against the caller's
-/// current GroupTree, so copy-on-write clones between steps are safe.
+/// indices, never tree pointers or zones: steps always run against the
+/// caller's current GroupTree and look up the zone of `current` there, so
+/// copy-on-write clones between steps are safe.
 struct GraftCursor {
   PeerId subscriber = kInvalidPeer;
   PeerId current = kInvalidPeer;  // peer whose descent decision runs next
@@ -104,12 +116,14 @@ struct GraftStep {
 [[nodiscard]] GraftCursor graft_cursor(const GroupTree& gt, PeerId s);
 
 /// Takes one descent decision at `cursor.current`: replays the partition
-/// step there, follows (or creates) the edge of the slice containing the
-/// subscriber's point, and advances the cursor. Attaches immediately when
-/// the subscriber is already spanned (re-subscribe / relay promotion).
-/// Must not be called on a stale-zoned tree (throws std::logic_error) —
-/// the caller gates on `zones_stale` before every step because a repair
-/// can land between steps of an in-flight descent.
+/// step there from its cached zone, follows (or creates, recording the
+/// child's zone) the edge of the slice containing the subscriber's point,
+/// and advances the cursor. Attaches immediately when the subscriber is
+/// already spanned (re-subscribe / relay promotion). Must not be called on
+/// a stale-zoned tree (throws std::logic_error) — the caller gates on
+/// `zones_stale` before every step because a repair can land between
+/// steps of an in-flight descent. A `current` with no zone (not in the
+/// tree) throws std::out_of_range rather than descending from a guess.
 [[nodiscard]] GraftStep graft_step(const overlay::OverlayGraph& graph, GroupTree& gt,
                                    GraftCursor& cursor,
                                    const multicast::MulticastConfig& config = {},
@@ -126,7 +140,8 @@ struct GraftStep {
                                            const std::vector<bool>& alive = {});
 
 /// Removes subscriber `s`: clears the delivery flag and cascades away the
-/// relay-only leaf chain that served no one else. Returns edges removed.
+/// relay-only leaf chain that served no one else, zones included, so the
+/// zone map stays equal to a fresh build's. Returns edges removed.
 std::size_t prune_subscriber(GroupTree& gt, PeerId s);
 
 struct GroupRepairResult {

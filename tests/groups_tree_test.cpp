@@ -37,6 +37,27 @@ std::vector<bool> random_mask(std::size_t n, std::size_t count, std::uint64_t se
   return mask;
 }
 
+/// The zone map holds exactly the reached peers (one entry each).
+void expect_zones_exact(const GroupTree& gt) {
+  ASSERT_FALSE(gt.zones_stale);
+  EXPECT_EQ(gt.zones.size(), gt.tree.reached_count());
+  for (const auto& [peer, zone] : gt.zones)
+    EXPECT_TRUE(gt.tree.reached(peer)) << "zone kept for unreached peer " << peer;
+}
+
+/// Same keys, same rects: an incremental edit left the zones a fresh build
+/// would have produced.
+void expect_same_zones(const GroupTree& a, const GroupTree& b) {
+  expect_zones_exact(a);
+  expect_zones_exact(b);
+  EXPECT_EQ(a.zones.size(), b.zones.size());
+  for (const auto& [peer, zone] : b.zones) {
+    const auto it = a.zones.find(peer);
+    ASSERT_NE(it, a.zones.end()) << "no zone for peer " << peer;
+    EXPECT_EQ(it->second, zone) << "peer " << peer;
+  }
+}
+
 /// Every flagged subscriber is reached and linked to the root by parent
 /// edges.
 void expect_spans_subscribers(const overlay::OverlayGraph& graph, const GroupTree& gt) {
@@ -105,22 +126,22 @@ TEST(GroupTreeTest, GraftEqualsFreshBuild) {
   for (PeerId p = 0; p < graph.size(); ++p) {
     EXPECT_EQ(grown.tree.parent(p), fresh.tree.parent(p)) << "peer " << p;
     EXPECT_EQ(grown.is_subscriber[p], fresh.is_subscriber[p]) << "peer " << p;
-  }
+  }  expect_same_zones(grown, fresh);
 }
 
 TEST(GroupTreeTest, PruneEqualsFreshBuild) {
   const auto graph = make_overlay(80, 2, 105);
   auto subs = random_mask(graph.size(), 9, 17);
+  auto shrunk = build_group_tree(graph, 0, subs);
+  // A leaf subscriber, so the prune really cascades edges (and zones) away.
   PeerId victim = kInvalidPeer;
-  for (PeerId p = 0; p < graph.size(); ++p)
-    if (subs[p]) {
+  for (PeerId p = 1; p < graph.size(); ++p)
+    if (subs[p] && shrunk.tree.children(p).empty()) {
       victim = p;
       break;
     }
   ASSERT_NE(victim, kInvalidPeer);
-
-  auto shrunk = build_group_tree(graph, 0, subs);
-  prune_subscriber(shrunk, victim);
+  EXPECT_GT(prune_subscriber(shrunk, victim), 0u);
 
   subs[victim] = false;
   const auto fresh = build_group_tree(graph, 0, subs);
@@ -129,7 +150,8 @@ TEST(GroupTreeTest, PruneEqualsFreshBuild) {
     EXPECT_EQ(shrunk.tree.reached(p), fresh.tree.reached(p)) << "peer " << p;
     if (fresh.tree.reached(p) && p != 0)
       EXPECT_EQ(shrunk.tree.parent(p), fresh.tree.parent(p)) << "peer " << p;
-  }
+  }  // The pruned chain's zones go with its edges.
+  expect_same_zones(shrunk, fresh);
 }
 
 TEST(GroupTreeTest, GraftThenPruneIsIdentity) {
@@ -150,7 +172,7 @@ TEST(GroupTreeTest, GraftThenPruneIsIdentity) {
   for (PeerId p = 0; p < graph.size(); ++p) {
     EXPECT_EQ(mutated.tree.reached(p), original.tree.reached(p)) << "peer " << p;
     EXPECT_EQ(mutated.is_subscriber[p], original.is_subscriber[p]) << "peer " << p;
-  }
+  }  expect_same_zones(mutated, original);
 }
 
 TEST(GroupTreeTest, RepairRemovesDepartedAndKeepsCoverage) {
@@ -173,17 +195,46 @@ TEST(GroupTreeTest, RepairRemovesDepartedAndKeepsCoverage) {
   ASSERT_FALSE(repair.needs_rebuild);
   EXPECT_GT(repair.reattached, 0u);
   EXPECT_TRUE(gt.zones_stale);
+  EXPECT_TRUE(gt.zones.empty());
   EXPECT_FALSE(gt.tree.reached(departed));
   EXPECT_FALSE(gt.is_subscriber[departed]);
   expect_spans_subscribers(graph, gt);
+}
+
+TEST(GroupTreeTest, ZonesFollowTheTreeNotTheOverlay) {
+  const auto graph = make_overlay(2000, 2, 110);
+  const auto subs = random_mask(graph.size(), 16, 23);
+  const auto gt = build_group_tree(graph, 0, subs);
+  expect_spans_subscribers(graph, gt);
+  expect_zones_exact(gt);
+  // A 16-subscriber tree reaches a sliver of the overlay; the zones are
+  // sized by that sliver, not by n.
+  EXPECT_LT(gt.zones.size() * 10, graph.size());
 }
 
 TEST(GroupTreeTest, GraftOnStaleZonesThrows) {
   const auto graph = make_overlay(40, 2, 108);
   const auto subs = subscriber_mask(graph.size(), {3, 9, 20});
   auto gt = build_group_tree(graph, 0, subs);
-  gt.zones_stale = true;
+  mark_zones_stale(gt);
+  EXPECT_TRUE(gt.zones.empty());
   EXPECT_THROW((void)graft_subscriber(graph, gt, 15), std::logic_error);
+}
+
+TEST(GroupTreeTest, GraftStepFromAnUnreachedPeerThrows) {
+  const auto graph = make_overlay(40, 2, 108);
+  const auto subs = subscriber_mask(graph.size(), {3});
+  auto gt = build_group_tree(graph, 0, subs);
+  PeerId outside = kInvalidPeer;
+  for (PeerId p = 1; p < graph.size(); ++p)
+    if (!gt.tree.reached(p)) {
+      outside = p;
+      break;
+    }
+  ASSERT_NE(outside, kInvalidPeer);
+  // A cursor parked off the tree has no zone to replay the step from.
+  GraftCursor cursor{outside, outside, 0};
+  EXPECT_THROW((void)graft_step(graph, gt, cursor), std::out_of_range);
 }
 
 TEST(GroupTreeTest, RandomPolicyRejected) {

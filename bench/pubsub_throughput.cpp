@@ -1334,11 +1334,24 @@ SimCoreCell run_simcore_cell(const std::string& name,
   cell.name = name;
   cell.peers = graph.size();
   cell.overlay_secs = overlay_secs;
+  // The cores run fast, oracle, oracle, fast and each keeps its faster
+  // time. With one run each, run order decided the 100k cell: its ~26k
+  // page faults per run land on fresh pages or on pages an earlier run
+  // left in the heap, depending on glibc's mmap threshold and trimming,
+  // and the oracle, run second, read up to 2x faster.
   std::set<DeliveryKey> fast_set, oracle_set;
-  params.sim_core = true;
-  cell.fast = run_scenario(graph, params, qos, loss, &fast_set);
-  params.sim_core = false;
-  cell.oracle = run_scenario(graph, params, qos, loss, &oracle_set);
+  const auto run_core = [&](bool fast) {
+    params.sim_core = fast;
+    ScenarioOutcome& outcome = fast ? cell.fast : cell.oracle;
+    std::set<DeliveryKey>& delivered = fast ? fast_set : oracle_set;
+    if (delivered.empty()) {
+      outcome = run_scenario(graph, params, qos, loss, &delivered);
+    } else {
+      outcome.run_secs =
+          std::min(outcome.run_secs, run_scenario(graph, params, qos, loss).run_secs);
+    }
+  };
+  for (const bool fast : {true, false, false, true}) run_core(fast);
   cell.delivered_identical = fast_set == oracle_set && !fast_set.empty();
   cell.stats_identical = core_stats_json(cell.fast) == core_stats_json(cell.oracle);
   cell.events_identical = cell.fast.events == cell.oracle.events;

@@ -48,14 +48,11 @@ void EventQueue::ActionTable::closure_thunk(void* ctx, std::uint64_t /*arg*/) {
   (*boxed)();
 }
 
-void EventQueue::ActionTable::trim() {
-  std::size_t lead = 0;
-  while (lead < slots_.size() && slots_[lead].fn == nullptr) ++lead;
-  // Only pay the O(n) erase when it halves the table.
-  if (lead >= 4096 && lead >= slots_.size() / 2) {
-    slots_.erase(slots_.begin(), slots_.begin() + static_cast<std::ptrdiff_t>(lead));
-    base_ += lead;
-  }
+std::uint32_t EventQueue::ActionTable::grow() {
+  if (cells_.size() >= kNoCell)
+    throw std::length_error("EventQueue: more than 2^32 - 1 live event slots");
+  cells_.emplace_back();
+  return static_cast<std::uint32_t>(cells_.size() - 1);
 }
 
 EventQueue::EventQueue(QueueBackend backend) : backend_(backend) {
@@ -72,7 +69,7 @@ EventId EventQueue::schedule(SimTime when, std::function<void()> action) {
     throw std::invalid_argument("EventQueue::schedule: time is in the past");
   if (!action) throw std::invalid_argument("EventQueue::schedule: empty action");
   const EventId id = ids_.add(std::move(action));
-  place(when, /*order=*/id, id);
+  place(when, /*order=*/ids_.issued(), id);
   return id;
 }
 
@@ -82,7 +79,7 @@ EventId EventQueue::schedule(SimTime when, RawFn fn, void* ctx, std::uint64_t ar
   if (fn == nullptr)
     throw std::invalid_argument("EventQueue::schedule: null callback");
   const EventId id = ids_.add(fn, ctx, arg);
-  place(when, /*order=*/id, id);
+  place(when, /*order=*/ids_.issued(), id);
   return id;
 }
 
@@ -213,11 +210,10 @@ bool EventQueue::pop_front(Entry* out) {
 
 void EventQueue::dispatch(const Entry& entry, SimTime* now_out) {
   // Copy the slot out before running: the callback may schedule new
-  // events, which can reallocate the slot table.
+  // events, which can reuse the cell or reallocate the slot table.
   const ActionTable::Slot slot = ids_.take(entry.id);
   last_popped_ = entry.when;
   if (now_out != nullptr) *now_out = entry.when;
-  if ((++pops_ & 0x3FFF) == 0) ids_.trim();
   slot.fn(slot.ctx, slot.arg);
 }
 
@@ -311,9 +307,7 @@ EventQueue::Entry* EventQueue::wheel_peek() const {
         --fine_count_;
       }
       if (bucket.pos == bucket.entries.size()) {
-        bucket.entries.clear();
-        bucket.pos = 0;
-        bucket.sorted = true;
+        reset_bucket(bucket, kBucketKeep);
         fine_bit(fine_cursor_ % kFineBuckets, false);
         ++fine_cursor_;
         continue;
@@ -344,7 +338,7 @@ EventQueue::Entry* EventQueue::wheel_peek() const {
       Bucket& bucket = coarse_[target % kCoarseBuckets];
       coarse_count_ -= bucket.entries.size();
       for (Entry& entry : bucket.entries) wheel_place_fine(std::move(entry));
-      bucket.entries.clear();
+      reset_bucket(bucket, 0);
       coarse_bit(target % kCoarseBuckets, false);
     }
     // Overflow entries in the same coarse range form the heap's top prefix
@@ -365,12 +359,26 @@ EventQueue::Entry EventQueue::wheel_consume_front() {
   ++bucket.pos;
   --fine_count_;
   if (bucket.pos == bucket.entries.size()) {
-    bucket.entries.clear();
-    bucket.pos = 0;
-    bucket.sorted = true;
+    reset_bucket(bucket, kBucketKeep);
     fine_bit(fine_cursor_ % kFineBuckets, false);
   }
   return entry;
+}
+
+void EventQueue::reset_bucket(Bucket& bucket, std::size_t keep) noexcept {
+  if (bucket.entries.capacity() > keep)
+    std::vector<Entry>().swap(bucket.entries);
+  else
+    bucket.entries.clear();
+  bucket.pos = 0;
+  bucket.sorted = true;
+}
+
+std::size_t EventQueue::footprint() const noexcept {
+  std::size_t cells = ids_.capacity() + heap_.capacity();
+  for (const Bucket& bucket : fine_) cells += bucket.entries.capacity();
+  for (const Bucket& bucket : coarse_) cells += bucket.entries.capacity();
+  return cells;
 }
 
 void EventQueue::wheel_rebuild(Entry extra) {
@@ -379,17 +387,15 @@ void EventQueue::wheel_rebuild(Entry extra) {
   const auto take = [&](Entry& entry) {
     if (ids_.contains(entry.id)) live.push_back(std::move(entry));
   };
-  const auto drain_ring = [&](std::vector<Bucket>& ring) {
+  const auto drain_ring = [&](std::vector<Bucket>& ring, std::size_t keep) {
     for (Bucket& bucket : ring) {
       for (std::size_t i = bucket.pos; i < bucket.entries.size(); ++i)
         take(bucket.entries[i]);
-      bucket.entries.clear();
-      bucket.pos = 0;
-      bucket.sorted = true;
+      reset_bucket(bucket, keep);
     }
   };
-  drain_ring(fine_);
-  drain_ring(coarse_);
+  drain_ring(fine_, kBucketKeep);
+  drain_ring(coarse_, 0);
   std::fill(fine_bits_.begin(), fine_bits_.end(), 0);
   std::fill(coarse_bits_.begin(), coarse_bits_.end(), 0);
   for (Entry& entry : heap_) take(entry);
@@ -409,7 +415,7 @@ void EventQueue::wheel_rebuild(Entry extra) {
 void EventQueue::wheel_compact() {
   const auto dead = [this](const Entry& entry) { return !ids_.contains(entry.id); };
   const auto sweep_ring = [&](std::vector<Bucket>& ring, std::size_t& count,
-                              auto&& clear_bit) {
+                              std::size_t keep, auto&& clear_bit) {
     for (std::size_t slot = 0; slot < ring.size(); ++slot) {
       Bucket& bucket = ring[slot];
       if (bucket.entries.empty()) continue;
@@ -420,15 +426,14 @@ void EventQueue::wheel_compact() {
           bucket.entries.end());
       count -= before - (bucket.entries.size() - bucket.pos);
       if (bucket.pos == bucket.entries.size()) {
-        bucket.entries.clear();
-        bucket.pos = 0;
-        bucket.sorted = true;
+        reset_bucket(bucket, keep);
         clear_bit(slot);
       }
     }
   };
-  sweep_ring(fine_, fine_count_, [this](std::size_t slot) { fine_bit(slot, false); });
-  sweep_ring(coarse_, coarse_count_,
+  sweep_ring(fine_, fine_count_, kBucketKeep,
+             [this](std::size_t slot) { fine_bit(slot, false); });
+  sweep_ring(coarse_, coarse_count_, 0,
              [this](std::size_t slot) { coarse_bit(slot, false); });
   heap_.erase(std::remove_if(heap_.begin(), heap_.end(), dead), heap_.end());
   std::make_heap(heap_.begin(), heap_.end(), Later{});

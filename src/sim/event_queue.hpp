@@ -1,9 +1,15 @@
 // Deterministic event queue: events fire in (time, order) order, so
 // simultaneous events run in a well-defined sequence and every run of a
 // seeded simulation is bit-for-bit identical. On the classic single-queue
-// path the order IS the insertion sequence (the id); the sharded event
-// loop (sim/simulator.hpp) instead supplies a globally-merged order so K
-// per-region queues reproduce the one-queue schedule exactly.
+// path the order is the queue's own insertion sequence (a counter that
+// advances once per issued id); the sharded event loop (sim/simulator.hpp)
+// instead supplies a globally-merged order so K per-region queues
+// reproduce the one-queue schedule exactly.
+//
+// Storage follows the live events, not the history: actions sit in a slab
+// whose retired cells are reused under a bumped generation (so a stale id
+// never matches the cell's new occupant), and a wheel bucket that drains
+// gives back storage above a small fixed size.
 //
 // Two interchangeable backends produce that exact same order:
 //
@@ -51,8 +57,8 @@ class EventQueue {
 
   /// Schedules `action` at absolute time `when`; returns a handle usable
   /// with cancel(). `when` must be >= the last popped time (no scheduling
-  /// into the past). The tie-break order is the id itself (insertion
-  /// sequence) — the classic single-queue behaviour.
+  /// into the past). The tie-break order is the insertion sequence — the
+  /// classic single-queue behaviour.
   EventId schedule(SimTime when, std::function<void()> action);
 
   /// Raw-callback overload: identical semantics and pop order, but the
@@ -82,7 +88,8 @@ class EventQueue {
   void place_registered(SimTime when, std::uint64_t order, EventId id);
 
   /// Cancels a pending event; returns false if it already ran, was already
-  /// cancelled, or never existed. Lazy removal: the stored entry stays
+  /// cancelled, or never existed — also once its slot has been reused by a
+  /// later event, which is left alone. Lazy removal: the stored entry stays
   /// until its bucket (or the heap front) is consumed — but once stale
   /// entries outnumber live ones (every acked hop cancels its retransmit
   /// timer, so under reliable traffic most of the queue is corpses), the
@@ -100,6 +107,12 @@ class EventQueue {
   [[nodiscard]] std::size_t heap_size() const noexcept {
     return fine_count_ + coarse_count_ + heap_.size();
   }
+  /// Storage held, in cells: action-slot capacity plus the entry capacity
+  /// of every rung. Bounded by the peak number of live events (plus at
+  /// most kFineBuckets * kBucketKeep entries that drained rung-0 buckets
+  /// keep for reuse), not by the number of ids ever issued. O(ring size);
+  /// for tests and diagnostics.
+  [[nodiscard]] std::size_t footprint() const noexcept;
   /// Time of the earliest pending event; queue must not be empty.
   [[nodiscard]] SimTime next_time() const;
   /// (time, order) of the earliest pending event; false when empty. The
@@ -127,14 +140,29 @@ class EventQueue {
   static constexpr double kWheelTick = 0.0005;     // rung-0 bucket width (s)
   static constexpr std::size_t kFineBuckets = 2048;    // rung-0 ring size
   static constexpr std::size_t kCoarseBuckets = 4096;  // rung-1 ring size
+  /// A drained rung-0 bucket keeps its storage up to this many entries —
+  /// the ring comes round every kFineBuckets ticks, so the next fill reuses
+  /// it without regrowing — and gives back anything larger, so one burst
+  /// does not pin its high-water mark. A drained rung-1 bucket gives back
+  /// everything: its slot comes round only once per coarse horizon. The
+  /// storage drained buckets hold is thus capped at kFineBuckets *
+  /// kBucketKeep entries, whatever the history.
+  static constexpr std::size_t kBucketKeep = 64;
+
+  /// An EventId is (generation << 32) | slot index. Generations stay below
+  /// 2^kGenerationBits, so ids fit in 32 + kGenerationBits bits (the sharded
+  /// simulator tags the bits above with a lane number).
+  static constexpr unsigned kGenerationBits = 24;
 
  private:
   /// What the rungs store and sort: 24 trivially-copyable bytes. The
-  /// action lives in the id-indexed slot table instead, so bucket sorts,
-  /// heap sift-ups and cascades shuffle PODs — no std::function move (an
+  /// action lives in the slot table instead, so bucket sorts, heap
+  /// sift-ups and cascades shuffle PODs — no std::function move (an
   /// indirect _M_manager call) per element hop. `order` is the pop
-  /// tie-break at equal times: the id itself on the classic path, the
-  /// globally-merged sequence under the sharded loop.
+  /// tie-break at equal times: the queue's insertion sequence on the
+  /// classic path, the globally-merged sequence under the sharded loop.
+  /// Entries of cancelled events linger until swept; their stale id fails
+  /// the table's generation check even after the slot is reused.
   struct Entry {
     SimTime when;
     std::uint64_t order;
@@ -152,15 +180,18 @@ class EventQueue {
     bool sorted = true;    // [pos, end) in (when, order) order
   };
 
-  /// Event ids are dense and monotonically increasing, so a flat vector
-  /// with a sliding base replaces an unordered_map: no per-event node
-  /// allocation on the schedule/cancel hot path. A slot is a raw
-  /// (fn, ctx, arg) triple — 24 trivially-copyable bytes — so growth
-  /// reallocation and prefix trims are memmoves, a pop is a POD copy, and
+  /// A slab of generation-stamped cells: no per-event node allocation on
+  /// the schedule/cancel hot path, and storage that tracks the live events.
+  /// A retired cell (fired or cancelled) goes on a LIFO free list with its
+  /// generation bumped, so its old id — still held by a caller, or by a
+  /// lingering rung entry — no longer matches; a cell whose generation
+  /// saturates is retired for good. A slot is a raw (fn, ctx, arg) triple,
+  /// so growth reallocation is a memmove, a pop is a POD copy, and
   /// invocation is one direct call through the stored pointer.
   /// std::function closures still work: they are boxed on the heap and run
   /// through a self-freeing thunk (cancel frees the box too). A live event
-  /// is exactly one whose slot holds a non-null fn.
+  /// is exactly one whose cell holds a non-null fn under the id's
+  /// generation.
   class ActionTable {
    public:
     struct Slot {
@@ -173,55 +204,83 @@ class EventQueue {
     ActionTable(const ActionTable&) = delete;
     ActionTable& operator=(const ActionTable&) = delete;
     ~ActionTable() {
-      for (const Slot& slot : slots_) release_box(slot);
+      for (const Cell& cell : cells_) release_box(cell.slot);
     }
 
     EventId add(RawFn fn, void* ctx, std::uint64_t arg) {
-      slots_.push_back(Slot{fn, ctx, arg});
+      std::uint32_t index = free_head_;
+      if (index != kNoCell) {
+        free_head_ = cells_[index].next_free;
+      } else {
+        index = grow();
+      }
+      Cell& cell = cells_[index];
+      cell.slot = Slot{fn, ctx, arg};
       ++live_;
-      return base_ + slots_.size() - 1;
+      ++issued_;
+      return (EventId{cell.generation} << 32) | index;
     }
     EventId add(std::function<void()> action) {
       return add(&closure_thunk, new std::function<void()>(std::move(action)), 0);
     }
     /// Cancel: frees a boxed closure immediately (captures release).
     bool erase(EventId id) noexcept {
-      if (id < base_) return false;
-      const std::size_t off = id - base_;
-      if (off >= slots_.size() || slots_[off].fn == nullptr) return false;
-      release_box(slots_[off]);
-      slots_[off].fn = nullptr;
-      --live_;
+      if (!contains(id)) return false;
+      const auto index = static_cast<std::uint32_t>(id);
+      release_box(cells_[index].slot);
+      retire(index);
       return true;
     }
-    /// Pop: copies the slot out for invocation (the table may grow while
-    /// the callback runs; a boxed closure frees itself after running).
+    /// Pop: copies the slot out for invocation (the callback may reuse the
+    /// cell or grow the slab; a boxed closure frees itself after running).
     /// Caller guarantees the id is live.
     [[nodiscard]] Slot take(EventId id) noexcept {
-      const Slot slot = slots_[id - base_];
-      slots_[id - base_].fn = nullptr;
-      --live_;
+      const auto index = static_cast<std::uint32_t>(id);
+      const Slot slot = cells_[index].slot;
+      retire(index);
       return slot;
     }
     [[nodiscard]] bool contains(EventId id) const noexcept {
-      return id >= base_ && id - base_ < slots_.size() &&
-             slots_[id - base_].fn != nullptr;
+      const auto index = static_cast<std::uint32_t>(id);
+      return index < cells_.size() && cells_[index].slot.fn != nullptr &&
+             cells_[index].generation == (id >> 32);
     }
     [[nodiscard]] std::size_t size() const noexcept { return live_; }
     [[nodiscard]] bool empty() const noexcept { return live_ == 0; }
-    /// Drops a large fully-dead prefix; amortised O(1) per event.
-    void trim();
+    /// Ids handed out so far: the classic path's insertion sequence.
+    [[nodiscard]] std::uint64_t issued() const noexcept { return issued_; }
+    [[nodiscard]] std::size_t capacity() const noexcept { return cells_.capacity(); }
 
    private:
+    struct Cell {
+      Slot slot;
+      std::uint32_t generation = 1;  // ids never carry generation 0
+      std::uint32_t next_free = 0;   // free-list link while retired
+    };
+    static constexpr std::uint32_t kNoCell = 0xFFFFFFFFu;
+    static constexpr std::uint32_t kGenerationLimit = 1u << kGenerationBits;
+
+    /// Marks a live cell dead and recycles it under the next generation.
+    void retire(std::uint32_t index) noexcept {
+      Cell& cell = cells_[index];
+      cell.slot.fn = nullptr;
+      --live_;
+      if (++cell.generation == kGenerationLimit) return;  // saturated
+      cell.next_free = free_head_;
+      free_head_ = index;
+    }
+    /// Appends a fresh cell; throws once the index space is exhausted.
+    std::uint32_t grow();
     static void closure_thunk(void* ctx, std::uint64_t arg);
     static void release_box(const Slot& slot) noexcept {
       if (slot.fn == &closure_thunk)
         delete static_cast<std::function<void()>*>(slot.ctx);
     }
 
-    std::vector<Slot> slots_;
-    EventId base_ = 1;
+    std::vector<Cell> cells_;
+    std::uint32_t free_head_ = kNoCell;
     std::size_t live_ = 0;
+    std::uint64_t issued_ = 0;
   };
 
   [[nodiscard]] static std::uint64_t fine_index(SimTime when) noexcept {
@@ -254,6 +313,8 @@ class EventQueue {
   /// scheduling near the old clock).
   void wheel_rebuild(Entry extra);
   void wheel_compact();
+  /// Empties a bucket, giving back its storage above `keep` entries.
+  static void reset_bucket(Bucket& bucket, std::size_t keep) noexcept;
 
   // Ring-occupancy bitmaps: bit set iff the bucket stores entries (dead
   // ones included — they still need visiting to be reclaimed). Lets peek
@@ -275,7 +336,6 @@ class EventQueue {
   QueueBackend backend_;
   ActionTable ids_;
   SimTime last_popped_ = kTimeZero;
-  std::uint64_t pops_ = 0;
 
   // Heap backend storage (also the wheel's overflow rung); min-heap per
   // Later via std::*_heap.

@@ -232,6 +232,8 @@ class Simulator {
   // queue; lane 0 ids are numerically unchanged from the classic path.
   static constexpr unsigned kLaneShift = 56;
   static constexpr EventId kLocalMask = (EventId{1} << kLaneShift) - 1;
+  static_assert(32 + EventQueue::kGenerationBits <= kLaneShift,
+                "queue-local ids must leave the lane byte free");
   [[nodiscard]] static EventId encode(std::uint32_t lane, EventId local) noexcept {
     return (static_cast<EventId>(lane) << kLaneShift) | local;
   }

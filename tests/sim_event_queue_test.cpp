@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <vector>
+
+#include "util/rng.hpp"
 
 namespace geomcast::sim {
 namespace {
@@ -163,6 +166,208 @@ TEST(EventQueueTest, CancelledHeadSkippedTransparently) {
   EXPECT_DOUBLE_EQ(queue.next_time(), 2.0);
   while (queue.run_next()) {}
   EXPECT_EQ(order, (std::vector<int>{2}));
+}
+
+// ---- slot reuse ------------------------------------------------------------
+// Action slots are recycled under a bumped generation, so an id that
+// already fired or was cancelled must never reach the slot's new occupant.
+
+constexpr QueueBackend kBackends[] = {QueueBackend::kHeap, QueueBackend::kWheel};
+
+std::uint64_t slot_of(EventId id) { return id & 0xFFFFFFFFu; }
+
+TEST(EventQueueSlotReuse, FiredIdDoesNotCancelTheSlotsNextEvent) {
+  for (const QueueBackend backend : kBackends) {
+    SCOPED_TRACE(backend == QueueBackend::kHeap ? "heap" : "wheel");
+    EventQueue queue(backend);
+    const EventId fired = queue.schedule(1.0, [] {});
+    ASSERT_TRUE(queue.run_next());
+    bool ran = false;
+    const EventId next = queue.schedule(2.0, [&] { ran = true; });
+    ASSERT_EQ(slot_of(next), slot_of(fired));  // the slot was recycled
+    EXPECT_NE(next, fired);
+    EXPECT_FALSE(queue.cancel(fired));
+    EXPECT_EQ(queue.pending(), 1u);
+    EXPECT_TRUE(queue.run_next());
+    EXPECT_TRUE(ran);
+    EXPECT_FALSE(queue.cancel(next));
+  }
+}
+
+TEST(EventQueueSlotReuse, CancelledIdDoesNotTouchTheSlotsNextEvent) {
+  for (const QueueBackend backend : kBackends) {
+    SCOPED_TRACE(backend == QueueBackend::kHeap ? "heap" : "wheel");
+    EventQueue queue(backend);
+    bool stale_ran = false;
+    int fresh_runs = 0;
+    const EventId cancelled = queue.schedule(1.0, [&] { stale_ran = true; });
+    ASSERT_TRUE(queue.cancel(cancelled));
+    // Same time: the reused slot's new entry sits right next to the
+    // cancelled entry, which still lingers in its rung.
+    const EventId next = queue.schedule(1.0, [&] { ++fresh_runs; });
+    ASSERT_EQ(slot_of(next), slot_of(cancelled));
+    EXPECT_FALSE(queue.cancel(cancelled));
+    EXPECT_EQ(queue.pending(), 1u);
+    while (queue.run_next()) {}
+    EXPECT_FALSE(stale_ran);
+    EXPECT_EQ(fresh_runs, 1);
+    EXPECT_TRUE(queue.empty());
+  }
+}
+
+TEST(EventQueueSlotReuse, ZeroAndNeverIssuedIdsDoNotCancel) {
+  for (const QueueBackend backend : kBackends) {
+    SCOPED_TRACE(backend == QueueBackend::kHeap ? "heap" : "wheel");
+    EventQueue queue(backend);
+    EXPECT_FALSE(queue.cancel(0));
+    const EventId live = queue.schedule(1.0, [] {});
+    EXPECT_FALSE(queue.cancel(0));
+    EXPECT_FALSE(queue.cancel(slot_of(live)));                   // generation 0
+    EXPECT_FALSE(queue.cancel(live + (EventId{1} << 32)));       // future generation
+    EXPECT_FALSE(queue.cancel((EventId{1} << 32) | 7));          // slot never made
+    EXPECT_FALSE(queue.cancel(~EventId{0}));
+    EXPECT_EQ(queue.pending(), 1u);
+    EXPECT_TRUE(queue.cancel(live));
+  }
+}
+
+TEST(EventQueueSlotReuse, PlacingACancelledRegistrationInsertsNothing) {
+  for (const QueueBackend backend : kBackends) {
+    SCOPED_TRACE(backend == QueueBackend::kHeap ? "heap" : "wheel");
+    EventQueue queue(backend);
+    bool stale_ran = false;
+    bool fresh_ran = false;
+    const EventId stale = queue.register_action([&] { stale_ran = true; });
+    ASSERT_TRUE(queue.cancel(stale));
+    const EventId fresh = queue.register_action([&] { fresh_ran = true; });
+    ASSERT_EQ(slot_of(fresh), slot_of(stale));
+    queue.place_registered(1.0, /*order=*/1, stale);
+    EXPECT_EQ(queue.heap_size(), 0u);
+    queue.place_registered(2.0, /*order=*/2, fresh);
+    EXPECT_EQ(queue.heap_size(), 1u);
+    while (queue.run_next()) {}
+    EXPECT_FALSE(stale_ran);
+    EXPECT_TRUE(fresh_ran);
+    EXPECT_DOUBLE_EQ(queue.last_popped_time(), 2.0);
+  }
+}
+
+TEST(EventQueueSlotReuse, TiesBreakByInsertionOrderAcrossReusedSlots) {
+  // A reused slot's id carries a newer generation, so ids no longer sort
+  // in insertion order; the tie-break must still follow insertion.
+  for (const QueueBackend backend : kBackends) {
+    SCOPED_TRACE(backend == QueueBackend::kHeap ? "heap" : "wheel");
+    EventQueue queue(backend);
+    std::vector<int> order;
+    const EventId a = queue.schedule(1.0, [] {});
+    const EventId b = queue.schedule(1.0, [] {});
+    ASSERT_TRUE(queue.cancel(b));
+    ASSERT_TRUE(queue.run_next());
+    // Slot of `a` is on top of the free list, then the slot of `b`.
+    const EventId first = queue.schedule(5.0, [&] { order.push_back(1); });
+    const EventId second = queue.schedule(5.0, [&] { order.push_back(2); });
+    const EventId third = queue.schedule(5.0, [&] { order.push_back(3); });
+    ASSERT_EQ(slot_of(first), slot_of(a));
+    ASSERT_EQ(slot_of(second), slot_of(b));
+    ASSERT_GT(first, third);  // id order and insertion order disagree
+    while (queue.run_next()) {}
+    EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+  }
+}
+
+void noop(void* /*ctx*/, std::uint64_t /*arg*/) {}
+
+TEST(EventQueueSlotReuse, SaturatedSlotIsRetiredNotReused) {
+  // One event at a time reuses slot 0 under generations 1, 2, ...; once the
+  // generation would leave its 24 bits the slot is retired for good.
+  EventQueue queue;
+  constexpr std::uint64_t kGenerations =
+      (std::uint64_t{1} << EventQueue::kGenerationBits) - 1;
+  EventId id = 0;
+  for (std::uint64_t i = 0; i < kGenerations; ++i) {
+    id = queue.schedule(1.0, &noop, nullptr, 0);
+    ASSERT_EQ(slot_of(id), 0u);
+    ASSERT_TRUE(queue.cancel(id));
+  }
+  EXPECT_EQ(id >> 32, kGenerations);
+  const EventId after = queue.schedule(1.0, &noop, nullptr, 0);
+  EXPECT_EQ(slot_of(after), 1u);
+  EXPECT_FALSE(queue.cancel(id));
+  EXPECT_TRUE(queue.cancel(after));
+}
+
+// ---- storage ---------------------------------------------------------------
+
+/// `kChains` reliable hops in flight, each delivery cancelling its own
+/// retransmit timer and sending the next hop with a fresh timer — the
+/// ack-heavy shape that issues ids far faster than it keeps events live.
+struct HopChains {
+  static constexpr std::size_t kChains = 32;
+  EventQueue* queue = nullptr;
+  util::Rng rng{1};
+  std::size_t fired = 0;
+  std::size_t peak_pending = 0;
+  bool stopped = false;
+  EventId timers[kChains] = {};
+
+  void send(std::size_t chain) {
+    const SimTime now = queue->last_popped_time();
+    queue->schedule(now + rng.uniform(0.001, 0.051), &HopChains::deliver, this, chain);
+    timers[chain] = queue->schedule(now + 0.25, &noop, nullptr, 0);
+    peak_pending = std::max(peak_pending, queue->pending());
+  }
+  static void deliver(void* ctx, std::uint64_t chain) {
+    auto* self = static_cast<HopChains*>(ctx);
+    ++self->fired;
+    EXPECT_TRUE(self->queue->cancel(self->timers[chain]));
+    if (!self->stopped) self->send(chain);
+  }
+};
+
+TEST(EventQueueStorage, FootprintFollowsLiveEventsNotIdsIssued) {
+  for (const QueueBackend backend : kBackends) {
+    SCOPED_TRACE(backend == QueueBackend::kHeap ? "heap" : "wheel");
+    EventQueue queue(backend);
+    // Booked first and pending throughout: the oldest id never retires.
+    bool far_ran = false;
+    queue.schedule(1e6, [&] { far_ran = true; });
+    HopChains chains;
+    chains.queue = &queue;
+    for (std::size_t c = 0; c < HopChains::kChains; ++c) chains.send(c);
+    std::size_t max_footprint = 0;
+    while (chains.fired < 1'000'000) {
+      ASSERT_TRUE(queue.run_next());
+      if ((chains.fired & 0xFFF) == 0)
+        max_footprint = std::max(max_footprint, queue.footprint());
+    }
+    max_footprint = std::max(max_footprint, queue.footprint());
+    // ~2M ids issued and 1M cancelled, never more than 65 live at once.
+    // Drained rung-0 buckets may keep up to kBucketKeep entries each for
+    // reuse; that floor is fixed, whatever the history.
+    EXPECT_LE(chains.peak_pending, 2 * HopChains::kChains + 1);
+    const std::size_t bucket_floor =
+        backend == QueueBackend::kWheel
+            ? EventQueue::kFineBuckets * EventQueue::kBucketKeep
+            : 0;
+    EXPECT_LE(max_footprint, 4096 + bucket_floor);
+
+    chains.stopped = true;
+    while (queue.run_next()) {}
+    EXPECT_TRUE(far_ran);
+  }
+}
+
+TEST(EventQueueStorage, DrainedWheelBucketsGiveTheirStorageBack) {
+  // A one-off burst into one rung-0 bucket and one rung-1 bucket: once
+  // both drain, only the slot table remembers the burst.
+  EventQueue wheel(QueueBackend::kWheel);
+  constexpr int kBurst = 1500;
+  const double coarse_time = 3.0 * EventQueue::kWheelTick * EventQueue::kFineBuckets;
+  for (int i = 0; i < kBurst; ++i) wheel.schedule(0.25, &noop, nullptr, 0);
+  for (int i = 0; i < kBurst; ++i) wheel.schedule(coarse_time, &noop, nullptr, 0);
+  EXPECT_GE(wheel.footprint(), 4u * kBurst);
+  while (wheel.run_next()) {}
+  EXPECT_LE(wheel.footprint(), 4096u + EventQueue::kBucketKeep);
 }
 
 }  // namespace

@@ -364,18 +364,6 @@ class GroupManager {
   [[nodiscard]] GroupStats total_stats() const;
   [[nodiscard]] std::vector<GroupId> known_groups() const;
 
-  // -- sharded event loop --------------------------------------------------
-  /// Redirects stats(GroupId) writes from worker-lane contexts (lane_fn()
-  /// >= 0) into per-lane delta maps instead of the shared GroupState, so
-  /// concurrent workers never touch groups_ / the state memo. Deltas are
-  /// integer counters plus histogram samples; collapse_lane_stats() folds
-  /// them into the authoritative stats with operator+= (bit-exact: pure
-  /// integer adds, and Histogram::merge of an empty delta is a no-op) and
-  /// must only run while workers are parked (the window barrier).
-  using LaneFn = int (*)() noexcept;
-  void configure_lanes(std::size_t lanes, LaneFn lane_fn);
-  void collapse_lane_stats();
-
  private:
   /// One replica slot of a sharded group: its own root, member shard, and
   /// cached shard tree — the same (root, members, cached, dirty, drift)
@@ -489,18 +477,10 @@ class GroupManager {
   std::set<std::pair<GroupId, PeerId>> grafting_;
   std::uint64_t next_graft_id_ = 1;
   /// QoS 2 retention, indexed peer-first so a departure drops the whole
-  /// peer's history in one clear. A flat vector (one slot per peer, sized
-  /// at construction) rather than a map: retention writes are peer-affine,
-  /// so under the sharded loop each worker touches only its own region's
-  /// slots — no shared container node to race on.
+  /// peer's history in one clear. A flat vector: one slot per peer, sized
+  /// at construction.
   std::vector<std::map<GroupId, RetainedBuffer>> retained_;
   std::size_t retained_peak_ = 0;
-  /// Sharded-loop stat routing (see configure_lanes): per-lane GroupStats
-  /// deltas and per-lane retained-occupancy peaks, folded into the shared
-  /// state at each window barrier.
-  LaneFn lane_fn_ = nullptr;
-  std::vector<std::map<GroupId, GroupStats>> lane_stats_;
-  std::vector<std::size_t> lane_retained_peak_;
   /// Observability (see set_clock/set_trace_sink): both optional, both
   /// passive — no protocol decision reads them.
   std::function<double()> clock_;
@@ -509,12 +489,6 @@ class GroupManager {
   [[nodiscard]] double clock_now() const { return clock_ ? clock_() : 0.0; }
 };
 
-inline GroupStats& GroupManager::stats(GroupId group) {
-  if (lane_fn_ != nullptr) {
-    const int lane = lane_fn_();
-    if (lane >= 0) return lane_stats_[static_cast<std::size_t>(lane)][group];
-  }
-  return state_of(group).stats;
-}
+inline GroupStats& GroupManager::stats(GroupId group) { return state_of(group).stats; }
 
 }  // namespace geomcast::groups

@@ -163,7 +163,6 @@
 // retransmitted/duplicate/abandoned tallies.
 #pragma once
 
-#include <cassert>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -423,18 +422,6 @@ struct PubSubConfig {
   /// (tests/groups_simcore_test.cpp): same delivered sets, byte-identical
   /// stats JSON, on every seed.
   bool sim_core = true;
-  /// Deterministic sharded event loop (sim/simulator.hpp): partitions the
-  /// peers into this many contiguous coordinate regions (overlay's
-  /// grid_regions over the same bucket grid grid_knn searches), gives each
-  /// region its own event queue + worker thread, and runs the conservative
-  /// synchronized-window loop with lookahead = the latency model's minimum
-  /// delay. Delivered tuples and all stats JSON are bit-identical to the
-  /// single-threaded core for ANY value here; 1 (the default) IS the
-  /// single-threaded core — the oracle the sharded battery pins against.
-  /// Requires latency.min_delay() > 0 and, when the QoS layer is on,
-  /// ack_timeout / repair.gap_timeout >= that minimum (worker-armed timers
-  /// must land beyond the window bound); violations throw at construction.
-  std::size_t sim_shards = 1;
   std::uint64_t seed = 1;
 };
 
@@ -579,15 +566,7 @@ class PubSubSystem {
   /// NOT required — handles keep their block; only the free cache is
   /// dropped). Bench drivers call this between cells so one cell's pool
   /// high-water mark doesn't sit resident while the next cell measures.
-  ///
-  /// Threading contract (see util/pool.hpp): the pool is single-writer.
-  /// Under the sharded loop this must run from the coordinator between
-  /// runs — never from a worker-lane context (workers only ever DROP
-  /// handles, via the deferred-recycle list the barrier flushes).
-  void release_pools() {
-    assert(sim::Simulator::parallel_lane() < 0);
-    payload_pool_.release();
-  }
+  void release_pools() { payload_pool_.release(); }
 
  private:
   class PubSubNode;
@@ -802,36 +781,9 @@ class PubSubSystem {
   /// (the QoS 0/1 subscriber hot path delivers whole batched ranges).
   void deliver_range(PeerId self, GroupId group, std::uint64_t lo, std::uint64_t hi);
 
-  // -- sharded event loop ---------------------------------------------------
-  /// Wires the simulator's sharded loop when sim_shards >= 2: region
-  /// assignment (grid_regions -> worker lanes 1..K; lane 0 is the
-  /// sequential control lane), envelope routing, per-lane stat sinks, the
-  /// ext replay channel, and the barrier collapse hook. Validates the
-  /// lookahead preconditions (see PubSubConfig::sim_shards).
-  void setup_shards();
-  /// Envelope -> home lane. Payload traffic (kDeliverKind / kDeliverAckKind
-  /// / kHeartbeatKind) runs on the destination peer's region lane; EVERY
-  /// other kind — publish/flush/subscribe, graft, NACK/repair, replica
-  /// sync — is control traffic on lane 0, executed only at globally
-  /// quiesced instants, so all root-side and repair-plane state keeps its
-  /// single-writer discipline with no striping at all.
-  static std::uint32_t route_thunk(void* ctx, const sim::Envelope& envelope);
-  static void ext_thunk(void* ctx, std::uint64_t a, std::uint64_t b, std::uint64_t c,
-                        double v);
-  static void barrier_thunk(void* ctx);
-  /// Ext-record ops (packed into the record's `a` as op << 48 | peer):
-  /// the two delivery-path effects whose floating-point accumulation order
-  /// must match the classic loop exactly, so workers log them and the
-  /// coordinator replays them in canonical order at the barrier.
-  static constexpr std::uint64_t kExtDeliver = 1;    // b=group c=seq v=time
-  static constexpr std::uint64_t kExtGapRepair = 2;  // b=group c=seq v=latency
-  /// The FP-ordered tail of a delivery: publish->delivery latency sample
-  /// plus the probe. Runs inline on the coordinator, via ext on a worker.
-  void emit_delivery(PeerId self, GroupId group, std::uint64_t seq);
+  /// The tail of a single-seq delivery (deliver_range inlines the same
+  /// steps): publish->delivery latency sample plus the probe.
   void apply_delivery(PeerId self, GroupId group, std::uint64_t seq, double time);
-  /// Barrier collapse: folds the per-lane NetworkStats / GroupStats /
-  /// trace-event deltas into the shared aggregates (workers are parked).
-  void on_barrier();
   /// Removes a gap as repaired/abandoned, with latency accounting; for
   /// abandoned gaps also advances the window and releases what it frees.
   void finish_gap(PeerId self, GroupId group, WindowState& ws, std::uint64_t seq,
@@ -921,11 +873,9 @@ class PubSubSystem {
   std::vector<std::map<std::pair<GroupId, std::uint32_t>,
                        std::map<std::uint64_t, std::uint64_t>>>
       seen_ranges_;
-  /// fresh_runs result buffers, reused across calls so the per-hop dedup
-  /// never allocates. One per lane (Simulator::scratch_lane() indexes;
-  /// slot 0 covers the classic loop and every coordinator-side context),
-  /// so concurrent worker-lane dedups never share a buffer.
-  std::vector<std::vector<std::pair<std::uint64_t, std::uint64_t>>> fresh_scratch_;
+  /// fresh_runs result buffer, reused across calls so the per-hop dedup
+  /// never allocates.
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> fresh_scratch_;
   /// Memoized greedy control steps, keyed (self << 32 | target). A pure
   /// function of the alive-set, so depart_now() flushes it; everything
   /// else (subscribes, promotions, grafts) leaves liveness untouched.
@@ -970,11 +920,6 @@ class PubSubSystem {
   /// Wave id -> group (wave ids are dense from 0): lets the hop-ack trace
   /// tap attribute an ack — which carries only the wave id — to its group.
   std::vector<GroupId> wave_groups_;
-  /// Sharded loop (empty/null unless sim_shards >= 2): each peer's home
-  /// lane (1..K; the route thunk reads it per payload envelope), and the
-  /// attached sink so the barrier hook can collapse its lane buffers.
-  std::vector<std::uint32_t> node_lane_;
-  obs::TraceSink* trace_sink_ = nullptr;
 };
 
 }  // namespace geomcast::groups

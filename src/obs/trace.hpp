@@ -93,9 +93,7 @@ struct TraceEvent {
 
 [[nodiscard]] bool operator==(const TraceEvent& a, const TraceEvent& b) noexcept;
 
-/// Bounded ring of trace events. Single-writer like the simulator's
-/// control lane; under the sharded event loop, parallel-phase records go
-/// to per-lane side buffers (see configure_lanes) merged at each barrier.
+/// Bounded ring of trace events, written in simulation order.
 class TraceSink {
  public:
   static constexpr std::size_t kDefaultCapacity = 1u << 16;
@@ -103,18 +101,6 @@ class TraceSink {
   explicit TraceSink(std::size_t capacity = kDefaultCapacity);
 
   void record(const TraceEvent& event);
-
-  /// Sharded-loop wiring (raw hooks keep this header dependency-free):
-  /// `lane_fn` reports the calling thread's parallel lane, negative on the
-  /// coordinating thread; `order_fn` the running event's canonical order.
-  /// While configured, a record from a parallel lane lands in that lane's
-  /// private buffer; collapse_lanes() — called at the window barrier, when
-  /// no worker runs — merges the buffers into the ring sorted by
-  /// (time, order, append sequence), i.e. simulation order.
-  using LaneFn = int (*)() noexcept;
-  using OrderFn = std::uint64_t (*)() noexcept;
-  void configure_lanes(std::size_t lanes, LaneFn lane_fn, OrderFn order_fn);
-  void collapse_lanes();
 
   /// Events currently held, oldest first.
   [[nodiscard]] std::vector<TraceEvent> events() const;
@@ -135,23 +121,12 @@ class TraceSink {
   [[nodiscard]] std::uint64_t recorded() const noexcept { return recorded_; }
 
  private:
-  struct LaneRecord {
-    std::uint64_t order;  // producing event's canonical order
-    std::uint64_t seq;    // per-lane append sequence (intra-event tie-break)
-    TraceEvent event;
-  };
-
-  void append(const TraceEvent& event);
-
   std::vector<TraceEvent> ring_;
   std::size_t head_ = 0;  // next write slot
   std::size_t size_ = 0;
   std::uint64_t dropped_ = 0;
   std::uint64_t recorded_ = 0;
   bool overflow_warned_ = false;
-  LaneFn lane_fn_ = nullptr;
-  OrderFn order_fn_ = nullptr;
-  std::vector<std::vector<LaneRecord>> lane_buffers_;
 };
 
 /// The handle instrumented layers hold: one pointer, null when disabled.

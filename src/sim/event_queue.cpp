@@ -83,49 +83,6 @@ EventId EventQueue::schedule(SimTime when, RawFn fn, void* ctx, std::uint64_t ar
   return id;
 }
 
-EventId EventQueue::schedule_ordered(SimTime when, std::uint64_t order,
-                                     std::function<void()> action) {
-  if (when < last_popped_)
-    throw std::invalid_argument("EventQueue::schedule_ordered: time is in the past");
-  if (!action)
-    throw std::invalid_argument("EventQueue::schedule_ordered: empty action");
-  const EventId id = ids_.add(std::move(action));
-  place(when, order, id);
-  return id;
-}
-
-EventId EventQueue::schedule_ordered(SimTime when, std::uint64_t order, RawFn fn,
-                                     void* ctx, std::uint64_t arg) {
-  if (when < last_popped_)
-    throw std::invalid_argument("EventQueue::schedule_ordered: time is in the past");
-  if (fn == nullptr)
-    throw std::invalid_argument("EventQueue::schedule_ordered: null callback");
-  const EventId id = ids_.add(fn, ctx, arg);
-  place(when, order, id);
-  return id;
-}
-
-EventId EventQueue::register_action(std::function<void()> action) {
-  if (!action)
-    throw std::invalid_argument("EventQueue::register_action: empty action");
-  return ids_.add(std::move(action));
-}
-
-EventId EventQueue::register_action(RawFn fn, void* ctx, std::uint64_t arg) {
-  if (fn == nullptr)
-    throw std::invalid_argument("EventQueue::register_action: null callback");
-  return ids_.add(fn, ctx, arg);
-}
-
-void EventQueue::place_registered(SimTime when, std::uint64_t order, EventId id) {
-  // Cancelled between register and place (e.g. an ack landing in the same
-  // window as the retransmit timer it retires): nothing to insert.
-  if (!ids_.contains(id)) return;
-  if (when < last_popped_)
-    throw std::invalid_argument("EventQueue::place_registered: time is in the past");
-  place(when, order, id);
-}
-
 void EventQueue::place(SimTime when, std::uint64_t order, EventId id) {
   if (backend_ == QueueBackend::kHeap) {
     heap_.push_back(Entry{when, order, id});
@@ -179,21 +136,6 @@ SimTime EventQueue::next_time() const {
   return front->when;
 }
 
-bool EventQueue::peek_key(SimTime* when, std::uint64_t* order) const {
-  if (backend_ == QueueBackend::kHeap) {
-    heap_drop_stale_head();
-    if (heap_.empty()) return false;
-    if (when != nullptr) *when = heap_.front().when;
-    if (order != nullptr) *order = heap_.front().order;
-    return true;
-  }
-  const Entry* front = wheel_peek();
-  if (front == nullptr) return false;
-  if (when != nullptr) *when = front->when;
-  if (order != nullptr) *order = front->order;
-  return true;
-}
-
 bool EventQueue::pop_front(Entry* out) {
   if (backend_ == QueueBackend::kHeap) {
     heap_drop_stale_head();
@@ -208,30 +150,15 @@ bool EventQueue::pop_front(Entry* out) {
   return true;
 }
 
-void EventQueue::dispatch(const Entry& entry, SimTime* now_out) {
+bool EventQueue::run_next(SimTime* now_out) {
+  Entry entry;
+  if (!pop_front(&entry)) return false;
   // Copy the slot out before running: the callback may schedule new
   // events, which can reuse the cell or reallocate the slot table.
   const ActionTable::Slot slot = ids_.take(entry.id);
   last_popped_ = entry.when;
   if (now_out != nullptr) *now_out = entry.when;
   slot.fn(slot.ctx, slot.arg);
-}
-
-bool EventQueue::run_next(SimTime* now_out) {
-  Entry entry;
-  if (!pop_front(&entry)) return false;
-  dispatch(entry, now_out);
-  return true;
-}
-
-bool EventQueue::run_next_before(SimTime bound, SimTime* now_out,
-                                 std::uint64_t* order_out) {
-  SimTime when = kTimeZero;
-  if (!peek_key(&when, nullptr) || when >= bound) return false;
-  Entry entry;
-  pop_front(&entry);  // removes the exact entry peek_key surfaced
-  if (order_out != nullptr) *order_out = entry.order;
-  dispatch(entry, now_out);
   return true;
 }
 

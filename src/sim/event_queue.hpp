@@ -1,10 +1,7 @@
 // Deterministic event queue: events fire in (time, order) order, so
 // simultaneous events run in a well-defined sequence and every run of a
-// seeded simulation is bit-for-bit identical. On the classic single-queue
-// path the order is the queue's own insertion sequence (a counter that
-// advances once per issued id); the sharded event loop (sim/simulator.hpp)
-// instead supplies a globally-merged order so K per-region queues
-// reproduce the one-queue schedule exactly.
+// seeded simulation is bit-for-bit identical. The order is the queue's
+// own insertion sequence (a counter that advances once per issued id).
 //
 // Storage follows the live events, not the history: actions sit in a slab
 // whose retired cells are reused under a bumped generation (so a stale id
@@ -57,8 +54,7 @@ class EventQueue {
 
   /// Schedules `action` at absolute time `when`; returns a handle usable
   /// with cancel(). `when` must be >= the last popped time (no scheduling
-  /// into the past). The tie-break order is the insertion sequence — the
-  /// classic single-queue behaviour.
+  /// into the past). The tie-break order is the insertion sequence.
   EventId schedule(SimTime when, std::function<void()> action);
 
   /// Raw-callback overload: identical semantics and pop order, but the
@@ -66,26 +62,6 @@ class EventQueue {
   /// and type-erasure-free path for the two producers that dominate event
   /// traffic (envelope delivery, per-hop ack timers).
   EventId schedule(SimTime when, RawFn fn, void* ctx, std::uint64_t arg);
-
-  // -- sharded-loop support -------------------------------------------------
-  // The sharded simulator runs one EventQueue per coordinate region and
-  // merges their schedules by an explicit global (time, order) key, so the
-  // order is supplied by the caller instead of being this queue's local
-  // insertion sequence. register_action/place_registered split scheduling
-  // in two: a worker thread may register an action in its own queue's
-  // table immediately (handle valid at once) while the coordinating thread
-  // places the entry later with its canonical order.
-
-  /// Schedules with an explicit tie-break order (same past-time rules).
-  EventId schedule_ordered(SimTime when, std::uint64_t order,
-                           std::function<void()> action);
-  EventId schedule_ordered(SimTime when, std::uint64_t order, RawFn fn, void* ctx,
-                           std::uint64_t arg);
-  /// Files an action without placing it; pair with place_registered().
-  EventId register_action(std::function<void()> action);
-  EventId register_action(RawFn fn, void* ctx, std::uint64_t arg);
-  /// Places a previously registered (still live) action.
-  void place_registered(SimTime when, std::uint64_t order, EventId id);
 
   /// Cancels a pending event; returns false if it already ran, was already
   /// cancelled, or never existed — also once its slot has been reused by a
@@ -115,9 +91,6 @@ class EventQueue {
   [[nodiscard]] std::size_t footprint() const noexcept;
   /// Time of the earliest pending event; queue must not be empty.
   [[nodiscard]] SimTime next_time() const;
-  /// (time, order) of the earliest pending event; false when empty. The
-  /// sharded loop's cross-queue merge compares these keys.
-  bool peek_key(SimTime* when, std::uint64_t* order) const;
   [[nodiscard]] SimTime last_popped_time() const noexcept { return last_popped_; }
   [[nodiscard]] QueueBackend backend() const noexcept { return backend_; }
 
@@ -127,13 +100,6 @@ class EventQueue {
   /// action runs — the driver's clock advances in the same call, saving a
   /// separate next_time() peek per event on the hot loop.
   bool run_next(SimTime* now_out = nullptr);
-
-  /// Like run_next(), but only when the earliest event's time is strictly
-  /// below `bound` — the conservative-window worker loop. `order_out`
-  /// (optional) receives the event's tie-break order before the action
-  /// runs, so the worker can key the event's logged effects canonically.
-  bool run_next_before(SimTime bound, SimTime* now_out,
-                       std::uint64_t* order_out = nullptr);
 
   // Wheel geometry, exposed for the unit tests that pin rung-boundary and
   // overflow-drain behaviour.
@@ -150,8 +116,7 @@ class EventQueue {
   static constexpr std::size_t kBucketKeep = 64;
 
   /// An EventId is (generation << 32) | slot index. Generations stay below
-  /// 2^kGenerationBits, so ids fit in 32 + kGenerationBits bits (the sharded
-  /// simulator tags the bits above with a lane number).
+  /// 2^kGenerationBits, so ids fit in 32 + kGenerationBits bits.
   static constexpr unsigned kGenerationBits = 24;
 
  private:
@@ -159,8 +124,7 @@ class EventQueue {
   /// action lives in the slot table instead, so bucket sorts, heap
   /// sift-ups and cascades shuffle PODs — no std::function move (an
   /// indirect _M_manager call) per element hop. `order` is the pop
-  /// tie-break at equal times: the queue's insertion sequence on the
-  /// classic path, the globally-merged sequence under the sharded loop.
+  /// tie-break at equal times: the queue's insertion sequence.
   /// Entries of cancelled events linger until swept; their stale id fails
   /// the table's generation check even after the slot is reused.
   struct Entry {
@@ -247,7 +211,7 @@ class EventQueue {
     }
     [[nodiscard]] std::size_t size() const noexcept { return live_; }
     [[nodiscard]] bool empty() const noexcept { return live_ == 0; }
-    /// Ids handed out so far: the classic path's insertion sequence.
+    /// Ids handed out so far: the insertion sequence.
     [[nodiscard]] std::uint64_t issued() const noexcept { return issued_; }
     [[nodiscard]] std::size_t capacity() const noexcept { return cells_.capacity(); }
 
@@ -293,7 +257,6 @@ class EventQueue {
   /// Pops the earliest pending entry; false when empty (stale entries
   /// skipped). Does not run it.
   bool pop_front(Entry* out);
-  void dispatch(const Entry& entry, SimTime* now_out);
 
   // --- heap backend ---
   void heap_drop_stale_head() const;

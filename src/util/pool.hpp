@@ -11,26 +11,8 @@
 // RcPool owns the backing storage: make() constructs the payload into a
 // {refcount, pool, T} block drawn from a free list, and the last RcPtr to
 // drop returns the block there — steady-state payload churn costs no
-// allocation.
-//
-// Threading contract (the sharded event loop, sim/simulator.hpp):
-//
-//  - The pool is single-writer. make(), recycle() and release() must run
-//    on the thread that owns the pool's shard — in this codebase the
-//    simulator's coordinating thread, because payload creation is
-//    control-plane work that only executes while worker lanes are parked.
-//    Debug builds assert this (a parallel-phase worker calling make()
-//    trips the assert).
-//  - Handles travel freely: the refcount is atomic (relaxed increments,
-//    acquire/release on the final decrement — the shared_ptr discipline),
-//    so any thread may copy or drop an RcPtr. A drop that reaches zero on
-//    a parallel-phase worker must NOT touch the pool's free list; it parks
-//    the block on the thread's deferred-recycle list (RcThread::deferred,
-//    installed by the sharded loop), and the coordinating thread flushes
-//    those lists at the next window barrier.
-//  - The classic single-threaded path never installs a deferred list, so
-//    every drop recycles directly, exactly as before; the only cost of the
-//    contract there is an uncontended atomic count.
+// allocation. Pool and handles are single-threaded: the refcount is a
+// plain integer.
 //
 // Lifetime contract: the pool must outlive every handle it produced —
 // declare it before (i.e. destroy it after) the subsystems that can hold
@@ -39,8 +21,6 @@
 // drop.
 #pragma once
 
-#include <atomic>
-#include <cassert>
 #include <cstddef>
 #include <memory>
 #include <new>
@@ -51,17 +31,6 @@ namespace geomcast::util {
 
 template <typename T>
 class RcPtr;
-
-/// Per-thread hook for the sharded event loop: while non-null, RcPtr drops
-/// that reach zero enqueue a {recycle-thunk, block} pair here instead of
-/// touching the pool. The coordinating thread flushes (and clears) each
-/// worker's list at the window barrier, when no worker is running.
-struct RcThread {
-  using DeferredRecycle = std::pair<void (*)(void*), void*>;
-  static thread_local std::vector<DeferredRecycle>* deferred;
-};
-inline thread_local std::vector<RcThread::DeferredRecycle>*
-    RcThread::deferred = nullptr;
 
 template <typename T>
 class RcPool {
@@ -93,14 +62,12 @@ class RcPool {
   friend class RcPtr<T>;
 
   struct Box {
-    std::atomic<std::size_t> count;
+    std::size_t count;
     RcPool* pool;
     T value;
   };
 
   void recycle(Box* box) noexcept {
-    assert(RcThread::deferred == nullptr &&
-           "RcPool is single-writer: recycle() must run on the owning shard");
     box->~Box();
     free_.push_back(box);
   }
@@ -110,14 +77,13 @@ class RcPool {
 };
 
 /// Shared read-only handle to a pooled T. Exactly one pointer wide, so it
-/// rides std::any's inline storage; copying bumps the atomic count.
+/// rides std::any's inline storage; copying bumps the count.
 template <typename T>
 class RcPtr {
  public:
   RcPtr() = default;
   RcPtr(const RcPtr& other) noexcept : box_(other.box_) {
-    if (box_ != nullptr)
-      box_->count.fetch_add(1, std::memory_order_relaxed);
+    if (box_ != nullptr) ++box_->count;
   }
   RcPtr(RcPtr&& other) noexcept : box_(std::exchange(other.box_, nullptr)) {}
   RcPtr& operator=(RcPtr other) noexcept {
@@ -125,14 +91,7 @@ class RcPtr {
     return *this;
   }
   ~RcPtr() {
-    if (box_ == nullptr) return;
-    if (box_->count.fetch_sub(1, std::memory_order_acq_rel) != 1) return;
-    // Last reference: recycle directly on the owning shard, or defer the
-    // pool mutation to the barrier when dropped on a parallel worker.
-    if (auto* list = RcThread::deferred)
-      list->emplace_back(&RcPtr::recycle_thunk, box_);
-    else
-      box_->pool->recycle(box_);
+    if (box_ != nullptr && --box_->count == 0) box_->pool->recycle(box_);
   }
 
   [[nodiscard]] const T& operator*() const noexcept { return box_->value; }
@@ -142,11 +101,6 @@ class RcPtr {
  private:
   friend class RcPool<T>;
   explicit RcPtr(typename RcPool<T>::Box* box) noexcept : box_(box) {}
-
-  static void recycle_thunk(void* raw) {
-    auto* box = static_cast<typename RcPool<T>::Box*>(raw);
-    box->pool->recycle(box);
-  }
 
   typename RcPool<T>::Box* box_ = nullptr;
 };
@@ -228,8 +182,6 @@ class FreeListAllocator {
 template <typename T>
 template <typename... Args>
 RcPtr<T> RcPool<T>::make(Args&&... args) {
-  assert(RcThread::deferred == nullptr &&
-         "RcPool is single-writer: make() must run on the owning shard");
   void* raw;
   if (!free_.empty()) {
     raw = free_.back();

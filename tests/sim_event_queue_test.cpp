@@ -231,27 +231,6 @@ TEST(EventQueueSlotReuse, ZeroAndNeverIssuedIdsDoNotCancel) {
   }
 }
 
-TEST(EventQueueSlotReuse, PlacingACancelledRegistrationInsertsNothing) {
-  for (const QueueBackend backend : kBackends) {
-    SCOPED_TRACE(backend == QueueBackend::kHeap ? "heap" : "wheel");
-    EventQueue queue(backend);
-    bool stale_ran = false;
-    bool fresh_ran = false;
-    const EventId stale = queue.register_action([&] { stale_ran = true; });
-    ASSERT_TRUE(queue.cancel(stale));
-    const EventId fresh = queue.register_action([&] { fresh_ran = true; });
-    ASSERT_EQ(slot_of(fresh), slot_of(stale));
-    queue.place_registered(1.0, /*order=*/1, stale);
-    EXPECT_EQ(queue.heap_size(), 0u);
-    queue.place_registered(2.0, /*order=*/2, fresh);
-    EXPECT_EQ(queue.heap_size(), 1u);
-    while (queue.run_next()) {}
-    EXPECT_FALSE(stale_ran);
-    EXPECT_TRUE(fresh_ran);
-    EXPECT_DOUBLE_EQ(queue.last_popped_time(), 2.0);
-  }
-}
-
 TEST(EventQueueSlotReuse, TiesBreakByInsertionOrderAcrossReusedSlots) {
   // A reused slot's id carries a newer generation, so ids no longer sort
   // in insertion order; the tie-break must still follow insertion.

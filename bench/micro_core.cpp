@@ -7,6 +7,7 @@
 #include <benchmark/benchmark.h>
 
 #include <any>
+#include <utility>
 
 #include "geometry/random_points.hpp"
 #include "groups/group_manager.hpp"
@@ -356,12 +357,12 @@ BENCHMARK(BM_GraftCursorStep)->Arg(200)->Arg(1000);
 // overlay: the n = 20000 cell pays no n-rect zone fill. The large cell
 // runs on a grid-kNN (k = 16) overlay, whose O(n k) build keeps the
 // fixture cheap; the small one on the full-knowledge equilibrium.
-void BM_GroupTreeBuild(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
+/// A 2-D overlay of `n` peers and 32 random subscribers (root 0 excluded).
+std::pair<overlay::OverlayGraph, std::vector<bool>> group_fixture(std::size_t n) {
   const auto points = make_points(n, 2);
-  const auto graph =
-      n <= 1000 ? overlay::build_equilibrium(points, overlay::EmptyRectSelector{})
-                : overlay::build_equilibrium_local(points, overlay::EmptyRectSelector{}, 16);
+  auto graph = n <= 1000
+                   ? overlay::build_equilibrium(points, overlay::EmptyRectSelector{})
+                   : overlay::build_equilibrium_local(points, overlay::EmptyRectSelector{}, 16);
   util::Rng rng(29);
   std::vector<bool> subscribers(n, false);
   for (std::size_t picked = 0; picked < 32;) {
@@ -370,11 +371,30 @@ void BM_GroupTreeBuild(benchmark::State& state) {
     subscribers[p] = true;
     ++picked;
   }
+  return {std::move(graph), std::move(subscribers)};
+}
+
+void BM_GroupTreeBuild(benchmark::State& state) {
+  const auto [graph, subscribers] = group_fixture(static_cast<std::size_t>(state.range(0)));
   for (auto _ : state)
     benchmark::DoNotOptimize(groups::build_group_tree(graph, /*root=*/0, subscribers));
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_GroupTreeBuild)->Arg(1000)->Arg(20000)->Unit(benchmark::kMicrosecond);
+
+// Copy-on-write clone of a cached group tree: what a membership or repair
+// write costs while a publish wave still holds the old snapshot. Tree
+// state follows the reached peers, so the cost should be flat in n.
+void BM_GroupTreeClone(benchmark::State& state) {
+  const auto [graph, subscribers] = group_fixture(static_cast<std::size_t>(state.range(0)));
+  const auto tree = groups::build_group_tree(graph, /*root=*/0, subscribers);
+  for (auto _ : state) {
+    groups::GroupTree copy = tree;
+    benchmark::DoNotOptimize(copy);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_GroupTreeClone)->Arg(1000)->Arg(20000)->Unit(benchmark::kNanosecond);
 
 // Routed vs local graft, end to end on the simulated network: 16 early
 // subscribers build the tree, 16 late ones graft into it — arg 1 drives

@@ -455,6 +455,24 @@ GroupTree& GroupManager::writable_tree(std::shared_ptr<GroupTree>& cached) {
   return *cached;
 }
 
+void GroupManager::depart_outside_tree(std::shared_ptr<GroupTree>& cached, PeerId peer) {
+  const bool stranded_member = cached->is_subscriber[peer];
+  bool stales_zones = false;
+  if (!cached->zones_stale)
+    for (PeerId q : graph_.neighbors(peer))
+      if (cached->tree.reached(q)) {
+        stales_zones = true;
+        break;
+      }
+  if (!stranded_member && !stales_zones) return;
+  GroupTree& gt = writable_tree(cached);
+  if (stranded_member) {  // membership only; never spanned
+    gt.is_subscriber[peer] = false;
+    --gt.subscriber_count;
+  }
+  if (stales_zones) mark_zones_stale(gt);
+}
+
 void GroupManager::refresh_tree_core(GroupId group, GroupStats& stats, PeerId root,
                                      const std::vector<bool>& members,
                                      std::size_t count,
@@ -719,25 +737,7 @@ GroupManager::DepartureOutcome GroupManager::handle_departure(PeerId peer) {
     }
     if (!gs.cached || gs.dirty) continue;
     if (!gs.cached->tree.reached(peer)) {
-      const bool stranded_member = gs.cached->is_subscriber[peer];
-      // Not in the tree, but the departure still shrinks the candidate
-      // sets of any in-tree overlay neighbour — a replayed recursion (what
-      // a graft does) would pick different delegates there, so the zones
-      // can no longer be trusted for grafting.
-      bool neighbours_tree = false;
-      for (PeerId q : graph_.neighbors(peer))
-        if (gs.cached->tree.reached(q)) {
-          neighbours_tree = true;
-          break;
-        }
-      if (stranded_member || neighbours_tree) {
-        GroupTree& gt = writable_tree(gs.cached);
-        if (stranded_member) {  // membership only; never spanned
-          gt.is_subscriber[peer] = false;
-          --gt.subscriber_count;
-        }
-        if (neighbours_tree) mark_zones_stale(gt);
-      }
+      depart_outside_tree(gs.cached, peer);
       continue;
     }
     const auto repair = repair_group_tree(graph_, writable_tree(gs.cached), peer, alive_);
@@ -839,21 +839,7 @@ void GroupManager::handle_departure_sharded_group(GroupId group, GroupState& gs,
     }
     if (!slot.cached || slot.dirty) continue;
     if (!slot.cached->tree.reached(peer)) {
-      const bool stranded_member = slot.cached->is_subscriber[peer];
-      bool neighbours_tree = false;
-      for (PeerId q : graph_.neighbors(peer))
-        if (slot.cached->tree.reached(q)) {
-          neighbours_tree = true;
-          break;
-        }
-      if (stranded_member || neighbours_tree) {
-        GroupTree& gt = writable_tree(slot.cached);
-        if (stranded_member) {
-          gt.is_subscriber[peer] = false;
-          --gt.subscriber_count;
-        }
-        if (neighbours_tree) mark_zones_stale(gt);
-      }
+      depart_outside_tree(slot.cached, peer);
       continue;
     }
     const auto repair = repair_group_tree(graph_, writable_tree(slot.cached), peer, alive_);

@@ -433,6 +433,13 @@ class GroupManager {
   /// COW gate: clones the cached tree iff publish-wave snapshots still
   /// reference it, then returns it for mutation.
   [[nodiscard]] GroupTree& writable_tree(std::shared_ptr<GroupTree>& cached);
+  /// Departure of `peer`, which `cached`'s tree does not span: a stranded
+  /// member loses its delivery flag, and a departure beside the tree
+  /// stales the zones (it shrinks an in-tree peer's candidate set, so a
+  /// replayed recursion — what a graft does — would pick differently).
+  /// Clones only for a write that changes something: zones already stale
+  /// stay stale without a copy.
+  void depart_outside_tree(std::shared_ptr<GroupTree>& cached, PeerId peer);
 
   struct InFlightGraft {
     GroupId group = 0;

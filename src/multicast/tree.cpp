@@ -1,59 +1,104 @@
 #include "multicast/tree.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <stdexcept>
 
 namespace geomcast::multicast {
 
+namespace {
+
+constexpr std::size_t kMinIndexSize = 8;
+
+void unlink(std::vector<PeerId>& siblings, PeerId child) {
+  siblings.erase(std::find(siblings.begin(), siblings.end(), child));
+}
+
+}  // namespace
+
 MulticastTree::MulticastTree(std::size_t peer_count, PeerId root)
-    : root_(root),
-      parent_(peer_count, kInvalidPeer),
-      children_(peer_count),
-      reached_count_(1) {
+    : peer_count_(peer_count), root_(root) {
   if (root >= peer_count) throw std::invalid_argument("MulticastTree: root out of range");
+  insert(root, kInvalidPeer);
+}
+
+void MulticastTree::throw_out_of_range() {
+  throw std::out_of_range("MulticastTree: peer out of range");
+}
+
+void MulticastTree::rehash(std::size_t capacity) {
+  index_.assign(capacity, Slot{});
+  shift_ = 64U - static_cast<unsigned>(std::countr_zero(capacity));
+  for (std::uint32_t i = 0; i < nodes_.size(); ++i)
+    index_[probe(nodes_[i].peer)] = {nodes_[i].peer, i};
+}
+
+void MulticastTree::insert(PeerId p, PeerId parent) {
+  if (2 * (nodes_.size() + 1) > index_.size())
+    rehash(std::max(kMinIndexSize, 2 * index_.size()));
+  index_[probe(p)] = {p, static_cast<std::uint32_t>(nodes_.size())};
+  nodes_.push_back({p, parent, {}});
+}
+
+void MulticastTree::erase(PeerId p) {
+  const std::size_t mask = index_.size() - 1;
+  std::size_t hole = probe(p);
+  const std::uint32_t freed = index_[hole].node;
+  // Backward-shift: pull each later entry of the probe run into the hole
+  // unless its home lies cyclically inside (hole, j] — it would then sit
+  // before its home and become unfindable.
+  for (std::size_t j = (hole + 1) & mask; index_[j].peer != kInvalidPeer; j = (j + 1) & mask) {
+    if (((j - home(index_[j].peer)) & mask) >= ((j - hole) & mask)) {
+      index_[hole] = index_[j];
+      hole = j;
+    }
+  }
+  index_[hole] = Slot{};
+  if (freed + 1 != nodes_.size()) {
+    nodes_[freed] = std::move(nodes_.back());
+    index_[probe(nodes_[freed].peer)].node = freed;
+  }
+  nodes_.pop_back();
 }
 
 void MulticastTree::add_edge(PeerId parent, PeerId child) {
-  if (parent >= parent_.size() || child >= parent_.size())
+  if (parent >= peer_count_ || child >= peer_count_)
     throw std::invalid_argument("MulticastTree::add_edge: peer out of range");
   if (child == root_) throw std::logic_error("MulticastTree::add_edge: root cannot be a child");
-  if (parent_[child] != kInvalidPeer)
+  if (find(child) != nullptr)
     throw std::logic_error("MulticastTree::add_edge: child already attached");
-  if (!reached(parent))
+  if (find(parent) == nullptr)
     throw std::logic_error("MulticastTree::add_edge: parent not reached yet");
-  parent_[child] = parent;
-  children_[parent].push_back(child);
-  ++reached_count_;
+  insert(child, parent);  // may move nodes: look the parent up afterwards
+  find(parent)->children.push_back(child);
 }
 
 void MulticastTree::remove_leaf(PeerId leaf) {
-  if (leaf >= parent_.size())
+  if (leaf >= peer_count_)
     throw std::invalid_argument("MulticastTree::remove_leaf: peer out of range");
   if (leaf == root_) throw std::logic_error("MulticastTree::remove_leaf: cannot remove root");
-  if (parent_[leaf] == kInvalidPeer)
-    throw std::logic_error("MulticastTree::remove_leaf: peer not attached");
-  if (!children_[leaf].empty())
+  const Node* node = find(leaf);
+  if (node == nullptr) throw std::logic_error("MulticastTree::remove_leaf: peer not attached");
+  if (!node->children.empty())
     throw std::logic_error("MulticastTree::remove_leaf: peer has children");
-  auto& siblings = children_[parent_[leaf]];
-  siblings.erase(std::remove(siblings.begin(), siblings.end(), leaf), siblings.end());
-  parent_[leaf] = kInvalidPeer;
-  --reached_count_;
+  unlink(find(node->parent)->children, leaf);
+  erase(leaf);
 }
 
 void MulticastTree::reattach(PeerId child, PeerId new_parent) {
-  if (child >= parent_.size() || new_parent >= parent_.size())
+  if (child >= peer_count_ || new_parent >= peer_count_)
     throw std::invalid_argument("MulticastTree::reattach: peer out of range");
   if (child == root_) throw std::logic_error("MulticastTree::reattach: cannot move root");
-  if (parent_[child] == kInvalidPeer)
-    throw std::logic_error("MulticastTree::reattach: child not attached");
-  if (!reached(new_parent))
+  Node* node = find(child);
+  if (node == nullptr) throw std::logic_error("MulticastTree::reattach: child not attached");
+  Node* adopter = find(new_parent);
+  if (adopter == nullptr)
     throw std::logic_error("MulticastTree::reattach: new parent not reached");
   if (in_subtree(child, new_parent))
     throw std::logic_error("MulticastTree::reattach: new parent inside child's subtree");
-  auto& siblings = children_[parent_[child]];
-  siblings.erase(std::remove(siblings.begin(), siblings.end(), child), siblings.end());
-  parent_[child] = new_parent;
-  children_[new_parent].push_back(child);
+  unlink(find(node->parent)->children, child);
+  node->parent = new_parent;
+  adopter->children.push_back(child);
 }
 
 bool MulticastTree::in_subtree(PeerId ancestor, PeerId descendant) const {
@@ -61,30 +106,31 @@ bool MulticastTree::in_subtree(PeerId ancestor, PeerId descendant) const {
   while (p != kInvalidPeer) {
     if (p == ancestor) return true;
     if (p == root_) return false;
-    p = parent_.at(p);
+    p = parent(p);
   }
   return false;
 }
 
 std::size_t MulticastTree::tree_degree(PeerId p) const {
-  if (!reached(p)) return 0;
-  return children_.at(p).size() + (p == root_ ? 0 : 1);
+  const Node* node = find(checked(p));
+  if (node == nullptr) return 0;
+  return node->children.size() + (p == root_ ? 0 : 1);
 }
 
 std::vector<std::size_t> MulticastTree::depths() const {
-  std::vector<std::size_t> depth(parent_.size(), kUnreachedDepth);
+  std::vector<std::size_t> depth(peer_count_, kUnreachedDepth);
   if (root_ == kInvalidPeer) return depth;
   depth[root_] = 0;
-  // children_ edges always point from already-reached parents, so a BFS over
-  // the children lists visits peers in non-decreasing depth.
-  std::vector<PeerId> frontier{root_};
-  std::vector<PeerId> next;
+  // Children always point from already-reached parents, so a BFS over the
+  // children lists visits peers in non-decreasing depth.
+  std::vector<const Node*> frontier{&nodes_.front()};
+  std::vector<const Node*> next;
   while (!frontier.empty()) {
     next.clear();
-    for (PeerId p : frontier) {
-      for (PeerId c : children_[p]) {
-        depth[c] = depth[p] + 1;
-        next.push_back(c);
+    for (const Node* node : frontier) {
+      for (PeerId c : node->children) {
+        depth[c] = depth[node->peer] + 1;
+        next.push_back(find(c));
       }
     }
     frontier.swap(next);
@@ -101,14 +147,14 @@ std::size_t MulticastTree::max_root_to_leaf_path() const {
 
 std::size_t MulticastTree::max_tree_degree() const {
   std::size_t best = 0;
-  for (PeerId p = 0; p < parent_.size(); ++p)
-    best = std::max(best, tree_degree(p));
+  for (const Node& node : nodes_)
+    best = std::max(best, node.children.size() + (node.peer == root_ ? 0 : 1));
   return best;
 }
 
 std::size_t MulticastTree::max_children() const {
   std::size_t best = 0;
-  for (const auto& kids : children_) best = std::max(best, kids.size());
+  for (const Node& node : nodes_) best = std::max(best, node.children.size());
   return best;
 }
 

@@ -1,9 +1,32 @@
 // The multicast tree produced by a construction run: parent/children links
 // over the peer set, plus the basic shape metrics the paper reports
 // (longest root-to-leaf path, per-peer tree degree).
+//
+// Sparse layout. As in the paper's construction, a peer holds tree state
+// only once a request has reached it, so storage follows the tree, not the
+// overlay: memory and copy cost are O(reached_count()), never O(n).
+//  * `nodes_` is a flat slab with one {peer, parent, children} node per
+//    reached peer. The root is inserted first and can never be removed, so
+//    it always sits at nodes_[0]. Removal swap-removes: the last node moves
+//    into the freed slot and its index entry is repointed.
+//  * `index_` maps a peer to its slab position by open addressing: a
+//    power-of-two table, Fibonacci hashing on the high bits of the peer id,
+//    linear probing, and backward-shift deletion (no tombstones, so a probe
+//    for an unreached peer stops at the first empty slot). The table
+//    doubles before its load exceeds 1/2 and never shrinks.
+// Invariants: every node's peer appears in exactly one index entry, and
+// that entry points back at the node; nodes_.size() == reached_count();
+// a node's parent is a reached peer (kInvalidPeer only for the root) and
+// lists the node among its children exactly once.
+//
+// The public view is the dense one: peer_count() is n, accessors throw
+// std::out_of_range for p >= n, and an unreached peer reports no parent
+// and no children. Any mutation may move nodes, so a reference returned
+// by children() is valid only until the next add_edge/remove_leaf/reattach.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "overlay/peer.hpp"
@@ -18,7 +41,7 @@ class MulticastTree {
   MulticastTree() = default;
   MulticastTree(std::size_t peer_count, PeerId root);
 
-  [[nodiscard]] std::size_t peer_count() const noexcept { return parent_.size(); }
+  [[nodiscard]] std::size_t peer_count() const noexcept { return peer_count_; }
   [[nodiscard]] PeerId root() const noexcept { return root_; }
 
   /// Links `child` under `parent`; both must be in range, `child` must not
@@ -26,9 +49,10 @@ class MulticastTree {
   /// is a protocol bug the validator reports separately).
   void add_edge(PeerId parent, PeerId child);
 
-  /// Detaches `leaf` (must be reached, childless, and not the root); its
-  /// slot returns to the unreached state. Used by the groups subsystem to
-  /// cascade relay-only branches away after an unsubscribe.
+  /// Detaches `leaf` (must be reached, childless, and not the root); it
+  /// returns to the unreached state and its node is freed. Used by the
+  /// groups subsystem to cascade relay-only branches away after an
+  /// unsubscribe.
   void remove_leaf(PeerId leaf);
 
   /// Moves `child` (with its whole subtree) under `new_parent`, which must
@@ -41,12 +65,18 @@ class MulticastTree {
   /// (every peer is in its own subtree). Walks parent links upward.
   [[nodiscard]] bool in_subtree(PeerId ancestor, PeerId descendant) const;
 
-  [[nodiscard]] bool reached(PeerId p) const { return p == root_ || parent_.at(p) != kInvalidPeer; }
-  [[nodiscard]] std::size_t reached_count() const noexcept { return reached_count_; }
-  [[nodiscard]] PeerId parent(PeerId p) const { return parent_.at(p); }
-  [[nodiscard]] const std::vector<PeerId>& children(PeerId p) const { return children_.at(p); }
+  [[nodiscard]] bool reached(PeerId p) const { return find(checked(p)) != nullptr; }
+  [[nodiscard]] std::size_t reached_count() const noexcept { return nodes_.size(); }
+  [[nodiscard]] PeerId parent(PeerId p) const {
+    const Node* node = find(checked(p));
+    return node == nullptr ? kInvalidPeer : node->parent;
+  }
+  [[nodiscard]] const std::vector<PeerId>& children(PeerId p) const {
+    const Node* node = find(checked(p));
+    return node == nullptr ? kNoChildren : node->children;
+  }
   /// Number of tree edges (= messages sent by the space-partition scheme).
-  [[nodiscard]] std::size_t edge_count() const noexcept { return reached_count_ - 1; }
+  [[nodiscard]] std::size_t edge_count() const noexcept { return nodes_.size() - 1; }
 
   /// Tree degree: children + 1 for the parent link (root has no parent).
   [[nodiscard]] std::size_t tree_degree(PeerId p) const;
@@ -64,10 +94,56 @@ class MulticastTree {
   [[nodiscard]] std::size_t max_children() const;
 
  private:
+  struct Node {
+    PeerId peer;
+    PeerId parent;
+    std::vector<PeerId> children;
+  };
+  static inline const std::vector<PeerId> kNoChildren{};
+
+  /// One open-addressing entry; `peer == kInvalidPeer` marks it empty.
+  struct Slot {
+    PeerId peer = kInvalidPeer;
+    std::uint32_t node = 0;
+  };
+
+  /// Throws std::out_of_range unless p < peer_count().
+  [[nodiscard]] PeerId checked(PeerId p) const {
+    if (p >= peer_count_) throw_out_of_range();
+    return p;
+  }
+  [[noreturn]] static void throw_out_of_range();
+  [[nodiscard]] std::size_t home(PeerId p) const noexcept {
+    return static_cast<std::size_t>((static_cast<std::uint64_t>(p) * 0x9E3779B97F4A7C15ULL) >>
+                                    shift_);
+  }
+  /// Index entry holding `p`, or the empty entry where its probe ends.
+  [[nodiscard]] std::size_t probe(PeerId p) const noexcept {
+    const std::size_t mask = index_.size() - 1;
+    std::size_t i = home(p);
+    while (index_[i].peer != p && index_[i].peer != kInvalidPeer) i = (i + 1) & mask;
+    return i;
+  }
+  [[nodiscard]] const Node* find(PeerId p) const noexcept {
+    if (index_.empty()) return nullptr;
+    const Slot& slot = index_[probe(p)];
+    return slot.peer == kInvalidPeer ? nullptr : &nodes_[slot.node];
+  }
+  [[nodiscard]] Node* find(PeerId p) noexcept {
+    return const_cast<Node*>(static_cast<const MulticastTree*>(this)->find(p));
+  }
+  /// Appends a node for unreached `p`, growing the index first if needed.
+  void insert(PeerId p, PeerId parent);
+  /// Frees reached `p`'s node (backward-shift in the index, swap-remove in
+  /// the slab). The caller has already unlinked it from its parent.
+  void erase(PeerId p);
+  void rehash(std::size_t capacity);
+
+  std::size_t peer_count_ = 0;
   PeerId root_ = kInvalidPeer;
-  std::vector<PeerId> parent_;
-  std::vector<std::vector<PeerId>> children_;
-  std::size_t reached_count_ = 0;
+  std::vector<Node> nodes_;   // one per reached peer; nodes_[0] is the root
+  std::vector<Slot> index_;   // power-of-two size, load <= 1/2
+  unsigned shift_ = 64;       // 64 - log2(index_.size())
 };
 
 }  // namespace geomcast::multicast

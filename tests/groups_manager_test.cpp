@@ -169,6 +169,64 @@ TEST(GroupManagerTest, NonTreeNeighbourDepartureStalesZonesForGrafts) {
   EXPECT_EQ(stats.tree_builds, 2u);
 }
 
+/// `graph` with every link of `isolated` cut: no construction request can
+/// reach it, so a subscription there is a stranded member.
+overlay::OverlayGraph isolate(const overlay::OverlayGraph& graph, PeerId isolated) {
+  std::vector<std::vector<PeerId>> out(graph.size());
+  for (PeerId p = 0; p < graph.size(); ++p)
+    if (p != isolated)
+      for (PeerId q : graph.selected(p))
+        if (q != isolated) out[p].push_back(q);
+  return {graph.points(), std::move(out)};
+}
+
+TEST(GroupManagerTest, DepartureBesideStaleTreeKeepsTheSharedCopy) {
+  const auto base = make_overlay(80, 2, 209);
+  const GroupId g = 13;
+  const PeerId stranded = GroupManager(base).root_of(g) == 0 ? 1 : 0;
+  const auto graph = isolate(base, stranded);
+  GroupManager manager(graph);
+  ASSERT_NE(manager.root_of(g), stranded);
+  manager.subscribe(g, stranded);
+  for (int i = 0; i < 5; ++i) manager.subscribe(g, fresh_peer(manager, g, graph.size()));
+  // A wave in flight holds this snapshot, so any real write must clone.
+  const auto wave = manager.tree_snapshot(g);
+  ASSERT_NE(wave, nullptr);
+  ASSERT_FALSE(wave->tree.reached(stranded));
+  ASSERT_TRUE(wave->is_subscriber[stranded]);
+
+  std::vector<PeerId> outsiders;  // non-members beside the tree
+  for (PeerId p = 0; p < graph.size() && outsiders.size() < 2; ++p) {
+    if (wave->tree.reached(p) || wave->is_subscriber[p]) continue;
+    for (PeerId q : graph.neighbors(p))
+      if (wave->tree.reached(q)) {
+        outsiders.push_back(p);
+        break;
+      }
+  }
+  ASSERT_EQ(outsiders.size(), 2u);
+
+  manager.handle_departure(outsiders[0]);
+  const auto stale = manager.tree_snapshot(g);
+  ASSERT_NE(stale.get(), wave.get());
+  ASSERT_TRUE(stale->zones_stale);
+  EXPECT_FALSE(wave->zones_stale);
+
+  // Staling zones that are already stale writes nothing: no clone, even
+  // though `stale` is still shared.
+  manager.handle_departure(outsiders[1]);
+  EXPECT_EQ(manager.cached_tree(g), stale.get());
+
+  // A stranded member's departure still changes the tree, so it clones.
+  manager.handle_departure(stranded);
+  const GroupTree* after = manager.cached_tree(g);
+  ASSERT_NE(after, nullptr);
+  EXPECT_NE(after, stale.get());
+  EXPECT_FALSE(after->is_subscriber[stranded]);
+  EXPECT_EQ(after->subscriber_count + 1, stale->subscriber_count);
+  EXPECT_TRUE(stale->is_subscriber[stranded]);
+}
+
 TEST(GroupManagerTest, RootDepartureMigratesGroup) {
   const auto graph = make_overlay(60, 2, 206);
   GroupManager manager(graph);

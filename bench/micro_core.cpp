@@ -2,7 +2,8 @@
 // the figure reproductions — neighbour selection, equilibrium
 // construction, multicast tree construction, stable-tree assembly — plus
 // the batched-publish data plane (subscriber-window range admission,
-// retained-buffer range insert/evict, root coalescing flush) and the
+// retained-buffer range insert/evict, the receive path's dedup + retain
+// spread over a working set, root coalescing flush) and the
 // event queue under the cancel-heavy load reliable traffic produces.
 #include <benchmark/benchmark.h>
 
@@ -12,6 +13,7 @@
 #include "geometry/random_points.hpp"
 #include "groups/group_manager.hpp"
 #include "groups/pubsub.hpp"
+#include "groups/seen_ranges.hpp"
 #include "obs/histogram.hpp"
 #include "obs/trace.hpp"
 #include "multicast/flooding.hpp"
@@ -309,6 +311,49 @@ void BM_RetainedBufferRangeInsert(benchmark::State& state) {
                           static_cast<std::int64_t>(kWaves));
 }
 BENCHMARK(BM_RetainedBufferRangeInsert)->Arg(1)->Arg(8)->Arg(64);
+
+// The receive path's per-arrival bookkeeping spread over a working set:
+// each arrival dedups one (peer, group, slot) key and retains its range at
+// that (peer, group), the way a relaying subscriber does on every wave.
+// Arg: live keys. 52k is steady_qos1's working set (3000 peers x 256
+// groups, ≈ 52k touched keys) and spills far out of cache; 1k stays hot.
+// Each iteration is one round of 6 in-order arrivals per key, shuffled
+// across keys; state carries over, so rounds run at steady state (every
+// key extends its newest range, every buffer evicts its oldest).
+void BM_ReceivePathSpread(benchmark::State& state) {
+  const auto keys = static_cast<std::size_t>(state.range(0));
+  constexpr std::size_t kPeers = 3000;
+  constexpr std::size_t kArrivals = 6;
+  constexpr std::uint64_t kWidth = 4;
+  const overlay::OverlayGraph graph(make_points(kPeers, 2),
+                                    std::vector<std::vector<overlay::PeerId>>(kPeers));
+  groups::GroupConfig config;
+  config.retention_window = 16;
+  groups::GroupManager manager(graph, config);
+  groups::SeenRanges seen;
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> fresh;
+  std::vector<std::uint32_t> order;
+  for (std::uint32_t k = 0; k < keys; ++k) order.insert(order.end(), kArrivals, k);
+  util::Rng rng(53);
+  rng.shuffle(order);
+  std::vector<std::uint64_t> next_seq(keys, 0);
+  for (auto _ : state) {
+    std::size_t evicted = 0;
+    for (const std::uint32_t k : order) {
+      const auto peer = static_cast<overlay::PeerId>(k % kPeers);
+      const groups::GroupId group = k / kPeers;
+      const std::uint64_t lo = next_seq[k];
+      next_seq[k] += kWidth;
+      seen.mark(groups::PeerKey{peer, 0, group}, lo, lo + kWidth - 1, fresh);
+      evicted += manager.retain_payload(peer, group, lo, lo + kWidth - 1, std::any{lo});
+    }
+    benchmark::DoNotOptimize(evicted);
+    benchmark::DoNotOptimize(fresh.data());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(order.size()));
+}
+BENCHMARK(BM_ReceivePathSpread)->Arg(1024)->Arg(52 * 1024)->Unit(benchmark::kMillisecond);
 
 // ------------------------------------------------------- graft descent ----
 

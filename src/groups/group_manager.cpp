@@ -1,5 +1,6 @@
 #include "groups/group_manager.hpp"
 
+#include <algorithm>
 #include <limits>
 #include <stdexcept>
 
@@ -8,48 +9,83 @@
 
 namespace geomcast::groups {
 
+std::size_t RetainedBuffer::count_at_or_below(std::uint64_t seq) const noexcept {
+  std::size_t lo = 0;
+  std::size_t hi = count_;
+  while (lo < hi) {
+    const std::size_t mid = lo + (hi - lo) / 2;
+    if (at(mid).seq_lo <= seq)
+      lo = mid + 1;
+    else
+      hi = mid;
+  }
+  return lo;
+}
+
+void RetainedBuffer::grow() {
+  // At most capacity_ entries survive a retain (each covers >= 1 seq), so
+  // capacity_ + 1 slots always suffice.
+  std::size_t size = std::max<std::size_t>(4, 2 * ring_.size());
+  if (size > capacity_) size = capacity_ + 1;
+  std::vector<Entry> ring(size);
+  for (std::size_t i = 0; i < count_; ++i) ring[i] = std::move(at(i));
+  ring_.swap(ring);
+  head_ = 0;
+}
+
 std::size_t RetainedBuffer::retain(std::uint64_t lo, std::uint64_t hi,
                                    std::any payload) {
   if (hi < lo) throw std::invalid_argument("RetainedBuffer::retain: hi < lo");
-  // Re-retaining a held range (same lo) overwrites in place; drop the old
-  // width before adding the new so covered_ stays exact either way.
-  const auto held = entries_.find(lo);
-  if (held != entries_.end())
-    covered_ -= static_cast<std::size_t>(held->second.seq_hi - lo + 1);
-  entries_.insert_or_assign(lo, Entry{hi, std::move(payload)});
+  // Waves arrive in seq order, so the common retain appends; anything else
+  // (a repair's old wave, a re-retain) binary-searches its slot.
+  const std::size_t pos =
+      count_ == 0 || at(count_ - 1).seq_lo < lo ? count_ : count_at_or_below(lo);
+  if (pos > 0 && at(pos - 1).seq_lo == lo) {
+    // Re-retaining a held range overwrites in place; drop the old width
+    // before adding the new so covered_ stays exact either way.
+    Entry& held = at(pos - 1);
+    covered_ -= static_cast<std::size_t>(held.seq_hi - lo + 1);
+    held.seq_hi = hi;
+    held.payload = std::move(payload);
+  } else {
+    if (count_ == ring_.size()) grow();
+    ++count_;
+    for (std::size_t i = count_ - 1; i > pos; --i) at(i) = std::move(at(i - 1));
+    at(pos) = Entry{lo, hi, std::move(payload)};
+  }
   covered_ += static_cast<std::size_t>(hi - lo + 1);
   std::size_t evicted = 0;
   while (covered_ > capacity_) {  // lowest ranges go first
-    const auto oldest = entries_.begin();
-    const std::size_t width =
-        static_cast<std::size_t>(oldest->second.seq_hi - oldest->first + 1);
+    Entry& oldest = at(0);
+    const std::size_t width = static_cast<std::size_t>(oldest.seq_hi - oldest.seq_lo + 1);
     covered_ -= width;
     evicted += width;
-    entries_.erase(oldest);
+    oldest.payload.reset();
+    head_ = head_ + 1 == ring_.size() ? 0 : head_ + 1;
+    --count_;
   }
   return evicted;
 }
 
 std::vector<std::pair<std::uint64_t, std::uint64_t>> RetainedBuffer::ranges() const {
   std::vector<std::pair<std::uint64_t, std::uint64_t>> out;
-  out.reserve(entries_.size());
-  for (const auto& [lo, entry] : entries_) out.emplace_back(lo, entry.seq_hi);
+  out.reserve(count_);
+  for (std::size_t i = 0; i < count_; ++i) out.emplace_back(at(i).seq_lo, at(i).seq_hi);
   return out;
 }
 
 const std::any* RetainedBuffer::find(std::uint64_t seq) const {
   // The covering range, if any: the last entry starting at or below seq.
-  auto it = entries_.upper_bound(seq);
-  if (it == entries_.begin()) return nullptr;
-  --it;
-  return it->second.seq_hi >= seq ? &it->second.payload : nullptr;
+  const std::size_t below = count_at_or_below(seq);
+  if (below == 0) return nullptr;
+  const Entry& entry = at(below - 1);
+  return entry.seq_hi >= seq ? &entry.payload : nullptr;
 }
 
 GroupManager::GroupManager(const overlay::OverlayGraph& graph, GroupConfig config)
     : graph_(graph),
       config_(config),
-      alive_(graph.size(), true),
-      retained_(graph.size()) {
+      alive_(graph.size(), true) {
   if (graph.size() == 0)
     throw std::invalid_argument("GroupManager: empty overlay");
   // The peer set is immutable for this manager's lifetime; cache its
@@ -543,34 +579,31 @@ const GroupTree* GroupManager::cached_tree(GroupId group) const {
 std::size_t GroupManager::retain_payload(PeerId peer, GroupId group, std::uint64_t lo,
                                          std::uint64_t hi, std::any payload) {
   if (config_.retention_window == 0) return 0;
-  auto& buffer = retained_[peer]
-                     .try_emplace(group, config_.retention_window)
-                     .first->second;
-  const std::size_t evicted = buffer.retain(lo, hi, std::move(payload));
-  retained_peak_ = std::max(retained_peak_, buffer.size());
+  const auto [buffer, inserted] =
+      retained_.try_emplace(PeerKey{peer, 0, group}, config_.retention_window);
+  if (inserted) {
+    const auto at = std::lower_bound(retained_groups_.begin(), retained_groups_.end(), group);
+    if (at == retained_groups_.end() || *at != group) retained_groups_.insert(at, group);
+  }
+  const std::size_t evicted = buffer->retain(lo, hi, std::move(payload));
+  retained_peak_ = std::max(retained_peak_, buffer->size());
   return evicted;
 }
 
 const std::any* GroupManager::retained_payload(PeerId peer, GroupId group,
                                                std::uint64_t seq) const {
-  const auto& buffers = retained_[peer];
-  const auto git = buffers.find(group);
-  if (git == buffers.end()) return nullptr;
-  return git->second.find(seq);
+  const RetainedBuffer* buffer = retained_.find(PeerKey{peer, 0, group});
+  return buffer == nullptr ? nullptr : buffer->find(seq);
 }
 
 std::size_t GroupManager::retained_entry_total() const noexcept {
   std::size_t total = 0;
-  for (const auto& buffers : retained_)
-    for (const auto& [group, buffer] : buffers) total += buffer.size();
+  retained_.for_each(
+      [&total](const PeerKey&, const RetainedBuffer& buffer) { total += buffer.size(); });
   return total;
 }
 
-std::size_t GroupManager::retained_buffer_count() const noexcept {
-  std::size_t count = 0;
-  for (const auto& buffers : retained_) count += buffers.size();
-  return count;
-}
+std::size_t GroupManager::retained_buffer_count() const noexcept { return retained_.size(); }
 
 PeerId GroupManager::replica_candidate(GroupId group) {
   GroupState& gs = state_of(group);
@@ -631,10 +664,9 @@ std::vector<PeerId> GroupManager::subscribers_of(GroupId group) const {
 
 std::vector<std::pair<std::uint64_t, std::uint64_t>> GroupManager::retained_ranges(
     PeerId peer, GroupId group) const {
-  const auto& buffers = retained_[peer];
-  const auto git = buffers.find(group);
-  if (git == buffers.end()) return {};
-  return git->second.ranges();
+  const RetainedBuffer* buffer = retained_.find(PeerKey{peer, 0, group});
+  return buffer == nullptr ? std::vector<std::pair<std::uint64_t, std::uint64_t>>{}
+                           : buffer->ranges();
 }
 
 GroupManager::PublishReceipt GroupManager::publish(GroupId group) {
@@ -674,7 +706,7 @@ GroupManager::DepartureOutcome GroupManager::handle_departure(PeerId peer) {
   alive_[peer] = false;
   // The dead serve no repairs: drop the peer's retained history (NACKs
   // that would have landed here escalate to the next ancestor instead).
-  retained_[peer].clear();
+  for (const GroupId group : retained_groups_) retained_.erase(PeerKey{peer, 0, group});
   for (auto& [group, gs] : groups_) {
     if (!gs.slots.empty()) {
       handle_departure_sharded_group(group, gs, peer, outcome);

@@ -28,6 +28,7 @@
 
 #include "groups/group_stats.hpp"
 #include "groups/group_tree.hpp"
+#include "groups/peer_table.hpp"
 #include "obs/trace.hpp"
 #include "overlay/graph.hpp"
 
@@ -40,9 +41,14 @@ namespace geomcast::groups {
 /// so memory per buffer is hard-bounded by the configured retention window
 /// (each entry also pins its wave's tree snapshot, which is shared across
 /// the window's entries in the common unchanged-tree case).
+///
+/// Storage is a contiguous ring of entries sorted by seq_lo: waves arrive
+/// in seq order, so a retain is an append and an eviction pops the oldest;
+/// find is a binary search. The ring grows by doubling up to capacity + 1
+/// entries (every entry covers at least one seq) and never shrinks.
 class RetainedBuffer {
  public:
-  explicit RetainedBuffer(std::size_t capacity) : capacity_(capacity) {}
+  explicit RetainedBuffer(std::size_t capacity = 0) : capacity_(capacity) {}
 
   /// Retains `payload` for the dense seq range [lo, hi] (one entry — a
   /// batched wave retains once, not per seq); evicts the lowest retained
@@ -69,18 +75,34 @@ class RetainedBuffer {
   /// bootstrap enumerates these to re-stream a root's history.
   [[nodiscard]] std::vector<std::pair<std::uint64_t, std::uint64_t>> ranges() const;
   /// Retained range entries (<= size(); one per wave).
-  [[nodiscard]] std::size_t entry_count() const noexcept { return entries_.size(); }
+  [[nodiscard]] std::size_t entry_count() const noexcept { return count_; }
   [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
 
  private:
   struct Entry {
-    std::uint64_t seq_hi;
+    std::uint64_t seq_lo = 0;
+    std::uint64_t seq_hi = 0;
     std::any payload;
   };
 
+  /// The i-th oldest entry (i < count_).
+  [[nodiscard]] const Entry& at(std::size_t i) const noexcept {
+    const std::size_t k = head_ + i;
+    return ring_[k < ring_.size() ? k : k - ring_.size()];
+  }
+  [[nodiscard]] Entry& at(std::size_t i) noexcept {
+    return const_cast<Entry&>(std::as_const(*this).at(i));
+  }
+  /// Number of entries whose seq_lo is <= seq (the insertion point after
+  /// them).
+  [[nodiscard]] std::size_t count_at_or_below(std::uint64_t seq) const noexcept;
+  void grow();
+
   std::size_t capacity_;
   std::size_t covered_ = 0;
-  std::map<std::uint64_t, Entry> entries_;  // keyed by the range's seq_lo
+  std::vector<Entry> ring_;
+  std::size_t head_ = 0;   // ring_ index of the oldest entry
+  std::size_t count_ = 0;  // live entries, oldest at head_
 };
 
 struct GroupConfig {
@@ -483,10 +505,12 @@ class GroupManager {
   std::map<std::uint64_t, InFlightGraft> grafts_;
   std::set<std::pair<GroupId, PeerId>> grafting_;
   std::uint64_t next_graft_id_ = 1;
-  /// QoS 2 retention, indexed peer-first so a departure drops the whole
-  /// peer's history in one clear. A flat vector: one slot per peer, sized
-  /// at construction.
-  std::vector<std::map<GroupId, RetainedBuffer>> retained_;
+  /// QoS 2 retention, one buffer per (peer, group) that retained a wave
+  /// (PeerKey{peer, 0, group}).
+  PeerTable<RetainedBuffer> retained_;
+  /// Every group that ever retained a wave, ascending: a departure drops
+  /// the peer's buffers with one erase per such group, never a table scan.
+  std::vector<GroupId> retained_groups_;
   std::size_t retained_peak_ = 0;
   /// Observability (see set_clock/set_trace_sink): both optional, both
   /// passive — no protocol decision reads them.

@@ -278,13 +278,7 @@ PubSubSystem::PubSubSystem(const overlay::OverlayGraph& graph, PubSubConfig conf
   hooks.sender_alive = [this](sim::NodeId p) { return manager_->alive(p); };
   hop_ = std::make_unique<multicast::ReliableHopLayer>(
       *sim_, kDeliverKind, kDeliverAckKind, config_.reliability, std::move(hooks));
-  if (acked()) {
-    if (config_.sim_core)
-      seen_ranges_.resize(graph.size());
-    else
-      seen_.resize(graph.size());
-  }
-  if (end_to_end()) windows_.resize(graph.size());
+  if (acked() && !config_.sim_core) seen_.resize(graph.size());
 
   if (config_.routed_graft) {
     // Graft control hops are ALWAYS acked (QoS 1), whatever the data plane
@@ -311,7 +305,6 @@ PubSubSystem::PubSubSystem(const overlay::OverlayGraph& graph, PubSubConfig conf
                                      config_.reliability.ack_timeout,
                                      config_.reliability.max_retries},
         std::move(graft_hooks));
-    graft_seen_.resize(graph.size());
   }
 
   // Slot-root coordination (seq leases/grants, shard-wave handoffs) is
@@ -352,7 +345,6 @@ PubSubSystem::PubSubSystem(const overlay::OverlayGraph& graph, PubSubConfig conf
                                      config_.reliability.ack_timeout,
                                      config_.reliability.max_retries},
         std::move(replica_hooks));
-    sync_seen_.resize(graph.size());
   }
 
   nodes_.reserve(graph.size());
@@ -517,7 +509,7 @@ void PubSubSystem::on_graft_request(PeerId self, PeerId from, const GraftEnvelop
   graft_hop_->acknowledge(self, from, graft.graft_id);
   // Suppressed silently: duplicate_data is the DATA plane's counter, and
   // the sender half of this event is already visible as graft_retries.
-  if (!graft_seen_[self].insert(graft.graft_id).second) return;
+  if (!graft_seen_.insert(PeerKey{self, 0, graft.graft_id})) return;
   advance_graft(self, graft);
 }
 
@@ -958,65 +950,7 @@ const std::vector<std::pair<std::uint64_t, std::uint64_t>>& PubSubSystem::fresh_
     }
     return fresh;
   }
-  // Interval-set path: the map holds disjoint, non-adjacent inclusive
-  // ranges (start -> end), so consecutive covered ranges are always
-  // separated by a gap and the walk below never emits an empty run.
-  auto& ranges = seen_ranges_[self][{group, slot}];
-  // Hot paths first. In-order traffic lands exactly one past the covered
-  // suffix (the map's last range holds both the greatest start and the
-  // greatest end), so the overwhelmingly common arrival is an O(1) extend
-  // in place — no erase, no node churn.
-  if (ranges.empty()) {
-    ranges.emplace(lo, hi);
-    fresh.emplace_back(lo, hi);
-    return fresh;
-  }
-  const auto last = std::prev(ranges.end());
-  if (lo == last->second + 1) {
-    last->second = hi;
-    fresh.emplace_back(lo, hi);
-    return fresh;
-  }
-  if (lo > last->second + 1) {  // ahead of everything, with a gap before it
-    ranges.emplace_hint(ranges.end(), lo, hi);
-    fresh.emplace_back(lo, hi);
-    return fresh;
-  }
-  // The fresh sub-ranges of [lo, hi] are its complement against the
-  // covered ranges overlapping it.
-  auto it = ranges.upper_bound(lo);
-  std::uint64_t cursor = lo;
-  if (it != ranges.begin()) {
-    const auto prev = std::prev(it);
-    if (prev->second >= lo) cursor = prev->second + 1;
-  }
-  while (cursor <= hi) {
-    if (it == ranges.end() || it->first > hi) {
-      fresh.emplace_back(cursor, hi);
-      break;
-    }
-    if (it->first > cursor) fresh.emplace_back(cursor, it->first - 1);
-    if (it->second >= hi) break;
-    cursor = it->second + 1;
-    ++it;
-  }
-  // Splice [lo, hi] in, merging every overlapping or adjacent range.
-  std::uint64_t nlo = lo;
-  std::uint64_t nhi = hi;
-  auto mit = ranges.lower_bound(lo);
-  if (mit != ranges.begin()) {
-    const auto prev = std::prev(mit);
-    if (prev->second + 1 >= lo) {
-      nlo = prev->first;
-      nhi = std::max(nhi, prev->second);
-      mit = prev;
-    }
-  }
-  while (mit != ranges.end() && mit->first <= nhi + 1) {
-    nhi = std::max(nhi, mit->second);
-    mit = ranges.erase(mit);
-  }
-  ranges.emplace_hint(mit, nlo, nhi);
+  seen_ranges_.mark(PeerKey{self, slot, group}, lo, hi, fresh);
   return fresh;
 }
 
@@ -1058,16 +992,17 @@ void PubSubSystem::apply_delivery(PeerId self, GroupId group, std::uint64_t seq,
 }
 
 PubSubSystem::WindowState* PubSubSystem::find_window(PeerId self, GroupId group) {
-  auto& windows = windows_[self];
-  const auto it = windows.find(group);
-  return it == windows.end() ? nullptr : &it->second;
+  const std::uint32_t* slot = window_slots_.find(PeerKey{self, 0, group});
+  return slot == nullptr ? nullptr : &windows_[*slot];
 }
 
 PubSubSystem::WindowState& PubSubSystem::ensure_window(PeerId self, GroupId group) {
-  return windows_[self]
-      .try_emplace(group, WindowState{SubscriberWindow{config_.repair.reorder_limit},
-                                      {}, nullptr, 0, false})
-      .first->second;
+  const auto [slot, inserted] = window_slots_.try_emplace(
+      PeerKey{self, 0, group}, static_cast<std::uint32_t>(windows_.size()));
+  if (inserted)
+    windows_.push_back(WindowState{SubscriberWindow{config_.repair.reorder_limit}, {},
+                                   nullptr, 0, false});
+  return windows_[*slot];
 }
 
 void PubSubSystem::window_observe(PeerId self, const GroupDelivery& delivery,
@@ -1357,7 +1292,7 @@ void PubSubSystem::on_replica_sync(PeerId self, PeerId from, const ReplicaSync& 
   // arrival means our previous ack may have been the lost envelope, but a
   // non-idempotent delta (kPendingJoin) must apply exactly once.
   replica_hop_->acknowledge(self, from, sync.sync_id);
-  if (!sync_seen_[self].insert(sync.sync_id).second) return;
+  if (!sync_seen_.insert(PeerKey{self, 0, sync.sync_id})) return;
   // Stale stream: the delta was addressed to this peer as the group's
   // replica. If it no longer is (promoted, or replaced while the envelope
   // flew), applying it would corrupt state now owed to someone else.

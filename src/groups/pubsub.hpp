@@ -175,6 +175,8 @@
 
 #include "groups/group_manager.hpp"
 #include "groups/message_kinds.hpp"
+#include "groups/peer_table.hpp"
+#include "groups/seen_ranges.hpp"
 #include "multicast/reliable_hop.hpp"
 #include "obs/trace.hpp"
 #include "sim/simulator.hpp"
@@ -414,13 +416,15 @@ struct PubSubConfig {
   /// beacons are fire-and-forget); bounded so an idle group goes silent
   /// and run() terminates.
   std::size_t heartbeat_rounds = 2;
-  /// Simulation-core fast path (the 100k-peer tentpole): true (the
-  /// default) runs the hierarchical timer-wheel event queue, interval-set
-  /// (group, seq) dedup, and dense per-(peer, group) window-slot storage;
-  /// false keeps the historic binary-heap / per-seq-set / map core — the
-  /// oracle the fast path is pinned bit-identical against
+  /// Simulation-core fast path: true (the default) runs the hierarchical
+  /// timer-wheel event queue and the range dedup (SeenRanges: covered seq
+  /// ranges per (peer, group, slot) in one flat table); false keeps the
+  /// historic binary-heap queue and a per-seq std::set dedup per peer —
+  /// the oracle the fast path is pinned bit-identical against
   /// (tests/groups_simcore_test.cpp): same delivered sets, byte-identical
-  /// stats JSON, on every seed.
+  /// stats JSON, on every seed. Nothing else depends on it: QoS 2 windows,
+  /// retained buffers and the graft/sync dedup sets are flat
+  /// (peer, group)- or (peer, id)-keyed tables on both settings.
   bool sim_core = true;
   std::uint64_t seed = 1;
 };
@@ -684,9 +688,9 @@ class PubSubSystem {
   /// Marks [lo, hi] of (`group`, `slot`) seen at `self` and returns the
   /// contiguous runs of first-sighted seqs — the dedup step shared by the
   /// data plane and the repair plane (whole range fresh on the common
-  /// path; empty means a pure duplicate). Only meaningful under QoS 1+
-  /// (seen_ sized). Returns a reference to a reusable scratch buffer (one
-  /// live result at a time — no caller holds it across another dedup).
+  /// path; empty means a pure duplicate). Only meaningful under QoS 1+.
+  /// Returns a reference to a reusable scratch buffer (one live result at
+  /// a time — no caller holds it across another dedup).
   [[nodiscard]] const std::vector<std::pair<std::uint64_t, std::uint64_t>>& fresh_runs(
       PeerId self, GroupId group, std::uint32_t slot, std::uint64_t lo, std::uint64_t hi);
 
@@ -856,23 +860,19 @@ class PubSubSystem {
   };
   std::map<std::pair<PeerId, GroupId>, PublisherBatch> publisher_pending_;
   std::uint64_t next_wave_ = 0;
-  /// Per-peer (group, slot, seq) triples already processed — the QoS 1+
-  /// dedup that tells a retransmission (or duplicate repair) from fresh
-  /// data. Unused (empty) under QoS 0, where snapshot-tree forwarding makes
-  /// duplicates impossible. Grows O(waves a peer relays) for the
-  /// simulation's lifetime: an entry is only needed while the parent's
-  /// retransmission window is open, but the receiver cannot observe that
-  /// locally.
+  /// Per-peer (group, slot, seq) triples already processed, one set node
+  /// per seq: the sim_core=false reference the range dedup below is pinned
+  /// against (tests/groups_simcore_test.cpp). Sized only on that path under
+  /// QoS 1+.
   std::vector<std::set<std::tuple<GroupId, std::uint32_t, std::uint64_t>>> seen_;
-  /// sim_core replacement for seen_: disjoint inclusive seq ranges already
-  /// processed, per (peer, group, slot) — O(log ranges) per wave instead of
-  /// one set node per seq, so a batched range wave dedups in one splice and
-  /// memory stays O(gaps), not O(delivered seqs). Exactly one of
-  /// seen_/seen_ranges_ is sized (by the sim_core knob); both produce the
-  /// identical fresh_runs output for the same arrival history.
-  std::vector<std::map<std::pair<GroupId, std::uint32_t>,
-                       std::map<std::uint64_t, std::uint64_t>>>
-      seen_ranges_;
+  /// The QoS 1+ dedup that tells a retransmission (or duplicate repair)
+  /// from fresh data: covered seq ranges per (peer, group, slot), one
+  /// table probe per arrival. Unused under QoS 0, where snapshot-tree
+  /// forwarding makes duplicates impossible. An entry is only needed while
+  /// the parent's retransmission window is open, but the receiver cannot
+  /// observe that locally, so entries live for the simulation; each costs
+  /// O(1 + gaps), not O(seqs).
+  SeenRanges seen_ranges_;
   /// fresh_runs result buffer, reused across calls so the per-hop dedup
   /// never allocates.
   std::vector<std::pair<std::uint64_t, std::uint64_t>> fresh_scratch_;
@@ -880,17 +880,20 @@ class PubSubSystem {
   /// function of the alive-set, so depart_now() flushes it; everything
   /// else (subscribes, promotions, grafts) leaves liveness untouched.
   std::unordered_map<std::uint64_t, PeerId> route_cache_;
-  /// Per-peer QoS 2 windows, one per group the peer consumed from.
-  std::vector<std::map<GroupId, WindowState>> windows_;
-  /// Per-peer graft ids whose descent step already ran here — the dedup
-  /// that keeps a retransmitted kGraftRequestKind from replaying a
-  /// decision (a descent visits each peer at most once, so the id alone
-  /// is the key). Sized only when routed_graft is on.
-  std::vector<std::set<std::uint64_t>> graft_seen_;
-  /// Per-peer sync ids already applied — the dedup that keeps a
+  /// QoS 2 windows, one per (peer, group) that consumed a wave: the
+  /// table maps PeerKey{peer, 0, group} to a slot of `windows_`. Windows
+  /// are never dropped, so slots are stable indices; a WindowState& is
+  /// valid only until the next ensure_window (the slab may reallocate).
+  PeerTable<std::uint32_t> window_slots_;
+  std::vector<WindowState> windows_;
+  /// (peer, graft id) pairs whose descent step already ran at that peer —
+  /// the dedup that keeps a retransmitted kGraftRequestKind from replaying
+  /// a decision (a descent visits each peer at most once, so the id alone
+  /// is the per-peer key).
+  PeerTable<NoValue> graft_seen_;
+  /// (peer, sync id) pairs already applied — the dedup that keeps a
   /// retransmitted (non-idempotent) kPendingJoin from double-booking.
-  /// Sized only when warm_failover is on.
-  std::vector<std::set<std::uint64_t>> sync_seen_;
+  PeerTable<NoValue> sync_seen_;
   std::uint64_t next_sync_id_ = 1;
   /// The replica's copy of its group's pending batch (count + accept
   /// times), fed by kPendingJoin/kPendingFlush syncs and consumed at

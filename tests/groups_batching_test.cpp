@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <any>
+#include <map>
 #include <memory>
 #include <set>
 #include <tuple>
@@ -131,6 +132,57 @@ TEST(RetainedBufferRangeTest, OverWideRangeEvictsItself) {
   EXPECT_EQ(buffer.retain(0, 7, std::any{1}), 8u);
   EXPECT_EQ(buffer.size(), 0u);
   EXPECT_EQ(buffer.find(3), nullptr);
+}
+
+/// Departures drop exactly the departed peers' retained buffers, in every
+/// group, and leave every other (peer, group) buffer as it was. 120 peers
+/// x 3 groups grow the (peer, group) table several times, and several
+/// departures exercise its deletion path; the manager's aggregate
+/// accessors must keep matching a recount through retained_ranges().
+TEST(RetainedBufferRangeTest, DepartureDropsOnlyTheDepartedPeersBuffers) {
+  const auto graph = make_overlay(120, 2, 4242);
+  GroupConfig config;
+  config.retention_window = 8;
+  GroupManager manager(graph, config);
+  const std::vector<GroupId> groups = {3, 40, 1ULL << 33};
+  using Ranges = std::vector<std::pair<std::uint64_t, std::uint64_t>>;
+  std::map<std::pair<PeerId, GroupId>, Ranges> expected;
+  for (PeerId p = 0; p < graph.size(); ++p)
+    for (std::size_t i = 0; i < groups.size(); ++i) {
+      if ((p + i) % 4 == 0) continue;  // not every peer retains in every group
+      const std::uint64_t waves = 1 + (p + i) % 5;
+      for (std::uint64_t w = 0; w < waves; ++w)
+        manager.retain_payload(p, groups[i], 3 * w, 3 * w + 2, std::any{w});
+      expected[{p, groups[i]}] = manager.retained_ranges(p, groups[i]);
+    }
+  auto recount = [&] {
+    std::size_t buffers = 0;
+    std::size_t seqs = 0;
+    for (PeerId p = 0; p < graph.size(); ++p)
+      for (const GroupId g : groups) {
+        const Ranges ranges = manager.retained_ranges(p, g);
+        if (ranges.empty()) continue;
+        ++buffers;
+        for (const auto& [lo, hi] : ranges) seqs += hi - lo + 1;
+      }
+    EXPECT_EQ(manager.retained_buffer_count(), buffers);
+    EXPECT_EQ(manager.retained_entry_total(), seqs);
+  };
+  recount();
+  const std::vector<PeerId> departed = {5, 6, 17, 64, 119, 0};
+  for (const PeerId gone : departed) {
+    (void)manager.handle_departure(gone);
+    for (const GroupId g : groups) expected.erase({gone, g});
+    recount();
+  }
+  for (PeerId p = 0; p < graph.size(); ++p)
+    for (const GroupId g : groups) {
+      const auto it = expected.find({p, g});
+      EXPECT_EQ(manager.retained_ranges(p, g), it == expected.end() ? Ranges{} : it->second)
+          << "peer " << p << " group " << g;
+      const std::uint64_t newest = it == expected.end() ? 0 : it->second.back().first;
+      EXPECT_EQ(manager.retained_payload(p, g, newest) != nullptr, it != expected.end());
+    }
 }
 
 // ------------------------------------------------- coalescing behaviour ----

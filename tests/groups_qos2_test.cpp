@@ -10,7 +10,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
 #include <map>
+#include <random>
 #include <vector>
 
 #include "groups/failure_injection.hpp"
@@ -154,6 +156,121 @@ TEST(RetainedBufferTest, ZeroCapacityRetainsNothing) {
   EXPECT_EQ(buffer.retain(1, std::any{1}), 1u);  // evicts the new entry
   EXPECT_EQ(buffer.size(), 0u);
   EXPECT_EQ(buffer.find(1), nullptr);
+}
+
+TEST(RetainedBufferTest, RetainBelowTheNewestEntryKeepsSeqOrder) {
+  // A repair's old wave lands below the newest entry: it is slotted in by
+  // seq, not appended, so find and eviction still see ascending ranges.
+  RetainedBuffer buffer(10);
+  EXPECT_EQ(buffer.retain(9, std::any{9}), 0u);
+  EXPECT_EQ(buffer.retain(20, 21, std::any{20}), 0u);
+  EXPECT_EQ(buffer.retain(4, 5, std::any{4}), 0u);   // below everything
+  EXPECT_EQ(buffer.retain(12, 14, std::any{12}), 0u);  // between two entries
+  EXPECT_EQ(buffer.ranges(), (std::vector<std::pair<std::uint64_t, std::uint64_t>>{
+                                 {4, 5}, {9, 9}, {12, 14}, {20, 21}}));
+  EXPECT_EQ(std::any_cast<int>(*buffer.find(13)), 12);
+  EXPECT_EQ(std::any_cast<int>(*buffer.find(5)), 4);
+  EXPECT_EQ(buffer.find(10), nullptr);
+  EXPECT_EQ(buffer.find(3), nullptr);
+  EXPECT_EQ(buffer.find(22), nullptr);
+  EXPECT_EQ(buffer.retain(30, 32, std::any{30}), 2u);  // lowest range [4, 5] goes
+  EXPECT_EQ(buffer.find(4), nullptr);
+  EXPECT_EQ(buffer.size(), 9u);
+}
+
+TEST(RetainedBufferTest, OldRangeArrivingAtCapacityEvictsItself) {
+  RetainedBuffer buffer(3);
+  for (std::uint64_t seq = 10; seq < 13; ++seq) EXPECT_EQ(buffer.retain(seq, std::any{0}), 0u);
+  EXPECT_EQ(buffer.retain(5, std::any{5}), 1u);  // oldest seq held: it goes first
+  EXPECT_EQ(buffer.find(5), nullptr);
+  EXPECT_EQ(buffer.size(), 3u);
+  EXPECT_EQ(buffer.entry_count(), 3u);
+  EXPECT_EQ(buffer.ranges(), (std::vector<std::pair<std::uint64_t, std::uint64_t>>{
+                                 {10, 10}, {11, 11}, {12, 12}}));
+}
+
+TEST(RetainedBufferTest, ReRetainWithADifferentWidthKeepsSizeExact) {
+  RetainedBuffer buffer(16);
+  EXPECT_EQ(buffer.retain(0, 1, std::any{0}), 0u);
+  EXPECT_EQ(buffer.retain(4, 7, std::any{1}), 0u);
+  EXPECT_EQ(buffer.size(), 6u);
+  EXPECT_EQ(buffer.retain(4, 5, std::any{2}), 0u);  // narrower
+  EXPECT_EQ(buffer.size(), 4u);
+  EXPECT_EQ(buffer.find(6), nullptr);
+  EXPECT_EQ(buffer.retain(4, 18, std::any{3}), 2u);  // wider: [0, 1] evicted
+  EXPECT_EQ(buffer.size(), 15u);
+  EXPECT_EQ(buffer.entry_count(), 1u);
+  EXPECT_EQ(std::any_cast<int>(*buffer.find(18)), 3);
+  EXPECT_EQ(buffer.find(0), nullptr);
+}
+
+/// The buffer against a std::map model of the same contract over random
+/// retains — appends, retains below the newest entry, re-retains with a
+/// new width — through enough traffic to wrap and grow the ring: every
+/// return value, size(), and ranges() (ascending) must agree after every
+/// call, and find() on every seq in play.
+TEST(RetainedBufferTest, MatchesAnOrderedMapModel) {
+  std::mt19937_64 rng(11);
+  auto pick = [&rng](std::uint64_t n) {
+    return std::uniform_int_distribution<std::uint64_t>(0, n - 1)(rng);
+  };
+  for (const std::size_t capacity : {1u, 7u, 64u}) {
+    RetainedBuffer buffer(capacity);
+    std::map<std::uint64_t, std::pair<std::uint64_t, int>> model;  // lo -> (hi, tag)
+    std::size_t covered = 0;
+    std::uint64_t next = 0;
+    for (int call = 0; call < 4000; ++call) {
+      std::uint64_t lo = next;
+      std::uint64_t width = 1 + pick(4);
+      const auto kind = pick(6);
+      if (kind == 0 && !model.empty()) {  // re-retain a held lo
+        auto it = model.begin();
+        std::advance(it, static_cast<std::ptrdiff_t>(pick(model.size())));
+        lo = it->first;
+        const auto after = std::next(it);
+        const std::uint64_t room = (after == model.end() ? next : after->first) - lo;
+        width = 1 + pick(std::min<std::uint64_t>(room, 4));
+      } else if (kind == 1 && next > 8) {  // an older seq never retained here
+        lo = next - 1 - pick(8);
+        if (model.count(lo) != 0) continue;
+        const auto after = model.upper_bound(lo);
+        const auto before = after == model.begin() ? model.end() : std::prev(after);
+        if (before != model.end() && before->second.first >= lo) continue;  // covered
+        const std::uint64_t room = (after == model.end() ? next : after->first) - lo;
+        width = 1 + pick(std::min<std::uint64_t>(room, 4));
+      } else {
+        next += width;
+      }
+      const std::uint64_t hi = lo + width - 1;
+      const int tag = call;
+      // The model: insert or overwrite, then evict lowest ranges.
+      if (const auto held = model.find(lo); held != model.end())
+        covered -= held->second.first - lo + 1;
+      model[lo] = {hi, tag};
+      covered += width;
+      std::size_t evicted = 0;
+      while (covered > capacity) {
+        const auto oldest = model.begin();
+        const std::size_t w = oldest->second.first - oldest->first + 1;
+        covered -= w;
+        evicted += w;
+        model.erase(oldest);
+      }
+      ASSERT_EQ(buffer.retain(lo, hi, std::any{tag}), evicted) << "call " << call;
+      ASSERT_EQ(buffer.size(), covered);
+      ASSERT_EQ(buffer.entry_count(), model.size());
+      std::vector<std::pair<std::uint64_t, std::uint64_t>> ranges;
+      for (const auto& [l, entry] : model) ranges.emplace_back(l, entry.first);
+      ASSERT_EQ(buffer.ranges(), ranges) << "call " << call;
+      for (std::uint64_t seq = next > 80 ? next - 80 : 0; seq <= next; ++seq) {
+        const auto after = model.upper_bound(seq);
+        const bool held = after != model.begin() && std::prev(after)->second.first >= seq;
+        const std::any* found = buffer.find(seq);
+        ASSERT_EQ(found != nullptr, held) << "call " << call << " seq " << seq;
+        if (held) ASSERT_EQ(std::any_cast<int>(*found), std::prev(after)->second.second);
+      }
+    }
+  }
 }
 
 // ------------------------------------------------------------ end-to-end ----

@@ -1,12 +1,15 @@
 // Oracle-equivalence battery for the simulator-core fast path.
 //
-// PubSubConfig::sim_core gates three substitutions: the hierarchical
-// timer-wheel event queue (vs the historic binary heap), interval-set
-// (group, seq) dedup (vs per-seq std::set), and the dense window-slot
-// storage. All three are engineered to be *bit-passive*: same pop order,
-// same dedup verdicts, same stats. This battery pins that claim the
-// strongest way the observability layer allows — for each workload cell it
-// runs the identical seeded scenario with sim_core on and off and demands
+// PubSubConfig::sim_core gates two substitutions: the hierarchical
+// timer-wheel event queue (vs the historic binary heap), and the range
+// dedup, SeenRanges — covered seq ranges per (peer, group, slot) in one
+// flat table — (vs one std::set node per (group, slot, seq) per peer).
+// QoS 2 windows and retained buffers are the same flat (peer, group)
+// tables on both sides. Both substitutions are engineered to be
+// *bit-passive*: same pop order, same dedup verdicts, same stats. This
+// battery pins that claim the strongest way the observability layer
+// allows — for each workload cell it runs the identical seeded scenario
+// with sim_core on and off and demands
 //   (1) identical delivered sequences: every (peer, group, seq, time)
 //       tuple, in probe-invocation order,
 //   (2) byte-identical stats JSON (GroupStats + NetworkStats + HopStats —

@@ -153,7 +153,7 @@ BENCHMARK(BM_EventQueueCancelChurn)->Arg(2)->Arg(8)->Arg(64);
 // Raw-callback dispatch through the two queue backends: the heap oracle
 // vs the hierarchical timer wheel, on the near-horizon schedule-then-pop
 // cycle the simulator hot loop runs per envelope. Arg 0 = kHeap,
-// 1 = kWheel. CI gates events/sec on these (BM_SimCore*): a wheel
+// 1 = kWheel. CI gates the wheel/heap events/sec ratio on these: a wheel
 // regression that the bit-identical battery can't see shows up here.
 void BM_SimCoreQueueDispatch(benchmark::State& state) {
   const auto backend =
@@ -213,11 +213,10 @@ BENCHMARK(BM_SimCoreQueueSparseHorizon)->Arg(0)->Arg(1);
 // The end-to-end per-event cost of the pub/sub simulation core: one
 // PubSubSystem per iteration running a QoS 1 batched publish workload on a
 // prebuilt overlay, with the pool reset (release_pools) exercised between
-// iterations exactly as the bench driver resets between cells. Arg 0 =
-// heap/set oracle core, 1 = sim_core fast path; items = simulator events,
-// so items/sec IS the events/sec figure BENCH_simcore.json reports.
+// iterations exactly as the bench driver resets between cells. Items =
+// simulator events, so items/sec IS the events/sec figure
+// BENCH_simcore.json reports; CI records it as a trajectory number, ungated.
 void BM_SimCoreWaveDelivery(benchmark::State& state) {
-  const bool fast = state.range(0) != 0;
   constexpr std::size_t kPeers = 300;
   constexpr groups::GroupId kGroups = 4;
   const auto points = make_points(kPeers, 2);
@@ -228,7 +227,6 @@ void BM_SimCoreWaveDelivery(benchmark::State& state) {
     config.seed = 42;
     config.reliability.qos = multicast::QoS::kAcked;
     config.batch_window = 0.1;
-    config.sim_core = fast;
     groups::PubSubSystem system(graph, config);
     util::Rng rng(42);
     for (groups::GroupId g = 0; g < kGroups; ++g) {
@@ -247,7 +245,7 @@ void BM_SimCoreWaveDelivery(benchmark::State& state) {
   }
   state.SetItemsProcessed(events);
 }
-BENCHMARK(BM_SimCoreWaveDelivery)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_SimCoreWaveDelivery)->Unit(benchmark::kMillisecond);
 
 // ------------------------------------------------- batched publish plane ----
 

@@ -239,10 +239,7 @@ class PubSubSystem::PubSubNode final : public sim::Node {
 PubSubSystem::PubSubSystem(const overlay::OverlayGraph& graph, PubSubConfig config)
     : graph_(graph),
       config_(std::move(config)),
-      sim_(std::make_unique<sim::Simulator>(config_.seed,
-                                            config_.sim_core
-                                                ? sim::QueueBackend::kWheel
-                                                : sim::QueueBackend::kHeap)),
+      sim_(std::make_unique<sim::Simulator>(config_.seed, sim::QueueBackend::kWheel)),
       manager_(std::make_unique<GroupManager>(graph, sharded_group_config(config_))) {
   // The manager needs the simulated clock for graft latency accounting
   // (begin -> attach). Wired unconditionally — latency histograms are
@@ -278,7 +275,6 @@ PubSubSystem::PubSubSystem(const overlay::OverlayGraph& graph, PubSubConfig conf
   hooks.sender_alive = [this](sim::NodeId p) { return manager_->alive(p); };
   hop_ = std::make_unique<multicast::ReliableHopLayer>(
       *sim_, kDeliverKind, kDeliverAckKind, config_.reliability, std::move(hooks));
-  if (acked() && !config_.sim_core) seen_.resize(graph.size());
 
   if (config_.routed_graft) {
     // Graft control hops are ALWAYS acked (QoS 1), whatever the data plane
@@ -872,11 +868,10 @@ void PubSubSystem::disseminate(PeerId self, PeerId from,
   // same seqs. A retransmitted wave is usually stale end to end, but a
   // repair can have filled part of the range first — then only the fresh
   // remainder is delivered.
-  const std::vector<std::pair<std::uint64_t, std::uint64_t>>* fresh;
   if (acked()) {
-    fresh = &fresh_runs(self, delivery.group, delivery.slot, delivery.seq,
-                        delivery.seq_hi);
-    if (fresh->empty()) {
+    seen_ranges_.mark(PeerKey{self, delivery.slot, delivery.group}, delivery.seq,
+                      delivery.seq_hi, fresh_scratch_);
+    if (fresh_scratch_.empty()) {
       // Every seq already processed: a pure duplicate, re-acked above but
       // never re-delivered or re-forwarded.
       ++stats.duplicate_deliveries;
@@ -891,9 +886,7 @@ void PubSubSystem::disseminate(PeerId self, PeerId from,
     // Under QoS 0 the dedup is moot: the snapshot is a tree (one parent
     // per peer) and every wave has a unique (group, slot, seq range), so
     // without retransmissions a peer can never receive the same wave twice.
-    fresh_scratch_.clear();
-    fresh_scratch_.emplace_back(delivery.seq, delivery.seq_hi);
-    fresh = &fresh_scratch_;
+    fresh_scratch_.assign(1, {delivery.seq, delivery.seq_hi});
   }
   // Forwarding reads the wave's own snapshot, never the live cache — a
   // mid-wave graft/prune/rebuild affects later publishes only.
@@ -921,7 +914,7 @@ void PubSubSystem::disseminate(PeerId self, PeerId from,
   // A subscriber sits in exactly one slot's tree, so the (group, slot)
   // dedup above keeps delivery exact.
   if (gt->is_subscriber[self]) {
-    for (const auto& [lo, hi] : *fresh) {
+    for (const auto& [lo, hi] : fresh_scratch_) {
       if (end_to_end())
         window_observe(self, delivery, lo, hi);  // in-order release path
       else
@@ -932,26 +925,6 @@ void PubSubSystem::disseminate(PeerId self, PeerId from,
     ++stats.payload_messages;
     hop_->send(self, child, delivery.wave, delivery_ptr);
   }
-}
-
-const std::vector<std::pair<std::uint64_t, std::uint64_t>>& PubSubSystem::fresh_runs(
-    PeerId self, GroupId group, std::uint32_t slot, std::uint64_t lo, std::uint64_t hi) {
-  auto& fresh = fresh_scratch_;
-  fresh.clear();
-  if (!config_.sim_core) {
-    // Oracle path: one set node per seq.
-    auto& seen = seen_[self];
-    for (std::uint64_t s = lo; s <= hi; ++s) {
-      if (!seen.emplace(group, slot, s).second) continue;
-      if (!fresh.empty() && fresh.back().second + 1 == s)
-        fresh.back().second = s;
-      else
-        fresh.emplace_back(s, s);
-    }
-    return fresh;
-  }
-  seen_ranges_.mark(PeerKey{self, slot, group}, lo, hi, fresh);
-  return fresh;
 }
 
 void PubSubSystem::deliver_range(PeerId self, GroupId group, std::uint64_t lo,
@@ -1203,15 +1176,14 @@ void PubSubSystem::on_repair(PeerId self, const DeliveryPtr& delivery_ptr) {
   // out — only the fresh remainder runs through the window. The key is the
   // subscriber's own slot, whose tree carried its data waves: a responder
   // relaying for several slots may serve another slot's copy of the range.
-  const auto& fresh =
-      fresh_runs(self, delivery.group, manager_->owner_slot(delivery.group, self),
-                 delivery.seq, delivery.seq_hi);
-  if (fresh.empty()) {
+  const PeerKey key{self, manager_->owner_slot(delivery.group, self), delivery.group};
+  seen_ranges_.mark(key, delivery.seq, delivery.seq_hi, fresh_scratch_);
+  if (fresh_scratch_.empty()) {
     ++stats.duplicate_deliveries;
     sim_->network().note_duplicate();
     return;
   }
-  for (const auto& [lo, hi] : fresh) window_observe(self, delivery, lo, hi);
+  for (const auto& [lo, hi] : fresh_scratch_) window_observe(self, delivery, lo, hi);
   // Retain by the CURRENT tree, not the repaired wave's old snapshot: a
   // peer that forwards for the rebuilt tree can serve its own subtree's
   // NACKs for this wave even if the failed tree had it as a leaf.

@@ -169,7 +169,6 @@
 #include <unordered_map>
 #include <memory>
 #include <set>
-#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -416,16 +415,6 @@ struct PubSubConfig {
   /// beacons are fire-and-forget); bounded so an idle group goes silent
   /// and run() terminates.
   std::size_t heartbeat_rounds = 2;
-  /// Simulation-core fast path: true (the default) runs the hierarchical
-  /// timer-wheel event queue and the range dedup (SeenRanges: covered seq
-  /// ranges per (peer, group, slot) in one flat table); false keeps the
-  /// historic binary-heap queue and a per-seq std::set dedup per peer —
-  /// the oracle the fast path is pinned bit-identical against
-  /// (tests/groups_simcore_test.cpp): same delivered sets, byte-identical
-  /// stats JSON, on every seed. Nothing else depends on it: QoS 2 windows,
-  /// retained buffers and the graft/sync dedup sets are flat
-  /// (peer, group)- or (peer, id)-keyed tables on both settings.
-  bool sim_core = true;
   std::uint64_t seed = 1;
 };
 
@@ -685,14 +674,6 @@ class PubSubSystem {
   /// partially-duplicate range (a repair filled part of it first) delivers
   /// only the fresh seqs but still forwards the whole envelope.
   void disseminate(PeerId self, PeerId from, const DeliveryPtr& delivery_ptr);
-  /// Marks [lo, hi] of (`group`, `slot`) seen at `self` and returns the
-  /// contiguous runs of first-sighted seqs — the dedup step shared by the
-  /// data plane and the repair plane (whole range fresh on the common
-  /// path; empty means a pure duplicate). Only meaningful under QoS 1+.
-  /// Returns a reference to a reusable scratch buffer (one live result at
-  /// a time — no caller holds it across another dedup).
-  [[nodiscard]] const std::vector<std::pair<std::uint64_t, std::uint64_t>>& fresh_runs(
-      PeerId self, GroupId group, std::uint32_t slot, std::uint64_t lo, std::uint64_t hi);
 
   // -- QoS 2 repair plane -------------------------------------------------
   /// The (self, group) window state, or nullptr when this subscriber never
@@ -860,11 +841,6 @@ class PubSubSystem {
   };
   std::map<std::pair<PeerId, GroupId>, PublisherBatch> publisher_pending_;
   std::uint64_t next_wave_ = 0;
-  /// Per-peer (group, slot, seq) triples already processed, one set node
-  /// per seq: the sim_core=false reference the range dedup below is pinned
-  /// against (tests/groups_simcore_test.cpp). Sized only on that path under
-  /// QoS 1+.
-  std::vector<std::set<std::tuple<GroupId, std::uint32_t, std::uint64_t>>> seen_;
   /// The QoS 1+ dedup that tells a retransmission (or duplicate repair)
   /// from fresh data: covered seq ranges per (peer, group, slot), one
   /// table probe per arrival. Unused under QoS 0, where snapshot-tree
@@ -873,8 +849,8 @@ class PubSubSystem {
   /// observe that locally, so entries live for the simulation; each costs
   /// O(1 + gaps), not O(seqs).
   SeenRanges seen_ranges_;
-  /// fresh_runs result buffer, reused across calls so the per-hop dedup
-  /// never allocates.
+  /// The current arrival's fresh runs (seen_ranges_.mark's output), reused
+  /// so the per-hop dedup never allocates.
   std::vector<std::pair<std::uint64_t, std::uint64_t>> fresh_scratch_;
   /// Memoized greedy control steps, keyed (self << 32 | target). A pure
   /// function of the alive-set, so depart_now() flushes it; everything

@@ -29,15 +29,28 @@ Flags::Flags(int argc, const char* const* argv) {
   }
 }
 
-bool Flags::has(const std::string& name) const { return values_.count(name) > 0; }
+bool Flags::has(const std::string& name) const { return find(name) != values_.end(); }
+
+std::vector<std::string> Flags::unused() const {
+  std::vector<std::string> names;
+  for (const auto& [name, value] : values_)
+    if (queried_.count(name) == 0) names.push_back(name);
+  return names;
+}
+
+std::map<std::string, std::string>::const_iterator Flags::find(
+    const std::string& name) const {
+  queried_.insert(name);
+  return values_.find(name);
+}
 
 std::string Flags::get_string(const std::string& name, const std::string& fallback) const {
-  const auto it = values_.find(name);
+  const auto it = find(name);
   return it == values_.end() ? fallback : it->second;
 }
 
 std::int64_t Flags::get_int(const std::string& name, std::int64_t fallback) const {
-  const auto it = values_.find(name);
+  const auto it = find(name);
   if (it == values_.end()) return fallback;
   try {
     return std::stoll(it->second);
@@ -48,7 +61,7 @@ std::int64_t Flags::get_int(const std::string& name, std::int64_t fallback) cons
 }
 
 double Flags::get_double(const std::string& name, double fallback) const {
-  const auto it = values_.find(name);
+  const auto it = find(name);
   if (it == values_.end()) return fallback;
   try {
     return std::stod(it->second);
@@ -59,7 +72,7 @@ double Flags::get_double(const std::string& name, double fallback) const {
 }
 
 bool Flags::get_bool(const std::string& name, bool fallback) const {
-  const auto it = values_.find(name);
+  const auto it = find(name);
   if (it == values_.end()) return fallback;
   const std::string& text = it->second;
   if (text == "true" || text == "1" || text == "yes" || text == "on") return true;
@@ -69,7 +82,7 @@ bool Flags::get_bool(const std::string& name, bool fallback) const {
 
 std::vector<std::int64_t> Flags::get_int_list(
     const std::string& name, const std::vector<std::int64_t>& fallback) const {
-  const auto it = values_.find(name);
+  const auto it = find(name);
   if (it == values_.end()) return fallback;
   std::vector<std::int64_t> out;
   std::string token;

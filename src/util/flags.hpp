@@ -4,6 +4,7 @@
 
 #include <cstdint>
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -25,14 +26,25 @@ class Flags {
   [[nodiscard]] std::vector<std::int64_t> get_int_list(
       const std::string& name, const std::vector<std::int64_t>& fallback) const;
 
+  /// Names of the flags given on the command line that no has()/get_*()
+  /// call has asked about yet, sorted — read every flag a program knows,
+  /// then reject these as unknown (a typo would otherwise run the
+  /// defaults without a word).
+  [[nodiscard]] std::vector<std::string> unused() const;
+
   [[nodiscard]] const std::vector<std::string>& positional() const noexcept {
     return positional_;
   }
   [[nodiscard]] const std::string& program() const noexcept { return program_; }
 
  private:
+  /// values_.find that also records `name` as queried.
+  [[nodiscard]] std::map<std::string, std::string>::const_iterator find(
+      const std::string& name) const;
+
   std::string program_;
   std::map<std::string, std::string> values_;
+  mutable std::set<std::string> queried_;
   std::vector<std::string> positional_;
 };
 

@@ -7,8 +7,9 @@
 //   (2) the stats JSON (GroupStats + NetworkStats + HopStats —
 //       obs::to_json is canonical, so one differing counter fails), and
 //   (3) the run() event count.
-// The cells span QoS 0/1/2, stochastic loss, churn, root-side batching and
-// a warm root-kill, and one traced cell pins its full trace stream too.
+// The cells span QoS 0/1/2, stochastic loss, churn, root-side batching, a
+// warm root-kill and a three-seed QoS 1 sweep, and one traced cell pins its
+// full trace stream too.
 // Any refactor of the simulator core, the hop layer or the pub/sub
 // pipeline must leave every digest unchanged.
 #include <gtest/gtest.h>
@@ -136,7 +137,6 @@ TEST(GroupsGoldenCellsTest, QoS0BatchedLossless) {
   PubSubConfig config;
   config.seed = 211;
   config.batch_window = 0.1;
-  config.sim_core = true;
   expect_golden(graph, config, /*groups=*/4, /*members=*/10, /*publishes=*/6,
                 {0x4705de762eba1c06ULL, 0xde98981bf26fb5d5ULL, 467});
 }
@@ -150,7 +150,6 @@ TEST(GroupsGoldenCellsTest, QoS1LossyBatchedWithChurn) {
   config.reliability.max_retries = 4;
   config.batch_window = 0.1;
   config.loss.drop_probability = 0.03;
-  config.sim_core = true;
   expect_golden(graph, config, 4, 10, 6,
                 {0x777ac51a9240b05eULL, 0xcc5edaa251c5154dULL, 747}, /*departures=*/6);
 }
@@ -164,7 +163,6 @@ TEST(GroupsGoldenCellsTest, QoS2LossyRepairPath) {
   config.reliability.max_retries = 4;
   config.batch_window = 0.05;
   config.loss.drop_probability = 0.04;
-  config.sim_core = true;
   expect_golden(graph, config, 3, 12, 8,
                 {0x1845586c9f950d8aULL, 0x2a0e72cafe322e96ULL, 910});
 }
@@ -178,7 +176,6 @@ TEST(GroupsGoldenCellsTest, WarmRootKillFailover) {
   config.reliability.max_retries = 4;
   config.batch_window = 0.1;
   config.warm_failover = true;
-  config.sim_core = true;
   expect_golden(graph, config, 3, 12, 6,
                 {0xec165659717839b0ULL, 0x522a664e21725f2fULL, 792}, /*departures=*/0,
                 /*kill_root=*/true);
@@ -194,12 +191,34 @@ TEST(GroupsGoldenCellsTest, TracedQoS1TraceStream) {
   config.reliability.qos = multicast::QoS::kAcked;
   config.reliability.ack_timeout = 0.05;
   config.reliability.max_retries = 4;
-  config.sim_core = true;
   const CellResult result =
       expect_golden(graph, config, 3, 10, 5,
                     {0x8a06d5044aed3b7dULL, 0xdfc245b4e2ab1d3bULL, 1181},
                     /*departures=*/0, /*kill_root=*/false, /*with_trace=*/true);
   EXPECT_EQ(result.trace, 0x5099ec8662d60700ULL) << std::hex << "got 0x" << result.trace;
+}
+
+TEST(GroupsGoldenCellsTest, SeedSweepQoS1) {
+  // One scenario over several seeds, so the pins cover schedule
+  // permutations of the range dedup and the wheel's pop order, not one
+  // lucky seed.
+  const auto graph = make_overlay(130, 2, 1505);
+  const struct {
+    std::uint64_t seed;
+    Golden golden;
+  } cells[] = {{233, {0xadae50e32ddb6b97ULL, 0xac16981a272a7cc5ULL, 903}},
+               {239, {0x7afac4dad45f9e41ULL, 0x80a6fff77c20fa26ULL, 885}},
+               {241, {0xd3103eba452e65dcULL, 0x3149e00675c5777fULL, 836}}};
+  for (const auto& cell : cells) {
+    SCOPED_TRACE(cell.seed);
+    PubSubConfig config;
+    config.seed = cell.seed;
+    config.reliability.qos = multicast::QoS::kAcked;
+    config.reliability.ack_timeout = 0.05;
+    config.reliability.max_retries = 4;
+    config.loss.drop_probability = 0.02;
+    expect_golden(graph, config, 3, 8, 5, cell.golden);
+  }
 }
 
 }  // namespace

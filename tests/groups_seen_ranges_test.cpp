@@ -34,7 +34,7 @@ Runs runs_of(const std::vector<std::uint64_t>& seqs) {
   return out;
 }
 
-/// The reference: one set node per seq, exactly the sim_core=false dedup.
+/// The reference: one set node per seq, the dedup SeenRanges replaced.
 Runs reference_mark(std::set<std::uint64_t>& seen, std::uint64_t lo, std::uint64_t hi) {
   std::vector<std::uint64_t> fresh;
   for (std::uint64_t s = lo; s <= hi; ++s)

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 namespace geomcast::util {
 namespace {
@@ -87,6 +89,16 @@ TEST(FlagsTest, HasDetectsPresence) {
   const auto flags = make_flags({"--present=1"});
   EXPECT_TRUE(flags.has("present"));
   EXPECT_FALSE(flags.has("absent"));
+}
+
+TEST(FlagsTest, UnusedListsFlagsNeverQueried) {
+  const auto flags = make_flags({"--peers=5", "--qos2", "--seed", "3", "--quick"});
+  EXPECT_EQ(flags.unused(), (std::vector<std::string>{"peers", "qos2", "quick", "seed"}));
+  EXPECT_EQ(flags.get_int("peers", 0), 5);
+  EXPECT_TRUE(flags.has("quick"));
+  (void)flags.get_int("seed", 0);
+  (void)flags.get_int("absent", 0);  // a query for a flag not given adds nothing
+  EXPECT_EQ(flags.unused(), (std::vector<std::string>{"qos2"}));
 }
 
 TEST(FlagsTest, LastValueWins) {

@@ -38,6 +38,7 @@
 
 #include "sim/simulator.hpp"
 #include "util/pool.hpp"
+#include "util/stats_fields.hpp"
 
 namespace geomcast::multicast {
 
@@ -72,12 +73,17 @@ struct HopAck {
   std::uint64_t seq = 0;
 };
 
+/// HopStats' counters, in declaration and JSON order (see
+/// util/stats_fields.hpp).
+#define GEOMCAST_HOP_STATS_FIELDS(X)                                                   \
+  X(std::uint64_t, data_messages) /* sends, retransmissions included */                \
+  X(std::uint64_t, ack_messages)                                                       \
+  X(std::uint64_t, retransmissions)                                                    \
+  X(std::uint64_t, abandoned_hops) /* retry budgets exhausted */
+
 /// Aggregate accounting across every hop the layer carried.
 struct HopStats {
-  std::uint64_t data_messages = 0;  ///< sends, retransmissions included
-  std::uint64_t ack_messages = 0;
-  std::uint64_t retransmissions = 0;
-  std::uint64_t abandoned_hops = 0;  ///< retry budgets exhausted
+  GEOMCAST_HOP_STATS_FIELDS(GEOMCAST_STATS_MEMBER)
 };
 
 class ReliableHopLayer {

@@ -39,6 +39,12 @@ void field_raw(std::ostringstream& out, bool& first, const char* name,
   first = false;
 }
 
+// Writes one field-list entry (util/stats_fields.hpp) of the `stats` block
+// in scope to `out`: the three stats serialisers below expand their block's
+// list through it, so every listed scalar is emitted under its member name,
+// in list order.
+#define GEOMCAST_JSON_FIELD(type, name) field(out, first, #name, stats.name);
+
 }  // namespace
 
 LoadSummary summarize_load(const std::vector<std::uint64_t>& per_node) {
@@ -68,71 +74,7 @@ std::string to_json(const groups::GroupStats& stats) {
   std::ostringstream out;
   out << "{";
   bool first = true;
-  field(out, first, "subscribes", stats.subscribes);
-  field(out, first, "unsubscribes", stats.unsubscribes);
-  field(out, first, "publishes", stats.publishes);
-  field(out, first, "batched_publishes", stats.batched_publishes);
-  field(out, first, "batch_flushes_window", stats.batch_flushes_window);
-  field(out, first, "batch_flushes_full", stats.batch_flushes_full);
-  field(out, first, "batch_occupancy_sum", stats.batch_occupancy_sum);
-  field(out, first, "batch_publishes_lost", stats.batch_publishes_lost);
-  field(out, first, "envelopes_saved", stats.envelopes_saved);
-  field(out, first, "expected_deliveries", stats.expected_deliveries);
-  field(out, first, "deliveries", stats.deliveries);
-  field(out, first, "duplicate_deliveries", stats.duplicate_deliveries);
-  field(out, first, "payload_messages", stats.payload_messages);
-  field(out, first, "ack_messages", stats.ack_messages);
-  field(out, first, "retransmissions", stats.retransmissions);
-  field(out, first, "abandoned_hops", stats.abandoned_hops);
-  field(out, first, "gap_seqs_detected", stats.gap_seqs_detected);
-  field(out, first, "gap_seqs_repaired", stats.gap_seqs_repaired);
-  field(out, first, "gap_seqs_abandoned", stats.gap_seqs_abandoned);
-  field(out, first, "nacks_sent", stats.nacks_sent);
-  field(out, first, "nacked_seqs", stats.nacked_seqs);
-  field(out, first, "nack_deferrals", stats.nack_deferrals);
-  field(out, first, "repairs_served", stats.repairs_served);
-  field(out, first, "repair_misses", stats.repair_misses);
-  field(out, first, "repair_escalations", stats.repair_escalations);
-  field(out, first, "retained_evictions", stats.retained_evictions);
-  field(out, first, "pre_window_deliveries", stats.pre_window_deliveries);
-  field(out, first, "gap_latency_total", stats.gap_latency_total);
-  field(out, first, "control_messages", stats.control_messages);
-  field(out, first, "stranded_messages", stats.stranded_messages);
-  field(out, first, "tree_builds", stats.tree_builds);
-  field(out, first, "build_messages", stats.build_messages);
-  field(out, first, "cache_hits", stats.cache_hits);
-  field(out, first, "grafts", stats.grafts);
-  field(out, first, "graft_messages", stats.graft_messages);
-  field(out, first, "prunes", stats.prunes);
-  field(out, first, "prune_messages", stats.prune_messages);
-  field(out, first, "repairs", stats.repairs);
-  field(out, first, "repair_messages", stats.repair_messages);
-  field(out, first, "repair_failures", stats.repair_failures);
-  field(out, first, "root_migrations", stats.root_migrations);
-  field(out, first, "replica_sync_envelopes", stats.replica_sync_envelopes);
-  field(out, first, "replica_sync_retries", stats.replica_sync_retries);
-  field(out, first, "migration_envelopes", stats.migration_envelopes);
-  field(out, first, "warm_promotions", stats.warm_promotions);
-  field(out, first, "pending_publishes_inherited",
-        stats.pending_publishes_inherited);
-  field(out, first, "heartbeats_sent", stats.heartbeats_sent);
-  field(out, first, "heartbeat_gap_detections", stats.heartbeat_gap_detections);
-  field(out, first, "heartbeat_blind_windows", stats.heartbeat_blind_windows);
-  field(out, first, "graft_hops", stats.graft_hops);
-  field(out, first, "graft_retries", stats.graft_retries);
-  field(out, first, "graft_aborts", stats.graft_aborts);
-  field(out, first, "graft_resubscribes", stats.graft_resubscribes);
-  field(out, first, "seq_lease_requests", stats.seq_lease_requests);
-  field(out, first, "seq_leases_granted", stats.seq_leases_granted);
-  field(out, first, "seq_grants_lost", stats.seq_grants_lost);
-  field(out, first, "shard_handoffs", stats.shard_handoffs);
-  field(out, first, "shard_waves", stats.shard_waves);
-  field(out, first, "publisher_batches", stats.publisher_batches);
-  field(out, first, "publisher_batched_publishes",
-        stats.publisher_batched_publishes);
-  field(out, first, "publisher_envelopes_saved", stats.publisher_envelopes_saved);
-  field(out, first, "stranded_rescues", stats.stranded_rescues);
-  field(out, first, "stranded_subscribers", stats.stranded_subscribers);
+  GEOMCAST_GROUP_STATS_FIELDS(GEOMCAST_JSON_FIELD)
   field(out, first, "delivery_ratio", stats.delivery_ratio());
   field(out, first, "maintenance_per_publish", stats.maintenance_per_publish());
   field(out, first, "mean_gap_latency", stats.mean_gap_latency());
@@ -148,23 +90,7 @@ std::string to_json(const sim::NetworkStats& stats) {
   std::ostringstream out;
   out << "{";
   bool first = true;
-  field(out, first, "sent", stats.sent);
-  field(out, first, "delivered", stats.delivered);
-  field(out, first, "dropped", stats.dropped);
-  field(out, first, "retransmitted", stats.retransmitted);
-  field(out, first, "duplicate_data", stats.duplicate_data);
-  field(out, first, "abandoned_hops", stats.abandoned_hops);
-  field(out, first, "nacks", stats.nacks);
-  field(out, first, "repairs_served", stats.repairs_served);
-  field(out, first, "batched_waves", stats.batched_waves);
-  field(out, first, "envelopes_saved", stats.envelopes_saved);
-  field(out, first, "control_envelopes", stats.control_envelopes);
-  field(out, first, "graft_hops", stats.graft_hops);
-  field(out, first, "graft_retries", stats.graft_retries);
-  field(out, first, "graft_aborts", stats.graft_aborts);
-  field(out, first, "replica_sync_envelopes", stats.replica_sync_envelopes);
-  field(out, first, "migration_envelopes", stats.migration_envelopes);
-  field(out, first, "heartbeats", stats.heartbeats);
+  GEOMCAST_NETWORK_STATS_FIELDS(GEOMCAST_JSON_FIELD)
   {
     // Named through the message-kind registry; std::map iteration order
     // keeps the output deterministic.
@@ -192,10 +118,10 @@ std::string to_json(const sim::NetworkStats& stats) {
 
 std::string to_json(const multicast::HopStats& stats) {
   std::ostringstream out;
-  out << "{\"data_messages\":" << stats.data_messages
-      << ",\"ack_messages\":" << stats.ack_messages
-      << ",\"retransmissions\":" << stats.retransmissions
-      << ",\"abandoned_hops\":" << stats.abandoned_hops << "}";
+  out << "{";
+  bool first = true;
+  GEOMCAST_HOP_STATS_FIELDS(GEOMCAST_JSON_FIELD)
+  out << "}";
   return out.str();
 }
 

@@ -19,6 +19,7 @@
 
 #include "sim/time.hpp"
 #include "util/rng.hpp"
+#include "util/stats_fields.hpp"
 
 namespace geomcast::sim {
 
@@ -62,44 +63,49 @@ struct LossModel {
   std::function<bool(const Envelope&)> drop_if;
 };
 
+/// NetworkStats' scalar counters, in declaration and JSON order (see
+/// util/stats_fields.hpp).
+#define GEOMCAST_NETWORK_STATS_FIELDS(X)                                               \
+  X(std::uint64_t, sent)                                                               \
+  X(std::uint64_t, delivered)                                                          \
+  X(std::uint64_t, dropped)                                                            \
+  /* Reliability-protocol accounting, reported through the note_* hooks by             \
+     the per-hop ack/retransmit layer (multicast/reliable_hop.hpp) and its             \
+     clients — the transport itself cannot tell a retransmission from a                \
+     first copy or a duplicate from fresh data. */                                     \
+  X(std::uint64_t, retransmitted)  /* copies resent after an ack timeout */            \
+  X(std::uint64_t, duplicate_data) /* duplicate arrivals receivers suppressed */       \
+  X(std::uint64_t, abandoned_hops) /* hops whose retry budget ran out */               \
+  /* End-to-end gap-repair accounting (QoS 2), reported by the pub/sub                 \
+     repair plane: receiver-driven NACKs for missing sequence numbers and              \
+     the retained-payload repairs that answered them. */                               \
+  X(std::uint64_t, nacks)          /* batched gap NACK envelopes sent */               \
+  X(std::uint64_t, repairs_served) /* retained payloads resent to a NACKer */          \
+  /* Wave-coalescing accounting (groups/pubsub batching): range waves the              \
+     rendezvous roots flushed and the per-edge envelopes (payload, plus                \
+     acks at QoS 1+) those ranges avoided versus one wave per publish. */              \
+  X(std::uint64_t, batched_waves)   /* coalesced range waves flushed */                \
+  X(std::uint64_t, envelopes_saved) /* envelopes amortised away by batching */         \
+  /* Control-plane cost attribution (groups routed control + graft plane):             \
+     the envelopes that find/maintain trees, as opposed to the payload                 \
+     envelopes that traverse them. Reported by the pub/sub layer so the                \
+     "tree construction costs real messages" claim is measurable here, not             \
+     just in per-group bookkeeping. */                                                 \
+  X(std::uint64_t, control_envelopes) /* routed control + graft envelopes sent */      \
+  X(std::uint64_t, graft_hops)        /* kGraftRequestKind descent hops sent */        \
+  X(std::uint64_t, graft_retries)     /* graft control envelopes retransmitted */      \
+  X(std::uint64_t, graft_aborts)      /* in-flight grafts given up (resubscribed) */   \
+  /* Warm-failover accounting (groups replica plane): root->replica state              \
+     replication, the per-migration bootstrap subset of it, and the idle               \
+     heartbeat beacons. All three are control traffic and also count into              \
+     control_envelopes. */                                                             \
+  X(std::uint64_t, replica_sync_envelopes) /* kReplicaSyncKind deltas sent */          \
+  X(std::uint64_t, migration_envelopes)    /* syncs re-establishing a replica */       \
+  X(std::uint64_t, heartbeats)             /* kHeartbeatKind beacon hops sent */
+
 /// Counters the experiments read back.
 struct NetworkStats {
-  std::uint64_t sent = 0;
-  std::uint64_t delivered = 0;
-  std::uint64_t dropped = 0;
-  // Reliability-protocol accounting, reported through the note_* hooks by
-  // the per-hop ack/retransmit layer (multicast/reliable_hop.hpp) and its
-  // clients — the transport itself cannot tell a retransmission from a
-  // first copy or a duplicate from fresh data.
-  std::uint64_t retransmitted = 0;    ///< copies resent after an ack timeout
-  std::uint64_t duplicate_data = 0;   ///< duplicate arrivals receivers suppressed
-  std::uint64_t abandoned_hops = 0;   ///< hops whose retry budget ran out
-  // End-to-end gap-repair accounting (QoS 2), reported by the pub/sub
-  // repair plane: receiver-driven NACKs for missing sequence numbers and
-  // the retained-payload repairs that answered them.
-  std::uint64_t nacks = 0;            ///< batched gap NACK envelopes sent
-  std::uint64_t repairs_served = 0;   ///< retained payloads resent to a NACKer
-  // Wave-coalescing accounting (groups/pubsub batching): range waves the
-  // rendezvous roots flushed and the per-edge envelopes (payload, plus
-  // acks at QoS 1+) those ranges avoided versus one wave per publish.
-  std::uint64_t batched_waves = 0;    ///< coalesced range waves flushed
-  std::uint64_t envelopes_saved = 0;  ///< envelopes amortised away by batching
-  // Control-plane cost attribution (groups routed control + graft plane):
-  // the envelopes that find/maintain trees, as opposed to the payload
-  // envelopes that traverse them. Reported by the pub/sub layer so the
-  // "tree construction costs real messages" claim is measurable here, not
-  // just in per-group bookkeeping.
-  std::uint64_t control_envelopes = 0;  ///< routed control + graft envelopes sent
-  std::uint64_t graft_hops = 0;         ///< kGraftRequestKind descent hops sent
-  std::uint64_t graft_retries = 0;      ///< graft control envelopes retransmitted
-  std::uint64_t graft_aborts = 0;       ///< in-flight grafts given up (resubscribed)
-  // Warm-failover accounting (groups replica plane): root->replica state
-  // replication, the per-migration bootstrap subset of it, and the idle
-  // heartbeat beacons. All three are control traffic and also count into
-  // control_envelopes.
-  std::uint64_t replica_sync_envelopes = 0;  ///< kReplicaSyncKind deltas sent
-  std::uint64_t migration_envelopes = 0;     ///< syncs re-establishing a replica
-  std::uint64_t heartbeats = 0;              ///< kHeartbeatKind beacon hops sent
+  GEOMCAST_NETWORK_STATS_FIELDS(GEOMCAST_STATS_MEMBER)
   std::map<MessageKind, std::uint64_t> sent_by_kind;
   std::vector<std::uint64_t> sent_by_node;
   std::vector<std::uint64_t> received_by_node;

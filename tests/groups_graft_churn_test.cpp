@@ -170,8 +170,9 @@ void assert_common_invariants(const RunOutcome& outcome,
         << scenario << " seed " << seed << " peer " << p
         << (member[p] ? ": surviving subscriber missed the post-churn wave"
                       : ": non-member received the wave");
-    if (member[p])
+    if (member[p]) {
       EXPECT_TRUE(spanned[p]) << scenario << " seed " << seed << " peer " << p;
+    }
   }
 }
 

@@ -267,7 +267,9 @@ TEST(RetainedBufferTest, MatchesAnOrderedMapModel) {
         const bool held = after != model.begin() && std::prev(after)->second.first >= seq;
         const std::any* found = buffer.find(seq);
         ASSERT_EQ(found != nullptr, held) << "call " << call << " seq " << seq;
-        if (held) ASSERT_EQ(std::any_cast<int>(*found), std::prev(after)->second.second);
+        if (held) {
+          ASSERT_EQ(std::any_cast<int>(*found), std::prev(after)->second.second);
+        }
       }
     }
   }
@@ -461,7 +463,7 @@ TEST(GroupsQoS2Test, MidWaveForwarderKillLosesSubtreeUnderQoS1ButNotQoS2) {
     EXPECT_GT(q2.total.nacks_sent, 0u);
     EXPECT_GT(q2.total.repairs_served, 0u);
     EXPECT_EQ(q2.total.gap_seqs_repaired, q2.total.gap_seqs_detected);
-    if (loss == 0.0) EXPECT_DOUBLE_EQ(q2.total.delivery_ratio(), 1.0);
+    if (loss == 0.0) { EXPECT_DOUBLE_EQ(q2.total.delivery_ratio(), 1.0); }
 
     // QoS 1 never touches the repair plane.
     EXPECT_EQ(q1.total.nacks_sent, 0u);

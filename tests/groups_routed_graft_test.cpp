@@ -228,9 +228,10 @@ TEST(RoutedGraftTest, ConvergesUnderLoss) {
       EXPECT_EQ(gt->subscriber_count, gt->reached_subscribers)
           << "seed " << seed << " group " << g;
       for (PeerId p = 0; p < graph.size(); ++p)
-        if (system.manager().is_subscribed(g, p))
+        if (system.manager().is_subscribed(g, p)) {
           EXPECT_TRUE(gt->is_subscriber[p] && gt->tree.reached(p))
               << "seed " << seed << " group " << g << " peer " << p;
+        }
     }
     const auto net = system.simulator().stats();
     EXPECT_GT(net.control_envelopes, 0u) << "seed " << seed;

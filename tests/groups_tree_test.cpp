@@ -148,8 +148,9 @@ TEST(GroupTreeTest, PruneEqualsFreshBuild) {
   EXPECT_EQ(shrunk.subscriber_count, fresh.subscriber_count);
   for (PeerId p = 0; p < graph.size(); ++p) {
     EXPECT_EQ(shrunk.tree.reached(p), fresh.tree.reached(p)) << "peer " << p;
-    if (fresh.tree.reached(p) && p != 0)
+    if (fresh.tree.reached(p) && p != 0) {
       EXPECT_EQ(shrunk.tree.parent(p), fresh.tree.parent(p)) << "peer " << p;
+    }
   }  // The pruned chain's zones go with its edges.
   expect_same_zones(shrunk, fresh);
 }

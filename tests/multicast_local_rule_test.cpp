@@ -167,7 +167,7 @@ TEST(LocalRuleTest, OneDimensionalOverlayIsSortedPath) {
     const PeerId p = order[i].second;
     std::size_t expected = (i == 0 || i + 1 == order.size()) ? 1 : 2;
     EXPECT_EQ(graph.degree(p), expected) << "rank " << i;
-    if (i + 1 < order.size()) EXPECT_TRUE(graph.has_edge(p, order[i + 1].second));
+    if (i + 1 < order.size()) { EXPECT_TRUE(graph.has_edge(p, order[i + 1].second)); }
   }
 }
 

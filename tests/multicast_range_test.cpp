@@ -74,7 +74,7 @@ TEST_P(RangeCoverageTest, AllTargetPeersDeliveredNoDuplicates) {
     for (overlay::PeerId p = 0; p < graph.size(); ++p) {
       const bool inside = target.contains_interior(graph.point(p));
       if (p == root) continue;
-      if (inside) EXPECT_TRUE(result.tree.reached(p)) << "missed target peer " << p;
+      if (inside) { EXPECT_TRUE(result.tree.reached(p)) << "missed target peer " << p; }
       EXPECT_EQ(result.is_delivery[p], inside && result.tree.reached(p));
     }
     // Messages = reached peers minus the initiator.

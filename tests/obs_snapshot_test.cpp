@@ -1,16 +1,20 @@
 // Histogram + unified-snapshot battery: bucketing invariants, quantile
 // error bounds, merge exactness, the JSON serialisers (GroupStats,
-// NetworkStats with named sent_by_kind, HopStats), the periodic Sampler,
+// NetworkStats with named sent_by_kind, HopStats) checked field by field
+// against their field lists, the GroupStats merge, the periodic Sampler,
 // and the GEOMCAST_LOG level parser.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
 #include <string>
 #include <vector>
 
 #include "groups_test_util.hpp"
+#include "multicast/reliable_hop.hpp"
 #include "obs/histogram.hpp"
 #include "obs/snapshot.hpp"
+#include "sim/network.hpp"
 #include "util/log.hpp"
 
 namespace geomcast {
@@ -128,6 +132,139 @@ TEST(LoadSummary, MaxAndNearestRankP99) {
   EXPECT_EQ(summary.max, 100u);
   EXPECT_EQ(summary.p99, 99u);  // nearest rank: 99th of 100
   EXPECT_DOUBLE_EQ(summary.mean, 50.5);
+}
+
+/// One listed scalar: its name and the JSON text its value serialises to.
+struct ListedField {
+  std::string name;
+  std::string json;
+};
+
+std::string json_text(std::uint64_t value) { return std::to_string(value); }
+
+std::string json_text(double value) {
+  char buffer[32];
+  std::snprintf(buffer, sizeof(buffer), "%.6g", value);
+  return buffer;
+}
+
+// Every field gets a value no other field of either operand holds; the
+// doubles get a half so a lost fraction would show.
+void assign(std::uint64_t& field, std::uint64_t value) { field = value; }
+void assign(double& field, std::uint64_t value) {
+  field = static_cast<double>(value) + 0.5;
+}
+
+#define GEOMCAST_FILL_FIELD(type, name)                    \
+  assign(stats.name, base + fields.size() + 1);            \
+  fields.push_back({#name, json_text(stats.name)});
+
+/// Sets every listed scalar of `stats` to base + its 1-based list position
+/// and returns the fields in list order.
+std::vector<ListedField> fill(groups::GroupStats& stats, std::uint64_t base) {
+  std::vector<ListedField> fields;
+  GEOMCAST_GROUP_STATS_FIELDS(GEOMCAST_FILL_FIELD)
+  return fields;
+}
+
+std::vector<ListedField> fill(sim::NetworkStats& stats, std::uint64_t base) {
+  std::vector<ListedField> fields;
+  GEOMCAST_NETWORK_STATS_FIELDS(GEOMCAST_FILL_FIELD)
+  return fields;
+}
+
+std::vector<ListedField> fill(multicast::HopStats& stats, std::uint64_t base) {
+  std::vector<ListedField> fields;
+  GEOMCAST_HOP_STATS_FIELDS(GEOMCAST_FILL_FIELD)
+  return fields;
+}
+
+#undef GEOMCAST_FILL_FIELD
+
+/// The serialisation opens with every listed scalar, in list order, with
+/// its value, and names each of them exactly once.
+void expect_scalars_lead(const std::string& json, const std::vector<ListedField>& fields) {
+  ASSERT_FALSE(fields.empty());
+  std::string prefix = "{";
+  for (const ListedField& field : fields) {
+    if (prefix.size() > 1) prefix += ",";
+    prefix += "\"" + field.name + "\":" + field.json;
+    const std::string key = "\"" + field.name + "\":";
+    const std::size_t at = json.find(key);
+    ASSERT_NE(at, std::string::npos) << field.name << " missing";
+    EXPECT_EQ(json.find(key, at + 1), std::string::npos) << field.name << " emitted twice";
+  }
+  EXPECT_EQ(json.compare(0, prefix.size(), prefix), 0)
+      << "expected prefix " << prefix << "\n got " << json;
+  const char next = json.size() > prefix.size() ? json[prefix.size()] : '\0';
+  EXPECT_TRUE(next == ',' || next == '}') << "last scalar runs on: " << json;
+}
+
+TEST(StatsFields, GroupStatsJsonEmitsEveryListedScalar) {
+  groups::GroupStats stats;
+  const auto fields = fill(stats, 0);
+  EXPECT_EQ(fields.size(), 63u);
+  const std::string json = obs::to_json(stats);
+  expect_scalars_lead(json, fields);
+  // Derived ratios, then the histograms, follow the scalars.
+  const std::size_t ratio = json.find("\"delivery_ratio\":");
+  ASSERT_NE(ratio, std::string::npos);
+  EXPECT_GT(ratio, json.find("\"" + fields.back().name + "\":"));
+  EXPECT_LT(ratio, json.find("\"delivery_latency\":{"));
+  EXPECT_LT(json.find("\"delivery_latency\":{"), json.find("\"gap_repair_latency\":{"));
+  EXPECT_LT(json.find("\"gap_repair_latency\":{"), json.find("\"graft_latency\":{"));
+}
+
+TEST(StatsFields, NetworkStatsJsonEmitsEveryListedScalar) {
+  sim::NetworkStats stats;
+  const auto fields = fill(stats, 0);
+  EXPECT_EQ(fields.size(), 17u);
+  const std::string json = obs::to_json(stats);
+  expect_scalars_lead(json, fields);
+  EXPECT_GT(json.find("\"sent_by_kind\":{"), json.find("\"" + fields.back().name + "\":"));
+}
+
+TEST(StatsFields, HopStatsJsonIsExactlyTheListedScalars) {
+  multicast::HopStats stats;
+  const auto fields = fill(stats, 0);
+  EXPECT_EQ(fields.size(), 4u);
+  const std::string json = obs::to_json(stats);
+  expect_scalars_lead(json, fields);
+  EXPECT_EQ(json.back(), '}');
+  EXPECT_EQ(json.find('{', 1), std::string::npos) << "HopStats has no nested blocks";
+}
+
+TEST(StatsFields, GroupStatsMergeSumsEveryScalarAndHistogram) {
+  groups::GroupStats a, b;
+  fill(a, 0);
+  fill(b, 1000);
+  // Each histogram gets its own sample values and counts, so merging one
+  // into another's slot shows up in the JSON comparison below.
+  obs::Histogram expected[3];
+  obs::Histogram* a_hist[3] = {&a.delivery_latency, &a.gap_repair_latency,
+                               &a.graft_latency};
+  obs::Histogram* b_hist[3] = {&b.delivery_latency, &b.gap_repair_latency,
+                               &b.graft_latency};
+  for (int h = 0; h < 3; ++h) {
+    for (int i = 0; i <= h; ++i) {
+      const double in_a = 0.001 * (h + 1) * (i + 1);
+      const double in_b = 0.1 * (h + 1) + 0.01 * i;
+      a_hist[h]->record(in_a);
+      b_hist[h]->record(in_b);
+      b_hist[h]->record(in_b * 2.0);
+      expected[h].record(in_a);
+      expected[h].record(in_b);
+      expected[h].record(in_b * 2.0);
+    }
+  }
+  const groups::GroupStats before = a;
+  a += b;
+#define GEOMCAST_EXPECT_SUM(type, name) \
+  EXPECT_EQ(a.name, before.name + b.name) << #name " was not summed";
+  GEOMCAST_GROUP_STATS_FIELDS(GEOMCAST_EXPECT_SUM)
+#undef GEOMCAST_EXPECT_SUM
+  for (int h = 0; h < 3; ++h)
+    EXPECT_EQ(a_hist[h]->to_json(), expected[h].to_json()) << "histogram " << h;
 }
 
 /// A small QoS 2 workload with enough traffic to populate the latency

@@ -110,7 +110,7 @@ TEST(ChurnFuzzTest, OrthogonalKSelectorUnderChurn) {
     }
     const auto graph = builder.graph();
     ASSERT_EQ(graph.size(), live);
-    if (live >= 2) ASSERT_TRUE(analysis::is_connected(graph)) << "step " << step;
+    if (live >= 2) { ASSERT_TRUE(analysis::is_connected(graph)) << "step " << step; }
   }
 }
 

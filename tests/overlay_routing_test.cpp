@@ -107,7 +107,7 @@ TEST(RoutingTest, MaxHopsBudgetRespected) {
   const auto graph = make_overlay(200, 2, 99);
   const auto result = route_greedy(graph, 0, 199, /*max_hops=*/1);
   // Either delivered in one hop (they happen to be adjacent) or cut off.
-  if (!result.delivered) EXPECT_LE(result.path.size(), 2u);
+  if (!result.delivered) { EXPECT_LE(result.path.size(), 2u); }
 }
 
 }  // namespace

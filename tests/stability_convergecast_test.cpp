@@ -82,10 +82,10 @@ TEST(ConvergecastTest, RejectsForestsAndBadSizes) {
   forest.children = {{}, {}};
   forest.roots = {0, 1};
   forest.departure_time = {1.0, 2.0};
-  EXPECT_THROW(run_convergecast(forest, {1.0, 2.0}), std::invalid_argument);
+  EXPECT_THROW((void)run_convergecast(forest, {1.0, 2.0}), std::invalid_argument);
 
   const auto w = make_workload(20, 2, 2, 504);
-  EXPECT_THROW(run_convergecast(w.tree, std::vector<double>(5, 1.0)),
+  EXPECT_THROW((void)run_convergecast(w.tree, std::vector<double>(5, 1.0)),
                std::invalid_argument);
 }
 

@@ -72,8 +72,14 @@ void BM_EquilibriumBuild(benchmark::State& state) {
   }
 }
 // 4000 is hot_group's peer count: prices the builder where the end-to-end
-// set-up time is measured.
-BENCHMARK(BM_EquilibriumBuild)->Arg(200)->Arg(500)->Arg(4000)->Unit(benchmark::kMillisecond);
+// set-up time is measured. 100000 prices the 2-D sweep against its 1 s
+// budget at 100k peers.
+BENCHMARK(BM_EquilibriumBuild)
+    ->Arg(200)
+    ->Arg(500)
+    ->Arg(4000)
+    ->Arg(100000)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_MulticastBuild(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

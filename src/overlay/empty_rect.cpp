@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <iterator>
+#include <limits>
 
 #include "geometry/orthant.hpp"
 #include "geometry/rect.hpp"
@@ -61,20 +63,6 @@ void walk_staircase(It first, It last, double ego_y, std::vector<PeerId>& out) {
   }
 }
 
-/// The shared 2-D staircase: neighbours of an ego at height `ego_y` whose
-/// x is shared by exactly the points sorted[lo, hi) (`skip` — the ego's
-/// own id, if it is in `sorted` — excluded). Those equal-x points have a
-/// zero x-offset and are always kept; the rest are walked outward, right
-/// then left. Appends unsorted.
-void staircase(std::span<const PointXY> sorted, std::size_t lo, std::size_t hi,
-               double ego_y, PeerId skip, std::vector<PeerId>& out) {
-  for (std::size_t i = lo; i < hi; ++i)
-    if (sorted[i].id != skip) out.push_back(sorted[i].id);
-  walk_staircase(sorted.begin() + static_cast<std::ptrdiff_t>(hi), sorted.end(), ego_y, out);
-  walk_staircase(std::make_reverse_iterator(sorted.begin() + static_cast<std::ptrdiff_t>(lo)),
-                 sorted.rend(), ego_y, out);
-}
-
 std::vector<PeerId> select_2d(const geometry::Point& ego,
                               std::span<const Candidate> candidates) {
   std::vector<PointXY> sorted;
@@ -86,35 +74,260 @@ std::vector<PeerId> select_2d(const geometry::Point& ego,
                                        [x](const PointXY& p) { return p.x < x; });
   const auto hi =
       std::partition_point(lo, sorted.end(), [x](const PointXY& p) { return p.x == x; });
+  // Equal-x candidates have a zero x-offset and are always kept; the rest
+  // are walked outward, right then left.
   std::vector<PeerId> result;
-  staircase(sorted, static_cast<std::size_t>(lo - sorted.begin()),
-            static_cast<std::size_t>(hi - sorted.begin()), ego[1], kInvalidPeer, result);
+  for (auto it = lo; it != hi; ++it) result.push_back(it->id);
+  walk_staircase(hi, sorted.end(), ego[1], result);
+  walk_staircase(std::make_reverse_iterator(lo), sorted.rend(), ego[1], result);
   std::sort(result.begin(), result.end());
   return result;
 }
 
-/// Full-knowledge 2-D build: one x-sort of the whole point set, then each
-/// ego walks outward from its own rank — no candidate copy, no per-ego sort.
+/// A point as the 2-D sweep reads it, indexed by its position in (x, y)
+/// order. Equal-x runs are contiguous there and sorted by y inside, so the
+/// points of a run within a dy band form one sub-range.
+struct SweepPoint {
+  double y;
+  double y_below, y_above;  // y of the points ranked just below and above; NaN at the ends
+  std::uint32_t rank;       // position in y order
+  std::uint32_t run_begin, run_end;
+  PeerId id;
+};
+
+/// The whole point set in (x, y) order, plus its y values in y order.
+struct SweepLayout {
+  std::vector<SweepPoint> pts;
+  std::vector<double> ys;  // ys[pts[i].rank] == pts[i].y, ascending
+
+  explicit SweepLayout(const std::vector<geometry::Point>& points) {
+    const std::size_t n = points.size();
+    std::vector<PointXY> sorted(n);
+    for (std::size_t p = 0; p < n; ++p)
+      sorted[p] = PointXY{points[p][0], points[p][1], static_cast<PeerId>(p)};
+    std::sort(sorted.begin(), sorted.end(), [](const PointXY& a, const PointXY& b) {
+      return a.x != b.x ? a.x < b.x : a.y < b.y;
+    });
+    pts.resize(n);
+    constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+    for (std::size_t begin = 0, end = 0; begin < n; begin = end) {
+      while (end < n && sorted[end].x == sorted[begin].x) ++end;
+      for (std::size_t i = begin; i < end; ++i)
+        pts[i] = SweepPoint{sorted[i].y, kNaN, kNaN, 0, static_cast<std::uint32_t>(begin),
+                            static_cast<std::uint32_t>(end), sorted[i].id};
+    }
+    std::vector<std::uint32_t> by_y(n);
+    for (std::size_t i = 0; i < n; ++i) by_y[i] = static_cast<std::uint32_t>(i);
+    std::sort(by_y.begin(), by_y.end(), [this](std::uint32_t a, std::uint32_t b) {
+      return pts[a].y != pts[b].y ? pts[a].y < pts[b].y : a < b;
+    });
+    ys.resize(n);
+    for (std::size_t r = 0; r < n; ++r) {
+      SweepPoint& p = pts[by_y[r]];
+      ys[r] = p.y;
+      p.rank = static_cast<std::uint32_t>(r);
+      if (r > 0) p.y_below = pts[by_y[r - 1]].y;
+      if (r + 1 < n) p.y_above = pts[by_y[r + 1]].y;
+    }
+  }
+
+  [[nodiscard]] std::size_t size() const noexcept { return pts.size(); }
+};
+
+/// Min-segment tree over y-ranks. Leaf r holds the key of the point of
+/// y-rank r while that point is in the tree, kAbsent otherwise.
+class MinTree {
+ public:
+  static constexpr std::uint32_t kAbsent = std::numeric_limits<std::uint32_t>::max();
+
+  explicit MinTree(std::size_t n) : n_(n), t_(2 * n, kAbsent) {}
+
+  /// Sets a leaf without fixing its ancestors; call build() after a batch.
+  void set_leaf(std::size_t r, std::uint32_t key) { t_[n_ + r] = key; }
+  void build() {
+    for (std::size_t i = n_; i-- > 1;) t_[i] = std::min(t_[2 * i], t_[2 * i + 1]);
+  }
+
+  /// Inserts a key smaller than every key in the tree: it becomes the
+  /// minimum of every node above leaf r.
+  void insert_min(std::size_t r, std::uint32_t key) {
+    for (std::size_t i = n_ + r; i >= 1; i >>= 1) t_[i] = key;
+  }
+
+  void assign(std::size_t r, std::uint32_t key) {
+    std::size_t i = n_ + r;
+    t_[i] = key;
+    for (i >>= 1; i >= 1; i >>= 1) t_[i] = std::min(t_[2 * i], t_[2 * i + 1]);
+  }
+
+  /// Smallest key among leaves [l, r), kAbsent if none.
+  [[nodiscard]] std::uint32_t min(std::size_t l, std::size_t r) const {
+    // Both boundary nodes are read at every level and kept only when they
+    // hang off the range: selects instead of hard-to-predict branches.
+    std::uint32_t best = kAbsent;
+    for (l += n_, r += n_; l < r; l = (l + 1) >> 1, r >>= 1) {
+      const std::uint32_t left = t_[l], right = t_[r - 1];
+      best = std::min(best, (l & 1) ? left : kAbsent);
+      best = std::min(best, (r & 1) ? right : kAbsent);
+    }
+    return best;
+  }
+
+ private:
+  std::size_t n_;
+  std::vector<std::uint32_t> t_;
+};
+
+/// The points on one side of the egos, in a MinTree keyed so that the
+/// smallest key is the point nearest to the ego in x: the right side keys
+/// a point by its index, the left side by the mirrored index.
+struct Side {
+  bool left;
+  std::size_t n;
+  MinTree tree{n};
+
+  [[nodiscard]] std::uint32_t key(std::size_t i) const noexcept {
+    return static_cast<std::uint32_t>(left ? n - 1 - i : i);
+  }
+  [[nodiscard]] std::size_t index(std::uint32_t key) const noexcept {
+    return left ? n - 1 - key : key;
+  }
+};
+
+/// walk_staircase on one side of pts[ego], jumping from kept run to kept
+/// run; appends the kept points to `kept`. The y-rank range [a, b) holds
+/// exactly the side's points whose dy = y - ego_y lies in the band, less
+/// those already kept, and its nearest point opens the next kept run.
+void staircase(const SweepLayout& layout, Side& side, std::size_t ego,
+               std::vector<PeerId>& kept, std::vector<std::uint32_t>& removed) {
+  const std::size_t n = layout.size();
+  const auto& pts = layout.pts;
+  const auto& ys = layout.ys;
+  const double ego_y = pts[ego].y;
+  // dy is monotone in y, so ranges follow from binary search in dy space,
+  // with the same expression walk_staircase compares: ties and rounding
+  // land exactly where the walk puts them.
+  const auto rank_where = [&](std::size_t from, std::size_t to, auto pred) {
+    const auto it = std::partition_point(ys.begin() + static_cast<std::ptrdiff_t>(from),
+                                         ys.begin() + static_cast<std::ptrdiff_t>(to),
+                                         [&](double y) { return pred(y - ego_y); });
+    return static_cast<std::size_t>(it - ys.begin());
+  };
+  const auto run_where = [&](std::size_t from, std::size_t to, auto pred) {
+    const auto it = std::partition_point(pts.begin() + static_cast<std::ptrdiff_t>(from),
+                                         pts.begin() + static_cast<std::ptrdiff_t>(to),
+                                         [&](const SweepPoint& p) { return pred(p.y - ego_y); });
+    return static_cast<std::size_t>(it - pts.begin());
+  };
+  // True iff no other point has the same dy as p: its dy block is itself.
+  const auto dy_unique = [&](const SweepPoint& p) {
+    const double dy = p.y - ego_y;
+    return p.y_below - ego_y != dy && p.y_above - ego_y != dy;
+  };
+  // Kept points still inside the narrowed band must not be found again:
+  // they leave the tree until this ego is done.
+  const auto drop = [&](std::size_t from, std::size_t to) {
+    for (std::size_t i = from; i < to; ++i) {
+      side.tree.assign(pts[i].rank, MinTree::kAbsent);
+      removed.push_back(static_cast<std::uint32_t>(i));
+    }
+  };
+
+  double lo = -geometry::kInf, hi = geometry::kInf;
+  std::size_t a = 0, b = n;
+  while (a < b) {
+    const std::uint32_t found = side.tree.min(a, b);
+    if (found == MinTree::kAbsent) break;
+    // The found point's run S is judged against the band at its start.
+    const SweepPoint& hit = pts[side.index(found)];
+    const std::size_t s_begin = run_where(hit.run_begin, hit.run_end,
+                                          [lo](double dy) { return dy < lo; });
+    const std::size_t s_end =
+        run_where(s_begin, hit.run_end, [hi](double dy) { return dy <= hi; });
+    for (std::size_t i = s_begin; i < s_end; ++i) kept.push_back(pts[i].id);
+    const std::size_t neg_end = run_where(s_begin, s_end, [](double dy) { return dy < 0.0; });
+    const std::size_t pos_begin = run_where(neg_end, s_end, [](double dy) { return dy <= 0.0; });
+
+    // S's smallest positive dy becomes hi. Every point with that dy stays
+    // in the band, so b moves to the end of its dy block, or onto S's
+    // point itself when S holds it alone and no other point shares its dy.
+    if (pos_begin < s_end) {
+      hi = pts[pos_begin].y - ego_y;
+      const std::size_t r = pts[pos_begin].rank;
+      const std::size_t at_hi_end =
+          run_where(pos_begin, s_end, [hi](double dy) { return dy <= hi; });
+      if (at_hi_end - pos_begin == 1 && dy_unique(pts[pos_begin])) {
+        b = std::min(b, r);
+      } else {
+        b = std::min(b, rank_where(r, b, [hi](double dy) { return dy <= hi; }));
+        drop(pos_begin, at_hi_end);
+      }
+    }
+    if (s_begin < neg_end) {  // mirror image for lo
+      lo = pts[neg_end - 1].y - ego_y;
+      const std::size_t r = pts[neg_end - 1].rank;
+      const std::size_t at_lo_begin =
+          run_where(s_begin, neg_end, [lo](double dy) { return dy < lo; });
+      if (neg_end - at_lo_begin == 1 && dy_unique(pts[neg_end - 1])) {
+        a = std::max(a, r + 1);
+      } else {
+        a = std::max(a, rank_where(a, r, [lo](double dy) { return dy < lo; }));
+        drop(at_lo_begin, neg_end);
+      }
+    }
+    drop(neg_end, pos_begin);  // dy == 0 never leaves the band
+  }
+  for (const std::uint32_t i : removed) side.tree.assign(pts[i].rank, side.key(i));
+  removed.clear();
+}
+
+/// Out-lists for the egos pts[begin, end), a range of whole runs, in one
+/// pass toward the right: the right side's tree starts with every point
+/// from `begin` on and loses each run as the pass reaches it, the left
+/// side's starts with every point before `begin` and gains each run once
+/// its egos are done.
+void sweep_chunk(const SweepLayout& layout, std::size_t begin, std::size_t end,
+                 std::vector<std::vector<PeerId>>& out) {
+  const std::size_t n = layout.size();
+  const auto& pts = layout.pts;
+  Side right{false, n}, left{true, n};
+  for (std::size_t i = begin; i < n; ++i) right.tree.set_leaf(pts[i].rank, right.key(i));
+  for (std::size_t i = 0; i < begin; ++i) left.tree.set_leaf(pts[i].rank, left.key(i));
+  right.tree.build();
+  left.tree.build();
+
+  std::vector<PeerId> kept;
+  std::vector<std::uint32_t> removed;
+  for (std::size_t run = begin; run < end; run = pts[run].run_end) {
+    const std::size_t run_end = pts[run].run_end;
+    for (std::size_t i = run; i < run_end; ++i) right.tree.assign(pts[i].rank, MinTree::kAbsent);
+    for (std::size_t ego = run; ego < run_end; ++ego) {
+      kept.clear();
+      for (std::size_t i = run; i < run_end; ++i)  // zero x-offset: always kept
+        if (i != ego) kept.push_back(pts[i].id);
+      staircase(layout, right, ego, kept, removed);
+      staircase(layout, left, ego, kept, removed);
+      std::sort(kept.begin(), kept.end());
+      out[pts[ego].id].assign(kept.begin(), kept.end());  // exact size
+    }
+    // Each key of the run is smaller than every key already in the tree.
+    for (std::size_t i = run; i < run_end; ++i) left.tree.insert_min(pts[i].rank, left.key(i));
+  }
+}
+
+/// Full-knowledge 2-D build. Each worker sweeps a contiguous range of
+/// whole runs with its own trees; a run belongs to the range its first
+/// point falls in.
 std::vector<std::vector<PeerId>> select_all_2d(const std::vector<geometry::Point>& points,
                                                std::size_t threads) {
-  const std::size_t n = points.size();
-  std::vector<PointXY> sorted(n);
-  for (std::size_t p = 0; p < n; ++p)
-    sorted[p] = PointXY{points[p][0], points[p][1], static_cast<PeerId>(p)};
-  std::sort(sorted.begin(), sorted.end(), by_x);
-  std::vector<std::size_t> rank(n);
-  for (std::size_t r = 0; r < n; ++r) rank[sorted[r].id] = r;
-
+  const SweepLayout layout(points);
+  const std::size_t n = layout.size();
+  const auto run_aligned = [&](std::size_t i) {
+    return i == n || layout.pts[i].run_begin == i ? i : std::size_t{layout.pts[i].run_end};
+  };
   std::vector<std::vector<PeerId>> out(n);
   for_each_peer_chunk(n, threads, [&](std::size_t begin, std::size_t end) {
-    for (std::size_t p = begin; p < end; ++p) {
-      const std::size_t r = rank[p];
-      std::size_t lo = r, hi = r + 1;
-      while (lo > 0 && sorted[lo - 1].x == sorted[r].x) --lo;
-      while (hi < n && sorted[hi].x == sorted[r].x) ++hi;
-      staircase(sorted, lo, hi, sorted[r].y, static_cast<PeerId>(p), out[p]);
-      std::sort(out[p].begin(), out[p].end());
-    }
+    sweep_chunk(layout, run_aligned(begin), run_aligned(end), out);
   });
   return out;
 }

@@ -18,17 +18,31 @@
 // strictly smaller L1 norm, and dominance is transitive):
 // O(n·A + n log n) per ego, A = answer size.
 //
-// 2-D: one staircase routine over an x-sorted sequence. It walks outward
-// from the ego, right then left, keeping one running |dy| minimum per side
-// (above / below). A point is kept iff its |dy| is <= the minimum among
-// points with strictly smaller |dx| on its side; equal-|dx| runs are
-// judged as a group against the bound at the run's start. select() sorts
-// its candidates by x once (O(n log n) per ego). select_all() sorts the
-// whole point set by x once per build and walks from each ego's rank:
-// O(n log n + n²) total with no candidate copy and no per-ego sort.
+// 2-D: a staircase. Walking outward from the ego, right then left, a
+// point is kept iff its dy = y - ego_y lies in the band [lo, hi] formed by
+// the nearest |dy| above and below among the points with strictly smaller
+// |dx| on its side; equal-x runs are judged as a group against the band at
+// the run's start, and dy == 0 never narrows the band. select() sorts its
+// candidates by x and walks them: O(n log n) per ego.
 //
-// select_brute_force is the literal O(n²)-per-ego rule the fast paths are
-// tested against.
+// select_all() computes the same staircases for the whole point set in
+// O((n + E) log n) for E out-edges. One pass visits the equal-x runs left
+// to right with two min-segment trees over y-rank, one per side, holding
+// the points to the left and to the right of the current run; a leaf holds
+// its point's x-order, mirrored on the left so the smallest key is always
+// the nearest in x. For each ego, the nearest point of a side whose y-rank
+// lies in the band opens the next kept run; the run is judged against the
+// band, the band narrows, and the query repeats on the narrower rank range
+// until it is empty. Ties are exact, not perturbed: rank bounds come from
+// binary search over the same rounded dy the walk compares, and a kept
+// point that stays in the narrowed band (dy == 0, or a dy another point
+// shares) leaves its tree until the ego is done. Each worker thread sweeps
+// a contiguous range of whole runs with its own trees and writes its egos'
+// out-lists at their exact size; the result does not depend on the thread
+// count.
+//
+// select_brute_force is the literal O(n²)-per-ego rule select() is tested
+// against; select_all() is tested against select().
 #pragma once
 
 #include "overlay/selector.hpp"
@@ -40,8 +54,9 @@ class EmptyRectSelector final : public NeighborSelector {
   [[nodiscard]] std::vector<PeerId> select(
       const geometry::Point& ego, std::span<const Candidate> candidates) const override;
 
-  /// 2-D: the shared x-sorted staircase over the whole point set. Other
-  /// dimensions use the per-peer default.
+  /// 2-D: the output-sensitive staircase sweep over the whole point set
+  /// (equal to select() for every peer). Other dimensions use the per-peer
+  /// default.
   [[nodiscard]] std::vector<std::vector<PeerId>> select_all(
       const std::vector<geometry::Point>& points, std::size_t threads) const override;
 

@@ -20,7 +20,8 @@ namespace geomcast::overlay {
 /// The full-knowledge overlay: OverlayGraph(points,
 /// selector.select_all(points, threads)). Every peer's out-list equals
 /// selector.select over all other peers; selectors may share work across
-/// peers (EmptyRectSelector's 2-D staircase sorts the point set once).
+/// peers (EmptyRectSelector's 2-D sweep costs O((n + E) log n) for E
+/// out-edges instead of one O(n log n) selection per peer).
 /// `threads` = 0 picks a sensible hardware default; the result does not
 /// depend on the thread count.
 [[nodiscard]] OverlayGraph build_equilibrium(const std::vector<geometry::Point>& points,

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <string>
+
 #include "analysis/graph_metrics.hpp"
 #include "geometry/random_points.hpp"
 #include "overlay/empty_rect.hpp"
@@ -30,25 +33,83 @@ TEST(EquilibriumTest, SelectAllMatchesPerPeerSelect2D) {
   for (std::size_t n : {0u, 1u, 2u, 3u, 64u, 1500u}) {
     util::Rng rng(40 + n);
     const auto points = geometry::random_points(rng, n, 2, 100.0);
-    for (std::size_t threads : {1u, 8u}) expect_matches_per_peer(points, selector, threads);
+    for (std::size_t threads : {1u, 2u, 8u}) expect_matches_per_peer(points, selector, threads);
   }
 }
 
-TEST(EquilibriumTest, SelectAllMatchesPerPeerSelectOnLattice) {
-  // A 12x12 integer lattice with a few points removed: every x and y value
-  // is shared by up to 12 peers, so the staircase must judge equal-x runs
-  // as a group, and zero offsets must be kept.
+/// An integer lattice of side x side with every 7th point (from the 4th)
+/// removed.
+std::vector<geometry::Point> lattice_with_holes(int side) {
   std::vector<geometry::Point> points;
-  for (int i = 0; i < 144; ++i)
-    if (i % 7 != 3) points.push_back(geometry::Point({double(i % 12), double(i / 12)}));
+  for (int i = 0; i < side * side; ++i)
+    if (i % 7 != 3) points.push_back(geometry::Point({double(i % side), double(i / side)}));
+  return points;
+}
+
+struct TieSet {
+  std::string name;
+  std::vector<geometry::Point> points;
+  /// False when offsets round: the staircase compares dy = y - ego_y as
+  /// computed, the literal rule exact coordinates, so the two may differ.
+  bool literal = true;
+};
+
+/// 2-D point sets full of ties: shared x and y values, coincident points,
+/// sets that are a single equal-x or equal-y run, the smallest sizes, and
+/// distinct y values whose offsets from far-away egos round together.
+std::vector<TieSet> tie_battery() {
+  std::vector<TieSet> sets;
+  for (int side : {10, 12, 40})
+    sets.push_back({"lattice " + std::to_string(side), lattice_with_holes(side)});
+  for (double step : {0.1, 1.0, 10.0}) {  // 1e-3, 1e-2 and 1e-1 of the range
+    util::Rng rng(42);
+    auto points = geometry::random_points(rng, 300, 2, 100.0);
+    for (auto& p : points)
+      p = geometry::Point({std::round(p[0] / step) * step, std::round(p[1] / step) * step});
+    sets.push_back({"rounded to " + std::to_string(step), std::move(points)});
+  }
+  util::Rng rng(43);
+  auto duplicated = geometry::random_points(rng, 150, 2, 100.0);
+  for (std::size_t i = 0; i < 150; i += 3) duplicated.push_back(duplicated[i]);
+  duplicated.push_back(duplicated.front());
+  sets.push_back({"duplicated", std::move(duplicated)});
+  std::vector<geometry::Point> column, row;
+  for (int i = 0; i < 60; ++i) {
+    const double v = double(rng.uniform_int(0, 40));
+    column.push_back(geometry::Point({5.0, v}));
+    row.push_back(geometry::Point({v, 5.0}));
+  }
+  sets.push_back({"one column", std::move(column)});
+  sets.push_back({"one row", std::move(row)});
+  for (std::size_t n : {0u, 1u, 2u, 3u})
+    sets.push_back({"random " + std::to_string(n), geometry::random_points(rng, n, 2, 100.0)});
+  sets.push_back({"two coincident", std::vector<geometry::Point>(2, geometry::Point({1.0, 2.0}))});
+  // Doubles near 1e16 are 2 apart, so y in [0, 4) seen from y ~ 1e16
+  // collapses onto a few offsets.
+  std::vector<geometry::Point> rounding;
+  for (int i = 0; i < 300; ++i)
+    rounding.push_back(geometry::Point({rng.uniform(0.0, 1.0), rng.uniform(0.0, 4.0)}));
+  for (int i = 0; i < 200; ++i)
+    rounding.push_back(geometry::Point({rng.uniform(0.0, 1.0), 1e16 + 2.0 * (i % 5)}));
+  sets.push_back({"rounding", std::move(rounding), false});
+  return sets;
+}
+
+TEST(EquilibriumTest, SelectAllMatchesPerPeerSelectOnLattice) {
+  // Every set shares x and y values between many peers, so the staircase
+  // must judge equal-x runs as a group, keep zero offsets, and treat
+  // coincident points as never blocking each other.
   const EmptyRectSelector selector;
-  expect_matches_per_peer(points, selector, 1);
-  expect_matches_per_peer(points, selector, 8);
-  const auto graph = build_equilibrium(points, selector);
-  for (PeerId p = 0; p < points.size(); ++p) {
-    EXPECT_EQ(graph.selected(p),
-              EmptyRectSelector::select_brute_force(points[p], candidates_excluding(points, p)))
-        << "peer " << p;
+  for (const auto& [name, points, literal] : tie_battery()) {
+    SCOPED_TRACE(name);
+    for (std::size_t threads : {1u, 2u, 8u}) expect_matches_per_peer(points, selector, threads);
+    if (!literal || points.size() > 400) continue;  // the literal rule is cubic
+    const auto graph = build_equilibrium(points, selector);
+    for (PeerId p = 0; p < points.size(); ++p) {
+      EXPECT_EQ(graph.selected(p),
+                EmptyRectSelector::select_brute_force(points[p], candidates_excluding(points, p)))
+          << "peer " << p;
+    }
   }
 }
 
@@ -70,12 +131,18 @@ TEST(EquilibriumTest, EmptyAndSingletonInputs) {
 }
 
 TEST(EquilibriumTest, ResultIndependentOfThreadCount) {
-  util::Rng rng(21);
-  const auto points = geometry::random_points(rng, 300, 3, 100.0);
   EmptyRectSelector selector;
-  const auto sequential = build_equilibrium(points, selector, 1);
-  const auto parallel = build_equilibrium(points, selector, 8);
-  EXPECT_EQ(sequential, parallel);
+  for (std::size_t dims : {2u, 3u}) {
+    util::Rng rng(21);
+    const auto points = geometry::random_points(rng, dims == 2 ? 3000 : 300, dims, 100.0);
+    const auto sequential = build_equilibrium(points, selector, 1);
+    for (std::size_t threads : {2u, 3u, 8u}) {
+      const auto parallel = build_equilibrium(points, selector, threads);
+      for (PeerId p = 0; p < points.size(); ++p)
+        ASSERT_EQ(sequential.selected(p), parallel.selected(p))
+            << "dims " << dims << " threads " << threads << " peer " << p;
+    }
+  }
 }
 
 TEST(EquilibriumTest, EquilibriumIsAFixedPoint) {

@@ -54,6 +54,20 @@ INSTANTIATE_TEST_SUITE_P(Sweep, RoutingDeliveryTest,
                          ::testing::Combine(::testing::Values(2, 3, 4, 5),
                                             ::testing::Values(93u, 94u)));
 
+TEST(RoutingTest, AlwaysDeliversAt10kPeers) {
+  // The exact full-knowledge overlay at a size the small sweeps above do
+  // not reach: 2000 seeded random pairs, every one delivered.
+  const auto graph = make_overlay(10000, 2, 90);
+  util::Rng rng(90);
+  std::size_t delivered = 0;
+  for (int i = 0; i < 2000; ++i) {
+    const auto s = static_cast<PeerId>(rng.next_below(graph.size()));
+    const auto d = static_cast<PeerId>(rng.next_below(graph.size()));
+    if (route_greedy(graph, s, d).delivered) ++delivered;
+  }
+  EXPECT_EQ(delivered, 2000u);
+}
+
 TEST(RoutingTest, EveryHopUsesAnOverlayEdgeAndShrinksL1) {
   const auto graph = make_overlay(100, 3, 95);
   const auto result = route_greedy(graph, 0, 99);

@@ -4,6 +4,23 @@
 #include <utility>
 
 namespace geomcast::groups {
+namespace {
+
+/// Subscribers in `relay`'s subtree of `gt` (the relay included): the
+/// deliveries a kill of the relay severs.
+std::size_t subscribers_below(const GroupTree& gt, PeerId relay) {
+  std::size_t subs = 0;
+  std::vector<PeerId> stack{relay};
+  while (!stack.empty()) {
+    const PeerId q = stack.back();
+    stack.pop_back();
+    if (gt.is_subscriber[q]) ++subs;
+    for (const PeerId c : gt.tree.children(q)) stack.push_back(c);
+  }
+  return subs;
+}
+
+}  // namespace
 
 void schedule_midwave_kill(
     PubSubSystem& system, GroupId group, double wave_time,
@@ -23,14 +40,7 @@ void schedule_midwave_kill(
           if (!gt->tree.reached(p) || p == gt->tree.root()) continue;
           if (member_anywhere[p] || !system.manager().alive(p)) continue;
           if (gt->tree.children(p).empty()) continue;
-          std::size_t subs = 0;  // subscriber descendants via DFS
-          std::vector<PeerId> stack{p};
-          while (!stack.empty()) {
-            const PeerId q = stack.back();
-            stack.pop_back();
-            if (gt->is_subscriber[q]) ++subs;
-            for (const PeerId c : gt->tree.children(q)) stack.push_back(c);
-          }
+          const std::size_t subs = subscribers_below(*gt, p);
           if (subs > best_subs) {
             best = p;
             best_subs = subs;
@@ -74,14 +84,7 @@ void schedule_root_kill(
           if (!system.manager().alive(p) || p == replica) continue;
           if (p < member_anywhere.size() && member_anywhere[p]) continue;
           if (gt->tree.children(p).empty()) continue;
-          std::size_t subs = 0;  // subscriber descendants via DFS
-          std::vector<PeerId> stack{p};
-          while (!stack.empty()) {
-            const PeerId q = stack.back();
-            stack.pop_back();
-            if (gt->is_subscriber[q]) ++subs;
-            for (const PeerId c : gt->tree.children(q)) stack.push_back(c);
-          }
+          const std::size_t subs = subscribers_below(*gt, p);
           if (subs > best_subs) {
             best = p;
             best_subs = subs;

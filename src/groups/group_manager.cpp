@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <span>
 #include <stdexcept>
 
 #include "geometry/distance.hpp"
@@ -104,8 +105,8 @@ geometry::Point GroupManager::hash_point(GroupId group, std::uint32_t slot) cons
   // Hash the group id to a point inside the peers' bounding box — any peer
   // can recompute this locally from the group id, so the rendezvous needs
   // no directory. Replica slots salt the stream before the per-dimension
-  // draws; slot 0's salt is zero, so its point is bit-identical to the
-  // historic single-root rendezvous point.
+  // draws; slot 0's salt is zero, so its point is the group's unsalted
+  // rendezvous point.
   const std::size_t dims = graph_.dims();
   std::uint64_t sm = config_.rendezvous_seed ^ (group * 0x9e3779b97f4a7c15ULL);
   sm ^= static_cast<std::uint64_t>(slot) * 0xbf58476d1ce4e5b9ULL;
@@ -118,67 +119,45 @@ geometry::Point GroupManager::hash_point(GroupId group, std::uint32_t slot) cons
   return target;
 }
 
-PeerId GroupManager::nearest_to(const geometry::Point& target, const PeerId* exclude,
-                                std::size_t exclude_count) const {
+PeerId GroupManager::nearest_to(const geometry::Point& target,
+                                std::span<const ShardSlot> taken) const {
   PeerId best = kInvalidPeer;
   double best_dist = 0.0;
   for (PeerId p = 0; p < graph_.size(); ++p) {
     if (!alive_[p]) continue;
-    bool excluded = false;
-    for (std::size_t i = 0; i < exclude_count; ++i)
-      if (p == exclude[i]) {
-        excluded = true;
-        break;
-      }
-    if (excluded) continue;
     const double dist = geometry::l1_distance(graph_.point(p), target);
-    if (best == kInvalidPeer || dist < best_dist) {
-      best = p;
-      best_dist = dist;
-    }
+    if (best != kInvalidPeer && dist >= best_dist) continue;
+    if (std::any_of(taken.begin(), taken.end(),
+                    [p](const ShardSlot& slot) { return slot.root == p; }))
+      continue;
+    best = p;
+    best_dist = dist;
   }
-  return best;
-}
-
-PeerId GroupManager::rendezvous_nearest(GroupId group, PeerId exclude) const {
-  // With `exclude` set to the current root, the scan yields the group's
-  // replica: the deterministic successor a root death would promote.
-  return nearest_to(hash_point(group, 0), &exclude, 1);
-}
-
-PeerId GroupManager::rendezvous_root(GroupId group) const {
-  const PeerId best = rendezvous_nearest(group, kInvalidPeer);
-  if (best == kInvalidPeer)
-    throw std::runtime_error("GroupManager: no alive peer can host the group");
   return best;
 }
 
 GroupManager::GroupState& GroupManager::state_of_slow(GroupId group) {
-  auto [it, inserted] = groups_.try_emplace(group);
-  GroupState& gs = it->second;
-  if (inserted) {
+  auto it = groups_.find(group);
+  if (it == groups_.end()) {
+    GroupState gs;
     gs.subscribers.assign(graph_.size(), false);
-    gs.root = rendezvous_root(group);
-    if (config_.root_replicas > 1) init_slots(group, gs);
+    gs.slots.resize(root_replicas());
+    for (std::uint32_t s = 0; s < gs.slots.size(); ++s) {
+      gs.anchors.push_back(hash_point(group, s));
+      gs.slots[s].members.assign(graph_.size(), false);
+    }
+    // Slot 0 elects first, unopposed, so its root is the group's
+    // rendezvous root; later slots exclude the earlier roots so R alive
+    // peers yield R distinct replicas.
+    for (std::uint32_t s = 0; s < gs.slots.size(); ++s)
+      gs.slots[s].root = recompute_slot_root(gs, s);
+    if (gs.slots[0].root == kInvalidPeer)
+      throw std::runtime_error("GroupManager: no alive peer can host the group");
+    it = groups_.emplace(group, std::move(gs)).first;
   }
   state_cache_group_ = group;
-  state_cache_ = &gs;
-  return gs;
-}
-
-void GroupManager::init_slots(GroupId group, GroupState& gs) {
-  const std::size_t replicas = config_.root_replicas;
-  gs.anchors.reserve(replicas);
-  for (std::uint32_t s = 0; s < replicas; ++s)
-    gs.anchors.push_back(hash_point(group, s));
-  gs.slots.resize(replicas);
-  for (ShardSlot& slot : gs.slots) slot.members.assign(graph_.size(), false);
-  // Slot 0's anchor is the legacy rendezvous point, so its root is the
-  // legacy root; later slots exclude the earlier roots so R alive peers
-  // yield R distinct replicas.
-  gs.slots[0].root = gs.root;
-  for (std::uint32_t s = 1; s < replicas; ++s)
-    gs.slots[s].root = recompute_slot_root(gs, s);
+  state_cache_ = &it->second;
+  return it->second;
 }
 
 std::uint32_t GroupManager::owner_slot_of(const GroupState& gs, PeerId peer) const {
@@ -195,57 +174,56 @@ std::uint32_t GroupManager::owner_slot_of(const GroupState& gs, PeerId peer) con
   return best;
 }
 
-PeerId GroupManager::recompute_slot_root(const GroupState& gs, std::uint32_t slot) const {
-  PeerId exclude[64];
-  std::size_t exclude_count = 0;
-  for (std::uint32_t s = 0; s < gs.slots.size(); ++s) {
-    if (s == slot) continue;
-    const PeerId other = gs.slots[s].root;
-    if (other != kInvalidPeer && exclude_count < 64) exclude[exclude_count++] = other;
+GroupManager::ShardSlot& GroupManager::set_member(GroupState& gs, PeerId peer,
+                                                  bool member) {
+  ShardSlot& slot = gs.slots[owner_slot_of(gs, peer)];
+  gs.subscribers[peer] = member;
+  slot.members[peer] = member;
+  if (member) {
+    ++gs.count;
+    ++slot.count;
+  } else {
+    --gs.count;
+    --slot.count;
   }
-  const PeerId best = nearest_to(gs.anchors[slot], exclude, exclude_count);
-  // Fewer alive peers than replicas: double up rather than orphan the slot.
-  if (best != kInvalidPeer) return best;
-  return nearest_to(gs.anchors[slot], nullptr, 0);
+  return slot;
 }
 
-PeerId GroupManager::root_of(GroupId group) { return state_of(group).root; }
+PeerId GroupManager::recompute_slot_root(const GroupState& gs, std::uint32_t slot) const {
+  // The slot's own root is dead or unset whenever it is re-elected, so
+  // skipping every slot's root excludes exactly the other slots'.
+  const PeerId best = nearest_to(gs.anchors[slot], gs.slots);
+  // Fewer alive peers than replicas: double up rather than orphan the slot.
+  if (best != kInvalidPeer) return best;
+  return nearest_to(gs.anchors[slot], {});
+}
+
+PeerId GroupManager::root_of(GroupId group) { return state_of(group).slots[0].root; }
 
 std::uint32_t GroupManager::owner_slot(GroupId group, PeerId peer) {
-  if (config_.root_replicas <= 1) return 0;
   return owner_slot_of(state_of(group), peer);
 }
 
 PeerId GroupManager::slot_root(GroupId group, std::uint32_t slot) {
-  GroupState& gs = state_of(group);
-  if (gs.slots.empty()) return gs.root;
-  return gs.slots[slot].root;
+  return state_of(group).slots[slot].root;
 }
 
 PeerId GroupManager::owner_root(GroupId group, PeerId peer) {
   GroupState& gs = state_of(group);
-  if (gs.slots.empty()) return gs.root;
   return gs.slots[owner_slot_of(gs, peer)].root;
 }
 
 std::shared_ptr<const GroupTree> GroupManager::slot_tree_snapshot(GroupId group,
                                                                   std::uint32_t slot) {
   GroupState& gs = state_of(group);
-  if (gs.slots.empty()) {
-    if (gs.count == 0) return nullptr;
-    refresh_tree(group, gs);
-    return gs.cached;
-  }
   ShardSlot& s = gs.slots[slot];
   if (s.count == 0) return nullptr;
-  refresh_slot_tree(group, gs, slot);
+  refresh_tree(group, gs.stats, s);
   return s.cached;
 }
 
 std::size_t GroupManager::slot_member_count(GroupId group, std::uint32_t slot) {
-  GroupState& gs = state_of(group);
-  if (gs.slots.empty()) return gs.count;
-  return gs.slots[slot].count;
+  return state_of(group).slots[slot].count;
 }
 
 void GroupManager::subscribe(GroupId group, PeerId peer) {
@@ -255,41 +233,21 @@ void GroupManager::subscribe(GroupId group, PeerId peer) {
     throw std::invalid_argument("GroupManager::subscribe: peer has departed");
   GroupState& gs = state_of(group);
   if (gs.subscribers[peer]) return;  // duplicate subscribe is a no-op
-  gs.subscribers[peer] = true;
-  ++gs.count;
   ++gs.stats.subscribes;
-  if (!gs.slots.empty()) {
-    // Sharded: the membership lands in the owner slot's shard; the graft
-    // rule below applies to the shard tree, not a whole-group tree.
-    ShardSlot& slot = gs.slots[owner_slot_of(gs, peer)];
-    slot.members[peer] = true;
-    ++slot.count;
-    if (slot.cached && !slot.dirty && !slot.cached->zones_stale) {
-      const auto graft =
-          graft_subscriber(graph_, writable_tree(slot.cached), peer, config_.tree, alive_);
-      if (graft.attached) {
-        ++gs.stats.grafts;
-        gs.stats.graft_messages += graft.messages;
-      } else {
-        slot.dirty = true;
-      }
-    } else {
-      slot.dirty = true;
-    }
-    return;
-  }
-  if (gs.cached && !gs.dirty && !gs.cached->zones_stale) {
-    const auto graft = graft_subscriber(graph_, writable_tree(gs.cached), peer, config_.tree, alive_);
+  ShardSlot& slot = set_member(gs, peer, true);
+  if (graftable(slot)) {
+    const auto graft =
+        graft_subscriber(graph_, writable_tree(slot.cached), peer, config_.tree, alive_);
     if (graft.attached) {
       // Grafts are exact (the tree equals a fresh build), so they do not
       // count toward drift.
       ++gs.stats.grafts;
       gs.stats.graft_messages += graft.messages;
     } else {
-      gs.dirty = true;  // stranded graft: rebuild lazily on next publish
+      slot.dirty = true;  // stranded graft: rebuild lazily on next publish
     }
   } else {
-    gs.dirty = true;
+    slot.dirty = true;
   }
 }
 
@@ -300,30 +258,13 @@ void GroupManager::unsubscribe(GroupId group, PeerId peer) {
   if (it == groups_.end()) return;  // unknown group: no-op, no state created
   GroupState& gs = it->second;
   if (!gs.subscribers[peer]) return;
-  gs.subscribers[peer] = false;
-  --gs.count;
   ++gs.stats.unsubscribes;
-  if (!gs.slots.empty()) {
-    ShardSlot& slot = gs.slots[owner_slot_of(gs, peer)];
-    if (slot.members[peer]) {
-      slot.members[peer] = false;
-      --slot.count;
-    }
-    if (slot.cached && !slot.dirty && slot.cached->is_subscriber[peer]) {
-      const bool touched = slot.cached->tree.reached(peer);
-      const std::size_t removed = prune_subscriber(writable_tree(slot.cached), peer);
-      if (touched) {
-        ++gs.stats.prunes;
-        gs.stats.prune_messages += removed;
-      }
-    }
-    return;
-  }
-  if (gs.cached && !gs.dirty && gs.cached->is_subscriber[peer]) {
+  ShardSlot& slot = set_member(gs, peer, false);
+  if (slot.cached && !slot.dirty && slot.cached->is_subscriber[peer]) {
     // Only a spanned subscriber's departure edits the tree; a stranded one
     // is membership-only and must not count toward drift.
-    const bool touched = gs.cached->tree.reached(peer);
-    const std::size_t removed = prune_subscriber(writable_tree(gs.cached), peer);
+    const bool touched = slot.cached->tree.reached(peer);
+    const std::size_t removed = prune_subscriber(writable_tree(slot.cached), peer);
     if (touched) {  // prunes are exact too: no drift, just bookkeeping
       ++gs.stats.prunes;
       gs.stats.prune_messages += removed;
@@ -339,34 +280,14 @@ GroupManager::SubscribeNeed GroupManager::subscribe_membership(GroupId group,
     throw std::invalid_argument("GroupManager::subscribe_membership: peer has departed");
   GroupState& gs = state_of(group);
   const bool fresh = !gs.subscribers[peer];
-  if (fresh) {
-    gs.subscribers[peer] = true;
-    ++gs.count;
-    ++gs.stats.subscribes;
-  }
-  if (!gs.slots.empty()) {
-    // Sharded: book the shard membership and answer the graft question
-    // against the owner slot's tree — the same rule, scoped to the shard.
-    ShardSlot& slot = gs.slots[owner_slot_of(gs, peer)];
-    if (fresh) {
-      slot.members[peer] = true;
-      ++slot.count;
-    }
-    const bool slot_graftable =
-        slot.cached && !slot.dirty && !slot.cached->zones_stale;
-    if (slot_graftable &&
-        !(slot.cached->is_subscriber[peer] && slot.cached->tree.reached(peer)))
-      return SubscribeNeed::kGraft;
-    if (fresh && !slot_graftable) slot.dirty = true;
-    return SubscribeNeed::kNone;
-  }
-  const bool graftable = gs.cached && !gs.dirty && !gs.cached->zones_stale;
-  if (graftable &&
-      !(gs.cached->is_subscriber[peer] && gs.cached->tree.reached(peer)))
+  if (fresh) ++gs.stats.subscribes;
+  ShardSlot& slot = fresh ? set_member(gs, peer, true) : gs.slots[owner_slot_of(gs, peer)];
+  const bool can_graft = graftable(slot);
+  if (can_graft && !(slot.cached->is_subscriber[peer] && slot.cached->tree.reached(peer)))
     return SubscribeNeed::kGraft;
   // Mirror subscribe(): a fresh member without a graftable tree rides the
   // next publish's lazy rebuild; duplicates leave the cache flags alone.
-  if (fresh && !graftable) gs.dirty = true;
+  if (fresh && !can_graft) slot.dirty = true;
   return SubscribeNeed::kNone;
 }
 
@@ -375,20 +296,25 @@ std::uint64_t GroupManager::graft_begin(GroupId group, PeerId subscriber, PeerId
   if (subscriber >= graph_.size() || !alive_[subscriber] ||
       !gs.subscribers[subscriber])
     return 0;
-  // Sharded groups graft into the subscriber's owner-slot tree; the view
-  // binds the legacy whole-group fields otherwise, so the checks and the
-  // cursor are exactly the historic ones at R == 1.
-  const std::uint32_t slot = gs.slots.empty() ? 0 : owner_slot_of(gs, subscriber);
-  const SlotView v = view_of(gs, slot);
-  if (v.root != root || !*v.cached || *v.dirty || (*v.cached)->zones_stale) return 0;
+  // The graft splices into the subscriber's owner-slot tree.
+  const std::uint32_t slot = owner_slot_of(gs, subscriber);
+  const ShardSlot& s = gs.slots[slot];
+  if (s.root != root || !graftable(s)) return 0;
   if (!grafting_.insert({group, subscriber}).second) return 0;  // one at a time
   const std::uint64_t id = next_graft_id_++;
   grafts_.emplace(id, InFlightGraft{group, subscriber, root, slot,
-                                    graft_cursor(**v.cached, subscriber), clock_now()});
+                                    graft_cursor(*s.cached, subscriber), clock_now()});
   if (tracer_.enabled())
     tracer_.emit({clock_now(), obs::TraceEventType::kGraftBegin, group, id, 0, 0,
                   root, subscriber});
   return id;
+}
+
+bool GroupManager::graft_valid(const InFlightGraft& g) const {
+  const GroupState& gs = groups_.at(g.group);
+  const ShardSlot& s = gs.slots[g.slot];
+  return alive_[g.subscriber] && gs.subscribers[g.subscriber] && s.root == g.root &&
+         graftable(s) && s.cached->tree.reached(g.cursor.current);
 }
 
 GroupManager::GraftAdvance GroupManager::graft_advance(std::uint64_t graft_id,
@@ -397,19 +323,15 @@ GroupManager::GraftAdvance GroupManager::graft_advance(std::uint64_t graft_id,
   const auto it = grafts_.find(graft_id);
   if (it == grafts_.end()) return advance;  // aborted while the request flew
   InFlightGraft& g = it->second;
-  GroupState& gs = groups_.at(g.group);
-  const SlotView v = view_of(gs, g.slot);
   // The cursor is only valid against the exact tree state it left: any
   // rebuild, repair (stale zones), migration, membership change, or death
   // of subscriber/current since the previous step fails the descent here
   // rather than replaying it against a tree it never saw.
-  if (!alive_[g.subscriber] || !gs.subscribers[g.subscriber] || v.root != g.root ||
-      !*v.cached || *v.dirty || (*v.cached)->zones_stale ||
-      self != g.cursor.current || !(*v.cached)->tree.reached(g.cursor.current))
-    return advance;
+  if (self != g.cursor.current || !graft_valid(g)) return advance;
+  GroupState& gs = groups_.at(g.group);
   const std::size_t decisions_before = g.cursor.steps;
-  const GraftStep step = graft_step(graph_, writable_tree(*v.cached), g.cursor,
-                                    config_.tree, alive_);
+  const GraftStep step = graft_step(graph_, writable_tree(gs.slots[g.slot].cached),
+                                    g.cursor, config_.tree, alive_);
   gs.stats.graft_messages += g.cursor.steps - decisions_before;
   switch (step.status) {
     case GraftStatus::kAttached:
@@ -445,11 +367,10 @@ bool GroupManager::graft_finish(std::uint64_t graft_id) {
   // blocked by the in-flight guard below (graft_begin returns 0) — so a
   // member can end up owed a span no descent will ever provide. Defer to
   // a rebuild rather than leave a clean cache that never delivers.
-  const SlotView v = view_of(gs, it->second.slot);
-  if (gs.subscribers[subscriber] && *v.cached && !*v.dirty &&
-      !((*v.cached)->is_subscriber[subscriber] &&
-        (*v.cached)->tree.reached(subscriber)))
-    *v.dirty = true;
+  ShardSlot& slot = gs.slots[it->second.slot];
+  if (gs.subscribers[subscriber] && slot.cached && !slot.dirty &&
+      !(slot.cached->is_subscriber[subscriber] && slot.cached->tree.reached(subscriber)))
+    slot.dirty = true;
   grafting_.erase({it->second.group, subscriber});
   grafts_.erase(it);
   return true;
@@ -464,7 +385,7 @@ std::optional<GroupManager::AbortedGraft> GroupManager::graft_abort(
   // The half-grafted relay path (if any) serves nobody: dirty the cache so
   // the next publish rebuilds — spanning the subscriber's membership if it
   // survived — instead of publishing down dangling edges forever.
-  *view_of(gs, it->second.slot).dirty = true;
+  gs.slots[it->second.slot].dirty = true;
   ++gs.stats.graft_aborts;
   if (tracer_.enabled())
     tracer_.emit({clock_now(), obs::TraceEventType::kGraftAbort, aborted.group,
@@ -509,71 +430,50 @@ void GroupManager::depart_outside_tree(std::shared_ptr<GroupTree>& cached, PeerI
   if (stales_zones) mark_zones_stale(gt);
 }
 
-void GroupManager::refresh_tree_core(GroupId group, GroupStats& stats, PeerId root,
-                                     const std::vector<bool>& members,
-                                     std::size_t count,
-                                     std::shared_ptr<GroupTree>& cached, bool& dirty,
-                                     std::size_t& repairs_since_build) {
+void GroupManager::refresh_tree(GroupId group, GroupStats& stats, ShardSlot& slot) {
   const bool drifted =
-      repairs_since_build >
-      config_.rebuild_threshold * static_cast<double>(std::max<std::size_t>(count, 1));
-  if (cached && !dirty && !drifted) {
+      slot.repairs_since_build >
+      config_.rebuild_threshold * static_cast<double>(std::max<std::size_t>(slot.count, 1));
+  if (slot.cached && !slot.dirty && !drifted) {
     ++stats.cache_hits;
     return;
   }
-  cached = std::make_shared<GroupTree>(
-      build_group_tree(graph_, root, members, config_.tree, alive_));
-  dirty = false;
-  repairs_since_build = 0;
+  slot.cached = std::make_shared<GroupTree>(
+      build_group_tree(graph_, slot.root, slot.members, config_.tree, alive_));
+  slot.dirty = false;
+  slot.repairs_since_build = 0;
   ++stats.tree_builds;
-  stats.build_messages += cached->build_messages;
+  stats.build_messages += slot.cached->build_messages;
   // seq fields double as build cost / span here (kTreeBuild is not
   // seq-scoped, so the wave query never misreads them).
   if (tracer_.enabled())
     tracer_.emit({clock_now(), obs::TraceEventType::kTreeBuild, group, obs::kNoWave,
-                  cached->build_messages, cached->reached_subscribers, root});
+                  slot.cached->build_messages, slot.cached->reached_subscribers,
+                  slot.root});
   // A fresh recursion under churn can strand subscribers a repaired tree
   // kept (a dead delegate walls off their slices); splice them back via
   // greedy routes so a rebuild is never WORSE than the repair it replaced.
   // Rescue paths deviate from the recursion like repairs do, but are not
   // drift: another rebuild would strand — and rescue — identically.
-  const auto rescue = rescue_stranded(graph_, *cached, alive_);
+  const auto rescue = rescue_stranded(graph_, *slot.cached, alive_);
   stats.stranded_rescues += rescue.rescued;
   stats.repair_messages += rescue.messages;
   stats.stranded_subscribers =
-      cached->subscriber_count - cached->reached_subscribers;
-}
-
-void GroupManager::refresh_tree(GroupId group, GroupState& gs) {
-  refresh_tree_core(group, gs.stats, gs.root, gs.subscribers, gs.count, gs.cached,
-                    gs.dirty, gs.repairs_since_build);
-}
-
-void GroupManager::refresh_slot_tree(GroupId group, GroupState& gs,
-                                     std::uint32_t slot) {
-  ShardSlot& s = gs.slots[slot];
-  refresh_tree_core(group, gs.stats, s.root, s.members, s.count, s.cached, s.dirty,
-                    s.repairs_since_build);
+      slot.cached->subscriber_count - slot.cached->reached_subscribers;
 }
 
 const GroupTree* GroupManager::tree(GroupId group) {
-  GroupState& gs = state_of(group);
-  if (gs.count == 0) return nullptr;
-  refresh_tree(group, gs);
-  return gs.cached.get();
+  return slot_tree_snapshot(group, 0).get();  // slot 0 keeps the tree alive
 }
 
 std::shared_ptr<const GroupTree> GroupManager::tree_snapshot(GroupId group) {
-  GroupState& gs = state_of(group);
-  if (gs.count == 0) return nullptr;
-  refresh_tree(group, gs);
-  return gs.cached;
+  return slot_tree_snapshot(group, 0);
 }
 
 const GroupTree* GroupManager::cached_tree(GroupId group) const {
   const auto it = groups_.find(group);
-  if (it == groups_.end() || it->second.dirty) return nullptr;
-  return it->second.cached.get();
+  if (it == groups_.end() || it->second.slots[0].dirty) return nullptr;
+  return it->second.slots[0].cached.get();
 }
 
 std::size_t GroupManager::retain_payload(PeerId peer, GroupId group, std::uint64_t lo,
@@ -607,14 +507,10 @@ std::size_t GroupManager::retained_buffer_count() const noexcept { return retain
 
 PeerId GroupManager::replica_candidate(GroupId group) {
   GroupState& gs = state_of(group);
-  if (gs.slots.empty()) return rendezvous_nearest(group, gs.root);
-  // Sharded: the warm-failover replica must not double as any slot's root,
-  // or one death would cost two shards at once.
-  PeerId exclude[64];
-  std::size_t n = 0;
-  for (const ShardSlot& slot : gs.slots)
-    if (slot.root != kInvalidPeer && n < 64) exclude[n++] = slot.root;
-  return nearest_to(gs.anchors[0], exclude, n);
+  // The warm-failover replica must not double as any slot's root, or one
+  // death would cost two shards at once. At R == 1 this is the successor a
+  // root death would promote.
+  return nearest_to(gs.anchors[0], gs.slots);
 }
 
 PeerId GroupManager::ensure_replica(GroupId group) {
@@ -673,25 +569,13 @@ GroupManager::PublishReceipt GroupManager::publish(GroupId group) {
   GroupState& gs = state_of(group);
   ++gs.stats.publishes;
   PublishReceipt receipt;
-  if (gs.count == 0) return receipt;
-  if (!gs.slots.empty()) {
-    // Sharded oracle: one shard tree per non-empty slot, summed.
-    for (std::uint32_t s = 0; s < gs.slots.size(); ++s) {
-      if (gs.slots[s].count == 0) continue;
-      refresh_slot_tree(group, gs, s);
-      const GroupTree& gt = *gs.slots[s].cached;
-      receipt.payload_messages += gt.tree.edge_count();
-      receipt.delivered += gt.reached_subscribers;
-    }
-    gs.stats.payload_messages += receipt.payload_messages;
-    gs.stats.expected_deliveries += receipt.delivered;
-    gs.stats.deliveries += receipt.delivered;
-    return receipt;
+  // One tree per non-empty slot, summed.
+  for (ShardSlot& slot : gs.slots) {
+    if (slot.count == 0) continue;
+    refresh_tree(group, gs.stats, slot);
+    receipt.payload_messages += slot.cached->tree.edge_count();
+    receipt.delivered += slot.cached->reached_subscribers;
   }
-  refresh_tree(group, gs);
-  const GroupTree& gt = *gs.cached;
-  receipt.payload_messages = gt.tree.edge_count();
-  receipt.delivered = gt.reached_subscribers;
   gs.stats.payload_messages += receipt.payload_messages;
   gs.stats.expected_deliveries += receipt.delivered;
   gs.stats.deliveries += receipt.delivered;  // synchronous path is lossless
@@ -708,16 +592,11 @@ GroupManager::DepartureOutcome GroupManager::handle_departure(PeerId peer) {
   // that would have landed here escalate to the next ancestor instead).
   for (const GroupId group : retained_groups_) retained_.erase(PeerKey{peer, 0, group});
   for (auto& [group, gs] : groups_) {
-    if (!gs.slots.empty()) {
-      handle_departure_sharded_group(group, gs, peer, outcome);
-      continue;
-    }
+    // The surviving owner-slot root owes the replica an unmember delta; a
+    // dying root cannot send one (the promotion bootstrap covers it).
     if (gs.subscribers[peer]) {
-      gs.subscribers[peer] = false;
-      --gs.count;
-      // The surviving root owes its replica an unmember delta; a dying
-      // root cannot send one (the promotion bootstrap covers it instead).
-      if (gs.root != peer) outcome.member_losses.push_back(group);
+      const ShardSlot& owner = set_member(gs, peer, false);
+      if (owner.root != peer) outcome.member_losses.push_back(group);
     }
     if (gs.replica == peer) {
       // The replica died out from under the root: clear the assignment and
@@ -727,163 +606,86 @@ GroupManager::DepartureOutcome GroupManager::handle_departure(PeerId peer) {
       gs.replica_members.clear();
       gs.replica_count = 0;
     }
-    if (gs.root == peer) {
-      // Rendezvous migrates to the next-nearest alive peer; the old root's
-      // tree is useless there. When that successor is the established
-      // replica (it always is while one is assigned — departures only
-      // shrink the alive set), the promotion is warm: the successor keeps
-      // the synced subscriber set and its own RetainedBuffer.
-      const PeerId old_root = gs.root;
-      gs.root = rendezvous_root(group);
-      const bool warm = gs.replica != kInvalidPeer && gs.replica == gs.root;
-      bool consistent = false;
-      if (warm) {
-        // Compare the replica's synced copy against the authoritative set,
-        // masking dead peers in the copy: a promoted root purges the dead
-        // locally (the failure detector is global), so only raced
-        // subscribe/unsubscribe deltas of alive peers count as divergence.
-        consistent = true;
-        for (PeerId p = 0; p < gs.subscribers.size(); ++p) {
-          const bool copy = p < gs.replica_members.size() &&
-                            gs.replica_members[p] && alive_[p];
-          if (copy != static_cast<bool>(gs.subscribers[p])) {
-            consistent = false;
-            break;
+    for (std::uint32_t s = 0; s < gs.slots.size(); ++s) {
+      ShardSlot& slot = gs.slots[s];
+      if (slot.root == peer) {
+        // Promotion by anchor ownership: the next-nearest alive peer to
+        // this slot's (immutable) anchor inherits the whole shard —
+        // membership bits and graft cursors live in the slot, not at the
+        // peer, so the handoff is a root reassignment, and the old root's
+        // tree is useless there. Only slot 0 participates in the
+        // warm-failover replica protocol: when its successor is the
+        // established replica (it always is while one is assigned —
+        // departures only shrink the alive set), the promotion is warm and
+        // the successor keeps the synced subscriber set and its own
+        // RetainedBuffer.
+        slot.root = recompute_slot_root(gs, s);
+        const bool warm = s == 0 && gs.replica != kInvalidPeer && gs.replica == slot.root;
+        bool consistent = false;
+        if (warm) {
+          // Compare the replica's synced copy against the authoritative
+          // set, masking dead peers in the copy: a promoted root purges the
+          // dead locally (the failure detector is global), so only raced
+          // subscribe/unsubscribe deltas of alive peers count as divergence.
+          consistent = true;
+          for (PeerId p = 0; p < gs.subscribers.size(); ++p) {
+            const bool copy = p < gs.replica_members.size() &&
+                              gs.replica_members[p] && alive_[p];
+            if (copy != static_cast<bool>(gs.subscribers[p])) {
+              consistent = false;
+              break;
+            }
           }
+          ++gs.stats.warm_promotions;
         }
-        ++gs.stats.warm_promotions;
+        slot.cached.reset();
+        slot.dirty = true;
+        ++gs.stats.root_migrations;
+        if (s == 0) {
+          // The promoted root owes the group a fresh replica of its own;
+          // the old copy's job is done.
+          gs.replica = kInvalidPeer;
+          gs.replica_members.clear();
+          gs.replica_count = 0;
+        }
+        outcome.promotions.push_back({group, peer, slot.root, warm, consistent, s});
+        if (tracer_.enabled())
+          tracer_.emit({clock_now(), obs::TraceEventType::kRootMigration, group,
+                        obs::kNoWave, 0, 0, slot.root, peer});
+        continue;
       }
-      gs.cached.reset();
-      gs.dirty = true;
-      ++gs.stats.root_migrations;
-      // The promoted root owes the group a fresh replica of its own; the
-      // old copy's job is done.
-      gs.replica = kInvalidPeer;
-      gs.replica_members.clear();
-      gs.replica_count = 0;
-      outcome.promotions.push_back({group, old_root, gs.root, warm, consistent});
-      if (tracer_.enabled())
-        tracer_.emit({clock_now(), obs::TraceEventType::kRootMigration, group,
-                      obs::kNoWave, 0, 0, gs.root, peer});
-      continue;
-    }
-    if (!gs.cached || gs.dirty) continue;
-    if (!gs.cached->tree.reached(peer)) {
-      depart_outside_tree(gs.cached, peer);
-      continue;
-    }
-    const auto repair = repair_group_tree(graph_, writable_tree(gs.cached), peer, alive_);
-    ++gs.stats.repairs;
-    gs.stats.repair_messages += repair.messages;
-    if (repair.needs_rebuild) {
-      ++gs.stats.repair_failures;
-      gs.dirty = true;
-    } else {
-      ++gs.repairs_since_build;
+      if (!slot.cached || slot.dirty) continue;
+      if (!slot.cached->tree.reached(peer)) {
+        depart_outside_tree(slot.cached, peer);
+        continue;
+      }
+      const auto repair = repair_group_tree(graph_, writable_tree(slot.cached), peer, alive_);
+      ++gs.stats.repairs;
+      gs.stats.repair_messages += repair.messages;
+      if (repair.needs_rebuild) {
+        ++gs.stats.repair_failures;
+        slot.dirty = true;
+      } else {
+        ++slot.repairs_since_build;
+      }
     }
   }
   // Sweep the in-flight grafts: any descent whose ground shifted — its
-  // subscriber died or left, its root migrated, its tree was reset or
+  // subscriber died or left, its slot root migrated, its tree was reset or
   // stale-zoned by the repair above, or its current peer fell out of the
   // tree — aborts now rather than limping on to a reject. The survivors
-  // (groups the departure never touched) keep descending. For sharded
-  // groups the view binds the owner slot's tuple, so a slot-root
-  // promotion aborts exactly that shard's descents; the protocol layer
-  // re-issues the subscribes, which route to the promoted successor —
-  // the shard handoff leaks no cursor.
+  // (slots the departure never touched) keep descending. A slot-root
+  // promotion thus aborts exactly that shard's descents; the protocol
+  // layer re-issues the subscribes, which route to the promoted successor
+  // — the shard handoff leaks no cursor.
   for (auto it = grafts_.begin(); it != grafts_.end();) {
-    const InFlightGraft& g = it->second;
-    GroupState& gs = groups_.at(g.group);
-    const SlotView v = view_of(gs, g.slot);
-    const bool valid = alive_[g.subscriber] && gs.subscribers[g.subscriber] &&
-                       v.root == g.root && *v.cached && !*v.dirty &&
-                       !(*v.cached)->zones_stale &&
-                       (*v.cached)->tree.reached(g.cursor.current);
+    const bool valid = graft_valid(it->second);
     const std::uint64_t id = it->first;
     ++it;  // graft_abort erases `id`; advance first
     if (!valid)
       if (const auto a = graft_abort(id)) outcome.aborted_grafts.push_back(*a);
   }
   return outcome;
-}
-
-void GroupManager::handle_departure_sharded_group(GroupId group, GroupState& gs,
-                                                  PeerId peer,
-                                                  DepartureOutcome& outcome) {
-  if (gs.subscribers[peer]) {
-    gs.subscribers[peer] = false;
-    --gs.count;
-    ShardSlot& owner = gs.slots[owner_slot_of(gs, peer)];
-    if (owner.members[peer]) {
-      owner.members[peer] = false;
-      --owner.count;
-    }
-    // The surviving owner-slot root owes the replica an unmember delta; a
-    // dying root cannot send one (the promotion bootstrap covers it).
-    if (owner.root != peer) outcome.member_losses.push_back(group);
-  }
-  if (gs.replica == peer) {
-    outcome.replica_losses.push_back({group, peer});
-    gs.replica = kInvalidPeer;
-    gs.replica_members.clear();
-    gs.replica_count = 0;
-  }
-  for (std::uint32_t s = 0; s < gs.slots.size(); ++s) {
-    ShardSlot& slot = gs.slots[s];
-    if (slot.root == peer) {
-      // Promotion by anchor ownership: the next-nearest alive peer to this
-      // slot's (immutable) anchor inherits the whole shard — membership
-      // bits and graft cursors live in the slot, not at the peer, so the
-      // handoff is a root reassignment, never a cold drop. Only slot 0
-      // participates in the warm-failover replica protocol.
-      const PeerId old_root = slot.root;
-      slot.root = recompute_slot_root(gs, s);
-      const bool warm =
-          s == 0 && gs.replica != kInvalidPeer && gs.replica == slot.root;
-      bool consistent = false;
-      if (warm) {
-        consistent = true;
-        for (PeerId p = 0; p < gs.subscribers.size(); ++p) {
-          const bool copy = p < gs.replica_members.size() &&
-                            gs.replica_members[p] && alive_[p];
-          if (copy != static_cast<bool>(gs.subscribers[p])) {
-            consistent = false;
-            break;
-          }
-        }
-        ++gs.stats.warm_promotions;
-      }
-      slot.cached.reset();
-      slot.dirty = true;
-      slot.repairs_since_build = 0;
-      ++gs.stats.root_migrations;
-      if (s == 0) {
-        gs.root = slot.root;  // root_of stays "the authority's root"
-        gs.replica = kInvalidPeer;
-        gs.replica_members.clear();
-        gs.replica_count = 0;
-      }
-      outcome.promotions.push_back({group, old_root, slot.root, warm, consistent, s});
-      if (tracer_.enabled())
-        tracer_.emit({clock_now(), obs::TraceEventType::kRootMigration, group,
-                      obs::kNoWave, 0, 0, slot.root, peer});
-      continue;
-    }
-    if (!slot.cached || slot.dirty) continue;
-    if (!slot.cached->tree.reached(peer)) {
-      depart_outside_tree(slot.cached, peer);
-      continue;
-    }
-    const auto repair = repair_group_tree(graph_, writable_tree(slot.cached), peer, alive_);
-    ++gs.stats.repairs;
-    gs.stats.repair_messages += repair.messages;
-    if (repair.needs_rebuild) {
-      ++gs.stats.repair_failures;
-      slot.dirty = true;
-    } else {
-      ++slot.repairs_since_build;
-    }
-  }
 }
 
 const GroupStats& GroupManager::stats(GroupId group) const {

@@ -7,13 +7,14 @@
 // local decisions. The message-driven pipeline (groups/pubsub.hpp) drives
 // it from real envelopes delivered to the roots.
 //
-// Tree caching: a group's tree is built lazily on first publish and shared
-// across publishes. Membership changes update the cached tree
-// incrementally (graft/prune); departures mend it in place via the
-// stability-layer repair rule. A full rebuild happens only when (a) repair
-// gives up or stale zones block a graft, (b) the accumulated incremental
-// changes exceed `rebuild_threshold` times the subscriber count, or (c)
-// the rendezvous root itself departs and the group migrates.
+// Tree caching: each replica slot's tree (at R == 1, slot 0's tree spans
+// the whole group) is built lazily on first publish and shared across
+// publishes. Membership changes update the cached tree incrementally
+// (graft/prune); departures mend it in place via the stability-layer
+// repair rule. A full rebuild happens only when (a) repair gives up or
+// stale zones block a graft, (b) the accumulated incremental changes
+// exceed `rebuild_threshold` times the slot's member count, or (c) the
+// slot's root itself departs and the slot migrates.
 #pragma once
 
 #include <any>
@@ -23,6 +24,7 @@
 #include <memory>
 #include <optional>
 #include <set>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -210,9 +212,10 @@ class GroupManager {
     return grafts_.size();
   }
 
-  /// The group's dissemination tree — built lazily, cached across
-  /// publishes, incrementally maintained. Returns nullptr for a group with
-  /// no subscribers (nothing to span).
+  /// Slot 0's dissemination tree — built lazily, cached across publishes,
+  /// incrementally maintained. At R == 1 slot 0 owns every member, so this
+  /// is the whole group's tree; at R > 1 it is the authority's shard.
+  /// Returns nullptr when slot 0 has no members (nothing to span).
   [[nodiscard]] const GroupTree* tree(GroupId group);
 
   /// Same resolution, returned as a shared snapshot for an in-flight
@@ -221,40 +224,41 @@ class GroupManager {
   /// publishes all share one copy.
   [[nodiscard]] std::shared_ptr<const GroupTree> tree_snapshot(GroupId group);
 
-  /// Pure lookup of the cached tree: no lazy build, no cache-hit
+  /// Pure lookup of slot 0's cached tree: no lazy build, no cache-hit
   /// accounting, nullptr when nothing is cached (or the cache is dirty).
   /// Observation-only — lets benches/tests inspect the tree a wave in
   /// flight is using without perturbing the stats they are measuring.
   [[nodiscard]] const GroupTree* cached_tree(GroupId group) const;
 
-  // -- replica-sharded roots (GroupConfig::root_replicas > 1) --------------
+  // -- replica slots (GroupConfig::root_replicas = R >= 1) -----------------
   // Each group hashes to R immutable anchor points (slot 0's anchor is the
-  // legacy rendezvous point); every slot's root is the alive peer nearest
+  // group's rendezvous point); every slot's root is the alive peer nearest
   // that slot's anchor, excluding the other slots' roots. Subscribers are
   // owned by the slot whose anchor is nearest their coordinate, so the
   // partition is a pure function of geometry and never reshuffles under
   // churn — a slot-root death promotes the next-nearest peer to the SAME
   // anchor, which inherits the whole shard (membership bits, graft
-  // cursors, tree) by construction. At R == 1 these answer slot 0 with the
-  // group's own root and tree, and the slot machinery stays dormant.
+  // cursors, tree) by construction. Every slot owns its own root, members
+  // and cached tree; R == 1 is the one-slot case, where slot 0 owns the
+  // whole group and its root is root_of().
 
-  /// Whether the replica-sharded pipeline is active (root_replicas > 1).
+  /// Whether groups have more than one slot (root_replicas > 1).
   [[nodiscard]] bool sharded() const noexcept { return config_.root_replicas > 1; }
   [[nodiscard]] std::size_t root_replicas() const noexcept {
     return config_.root_replicas > 1 ? config_.root_replicas : 1;
   }
   /// The slot owning `peer` for this group: argmin over anchors of the L1
   /// distance from the peer's coordinate (ties to the lowest slot). Always
-  /// 0 when not sharded.
+  /// 0 at R == 1.
   [[nodiscard]] std::uint32_t owner_slot(GroupId group, PeerId peer);
-  /// The current root of `slot` (== root_of at slot 0 / when not sharded).
+  /// The current root of `slot` (== root_of at slot 0).
   [[nodiscard]] PeerId slot_root(GroupId group, std::uint32_t slot);
   /// slot_root(group, owner_slot(group, peer)) — where this peer's
   /// control traffic (subscribe / unsubscribe / publish) must land.
   [[nodiscard]] PeerId owner_root(GroupId group, PeerId peer);
   /// The slot's shard tree (rooted at the slot root, spanning only the
   /// slot's members), built lazily like tree_snapshot. nullptr when the
-  /// shard is empty. Falls back to the whole-group snapshot at R == 1.
+  /// shard is empty.
   [[nodiscard]] std::shared_ptr<const GroupTree> slot_tree_snapshot(GroupId group,
                                                                     std::uint32_t slot);
   /// Members owned by `slot` (the group's subscriber_count at R == 1).
@@ -309,8 +313,8 @@ class GroupManager {
   // sync stream, never an oracle shortcut.
 
   /// The peer that WOULD be the group's replica right now (pure compute,
-  /// no state change): next-nearest alive peer to the rendezvous point
-  /// excluding the current root; kInvalidPeer when no second peer exists.
+  /// no state change): nearest alive peer to the rendezvous point that
+  /// roots no slot; kInvalidPeer when no such peer exists.
   [[nodiscard]] PeerId replica_candidate(GroupId group);
   /// The established replica, (re)assigning it when unset or dead. A fresh
   /// assignment starts with an empty bookkeeping copy — the caller owes it
@@ -337,10 +341,10 @@ class GroupManager {
   struct RootPromotion {
     GroupId group = 0;
     PeerId old_root = kInvalidPeer;
-    PeerId new_root = kInvalidPeer;
+    PeerId new_root = kInvalidPeer;  ///< kInvalidPeer once no peer is alive
     bool warm = false;
     bool membership_consistent = false;
-    /// Which replica slot migrated (always 0 when not sharded). Only the
+    /// Which replica slot migrated (always 0 at R == 1). Only the
     /// slot-0 (authority) promotion participates in the warm-failover
     /// protocol; other slots hand their shard to the promoted successor
     /// through the anchor-ownership rule alone.
@@ -387,33 +391,30 @@ class GroupManager {
   [[nodiscard]] std::vector<GroupId> known_groups() const;
 
  private:
-  /// One replica slot of a sharded group: its own root, member shard, and
-  /// cached shard tree — the same (root, members, cached, dirty, drift)
-  /// tuple the legacy GroupState keeps for the whole group.
+  /// One replica slot: its root, the members it owns, and the cached tree
+  /// spanning them. A group at R == 1 keeps its whole tree state in slot 0.
   struct ShardSlot {
     PeerId root = kInvalidPeer;
     std::vector<bool> members;
     std::size_t count = 0;
     std::shared_ptr<GroupTree> cached;
-    bool dirty = true;
-    std::size_t repairs_since_build = 0;
-  };
-
-  struct GroupState {
-    std::vector<bool> subscribers;
-    std::size_t count = 0;
-    PeerId root = kInvalidPeer;
-    std::shared_ptr<GroupTree> cached;
     bool dirty = true;  // cached tree (if any) no longer trusted
     std::size_t repairs_since_build = 0;
+  };
+  /// A clean cached tree with exact zones: a graft may splice into it.
+  [[nodiscard]] static bool graftable(const ShardSlot& slot) {
+    return slot.cached && !slot.dirty && !slot.cached->zones_stale;
+  }
+
+  struct GroupState {
+    std::vector<bool> subscribers;  // the union of the slots' members
+    std::size_t count = 0;
     // Warm failover: the established replica and its sync-driven copy of
     // the subscriber set (empty vector until the first delta lands).
     PeerId replica = kInvalidPeer;
     std::vector<bool> replica_members;
     std::size_t replica_count = 0;
-    // Replica sharding (root_replicas > 1 only; both stay empty otherwise).
-    // slots[0].root mirrors `root` so root_of keeps meaning "the authority".
-    std::vector<ShardSlot> slots;
+    std::vector<ShardSlot> slots;          // R >= 1; slot 0 is the authority
     std::vector<geometry::Point> anchors;  // immutable slot hash points
     GroupStats stats;
   };
@@ -425,33 +426,24 @@ class GroupManager {
     return state_of_slow(group);
   }
   GroupState& state_of_slow(GroupId group);
-  [[nodiscard]] PeerId rendezvous_root(GroupId group) const;
-  /// Shared rendezvous scan: nearest alive peer to the group's hash point,
-  /// skipping `exclude`; kInvalidPeer when no candidate remains.
-  [[nodiscard]] PeerId rendezvous_nearest(GroupId group, PeerId exclude) const;
-  /// The deterministic hash point for (group, slot); slot 0 reproduces the
-  /// legacy rendezvous point bit-for-bit.
+  /// The deterministic hash point for (group, slot); slot 0's is the
+  /// group's rendezvous point.
   [[nodiscard]] geometry::Point hash_point(GroupId group, std::uint32_t slot) const;
-  /// Nearest alive peer to `target` skipping the `exclude_count` peers at
-  /// `exclude`; kInvalidPeer when no candidate remains.
-  [[nodiscard]] PeerId nearest_to(const geometry::Point& target, const PeerId* exclude,
-                                  std::size_t exclude_count) const;
-  /// Materializes the slot array + anchors for a first-seen sharded group.
-  void init_slots(GroupId group, GroupState& gs);
+  /// Nearest alive peer to `target` that roots none of `taken`;
+  /// kInvalidPeer when no candidate remains.
+  [[nodiscard]] PeerId nearest_to(const geometry::Point& target,
+                                  std::span<const ShardSlot> taken) const;
   [[nodiscard]] std::uint32_t owner_slot_of(const GroupState& gs, PeerId peer) const;
-  /// Re-elects `slot`'s root: nearest alive peer to its anchor excluding
+  /// Sets `peer`'s membership in the group and in its owner slot (which
+  /// the caller has checked differs); returns the owner slot.
+  ShardSlot& set_member(GroupState& gs, PeerId peer, bool member);
+  /// (Re-)elects `slot`'s root: nearest alive peer to its anchor excluding
   /// the other slots' current roots (falling back to no exclusions when
   /// the alive set is smaller than R).
   [[nodiscard]] PeerId recompute_slot_root(const GroupState& gs, std::uint32_t slot) const;
-  void refresh_tree(GroupId group, GroupState& gs);
-  void refresh_slot_tree(GroupId group, GroupState& gs, std::uint32_t slot);
-  /// The shared lazy-build core behind refresh_tree / refresh_slot_tree:
-  /// identical statements over whichever (root, members, cached, dirty,
-  /// drift) tuple the caller binds, so the R == 1 path stays bit-exact.
-  void refresh_tree_core(GroupId group, GroupStats& stats, PeerId root,
-                         const std::vector<bool>& members, std::size_t count,
-                         std::shared_ptr<GroupTree>& cached, bool& dirty,
-                         std::size_t& repairs_since_build);
+  /// Lazy build: rebuilds the slot's tree when none is cached, it is
+  /// dirty, or repairs drifted it past the rebuild threshold.
+  void refresh_tree(GroupId group, GroupStats& stats, ShardSlot& slot);
   /// COW gate: clones the cached tree iff publish-wave snapshots still
   /// reference it, then returns it for mutation.
   [[nodiscard]] GroupTree& writable_tree(std::shared_ptr<GroupTree>& cached);
@@ -467,27 +459,14 @@ class GroupManager {
     GroupId group = 0;
     PeerId subscriber = kInvalidPeer;
     PeerId root = kInvalidPeer;  // initiating root (invalidates on migration)
-    std::uint32_t slot = 0;      // owning shard (0 when not sharded)
+    std::uint32_t slot = 0;      // owning shard
     GraftCursor cursor;
     double started_at = 0.0;  // clock_ at graft_begin (graft_latency sample)
   };
-
-  /// Uniform view over "the tree-owning tuple" — the legacy whole-group
-  /// fields at R == 1 (or slot-less groups), a ShardSlot's otherwise.
-  /// Validation/mutation code written against this executes the exact
-  /// legacy statements when bound to the legacy fields.
-  struct SlotView {
-    PeerId root;
-    std::shared_ptr<GroupTree>* cached;
-    bool* dirty;
-  };
-  [[nodiscard]] SlotView view_of(GroupState& gs, std::uint32_t slot) {
-    if (gs.slots.empty()) return {gs.root, &gs.cached, &gs.dirty};
-    ShardSlot& s = gs.slots[slot];
-    return {s.root, &s.cached, &s.dirty};
-  }
-  void handle_departure_sharded_group(GroupId group, GroupState& gs, PeerId peer,
-                                      DepartureOutcome& outcome);
+  /// Whether graft `g`'s cursor still matches the live state it left: the
+  /// subscriber alive and a member, its slot's root unchanged, and the
+  /// slot's clean, zone-exact tree still reaching the cursor's peer.
+  [[nodiscard]] bool graft_valid(const InFlightGraft& g) const;
 
   const overlay::OverlayGraph& graph_;
   GroupConfig config_;

@@ -1,7 +1,8 @@
 #include "overlay/orthant_sweep.hpp"
 
 #include <algorithm>
-#include <thread>
+
+#include "overlay/selector.hpp"
 
 namespace geomcast::overlay {
 
@@ -27,21 +28,8 @@ OrthantSweepIndex::OrthantSweepIndex(std::vector<geometry::Point> points,
     }
   };
 
-  const unsigned hw = std::thread::hardware_concurrency();
-  const std::size_t threads = std::min<std::size_t>(hw ? hw : 1, n ? n : 1);
-  if (threads <= 1 || n < 64) {
-    build_for(0, n);
-  } else {
-    std::vector<std::thread> pool;
-    const std::size_t chunk = (n + threads - 1) / threads;
-    for (std::size_t t = 0; t < threads; ++t) {
-      const std::size_t begin = t * chunk;
-      const std::size_t end = std::min(n, begin + chunk);
-      if (begin >= end) break;
-      pool.emplace_back(build_for, begin, end);
-    }
-    for (auto& thread : pool) thread.join();
-  }
+  // Below 64 points the whole precompute costs less than starting a thread.
+  for_each_peer_chunk(n, n < 64 ? 1 : 0, build_for);
 }
 
 std::vector<std::vector<PeerId>> OrthantSweepIndex::select_k(std::size_t k) const {

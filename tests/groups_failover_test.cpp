@@ -382,6 +382,52 @@ TEST(GroupsFailoverTest, SoleWaveSeveranceIsCountedAsBlindWindows) {
   EXPECT_EQ(stats.heartbeat_blind_windows, *severed * stats.heartbeats_sent);
 }
 
+/// At R > 1 the kill helpers read slot 0's shard tree (cached_tree), the
+/// one a publish at the group root builds: the mid-wave victim is a relay of
+/// that shard, and only the shard's subscribers are severed.
+TEST(GroupsFailoverTest, MidwaveKillAtTwoSlotsPicksFromSlotZerosShard) {
+  const auto graph = make_overlay(150, 2, 1409);
+  const GroupId g = 0;
+  PubSubConfig config;
+  config.seed = 103;
+  config.root_replicas = 2;
+  PubSubSystem system(graph, config);
+  const auto members = subscribe_members(system, graph, g, 24, 103);
+  std::vector<bool> member_anywhere(graph.size(), false);
+  for (const PeerId m : members) member_anywhere[m] = true;
+  system.publish_at(5.0, system.manager().root_of(g), g);
+  struct Kill {
+    PeerId relay = kInvalidPeer;
+    std::size_t severed = 0;
+    PeerId tree_root = kInvalidPeer;
+    PeerId slot0_root = kInvalidPeer;
+    std::size_t slot0_members = 0;
+    bool in_tree = false;
+  };
+  auto kill = std::make_shared<Kill>();
+  schedule_midwave_kill(system, g, 5.0, member_anywhere,
+                        [&system, kill, g](PeerId relay, std::size_t severed) {
+                          GroupManager& manager = system.manager();
+                          const GroupTree* gt = manager.cached_tree(g);
+                          kill->relay = relay;
+                          kill->severed = severed;
+                          kill->tree_root = gt->tree.root();
+                          kill->in_tree = gt->tree.reached(relay);
+                          kill->slot0_root = manager.slot_root(g, 0);
+                          kill->slot0_members = manager.slot_member_count(g, 0);
+                        });
+  system.run();
+
+  ASSERT_NE(kill->relay, kInvalidPeer) << "no victim chosen at R = 2";
+  ASSERT_LT(kill->slot0_members, members.size()) << "slot 1 owns nobody; nothing to tell apart";
+  EXPECT_EQ(kill->tree_root, kill->slot0_root);
+  EXPECT_TRUE(kill->in_tree);
+  EXPECT_FALSE(member_anywhere[kill->relay]);
+  EXPECT_GT(kill->severed, 0u);
+  EXPECT_LE(kill->severed, kill->slot0_members);
+  EXPECT_FALSE(system.manager().alive(kill->relay));
+}
+
 TEST(GroupsFailoverTest, WarmKnobIsPassiveOnNoKillSeeds) {
   const auto graph = make_overlay(150, 2, 1405);
   const GroupId g = 0;

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "geometry/random_points.hpp"
 #include "overlay/empty_rect.hpp"
 #include "overlay/equilibrium.hpp"
@@ -266,6 +269,83 @@ TEST(GroupManagerTest, DistinctGroupsGetIndependentTreesAndStats) {
   EXPECT_EQ(total.publishes, 1u);
   EXPECT_EQ(total.subscribes, 2u);
   EXPECT_EQ(manager.known_groups().size(), 2u);
+}
+
+/// Some alive, unsubscribed peer that roots no slot and is owned by `slot`.
+PeerId fresh_slot_peer(GroupManager& manager, GroupId group, std::size_t n,
+                       std::uint32_t slot) {
+  for (PeerId p = 0; p < n; ++p) {
+    bool roots_a_slot = false;
+    for (std::uint32_t s = 0; s < manager.root_replicas(); ++s)
+      roots_a_slot = roots_a_slot || manager.slot_root(group, s) == p;
+    if (!roots_a_slot && manager.alive(p) && !manager.is_subscribed(group, p) &&
+        manager.owner_slot(group, p) == slot)
+      return p;
+  }
+  return kInvalidPeer;
+}
+
+// tree(g) is slot 0's tree at every R: the whole group at R = 1, the
+// authority's shard otherwise. It must follow slot 0's membership through
+// subscribe, unsubscribe and departure.
+TEST(GroupManagerTest, TreeIsSlotZeroAndFollowsItsMembersAtEveryR) {
+  const auto graph = make_overlay(120, 2, 209);
+  for (const std::size_t replicas : {1u, 2u, 4u}) {
+    SCOPED_TRACE("root_replicas=" + std::to_string(replicas));
+    GroupConfig config;
+    config.root_replicas = replicas;
+    GroupManager manager(graph, config);
+    const GroupId g = 5;
+    std::vector<PeerId> members;
+    for (int i = 0; i < 12; ++i) {
+      const auto slot = static_cast<std::uint32_t>(static_cast<std::size_t>(i) % replicas);
+      const PeerId p = fresh_slot_peer(manager, g, graph.size(), slot);
+      ASSERT_NE(p, kInvalidPeer);
+      manager.subscribe(g, p);
+      members.push_back(p);
+    }
+    ASSERT_NE(manager.tree(g), nullptr);  // build slot 0's tree
+
+    manager.subscribe(g, fresh_slot_peer(manager, g, graph.size(), 0));
+    manager.unsubscribe(g, members[0]);
+    manager.handle_departure(members[replicas]);  // slot 0's second member
+
+    const GroupTree* gt = manager.tree(g);
+    ASSERT_NE(gt, nullptr);
+    EXPECT_EQ(gt, manager.slot_tree_snapshot(g, 0).get());
+    EXPECT_EQ(gt->tree.root(), manager.slot_root(g, 0));
+    std::size_t expected = 0;
+    for (PeerId p = 0; p < graph.size(); ++p) {
+      const bool owned = manager.alive(p) && manager.is_subscribed(g, p) &&
+                         manager.owner_slot(g, p) == 0;
+      expected += owned ? 1 : 0;
+      EXPECT_EQ(gt->is_subscriber[p] && gt->tree.reached(p), owned) << "peer " << p;
+    }
+    EXPECT_EQ(gt->subscriber_count, expected);
+    EXPECT_EQ(manager.slot_member_count(g, 0), expected);
+  }
+}
+
+// The last departure leaves every slot rootless; no departure may throw
+// part-way through.
+TEST(GroupManagerTest, DepartingEveryPeerLeavesTheGroupRootless) {
+  const auto graph = make_overlay(30, 2, 210);
+  for (const std::size_t replicas : {1u, 2u}) {
+    SCOPED_TRACE("root_replicas=" + std::to_string(replicas));
+    GroupConfig config;
+    config.root_replicas = replicas;
+    GroupManager manager(graph, config);
+    const GroupId g = 8;
+    for (int i = 0; i < 6; ++i) manager.subscribe(g, fresh_peer(manager, g, graph.size()));
+    (void)manager.publish(g);
+    for (PeerId p = 0; p < graph.size(); ++p)
+      EXPECT_NO_THROW(manager.handle_departure(p)) << "peer " << p;
+    EXPECT_EQ(manager.root_of(g), kInvalidPeer);
+    for (std::uint32_t s = 0; s < replicas; ++s)
+      EXPECT_EQ(manager.slot_root(g, s), kInvalidPeer);
+    EXPECT_EQ(manager.subscriber_count(g), 0u);
+    EXPECT_EQ(manager.tree(g), nullptr);
+  }
 }
 
 }  // namespace

@@ -161,34 +161,44 @@ std::uint64_t trace_digest(const std::vector<obs::TraceEvent>& events) {
 TEST(GroupsReplicaShardTest, AnchorsPartitionPeersAcrossDistinctSlotRoots) {
   const auto graph = make_overlay(200, 2, 1501);
   const GroupId g = 0;
-  PubSubConfig config;
-  config.seed = 199;
-  config.root_replicas = 4;
-  PubSubSystem system(graph, config);
-  subscribe_members(system, graph, g, 16, 199);
-  system.run();
+  // At R = 100 half of the 200 peers root a slot, and all must be distinct.
+  for (const std::size_t replicas : {std::size_t{4}, std::size_t{100}}) {
+    SCOPED_TRACE("root_replicas=" + std::to_string(replicas));
+    PubSubConfig config;
+    config.seed = 199;
+    config.root_replicas = replicas;
+    PubSubSystem system(graph, config);
+    subscribe_members(system, graph, g, 16, 199);
+    system.run();
 
-  auto& manager = system.manager();
-  EXPECT_TRUE(manager.sharded());
-  EXPECT_EQ(manager.root_replicas(), 4u);
-  // Slot 0's anchor is the legacy rendezvous point, so its root is the
-  // legacy root — the R = 1 oracle's root survives sharding unchanged.
-  EXPECT_EQ(manager.slot_root(g, 0), manager.root_of(g));
-  std::set<PeerId> roots;
-  for (std::uint32_t s = 0; s < 4; ++s) {
-    const PeerId root = roots.emplace(manager.slot_root(g, s)).first.operator*();
-    EXPECT_NE(root, kInvalidPeer);
-  }
-  EXPECT_EQ(roots.size(), 4u) << "slot roots must be distinct peers";
-  // The owner partition is total and consistent: every peer maps to one
-  // slot, and that slot's root is its owner root.
-  std::size_t member_total = 0;
-  for (std::uint32_t s = 0; s < 4; ++s) member_total += manager.slot_member_count(g, s);
-  EXPECT_EQ(member_total, 16u);
-  for (PeerId p = 0; p < graph.size(); ++p) {
-    const std::uint32_t slot = manager.owner_slot(g, p);
-    EXPECT_LT(slot, 4u);
-    EXPECT_EQ(manager.owner_root(g, p), manager.slot_root(g, slot));
+    auto& manager = system.manager();
+    EXPECT_TRUE(manager.sharded());
+    EXPECT_EQ(manager.root_replicas(), replicas);
+    // Slot 0's anchor is the group's rendezvous point, so its root is the
+    // R = 1 root — sharding never moves the authority.
+    EXPECT_EQ(manager.slot_root(g, 0), manager.root_of(g));
+    std::set<PeerId> roots;
+    for (std::uint32_t s = 0; s < replicas; ++s) {
+      const PeerId root = manager.slot_root(g, s);
+      EXPECT_NE(root, kInvalidPeer);
+      roots.insert(root);
+    }
+    EXPECT_EQ(roots.size(), replicas) << "slot roots must be distinct peers";
+    // The warm-failover replica roots no slot: one death costs one shard.
+    const PeerId replica = manager.replica_candidate(g);
+    EXPECT_NE(replica, kInvalidPeer);
+    EXPECT_EQ(roots.count(replica), 0u);
+    // The owner partition is total and consistent: every peer maps to one
+    // slot, and that slot's root is its owner root.
+    std::size_t member_total = 0;
+    for (std::uint32_t s = 0; s < replicas; ++s)
+      member_total += manager.slot_member_count(g, s);
+    EXPECT_EQ(member_total, 16u);
+    for (PeerId p = 0; p < graph.size(); ++p) {
+      const std::uint32_t slot = manager.owner_slot(g, p);
+      EXPECT_LT(slot, replicas);
+      EXPECT_EQ(manager.owner_root(g, p), manager.slot_root(g, slot));
+    }
   }
 }
 

@@ -1,8 +1,7 @@
 #include "groups/group_tree.hpp"
 
-#include <deque>
+#include <algorithm>
 #include <stdexcept>
-#include <utility>
 
 #include "geometry/distance.hpp"
 #include "multicast/local_rule.hpp"
@@ -16,15 +15,6 @@ namespace {
 
 bool is_alive(const std::vector<bool>& alive, PeerId p) {
   return alive.empty() || alive[p];
-}
-
-/// Overlay neighbours of `p` that are up, as selection candidates.
-std::vector<overlay::Candidate> alive_neighbors(const overlay::OverlayGraph& graph,
-                                                PeerId p, const std::vector<bool>& alive) {
-  std::vector<overlay::Candidate> result;
-  for (PeerId q : graph.neighbors(p))
-    if (is_alive(alive, q)) result.push_back(overlay::Candidate{q, graph.point(q)});
-  return result;
 }
 
 /// Removes the relay-only leaf chain starting at `v` (stops at the root, a
@@ -41,6 +31,38 @@ std::size_t cascade_relays(GroupTree& gt, PeerId v) {
     v = up;
   }
   return removed;
+}
+
+/// The splice shared by repair and strand rescue: greedy-walks from `from`
+/// toward the root through `usable` peers and, at the first in-tree peer
+/// (the adopter), attaches the non-tree relays passed on the way, top
+/// down, adding their count to `recruited`. Returns the peer `from` is to
+/// hang under, or kInvalidPeer — tree untouched — when the walk strands or
+/// `refuse(adopter)` holds.
+template <typename Usable, typename Refuse>
+PeerId splice_toward_root(const overlay::OverlayGraph& graph, GroupTree& gt, PeerId from,
+                          const Usable& usable, const Refuse& refuse, std::size_t& recruited) {
+  std::vector<PeerId> chain;  // non-tree relays between `from` and the adopter
+  for (std::size_t guard = 0; guard < graph.size(); ++guard) {
+    const PeerId next = overlay::greedy_next_hop(graph, from, gt.tree.root(), usable);
+    if (next == kInvalidPeer) return kInvalidPeer;  // stranded
+    if (!gt.tree.reached(next)) {
+      chain.push_back(next);
+      from = next;
+      continue;
+    }
+    if (refuse(next)) return kInvalidPeer;
+    PeerId parent = next;
+    for (auto it = chain.rbegin(); it != chain.rend(); ++it) {
+      gt.tree.add_edge(parent, *it);
+      // A stranded subscriber recruited as a splice relay is spanned again.
+      if (gt.is_subscriber[*it]) ++gt.reached_subscribers;
+      parent = *it;
+    }
+    recruited += chain.size();
+    return parent;
+  }
+  return kInvalidPeer;
 }
 
 void check_deterministic(const multicast::MulticastConfig& config) {
@@ -72,54 +94,47 @@ GroupTree build_group_tree(const overlay::OverlayGraph& graph, PeerId root,
   GroupTree gt;
   gt.tree = multicast::MulticastTree(n, root);
   gt.is_subscriber = subscribers;
-  std::vector<PeerId> subscriber_ids;
+  std::vector<PeerId> subs;
   for (PeerId p = 0; p < n; ++p)
     if (subscribers[p]) {
       if (!is_alive(alive, p))
         throw std::invalid_argument("build_group_tree: subscriber is not alive");
       ++gt.subscriber_count;
-      subscriber_ids.push_back(p);
+      subs.push_back(p);
     }
 
-  // Each queue entry carries the subscribers strictly inside its zone;
-  // sibling slices are disjoint, so every subscriber follows exactly one
-  // root-to-slice path and the total pruning work is O(S x depth), not
-  // O(tree_nodes x assignments x S).
+  // A FIFO over one flat queue. Each entry owns the run subs[begin, end)
+  // of the subscribers strictly inside its zone; sibling slices are
+  // disjoint, so a run is partitioned in place into its children's runs
+  // and the total pruning work is O(S x depth), not O(tree_nodes x S).
   struct Pending {
     PeerId peer;
-    geometry::Rect zone;
-    std::vector<PeerId> subs;
+    PeerId* begin;
+    PeerId* end;
+    const geometry::Rect* zone;  // into gt.zones, whose elements never move
   };
-  const geometry::Rect root_zone = multicast::initiator_zone(graph.dims());
-  gt.zones.emplace(root, root_zone);
-  std::deque<Pending> queue;
-  queue.push_back(Pending{root, root_zone, subscriber_ids});
-
-  while (!queue.empty()) {
-    const Pending current = std::move(queue.front());
-    queue.pop_front();
-
-    const auto neighbors = alive_neighbors(graph, current.peer, alive);
-    const auto assignments = multicast::partition_step(
-        graph.point(current.peer), current.zone, neighbors, config.policy, config.metric);
-    std::vector<std::vector<PeerId>> split(assignments.size());
-    for (PeerId s : current.subs)
-      for (std::size_t i = 0; i < assignments.size(); ++i)
-        if (assignments[i].zone.contains_interior(graph.point(s))) {
-          split[i].push_back(s);
-          break;
-        }
-    for (std::size_t i = 0; i < assignments.size(); ++i) {
-      if (split[i].empty()) continue;  // pruned: slice holds no subscriber
-      const multicast::ZoneAssignment& a = assignments[i];
+  const auto root_zone = gt.zones.emplace(root, multicast::initiator_zone(graph.dims())).first;
+  std::vector<Pending> queue{
+      Pending{root, subs.data(), subs.data() + subs.size(), &root_zone->second}};
+  std::vector<multicast::ZoneAssignment> assignments;
+  multicast::StepScratch scratch;
+  for (std::size_t head = 0; head < queue.size(); ++head) {
+    const Pending current = queue[head];
+    if (subscribers[current.peer]) ++gt.reached_subscribers;
+    multicast::partition_step(graph, current.peer, *current.zone, alive, config.policy,
+                              config.metric, nullptr, assignments, scratch);
+    PeerId* rest = current.begin;
+    for (const multicast::ZoneAssignment& a : assignments) {
+      PeerId* slice_end = std::partition(
+          rest, current.end, [&](PeerId s) { return a.zone.contains_interior(graph.point(s)); });
+      if (slice_end == rest) continue;  // pruned: slice holds no subscriber
       ++gt.build_messages;
       gt.tree.add_edge(current.peer, a.child);
-      gt.zones.emplace(a.child, a.zone);
-      queue.push_back(Pending{a.child, a.zone, std::move(split[i])});
+      const auto zone = gt.zones.emplace(a.child, a.zone).first;
+      queue.push_back(Pending{a.child, rest, slice_end, &zone->second});
+      rest = slice_end;
     }
   }
-  for (PeerId s : subscriber_ids)
-    if (gt.tree.reached(s)) ++gt.reached_subscribers;
   return gt;
 }
 
@@ -153,10 +168,12 @@ GraftStep graft_step(const overlay::OverlayGraph& graph, GroupTree& gt,
   if (cursor.steps > graph.size()) return GraftStep{GraftStatus::kExhausted};
 
   const geometry::Point& target = graph.point(s);
-  const auto neighbors = alive_neighbors(graph, cursor.current, alive);
-  const auto assignments =
-      multicast::partition_step(graph.point(cursor.current), gt.zones.at(cursor.current),
-                                neighbors, config.policy, config.metric);
+  // One set of step buffers per thread: a routed descent takes one step
+  // per hop, and after the first few the buffers stop growing.
+  thread_local std::vector<multicast::ZoneAssignment> assignments;
+  thread_local multicast::StepScratch scratch;
+  multicast::partition_step(graph, cursor.current, gt.zones.at(cursor.current), alive,
+                            config.policy, config.metric, nullptr, assignments, scratch);
   const multicast::ZoneAssignment* next = nullptr;
   for (const multicast::ZoneAssignment& a : assignments)
     if (a.zone.contains_interior(target)) {
@@ -261,39 +278,19 @@ GroupRepairResult repair_group_tree(const overlay::OverlayGraph& graph, GroupTre
 
     // Fallback: splice onto the greedy route toward the tree root. Every
     // hop is an overlay edge; the first in-tree peer outside the orphan's
-    // subtree adopts the chain.
-    std::vector<PeerId> chain;  // non-tree relays between orphan and adopter
-    PeerId cursor = orphan;
-    PeerId adopter = kInvalidPeer;
-    const auto usable = [&](PeerId q) { return alive[q] && q != departed; };
-    for (std::size_t guard = 0; guard < graph.size(); ++guard) {
-      const PeerId next = overlay::greedy_next_hop(graph, cursor, gt.tree.root(), usable);
-      if (next == kInvalidPeer) break;  // stranded
-      if (gt.tree.reached(next)) {
-        if (gt.tree.in_subtree(orphan, next)) break;  // cannot thread through itself
-        adopter = next;
-        break;
-      }
-      chain.push_back(next);
-      cursor = next;
-    }
-    if (adopter == kInvalidPeer) {
+    // subtree adopts the chain (it cannot thread through itself).
+    std::size_t recruited = 0;
+    const PeerId parent = splice_toward_root(
+        graph, gt, orphan, [&](PeerId q) { return alive[q] && q != departed; },
+        [&](PeerId adopter) { return gt.tree.in_subtree(orphan, adopter); }, recruited);
+    if (parent == kInvalidPeer) {
       result.needs_rebuild = true;
       continue;
     }
-    // Attach the chain from the adopter downward, then hand it the orphan.
-    PeerId parent = adopter;
-    for (auto it = chain.rbegin(); it != chain.rend(); ++it) {
-      gt.tree.add_edge(parent, *it);
-      // A stranded subscriber recruited as a splice relay is spanned again.
-      if (gt.is_subscriber[*it]) ++gt.reached_subscribers;
-      ++result.spliced_relays;
-      ++result.messages;
-      parent = *it;
-    }
     gt.tree.reattach(orphan, parent);
     ++result.reattached;
-    ++result.messages;
+    result.spliced_relays += recruited;
+    result.messages += recruited + 1;
   }
 
   if (!result.needs_rebuild) {
@@ -317,40 +314,21 @@ StrandRescueResult rescue_stranded(const overlay::OverlayGraph& graph, GroupTree
   const auto usable = [&](PeerId q) { return is_alive(alive, q); };
   for (PeerId s = 0; s < gt.is_subscriber.size(); ++s) {
     if (!gt.is_subscriber[s] || gt.tree.reached(s)) continue;
-    // Same shape as repair's splice fallback, with a single stranded peer
-    // instead of an orphan subtree: greedy-walk toward the root, recruit
-    // the non-tree relays passed through, attach at the first in-tree
-    // peer. (An earlier rescue may already have recruited s as a relay —
-    // the reached() check above skips it, spanned.)
-    std::vector<PeerId> chain;
-    PeerId cursor = s;
-    PeerId adopter = kInvalidPeer;
-    for (std::size_t guard = 0; guard < graph.size(); ++guard) {
-      const PeerId next = overlay::greedy_next_hop(graph, cursor, gt.tree.root(), usable);
-      if (next == kInvalidPeer) break;  // truly unreachable from here
-      if (gt.tree.reached(next)) {
-        adopter = next;
-        break;
-      }
-      chain.push_back(next);
-      cursor = next;
-    }
-    if (adopter == kInvalidPeer) {
+    // Same splice as repair's fallback, with a single stranded peer
+    // instead of an orphan subtree. (An earlier rescue may already have
+    // recruited s as a relay — the reached() check above skips it.)
+    std::size_t recruited = 0;
+    const PeerId parent = splice_toward_root(
+        graph, gt, s, usable, [](PeerId) { return false; }, recruited);
+    if (parent == kInvalidPeer) {
       ++result.still_stranded;
       continue;
-    }
-    PeerId parent = adopter;
-    for (auto it = chain.rbegin(); it != chain.rend(); ++it) {
-      gt.tree.add_edge(parent, *it);
-      if (gt.is_subscriber[*it]) ++gt.reached_subscribers;
-      ++result.spliced_relays;
-      ++result.messages;
-      parent = *it;
     }
     gt.tree.add_edge(parent, s);
     ++gt.reached_subscribers;
     ++result.rescued;
-    ++result.messages;
+    result.spliced_relays += recruited;
+    result.messages += recruited + 1;
   }
   // Splice paths are not what the recursion would have produced: replaying
   // a zone descent against them is undefined, so grafts must rebuild.

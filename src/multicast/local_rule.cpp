@@ -1,52 +1,68 @@
 #include "multicast/local_rule.hpp"
 
 #include <algorithm>
-#include <map>
+#include <cmath>
 #include <stdexcept>
+#include <tuple>
 
-#include "geometry/orthant.hpp"
 #include "multicast/zone.hpp"
 
 namespace geomcast::multicast {
 
-std::vector<ZoneAssignment> partition_step(const geometry::Point& ego,
-                                           const geometry::Rect& zone,
-                                           std::span<const overlay::Candidate> neighbors,
-                                           PickPolicy policy, geometry::Metric metric,
-                                           util::Rng* rng) {
+void partition_step(const overlay::OverlayGraph& graph, overlay::PeerId ego,
+                    const geometry::Rect& zone, const std::vector<bool>& alive,
+                    PickPolicy policy, geometry::Metric metric, util::Rng* rng,
+                    std::vector<ZoneAssignment>& out, StepScratch& scratch) {
+  using Survivor = StepScratch::Survivor;
   if (policy == PickPolicy::kRandom && rng == nullptr)
     throw std::invalid_argument("partition_step: kRandom policy requires an rng");
+  out.clear();
+  auto& survivors = scratch.survivors;
+  if (survivors.size() < graph.degree(ego)) survivors.resize(graph.degree(ego));
 
-  struct Member {
-    overlay::PeerId id;
-    double dist;
-  };
-  // std::map keeps region iteration order deterministic (ascending code).
-  std::map<geometry::OrthantCode, std::vector<Member>> regions;
-  for (const overlay::Candidate& c : neighbors) {
-    if (!zone.contains_interior(c.point)) continue;
-    regions[geometry::orthant_of(ego, c.point)].push_back(
-        Member{c.id, geometry::distance(metric, ego, c.point)});
+  // Every neighbour is written to the next free slot, which only the up,
+  // in-zone ones advance past: no data-dependent branch. The distance is
+  // geometry::distance(metric, ego, q), term for term, so bit-identical.
+  const std::size_t dims = graph.dims();
+  const double* e = graph.coords(ego).data();
+  std::size_t kept = 0;
+  for (const overlay::PeerId q : graph.neighbors(ego)) {
+    const double* c = graph.coords(q).data();
+    bool keep = alive.empty() || alive[q];
+    geometry::OrthantCode orthant = 0;
+    double dist = 0.0;
+    for (std::size_t i = 0; i < dims; ++i) {
+      keep = keep & (zone.lo(i) < c[i]) & (c[i] < zone.hi(i));
+      orthant |= geometry::OrthantCode{c[i] > e[i]} << i;
+      const double diff = std::abs(e[i] - c[i]);
+      if (metric == geometry::Metric::kLInf) dist = std::max(dist, diff);
+      else dist += metric == geometry::Metric::kL2 ? diff * diff : diff;
+    }
+    if (metric == geometry::Metric::kL2) dist = std::sqrt(dist);
+    survivors[kept] = Survivor{orthant, q, dist};
+    kept += keep ? 1 : 0;
   }
-
-  std::vector<ZoneAssignment> assignments;
-  assignments.reserve(regions.size());
-  for (auto& [orthant, members] : regions) {
-    std::sort(members.begin(), members.end(), [](const Member& a, const Member& b) {
-      if (a.dist != b.dist) return a.dist < b.dist;
-      return a.id < b.id;
-    });
+  // Ids are distinct, so (orthant, dist, id) is a total order: each region
+  // is one run, in ascending orthant order, sorted by distance then id.
+  std::sort(survivors.data(), survivors.data() + kept, [](const auto& a, const auto& b) {
+    return std::tie(a.orthant, a.dist, a.id) < std::tie(b.orthant, b.dist, b.id);
+  });
+  const geometry::Point& ego_point = graph.point(ego);
+  for (std::size_t begin = 0; begin < kept;) {
+    std::size_t end = begin + 1;
+    while (end < kept && survivors[end].orthant == survivors[begin].orthant) ++end;
+    const std::size_t size = end - begin;
     std::size_t pick = 0;
     switch (policy) {
-      case PickPolicy::kMedian: pick = (members.size() - 1) / 2; break;
+      case PickPolicy::kMedian: pick = (size - 1) / 2; break;
       case PickPolicy::kClosest: pick = 0; break;
-      case PickPolicy::kFarthest: pick = members.size() - 1; break;
-      case PickPolicy::kRandom: pick = rng->next_below(members.size()); break;
+      case PickPolicy::kFarthest: pick = size - 1; break;
+      case PickPolicy::kRandom: pick = rng->next_below(size); break;
     }
-    assignments.push_back(
-        ZoneAssignment{members[pick].id, child_zone(zone, ego, orthant)});
+    const Survivor& delegate = survivors[begin + pick];
+    out.push_back(ZoneAssignment{delegate.id, child_zone(zone, ego_point, delegate.orthant)});
+    begin = end;
   }
-  return assignments;
 }
 
 }  // namespace geomcast::multicast

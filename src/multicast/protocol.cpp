@@ -38,13 +38,10 @@ class MulticastNode final : public sim::Node {
     if (from != overlay::kInvalidPeer) build.tree.add_edge(from, id());
     shared_.completion_time = sim.now();
 
-    std::vector<overlay::Candidate> neighbors;
-    for (overlay::PeerId q : graph_.neighbors(id()))
-      neighbors.push_back(overlay::Candidate{q, graph_.point(q)});
     util::Rng* rng_ptr = config_.policy == PickPolicy::kRandom ? &rng_ : nullptr;
-    const auto assignments = partition_step(graph_.point(id()), request.zone, neighbors,
-                                            config_.policy, config_.metric, rng_ptr);
-    for (const ZoneAssignment& a : assignments)
+    partition_step(graph_, id(), request.zone, {}, config_.policy, config_.metric, rng_ptr,
+                   assignments_, scratch_);
+    for (const ZoneAssignment& a : assignments_)
       sim.send(id(), a.child, kBuildRequestKind, BuildRequest{a.zone, request.root});
   }
 
@@ -53,6 +50,8 @@ class MulticastNode final : public sim::Node {
   const MulticastConfig& config_;
   ProtocolRunResult& shared_;
   util::Rng rng_;
+  std::vector<ZoneAssignment> assignments_;
+  StepScratch scratch_;
 };
 
 }  // namespace

@@ -1,6 +1,5 @@
 #include "multicast/range_multicast.hpp"
 
-#include <deque>
 #include <stdexcept>
 
 #include "multicast/local_rule.hpp"
@@ -30,13 +29,12 @@ RangeMulticastResult build_range_multicast(const overlay::OverlayGraph& graph,
   };
   std::vector<bool> requested(n, false);
   requested[root] = true;
-  std::deque<Pending> queue{Pending{root, initiator_zone(graph.dims())}};
+  std::vector<Pending> queue{Pending{root, initiator_zone(graph.dims())}};
 
-  std::vector<overlay::Candidate> neighbors;
-  while (!queue.empty()) {
-    const Pending current = queue.front();
-    queue.pop_front();
-
+  std::vector<ZoneAssignment> assignments;
+  StepScratch scratch;
+  for (std::size_t head = 0; head < queue.size(); ++head) {
+    const Pending current = queue[head];
     if (target.contains_interior(graph.point(current.peer))) {
       result.is_delivery[current.peer] = true;
       ++result.delivered;
@@ -44,17 +42,12 @@ RangeMulticastResult build_range_multicast(const overlay::OverlayGraph& graph,
       ++result.relays;
     }
 
-    neighbors.clear();
-    for (overlay::PeerId q : graph.neighbors(current.peer))
-      neighbors.push_back(overlay::Candidate{q, graph.point(q)});
-
     // The full §2 step, then prune children whose slice cannot contain any
     // target peer. (Pruning after selection keeps the surviving child zones
     // identical to the whole-space run, so the correctness argument — every
     // target peer of Z(P) lies in exactly one child slice — is untouched.)
-    const auto assignments = partition_step(graph.point(current.peer), current.zone,
-                                            neighbors, config.policy, config.metric,
-                                            rng_ptr);
+    partition_step(graph, current.peer, current.zone, {}, config.policy, config.metric,
+                   rng_ptr, assignments, scratch);
     for (const ZoneAssignment& a : assignments) {
       if (a.zone.intersect(target).interior_empty()) continue;  // no targets inside
       ++result.request_messages;

@@ -1,6 +1,5 @@
 #include "multicast/space_partition.hpp"
 
-#include <deque>
 #include <stdexcept>
 
 #include "multicast/zone.hpp"
@@ -27,23 +26,16 @@ BuildResult build_multicast_tree(const overlay::OverlayGraph& graph, overlay::Pe
   };
   // FIFO processing = breadth-first message wave; the paper implicitly
   // delivers the initiator its own request with the whole space as zone.
-  std::deque<Pending> queue;
-  queue.push_back(Pending{root, initiator_zone(dims)});
+  std::vector<Pending> queue{Pending{root, initiator_zone(dims)}};
   result.zones[root] = initiator_zone(dims);
   result.zone_assigned[root] = true;
 
-  std::vector<overlay::Candidate> neighbor_candidates;
-  while (!queue.empty()) {
-    const Pending current = queue.front();
-    queue.pop_front();
-
-    neighbor_candidates.clear();
-    for (overlay::PeerId q : graph.neighbors(current.peer))
-      neighbor_candidates.push_back(overlay::Candidate{q, graph.point(q)});
-
-    const auto assignments = partition_step(graph.point(current.peer), current.zone,
-                                            neighbor_candidates, config.policy,
-                                            config.metric, rng_ptr);
+  std::vector<ZoneAssignment> assignments;
+  StepScratch scratch;
+  for (std::size_t head = 0; head < queue.size(); ++head) {
+    const Pending current = queue[head];
+    partition_step(graph, current.peer, current.zone, {}, config.policy, config.metric,
+                   rng_ptr, assignments, scratch);
     for (const ZoneAssignment& a : assignments) {
       ++result.request_messages;
       if (result.zone_assigned[a.child]) {

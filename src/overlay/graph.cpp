@@ -13,6 +13,13 @@ OverlayGraph::OverlayGraph(std::vector<geometry::Point> points,
     throw std::invalid_argument("OverlayGraph: points/out size mismatch");
 
   const auto n = points_.size();
+  dims_ = n == 0 ? 0 : points_.front().dims();
+  coords_.reserve(n * dims_);
+  for (const geometry::Point& point : points_) {
+    if (point.dims() != dims_) throw std::invalid_argument("OverlayGraph: mixed dimensions");
+    for (std::size_t i = 0; i < dims_; ++i) coords_.push_back(point[i]);
+  }
+
   // Out-lists, sorted and deduplicated; then the in-lists as one flat
   // array, filled in ascending selector order so each comes out sorted.
   std::vector<std::size_t> in_start(n + 1, 0);

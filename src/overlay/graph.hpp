@@ -4,6 +4,7 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "geometry/point.hpp"
@@ -22,10 +23,16 @@ class OverlayGraph {
   OverlayGraph(std::vector<geometry::Point> points, std::vector<std::vector<PeerId>> out);
 
   [[nodiscard]] std::size_t size() const noexcept { return points_.size(); }
-  [[nodiscard]] std::size_t dims() const noexcept {
-    return points_.empty() ? 0 : points_.front().dims();
-  }
+  [[nodiscard]] std::size_t dims() const noexcept { return dims_; }
   [[nodiscard]] const geometry::Point& point(PeerId p) const { return points_.at(p); }
+  /// Peer p's coordinates, point(p)[0 .. dims()), read from one flat array
+  /// at stride dims() that the constructor copies from the points. The
+  /// per-hop geometry (multicast::partition_step, greedy_next_hop) scans
+  /// whole neighbour lists through this: dims() doubles per peer instead
+  /// of a Point padded to kMaxDims. Unchecked: p must be < size().
+  [[nodiscard]] std::span<const double> coords(PeerId p) const noexcept {
+    return {coords_.data() + static_cast<std::size_t>(p) * dims_, dims_};
+  }
   [[nodiscard]] const std::vector<geometry::Point>& points() const noexcept { return points_; }
 
   /// Peers p selected (its own selection, sorted ascending).
@@ -44,6 +51,8 @@ class OverlayGraph {
 
  private:
   std::vector<geometry::Point> points_;
+  std::size_t dims_ = 0;
+  std::vector<double> coords_;  // size() x dims(), row p = point(p)
   std::vector<std::vector<PeerId>> out_;
   std::vector<std::vector<PeerId>> undirected_;
   std::size_t edge_count_ = 0;

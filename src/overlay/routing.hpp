@@ -12,11 +12,11 @@
 // reports failure instead of looping.
 #pragma once
 
+#include <cmath>
 #include <cstddef>
 #include <stdexcept>
 #include <vector>
 
-#include "geometry/distance.hpp"
 #include "geometry/rect.hpp"
 #include "overlay/graph.hpp"
 
@@ -52,8 +52,13 @@ template <typename Usable>
                                      PeerId destination, Usable&& usable) {
   if (current >= graph.size() || destination >= graph.size())
     throw std::invalid_argument("greedy_next_hop: peer out of range");
-  const geometry::Point& target = graph.point(destination);
-  const geometry::Rect corridor = geometry::Rect::spanned_by(graph.point(current), target);
+  // Reads the flat coordinates like multicast::partition_step: the
+  // corridor test and the distance accumulate without data-dependent
+  // branches, with the arithmetic of Rect::contains_interior and
+  // l1_distance(q, destination).
+  const geometry::Rect corridor =
+      geometry::Rect::spanned_by(graph.point(current), graph.point(destination));
+  const double* to = graph.coords(destination).data();
   PeerId next = kInvalidPeer;
   double best = 0.0;
   for (PeerId q : graph.neighbors(current)) {
@@ -61,9 +66,15 @@ template <typename Usable>
     if (q == destination) return q;
     // Only hops strictly inside the corridor make provable progress
     // (componentwise closer to the destination in every dimension).
-    if (!corridor.contains_interior(graph.point(q))) continue;
-    const double dist = geometry::l1_distance(graph.point(q), target);
-    if (next == kInvalidPeer || dist < best) {
+    const double* c = graph.coords(q).data();
+    bool inside = true;
+    double dist = 0.0;
+    for (std::size_t i = 0; i < graph.dims(); ++i) {
+      inside = inside & (corridor.lo(i) < c[i]) & (c[i] < corridor.hi(i));
+      dist += std::abs(c[i] - to[i]);
+    }
+    // First strict minimum in neighbour order wins ties.
+    if (inside && (next == kInvalidPeer || dist < best)) {
       next = q;
       best = dist;
     }

@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <deque>
+
 #include "geometry/random_points.hpp"
+#include "multicast/local_rule.hpp"
 #include "multicast/space_partition.hpp"
+#include "multicast/zone.hpp"
 #include "overlay/empty_rect.hpp"
 #include "overlay/equilibrium.hpp"
 #include "util/rng.hpp"
@@ -245,6 +249,116 @@ TEST(GroupTreeTest, RandomPolicyRejected) {
   config.policy = multicast::PickPolicy::kRandom;
   EXPECT_THROW((void)build_group_tree(graph, 0, subs, config), std::invalid_argument);
 }
+
+// ----------------------------------------------- flat build vs deque build
+// The builder's FIFO over one flat queue, with the subscriber array
+// partitioned in place, against the shape it replaced: a deque of entries
+// that each own a vector of subscribers, split per slice into fresh
+// vectors. Children order sets the dissemination order, so it is compared
+// peer by peer, along with zones, build_messages and reached_subscribers —
+// after the build and again after the same graft on both trees.
+
+GroupTree deque_reference_build(const overlay::OverlayGraph& graph, PeerId root,
+                                const std::vector<bool>& subscribers,
+                                const std::vector<bool>& alive) {
+  GroupTree gt;
+  gt.tree = multicast::MulticastTree(graph.size(), root);
+  gt.is_subscriber = subscribers;
+  std::vector<PeerId> ids;
+  for (PeerId p = 0; p < graph.size(); ++p)
+    if (subscribers[p]) {
+      ++gt.subscriber_count;
+      ids.push_back(p);
+    }
+  struct Pending {
+    PeerId peer;
+    geometry::Rect zone;
+    std::vector<PeerId> subs;
+  };
+  const geometry::Rect root_zone = multicast::initiator_zone(graph.dims());
+  gt.zones.emplace(root, root_zone);
+  std::deque<Pending> queue;
+  queue.push_back(Pending{root, root_zone, ids});
+  std::vector<multicast::ZoneAssignment> assignments;
+  multicast::StepScratch scratch;
+  while (!queue.empty()) {
+    const Pending current = std::move(queue.front());
+    queue.pop_front();
+    multicast::partition_step(graph, current.peer, current.zone, alive,
+                              multicast::PickPolicy::kMedian, geometry::Metric::kL1, nullptr,
+                              assignments, scratch);
+    std::vector<std::vector<PeerId>> split(assignments.size());
+    for (PeerId s : current.subs)
+      for (std::size_t i = 0; i < assignments.size(); ++i)
+        if (assignments[i].zone.contains_interior(graph.point(s))) {
+          split[i].push_back(s);
+          break;
+        }
+    for (std::size_t i = 0; i < assignments.size(); ++i) {
+      if (split[i].empty()) continue;
+      ++gt.build_messages;
+      gt.tree.add_edge(current.peer, assignments[i].child);
+      gt.zones.emplace(assignments[i].child, assignments[i].zone);
+      queue.push_back(Pending{assignments[i].child, assignments[i].zone, std::move(split[i])});
+    }
+  }
+  for (PeerId s : ids)
+    if (gt.tree.reached(s)) ++gt.reached_subscribers;
+  return gt;
+}
+
+void expect_identical_trees(const overlay::OverlayGraph& graph, const GroupTree& a,
+                            const GroupTree& b) {
+  EXPECT_EQ(a.tree.reached_count(), b.tree.reached_count());
+  for (PeerId p = 0; p < graph.size(); ++p) {
+    ASSERT_EQ(a.tree.reached(p), b.tree.reached(p)) << "peer " << p;
+    EXPECT_EQ(a.tree.parent(p), b.tree.parent(p)) << "peer " << p;
+    EXPECT_EQ(a.tree.children(p), b.tree.children(p)) << "children order of peer " << p;
+  }
+  expect_same_zones(a, b);
+  EXPECT_EQ(a.build_messages, b.build_messages);
+  EXPECT_EQ(a.subscriber_count, b.subscriber_count);
+  EXPECT_EQ(a.reached_subscribers, b.reached_subscribers);
+}
+
+class FlatBuildTest : public ::testing::TestWithParam<std::tuple<std::size_t, std::uint64_t>> {};
+
+TEST_P(FlatBuildTest, EqualsDequeReferenceBeforeAndAfterAGraft) {
+  const auto [dims, seed] = GetParam();
+  const auto graph = make_overlay(150, dims, seed);
+  const std::size_t n = graph.size();
+  util::Rng rng(seed * 31);
+  std::vector<bool> alive(n, true);
+  for (std::size_t dead = 0; dead < 15; ++dead) alive[1 + rng.next_below(n - 1)] = false;
+  for (const std::size_t group_size : {1u, 6u, 25u, 60u}) {
+    std::vector<bool> subs(n, false);
+    for (std::size_t placed = 0; placed < group_size;) {
+      const auto p = static_cast<PeerId>(rng.next_below(n));
+      if (alive[p] && !subs[p]) {
+        subs[p] = true;
+        ++placed;
+      }
+    }
+    auto flat = build_group_tree(graph, 0, subs, {}, alive);
+    auto reference = deque_reference_build(graph, 0, subs, alive);
+    expect_identical_trees(graph, flat, reference);
+
+    PeerId extra = kInvalidPeer;
+    while (extra == kInvalidPeer) {
+      const auto p = static_cast<PeerId>(rng.next_below(n));
+      if (alive[p] && !subs[p] && !flat.tree.reached(p)) extra = p;
+    }
+    const auto flat_graft = graft_subscriber(graph, flat, extra, {}, alive);
+    const auto reference_graft = graft_subscriber(graph, reference, extra, {}, alive);
+    EXPECT_EQ(flat_graft.attached, reference_graft.attached);
+    EXPECT_EQ(flat_graft.messages, reference_graft.messages);
+    expect_identical_trees(graph, flat, reference);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Sweep, FlatBuildTest,
+                         ::testing::Combine(::testing::Values(std::size_t{2}, std::size_t{3}),
+                                            ::testing::Values(201u, 202u, 203u)));
 
 }  // namespace
 }  // namespace geomcast::groups

@@ -1,5 +1,6 @@
 // Direct unit tests of partition_step — the §2 local forwarding rule —
-// without going through the tree builders.
+// without going through the tree builders. Each candidate set is a star
+// overlay around the stepping peer.
 #include "multicast/local_rule.hpp"
 
 #include <gtest/gtest.h>
@@ -15,91 +16,99 @@
 namespace geomcast::multicast {
 namespace {
 
-using overlay::Candidate;
+using overlay::OverlayGraph;
 using overlay::PeerId;
 
+/// The candidate set of one step as a star overlay: peer 0 sits at `ego`
+/// and selects every other peer; peer i sits at `neighbors[i - 1]`.
+OverlayGraph star(const geometry::Point& ego, const std::vector<geometry::Point>& neighbors) {
+  std::vector<geometry::Point> points{ego};
+  points.insert(points.end(), neighbors.begin(), neighbors.end());
+  std::vector<std::vector<PeerId>> out(points.size());
+  for (PeerId q = 1; q < points.size(); ++q) out[0].push_back(q);
+  return OverlayGraph(std::move(points), std::move(out));
+}
+
+/// partition_step at the star's centre, everyone up.
+std::vector<ZoneAssignment> step(const OverlayGraph& graph, const geometry::Rect& zone,
+                                 PickPolicy policy = PickPolicy::kMedian,
+                                 util::Rng* rng = nullptr) {
+  std::vector<ZoneAssignment> out;
+  StepScratch scratch;
+  partition_step(graph, 0, zone, {}, policy, geometry::Metric::kL1, rng, out, scratch);
+  return out;
+}
+
 TEST(LocalRuleTest, NoNeighborsNoAssignments) {
-  const auto assignments =
-      partition_step(geometry::Point({1.0, 2.0}), initiator_zone(2), {});
-  EXPECT_TRUE(assignments.empty());
+  EXPECT_TRUE(step(star(geometry::Point({1.0, 2.0}), {}), initiator_zone(2)).empty());
 }
 
 TEST(LocalRuleTest, NeighborsOutsideZoneIgnored) {
-  const geometry::Point ego{50.0, 50.0};
-  const auto zone = geometry::Rect::cube(2, 40.0, 60.0);
-  const std::vector<Candidate> neighbors{{1, geometry::Point({70.0, 70.0})},
-                                         {2, geometry::Point({10.0, 55.0})}};
-  EXPECT_TRUE(partition_step(ego, zone, neighbors).empty());
+  const auto graph = star({50.0, 50.0}, {{70.0, 70.0}, {10.0, 55.0}});
+  EXPECT_TRUE(step(graph, geometry::Rect::cube(2, 40.0, 60.0)).empty());
 }
 
 TEST(LocalRuleTest, ZoneBoundaryIsExclusive) {
   // Zones are strict interiors: a neighbour exactly on the boundary is out.
-  const geometry::Point ego{50.0, 50.0};
-  const auto zone = geometry::Rect::cube(2, 40.0, 60.0);
-  const std::vector<Candidate> neighbors{{1, geometry::Point({60.0, 55.0})}};
-  EXPECT_TRUE(partition_step(ego, zone, neighbors).empty());
+  const auto graph = star({50.0, 50.0}, {{60.0, 55.0}});
+  EXPECT_TRUE(step(graph, geometry::Rect::cube(2, 40.0, 60.0)).empty());
 }
 
 TEST(LocalRuleTest, OneDelegatePerOccupiedRegion) {
-  const geometry::Point ego{50.0, 50.0};
   // Two neighbours in the (+,+) quadrant, one in (-,-).
-  const std::vector<Candidate> neighbors{{1, geometry::Point({60.0, 60.0})},
-                                         {2, geometry::Point({55.0, 70.0})},
-                                         {3, geometry::Point({40.0, 30.0})}};
-  const auto assignments = partition_step(ego, initiator_zone(2), neighbors);
-  EXPECT_EQ(assignments.size(), 2u);
+  const auto graph = star({50.0, 50.0}, {{60.0, 60.0}, {55.0, 70.0}, {40.0, 30.0}});
+  EXPECT_EQ(step(graph, initiator_zone(2)).size(), 2u);
+}
+
+TEST(LocalRuleTest, DeadNeighborsIgnored) {
+  // The alive mask removes candidates before the regions form: with the
+  // distance-8.5 peer down, the lower median of {4, 20.5} is peer 1.
+  const auto graph = star({0.0, 0.0}, {{1.0, 3.0}, {5.0, 3.5}, {10.0, 10.5}});
+  std::vector<ZoneAssignment> out;
+  StepScratch scratch;
+  partition_step(graph, 0, initiator_zone(2), {true, true, false, true}, PickPolicy::kMedian,
+                 geometry::Metric::kL1, nullptr, out, scratch);
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(out[0].child, 1u);
 }
 
 TEST(LocalRuleTest, MedianPickIsLowerMedian) {
   // L1 distances in one quadrant: 4 < 8 < 20; median (lower, index (3-1)/2=1)
   // must be the distance-8 neighbour.
-  const geometry::Point ego{0.0, 0.0};
-  const std::vector<Candidate> neighbors{{1, geometry::Point({1.0, 3.0})},     // L1=4
-                                         {2, geometry::Point({5.0, 3.5})},     // L1=8.5
-                                         {3, geometry::Point({10.0, 10.5})}};  // L1=20.5
-  const auto assignments = partition_step(ego, initiator_zone(2), neighbors);
+  const auto graph = star({0.0, 0.0}, {{1.0, 3.0},      // L1=4
+                                       {5.0, 3.5},      // L1=8.5
+                                       {10.0, 10.5}});  // L1=20.5
+  const auto assignments = step(graph, initiator_zone(2));
   ASSERT_EQ(assignments.size(), 1u);
   EXPECT_EQ(assignments[0].child, 2u);
 }
 
 TEST(LocalRuleTest, EvenCountLowerMedian) {
   // Four neighbours: lower median = index 1 of the sorted order.
-  const geometry::Point ego{0.0, 0.0};
-  const std::vector<Candidate> neighbors{{1, geometry::Point({1.0, 1.5})},
-                                         {2, geometry::Point({2.0, 2.5})},
-                                         {3, geometry::Point({3.0, 3.5})},
-                                         {4, geometry::Point({4.0, 4.5})}};
-  const auto assignments = partition_step(ego, initiator_zone(2), neighbors);
+  const auto graph =
+      star({0.0, 0.0}, {{1.0, 1.5}, {2.0, 2.5}, {3.0, 3.5}, {4.0, 4.5}});
+  const auto assignments = step(graph, initiator_zone(2));
   ASSERT_EQ(assignments.size(), 1u);
   EXPECT_EQ(assignments[0].child, 2u);
 }
 
 TEST(LocalRuleTest, PoliciesSelectExpectedRanks) {
-  const geometry::Point ego{0.0, 0.0};
-  const std::vector<Candidate> neighbors{{1, geometry::Point({1.0, 1.5})},
-                                         {2, geometry::Point({2.0, 2.5})},
-                                         {3, geometry::Point({3.0, 3.5})}};
-  auto pick = [&](PickPolicy policy) {
-    const auto a = partition_step(ego, initiator_zone(2), neighbors, policy);
-    return a.at(0).child;
-  };
+  const auto graph = star({0.0, 0.0}, {{1.0, 1.5}, {2.0, 2.5}, {3.0, 3.5}});
+  auto pick = [&](PickPolicy policy) { return step(graph, initiator_zone(2), policy).at(0).child; };
   EXPECT_EQ(pick(PickPolicy::kClosest), 1u);
   EXPECT_EQ(pick(PickPolicy::kMedian), 2u);
   EXPECT_EQ(pick(PickPolicy::kFarthest), 3u);
 }
 
 TEST(LocalRuleTest, RandomPolicyWithoutRngThrows) {
-  const std::vector<Candidate> neighbors{{1, geometry::Point({1.0, 1.5})}};
-  EXPECT_THROW(partition_step(geometry::Point({0.0, 0.0}), initiator_zone(2), neighbors,
-                              PickPolicy::kRandom, geometry::Metric::kL1, nullptr),
+  const auto graph = star({0.0, 0.0}, {{1.0, 1.5}});
+  EXPECT_THROW((void)step(graph, initiator_zone(2), PickPolicy::kRandom, nullptr),
                std::invalid_argument);
 }
 
 TEST(LocalRuleTest, DelegateZoneMatchesPaperFormula) {
-  const geometry::Point ego{50.0, 50.0};
-  const auto zone = geometry::Rect::cube(2, 0.0, 100.0);
-  const std::vector<Candidate> neighbors{{1, geometry::Point({30.0, 80.0})}};
-  const auto assignments = partition_step(ego, zone, neighbors);
+  const auto graph = star({50.0, 50.0}, {{30.0, 80.0}});
+  const auto assignments = step(graph, geometry::Rect::cube(2, 0.0, 100.0));
   ASSERT_EQ(assignments.size(), 1u);
   // x(Q,1) < x(P,1): side (-inf, 50) clipped to (0, 50);
   // x(Q,2) > x(P,2): side (50, +inf) clipped to (50, 100).
@@ -118,13 +127,11 @@ TEST_P(LocalRuleInvariantTest, AssignmentsPartitionCleanly) {
   const auto points =
       geometry::random_points(rng, 60, static_cast<std::size_t>(dims), 100.0);
   const geometry::Point& ego = points[0];
-  std::vector<Candidate> neighbors;
-  for (std::size_t i = 1; i < points.size(); ++i)
-    neighbors.push_back({static_cast<PeerId>(i), points[i]});
+  const auto graph = star(ego, std::vector<geometry::Point>(points.begin() + 1, points.end()));
 
   const auto zone = geometry::Rect::cube(static_cast<std::size_t>(dims), 10.0, 90.0);
   if (!zone.contains_interior(ego)) return;  // step assumes the ego holds the zone
-  const auto assignments = partition_step(ego, zone, neighbors);
+  const auto assignments = step(graph, zone);
 
   for (std::size_t i = 0; i < assignments.size(); ++i) {
     const auto& a = assignments[i];
@@ -136,12 +143,12 @@ TEST_P(LocalRuleInvariantTest, AssignmentsPartitionCleanly) {
       EXPECT_TRUE(a.zone.interior_disjoint(assignments[j].zone));
   }
   // Every in-zone neighbour is covered by exactly one delegate zone.
-  for (const auto& c : neighbors) {
-    if (!zone.contains_interior(c.point)) continue;
+  for (PeerId q = 1; q < points.size(); ++q) {
+    if (!zone.contains_interior(points[q])) continue;
     int covering = 0;
     for (const auto& a : assignments)
-      if (a.zone.contains_interior(c.point)) ++covering;
-    EXPECT_EQ(covering, 1) << "neighbour " << c.id;
+      if (a.zone.contains_interior(points[q])) ++covering;
+    EXPECT_EQ(covering, 1) << "neighbour " << q;
   }
   // At most one delegate per orthant.
   EXPECT_LE(assignments.size(), geometry::orthant_count(static_cast<std::size_t>(dims)));

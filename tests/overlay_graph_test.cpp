@@ -71,6 +71,23 @@ TEST(OverlayGraphTest, DimsReported) {
   EXPECT_EQ(graph.dims(), 2u);
 }
 
+TEST(OverlayGraphTest, CoordsAreThePointsAtExactStride) {
+  util::Rng rng(12);
+  const auto points = geometry::random_points(rng, 5, 3, 100.0);
+  OverlayGraph graph(points, {{}, {}, {}, {}, {}});
+  for (PeerId p = 0; p < points.size(); ++p) {
+    const auto coords = graph.coords(p);
+    ASSERT_EQ(coords.size(), 3u);
+    for (std::size_t i = 0; i < 3; ++i) EXPECT_EQ(coords[i], points[p][i]);
+  }
+}
+
+TEST(OverlayGraphTest, MixedDimensionsThrow) {
+  EXPECT_THROW(OverlayGraph({geometry::Point({1.0, 2.0}), geometry::Point({1.0, 2.0, 3.0})},
+                            {{}, {}}),
+               std::invalid_argument);
+}
+
 TEST(OverlayGraphTest, EqualityComparesTopologyAndPoints) {
   const auto points = make_points(3);
   OverlayGraph a(points, {{1}, {}, {}});

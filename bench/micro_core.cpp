@@ -389,7 +389,7 @@ void BM_GraftCursorStep(benchmark::State& state) {
     }
   std::int64_t steps = 0;
   for (auto _ : state) {
-    auto cursor = groups::graft_cursor(gt, target);
+    auto cursor = groups::graft_cursor(graph, gt, target);
     while (groups::graft_step(graph, gt, cursor).status ==
            groups::GraftStatus::kDescend) {
     }
@@ -401,9 +401,10 @@ void BM_GraftCursorStep(benchmark::State& state) {
 BENCHMARK(BM_GraftCursorStep)->Arg(200)->Arg(1000);
 
 // One pruned 32-subscriber group-tree build: the lazy rebuild a cached
-// tree pays after churn. Zones are kept only for reached peers, so the
-// per-build cost follows the tree (the subscribers' root paths), not the
-// overlay: the n = 20000 cell pays no n-rect zone fill. The large cell
+// tree pays after churn. Each build request carries its zone and the tree
+// keeps none, so the per-build cost follows the tree (the subscribers'
+// root paths), not the overlay: the n = 20000 cell pays no n-rect zone
+// fill. The large cell
 // runs on a grid-kNN (k = 16) overlay, whose O(n k) build keeps the
 // fixture cheap; the small one on the full-knowledge equilibrium.
 /// A 2-D overlay of `n` peers and 32 random subscribers (root 0 excluded).

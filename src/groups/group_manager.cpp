@@ -303,7 +303,7 @@ std::uint64_t GroupManager::graft_begin(GroupId group, PeerId subscriber, PeerId
   if (!grafting_.insert({group, subscriber}).second) return 0;  // one at a time
   const std::uint64_t id = next_graft_id_++;
   grafts_.emplace(id, InFlightGraft{group, subscriber, root, slot,
-                                    graft_cursor(*s.cached, subscriber), clock_now()});
+                                    graft_cursor(graph_, *s.cached, subscriber), clock_now()});
   if (tracer_.enabled())
     tracer_.emit({clock_now(), obs::TraceEventType::kGraftBegin, group, id, 0, 0,
                   root, subscriber});
@@ -427,7 +427,7 @@ void GroupManager::depart_outside_tree(std::shared_ptr<GroupTree>& cached, PeerI
     gt.is_subscriber[peer] = false;
     --gt.subscriber_count;
   }
-  if (stales_zones) mark_zones_stale(gt);
+  if (stales_zones) gt.zones_stale = true;
 }
 
 void GroupManager::refresh_tree(GroupId group, GroupStats& stats, ShardSlot& slot) {

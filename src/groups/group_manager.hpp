@@ -401,7 +401,8 @@ class GroupManager {
     bool dirty = true;  // cached tree (if any) no longer trusted
     std::size_t repairs_since_build = 0;
   };
-  /// A clean cached tree with exact zones: a graft may splice into it.
+  /// A clean cached tree whose zones are not stale: a graft descent that
+  /// carries each step's zone down from the root may splice into it.
   [[nodiscard]] static bool graftable(const ShardSlot& slot) {
     return slot.cached && !slot.dirty && !slot.cached->zones_stale;
   }
@@ -450,7 +451,8 @@ class GroupManager {
   /// Departure of `peer`, which `cached`'s tree does not span: a stranded
   /// member loses its delivery flag, and a departure beside the tree
   /// stales the zones (it shrinks an in-tree peer's candidate set, so a
-  /// replayed recursion — what a graft does — would pick differently).
+  /// replayed recursion — what a graft does — would pick differently; a
+  /// peer with no reached neighbour changes no step on any root path).
   /// Clones only for a write that changes something: zones already stale
   /// stay stale without a copy.
   void depart_outside_tree(std::shared_ptr<GroupTree>& cached, PeerId peer);
@@ -465,7 +467,7 @@ class GroupManager {
   };
   /// Whether graft `g`'s cursor still matches the live state it left: the
   /// subscriber alive and a member, its slot's root unchanged, and the
-  /// slot's clean, zone-exact tree still reaching the cursor's peer.
+  /// slot's clean, graftable tree still reaching the cursor's peer.
   [[nodiscard]] bool graft_valid(const InFlightGraft& g) const;
 
   const overlay::OverlayGraph& graph_;

@@ -18,15 +18,13 @@ bool is_alive(const std::vector<bool>& alive, PeerId p) {
 }
 
 /// Removes the relay-only leaf chain starting at `v` (stops at the root, a
-/// subscriber, or a branching point), dropping each removed peer's zone.
-/// Returns edges removed.
+/// subscriber, or a branching point). Returns edges removed.
 std::size_t cascade_relays(GroupTree& gt, PeerId v) {
   std::size_t removed = 0;
   while (v != gt.tree.root() && !gt.is_subscriber[v] && gt.tree.reached(v) &&
          gt.tree.children(v).empty()) {
     const PeerId up = gt.tree.parent(v);
     gt.tree.remove_leaf(v);
-    gt.zones.erase(v);
     ++removed;
     v = up;
   }
@@ -74,11 +72,6 @@ void check_deterministic(const multicast::MulticastConfig& config) {
 
 }  // namespace
 
-void mark_zones_stale(GroupTree& gt) {
-  gt.zones_stale = true;
-  gt.zones.clear();
-}
-
 GroupTree build_group_tree(const overlay::OverlayGraph& graph, PeerId root,
                            const std::vector<bool>& subscribers,
                            const multicast::MulticastConfig& config,
@@ -103,25 +96,25 @@ GroupTree build_group_tree(const overlay::OverlayGraph& graph, PeerId root,
       subs.push_back(p);
     }
 
-  // A FIFO over one flat queue. Each entry owns the run subs[begin, end)
-  // of the subscribers strictly inside its zone; sibling slices are
-  // disjoint, so a run is partitioned in place into its children's runs
-  // and the total pruning work is O(S x depth), not O(tree_nodes x S).
+  // A FIFO over one flat queue of construction requests. Each carries its
+  // peer's zone and owns the run subs[begin, end) of the subscribers
+  // strictly inside it; sibling slices are disjoint, so a run is
+  // partitioned in place into its children's runs and the total pruning
+  // work is O(S x depth), not O(tree_nodes x S).
   struct Pending {
     PeerId peer;
     PeerId* begin;
     PeerId* end;
-    const geometry::Rect* zone;  // into gt.zones, whose elements never move
+    geometry::Rect zone;
   };
-  const auto root_zone = gt.zones.emplace(root, multicast::initiator_zone(graph.dims())).first;
-  std::vector<Pending> queue{
-      Pending{root, subs.data(), subs.data() + subs.size(), &root_zone->second}};
+  std::vector<Pending> queue{Pending{root, subs.data(), subs.data() + subs.size(),
+                                     multicast::initiator_zone(graph.dims())}};
   std::vector<multicast::ZoneAssignment> assignments;
   multicast::StepScratch scratch;
   for (std::size_t head = 0; head < queue.size(); ++head) {
     const Pending current = queue[head];
     if (subscribers[current.peer]) ++gt.reached_subscribers;
-    multicast::partition_step(graph, current.peer, *current.zone, alive, config.policy,
+    multicast::partition_step(graph, current.peer, current.zone, alive, config.policy,
                               config.metric, nullptr, assignments, scratch);
     PeerId* rest = current.begin;
     for (const multicast::ZoneAssignment& a : assignments) {
@@ -130,16 +123,15 @@ GroupTree build_group_tree(const overlay::OverlayGraph& graph, PeerId root,
       if (slice_end == rest) continue;  // pruned: slice holds no subscriber
       ++gt.build_messages;
       gt.tree.add_edge(current.peer, a.child);
-      const auto zone = gt.zones.emplace(a.child, a.zone).first;
-      queue.push_back(Pending{a.child, rest, slice_end, &zone->second});
+      queue.push_back(Pending{a.child, rest, slice_end, a.zone});
       rest = slice_end;
     }
   }
   return gt;
 }
 
-GraftCursor graft_cursor(const GroupTree& gt, PeerId s) {
-  return GraftCursor{s, gt.tree.root(), 0};
+GraftCursor graft_cursor(const overlay::OverlayGraph& graph, const GroupTree& gt, PeerId s) {
+  return GraftCursor{s, gt.tree.root(), multicast::initiator_zone(graph.dims()), 0};
 }
 
 GraftStep graft_step(const overlay::OverlayGraph& graph, GroupTree& gt,
@@ -166,14 +158,16 @@ GraftStep graft_step(const overlay::OverlayGraph& graph, GroupTree& gt,
   // missing one, so a legal descent is bounded by the tree height plus the
   // new path's length; past the peer count the cache is inconsistent.
   if (cursor.steps > graph.size()) return GraftStep{GraftStatus::kExhausted};
+  if (!gt.tree.reached(cursor.current))
+    throw std::out_of_range("graft_step: the cursor's peer is not in the tree");
 
   const geometry::Point& target = graph.point(s);
   // One set of step buffers per thread: a routed descent takes one step
   // per hop, and after the first few the buffers stop growing.
   thread_local std::vector<multicast::ZoneAssignment> assignments;
   thread_local multicast::StepScratch scratch;
-  multicast::partition_step(graph, cursor.current, gt.zones.at(cursor.current), alive,
-                            config.policy, config.metric, nullptr, assignments, scratch);
+  multicast::partition_step(graph, cursor.current, cursor.zone, alive, config.policy,
+                            config.metric, nullptr, assignments, scratch);
   const multicast::ZoneAssignment* next = nullptr;
   for (const multicast::ZoneAssignment& a : assignments)
     if (a.zone.contains_interior(target)) {
@@ -184,11 +178,11 @@ GraftStep graft_step(const overlay::OverlayGraph& graph, GroupTree& gt,
   ++cursor.steps;
   if (!gt.tree.reached(next->child)) {
     gt.tree.add_edge(cursor.current, next->child);
-    gt.zones.emplace(next->child, next->zone);
     // A stranded subscriber recruited as a relay is spanned again.
     if (gt.is_subscriber[next->child]) ++gt.reached_subscribers;
   }
   cursor.current = next->child;
+  cursor.zone = next->zone;
   if (cursor.current == s) {
     if (!gt.is_subscriber[s]) {
       gt.is_subscriber[s] = true;
@@ -208,7 +202,7 @@ GraftResult graft_subscriber(const overlay::OverlayGraph& graph, GroupTree& gt, 
   // "routed == local" a structural property rather than a parallel
   // implementation to keep in sync.
   GraftResult result;
-  GraftCursor cursor = graft_cursor(gt, s);
+  GraftCursor cursor = graft_cursor(graph, gt, s);
   for (;;) {
     const GraftStep step = graft_step(graph, gt, cursor, config, alive);
     result.messages = cursor.steps;
@@ -303,7 +297,7 @@ GroupRepairResult repair_group_tree(const overlay::OverlayGraph& graph, GroupTre
   // Even a pure leaf removal stales the zones: the departed peer leaves
   // the candidate sets of its in-tree overlay neighbours, so replaying the
   // recursion (what a graft does) would pick different delegates there.
-  mark_zones_stale(gt);
+  gt.zones_stale = true;
   return result;
 }
 
@@ -332,7 +326,7 @@ StrandRescueResult rescue_stranded(const overlay::OverlayGraph& graph, GroupTree
   }
   // Splice paths are not what the recursion would have produced: replaying
   // a zone descent against them is undefined, so grafts must rebuild.
-  if (result.rescued > 0 || result.spliced_relays > 0) mark_zones_stale(gt);
+  if (result.rescued > 0 || result.spliced_relays > 0) gt.zones_stale = true;
   return result;
 }
 

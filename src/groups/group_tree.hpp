@@ -19,8 +19,11 @@
 //    precisely the branches whose slices lose their last subscriber.
 // Churn repair (departure of an in-tree peer) reattaches orphan subtrees
 // via stability::repair_orphans and therefore CAN deviate from a fresh
-// build; it marks the zones stale (and drops them), which blocks further
-// zone-guided grafts until the GroupManager rebuilds.
+// build; it marks the zones stale, which blocks further zone-guided grafts
+// until the GroupManager rebuilds.
+// As in the paper, zones are not tree state: a build or graft request
+// carries its peer's zone Z(P), which in a tree whose zones are not stale
+// is a function of the peer's root path.
 //
 // General-position caveat (inherited from the paper's open-zone recursion):
 // a subscriber whose identifier ties a delegating peer's coordinate lies on
@@ -31,7 +34,6 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "multicast/space_partition.hpp"
@@ -44,32 +46,22 @@ using overlay::kInvalidPeer;
 
 struct GroupTree {
   multicast::MulticastTree tree;      // spans subscribers and relays
-  /// Responsibility zone of each reached peer, keyed by peer: as in the
-  /// paper, a peer holds a zone only once a request has reached it, so
-  /// the map follows the tree (O(reached)), not the overlay (O(n)).
-  /// Invariant: while !zones_stale, the keys are exactly the reached
-  /// peers (zones.size() == tree.reached_count()); once stale it is empty.
-  std::unordered_map<PeerId, geometry::Rect> zones;
   std::vector<bool> is_subscriber;    // delivery flag per peer
   std::size_t subscriber_count = 0;   // peers with the delivery flag set
   /// Subscribers the tree actually spans (== subscriber_count unless a
   /// build stranded); maintained incrementally by graft/prune/repair.
   std::size_t reached_subscribers = 0;
   std::uint64_t build_messages = 0;   // construction requests of the build wave
-  /// Set by mark_zones_stale (repair, strand rescue, and the GroupManager
-  /// when a departure changes some in-tree peer's candidate set): the
-  /// recursion that produced `zones` can no longer be replayed, so
-  /// zone-guided grafts must rebuild.
+  /// Set by repair, strand rescue, and the GroupManager when a departure
+  /// changes some in-tree peer's candidate set: the recursion that
+  /// produced the tree can no longer be replayed, so zone-guided grafts
+  /// must rebuild. Nothing but a fresh build resets it.
   bool zones_stale = false;
 
   [[nodiscard]] std::size_t relay_count() const noexcept {
     return tree.reached_count() - reached_subscribers;
   }
 };
-
-/// Sets `zones_stale` and drops the zones: no reader may consult a zone
-/// once the flag is set, and nothing but a fresh build resets it.
-void mark_zones_stale(GroupTree& gt);
 
 /// Builds the pruned construction for `subscribers` (indexed by peer id)
 /// rooted at `root`. Peers with `alive[p] == false` are skipped as
@@ -90,13 +82,15 @@ struct GraftResult {
 /// tree: each graft_step() takes exactly ONE descent decision — the local
 /// partition step at `current` — so the descent can be driven hop by hop
 /// from routed envelopes (the distributed control plane) or looped locally
-/// (graft_subscriber, the synchronous oracle). The cursor holds only peer
-/// indices, never tree pointers or zones: steps always run against the
-/// caller's current GroupTree and look up the zone of `current` there, so
-/// copy-on-write clones between steps are safe.
+/// (graft_subscriber, the synchronous oracle). The cursor is the graft
+/// request: it carries the zone of `current`, as the paper's request
+/// carries Z(P), and holds peer indices, never tree pointers, so steps
+/// always run against the caller's current GroupTree and copy-on-write
+/// clones between steps are safe.
 struct GraftCursor {
   PeerId subscriber = kInvalidPeer;
   PeerId current = kInvalidPeer;  // peer whose descent decision runs next
+  geometry::Rect zone;            // Z(current)
   std::size_t steps = 0;          // decisions taken (the guard counter)
 };
 
@@ -112,18 +106,20 @@ struct GraftStep {
   PeerId next = kInvalidPeer;  // the peer to hand the descent to (kDescend)
 };
 
-/// Starts a graft of `s` into `gt`: the first decision runs at the root.
-[[nodiscard]] GraftCursor graft_cursor(const GroupTree& gt, PeerId s);
+/// Starts a graft of `s` into `gt`: the first decision runs at the root,
+/// whose zone is the initiator's whole space.
+[[nodiscard]] GraftCursor graft_cursor(const overlay::OverlayGraph& graph, const GroupTree& gt,
+                                       PeerId s);
 
 /// Takes one descent decision at `cursor.current`: replays the partition
-/// step there from its cached zone, follows (or creates, recording the
-/// child's zone) the edge of the slice containing the subscriber's point,
-/// and advances the cursor. Attaches immediately when the subscriber is
-/// already spanned (re-subscribe / relay promotion). Must not be called on
-/// a stale-zoned tree (throws std::logic_error) — the caller gates on
-/// `zones_stale` before every step because a repair can land between
-/// steps of an in-flight descent. A `current` with no zone (not in the
-/// tree) throws std::out_of_range rather than descending from a guess.
+/// step there from the carried zone, follows (or creates) the edge of the
+/// slice containing the subscriber's point, and advances the cursor to
+/// that child with the slice as its zone. Attaches immediately when the
+/// subscriber is already spanned (re-subscribe / relay promotion). Must
+/// not be called on a stale-zoned tree (throws std::logic_error) — the
+/// caller gates on `zones_stale` before every step because a repair can
+/// land between steps of an in-flight descent. A `current` the tree does
+/// not reach throws std::out_of_range rather than descending from a guess.
 [[nodiscard]] GraftStep graft_step(const overlay::OverlayGraph& graph, GroupTree& gt,
                                    GraftCursor& cursor,
                                    const multicast::MulticastConfig& config = {},
@@ -140,8 +136,8 @@ struct GraftStep {
                                            const std::vector<bool>& alive = {});
 
 /// Removes subscriber `s`: clears the delivery flag and cascades away the
-/// relay-only leaf chain that served no one else, zones included, so the
-/// zone map stays equal to a fresh build's. Returns edges removed.
+/// relay-only leaf chain that served no one else, so the tree stays equal
+/// to a fresh build's. Returns edges removed.
 std::size_t prune_subscriber(GroupTree& gt, PeerId s);
 
 struct GroupRepairResult {

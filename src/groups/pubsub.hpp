@@ -20,9 +20,10 @@
 //                                             v
 //        +----------------- kGraftRequestKind, one DESCENT hop ---------+
 //        |  each peer on the path replays ITS partition step against    |
-//        |  its recorded zone, follows/creates the slice edge holding   |
-//        |  the subscriber's point, and forwards the request to that    |
-//        |  child (GroupManager::graft_advance — one decision per       |
+//        |  the zone the request carries, follows/creates the slice     |
+//        |  edge holding the subscriber's point, and forwards the       |
+//        |  request, with that slice as its zone, to that child         |
+//        |  (GroupManager::graft_advance — one decision per             |
 //        |  envelope, counted as graft_hops in Group/NetworkStats)      |
 //        +---------------------------------------------------------+---+
 //              |                            |                      |

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -170,6 +171,110 @@ TEST(GroupManagerTest, NonTreeNeighbourDepartureStalesZonesForGrafts) {
   const auto& stats = manager.stats(g);
   EXPECT_EQ(stats.grafts, 0u);
   EXPECT_EQ(stats.tree_builds, 2u);
+}
+
+TEST(GroupManagerTest, RoutedGraftSurvivesADepartureAwayFromTheTree) {
+  // A departure whose peer is no member and has no reached overlay
+  // neighbour leaves every step on every root path as it was, so an
+  // in-flight routed graft keeps descending. Its remaining steps run under
+  // the new alive set, and the zone its cursor carries must still be the
+  // one a fresh build over the members and that alive set would assign.
+  // The departed peer lies on, or beside, the path the descent has yet to
+  // take, so a later step's candidate set really shrinks.
+  std::size_t cases = 0, on_path_cases = 0;
+  for (std::uint64_t seed = 301; seed < 321; ++seed) {
+    const auto graph = make_overlay(150, 2, seed);
+    GroupManager manager(graph);
+    const GroupId g = 5;
+    for (int i = 0; i < 5; ++i) manager.subscribe(g, fresh_peer(manager, g, graph.size()));
+    const GroupTree* built = manager.tree(g);
+    ASSERT_NE(built, nullptr);
+    const PeerId root = manager.root_of(g);
+
+    // A late subscriber whose descent takes at least two steps, and a
+    // harmless departure beside the path it has left after the first.
+    PeerId late = kInvalidPeer, departed = kInvalidPeer;
+    bool on_path = false;
+    for (PeerId p = 0; p < graph.size() && departed == kInvalidPeer; ++p) {
+      if (p == root || manager.is_subscribed(g, p) || built->tree.reached(p)) continue;
+      GroupTree dry = *built;
+      if (!graft_subscriber(graph, dry, p).attached) continue;
+      std::vector<PeerId> path;  // the peers below the first step, up to p
+      for (PeerId q = p; dry.tree.parent(q) != root; q = dry.tree.parent(q)) path.push_back(q);
+      if (path.empty()) continue;
+      const PeerId first = dry.tree.parent(path.back());  // where the first step lands
+      const auto touches_tree = [&](PeerId d) {
+        if (d == first) return true;
+        for (PeerId q : graph.neighbors(d))
+          if (built->tree.reached(q) || q == first) return true;
+        return false;
+      };
+      // A departure that walls the subscriber off (a fresh build strands
+      // it too) fails the graft by design; the test wants one it survives.
+      const auto reached_without = [&](PeerId d) {
+        std::vector<bool> members(graph.size()), alive(graph.size());
+        for (PeerId q = 0; q < graph.size(); ++q) {
+          members[q] = q == p || manager.is_subscribed(g, q);
+          alive[q] = q != d && manager.alive(q);
+        }
+        return build_group_tree(graph, root, members, {}, alive).tree.reached(p);
+      };
+      const auto harmless = [&](PeerId d) {
+        return d != root && d != p && !manager.is_subscribed(g, d) && !built->tree.reached(d) &&
+               !touches_tree(d) && reached_without(d);
+      };
+      // Prefer a peer the descent would have passed through: the rest of
+      // the descent must then route around it.
+      for (PeerId d : path)
+        if (departed == kInvalidPeer && harmless(d)) departed = d;
+      for (PeerId step : path)
+        for (PeerId d : graph.neighbors(step))
+          if (departed == kInvalidPeer && harmless(d)) departed = d;
+      if (departed != kInvalidPeer) {
+        late = p;
+        on_path = std::find(path.begin(), path.end(), departed) != path.end();
+      }
+    }
+    if (departed == kInvalidPeer) continue;
+    ++cases;
+    if (on_path) ++on_path_cases;
+
+    ASSERT_EQ(manager.subscribe_membership(g, late), GroupManager::SubscribeNeed::kGraft);
+    const std::uint64_t id = manager.graft_begin(g, late, root);
+    ASSERT_NE(id, 0u);
+    auto advance = manager.graft_advance(id, root);
+    ASSERT_EQ(advance.status, GroupManager::GraftAdvance::Status::kDescend);
+
+    const auto outcome = manager.handle_departure(departed);
+    EXPECT_TRUE(outcome.aborted_grafts.empty()) << "seed " << seed;
+    ASSERT_EQ(manager.inflight_graft_count(), 1u) << "seed " << seed;
+    for (std::size_t guard = 0;
+         advance.status == GroupManager::GraftAdvance::Status::kDescend; ++guard) {
+      ASSERT_LE(guard, graph.size());
+      advance = manager.graft_advance(id, advance.next);
+    }
+    ASSERT_EQ(advance.status, GroupManager::GraftAdvance::Status::kAttached) << "seed " << seed;
+    EXPECT_TRUE(manager.graft_finish(id));
+
+    std::vector<bool> members(graph.size()), alive(graph.size());
+    for (PeerId p = 0; p < graph.size(); ++p) {
+      members[p] = manager.is_subscribed(g, p);
+      alive[p] = manager.alive(p);
+    }
+    const GroupTree fresh = build_group_tree(graph, root, members, {}, alive);
+    const GroupTree* grafted = manager.tree(g);
+    ASSERT_NE(grafted, nullptr);
+    EXPECT_EQ(manager.stats(g).tree_builds, 1u) << "seed " << seed;
+    EXPECT_FALSE(grafted->zones_stale) << "seed " << seed;
+    for (PeerId p = 0; p < graph.size(); ++p) {
+      ASSERT_EQ(grafted->tree.reached(p), fresh.tree.reached(p)) << "seed " << seed << " peer " << p;
+      EXPECT_EQ(grafted->tree.parent(p), fresh.tree.parent(p)) << "seed " << seed << " peer " << p;
+      EXPECT_EQ(grafted->is_subscriber[p], fresh.is_subscriber[p])
+          << "seed " << seed << " peer " << p;
+    }
+  }
+  EXPECT_GE(cases, 10u);
+  EXPECT_GE(on_path_cases, 1u);
 }
 
 /// `graph` with every link of `isolated` cut: no construction request can

@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <deque>
+#include <map>
+#include <memory>
 
+#include "geometry/orthant.hpp"
 #include "geometry/random_points.hpp"
 #include "multicast/local_rule.hpp"
 #include "multicast/space_partition.hpp"
@@ -41,25 +44,55 @@ std::vector<bool> random_mask(std::size_t n, std::size_t count, std::uint64_t se
   return mask;
 }
 
-/// The zone map holds exactly the reached peers (one entry each).
-void expect_zones_exact(const GroupTree& gt) {
-  ASSERT_FALSE(gt.zones_stale);
-  EXPECT_EQ(gt.zones.size(), gt.tree.reached_count());
-  for (const auto& [peer, zone] : gt.zones)
-    EXPECT_TRUE(gt.tree.reached(peer)) << "zone kept for unreached peer " << peer;
+using ZoneMap = std::map<PeerId, geometry::Rect>;
+
+/// Each reached peer's zone, recomputed along its root path the way a
+/// construction request carries it: the root holds the whole space, and a
+/// child holds its parent's zone clipped to the child's orthant.
+ZoneMap zones_along_root_paths(const overlay::OverlayGraph& graph, const GroupTree& gt) {
+  ZoneMap zones{{gt.tree.root(), multicast::initiator_zone(graph.dims())}};
+  std::vector<PeerId> stack{gt.tree.root()};
+  while (!stack.empty()) {
+    const PeerId p = stack.back();
+    stack.pop_back();
+    for (PeerId child : gt.tree.children(p)) {
+      const geometry::Point& ego = graph.point(p);
+      zones.emplace(child, multicast::child_zone(zones.at(p), ego,
+                                                 geometry::orthant_of(ego, graph.point(child))));
+      stack.push_back(child);
+    }
+  }
+  return zones;
 }
 
-/// Same keys, same rects: an incremental edit left the zones a fresh build
-/// would have produced.
-void expect_same_zones(const GroupTree& a, const GroupTree& b) {
-  expect_zones_exact(a);
-  expect_zones_exact(b);
-  EXPECT_EQ(a.zones.size(), b.zones.size());
-  for (const auto& [peer, zone] : b.zones) {
-    const auto it = a.zones.find(peer);
-    ASSERT_NE(it, a.zones.end()) << "no zone for peer " << peer;
-    EXPECT_EQ(it->second, zone) << "peer " << peer;
+/// The validator's four zone properties on the group tree: every reached
+/// peer lies inside its zone, child zones nest in their parent's, sibling
+/// zones are disjoint, and a parent lies outside its children's zones.
+void expect_zones_exact(const overlay::OverlayGraph& graph, const GroupTree& gt) {
+  ASSERT_FALSE(gt.zones_stale);
+  const ZoneMap zones = zones_along_root_paths(graph, gt);
+  ASSERT_EQ(zones.size(), gt.tree.reached_count());
+  for (const auto& [peer, zone] : zones) {
+    EXPECT_TRUE(zone.contains_interior(graph.point(peer))) << "peer " << peer;
+    const auto& kids = gt.tree.children(peer);
+    for (std::size_t i = 0; i < kids.size(); ++i) {
+      const geometry::Rect& child = zones.at(kids[i]);
+      EXPECT_TRUE(child.interior_subset_of(zone)) << "child " << kids[i];
+      EXPECT_FALSE(child.contains_interior(graph.point(peer))) << "child " << kids[i];
+      for (std::size_t j = i + 1; j < kids.size(); ++j)
+        EXPECT_TRUE(child.interior_disjoint(zones.at(kids[j])))
+            << "siblings " << kids[i] << ", " << kids[j];
+    }
   }
+}
+
+/// Same peers, same rects: an incremental edit left the zones a fresh
+/// build would have produced.
+void expect_same_zones(const overlay::OverlayGraph& graph, const GroupTree& a,
+                       const GroupTree& b) {
+  expect_zones_exact(graph, a);
+  expect_zones_exact(graph, b);
+  EXPECT_EQ(zones_along_root_paths(graph, a), zones_along_root_paths(graph, b));
 }
 
 /// Every flagged subscriber is reached and linked to the root by parent
@@ -130,14 +163,15 @@ TEST(GroupTreeTest, GraftEqualsFreshBuild) {
   for (PeerId p = 0; p < graph.size(); ++p) {
     EXPECT_EQ(grown.tree.parent(p), fresh.tree.parent(p)) << "peer " << p;
     EXPECT_EQ(grown.is_subscriber[p], fresh.is_subscriber[p]) << "peer " << p;
-  }  expect_same_zones(grown, fresh);
+  }
+  expect_same_zones(graph, grown, fresh);
 }
 
 TEST(GroupTreeTest, PruneEqualsFreshBuild) {
   const auto graph = make_overlay(80, 2, 105);
   auto subs = random_mask(graph.size(), 9, 17);
   auto shrunk = build_group_tree(graph, 0, subs);
-  // A leaf subscriber, so the prune really cascades edges (and zones) away.
+  // A leaf subscriber, so the prune really cascades edges away.
   PeerId victim = kInvalidPeer;
   for (PeerId p = 1; p < graph.size(); ++p)
     if (subs[p] && shrunk.tree.children(p).empty()) {
@@ -155,8 +189,8 @@ TEST(GroupTreeTest, PruneEqualsFreshBuild) {
     if (fresh.tree.reached(p) && p != 0) {
       EXPECT_EQ(shrunk.tree.parent(p), fresh.tree.parent(p)) << "peer " << p;
     }
-  }  // The pruned chain's zones go with its edges.
-  expect_same_zones(shrunk, fresh);
+  }
+  expect_same_zones(graph, shrunk, fresh);
 }
 
 TEST(GroupTreeTest, GraftThenPruneIsIdentity) {
@@ -177,7 +211,8 @@ TEST(GroupTreeTest, GraftThenPruneIsIdentity) {
   for (PeerId p = 0; p < graph.size(); ++p) {
     EXPECT_EQ(mutated.tree.reached(p), original.tree.reached(p)) << "peer " << p;
     EXPECT_EQ(mutated.is_subscriber[p], original.is_subscriber[p]) << "peer " << p;
-  }  expect_same_zones(mutated, original);
+  }
+  expect_same_zones(graph, mutated, original);
 }
 
 TEST(GroupTreeTest, RepairRemovesDepartedAndKeepsCoverage) {
@@ -200,29 +235,16 @@ TEST(GroupTreeTest, RepairRemovesDepartedAndKeepsCoverage) {
   ASSERT_FALSE(repair.needs_rebuild);
   EXPECT_GT(repair.reattached, 0u);
   EXPECT_TRUE(gt.zones_stale);
-  EXPECT_TRUE(gt.zones.empty());
   EXPECT_FALSE(gt.tree.reached(departed));
   EXPECT_FALSE(gt.is_subscriber[departed]);
   expect_spans_subscribers(graph, gt);
-}
-
-TEST(GroupTreeTest, ZonesFollowTheTreeNotTheOverlay) {
-  const auto graph = make_overlay(2000, 2, 110);
-  const auto subs = random_mask(graph.size(), 16, 23);
-  const auto gt = build_group_tree(graph, 0, subs);
-  expect_spans_subscribers(graph, gt);
-  expect_zones_exact(gt);
-  // A 16-subscriber tree reaches a sliver of the overlay; the zones are
-  // sized by that sliver, not by n.
-  EXPECT_LT(gt.zones.size() * 10, graph.size());
 }
 
 TEST(GroupTreeTest, GraftOnStaleZonesThrows) {
   const auto graph = make_overlay(40, 2, 108);
   const auto subs = subscriber_mask(graph.size(), {3, 9, 20});
   auto gt = build_group_tree(graph, 0, subs);
-  mark_zones_stale(gt);
-  EXPECT_TRUE(gt.zones.empty());
+  gt.zones_stale = true;
   EXPECT_THROW((void)graft_subscriber(graph, gt, 15), std::logic_error);
 }
 
@@ -238,8 +260,84 @@ TEST(GroupTreeTest, GraftStepFromAnUnreachedPeerThrows) {
     }
   ASSERT_NE(outside, kInvalidPeer);
   // A cursor parked off the tree has no zone to replay the step from.
-  GraftCursor cursor{outside, outside, 0};
+  GraftCursor cursor = graft_cursor(graph, gt, outside);
+  cursor.current = outside;
   EXPECT_THROW((void)graft_step(graph, gt, cursor), std::out_of_range);
+}
+
+/// Steps `gt` would take to graft `s` (0 when it does not attach).
+std::size_t graft_length(const overlay::OverlayGraph& graph, GroupTree gt, PeerId s) {
+  const GraftResult result = graft_subscriber(graph, gt, s);
+  return result.attached ? result.messages : 0;
+}
+
+TEST(GroupTreeTest, CarriedZoneMatchesTheTreeAcrossInterleavedEdits) {
+  // One descent driven step by step while other edits land between its
+  // steps: a second graft, a prune whose relay cascade removes edges, and
+  // a copy-on-write clone taking over. After every step the zone the
+  // cursor carries must be the zone of its peer recomputed along the
+  // tree's root path, and the final tree must equal a fresh build.
+  const auto graph = make_overlay(300, 2, 111);
+  auto subs = random_mask(graph.size(), 10, 29);
+  GroupTree gt = build_group_tree(graph, 0, subs);
+  PeerId target = kInvalidPeer;
+  for (PeerId p = 1; p < graph.size() && target == kInvalidPeer; ++p)
+    if (!gt.tree.reached(p) && graft_length(graph, gt, p) >= 6) target = p;
+  ASSERT_NE(target, kInvalidPeer);
+
+  GraftCursor cursor = graft_cursor(graph, gt, target);
+  EXPECT_EQ(cursor.zone, multicast::initiator_zone(graph.dims()));
+  std::shared_ptr<const GroupTree> wave;  // a publish wave's snapshot
+  bool grafted = false, pruned = false, cloned = false;
+  for (std::size_t step = 1;; ++step) {
+    const GraftStep result = graft_step(graph, gt, cursor);
+    ASSERT_NE(result.status, GraftStatus::kStranded);
+    ASSERT_NE(result.status, GraftStatus::kExhausted);
+    ASSERT_EQ(cursor.zone, zones_along_root_paths(graph, gt).at(cursor.current))
+        << "step " << step << " at peer " << cursor.current;
+    if (result.status == GraftStatus::kAttached) break;
+
+    if (step == 1) {
+      // Another subscriber grafts in while this descent is in flight.
+      for (PeerId p = 1; p < graph.size() && !grafted; ++p) {
+        if (p == target || gt.tree.reached(p)) continue;
+        GroupTree trial = gt;
+        if (!graft_subscriber(graph, trial, p).attached || trial.tree.reached(target)) continue;
+        ASSERT_TRUE(graft_subscriber(graph, gt, p).attached);
+        subs[p] = true;
+        grafted = true;
+      }
+    } else if (step == 2) {
+      // A prune whose cascade takes at least one relay, away from the
+      // cursor's subtree (the GroupManager aborts a descent whose peer a
+      // prune removes).
+      for (PeerId p = 1; p < graph.size() && !pruned; ++p) {
+        if (!gt.is_subscriber[p] || p == target || gt.tree.in_subtree(cursor.current, p))
+          continue;
+        GroupTree trial = gt;
+        if (prune_subscriber(trial, p) < 2 || !trial.tree.reached(cursor.current)) continue;
+        ASSERT_GE(prune_subscriber(gt, p), 2u);
+        subs[p] = false;
+        pruned = true;
+      }
+    } else if (step == 3) {
+      // A publish wave holds the current tree: the next write clones.
+      wave = std::make_shared<const GroupTree>(gt);
+      gt = *wave;
+      cloned = true;
+    }
+  }
+  ASSERT_TRUE(grafted && pruned && cloned);
+  subs[target] = true;
+  const GroupTree fresh = build_group_tree(graph, 0, subs);
+  for (PeerId p = 0; p < graph.size(); ++p) {
+    ASSERT_EQ(gt.tree.reached(p), fresh.tree.reached(p)) << "peer " << p;
+    EXPECT_EQ(gt.tree.parent(p), fresh.tree.parent(p)) << "peer " << p;
+    EXPECT_EQ(gt.is_subscriber[p], fresh.is_subscriber[p]) << "peer " << p;
+  }
+  EXPECT_EQ(gt.subscriber_count, fresh.subscriber_count);
+  EXPECT_EQ(gt.reached_subscribers, fresh.reached_subscribers);
+  expect_same_zones(graph, gt, fresh);
 }
 
 TEST(GroupTreeTest, RandomPolicyRejected) {
@@ -256,12 +354,14 @@ TEST(GroupTreeTest, RandomPolicyRejected) {
 // that each own a vector of subscribers, split per slice into fresh
 // vectors. Children order sets the dissemination order, so it is compared
 // peer by peer, along with zones, build_messages and reached_subscribers —
-// after the build and again after the same graft on both trees.
+// after the build and again after the same graft on both trees. The
+// reference records the zone each request carried in its own map, which
+// must equal the zones recomputed along the flat build's root paths.
 
-GroupTree deque_reference_build(const overlay::OverlayGraph& graph, PeerId root,
-                                const std::vector<bool>& subscribers,
-                                const std::vector<bool>& alive) {
-  GroupTree gt;
+/// Builds into `gt` and records each reached peer's zone in `zones`.
+void deque_reference_build(const overlay::OverlayGraph& graph, PeerId root,
+                           const std::vector<bool>& subscribers,
+                           const std::vector<bool>& alive, GroupTree& gt, ZoneMap& zones) {
   gt.tree = multicast::MulticastTree(graph.size(), root);
   gt.is_subscriber = subscribers;
   std::vector<PeerId> ids;
@@ -276,7 +376,7 @@ GroupTree deque_reference_build(const overlay::OverlayGraph& graph, PeerId root,
     std::vector<PeerId> subs;
   };
   const geometry::Rect root_zone = multicast::initiator_zone(graph.dims());
-  gt.zones.emplace(root, root_zone);
+  zones.emplace(root, root_zone);
   std::deque<Pending> queue;
   queue.push_back(Pending{root, root_zone, ids});
   std::vector<multicast::ZoneAssignment> assignments;
@@ -298,13 +398,12 @@ GroupTree deque_reference_build(const overlay::OverlayGraph& graph, PeerId root,
       if (split[i].empty()) continue;
       ++gt.build_messages;
       gt.tree.add_edge(current.peer, assignments[i].child);
-      gt.zones.emplace(assignments[i].child, assignments[i].zone);
+      zones.emplace(assignments[i].child, assignments[i].zone);
       queue.push_back(Pending{assignments[i].child, assignments[i].zone, std::move(split[i])});
     }
   }
   for (PeerId s : ids)
     if (gt.tree.reached(s)) ++gt.reached_subscribers;
-  return gt;
 }
 
 void expect_identical_trees(const overlay::OverlayGraph& graph, const GroupTree& a,
@@ -315,7 +414,7 @@ void expect_identical_trees(const overlay::OverlayGraph& graph, const GroupTree&
     EXPECT_EQ(a.tree.parent(p), b.tree.parent(p)) << "peer " << p;
     EXPECT_EQ(a.tree.children(p), b.tree.children(p)) << "children order of peer " << p;
   }
-  expect_same_zones(a, b);
+  expect_same_zones(graph, a, b);
   EXPECT_EQ(a.build_messages, b.build_messages);
   EXPECT_EQ(a.subscriber_count, b.subscriber_count);
   EXPECT_EQ(a.reached_subscribers, b.reached_subscribers);
@@ -340,8 +439,11 @@ TEST_P(FlatBuildTest, EqualsDequeReferenceBeforeAndAfterAGraft) {
       }
     }
     auto flat = build_group_tree(graph, 0, subs, {}, alive);
-    auto reference = deque_reference_build(graph, 0, subs, alive);
+    GroupTree reference;
+    ZoneMap reference_zones;
+    deque_reference_build(graph, 0, subs, alive, reference, reference_zones);
     expect_identical_trees(graph, flat, reference);
+    EXPECT_EQ(zones_along_root_paths(graph, flat), reference_zones);
 
     PeerId extra = kInvalidPeer;
     while (extra == kInvalidPeer) {

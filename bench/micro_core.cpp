@@ -156,50 +156,60 @@ BENCHMARK(BM_EventQueueCancelChurn)->Arg(2)->Arg(8)->Arg(64);
 
 // ------------------------------------------------------- simulator core ----
 
-// Raw-callback dispatch through the two queue backends: the heap oracle
-// vs the hierarchical timer wheel, on the near-horizon schedule-then-pop
-// cycle the simulator hot loop runs per envelope. Arg 0 = kHeap,
-// 1 = kWheel. CI gates the wheel/heap events/sec ratio on these: a wheel
+// Raw-callback dispatch on the hop-chain cycle the simulator hot loop runs
+// per reliable hop: each event cancels its chain's +0.05 s ack timer, then
+// schedules a +0.01 s delivery and a fresh +0.05 s timer. Arg 0 files both
+// through schedule(now + d), the heap; arg 1 through the schedule_after()
+// lane overload. CI gates the lanes/heap events/sec ratio on these: a lane
 // regression that the bit-identical battery can't see shows up here.
-void BM_SimCoreQueueDispatch(benchmark::State& state) {
-  const auto backend =
-      state.range(0) == 0 ? sim::QueueBackend::kHeap : sim::QueueBackend::kWheel;
-  constexpr int kBatch = 1024;
-  for (auto _ : state) {
-    sim::EventQueue queue(backend);
-    std::uint64_t fired = 0;
-    // 64 rounds of 1024 events over a ~0.1s horizon each: dense
-    // occupancy, the regime the 1000-peer gate cell runs the wheel in.
-    for (int round = 0; round < 64; ++round) {
-      const double base = 0.1 * round;
-      for (int i = 0; i < kBatch; ++i)
-        queue.schedule(
-            base + 0.0001 * (i % 1000),
-            [](void* ctx, std::uint64_t arg) {
-              *static_cast<std::uint64_t*>(ctx) += arg;
-            },
-            &fired, 1);
-      while (queue.pending() > 0) queue.run_next();
-    }
-    benchmark::DoNotOptimize(fired);
+struct DispatchChains {
+  static constexpr std::size_t kChains = 1024;
+  sim::EventQueue queue;
+  bool lanes = false;
+  std::vector<sim::EventId> timers = std::vector<sim::EventId>(kChains);
+
+  static void timeout(void* /*ctx*/, std::uint64_t /*chain*/) {}
+  static void deliver(void* ctx, std::uint64_t chain) {
+    auto* self = static_cast<DispatchChains*>(ctx);
+    self->queue.cancel(self->timers[chain]);
+    self->send(chain);
   }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 64 * kBatch);
+  void send(std::uint64_t chain) {
+    const sim::SimTime now = queue.last_popped_time();
+    if (lanes) {
+      queue.schedule_after(now, 0.01, &deliver, this, chain);
+      timers[chain] = queue.schedule_after(now, 0.05, &timeout, nullptr, chain);
+    } else {
+      queue.schedule(now + 0.01, &deliver, this, chain);
+      timers[chain] = queue.schedule(now + 0.05, &timeout, nullptr, chain);
+    }
+  }
+};
+
+void BM_SimCoreQueueDispatch(benchmark::State& state) {
+  constexpr int kEvents = 64 * 1024;
+  for (auto _ : state) {
+    DispatchChains chains;
+    chains.lanes = state.range(0) == 1;
+    // Staggered starts: 1024 chains in flight, their hops spread over the
+    // latency window as concurrent waves spread them.
+    for (std::size_t c = 0; c < DispatchChains::kChains; ++c)
+      chains.queue.schedule(1e-5 * static_cast<double>(c), &DispatchChains::deliver,
+                            &chains, c);
+    for (int i = 0; i < kEvents; ++i) chains.queue.run_next();
+    benchmark::DoNotOptimize(chains.queue.pending());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * kEvents);
 }
 BENCHMARK(BM_SimCoreQueueDispatch)->Arg(0)->Arg(1);
 
-// The sparse regime that historically regressed the wheel: few events
-// spread over a long horizon, so most rung buckets are empty and a naive
-// pop walks thousands of dead buckets per event. The per-rung occupancy
-// bitmaps turn that walk into a ctz hop; CI gates wheel >= 1.0x heap here
-// (BM_SimCoreQueueSparseHorizon) so the dense-dispatch win can never be
-// bought back with a sparse regression. 8192 events over a ~800s horizon,
-// scheduled far ahead so every ring level is exercised.
+// Few events spread over a long horizon, all absolute schedules: the
+// heap-only regime (8192 events over a ~800 s horizon). CI records it as a
+// trajectory number, ungated.
 void BM_SimCoreQueueSparseHorizon(benchmark::State& state) {
-  const auto backend =
-      state.range(0) == 0 ? sim::QueueBackend::kHeap : sim::QueueBackend::kWheel;
   constexpr int kEvents = 8192;
   for (auto _ : state) {
-    sim::EventQueue queue(backend);
+    sim::EventQueue queue;
     std::uint64_t fired = 0;
     util::Rng rng(97);
     for (int i = 0; i < kEvents; ++i)
@@ -214,7 +224,7 @@ void BM_SimCoreQueueSparseHorizon(benchmark::State& state) {
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * kEvents);
 }
-BENCHMARK(BM_SimCoreQueueSparseHorizon)->Arg(0)->Arg(1);
+BENCHMARK(BM_SimCoreQueueSparseHorizon);
 
 // The end-to-end per-event cost of the pub/sub simulation core: one
 // PubSubSystem per iteration running a QoS 1 batched publish workload on a

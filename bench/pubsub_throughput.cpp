@@ -1398,7 +1398,7 @@ int run_simcore(ScenarioParams params, std::size_t dims, multicast::QoS qos,
     ScenarioParams sweep = params;
     sweep.peers = sweep_peers;
     // Few publishes: the sweep cell exists to push peer-count-proportional
-    // state (window slots, dedup tables, wheel occupancy) to 100k within
+    // state (window slots, dedup tables, queue depth) to 100k within
     // the CI budget, not to maximise wave traffic.
     sweep.publishes = std::min<std::size_t>(sweep.publishes, 8);
     sweep.local_members = true;

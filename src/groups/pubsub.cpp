@@ -239,7 +239,7 @@ class PubSubSystem::PubSubNode final : public sim::Node {
 PubSubSystem::PubSubSystem(const overlay::OverlayGraph& graph, PubSubConfig config)
     : graph_(graph),
       config_(std::move(config)),
-      sim_(std::make_unique<sim::Simulator>(config_.seed, sim::QueueBackend::kWheel)),
+      sim_(std::make_unique<sim::Simulator>(config_.seed)),
       manager_(std::make_unique<GroupManager>(graph, sharded_group_config(config_))) {
   // The manager needs the simulated clock for graft latency accounting
   // (begin -> attach). Wired unconditionally — latency histograms are

@@ -61,7 +61,7 @@ struct SnapshotSample {
   std::uint64_t in_flight_grafts = 0;  // gauge: routed descents outstanding
   std::uint64_t retained_seqs = 0;     // gauge: QoS 2 repair-buffer occupancy
   std::uint64_t queue_pending = 0;     // gauge: live events scheduled
-  std::uint64_t queue_heap_size = 0;   // gauge: heap entries incl. cancelled
+  std::uint64_t queue_heap_size = 0;   // gauge: queue entries incl. cancelled
   LoadSummary send_load;               // cumulative per-peer sends
   LoadSummary receive_load;            // cumulative per-peer receives
 };

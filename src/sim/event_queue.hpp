@@ -5,29 +5,20 @@
 //
 // Storage follows the live events, not the history: actions sit in a slab
 // whose retired cells are reused under a bumped generation (so a stale id
-// never matches the cell's new occupant), and a wheel bucket that drains
-// gives back storage above a small fixed size.
+// never matches the cell's new occupant), and a lane that drains gives back
+// storage above a small fixed size.
 //
-// Two interchangeable backends produce that exact same order:
-//
-//  - kHeap: the original compacted binary heap. O(log n) per operation,
-//    no assumptions about time distribution. This is the oracle.
-//  - kWheel: a hierarchical timer wheel for the short-horizon timers that
-//    dominate simulation workloads (per-hop latency, retransmit, gap and
-//    batch timers). Rung 0 is a ring of fine buckets (kWheelTick wide),
-//    rung 1 a ring of coarse buckets (one rung-0 span wide each), and the
-//    compacted binary heap stays on as the long-horizon overflow rung.
-//    An insert is O(1) bucket append; pops sort one small bucket at a time
-//    by (time, order), which reproduces the heap's global pop order exactly
-//    (buckets partition the time axis monotonically). Coarse buckets
-//    cascade into rung 0 when the fine cursor crosses their boundary, and
-//    overflow entries drain into the wheel the moment the cascade cursor
-//    reaches their coarse bucket. Each ring keeps an occupancy bitmap (one
-//    bit per bucket, set iff the bucket stores entries), so sparse
-//    workloads — a few thousand events spread over a long horizon — skip
-//    runs of empty buckets with a word scan instead of visiting each
-//    bucket (the 100k-peer sweep shape where the wheel used to trail the
-//    heap).
+// Entries live in one compacted binary heap plus a small table of FIFO
+// lanes. Almost every event a simulation schedules is `now + d` for one of
+// a few constant delays d (link latency, hop-ack timeout), and such events
+// arrive already in (time, order) order: schedule_after() appends them to
+// the lane keyed by d in O(1). A lane takes an entry only if it is not
+// earlier than the lane's tail (order always grows, so `when >= tail.when`
+// keeps the lane sorted); anything else, and every absolute schedule(),
+// goes to the heap. A pop takes the (time, order) minimum over the heap
+// front and the lane heads, which is exactly the order a single heap would
+// produce, whatever the caller passes (Varghese & Lauck's observation that
+// timers of one fixed interval need only a FIFO list).
 #pragma once
 
 #include <cstdint>
@@ -46,12 +37,8 @@ using EventId = std::uint64_t;
 /// must be cancelled first).
 using RawFn = void (*)(void* ctx, std::uint64_t arg);
 
-enum class QueueBackend { kHeap, kWheel };
-
 class EventQueue {
  public:
-  explicit EventQueue(QueueBackend backend = QueueBackend::kHeap);
-
   /// Schedules `action` at absolute time `when`; returns a handle usable
   /// with cancel(). `when` must be >= the last popped time (no scheduling
   /// into the past). The tie-break order is the insertion sequence.
@@ -63,10 +50,18 @@ class EventQueue {
   /// traffic (envelope delivery, per-hop ack timers).
   EventId schedule(SimTime when, RawFn fn, void* ctx, std::uint64_t arg);
 
+  /// Schedules at `now + delay` on the FIFO lane keyed by `delay` (the
+  /// O(1) path for constant-delay producers). Same pop order and checks as
+  /// schedule(now + delay, ...): an entry the lane cannot take in order, or
+  /// a delay no free lane can be keyed to, goes to the heap instead.
+  EventId schedule_after(SimTime now, SimTime delay, std::function<void()> action);
+  EventId schedule_after(SimTime now, SimTime delay, RawFn fn, void* ctx,
+                         std::uint64_t arg);
+
   /// Cancels a pending event; returns false if it already ran, was already
   /// cancelled, or never existed — also once its slot has been reused by a
   /// later event, which is left alone. Lazy removal: the stored entry stays
-  /// until its bucket (or the heap front) is consumed — but once stale
+  /// until it reaches its lane's head (or the heap front) — but once stale
   /// entries outnumber live ones (every acked hop cancels its retransmit
   /// timer, so under reliable traffic most of the queue is corpses), the
   /// storage is compacted in one O(n) pass instead of surfacing each
@@ -78,21 +73,20 @@ class EventQueue {
   /// Storage slots currently held, cancelled corpses included — pending()
   /// plus the stale entries compaction has not yet reclaimed (observability
   /// for the compaction tests/bench; always < 2 * pending() + a small floor
-  /// after any cancel, by the compaction invariant). Under kWheel this sums
-  /// all three rungs.
+  /// after any cancel, by the compaction invariant). Sums the heap and the
+  /// lanes.
   [[nodiscard]] std::size_t heap_size() const noexcept {
-    return fine_count_ + coarse_count_ + heap_.size();
+    return heap_.size() + lane_count_;
   }
   /// Storage held, in cells: action-slot capacity plus the entry capacity
-  /// of every rung. Bounded by the peak number of live events (plus at
-  /// most kFineBuckets * kBucketKeep entries that drained rung-0 buckets
-  /// keep for reuse), not by the number of ids ever issued. O(ring size);
-  /// for tests and diagnostics.
+  /// of the heap and every lane. Bounded by the peak number of live events
+  /// (plus at most kLanes * kLaneKeep entries that drained lanes keep for
+  /// reuse), not by the number of ids ever issued. For tests and
+  /// diagnostics.
   [[nodiscard]] std::size_t footprint() const noexcept;
   /// Time of the earliest pending event; queue must not be empty.
   [[nodiscard]] SimTime next_time() const;
   [[nodiscard]] SimTime last_popped_time() const noexcept { return last_popped_; }
-  [[nodiscard]] QueueBackend backend() const noexcept { return backend_; }
 
   /// Pops and runs the earliest pending event. Returns false if nothing ran
   /// (queue empty). Cancelled entries are skipped transparently. When
@@ -101,28 +95,22 @@ class EventQueue {
   /// separate next_time() peek per event on the hot loop.
   bool run_next(SimTime* now_out = nullptr);
 
-  // Wheel geometry, exposed for the unit tests that pin rung-boundary and
-  // overflow-drain behaviour.
-  static constexpr double kWheelTick = 0.0005;     // rung-0 bucket width (s)
-  static constexpr std::size_t kFineBuckets = 2048;    // rung-0 ring size
-  static constexpr std::size_t kCoarseBuckets = 4096;  // rung-1 ring size
-  /// A drained rung-0 bucket keeps its storage up to this many entries —
-  /// the ring comes round every kFineBuckets ticks, so the next fill reuses
-  /// it without regrowing — and gives back anything larger, so one burst
-  /// does not pin its high-water mark. A drained rung-1 bucket gives back
-  /// everything: its slot comes round only once per coarse horizon. The
-  /// storage drained buckets hold is thus capped at kFineBuckets *
-  /// kBucketKeep entries, whatever the history.
-  static constexpr std::size_t kBucketKeep = 64;
+  /// Lane table size: distinct constant delays served in O(1) at once. An
+  /// empty lane is re-keyed to the next unserved delay.
+  static constexpr std::size_t kLanes = 8;
+  /// A drained lane keeps its storage up to this many entries, so the next
+  /// fill reuses it without regrowing, and gives back anything larger, so
+  /// one burst does not pin its high-water mark.
+  static constexpr std::size_t kLaneKeep = 1024;
 
   /// An EventId is (generation << 32) | slot index. Generations stay below
   /// 2^kGenerationBits, so ids fit in 32 + kGenerationBits bits.
   static constexpr unsigned kGenerationBits = 24;
 
  private:
-  /// What the rungs store and sort: 24 trivially-copyable bytes. The
-  /// action lives in the slot table instead, so bucket sorts, heap
-  /// sift-ups and cascades shuffle PODs — no std::function move (an
+  /// What the heap and the lanes store: 24 trivially-copyable bytes. The
+  /// action lives in the slot table instead, so heap sift-ups and lane
+  /// shifts move PODs — no std::function move (an
   /// indirect _M_manager call) per element hop. `order` is the pop
   /// tie-break at equal times: the queue's insertion sequence.
   /// Entries of cancelled events linger until swept; their stale id fails
@@ -138,17 +126,21 @@ class EventQueue {
       return a.order > b.order;
     }
   };
-  struct Bucket {
+  /// A FIFO of entries scheduled `delay` after their caller's clock, sorted
+  /// by (when, order) by construction. [pos, end) is pending; the consumed
+  /// prefix is shifted out once it outgrows the pending part.
+  struct Lane {
+    SimTime delay = 0;
     std::vector<Entry> entries;
-    std::size_t pos = 0;   // consumed prefix
-    bool sorted = true;    // [pos, end) in (when, order) order
+    std::size_t pos = 0;
+    [[nodiscard]] bool drained() const noexcept { return pos == entries.size(); }
   };
 
   /// A slab of generation-stamped cells: no per-event node allocation on
   /// the schedule/cancel hot path, and storage that tracks the live events.
   /// A retired cell (fired or cancelled) goes on a LIFO free list with its
   /// generation bumped, so its old id — still held by a caller, or by a
-  /// lingering rung entry — no longer matches; a cell whose generation
+  /// lingering heap or lane entry — no longer matches; a cell whose generation
   /// saturates is retired for good. A slot is a raw (fn, ctx, arg) triple,
   /// so growth reallocation is a memmove, a pop is a POD copy, and
   /// invocation is one direct call through the stored pointer.
@@ -247,78 +239,35 @@ class EventQueue {
     std::uint64_t issued_ = 0;
   };
 
-  [[nodiscard]] static std::uint64_t fine_index(SimTime when) noexcept {
-    return static_cast<std::uint64_t>(when / kWheelTick);
-  }
-
-  /// Shared tail of the schedule() overloads: files the entry with the
-  /// active backend.
-  void place(SimTime when, std::uint64_t order, EventId id);
-  /// Pops the earliest pending entry; false when empty (stale entries
-  /// skipped). Does not run it.
+  /// Validates a schedule and issues its id: the entry to file.
+  Entry issue(SimTime when, std::function<void()> action);
+  Entry issue(SimTime when, RawFn fn, void* ctx, std::uint64_t arg);
+  /// Files an entry on the heap.
+  void push_heap(Entry entry) const;
+  /// Files an entry scheduled `delay` ahead: on its lane when the lane can
+  /// take it in order, else on the heap.
+  void place_after(SimTime delay, Entry entry);
+  /// The earliest live entry, its lane (nullptr: the heap front) written to
+  /// `lane_out`; nullptr when nothing is live. Drops dead fronts on the way.
+  [[nodiscard]] const Entry* front(Lane** lane_out) const;
+  /// Pops the earliest pending entry; false when empty. Does not run it.
   bool pop_front(Entry* out);
+  void pop_heap_front() const;
+  /// Removes a lane's head.
+  void consume(Lane& lane) const noexcept;
+  /// Empties a lane, giving back its storage above kLaneKeep entries.
+  void reset_lane(Lane& lane) const noexcept;
+  void compact();
 
-  // --- heap backend ---
-  void heap_drop_stale_head() const;
-  void heap_compact() const;
-
-  // --- wheel backend ---
-  void wheel_insert(Entry entry);
-  void wheel_place_fine(Entry entry) const;
-  /// Locates the earliest live entry, advancing cursors / cascading /
-  /// draining overflow as needed; nullptr when nothing is live. The entry
-  /// stays stored; wheel_consume_front() removes it.
-  [[nodiscard]] Entry* wheel_peek() const;
-  Entry wheel_consume_front();
-  /// Tears the whole wheel down and re-inserts every live entry — the cold
-  /// path for a schedule that lands behind an already-cascaded boundary
-  /// (only reachable by peeking far ahead with next_time() and then
-  /// scheduling near the old clock).
-  void wheel_rebuild(Entry extra);
-  void wheel_compact();
-  /// Empties a bucket, giving back its storage above `keep` entries.
-  static void reset_bucket(Bucket& bucket, std::size_t keep) noexcept;
-
-  // Ring-occupancy bitmaps: bit set iff the bucket stores entries (dead
-  // ones included — they still need visiting to be reclaimed). Lets peek
-  // jump over empty-bucket runs with a word scan; maintained at the three
-  // places a bucket can empty (drain, consume, compact) plus rebuild.
-  void fine_bit(std::uint64_t slot, bool set) const noexcept {
-    if (set)
-      fine_bits_[slot >> 6] |= 1ULL << (slot & 63);
-    else
-      fine_bits_[slot >> 6] &= ~(1ULL << (slot & 63));
-  }
-  void coarse_bit(std::uint64_t slot, bool set) const noexcept {
-    if (set)
-      coarse_bits_[slot >> 6] |= 1ULL << (slot & 63);
-    else
-      coarse_bits_[slot >> 6] &= ~(1ULL << (slot & 63));
-  }
-
-  QueueBackend backend_;
   ActionTable ids_;
   SimTime last_popped_ = kTimeZero;
-
-  // Heap backend storage (also the wheel's overflow rung); min-heap per
-  // Later via std::*_heap.
+  // Min-heap per Later via std::*_heap, and the lane table: lanes_[0,
+  // lanes_used_) have been keyed. front() drops dead heads from const
+  // accessors (next_time()), hence mutable.
   mutable std::vector<Entry> heap_;
-
-  // Wheel state. Buckets are addressed by absolute index (floor(when /
-  // width)) modulo ring size; `fine_cursor_` scans rung 0, and every
-  // absolute fine index below `cascaded_` lives in rung 0. `coarse_cursor_`
-  // is the next coarse bucket to cascade (cascaded_ == coarse_cursor_ *
-  // kFineBuckets). peek() must advance this state from const accessors
-  // (next_time()), hence mutable — identical in spirit to the heap's lazy
-  // stale-head dropping.
-  mutable std::vector<Bucket> fine_;
-  mutable std::vector<Bucket> coarse_;
-  mutable std::vector<std::uint64_t> fine_bits_;
-  mutable std::vector<std::uint64_t> coarse_bits_;
-  mutable std::uint64_t fine_cursor_ = 0;
-  mutable std::uint64_t coarse_cursor_ = 0;
-  mutable std::size_t fine_count_ = 0;    // entries stored in rung 0
-  mutable std::size_t coarse_count_ = 0;  // entries stored in rung 1
+  mutable Lane lanes_[kLanes];
+  std::size_t lanes_used_ = 0;
+  mutable std::size_t lane_count_ = 0;  // entries pending in all lanes
 };
 
 }  // namespace geomcast::sim

@@ -5,8 +5,7 @@
 
 namespace geomcast::sim {
 
-Simulator::Simulator(std::uint64_t seed, QueueBackend backend)
-    : network_(util::Rng(seed)), queue_(backend) {}
+Simulator::Simulator(std::uint64_t seed) : network_(util::Rng(seed)) {}
 
 void Simulator::add_node(Node& node) {
   if (node.id() != nodes_.size())
@@ -30,7 +29,7 @@ void Simulator::send(NodeId from, NodeId to, MessageKind kind, std::any payload)
     free_slots_.pop_back();
     pool_[slot] = std::move(envelope);
   }
-  queue_.schedule(now_ + *delay, &Simulator::deliver_slot_thunk, this, slot);
+  queue_.schedule_after(now_, *delay, &Simulator::deliver_slot_thunk, this, slot);
 }
 
 void Simulator::deliver_slot(std::uint64_t slot) {
@@ -50,7 +49,7 @@ EventId Simulator::schedule_at(SimTime when, std::function<void()> action) {
 
 EventId Simulator::schedule_after(SimTime delay, std::function<void()> action) {
   if (delay < 0) throw std::invalid_argument("Simulator::schedule_after: negative delay");
-  return queue_.schedule(now_ + delay, std::move(action));
+  return queue_.schedule_after(now_, delay, std::move(action));
 }
 
 EventId Simulator::schedule_at(SimTime when, RawFn fn, void* ctx, std::uint64_t arg) {
@@ -60,7 +59,7 @@ EventId Simulator::schedule_at(SimTime when, RawFn fn, void* ctx, std::uint64_t 
 EventId Simulator::schedule_after(SimTime delay, RawFn fn, void* ctx,
                                   std::uint64_t arg) {
   if (delay < 0) throw std::invalid_argument("Simulator::schedule_after: negative delay");
-  return queue_.schedule(now_ + delay, fn, ctx, arg);
+  return queue_.schedule_after(now_, delay, fn, ctx, arg);
 }
 
 std::size_t Simulator::run_until_idle(std::size_t max_events) {

@@ -2,6 +2,9 @@
 //
 // One event queue, drained on the calling thread in (time, order)
 // sequence: every run of a seeded simulation is bit-for-bit identical.
+// Envelope deliveries and schedule_after() timers are `now + delay` for a
+// few constant delays, so they ride the queue's FIFO lanes (see
+// sim/event_queue.hpp); schedule_at() goes to its heap.
 #pragma once
 
 #include <any>
@@ -19,10 +22,7 @@ namespace geomcast::sim {
 
 class Simulator {
  public:
-  /// `backend` selects the event-queue implementation; both produce
-  /// bit-identical schedules (see sim/event_queue.hpp). kWheel is the fast
-  /// path for timer-dominated workloads; kHeap is the oracle.
-  explicit Simulator(std::uint64_t seed = 1, QueueBackend backend = QueueBackend::kHeap);
+  explicit Simulator(std::uint64_t seed = 1);
 
   /// Registers a node. The simulator does NOT take ownership; the caller
   /// must keep the node alive for the simulator's lifetime. Node ids must
@@ -67,7 +67,7 @@ class Simulator {
 
   /// Live (non-cancelled) events awaiting dispatch.
   [[nodiscard]] std::size_t pending_events() const noexcept { return queue_.pending(); }
-  /// Heap slots occupied, cancelled corpses included — the memory-pressure
+  /// Queue entries stored, cancelled corpses included — the memory-pressure
   /// gauge the observability sampler exports (compaction keeps it within a
   /// constant factor of pending_events()).
   [[nodiscard]] std::size_t queue_heap_size() const noexcept {

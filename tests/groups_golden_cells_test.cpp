@@ -200,8 +200,8 @@ TEST(GroupsGoldenCellsTest, TracedQoS1TraceStream) {
 
 TEST(GroupsGoldenCellsTest, SeedSweepQoS1) {
   // One scenario over several seeds, so the pins cover schedule
-  // permutations of the range dedup and the wheel's pop order, not one
-  // lucky seed.
+  // permutations of the range dedup and the queue's lane/heap merge, not
+  // one lucky seed.
   const auto graph = make_overlay(130, 2, 1505);
   const struct {
     std::uint64_t seed;

@@ -172,86 +172,72 @@ TEST(EventQueueTest, CancelledHeadSkippedTransparently) {
 // Action slots are recycled under a bumped generation, so an id that
 // already fired or was cancelled must never reach the slot's new occupant.
 
-constexpr QueueBackend kBackends[] = {QueueBackend::kHeap, QueueBackend::kWheel};
-
 std::uint64_t slot_of(EventId id) { return id & 0xFFFFFFFFu; }
 
 TEST(EventQueueSlotReuse, FiredIdDoesNotCancelTheSlotsNextEvent) {
-  for (const QueueBackend backend : kBackends) {
-    SCOPED_TRACE(backend == QueueBackend::kHeap ? "heap" : "wheel");
-    EventQueue queue(backend);
-    const EventId fired = queue.schedule(1.0, [] {});
-    ASSERT_TRUE(queue.run_next());
-    bool ran = false;
-    const EventId next = queue.schedule(2.0, [&] { ran = true; });
-    ASSERT_EQ(slot_of(next), slot_of(fired));  // the slot was recycled
-    EXPECT_NE(next, fired);
-    EXPECT_FALSE(queue.cancel(fired));
-    EXPECT_EQ(queue.pending(), 1u);
-    EXPECT_TRUE(queue.run_next());
-    EXPECT_TRUE(ran);
-    EXPECT_FALSE(queue.cancel(next));
-  }
+  EventQueue queue;
+  const EventId fired = queue.schedule(1.0, [] {});
+  ASSERT_TRUE(queue.run_next());
+  bool ran = false;
+  const EventId next = queue.schedule(2.0, [&] { ran = true; });
+  ASSERT_EQ(slot_of(next), slot_of(fired));  // the slot was recycled
+  EXPECT_NE(next, fired);
+  EXPECT_FALSE(queue.cancel(fired));
+  EXPECT_EQ(queue.pending(), 1u);
+  EXPECT_TRUE(queue.run_next());
+  EXPECT_TRUE(ran);
+  EXPECT_FALSE(queue.cancel(next));
 }
 
 TEST(EventQueueSlotReuse, CancelledIdDoesNotTouchTheSlotsNextEvent) {
-  for (const QueueBackend backend : kBackends) {
-    SCOPED_TRACE(backend == QueueBackend::kHeap ? "heap" : "wheel");
-    EventQueue queue(backend);
-    bool stale_ran = false;
-    int fresh_runs = 0;
-    const EventId cancelled = queue.schedule(1.0, [&] { stale_ran = true; });
-    ASSERT_TRUE(queue.cancel(cancelled));
-    // Same time: the reused slot's new entry sits right next to the
-    // cancelled entry, which still lingers in its rung.
-    const EventId next = queue.schedule(1.0, [&] { ++fresh_runs; });
-    ASSERT_EQ(slot_of(next), slot_of(cancelled));
-    EXPECT_FALSE(queue.cancel(cancelled));
-    EXPECT_EQ(queue.pending(), 1u);
-    while (queue.run_next()) {}
-    EXPECT_FALSE(stale_ran);
-    EXPECT_EQ(fresh_runs, 1);
-    EXPECT_TRUE(queue.empty());
-  }
+  EventQueue queue;
+  bool stale_ran = false;
+  int fresh_runs = 0;
+  const EventId cancelled = queue.schedule(1.0, [&] { stale_ran = true; });
+  ASSERT_TRUE(queue.cancel(cancelled));
+  // Same time: the reused slot's new entry sits right next to the
+  // cancelled entry, which still lingers in the heap.
+  const EventId next = queue.schedule(1.0, [&] { ++fresh_runs; });
+  ASSERT_EQ(slot_of(next), slot_of(cancelled));
+  EXPECT_FALSE(queue.cancel(cancelled));
+  EXPECT_EQ(queue.pending(), 1u);
+  while (queue.run_next()) {}
+  EXPECT_FALSE(stale_ran);
+  EXPECT_EQ(fresh_runs, 1);
+  EXPECT_TRUE(queue.empty());
 }
 
 TEST(EventQueueSlotReuse, ZeroAndNeverIssuedIdsDoNotCancel) {
-  for (const QueueBackend backend : kBackends) {
-    SCOPED_TRACE(backend == QueueBackend::kHeap ? "heap" : "wheel");
-    EventQueue queue(backend);
-    EXPECT_FALSE(queue.cancel(0));
-    const EventId live = queue.schedule(1.0, [] {});
-    EXPECT_FALSE(queue.cancel(0));
-    EXPECT_FALSE(queue.cancel(slot_of(live)));                   // generation 0
-    EXPECT_FALSE(queue.cancel(live + (EventId{1} << 32)));       // future generation
-    EXPECT_FALSE(queue.cancel((EventId{1} << 32) | 7));          // slot never made
-    EXPECT_FALSE(queue.cancel(~EventId{0}));
-    EXPECT_EQ(queue.pending(), 1u);
-    EXPECT_TRUE(queue.cancel(live));
-  }
+  EventQueue queue;
+  EXPECT_FALSE(queue.cancel(0));
+  const EventId live = queue.schedule(1.0, [] {});
+  EXPECT_FALSE(queue.cancel(0));
+  EXPECT_FALSE(queue.cancel(slot_of(live)));                   // generation 0
+  EXPECT_FALSE(queue.cancel(live + (EventId{1} << 32)));       // future generation
+  EXPECT_FALSE(queue.cancel((EventId{1} << 32) | 7));          // slot never made
+  EXPECT_FALSE(queue.cancel(~EventId{0}));
+  EXPECT_EQ(queue.pending(), 1u);
+  EXPECT_TRUE(queue.cancel(live));
 }
 
 TEST(EventQueueSlotReuse, TiesBreakByInsertionOrderAcrossReusedSlots) {
   // A reused slot's id carries a newer generation, so ids no longer sort
   // in insertion order; the tie-break must still follow insertion.
-  for (const QueueBackend backend : kBackends) {
-    SCOPED_TRACE(backend == QueueBackend::kHeap ? "heap" : "wheel");
-    EventQueue queue(backend);
-    std::vector<int> order;
-    const EventId a = queue.schedule(1.0, [] {});
-    const EventId b = queue.schedule(1.0, [] {});
-    ASSERT_TRUE(queue.cancel(b));
-    ASSERT_TRUE(queue.run_next());
-    // Slot of `a` is on top of the free list, then the slot of `b`.
-    const EventId first = queue.schedule(5.0, [&] { order.push_back(1); });
-    const EventId second = queue.schedule(5.0, [&] { order.push_back(2); });
-    const EventId third = queue.schedule(5.0, [&] { order.push_back(3); });
-    ASSERT_EQ(slot_of(first), slot_of(a));
-    ASSERT_EQ(slot_of(second), slot_of(b));
-    ASSERT_GT(first, third);  // id order and insertion order disagree
-    while (queue.run_next()) {}
-    EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
-  }
+  EventQueue queue;
+  std::vector<int> order;
+  const EventId a = queue.schedule(1.0, [] {});
+  const EventId b = queue.schedule(1.0, [] {});
+  ASSERT_TRUE(queue.cancel(b));
+  ASSERT_TRUE(queue.run_next());
+  // Slot of `a` is on top of the free list, then the slot of `b`.
+  const EventId first = queue.schedule(5.0, [&] { order.push_back(1); });
+  const EventId second = queue.schedule(5.0, [&] { order.push_back(2); });
+  const EventId third = queue.schedule(5.0, [&] { order.push_back(3); });
+  ASSERT_EQ(slot_of(first), slot_of(a));
+  ASSERT_EQ(slot_of(second), slot_of(b));
+  ASSERT_GT(first, third);  // id order and insertion order disagree
+  while (queue.run_next()) {}
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
 }
 
 void noop(void* /*ctx*/, std::uint64_t /*arg*/) {}
@@ -280,6 +266,8 @@ TEST(EventQueueSlotReuse, SaturatedSlotIsRetiredNotReused) {
 /// `kChains` reliable hops in flight, each delivery cancelling its own
 /// retransmit timer and sending the next hop with a fresh timer — the
 /// ack-heavy shape that issues ids far faster than it keeps events live.
+/// Hops take one of five constant delays and timers one more, so both ride
+/// the FIFO lanes, as the simulator's deliveries and hop timers do.
 struct HopChains {
   static constexpr std::size_t kChains = 32;
   EventQueue* queue = nullptr;
@@ -291,8 +279,9 @@ struct HopChains {
 
   void send(std::size_t chain) {
     const SimTime now = queue->last_popped_time();
-    queue->schedule(now + rng.uniform(0.001, 0.051), &HopChains::deliver, this, chain);
-    timers[chain] = queue->schedule(now + 0.25, &noop, nullptr, 0);
+    const SimTime hop = 0.001 + 0.01 * static_cast<double>(rng.next_below(5));
+    queue->schedule_after(now, hop, &HopChains::deliver, this, chain);
+    timers[chain] = queue->schedule_after(now, 0.25, &noop, nullptr, 0);
     peak_pending = std::max(peak_pending, queue->pending());
   }
   static void deliver(void* ctx, std::uint64_t chain) {
@@ -304,49 +293,41 @@ struct HopChains {
 };
 
 TEST(EventQueueStorage, FootprintFollowsLiveEventsNotIdsIssued) {
-  for (const QueueBackend backend : kBackends) {
-    SCOPED_TRACE(backend == QueueBackend::kHeap ? "heap" : "wheel");
-    EventQueue queue(backend);
-    // Booked first and pending throughout: the oldest id never retires.
-    bool far_ran = false;
-    queue.schedule(1e6, [&] { far_ran = true; });
-    HopChains chains;
-    chains.queue = &queue;
-    for (std::size_t c = 0; c < HopChains::kChains; ++c) chains.send(c);
-    std::size_t max_footprint = 0;
-    while (chains.fired < 1'000'000) {
-      ASSERT_TRUE(queue.run_next());
-      if ((chains.fired & 0xFFF) == 0)
-        max_footprint = std::max(max_footprint, queue.footprint());
-    }
-    max_footprint = std::max(max_footprint, queue.footprint());
-    // ~2M ids issued and 1M cancelled, never more than 65 live at once.
-    // Drained rung-0 buckets may keep up to kBucketKeep entries each for
-    // reuse; that floor is fixed, whatever the history.
-    EXPECT_LE(chains.peak_pending, 2 * HopChains::kChains + 1);
-    const std::size_t bucket_floor =
-        backend == QueueBackend::kWheel
-            ? EventQueue::kFineBuckets * EventQueue::kBucketKeep
-            : 0;
-    EXPECT_LE(max_footprint, 4096 + bucket_floor);
-
-    chains.stopped = true;
-    while (queue.run_next()) {}
-    EXPECT_TRUE(far_ran);
+  EventQueue queue;
+  // Booked first and pending throughout: the oldest id never retires.
+  bool far_ran = false;
+  queue.schedule(1e6, [&] { far_ran = true; });
+  HopChains chains;
+  chains.queue = &queue;
+  for (std::size_t c = 0; c < HopChains::kChains; ++c) chains.send(c);
+  std::size_t max_footprint = 0;
+  while (chains.fired < 1'000'000) {
+    ASSERT_TRUE(queue.run_next());
+    if ((chains.fired & 0xFFF) == 0)
+      max_footprint = std::max(max_footprint, queue.footprint());
   }
+  max_footprint = std::max(max_footprint, queue.footprint());
+  // ~2M ids issued and 1M cancelled, never more than 65 live at once.
+  EXPECT_LE(chains.peak_pending, 2 * HopChains::kChains + 1);
+  EXPECT_LE(max_footprint, 4096u);
+
+  chains.stopped = true;
+  while (queue.run_next()) {}
+  EXPECT_TRUE(far_ran);
 }
 
-TEST(EventQueueStorage, DrainedWheelBucketsGiveTheirStorageBack) {
-  // A one-off burst into one rung-0 bucket and one rung-1 bucket: once
-  // both drain, only the slot table remembers the burst.
-  EventQueue wheel(QueueBackend::kWheel);
+TEST(EventQueueStorage, DrainedLanesGiveTheirStorageBack) {
+  // A one-off burst onto two lanes, each past kLaneKeep entries: once both
+  // drain, only the slot table remembers the burst.
+  EventQueue queue;
   constexpr int kBurst = 1500;
-  const double coarse_time = 3.0 * EventQueue::kWheelTick * EventQueue::kFineBuckets;
-  for (int i = 0; i < kBurst; ++i) wheel.schedule(0.25, &noop, nullptr, 0);
-  for (int i = 0; i < kBurst; ++i) wheel.schedule(coarse_time, &noop, nullptr, 0);
-  EXPECT_GE(wheel.footprint(), 4u * kBurst);
-  while (wheel.run_next()) {}
-  EXPECT_LE(wheel.footprint(), 4096u + EventQueue::kBucketKeep);
+  static_assert(kBurst > EventQueue::kLaneKeep);
+  for (int i = 0; i < kBurst; ++i) queue.schedule_after(0.001 * i, 0.25, &noop, nullptr, 0);
+  for (int i = 0; i < kBurst; ++i) queue.schedule_after(0.001 * i, 0.5, &noop, nullptr, 0);
+  EXPECT_EQ(queue.heap_size(), 2u * kBurst);
+  EXPECT_GE(queue.footprint(), 4u * kBurst);
+  while (queue.run_next()) {}
+  EXPECT_LE(queue.footprint(), 4096u);
 }
 
 }  // namespace

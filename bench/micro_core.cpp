@@ -4,10 +4,17 @@
 // the batched-publish data plane (subscriber-window range admission,
 // retained-buffer range insert/evict, the receive path's dedup + retain
 // spread over a working set, root coalescing flush) and the
-// event queue under the cancel-heavy load reliable traffic produces.
+// event queue under the cancel-heavy load reliable traffic produces, and
+// the resident memory one pub/sub group costs at 100k peers.
 #include <benchmark/benchmark.h>
 
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
 #include <any>
+#include <fstream>
+#include <string>
 #include <utility>
 
 #include "geometry/random_points.hpp"
@@ -371,6 +378,18 @@ BENCHMARK(BM_ReceivePathSpread)->Arg(1024)->Arg(52 * 1024)->Unit(benchmark::kMil
 
 // ------------------------------------------------------- graft descent ----
 
+/// `count` distinct random peers other than peer 0, ascending.
+std::vector<overlay::PeerId> random_subscribers(std::size_t n, std::size_t count,
+                                                std::uint64_t seed) {
+  util::Rng rng(seed);
+  std::vector<overlay::PeerId> subscribers;
+  while (subscribers.size() < count) {
+    const auto p = static_cast<overlay::PeerId>(rng.next_below(n));
+    if (p != 0) groups::assign_id(subscribers, p, true);
+  }
+  return subscribers;
+}
+
 // One full zone-descent graft, step by step through the resumable
 // GraftCursor (the unit the routed control plane executes once per
 // envelope), followed by the prune that restores the tree — so every
@@ -381,19 +400,12 @@ void BM_GraftCursorStep(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const auto points = make_points(n, 3);
   const auto graph = overlay::build_equilibrium(points, overlay::EmptyRectSelector{});
-  util::Rng rng(23);
-  std::vector<bool> subscribers(n, false);
-  for (std::size_t picked = 0; picked < 32;) {
-    const auto p = static_cast<overlay::PeerId>(rng.next_below(n));
-    if (p == 0 || subscribers[p]) continue;
-    subscribers[p] = true;
-    ++picked;
-  }
+  const auto subscribers = random_subscribers(n, 32, 23);
   auto gt = groups::build_group_tree(graph, /*root=*/0, subscribers);
   // A peer the descent must actually walk to (not already a relay).
   overlay::PeerId target = overlay::kInvalidPeer;
   for (overlay::PeerId p = 0; p < n; ++p)
-    if (!subscribers[p] && !gt.tree.reached(p)) {
+    if (!groups::contains_id(subscribers, p) && !gt.tree.reached(p)) {
       target = p;
       break;
     }
@@ -418,20 +430,12 @@ BENCHMARK(BM_GraftCursorStep)->Arg(200)->Arg(1000);
 // runs on a grid-kNN (k = 16) overlay, whose O(n k) build keeps the
 // fixture cheap; the small one on the full-knowledge equilibrium.
 /// A 2-D overlay of `n` peers and 32 random subscribers (root 0 excluded).
-std::pair<overlay::OverlayGraph, std::vector<bool>> group_fixture(std::size_t n) {
+std::pair<overlay::OverlayGraph, std::vector<overlay::PeerId>> group_fixture(std::size_t n) {
   const auto points = make_points(n, 2);
   auto graph = n <= 1000
                    ? overlay::build_equilibrium(points, overlay::EmptyRectSelector{})
                    : overlay::build_equilibrium_local(points, overlay::EmptyRectSelector{}, 16);
-  util::Rng rng(29);
-  std::vector<bool> subscribers(n, false);
-  for (std::size_t picked = 0; picked < 32;) {
-    const auto p = static_cast<overlay::PeerId>(rng.next_below(n));
-    if (p == 0 || subscribers[p]) continue;
-    subscribers[p] = true;
-    ++picked;
-  }
-  return {std::move(graph), std::move(subscribers)};
+  return {std::move(graph), random_subscribers(n, 32, 29)};
 }
 
 void BM_GroupTreeBuild(benchmark::State& state) {
@@ -444,7 +448,9 @@ BENCHMARK(BM_GroupTreeBuild)->Arg(1000)->Arg(20000)->Unit(benchmark::kMicrosecon
 
 // Copy-on-write clone of a cached group tree: what a membership or repair
 // write costs while a publish wave still holds the old snapshot. Tree
-// state follows the reached peers, so the cost should be flat in n.
+// state, delivery flags included, follows the reached peers, so the cost
+// per reached peer (ns_per_reached) should be flat in n; the two cells'
+// trees differ in size, so their raw times differ with reached_count.
 void BM_GroupTreeClone(benchmark::State& state) {
   const auto [graph, subscribers] = group_fixture(static_cast<std::size_t>(state.range(0)));
   const auto tree = groups::build_group_tree(graph, /*root=*/0, subscribers);
@@ -453,8 +459,62 @@ void BM_GroupTreeClone(benchmark::State& state) {
     benchmark::DoNotOptimize(copy);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+  const auto reached = static_cast<double>(tree.tree.reached_count());
+  state.counters["reached_count"] = reached;
+  state.counters["ns_per_reached"] = benchmark::Counter(
+      reached * static_cast<double>(state.iterations()),
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
 }
 BENCHMARK(BM_GroupTreeClone)->Arg(1000)->Arg(20000)->Unit(benchmark::kNanosecond);
+
+/// This process's resident set size in bytes (VmRSS); 0 when
+/// /proc/self/status cannot be read.
+std::size_t resident_bytes() {
+  std::ifstream status("/proc/self/status");
+  for (std::string line; std::getline(status, line);)
+    if (line.rfind("VmRSS:", 0) == 0) return std::stoull(line.substr(6)) * 1024;  // kB
+  return 0;
+}
+
+// What one group costs in memory at scale: a 2-D exact overlay of 100k
+// peers, 2000 groups of 8 random subscribers, every group's tree built
+// through GroupManager::tree(). bytes_per_group is the VmRSS growth over
+// the subscribes and builds alone (overlay and manager are in the
+// baseline), divided by the group count; reached_per_tree is the mean tree
+// size it buys. Membership, delivery flags and stats follow the members
+// and the reached peers, so the figure must not grow with n.
+void BM_GroupFootprint(benchmark::State& state) {
+  constexpr std::size_t kPeers = 100000, kGroups = 2000, kSubscribers = 8;
+  const auto graph =
+      overlay::build_equilibrium(make_points(kPeers, 2), overlay::EmptyRectSelector{});
+  double bytes_per_group = 0.0, reached_per_tree = 0.0;
+  for (auto _ : state) {
+    groups::GroupManager manager(graph);
+#if defined(__GLIBC__)
+    // Hand the overlay build's freed scratch back to the OS first, or the
+    // groups would reuse it without growing the resident set.
+    malloc_trim(0);
+#endif
+    const std::size_t before = resident_bytes();
+    if (before == 0) {
+      state.SkipWithError("VmRSS is unavailable");
+      break;
+    }
+    util::Rng rng(31);
+    std::size_t reached = 0;
+    for (groups::GroupId g = 0; g < kGroups; ++g) {
+      while (manager.subscriber_count(g) < kSubscribers)
+        manager.subscribe(g, static_cast<overlay::PeerId>(rng.next_below(kPeers)));
+      reached += manager.tree(g)->tree.reached_count();
+    }
+    const std::size_t after = resident_bytes();
+    bytes_per_group = static_cast<double>(after > before ? after - before : 0) / kGroups;
+    reached_per_tree = static_cast<double>(reached) / kGroups;
+  }
+  state.counters["bytes_per_group"] = bytes_per_group;
+  state.counters["reached_per_tree"] = reached_per_tree;
+}
+BENCHMARK(BM_GroupFootprint)->Iterations(1)->Unit(benchmark::kMillisecond);
 
 // Routed vs local graft, end to end on the simulated network: 16 early
 // subscribers build the tree, 16 late ones graft into it — arg 1 drives

@@ -877,7 +877,7 @@ GraftCell run_graft_scenario(const overlay::OverlayGraph& graph,
       if (gt == nullptr) continue;
       for (overlay::PeerId p = 0; p < peers; ++p)
         if (system.manager().alive(p) && system.manager().is_subscribed(g, p) &&
-            !(gt->is_subscriber[p] && gt->tree.reached(p)))
+            !gt->tree.delivers(p))
           cell.attached_ok = false;
     }
   };

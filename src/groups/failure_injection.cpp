@@ -14,7 +14,7 @@ std::size_t subscribers_below(const GroupTree& gt, PeerId relay) {
   while (!stack.empty()) {
     const PeerId q = stack.back();
     stack.pop_back();
-    if (gt.is_subscriber[q]) ++subs;
+    if (gt.tree.delivers(q)) ++subs;
     for (const PeerId c : gt.tree.children(q)) stack.push_back(c);
   }
   return subs;

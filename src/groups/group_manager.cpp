@@ -140,12 +140,8 @@ GroupManager::GroupState& GroupManager::state_of_slow(GroupId group) {
   auto it = groups_.find(group);
   if (it == groups_.end()) {
     GroupState gs;
-    gs.subscribers.assign(graph_.size(), false);
     gs.slots.resize(root_replicas());
-    for (std::uint32_t s = 0; s < gs.slots.size(); ++s) {
-      gs.anchors.push_back(hash_point(group, s));
-      gs.slots[s].members.assign(graph_.size(), false);
-    }
+    for (std::uint32_t s = 0; s < gs.slots.size(); ++s) gs.anchors.push_back(hash_point(group, s));
     // Slot 0 elects first, unopposed, so its root is the group's
     // rendezvous root; later slots exclude the earlier roots so R alive
     // peers yield R distinct replicas.
@@ -172,21 +168,6 @@ std::uint32_t GroupManager::owner_slot_of(const GroupState& gs, PeerId peer) con
     }
   }
   return best;
-}
-
-GroupManager::ShardSlot& GroupManager::set_member(GroupState& gs, PeerId peer,
-                                                  bool member) {
-  ShardSlot& slot = gs.slots[owner_slot_of(gs, peer)];
-  gs.subscribers[peer] = member;
-  slot.members[peer] = member;
-  if (member) {
-    ++gs.count;
-    ++slot.count;
-  } else {
-    --gs.count;
-    --slot.count;
-  }
-  return slot;
 }
 
 PeerId GroupManager::recompute_slot_root(const GroupState& gs, std::uint32_t slot) const {
@@ -217,13 +198,13 @@ std::shared_ptr<const GroupTree> GroupManager::slot_tree_snapshot(GroupId group,
                                                                   std::uint32_t slot) {
   GroupState& gs = state_of(group);
   ShardSlot& s = gs.slots[slot];
-  if (s.count == 0) return nullptr;
-  refresh_tree(group, gs.stats, s);
+  if (s.members.empty()) return nullptr;
+  refresh_tree(group, gs, s);
   return s.cached;
 }
 
 std::size_t GroupManager::slot_member_count(GroupId group, std::uint32_t slot) {
-  return state_of(group).slots[slot].count;
+  return state_of(group).slots[slot].members.size();
 }
 
 void GroupManager::subscribe(GroupId group, PeerId peer) {
@@ -232,9 +213,9 @@ void GroupManager::subscribe(GroupId group, PeerId peer) {
   if (!alive_[peer])
     throw std::invalid_argument("GroupManager::subscribe: peer has departed");
   GroupState& gs = state_of(group);
-  if (gs.subscribers[peer]) return;  // duplicate subscribe is a no-op
+  ShardSlot& slot = gs.slots[owner_slot_of(gs, peer)];
+  if (!assign_id(slot.members, peer, true)) return;  // duplicate subscribe is a no-op
   ++gs.stats.subscribes;
-  ShardSlot& slot = set_member(gs, peer, true);
   if (graftable(slot)) {
     const auto graft =
         graft_subscriber(graph_, writable_tree(slot.cached), peer, config_.tree, alive_);
@@ -257,18 +238,15 @@ void GroupManager::unsubscribe(GroupId group, PeerId peer) {
   const auto it = groups_.find(group);
   if (it == groups_.end()) return;  // unknown group: no-op, no state created
   GroupState& gs = it->second;
-  if (!gs.subscribers[peer]) return;
+  ShardSlot& slot = gs.slots[owner_slot_of(gs, peer)];
+  if (!assign_id(slot.members, peer, false)) return;
   ++gs.stats.unsubscribes;
-  ShardSlot& slot = set_member(gs, peer, false);
-  if (slot.cached && !slot.dirty && slot.cached->is_subscriber[peer]) {
-    // Only a spanned subscriber's departure edits the tree; a stranded one
-    // is membership-only and must not count toward drift.
-    const bool touched = slot.cached->tree.reached(peer);
-    const std::size_t removed = prune_subscriber(writable_tree(slot.cached), peer);
-    if (touched) {  // prunes are exact too: no drift, just bookkeeping
-      ++gs.stats.prunes;
-      gs.stats.prune_messages += removed;
-    }
+  if (!slot.cached || slot.dirty) return;
+  if (slot.cached->tree.delivers(peer)) {  // prunes are exact: no drift, just bookkeeping
+    ++gs.stats.prunes;
+    gs.stats.prune_messages += prune_subscriber(writable_tree(slot.cached), peer);
+  } else if (contains_id(slot.cached->stranded, peer)) {
+    assign_id(writable_tree(slot.cached).stranded, peer, false);  // never spanned
   }
 }
 
@@ -279,12 +257,11 @@ GroupManager::SubscribeNeed GroupManager::subscribe_membership(GroupId group,
   if (!alive_[peer])
     throw std::invalid_argument("GroupManager::subscribe_membership: peer has departed");
   GroupState& gs = state_of(group);
-  const bool fresh = !gs.subscribers[peer];
+  ShardSlot& slot = gs.slots[owner_slot_of(gs, peer)];
+  const bool fresh = assign_id(slot.members, peer, true);
   if (fresh) ++gs.stats.subscribes;
-  ShardSlot& slot = fresh ? set_member(gs, peer, true) : gs.slots[owner_slot_of(gs, peer)];
   const bool can_graft = graftable(slot);
-  if (can_graft && !(slot.cached->is_subscriber[peer] && slot.cached->tree.reached(peer)))
-    return SubscribeNeed::kGraft;
+  if (can_graft && !slot.cached->tree.delivers(peer)) return SubscribeNeed::kGraft;
   // Mirror subscribe(): a fresh member without a graftable tree rides the
   // next publish's lazy rebuild; duplicates leave the cache flags alone.
   if (fresh && !can_graft) slot.dirty = true;
@@ -293,13 +270,11 @@ GroupManager::SubscribeNeed GroupManager::subscribe_membership(GroupId group,
 
 std::uint64_t GroupManager::graft_begin(GroupId group, PeerId subscriber, PeerId root) {
   GroupState& gs = state_of(group);
-  if (subscriber >= graph_.size() || !alive_[subscriber] ||
-      !gs.subscribers[subscriber])
-    return 0;
+  if (subscriber >= graph_.size() || !alive_[subscriber]) return 0;
   // The graft splices into the subscriber's owner-slot tree.
   const std::uint32_t slot = owner_slot_of(gs, subscriber);
   const ShardSlot& s = gs.slots[slot];
-  if (s.root != root || !graftable(s)) return 0;
+  if (!contains_id(s.members, subscriber) || s.root != root || !graftable(s)) return 0;
   if (!grafting_.insert({group, subscriber}).second) return 0;  // one at a time
   const std::uint64_t id = next_graft_id_++;
   grafts_.emplace(id, InFlightGraft{group, subscriber, root, slot,
@@ -313,7 +288,7 @@ std::uint64_t GroupManager::graft_begin(GroupId group, PeerId subscriber, PeerId
 bool GroupManager::graft_valid(const InFlightGraft& g) const {
   const GroupState& gs = groups_.at(g.group);
   const ShardSlot& s = gs.slots[g.slot];
-  return alive_[g.subscriber] && gs.subscribers[g.subscriber] && s.root == g.root &&
+  return alive_[g.subscriber] && contains_id(s.members, g.subscriber) && s.root == g.root &&
          graftable(s) && s.cached->tree.reached(g.cursor.current);
 }
 
@@ -368,8 +343,8 @@ bool GroupManager::graft_finish(std::uint64_t graft_id) {
   // member can end up owed a span no descent will ever provide. Defer to
   // a rebuild rather than leave a clean cache that never delivers.
   ShardSlot& slot = gs.slots[it->second.slot];
-  if (gs.subscribers[subscriber] && slot.cached && !slot.dirty &&
-      !(slot.cached->is_subscriber[subscriber] && slot.cached->tree.reached(subscriber)))
+  if (contains_id(slot.members, subscriber) && slot.cached && !slot.dirty &&
+      !slot.cached->tree.delivers(subscriber))
     slot.dirty = true;
   grafting_.erase({it->second.group, subscriber});
   grafts_.erase(it);
@@ -397,13 +372,16 @@ std::optional<GroupManager::AbortedGraft> GroupManager::graft_abort(
 
 bool GroupManager::is_subscribed(GroupId group, PeerId peer) const {
   const auto it = groups_.find(group);
-  return it != groups_.end() && peer < it->second.subscribers.size() &&
-         it->second.subscribers[peer];
+  return it != groups_.end() && peer < graph_.size() &&
+         contains_id(it->second.slots[owner_slot_of(it->second, peer)].members, peer);
 }
 
 std::size_t GroupManager::subscriber_count(GroupId group) const {
   const auto it = groups_.find(group);
-  return it == groups_.end() ? 0 : it->second.count;
+  if (it == groups_.end()) return 0;
+  std::size_t count = 0;
+  for (const ShardSlot& slot : it->second.slots) count += slot.members.size();
+  return count;
 }
 
 GroupTree& GroupManager::writable_tree(std::shared_ptr<GroupTree>& cached) {
@@ -413,7 +391,7 @@ GroupTree& GroupManager::writable_tree(std::shared_ptr<GroupTree>& cached) {
 }
 
 void GroupManager::depart_outside_tree(std::shared_ptr<GroupTree>& cached, PeerId peer) {
-  const bool stranded_member = cached->is_subscriber[peer];
+  const bool stranded_member = contains_id(cached->stranded, peer);
   bool stales_zones = false;
   if (!cached->zones_stale)
     for (PeerId q : graph_.neighbors(peer))
@@ -423,17 +401,16 @@ void GroupManager::depart_outside_tree(std::shared_ptr<GroupTree>& cached, PeerI
       }
   if (!stranded_member && !stales_zones) return;
   GroupTree& gt = writable_tree(cached);
-  if (stranded_member) {  // membership only; never spanned
-    gt.is_subscriber[peer] = false;
-    --gt.subscriber_count;
-  }
+  if (stranded_member) assign_id(gt.stranded, peer, false);  // membership only; never spanned
   if (stales_zones) gt.zones_stale = true;
 }
 
-void GroupManager::refresh_tree(GroupId group, GroupStats& stats, ShardSlot& slot) {
+void GroupManager::refresh_tree(GroupId group, GroupState& gs, ShardSlot& slot) {
+  GroupStats& stats = gs.stats;
   const bool drifted =
       slot.repairs_since_build >
-      config_.rebuild_threshold * static_cast<double>(std::max<std::size_t>(slot.count, 1));
+      config_.rebuild_threshold *
+          static_cast<double>(std::max<std::size_t>(slot.members.size(), 1));
   if (slot.cached && !slot.dirty && !drifted) {
     ++stats.cache_hits;
     return;
@@ -448,7 +425,7 @@ void GroupManager::refresh_tree(GroupId group, GroupStats& stats, ShardSlot& slo
   // seq-scoped, so the wave query never misreads them).
   if (tracer_.enabled())
     tracer_.emit({clock_now(), obs::TraceEventType::kTreeBuild, group, obs::kNoWave,
-                  slot.cached->build_messages, slot.cached->reached_subscribers,
+                  slot.cached->build_messages, slot.cached->reached_subscribers(),
                   slot.root});
   // A fresh recursion under churn can strand subscribers a repaired tree
   // kept (a dead delegate walls off their slices); splice them back via
@@ -458,8 +435,11 @@ void GroupManager::refresh_tree(GroupId group, GroupStats& stats, ShardSlot& slo
   const auto rescue = rescue_stranded(graph_, *slot.cached, alive_);
   stats.stranded_rescues += rescue.rescued;
   stats.repair_messages += rescue.messages;
-  stats.stranded_subscribers =
-      slot.cached->subscriber_count - slot.cached->reached_subscribers;
+  // The gauge sums the stranded members of every slot's tree as it stands,
+  // so rebuilding one shard never erases another shard's.
+  stats.stranded_subscribers = 0;
+  for (const ShardSlot& s : gs.slots)
+    if (s.cached) stats.stranded_subscribers += s.cached->stranded.size();
 }
 
 const GroupTree* GroupManager::tree(GroupId group) {
@@ -520,7 +500,6 @@ PeerId GroupManager::ensure_replica(GroupId group) {
   // A fresh assignment knows nothing yet; the protocol layer streams the
   // full bootstrap before any delta relies on this copy.
   gs.replica_members.clear();
-  gs.replica_count = 0;
   return gs.replica;
 }
 
@@ -531,30 +510,21 @@ PeerId GroupManager::replica_of(GroupId group) const {
 
 void GroupManager::replica_apply_membership(GroupId group, PeerId member,
                                             bool subscribed) {
-  GroupState& gs = state_of(group);
-  if (gs.replica_members.empty()) gs.replica_members.assign(graph_.size(), false);
-  if (member >= gs.replica_members.size() ||
-      gs.replica_members[member] == subscribed)
-    return;
-  gs.replica_members[member] = subscribed;
-  if (subscribed)
-    ++gs.replica_count;
-  else
-    --gs.replica_count;
+  if (member < graph_.size()) assign_id(state_of(group).replica_members, member, subscribed);
 }
 
 std::size_t GroupManager::replica_member_count(GroupId group) const {
   const auto it = groups_.find(group);
-  return it == groups_.end() ? 0 : it->second.replica_count;
+  return it == groups_.end() ? 0 : it->second.replica_members.size();
 }
 
 std::vector<PeerId> GroupManager::subscribers_of(GroupId group) const {
   std::vector<PeerId> members;
   const auto it = groups_.find(group);
   if (it == groups_.end()) return members;
-  members.reserve(it->second.count);
-  for (PeerId p = 0; p < it->second.subscribers.size(); ++p)
-    if (it->second.subscribers[p]) members.push_back(p);
+  for (const ShardSlot& slot : it->second.slots)  // each ascending; slots disjoint
+    members.insert(members.end(), slot.members.begin(), slot.members.end());
+  if (it->second.slots.size() > 1) std::sort(members.begin(), members.end());
   return members;
 }
 
@@ -571,10 +541,10 @@ GroupManager::PublishReceipt GroupManager::publish(GroupId group) {
   PublishReceipt receipt;
   // One tree per non-empty slot, summed.
   for (ShardSlot& slot : gs.slots) {
-    if (slot.count == 0) continue;
-    refresh_tree(group, gs.stats, slot);
+    if (slot.members.empty()) continue;
+    refresh_tree(group, gs, slot);
     receipt.payload_messages += slot.cached->tree.edge_count();
-    receipt.delivered += slot.cached->reached_subscribers;
+    receipt.delivered += slot.cached->reached_subscribers();
   }
   gs.stats.payload_messages += receipt.payload_messages;
   gs.stats.expected_deliveries += receipt.delivered;
@@ -594,24 +564,22 @@ GroupManager::DepartureOutcome GroupManager::handle_departure(PeerId peer) {
   for (auto& [group, gs] : groups_) {
     // The surviving owner-slot root owes the replica an unmember delta; a
     // dying root cannot send one (the promotion bootstrap covers it).
-    if (gs.subscribers[peer]) {
-      const ShardSlot& owner = set_member(gs, peer, false);
-      if (owner.root != peer) outcome.member_losses.push_back(group);
-    }
+    ShardSlot& owner = gs.slots[owner_slot_of(gs, peer)];
+    if (assign_id(owner.members, peer, false) && owner.root != peer)
+      outcome.member_losses.push_back(group);
     if (gs.replica == peer) {
       // The replica died out from under the root: clear the assignment and
       // its copy; the protocol layer re-bootstraps a fresh successor.
       outcome.replica_losses.push_back({group, peer});
       gs.replica = kInvalidPeer;
       gs.replica_members.clear();
-      gs.replica_count = 0;
     }
     for (std::uint32_t s = 0; s < gs.slots.size(); ++s) {
       ShardSlot& slot = gs.slots[s];
       if (slot.root == peer) {
         // Promotion by anchor ownership: the next-nearest alive peer to
         // this slot's (immutable) anchor inherits the whole shard —
-        // membership bits and graft cursors live in the slot, not at the
+        // member ids and graft cursors live in the slot, not at the
         // peer, so the handoff is a root reassignment, and the old root's
         // tree is useless there. Only slot 0 participates in the
         // warm-failover replica protocol: when its successor is the
@@ -627,15 +595,10 @@ GroupManager::DepartureOutcome GroupManager::handle_departure(PeerId peer) {
           // set, masking dead peers in the copy: a promoted root purges the
           // dead locally (the failure detector is global), so only raced
           // subscribe/unsubscribe deltas of alive peers count as divergence.
-          consistent = true;
-          for (PeerId p = 0; p < gs.subscribers.size(); ++p) {
-            const bool copy = p < gs.replica_members.size() &&
-                              gs.replica_members[p] && alive_[p];
-            if (copy != static_cast<bool>(gs.subscribers[p])) {
-              consistent = false;
-              break;
-            }
-          }
+          std::vector<PeerId> synced;
+          for (const PeerId p : gs.replica_members)
+            if (alive_[p]) synced.push_back(p);
+          consistent = synced == subscribers_of(group);
           ++gs.stats.warm_promotions;
         }
         slot.cached.reset();
@@ -646,7 +609,6 @@ GroupManager::DepartureOutcome GroupManager::handle_departure(PeerId peer) {
           // the old copy's job is done.
           gs.replica = kInvalidPeer;
           gs.replica_members.clear();
-          gs.replica_count = 0;
         }
         outcome.promotions.push_back({group, peer, slot.root, warm, consistent, s});
         if (tracer_.enabled())

@@ -237,7 +237,7 @@ class GroupManager {
   // owned by the slot whose anchor is nearest their coordinate, so the
   // partition is a pure function of geometry and never reshuffles under
   // churn — a slot-root death promotes the next-nearest peer to the SAME
-  // anchor, which inherits the whole shard (membership bits, graft
+  // anchor, which inherits the whole shard (member ids, graft
   // cursors, tree) by construction. Every slot owns its own root, members
   // and cached tree; R == 1 is the one-slot case, where slot 0 owns the
   // whole group and its root is root_of().
@@ -307,7 +307,7 @@ class GroupManager {
   // alive peer to the rendezvous point after the root. Because departures
   // only shrink the alive set, the recomputed rendezvous root after a root
   // death IS the established replica — promotion needs no election. The
-  // manager keeps the replica's bookkeeping copy (membership bits) inside
+  // manager keeps the replica's bookkeeping copy (member ids) inside
   // the same façade; the protocol layer drives it purely through real
   // kReplicaSyncKind envelopes, so the copy is exactly as fresh as the
   // sync stream, never an oracle shortcut.
@@ -392,11 +392,14 @@ class GroupManager {
 
  private:
   /// One replica slot: its root, the members it owns, and the cached tree
-  /// spanning them. A group at R == 1 keeps its whole tree state in slot 0.
+  /// spanning them. A group at R == 1 keeps its whole state in slot 0.
+  /// `members` is the one record of membership: each member's id, once,
+  /// ascending, in its owner slot. Group-wide counts and sets are read
+  /// from the slots; the cached tree holds the same members as delivery
+  /// flags on its nodes plus its stranded ids.
   struct ShardSlot {
     PeerId root = kInvalidPeer;
-    std::vector<bool> members;
-    std::size_t count = 0;
+    std::vector<PeerId> members;
     std::shared_ptr<GroupTree> cached;
     bool dirty = true;  // cached tree (if any) no longer trusted
     std::size_t repairs_since_build = 0;
@@ -407,14 +410,13 @@ class GroupManager {
     return slot.cached && !slot.dirty && !slot.cached->zones_stale;
   }
 
+  /// Everything the group's roots hold: the slots (membership lives there
+  /// and nowhere else), the anchors and the stats.
   struct GroupState {
-    std::vector<bool> subscribers;  // the union of the slots' members
-    std::size_t count = 0;
     // Warm failover: the established replica and its sync-driven copy of
-    // the subscriber set (empty vector until the first delta lands).
+    // the subscriber set, ascending ids.
     PeerId replica = kInvalidPeer;
-    std::vector<bool> replica_members;
-    std::size_t replica_count = 0;
+    std::vector<PeerId> replica_members;
     std::vector<ShardSlot> slots;          // R >= 1; slot 0 is the authority
     std::vector<geometry::Point> anchors;  // immutable slot hash points
     GroupStats stats;
@@ -435,16 +437,13 @@ class GroupManager {
   [[nodiscard]] PeerId nearest_to(const geometry::Point& target,
                                   std::span<const ShardSlot> taken) const;
   [[nodiscard]] std::uint32_t owner_slot_of(const GroupState& gs, PeerId peer) const;
-  /// Sets `peer`'s membership in the group and in its owner slot (which
-  /// the caller has checked differs); returns the owner slot.
-  ShardSlot& set_member(GroupState& gs, PeerId peer, bool member);
   /// (Re-)elects `slot`'s root: nearest alive peer to its anchor excluding
   /// the other slots' current roots (falling back to no exclusions when
   /// the alive set is smaller than R).
   [[nodiscard]] PeerId recompute_slot_root(const GroupState& gs, std::uint32_t slot) const;
   /// Lazy build: rebuilds the slot's tree when none is cached, it is
   /// dirty, or repairs drifted it past the rebuild threshold.
-  void refresh_tree(GroupId group, GroupStats& stats, ShardSlot& slot);
+  void refresh_tree(GroupId group, GroupState& gs, ShardSlot& slot);
   /// COW gate: clones the cached tree iff publish-wave snapshots still
   /// reference it, then returns it for mutation.
   [[nodiscard]] GroupTree& writable_tree(std::shared_ptr<GroupTree>& cached);

@@ -17,8 +17,9 @@ using GroupId = std::uint64_t;
 
 /// GroupStats' scalar fields, in declaration and JSON order (see
 /// util/stats_fields.hpp). Every entry merges by sum: the counters add up,
-/// and the one gauge, stranded_subscribers (per group, last build), sums to
-/// the system-wide number of subscribers no tree spans.
+/// and the one gauge, stranded_subscribers (per group, summed over its slot
+/// trees at each build), sums to the system-wide number of subscribers no
+/// tree spans.
 #define GEOMCAST_GROUP_STATS_FIELDS(X)                                                 \
   /* Membership events accepted at the group root. */                                  \
   X(std::uint64_t, subscribes)                                                         \
@@ -150,8 +151,9 @@ using GroupId = std::uint64_t;
      off their slices) that the build-time rescue pass spliced back in via             \
      greedy routes (group_tree's rescue_stranded). */                                  \
   X(std::uint64_t, stranded_rescues)                                                   \
-  /* Gauge (last build, after rescue): subscribers the construction still              \
-     could not span — e.g. identifiers in degenerate position the                      \
+  /* Gauge (set by each build, after rescue, to the stranded members of all            \
+     the group's slot trees): subscribers the construction still could not             \
+     span — e.g. identifiers in degenerate position the                                \
      open-zone recursion cannot reach, with no greedy route to the tree                \
      either. Nonzero means delivery_ratio() is measured against a smaller              \
      set than the membership. */                                                       \

@@ -21,14 +21,22 @@ bool is_alive(const std::vector<bool>& alive, PeerId p) {
 /// subscriber, or a branching point). Returns edges removed.
 std::size_t cascade_relays(GroupTree& gt, PeerId v) {
   std::size_t removed = 0;
-  while (v != gt.tree.root() && !gt.is_subscriber[v] && gt.tree.reached(v) &&
-         gt.tree.children(v).empty()) {
-    const PeerId up = gt.tree.parent(v);
+  while (v != gt.tree.root()) {
+    const multicast::MulticastTree::Node* node = gt.tree.node(v);
+    if (node == nullptr || node->delivers || !node->children.empty()) break;
+    const PeerId up = node->parent;
     gt.tree.remove_leaf(v);
     ++removed;
     v = up;
   }
   return removed;
+}
+
+/// Links `child` under `parent`. A stranded subscriber reached this way,
+/// as a relay or as itself, is spanned again and gets its delivery flag.
+void attach(GroupTree& gt, PeerId parent, PeerId child) {
+  gt.tree.add_edge(parent, child);
+  if (assign_id(gt.stranded, child, false)) gt.tree.set_delivers(child, true);
 }
 
 /// The splice shared by repair and strand rescue: greedy-walks from `from`
@@ -52,9 +60,7 @@ PeerId splice_toward_root(const overlay::OverlayGraph& graph, GroupTree& gt, Pee
     if (refuse(next)) return kInvalidPeer;
     PeerId parent = next;
     for (auto it = chain.rbegin(); it != chain.rend(); ++it) {
-      gt.tree.add_edge(parent, *it);
-      // A stranded subscriber recruited as a splice relay is spanned again.
-      if (gt.is_subscriber[*it]) ++gt.reached_subscribers;
+      attach(gt, parent, *it);
       parent = *it;
     }
     recruited += chain.size();
@@ -73,28 +79,26 @@ void check_deterministic(const multicast::MulticastConfig& config) {
 }  // namespace
 
 GroupTree build_group_tree(const overlay::OverlayGraph& graph, PeerId root,
-                           const std::vector<bool>& subscribers,
+                           std::span<const PeerId> subscribers,
                            const multicast::MulticastConfig& config,
                            const std::vector<bool>& alive) {
   const std::size_t n = graph.size();
   if (root >= n) throw std::invalid_argument("build_group_tree: root out of range");
-  if (subscribers.size() != n)
-    throw std::invalid_argument("build_group_tree: subscriber mask size mismatch");
   if (!alive.empty() && alive.size() != n)
     throw std::invalid_argument("build_group_tree: alive mask size mismatch");
   check_deterministic(config);
+  for (std::size_t i = 0; i < subscribers.size(); ++i) {
+    if (subscribers[i] >= n)
+      throw std::invalid_argument("build_group_tree: subscriber out of range");
+    if (i > 0 && subscribers[i] <= subscribers[i - 1])
+      throw std::invalid_argument("build_group_tree: subscribers not ascending and unique");
+    if (!is_alive(alive, subscribers[i]))
+      throw std::invalid_argument("build_group_tree: subscriber is not alive");
+  }
 
   GroupTree gt;
   gt.tree = multicast::MulticastTree(n, root);
-  gt.is_subscriber = subscribers;
-  std::vector<PeerId> subs;
-  for (PeerId p = 0; p < n; ++p)
-    if (subscribers[p]) {
-      if (!is_alive(alive, p))
-        throw std::invalid_argument("build_group_tree: subscriber is not alive");
-      ++gt.subscriber_count;
-      subs.push_back(p);
-    }
+  std::vector<PeerId> subs(subscribers.begin(), subscribers.end());
 
   // A FIFO over one flat queue of construction requests. Each carries its
   // peer's zone and owns the run subs[begin, end) of the subscribers
@@ -113,7 +117,6 @@ GroupTree build_group_tree(const overlay::OverlayGraph& graph, PeerId root,
   multicast::StepScratch scratch;
   for (std::size_t head = 0; head < queue.size(); ++head) {
     const Pending current = queue[head];
-    if (subscribers[current.peer]) ++gt.reached_subscribers;
     multicast::partition_step(graph, current.peer, current.zone, alive, config.policy,
                               config.metric, nullptr, assignments, scratch);
     PeerId* rest = current.begin;
@@ -126,7 +129,16 @@ GroupTree build_group_tree(const overlay::OverlayGraph& graph, PeerId root,
       queue.push_back(Pending{a.child, rest, slice_end, a.zone});
       rest = slice_end;
     }
+    // What no slice took: the peer itself when it subscribes (every slice
+    // is open at its coordinate), and subscribers no slice can reach.
+    for (const PeerId* s = rest; s != current.end; ++s) {
+      if (*s == current.peer)
+        gt.tree.set_delivers(*s, true);
+      else
+        gt.stranded.push_back(*s);
+    }
   }
+  std::sort(gt.stranded.begin(), gt.stranded.end());
   return gt;
 }
 
@@ -145,13 +157,9 @@ GraftStep graft_step(const overlay::OverlayGraph& graph, GroupTree& gt,
 
   if (gt.tree.reached(s)) {
     // Already spanned: a re-subscribe, a relay promotion, or (mid-descent)
-    // a concurrent graft that recruited s as a relay first. Flip the
+    // a concurrent graft that recruited s as a relay first. Set the
     // delivery flag and stop — no further descent decision is owed.
-    if (!gt.is_subscriber[s]) {
-      gt.is_subscriber[s] = true;
-      ++gt.subscriber_count;
-      ++gt.reached_subscribers;
-    }
+    gt.tree.set_delivers(s, true);
     return GraftStep{GraftStatus::kAttached, s};
   }
   // Every decision either follows an existing edge or creates the next
@@ -176,19 +184,11 @@ GraftStep graft_step(const overlay::OverlayGraph& graph, GroupTree& gt,
     }
   if (next == nullptr) return GraftStep{GraftStatus::kStranded};
   ++cursor.steps;
-  if (!gt.tree.reached(next->child)) {
-    gt.tree.add_edge(cursor.current, next->child);
-    // A stranded subscriber recruited as a relay is spanned again.
-    if (gt.is_subscriber[next->child]) ++gt.reached_subscribers;
-  }
+  if (!gt.tree.reached(next->child)) attach(gt, cursor.current, next->child);
   cursor.current = next->child;
   cursor.zone = next->zone;
   if (cursor.current == s) {
-    if (!gt.is_subscriber[s]) {
-      gt.is_subscriber[s] = true;
-      ++gt.subscriber_count;
-      ++gt.reached_subscribers;
-    }
+    gt.tree.set_delivers(s, true);
     return GraftStep{GraftStatus::kAttached, s};
   }
   return GraftStep{GraftStatus::kDescend, cursor.current};
@@ -220,13 +220,10 @@ GraftResult graft_subscriber(const overlay::OverlayGraph& graph, GroupTree& gt, 
 }
 
 std::size_t prune_subscriber(GroupTree& gt, PeerId s) {
-  if (s >= gt.is_subscriber.size())
+  if (s >= gt.tree.peer_count())
     throw std::invalid_argument("prune_subscriber: peer out of range");
-  if (!gt.is_subscriber[s]) return 0;
-  gt.is_subscriber[s] = false;
-  --gt.subscriber_count;
-  if (!gt.tree.reached(s)) return 0;
-  --gt.reached_subscribers;
+  if (assign_id(gt.stranded, s, false) || !gt.tree.delivers(s)) return 0;
+  gt.tree.set_delivers(s, false);
   return cascade_relays(gt, s);
 }
 
@@ -240,12 +237,9 @@ GroupRepairResult repair_group_tree(const overlay::OverlayGraph& graph, GroupTre
     throw std::invalid_argument("repair_group_tree: migrate the root before repairing");
 
   GroupRepairResult result;
-  if (gt.is_subscriber[departed]) {
-    gt.is_subscriber[departed] = false;
-    --gt.subscriber_count;
-    if (gt.tree.reached(departed)) --gt.reached_subscribers;
-  }
+  assign_id(gt.stranded, departed, false);
   if (!gt.tree.reached(departed)) return result;
+  gt.tree.set_delivers(departed, false);
 
   // Orphans are processed one at a time so the adopt/splice predicates see
   // the tree as already-mended orphans left it (no stale-cycle surprises).
@@ -304,10 +298,11 @@ GroupRepairResult repair_group_tree(const overlay::OverlayGraph& graph, GroupTre
 StrandRescueResult rescue_stranded(const overlay::OverlayGraph& graph, GroupTree& gt,
                                    const std::vector<bool>& alive) {
   StrandRescueResult result;
-  if (gt.reached_subscribers == gt.subscriber_count) return result;
+  if (gt.stranded.empty()) return result;
   const auto usable = [&](PeerId q) { return is_alive(alive, q); };
-  for (PeerId s = 0; s < gt.is_subscriber.size(); ++s) {
-    if (!gt.is_subscriber[s] || gt.tree.reached(s)) continue;
+  const std::vector<PeerId> stranded = gt.stranded;  // attach() edits gt.stranded
+  for (const PeerId s : stranded) {
+    if (gt.tree.reached(s)) continue;
     // Same splice as repair's fallback, with a single stranded peer
     // instead of an orphan subtree. (An earlier rescue may already have
     // recruited s as a relay — the reached() check above skips it.)
@@ -318,8 +313,7 @@ StrandRescueResult rescue_stranded(const overlay::OverlayGraph& graph, GroupTree
       ++result.still_stranded;
       continue;
     }
-    gt.tree.add_edge(parent, s);
-    ++gt.reached_subscribers;
+    attach(gt, parent, s);
     ++result.rescued;
     result.spliced_relays += recruited;
     result.messages += recruited + 1;

@@ -15,7 +15,7 @@
 //    subscriber, adding the missing suffix of the path — a fresh build
 //    with the enlarged set runs the same partition steps, so old edges are
 //    untouched and the grafted path is exactly the fresh build's new path;
-//  * prune: flip the delivery bit and cascade relay-only leaves away —
+//  * prune: clear the delivery flag and cascade relay-only leaves away —
 //    precisely the branches whose slices lose their last subscriber.
 // Churn repair (departure of an in-tree peer) reattaches orphan subtrees
 // via stability::repair_orphans and therefore CAN deviate from a fresh
@@ -25,15 +25,23 @@
 // carries its peer's zone Z(P), which in a tree whose zones are not stale
 // is a function of the peer's root path.
 //
+// Membership follows the tree too: a spanned subscriber is its node's
+// delivery flag (MulticastTree::delivers), and only the subscribers the tree
+// does not reach are listed apart, as `stranded`. A tree thus costs
+// O(reached peers + stranded), never O(n), and a build is O(S x depth).
+//
 // General-position caveat (inherited from the paper's open-zone recursion):
 // a subscriber whose identifier ties a delegating peer's coordinate lies on
-// a zone boundary and cannot be reached by any slice. Such subscribers stay
-// unreached (reached_subscribers < subscriber_count); GroupStats surfaces
-// them as stranded_subscribers rather than hiding them in the delivery
-// ratio. Random real-valued identifiers hit this with probability zero.
+// a zone boundary and cannot be reached by any slice. A dead delegate walls
+// off its slices the same way. Such subscribers stay stranded
+// (reached_subscribers() < subscriber_count()); GroupStats surfaces them as
+// stranded_subscribers rather than hiding them in the delivery ratio.
+// Random real-valued identifiers hit the tie case with probability zero.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "multicast/space_partition.hpp"
@@ -44,13 +52,31 @@ namespace geomcast::groups {
 using overlay::PeerId;
 using overlay::kInvalidPeer;
 
+/// Ascending peer-id sets (group, slot and replica membership, stranded
+/// subscribers): membership is a binary search.
+[[nodiscard]] inline bool contains_id(std::span<const PeerId> ids, PeerId p) {
+  return std::binary_search(ids.begin(), ids.end(), p);
+}
+/// Inserts (`member`) or erases `p`; false when `p` already had that
+/// membership.
+inline bool assign_id(std::vector<PeerId>& ids, PeerId p, bool member) {
+  const auto at = std::lower_bound(ids.begin(), ids.end(), p);
+  if ((at != ids.end() && *at == p) == member) return false;
+  if (member)
+    ids.insert(at, p);
+  else
+    ids.erase(at);
+  return true;
+}
+
 struct GroupTree {
-  multicast::MulticastTree tree;      // spans subscribers and relays
-  std::vector<bool> is_subscriber;    // delivery flag per peer
-  std::size_t subscriber_count = 0;   // peers with the delivery flag set
-  /// Subscribers the tree actually spans (== subscriber_count unless a
-  /// build stranded); maintained incrementally by graft/prune/repair.
-  std::size_t reached_subscribers = 0;
+  /// Spans the reached subscribers and the relays between them; a
+  /// subscriber's node carries the delivery flag, a relay's does not.
+  multicast::MulticastTree tree;
+  /// Subscribers the tree does not reach, ascending. Empty unless a build
+  /// stranded some; a graft or splice that reaches one moves it onto its
+  /// node's flag, and prune/departure drop it.
+  std::vector<PeerId> stranded;
   std::uint64_t build_messages = 0;   // construction requests of the build wave
   /// Set by repair, strand rescue, and the GroupManager when a departure
   /// changes some in-tree peer's candidate set: the recursion that
@@ -58,18 +84,25 @@ struct GroupTree {
   /// must rebuild. Nothing but a fresh build resets it.
   bool zones_stale = false;
 
+  /// Subscribers the tree spans: the flagged nodes.
+  [[nodiscard]] std::size_t reached_subscribers() const noexcept {
+    return tree.delivering_count();
+  }
+  [[nodiscard]] std::size_t subscriber_count() const noexcept {
+    return reached_subscribers() + stranded.size();
+  }
   [[nodiscard]] std::size_t relay_count() const noexcept {
-    return tree.reached_count() - reached_subscribers;
+    return tree.reached_count() - reached_subscribers();
   }
 };
 
-/// Builds the pruned construction for `subscribers` (indexed by peer id)
-/// rooted at `root`. Peers with `alive[p] == false` are skipped as
-/// delegates (churn); an empty `alive` means everyone is up. Throws on
+/// Builds the pruned construction for `subscribers` (peer ids, ascending
+/// and unique) rooted at `root`. Peers with `alive[p] == false` are skipped
+/// as delegates (churn); an empty `alive` means everyone is up. Throws on
 /// PickPolicy::kRandom — incremental maintenance requires the build to be
 /// a deterministic function of (graph, root, subscribers).
 [[nodiscard]] GroupTree build_group_tree(const overlay::OverlayGraph& graph, PeerId root,
-                                         const std::vector<bool>& subscribers,
+                                         std::span<const PeerId> subscribers,
                                          const multicast::MulticastConfig& config = {},
                                          const std::vector<bool>& alive = {});
 
@@ -166,7 +199,7 @@ struct StrandRescueResult {
   std::size_t still_stranded = 0;  // no greedy route reached the tree
 };
 
-/// Splices every unreached subscriber onto the tree via the greedy route
+/// Splices every stranded subscriber onto the tree via the greedy route
 /// toward the root — the repair fallback applied at build time. A fresh
 /// zone-recursion build under churn can strand subscribers the in-place
 /// repair rule would have kept (a departed delegate makes whole slices

@@ -765,7 +765,7 @@ void PubSubSystem::drive_shard_wave(GroupId group, std::uint32_t slot, PeerId ro
   if (snapshot == nullptr) return;  // shard empty: nobody owed this range
   GroupStats& stats = manager_->stats(group);
   const std::uint64_t count = hi - lo + 1;
-  stats.expected_deliveries += count * snapshot->reached_subscribers;
+  stats.expected_deliveries += count * snapshot->reached_subscribers();
   if (manager_->root_replicas() > 1) ++stats.shard_waves;
   if (batching() || count > 1) {
     // Envelope amortisation: sent one publish at a time, each of the
@@ -890,14 +890,15 @@ void PubSubSystem::disseminate(PeerId self, PeerId from,
   }
   // Forwarding reads the wave's own snapshot, never the live cache — a
   // mid-wave graft/prune/rebuild affects later publishes only.
+  // The snapshot is immutable, so one node lookup serves the whole step.
   const GroupTree* gt = delivery.tree.get();
-  if (gt == nullptr || !gt->tree.reached(self)) return;
+  const multicast::MulticastTree::Node* node = gt == nullptr ? nullptr : gt->tree.node(self);
+  if (node == nullptr) return;
   // QoS 2 repair responders: the slot root and every forwarder retain the
   // wave (bounded per-(peer, group) window) so downstream NACKs can be
   // served from the nearest ancestor instead of the publisher. One
   // retained entry covers the whole range.
-  if (end_to_end() &&
-      (gt->tree.root() == self || !gt->tree.children(self).empty())) {
+  if (end_to_end() && (gt->tree.root() == self || !node->children.empty())) {
     stats.retained_evictions += manager_->retain_payload(
         self, delivery.group, delivery.seq, delivery.seq_hi, delivery_ptr);
     if (warm() && from == kInvalidPeer && delivery.slot == 0) {
@@ -913,7 +914,7 @@ void PubSubSystem::disseminate(PeerId self, PeerId from,
   }
   // A subscriber sits in exactly one slot's tree, so the (group, slot)
   // dedup above keeps delivery exact.
-  if (gt->is_subscriber[self]) {
+  if (node->delivers) {
     for (const auto& [lo, hi] : fresh_scratch_) {
       if (end_to_end())
         window_observe(self, delivery, lo, hi);  // in-order release path
@@ -921,7 +922,7 @@ void PubSubSystem::disseminate(PeerId self, PeerId from,
         deliver_range(self, delivery.group, lo, hi);
     }
   }
-  for (PeerId child : gt->tree.children(self)) {
+  for (PeerId child : node->children) {
     ++stats.payload_messages;
     hop_->send(self, child, delivery.wave, delivery_ptr);
   }
@@ -1438,8 +1439,9 @@ void PubSubSystem::on_heartbeat(PeerId self, const GroupHeartbeat& hb) {
   // No dedup: a beacon travels its snapshot tree once (one parent per
   // peer) and is never retransmitted.
   const GroupTree* gt = hb.tree.get();
-  if (gt == nullptr || !gt->tree.reached(self)) return;
-  if (gt->is_subscriber[self]) {
+  const multicast::MulticastTree::Node* node = gt == nullptr ? nullptr : gt->tree.node(self);
+  if (node == nullptr) return;
+  if (node->delivers) {
     WindowState* wsp = find_window(self, hb.group);
     // No window state means this subscriber never consumed a wave — the
     // beacon owes a late joiner nothing (mark_through's no-op rule), but
@@ -1469,7 +1471,7 @@ void PubSubSystem::on_heartbeat(PeerId self, const GroupHeartbeat& hb) {
       if (!ws.gaps.empty()) arm_gap_timer(self, hb.group, ws);
     }
   }
-  for (const PeerId child : gt->tree.children(self)) {
+  for (const PeerId child : node->children) {
     sim_->network().note_heartbeat();
     sim_->send(self, child, kHeartbeatKind, hb);
   }

@@ -19,6 +19,8 @@ void unlink(std::vector<PeerId>& siblings, PeerId child) {
 MulticastTree::MulticastTree(std::size_t peer_count, PeerId root)
     : peer_count_(peer_count), root_(root) {
   if (root >= peer_count) throw std::invalid_argument("MulticastTree: root out of range");
+  if (peer_count > (std::size_t{1} << 31))
+    throw std::invalid_argument("MulticastTree: peer ids must fit in 31 bits");
   insert(root, kInvalidPeer);
 }
 
@@ -37,7 +39,7 @@ void MulticastTree::insert(PeerId p, PeerId parent) {
   if (2 * (nodes_.size() + 1) > index_.size())
     rehash(std::max(kMinIndexSize, 2 * index_.size()));
   index_[probe(p)] = {p, static_cast<std::uint32_t>(nodes_.size())};
-  nodes_.push_back({p, parent, {}});
+  nodes_.push_back({p, 0, parent, {}});
 }
 
 void MulticastTree::erase(PeerId p) {
@@ -54,6 +56,7 @@ void MulticastTree::erase(PeerId p) {
     }
   }
   index_[hole] = Slot{};
+  if (nodes_[freed].delivers) --delivering_;
   if (freed + 1 != nodes_.size()) {
     nodes_[freed] = std::move(nodes_.back());
     index_[probe(nodes_[freed].peer)].node = freed;
@@ -71,6 +74,17 @@ void MulticastTree::add_edge(PeerId parent, PeerId child) {
     throw std::logic_error("MulticastTree::add_edge: parent not reached yet");
   insert(child, parent);  // may move nodes: look the parent up afterwards
   find(parent)->children.push_back(child);
+}
+
+void MulticastTree::set_delivers(PeerId p, bool delivers) {
+  Node* node = find(checked(p));
+  if (node == nullptr) throw std::logic_error("MulticastTree::set_delivers: peer not attached");
+  if (static_cast<bool>(node->delivers) == delivers) return;
+  node->delivers = delivers ? 1 : 0;
+  if (delivers)
+    ++delivering_;
+  else
+    --delivering_;
 }
 
 void MulticastTree::remove_leaf(PeerId leaf) {

@@ -5,9 +5,9 @@
 // Sparse layout. As in the paper's construction, a peer holds tree state
 // only once a request has reached it, so storage follows the tree, not the
 // overlay: memory and copy cost are O(reached_count()), never O(n).
-//  * `nodes_` is a flat slab with one {peer, parent, children} node per
-//    reached peer. The root is inserted first and can never be removed, so
-//    it always sits at nodes_[0]. Removal swap-removes: the last node moves
+//  * `nodes_` is a flat slab with one {peer, delivers, parent, children}
+//    node per reached peer. The root is inserted first and can never be
+//    removed, so it always sits at nodes_[0]. Removal swap-removes: the last node moves
 //    into the freed slot and its index entry is repointed.
 //  * `index_` maps a peer to its slab position by open addressing: a
 //    power-of-two table, Fibonacci hashing on the high bits of the peer id,
@@ -19,10 +19,16 @@
 // a node's parent is a reached peer (kInvalidPeer only for the root) and
 // lists the node among its children exactly once.
 //
+// The delivery flag marks a reached peer that consumes what the tree
+// carries (a group's spanned subscriber) as opposed to a pure relay;
+// delivering_count() tracks the flagged nodes, and freeing a node drops its
+// flag with it.
+//
 // The public view is the dense one: peer_count() is n, accessors throw
-// std::out_of_range for p >= n, and an unreached peer reports no parent
-// and no children. Any mutation may move nodes, so a reference returned
-// by children() is valid only until the next add_edge/remove_leaf/reattach.
+// std::out_of_range for p >= n, and an unreached peer reports no parent,
+// no children and no flag. Any mutation may move nodes, so a reference
+// returned by children() or node() is valid only until the next
+// add_edge/remove_leaf/reattach.
 #pragma once
 
 #include <cstddef>
@@ -38,6 +44,17 @@ using overlay::kInvalidPeer;
 
 class MulticastTree {
  public:
+  /// One reached peer's tree state. The delivery flag shares the peer
+  /// id's word, so a node stays two ids and a vector (peer ids are
+  /// below 2^31; the constructor checks).
+  struct Node {
+    PeerId peer : 31;
+    PeerId delivers : 1;  // the delivery flag (see the header comment)
+    PeerId parent;
+    std::vector<PeerId> children;
+  };
+  static_assert(sizeof(Node) == 2 * sizeof(PeerId) + sizeof(std::vector<PeerId>));
+
   MulticastTree() = default;
   MulticastTree(std::size_t peer_count, PeerId root);
 
@@ -66,6 +83,20 @@ class MulticastTree {
   [[nodiscard]] bool in_subtree(PeerId ancestor, PeerId descendant) const;
 
   [[nodiscard]] bool reached(PeerId p) const { return find(checked(p)) != nullptr; }
+  /// `p`'s node, or nullptr when unreached: a forwarding step reads the
+  /// flag and the children with this one lookup.
+  [[nodiscard]] const Node* node(PeerId p) const { return find(checked(p)); }
+
+  /// Sets or clears reached `p`'s delivery flag (throws std::logic_error
+  /// when `p` is unreached).
+  void set_delivers(PeerId p, bool delivers);
+  /// True iff `p` is reached and flagged.
+  [[nodiscard]] bool delivers(PeerId p) const {
+    const Node* node = find(checked(p));
+    return node != nullptr && node->delivers;
+  }
+  /// Reached peers with the delivery flag set.
+  [[nodiscard]] std::size_t delivering_count() const noexcept { return delivering_; }
   [[nodiscard]] std::size_t reached_count() const noexcept { return nodes_.size(); }
   [[nodiscard]] PeerId parent(PeerId p) const {
     const Node* node = find(checked(p));
@@ -94,11 +125,6 @@ class MulticastTree {
   [[nodiscard]] std::size_t max_children() const;
 
  private:
-  struct Node {
-    PeerId peer;
-    PeerId parent;
-    std::vector<PeerId> children;
-  };
   static inline const std::vector<PeerId> kNoChildren{};
 
   /// One open-addressing entry; `peer == kInvalidPeer` marks it empty.
@@ -142,6 +168,7 @@ class MulticastTree {
   std::size_t peer_count_ = 0;
   PeerId root_ = kInvalidPeer;
   std::vector<Node> nodes_;   // one per reached peer; nodes_[0] is the root
+  std::size_t delivering_ = 0;  // nodes with the delivery flag set
   std::vector<Slot> index_;   // power-of-two size, load <= 1/2
   unsigned shift_ = 64;       // 64 - log2(index_.size())
 };

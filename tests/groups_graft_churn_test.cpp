@@ -114,7 +114,7 @@ RunOutcome run_once(const overlay::OverlayGraph& graph, std::uint64_t seed,
     const GroupTree* gt = system.manager().cached_tree(kGroup);
     if (gt != nullptr)
       for (PeerId p = 0; p < graph.size(); ++p)
-        (*spanned_out)[p] = gt->is_subscriber[p] && gt->tree.reached(p);
+        (*spanned_out)[p] = gt->tree.delivers(p);
   }
   if (leaves_ok_out != nullptr) {
     // The "no half-attached edges" invariant: in a clean cached tree every
@@ -125,7 +125,7 @@ RunOutcome run_once(const overlay::OverlayGraph& graph, std::uint64_t seed,
     if (gt != nullptr)
       for (PeerId p = 0; p < graph.size(); ++p)
         if (p != gt->tree.root() && gt->tree.reached(p) &&
-            gt->tree.children(p).empty() && !gt->is_subscriber[p])
+            gt->tree.children(p).empty() && !gt->tree.delivers(p))
           *leaves_ok_out = false;
   }
   return outcome;

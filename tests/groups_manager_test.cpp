@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -212,9 +213,10 @@ TEST(GroupManagerTest, RoutedGraftSurvivesADepartureAwayFromTheTree) {
       // A departure that walls the subscriber off (a fresh build strands
       // it too) fails the graft by design; the test wants one it survives.
       const auto reached_without = [&](PeerId d) {
-        std::vector<bool> members(graph.size()), alive(graph.size());
+        std::vector<PeerId> members;
+        std::vector<bool> alive(graph.size());
         for (PeerId q = 0; q < graph.size(); ++q) {
-          members[q] = q == p || manager.is_subscribed(g, q);
+          if (q == p || manager.is_subscribed(g, q)) members.push_back(q);
           alive[q] = q != d && manager.alive(q);
         }
         return build_group_tree(graph, root, members, {}, alive).tree.reached(p);
@@ -256,12 +258,10 @@ TEST(GroupManagerTest, RoutedGraftSurvivesADepartureAwayFromTheTree) {
     ASSERT_EQ(advance.status, GroupManager::GraftAdvance::Status::kAttached) << "seed " << seed;
     EXPECT_TRUE(manager.graft_finish(id));
 
-    std::vector<bool> members(graph.size()), alive(graph.size());
-    for (PeerId p = 0; p < graph.size(); ++p) {
-      members[p] = manager.is_subscribed(g, p);
-      alive[p] = manager.alive(p);
-    }
-    const GroupTree fresh = build_group_tree(graph, root, members, {}, alive);
+    std::vector<bool> alive(graph.size());
+    for (PeerId p = 0; p < graph.size(); ++p) alive[p] = manager.alive(p);
+    const GroupTree fresh =
+        build_group_tree(graph, root, manager.subscribers_of(g), {}, alive);
     const GroupTree* grafted = manager.tree(g);
     ASSERT_NE(grafted, nullptr);
     EXPECT_EQ(manager.stats(g).tree_builds, 1u) << "seed " << seed;
@@ -269,7 +269,7 @@ TEST(GroupManagerTest, RoutedGraftSurvivesADepartureAwayFromTheTree) {
     for (PeerId p = 0; p < graph.size(); ++p) {
       ASSERT_EQ(grafted->tree.reached(p), fresh.tree.reached(p)) << "seed " << seed << " peer " << p;
       EXPECT_EQ(grafted->tree.parent(p), fresh.tree.parent(p)) << "seed " << seed << " peer " << p;
-      EXPECT_EQ(grafted->is_subscriber[p], fresh.is_subscriber[p])
+      EXPECT_EQ(grafted->tree.delivers(p), fresh.tree.delivers(p))
           << "seed " << seed << " peer " << p;
     }
   }
@@ -301,11 +301,11 @@ TEST(GroupManagerTest, DepartureBesideStaleTreeKeepsTheSharedCopy) {
   const auto wave = manager.tree_snapshot(g);
   ASSERT_NE(wave, nullptr);
   ASSERT_FALSE(wave->tree.reached(stranded));
-  ASSERT_TRUE(wave->is_subscriber[stranded]);
+  ASSERT_EQ(wave->stranded, std::vector<PeerId>{stranded});
 
   std::vector<PeerId> outsiders;  // non-members beside the tree
   for (PeerId p = 0; p < graph.size() && outsiders.size() < 2; ++p) {
-    if (wave->tree.reached(p) || wave->is_subscriber[p]) continue;
+    if (wave->tree.reached(p) || contains_id(wave->stranded, p)) continue;
     for (PeerId q : graph.neighbors(p))
       if (wave->tree.reached(q)) {
         outsiders.push_back(p);
@@ -330,9 +330,9 @@ TEST(GroupManagerTest, DepartureBesideStaleTreeKeepsTheSharedCopy) {
   const GroupTree* after = manager.cached_tree(g);
   ASSERT_NE(after, nullptr);
   EXPECT_NE(after, stale.get());
-  EXPECT_FALSE(after->is_subscriber[stranded]);
-  EXPECT_EQ(after->subscriber_count + 1, stale->subscriber_count);
-  EXPECT_TRUE(stale->is_subscriber[stranded]);
+  EXPECT_FALSE(contains_id(after->stranded, stranded));
+  EXPECT_EQ(after->subscriber_count() + 1, stale->subscriber_count());
+  EXPECT_TRUE(contains_id(stale->stranded, stranded));
 }
 
 TEST(GroupManagerTest, RootDepartureMigratesGroup) {
@@ -424,11 +424,151 @@ TEST(GroupManagerTest, TreeIsSlotZeroAndFollowsItsMembersAtEveryR) {
       const bool owned = manager.alive(p) && manager.is_subscribed(g, p) &&
                          manager.owner_slot(g, p) == 0;
       expected += owned ? 1 : 0;
-      EXPECT_EQ(gt->is_subscriber[p] && gt->tree.reached(p), owned) << "peer " << p;
+      EXPECT_EQ(gt->tree.delivers(p), owned) << "peer " << p;
     }
-    EXPECT_EQ(gt->subscriber_count, expected);
+    EXPECT_EQ(gt->subscriber_count(), expected);
     EXPECT_EQ(manager.slot_member_count(g, 0), expected);
   }
+}
+
+// The stranded_subscribers gauge sums every slot's tree: a rebuild of a
+// clean slot must not erase another slot's stranded member.
+TEST(GroupManagerTest, StrandedGaugeSumsTheSlotsAtR2) {
+  const auto base = make_overlay(80, 2, 211);
+  GroupConfig config;
+  config.root_replicas = 2;
+  const GroupId g = 17;
+  GroupManager probe(base, config);
+  const PeerId stranded = fresh_slot_peer(probe, g, base.size(), 1);
+  ASSERT_NE(stranded, kInvalidPeer);
+  const auto graph = isolate(base, stranded);
+  GroupManager manager(graph, config);
+  ASSERT_EQ(manager.owner_slot(g, stranded), 1u);
+  manager.subscribe(g, stranded);
+  for (int i = 0; i < 3; ++i) {
+    manager.subscribe(g, fresh_slot_peer(manager, g, graph.size(), 0));
+    manager.subscribe(g, fresh_slot_peer(manager, g, graph.size(), 1));
+  }
+  // Slot 1 builds first and strands its isolated member; slot 0 then
+  // builds clean.
+  ASSERT_NE(manager.slot_tree_snapshot(g, 1), nullptr);
+  EXPECT_EQ(manager.stats(g).stranded_subscribers, 1u);
+  ASSERT_NE(manager.tree(g), nullptr);
+  EXPECT_EQ(manager.stats(g).stranded_subscribers, 1u);
+  // Once the stranded member leaves, the next build (slot 0's, after its
+  // root migrates) counts slot 1's tree as it now stands.
+  manager.unsubscribe(g, stranded);
+  manager.handle_departure(manager.slot_root(g, 0));
+  (void)manager.publish(g);
+  EXPECT_EQ(manager.stats(g).tree_builds, 3u);
+  EXPECT_EQ(manager.stats(g).stranded_subscribers, 0u);
+}
+
+// Membership lives once, as ids in the owner slot. A seeded run of
+// subscribes, duplicate subscribes, unsubscribes, departures and replica
+// deltas at R = 4 must keep every membership query equal to a std::set
+// model, and each warm promotion's consistency verdict equal to the
+// model's comparison of the replica's copy with the members.
+TEST(GroupManagerTest, MembershipMatchesASetModelAtR4) {
+  const auto graph = make_overlay(150, 2, 212);
+  const std::size_t n = graph.size();
+  GroupConfig config;
+  config.root_replicas = 4;
+  GroupManager manager(graph, config);
+  const GroupId g = 23;
+  std::set<PeerId> members, copy;
+  std::vector<bool> alive(n, true);
+  std::size_t deaths = 0, consistent = 0, inconsistent = 0;
+  util::Rng rng(4242);
+
+  const auto check = [&](std::size_t op) {
+    SCOPED_TRACE("op " + std::to_string(op));
+    std::vector<std::size_t> per_slot(manager.root_replicas(), 0);
+    for (PeerId p = 0; p < n; ++p) {
+      ASSERT_EQ(manager.is_subscribed(g, p), members.count(p) > 0) << "peer " << p;
+      if (members.count(p) > 0) ++per_slot[manager.owner_slot(g, p)];
+    }
+    EXPECT_EQ(manager.subscriber_count(g), members.size());
+    for (std::uint32_t s = 0; s < per_slot.size(); ++s)
+      EXPECT_EQ(manager.slot_member_count(g, s), per_slot[s]) << "slot " << s;
+    EXPECT_EQ(manager.subscribers_of(g), std::vector<PeerId>(members.begin(), members.end()));
+    EXPECT_EQ(manager.replica_member_count(g), copy.size());
+  };
+  const auto random_alive = [&]() {
+    for (;;) {
+      const auto p = static_cast<PeerId>(rng.next_below(n));
+      if (alive[p]) return p;
+    }
+  };
+  const auto depart = [&](PeerId p) {
+    const PeerId replica = manager.replica_of(g);
+    const auto outcome = manager.handle_departure(p);
+    alive[p] = false;
+    ++deaths;
+    members.erase(p);
+    if (p == replica) copy.clear();
+    for (const auto& promotion : outcome.promotions) {
+      if (promotion.slot != 0) continue;
+      if (promotion.warm) {
+        std::set<PeerId> synced;
+        for (PeerId q : copy)
+          if (alive[q]) synced.insert(q);
+        EXPECT_EQ(promotion.membership_consistent, synced == members);
+        ++(promotion.membership_consistent ? consistent : inconsistent);
+      }
+      copy.clear();  // the promoted root owes the group a fresh replica
+    }
+  };
+  const auto replica_delta = [&](PeerId p, bool subscribed) {
+    if (manager.replica_of(g) == kInvalidPeer) copy.clear();
+    if (manager.ensure_replica(g) == kInvalidPeer) return;
+    manager.replica_apply_membership(g, p, subscribed);
+    if (subscribed)
+      copy.insert(p);
+    else
+      copy.erase(p);
+  };
+
+  for (std::size_t op = 0; op < 600; ++op) {
+    if (op % 100 == 99) {
+      // A slot-0 root death after a full sync (even rounds) or a sync
+      // with one extra, diverging member in the copy (odd rounds).
+      for (PeerId p : std::set<PeerId>(copy))
+        if (members.count(p) == 0) replica_delta(p, false);
+      for (PeerId p : members) replica_delta(p, true);
+      if (op % 200 == 199)
+        for (PeerId p = 0; p < n; ++p)
+          if (alive[p] && members.count(p) == 0 && p != manager.replica_of(g)) {
+            replica_delta(p, true);
+            break;
+          }
+      depart(manager.root_of(g));
+      check(op);
+      continue;
+    }
+    const std::uint64_t kind = rng.next_below(10);
+    if (kind < 4) {
+      const PeerId p = random_alive();
+      manager.subscribe(g, p);
+      members.insert(p);
+    } else if (kind == 4 && !members.empty()) {  // duplicate subscribe
+      const PeerId p = *std::next(members.begin(), static_cast<std::ptrdiff_t>(
+                                                     rng.next_below(members.size())));
+      manager.subscribe(g, p);
+    } else if (kind < 7) {
+      const auto p = static_cast<PeerId>(rng.next_below(n));
+      manager.unsubscribe(g, p);
+      members.erase(p);
+    } else if (kind == 7 && deaths < n / 3) {
+      depart(random_alive());
+    } else {
+      replica_delta(static_cast<PeerId>(rng.next_below(n)), rng.next_below(2) == 0);
+    }
+    if (kind % 3 == 0) (void)manager.publish(g);  // trees follow the members
+    check(op);
+  }
+  EXPECT_GE(consistent, 2u);
+  EXPECT_GE(inconsistent, 2u);
 }
 
 // The last departure leaves every slot rootless; no departure may throw

@@ -5,9 +5,11 @@
 #include <deque>
 #include <map>
 #include <memory>
+#include <set>
 
 #include "geometry/orthant.hpp"
 #include "geometry/random_points.hpp"
+#include "groups/group_manager.hpp"
 #include "multicast/local_rule.hpp"
 #include "multicast/space_partition.hpp"
 #include "multicast/zone.hpp"
@@ -42,6 +44,19 @@ std::vector<bool> random_mask(std::size_t n, std::size_t count, std::uint64_t se
     }
   }
   return mask;
+}
+
+/// The ascending ids a mask marks: build_group_tree's subscriber list.
+std::vector<PeerId> ids_of(const std::vector<bool>& mask) {
+  std::vector<PeerId> ids;
+  for (PeerId p = 0; p < mask.size(); ++p)
+    if (mask[p]) ids.push_back(p);
+  return ids;
+}
+
+/// Whether `p` subscribes to `gt`: spanned (flagged) or stranded.
+bool is_member(const GroupTree& gt, PeerId p) {
+  return gt.tree.delivers(p) || contains_id(gt.stranded, p);
 }
 
 using ZoneMap = std::map<PeerId, geometry::Rect>;
@@ -95,12 +110,12 @@ void expect_same_zones(const overlay::OverlayGraph& graph, const GroupTree& a,
   EXPECT_EQ(zones_along_root_paths(graph, a), zones_along_root_paths(graph, b));
 }
 
-/// Every flagged subscriber is reached and linked to the root by parent
-/// edges.
+/// No subscriber is stranded, and every flagged one is linked to the root
+/// by parent edges.
 void expect_spans_subscribers(const overlay::OverlayGraph& graph, const GroupTree& gt) {
+  EXPECT_TRUE(gt.stranded.empty());
   for (PeerId p = 0; p < graph.size(); ++p) {
-    if (!gt.is_subscriber[p]) continue;
-    ASSERT_TRUE(gt.tree.reached(p)) << "subscriber " << p << " unreached";
+    if (!gt.tree.delivers(p)) continue;
     PeerId cursor = p;
     std::size_t guard = 0;
     while (cursor != gt.tree.root()) {
@@ -113,8 +128,8 @@ void expect_spans_subscribers(const overlay::OverlayGraph& graph, const GroupTre
 TEST(GroupTreeTest, SpansAllSubscribersAndPrunesTheRest) {
   const auto graph = make_overlay(80, 2, 101);
   const auto subs = random_mask(graph.size(), 12, 7);
-  const auto gt = build_group_tree(graph, 0, subs);
-  EXPECT_EQ(gt.subscriber_count, 12u);
+  const auto gt = build_group_tree(graph, 0, ids_of(subs));
+  EXPECT_EQ(gt.subscriber_count(), 12u);
   expect_spans_subscribers(graph, gt);
   // A 12-subscriber tree must be strictly cheaper than spanning everyone.
   EXPECT_LT(gt.tree.edge_count(), graph.size() - 1);
@@ -124,7 +139,7 @@ TEST(GroupTreeTest, SpansAllSubscribersAndPrunesTheRest) {
 TEST(GroupTreeTest, FullSubscriptionMatchesWholeSpaceConstruction) {
   const auto graph = make_overlay(60, 3, 102);
   std::vector<bool> everyone(graph.size(), true);
-  const auto gt = build_group_tree(graph, 5, everyone);
+  const auto gt = build_group_tree(graph, 5, ids_of(everyone));
   const auto whole = multicast::build_multicast_tree(graph, 5);
   EXPECT_EQ(gt.tree.edge_count(), graph.size() - 1);
   for (PeerId p = 0; p < graph.size(); ++p)
@@ -135,8 +150,8 @@ TEST(GroupTreeTest, FullSubscriptionMatchesWholeSpaceConstruction) {
 TEST(GroupTreeTest, DeterministicAcrossRuns) {
   const auto graph = make_overlay(70, 2, 103);
   const auto subs = random_mask(graph.size(), 10, 11);
-  const auto a = build_group_tree(graph, 3, subs);
-  const auto b = build_group_tree(graph, 3, subs);
+  const auto a = build_group_tree(graph, 3, ids_of(subs));
+  const auto b = build_group_tree(graph, 3, ids_of(subs));
   for (PeerId p = 0; p < graph.size(); ++p) EXPECT_EQ(a.tree.parent(p), b.tree.parent(p));
   EXPECT_EQ(a.build_messages, b.build_messages);
 }
@@ -153,16 +168,16 @@ TEST(GroupTreeTest, GraftEqualsFreshBuild) {
     }
   ASSERT_NE(extra, kInvalidPeer);
 
-  auto grown = build_group_tree(graph, 0, subs);
+  auto grown = build_group_tree(graph, 0, ids_of(subs));
   const auto graft = graft_subscriber(graph, grown, extra);
   EXPECT_TRUE(graft.attached);
   EXPECT_GT(graft.messages, 0u);
 
   subs[extra] = true;
-  const auto fresh = build_group_tree(graph, 0, subs);
+  const auto fresh = build_group_tree(graph, 0, ids_of(subs));
   for (PeerId p = 0; p < graph.size(); ++p) {
     EXPECT_EQ(grown.tree.parent(p), fresh.tree.parent(p)) << "peer " << p;
-    EXPECT_EQ(grown.is_subscriber[p], fresh.is_subscriber[p]) << "peer " << p;
+    EXPECT_EQ(is_member(grown, p), is_member(fresh, p)) << "peer " << p;
   }
   expect_same_zones(graph, grown, fresh);
 }
@@ -170,7 +185,7 @@ TEST(GroupTreeTest, GraftEqualsFreshBuild) {
 TEST(GroupTreeTest, PruneEqualsFreshBuild) {
   const auto graph = make_overlay(80, 2, 105);
   auto subs = random_mask(graph.size(), 9, 17);
-  auto shrunk = build_group_tree(graph, 0, subs);
+  auto shrunk = build_group_tree(graph, 0, ids_of(subs));
   // A leaf subscriber, so the prune really cascades edges away.
   PeerId victim = kInvalidPeer;
   for (PeerId p = 1; p < graph.size(); ++p)
@@ -182,8 +197,8 @@ TEST(GroupTreeTest, PruneEqualsFreshBuild) {
   EXPECT_GT(prune_subscriber(shrunk, victim), 0u);
 
   subs[victim] = false;
-  const auto fresh = build_group_tree(graph, 0, subs);
-  EXPECT_EQ(shrunk.subscriber_count, fresh.subscriber_count);
+  const auto fresh = build_group_tree(graph, 0, ids_of(subs));
+  EXPECT_EQ(shrunk.subscriber_count(), fresh.subscriber_count());
   for (PeerId p = 0; p < graph.size(); ++p) {
     EXPECT_EQ(shrunk.tree.reached(p), fresh.tree.reached(p)) << "peer " << p;
     if (fresh.tree.reached(p) && p != 0) {
@@ -204,13 +219,13 @@ TEST(GroupTreeTest, GraftThenPruneIsIdentity) {
     }
   ASSERT_NE(extra, kInvalidPeer);
 
-  const auto original = build_group_tree(graph, 0, subs);
-  auto mutated = build_group_tree(graph, 0, subs);
+  const auto original = build_group_tree(graph, 0, ids_of(subs));
+  auto mutated = build_group_tree(graph, 0, ids_of(subs));
   ASSERT_TRUE(graft_subscriber(graph, mutated, extra).attached);
   prune_subscriber(mutated, extra);
   for (PeerId p = 0; p < graph.size(); ++p) {
     EXPECT_EQ(mutated.tree.reached(p), original.tree.reached(p)) << "peer " << p;
-    EXPECT_EQ(mutated.is_subscriber[p], original.is_subscriber[p]) << "peer " << p;
+    EXPECT_EQ(is_member(mutated, p), is_member(original, p)) << "peer " << p;
   }
   expect_same_zones(graph, mutated, original);
 }
@@ -218,7 +233,7 @@ TEST(GroupTreeTest, GraftThenPruneIsIdentity) {
 TEST(GroupTreeTest, RepairRemovesDepartedAndKeepsCoverage) {
   const auto graph = make_overlay(80, 2, 107);
   std::vector<bool> everyone(graph.size(), true);
-  auto gt = build_group_tree(graph, 0, everyone);
+  auto gt = build_group_tree(graph, 0, ids_of(everyone));
 
   // Depart an interior peer (has children) that is not the root.
   PeerId departed = kInvalidPeer;
@@ -236,14 +251,14 @@ TEST(GroupTreeTest, RepairRemovesDepartedAndKeepsCoverage) {
   EXPECT_GT(repair.reattached, 0u);
   EXPECT_TRUE(gt.zones_stale);
   EXPECT_FALSE(gt.tree.reached(departed));
-  EXPECT_FALSE(gt.is_subscriber[departed]);
+  EXPECT_FALSE(is_member(gt, departed));
   expect_spans_subscribers(graph, gt);
 }
 
 TEST(GroupTreeTest, GraftOnStaleZonesThrows) {
   const auto graph = make_overlay(40, 2, 108);
   const auto subs = subscriber_mask(graph.size(), {3, 9, 20});
-  auto gt = build_group_tree(graph, 0, subs);
+  auto gt = build_group_tree(graph, 0, ids_of(subs));
   gt.zones_stale = true;
   EXPECT_THROW((void)graft_subscriber(graph, gt, 15), std::logic_error);
 }
@@ -251,7 +266,7 @@ TEST(GroupTreeTest, GraftOnStaleZonesThrows) {
 TEST(GroupTreeTest, GraftStepFromAnUnreachedPeerThrows) {
   const auto graph = make_overlay(40, 2, 108);
   const auto subs = subscriber_mask(graph.size(), {3});
-  auto gt = build_group_tree(graph, 0, subs);
+  auto gt = build_group_tree(graph, 0, ids_of(subs));
   PeerId outside = kInvalidPeer;
   for (PeerId p = 1; p < graph.size(); ++p)
     if (!gt.tree.reached(p)) {
@@ -279,7 +294,7 @@ TEST(GroupTreeTest, CarriedZoneMatchesTheTreeAcrossInterleavedEdits) {
   // tree's root path, and the final tree must equal a fresh build.
   const auto graph = make_overlay(300, 2, 111);
   auto subs = random_mask(graph.size(), 10, 29);
-  GroupTree gt = build_group_tree(graph, 0, subs);
+  GroupTree gt = build_group_tree(graph, 0, ids_of(subs));
   PeerId target = kInvalidPeer;
   for (PeerId p = 1; p < graph.size() && target == kInvalidPeer; ++p)
     if (!gt.tree.reached(p) && graft_length(graph, gt, p) >= 6) target = p;
@@ -312,7 +327,7 @@ TEST(GroupTreeTest, CarriedZoneMatchesTheTreeAcrossInterleavedEdits) {
       // cursor's subtree (the GroupManager aborts a descent whose peer a
       // prune removes).
       for (PeerId p = 1; p < graph.size() && !pruned; ++p) {
-        if (!gt.is_subscriber[p] || p == target || gt.tree.in_subtree(cursor.current, p))
+        if (!is_member(gt, p) || p == target || gt.tree.in_subtree(cursor.current, p))
           continue;
         GroupTree trial = gt;
         if (prune_subscriber(trial, p) < 2 || !trial.tree.reached(cursor.current)) continue;
@@ -329,15 +344,152 @@ TEST(GroupTreeTest, CarriedZoneMatchesTheTreeAcrossInterleavedEdits) {
   }
   ASSERT_TRUE(grafted && pruned && cloned);
   subs[target] = true;
-  const GroupTree fresh = build_group_tree(graph, 0, subs);
+  const GroupTree fresh = build_group_tree(graph, 0, ids_of(subs));
   for (PeerId p = 0; p < graph.size(); ++p) {
     ASSERT_EQ(gt.tree.reached(p), fresh.tree.reached(p)) << "peer " << p;
     EXPECT_EQ(gt.tree.parent(p), fresh.tree.parent(p)) << "peer " << p;
-    EXPECT_EQ(gt.is_subscriber[p], fresh.is_subscriber[p]) << "peer " << p;
+    EXPECT_EQ(is_member(gt, p), is_member(fresh, p)) << "peer " << p;
   }
-  EXPECT_EQ(gt.subscriber_count, fresh.subscriber_count);
-  EXPECT_EQ(gt.reached_subscribers, fresh.reached_subscribers);
+  EXPECT_EQ(gt.subscriber_count(), fresh.subscriber_count());
+  EXPECT_EQ(gt.reached_subscribers(), fresh.reached_subscribers());
   expect_same_zones(graph, gt, fresh);
+}
+
+// ------------------------------------------------ stranded bookkeeping
+
+/// The brute-force model of a group tree's membership: a member is spanned
+/// (its node flagged) iff the tree reaches it and stranded otherwise, and
+/// no other peer is flagged.
+void expect_membership(const GroupTree& gt, const std::set<PeerId>& members) {
+  std::vector<PeerId> stranded;
+  std::size_t spanned = 0;
+  for (PeerId p = 0; p < gt.tree.peer_count(); ++p) {
+    const bool member = members.count(p) > 0;
+    EXPECT_EQ(gt.tree.delivers(p), member && gt.tree.reached(p)) << "peer " << p;
+    EXPECT_EQ(is_member(gt, p), member) << "peer " << p;
+    if (member && gt.tree.reached(p)) ++spanned;
+    if (member && !gt.tree.reached(p)) stranded.push_back(p);
+  }
+  EXPECT_EQ(gt.stranded, stranded);
+  EXPECT_EQ(gt.reached_subscribers(), spanned);
+  EXPECT_EQ(gt.subscriber_count(), members.size());
+}
+
+TEST(GroupTreeTest, StrandedSubscribersFollowEveryEdit) {
+  // Dead peers strand subscribers, whatever the coordinates. `walled` has
+  // every overlay neighbour dead, so neither the recursion nor a greedy
+  // splice can reach it; one dead delegate, `cut`, walls off slices of
+  // other subscribers, which a greedy splice can still reach.
+  const auto graph = make_overlay(300, 2, 131);
+  const std::size_t n = graph.size();
+  const GroupId g = 3;
+  const PeerId root = GroupManager(graph).root_of(g);
+  const auto neighbour_of_root = [&](PeerId p) {
+    const auto& near = graph.neighbors(p);
+    return std::find(near.begin(), near.end(), root) != near.end();
+  };
+  PeerId walled = kInvalidPeer;
+  for (PeerId p = 0; p < n; ++p)
+    if (p != root && !neighbour_of_root(p) &&
+        (walled == kInvalidPeer || graph.neighbors(p).size() < graph.neighbors(walled).size()))
+      walled = p;
+  ASSERT_NE(walled, kInvalidPeer);
+  std::vector<bool> alive(n, true);
+  for (PeerId q : graph.neighbors(walled)) alive[q] = false;
+  std::set<PeerId> members{walled};
+  util::Rng rng(7);
+  while (members.size() < 61) {
+    const auto p = static_cast<PeerId>(rng.next_below(n));
+    if (p != root && alive[p]) members.insert(p);
+  }
+  const std::vector<PeerId> ids(members.begin(), members.end());
+
+  // The first delegate whose death strands enough subscribers, and a
+  // non-member whose graft, run with `cut` back up (a false suspicion),
+  // descends through one of them: a stranded subscriber recruited as a
+  // relay.
+  const GroupTree whole = build_group_tree(graph, root, ids, {}, alive);
+  PeerId cut = kInvalidPeer, grafted = kInvalidPeer;
+  GroupTree gt;
+  for (PeerId d = 0; d < n && cut == kInvalidPeer; ++d) {
+    if (d == root || members.count(d) > 0 || whole.tree.children(d).empty()) continue;
+    std::vector<bool> without = alive;
+    without[d] = false;
+    const GroupTree trial = build_group_tree(graph, root, ids, {}, without);
+    for (PeerId x = 0; x < n && cut == kInvalidPeer; ++x) {
+      if (!without[x] || members.count(x) > 0 || trial.tree.reached(x)) continue;
+      GroupTree dry = trial;
+      if (!graft_subscriber(graph, dry, x, {}, alive).attached) continue;
+      if (dry.stranded.size() + 1 >= trial.stranded.size() || dry.stranded.size() < 3) continue;
+      cut = d;
+      grafted = x;
+      gt = trial;
+    }
+  }
+  ASSERT_NE(cut, kInvalidPeer);
+  ASSERT_TRUE(contains_id(gt.stranded, walled));
+  expect_membership(gt, members);
+
+  const std::vector<PeerId> before = gt.stranded;
+  ASSERT_TRUE(graft_subscriber(graph, gt, grafted, {}, alive).attached);
+  alive[cut] = false;
+  members.insert(grafted);
+  expect_membership(gt, members);
+  std::size_t recruited = 0;
+  for (PeerId s : before) recruited += gt.tree.delivers(s) && s != grafted ? 1 : 0;
+  EXPECT_GE(recruited, 1u);
+
+  PeerId pruned = kInvalidPeer;
+  for (PeerId s : gt.stranded)
+    if (s != walled && pruned == kInvalidPeer) pruned = s;
+  ASSERT_NE(pruned, kInvalidPeer);
+  EXPECT_EQ(prune_subscriber(gt, pruned), 0u);
+  members.erase(pruned);
+  expect_membership(gt, members);
+
+  PeerId departed = kInvalidPeer;
+  for (PeerId p = 0; p < n && departed == kInvalidPeer; ++p)
+    if (p != root && gt.tree.delivers(p) && !gt.tree.children(p).empty()) departed = p;
+  ASSERT_NE(departed, kInvalidPeer);
+  alive[departed] = false;
+  (void)repair_group_tree(graph, gt, departed, alive);
+  members.erase(departed);
+  expect_membership(gt, members);
+
+  ASSERT_GE(gt.stranded.size(), 2u);
+  const StrandRescueResult rescue = rescue_stranded(graph, gt, alive);
+  EXPECT_GE(rescue.rescued, 1u);
+  EXPECT_EQ(gt.stranded, std::vector<PeerId>{walled});
+  EXPECT_EQ(rescue.still_stranded, 1u);
+  expect_membership(gt, members);
+
+  // The same members and deaths through the GroupManager: its build keeps
+  // `walled` stranded through the rescue, and the departure drops it.
+  GroupManager manager(graph);
+  for (PeerId p : members) manager.subscribe(g, p);
+  for (PeerId p = 0; p < n; ++p)
+    if (!alive[p]) manager.handle_departure(p);
+  const GroupTree* built = manager.tree(g);
+  ASSERT_NE(built, nullptr);
+  EXPECT_EQ(built->stranded, std::vector<PeerId>{walled});
+  EXPECT_EQ(manager.stats(g).stranded_subscribers, 1u);
+  expect_membership(*built, members);
+  manager.handle_departure(walled);
+  members.erase(walled);
+  const GroupTree* after = manager.cached_tree(g);
+  ASSERT_NE(after, nullptr);
+  expect_membership(*after, members);
+  const std::vector<PeerId> model(members.begin(), members.end());
+  EXPECT_EQ(manager.subscribers_of(g), model);
+}
+
+TEST(GroupTreeTest, BuildRejectsIdsThatAreNotAscendingUniqueAndInRange) {
+  const auto graph = make_overlay(30, 2, 110);
+  const PeerId n = static_cast<PeerId>(graph.size());
+  for (const std::vector<PeerId>& ids :
+       {std::vector<PeerId>{4, 2}, std::vector<PeerId>{3, 3}, std::vector<PeerId>{1, n}})
+    EXPECT_THROW((void)build_group_tree(graph, 0, ids), std::invalid_argument);
+  EXPECT_EQ(build_group_tree(graph, 0, std::vector<PeerId>{2, 4}).subscriber_count(), 2u);
 }
 
 TEST(GroupTreeTest, RandomPolicyRejected) {
@@ -345,7 +497,7 @@ TEST(GroupTreeTest, RandomPolicyRejected) {
   const auto subs = subscriber_mask(graph.size(), {1, 2});
   multicast::MulticastConfig config;
   config.policy = multicast::PickPolicy::kRandom;
-  EXPECT_THROW((void)build_group_tree(graph, 0, subs, config), std::invalid_argument);
+  EXPECT_THROW((void)build_group_tree(graph, 0, ids_of(subs), config), std::invalid_argument);
 }
 
 // ----------------------------------------------- flat build vs deque build
@@ -363,13 +515,7 @@ void deque_reference_build(const overlay::OverlayGraph& graph, PeerId root,
                            const std::vector<bool>& subscribers,
                            const std::vector<bool>& alive, GroupTree& gt, ZoneMap& zones) {
   gt.tree = multicast::MulticastTree(graph.size(), root);
-  gt.is_subscriber = subscribers;
-  std::vector<PeerId> ids;
-  for (PeerId p = 0; p < graph.size(); ++p)
-    if (subscribers[p]) {
-      ++gt.subscriber_count;
-      ids.push_back(p);
-    }
+  const std::vector<PeerId> ids = ids_of(subscribers);
   struct Pending {
     PeerId peer;
     geometry::Rect zone;
@@ -402,8 +548,12 @@ void deque_reference_build(const overlay::OverlayGraph& graph, PeerId root,
       queue.push_back(Pending{assignments[i].child, assignments[i].zone, std::move(split[i])});
     }
   }
-  for (PeerId s : ids)
-    if (gt.tree.reached(s)) ++gt.reached_subscribers;
+  for (PeerId s : ids) {
+    if (gt.tree.reached(s))
+      gt.tree.set_delivers(s, true);
+    else
+      gt.stranded.push_back(s);
+  }
 }
 
 void expect_identical_trees(const overlay::OverlayGraph& graph, const GroupTree& a,
@@ -416,8 +566,10 @@ void expect_identical_trees(const overlay::OverlayGraph& graph, const GroupTree&
   }
   expect_same_zones(graph, a, b);
   EXPECT_EQ(a.build_messages, b.build_messages);
-  EXPECT_EQ(a.subscriber_count, b.subscriber_count);
-  EXPECT_EQ(a.reached_subscribers, b.reached_subscribers);
+  EXPECT_EQ(a.stranded, b.stranded);
+  EXPECT_EQ(a.reached_subscribers(), b.reached_subscribers());
+  for (PeerId p = 0; p < graph.size(); ++p)
+    EXPECT_EQ(a.tree.delivers(p), b.tree.delivers(p)) << "peer " << p;
 }
 
 class FlatBuildTest : public ::testing::TestWithParam<std::tuple<std::size_t, std::uint64_t>> {};
@@ -438,7 +590,7 @@ TEST_P(FlatBuildTest, EqualsDequeReferenceBeforeAndAfterAGraft) {
         ++placed;
       }
     }
-    auto flat = build_group_tree(graph, 0, subs, {}, alive);
+    auto flat = build_group_tree(graph, 0, ids_of(subs), {}, alive);
     GroupTree reference;
     ZoneMap reference_zones;
     deque_reference_build(graph, 0, subs, alive, reference, reference_zones);

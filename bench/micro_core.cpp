@@ -3,9 +3,10 @@
 // construction, multicast tree construction, stable-tree assembly — plus
 // the batched-publish data plane (subscriber-window range admission,
 // retained-buffer range insert/evict, the receive path's dedup + retain
-// spread over a working set, root coalescing flush) and the
-// event queue under the cancel-heavy load reliable traffic produces, and
-// the resident memory one pub/sub group costs at 100k peers.
+// spread over a working set, root coalescing flush), the event queue
+// under the cancel-heavy load reliable traffic produces, the hop layer's
+// ack cycle, and the resident memory one pub/sub group costs at 100k
+// peers.
 #include <benchmark/benchmark.h>
 
 #if defined(__GLIBC__)
@@ -14,8 +15,10 @@
 
 #include <any>
 #include <fstream>
+#include <memory>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "geometry/random_points.hpp"
 #include "groups/group_manager.hpp"
@@ -24,6 +27,7 @@
 #include "obs/histogram.hpp"
 #include "obs/trace.hpp"
 #include "multicast/flooding.hpp"
+#include "multicast/reliable_hop.hpp"
 #include "multicast/space_partition.hpp"
 #include "overlay/empty_rect.hpp"
 #include "overlay/equilibrium.hpp"
@@ -31,6 +35,8 @@
 #include "overlay/hyperplane_k.hpp"
 #include "overlay/orthant_sweep.hpp"
 #include "sim/event_queue.hpp"
+#include "sim/node.hpp"
+#include "sim/simulator.hpp"
 #include "stability/lifetime.hpp"
 #include "stability/stable_tree.hpp"
 #include "util/rng.hpp"
@@ -270,6 +276,67 @@ void BM_SimCoreWaveDelivery(benchmark::State& state) {
 }
 BENCHMARK(BM_SimCoreWaveDelivery)->Unit(benchmark::kMillisecond);
 
+// The hop layer's own cost per acked hop: 1024 hops kept in flight on a
+// bare Simulator at constant latency, every arrival acked, every ack
+// answered by the sender's next hop on the same link. Each hop is one
+// send + one ack envelope, one armed and one cancelled retransmit timer,
+// and one pending-table insert, lookup and erase. Items = hops, so
+// items/sec is hops/s; CI records it as a trajectory number, ungated.
+class AckCycleNode final : public sim::Node {
+ public:
+  AckCycleNode(sim::NodeId id, multicast::ReliableHopLayer*& layer, std::uint64_t& budget)
+      : sim::Node(id), layer_(layer), budget_(budget) {}
+  void on_message(sim::Simulator&, const sim::Envelope& envelope) override {
+    if (envelope.kind == kData) {
+      layer_->acknowledge(id(), envelope.from, std::any_cast<std::uint64_t>(envelope.payload));
+      return;
+    }
+    layer_->on_ack(envelope);
+    if (budget_ == 0) return;
+    --budget_;
+    const std::uint64_t seq = std::any_cast<const multicast::HopAck&>(envelope.payload).seq;
+    layer_->send(id(), envelope.from, seq + kInFlight, seq + kInFlight);
+  }
+
+  static constexpr sim::MessageKind kData = 41;
+  static constexpr sim::MessageKind kAck = 42;
+  static constexpr std::uint64_t kInFlight = 1024;
+
+ private:
+  multicast::ReliableHopLayer*& layer_;
+  std::uint64_t& budget_;
+};
+
+void BM_HopLayerAckCycle(benchmark::State& state) {
+  constexpr sim::NodeId kNodes = 64;
+  constexpr std::uint64_t kHops = 64 * AckCycleNode::kInFlight;
+  std::int64_t hops = 0;
+  for (auto _ : state) {
+    sim::Simulator sim(7);
+    multicast::ReliableHopLayer* layer = nullptr;
+    std::uint64_t budget = kHops - AckCycleNode::kInFlight;
+    std::vector<std::unique_ptr<AckCycleNode>> nodes;
+    for (sim::NodeId i = 0; i < kNodes; ++i) {
+      nodes.push_back(std::make_unique<AckCycleNode>(i, layer, budget));
+      sim.add_node(*nodes.back());
+    }
+    multicast::ReliableHopLayer hop_layer(sim, AckCycleNode::kData, AckCycleNode::kAck,
+                                          {multicast::QoS::kAcked, 0.25, 5});
+    layer = &hop_layer;
+    // Link i carries seqs i, i + 1024, i + 2048, ...: unique per link.
+    for (std::uint64_t seq = 0; seq < AckCycleNode::kInFlight; ++seq) {
+      const auto from = static_cast<sim::NodeId>(seq % kNodes);
+      hop_layer.send(from, (from + 1 + seq / kNodes % (kNodes - 1)) % kNodes, seq, seq);
+    }
+    sim.run_until_idle();
+    if (hop_layer.pending() != 0) state.SkipWithError("hops left pending");
+    hops += static_cast<std::int64_t>(hop_layer.stats().data_messages);
+    benchmark::DoNotOptimize(hops);
+  }
+  state.SetItemsProcessed(hops);
+}
+BENCHMARK(BM_HopLayerAckCycle)->Unit(benchmark::kMillisecond);
+
 // ------------------------------------------------- batched publish plane ----
 
 // Range admission through a SubscriberWindow: the batched data plane
@@ -365,7 +432,7 @@ void BM_ReceivePathSpread(benchmark::State& state) {
       const groups::GroupId group = k / kPeers;
       const std::uint64_t lo = next_seq[k];
       next_seq[k] += kWidth;
-      seen.mark(groups::PeerKey{peer, 0, group}, lo, lo + kWidth - 1, fresh);
+      seen.mark(util::PeerKey{peer, 0, group}, lo, lo + kWidth - 1, fresh);
       evicted += manager.retain_payload(peer, group, lo, lo + kWidth - 1, std::any{lo});
     }
     benchmark::DoNotOptimize(evicted);

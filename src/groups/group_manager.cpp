@@ -136,24 +136,20 @@ PeerId GroupManager::nearest_to(const geometry::Point& target,
   return best;
 }
 
-GroupManager::GroupState& GroupManager::state_of_slow(GroupId group) {
-  auto it = groups_.find(group);
-  if (it == groups_.end()) {
-    GroupState gs;
-    gs.slots.resize(root_replicas());
-    for (std::uint32_t s = 0; s < gs.slots.size(); ++s) gs.anchors.push_back(hash_point(group, s));
-    // Slot 0 elects first, unopposed, so its root is the group's
-    // rendezvous root; later slots exclude the earlier roots so R alive
-    // peers yield R distinct replicas.
-    for (std::uint32_t s = 0; s < gs.slots.size(); ++s)
-      gs.slots[s].root = recompute_slot_root(gs, s);
-    if (gs.slots[0].root == kInvalidPeer)
-      throw std::runtime_error("GroupManager: no alive peer can host the group");
-    it = groups_.emplace(group, std::move(gs)).first;
-  }
-  state_cache_group_ = group;
-  state_cache_ = &it->second;
-  return it->second;
+GroupManager::GroupState& GroupManager::add_state(GroupId group) {
+  GroupState gs;
+  gs.slots.resize(root_replicas());
+  for (std::uint32_t s = 0; s < gs.slots.size(); ++s) gs.anchors.push_back(hash_point(group, s));
+  // Slot 0 elects first, unopposed, so its root is the group's
+  // rendezvous root; later slots exclude the earlier roots so R alive
+  // peers yield R distinct replicas.
+  for (std::uint32_t s = 0; s < gs.slots.size(); ++s)
+    gs.slots[s].root = recompute_slot_root(gs, s);
+  if (gs.slots[0].root == kInvalidPeer)
+    throw std::runtime_error("GroupManager: no alive peer can host the group");
+  GroupState& added = groups_.emplace(group, std::move(gs)).first->second;
+  state_index_.try_emplace(group_key(group), &added);
+  return added;
 }
 
 std::uint32_t GroupManager::owner_slot_of(const GroupState& gs, PeerId peer) const {
@@ -235,9 +231,9 @@ void GroupManager::subscribe(GroupId group, PeerId peer) {
 void GroupManager::unsubscribe(GroupId group, PeerId peer) {
   if (peer >= graph_.size())
     throw std::invalid_argument("GroupManager::unsubscribe: peer out of range");
-  const auto it = groups_.find(group);
-  if (it == groups_.end()) return;  // unknown group: no-op, no state created
-  GroupState& gs = it->second;
+  GroupState* const found = find_state(group);
+  if (found == nullptr) return;  // unknown group: no-op, no state created
+  GroupState& gs = *found;
   ShardSlot& slot = gs.slots[owner_slot_of(gs, peer)];
   if (!assign_id(slot.members, peer, false)) return;
   ++gs.stats.unsubscribes;
@@ -286,7 +282,7 @@ std::uint64_t GroupManager::graft_begin(GroupId group, PeerId subscriber, PeerId
 }
 
 bool GroupManager::graft_valid(const InFlightGraft& g) const {
-  const GroupState& gs = groups_.at(g.group);
+  const GroupState& gs = *find_state(g.group);
   const ShardSlot& s = gs.slots[g.slot];
   return alive_[g.subscriber] && contains_id(s.members, g.subscriber) && s.root == g.root &&
          graftable(s) && s.cached->tree.reached(g.cursor.current);
@@ -303,7 +299,7 @@ GroupManager::GraftAdvance GroupManager::graft_advance(std::uint64_t graft_id,
   // of subscriber/current since the previous step fails the descent here
   // rather than replaying it against a tree it never saw.
   if (self != g.cursor.current || !graft_valid(g)) return advance;
-  GroupState& gs = groups_.at(g.group);
+  GroupState& gs = *find_state(g.group);
   const std::size_t decisions_before = g.cursor.steps;
   const GraftStep step = graft_step(graph_, writable_tree(gs.slots[g.slot].cached),
                                     g.cursor, config_.tree, alive_);
@@ -326,7 +322,7 @@ GroupManager::GraftAdvance GroupManager::graft_advance(std::uint64_t graft_id,
 bool GroupManager::graft_finish(std::uint64_t graft_id) {
   const auto it = grafts_.find(graft_id);
   if (it == grafts_.end()) return false;
-  GroupState& gs = groups_.at(it->second.group);
+  GroupState& gs = *find_state(it->second.group);
   const PeerId subscriber = it->second.subscriber;
   ++gs.stats.grafts;
   // Request -> attach latency; meaningful only when a clock is wired (the
@@ -356,7 +352,7 @@ std::optional<GroupManager::AbortedGraft> GroupManager::graft_abort(
   const auto it = grafts_.find(graft_id);
   if (it == grafts_.end()) return std::nullopt;
   const AbortedGraft aborted{it->second.group, it->second.subscriber};
-  GroupState& gs = groups_.at(aborted.group);
+  GroupState& gs = *find_state(aborted.group);
   // The half-grafted relay path (if any) serves nobody: dirty the cache so
   // the next publish rebuilds — spanning the subscriber's membership if it
   // survived — instead of publishing down dangling edges forever.
@@ -371,16 +367,16 @@ std::optional<GroupManager::AbortedGraft> GroupManager::graft_abort(
 }
 
 bool GroupManager::is_subscribed(GroupId group, PeerId peer) const {
-  const auto it = groups_.find(group);
-  return it != groups_.end() && peer < graph_.size() &&
-         contains_id(it->second.slots[owner_slot_of(it->second, peer)].members, peer);
+  const GroupState* gs = find_state(group);
+  return gs != nullptr && peer < graph_.size() &&
+         contains_id(gs->slots[owner_slot_of(*gs, peer)].members, peer);
 }
 
 std::size_t GroupManager::subscriber_count(GroupId group) const {
-  const auto it = groups_.find(group);
-  if (it == groups_.end()) return 0;
+  const GroupState* gs = find_state(group);
+  if (gs == nullptr) return 0;
   std::size_t count = 0;
-  for (const ShardSlot& slot : it->second.slots) count += slot.members.size();
+  for (const ShardSlot& slot : gs->slots) count += slot.members.size();
   return count;
 }
 
@@ -451,16 +447,16 @@ std::shared_ptr<const GroupTree> GroupManager::tree_snapshot(GroupId group) {
 }
 
 const GroupTree* GroupManager::cached_tree(GroupId group) const {
-  const auto it = groups_.find(group);
-  if (it == groups_.end() || it->second.slots[0].dirty) return nullptr;
-  return it->second.slots[0].cached.get();
+  const GroupState* gs = find_state(group);
+  if (gs == nullptr || gs->slots[0].dirty) return nullptr;
+  return gs->slots[0].cached.get();
 }
 
 std::size_t GroupManager::retain_payload(PeerId peer, GroupId group, std::uint64_t lo,
                                          std::uint64_t hi, std::any payload) {
   if (config_.retention_window == 0) return 0;
   const auto [buffer, inserted] =
-      retained_.try_emplace(PeerKey{peer, 0, group}, config_.retention_window);
+      retained_.try_emplace(util::PeerKey{peer, 0, group}, config_.retention_window);
   if (inserted) {
     const auto at = std::lower_bound(retained_groups_.begin(), retained_groups_.end(), group);
     if (at == retained_groups_.end() || *at != group) retained_groups_.insert(at, group);
@@ -472,14 +468,14 @@ std::size_t GroupManager::retain_payload(PeerId peer, GroupId group, std::uint64
 
 const std::any* GroupManager::retained_payload(PeerId peer, GroupId group,
                                                std::uint64_t seq) const {
-  const RetainedBuffer* buffer = retained_.find(PeerKey{peer, 0, group});
+  const RetainedBuffer* buffer = retained_.find(util::PeerKey{peer, 0, group});
   return buffer == nullptr ? nullptr : buffer->find(seq);
 }
 
 std::size_t GroupManager::retained_entry_total() const noexcept {
   std::size_t total = 0;
   retained_.for_each(
-      [&total](const PeerKey&, const RetainedBuffer& buffer) { total += buffer.size(); });
+      [&total](const util::PeerKey&, const RetainedBuffer& buffer) { total += buffer.size(); });
   return total;
 }
 
@@ -504,8 +500,8 @@ PeerId GroupManager::ensure_replica(GroupId group) {
 }
 
 PeerId GroupManager::replica_of(GroupId group) const {
-  const auto it = groups_.find(group);
-  return it == groups_.end() ? kInvalidPeer : it->second.replica;
+  const GroupState* gs = find_state(group);
+  return gs == nullptr ? kInvalidPeer : gs->replica;
 }
 
 void GroupManager::replica_apply_membership(GroupId group, PeerId member,
@@ -514,23 +510,23 @@ void GroupManager::replica_apply_membership(GroupId group, PeerId member,
 }
 
 std::size_t GroupManager::replica_member_count(GroupId group) const {
-  const auto it = groups_.find(group);
-  return it == groups_.end() ? 0 : it->second.replica_members.size();
+  const GroupState* gs = find_state(group);
+  return gs == nullptr ? 0 : gs->replica_members.size();
 }
 
 std::vector<PeerId> GroupManager::subscribers_of(GroupId group) const {
   std::vector<PeerId> members;
-  const auto it = groups_.find(group);
-  if (it == groups_.end()) return members;
-  for (const ShardSlot& slot : it->second.slots)  // each ascending; slots disjoint
+  const GroupState* gs = find_state(group);
+  if (gs == nullptr) return members;
+  for (const ShardSlot& slot : gs->slots)  // each ascending; slots disjoint
     members.insert(members.end(), slot.members.begin(), slot.members.end());
-  if (it->second.slots.size() > 1) std::sort(members.begin(), members.end());
+  if (gs->slots.size() > 1) std::sort(members.begin(), members.end());
   return members;
 }
 
 std::vector<std::pair<std::uint64_t, std::uint64_t>> GroupManager::retained_ranges(
     PeerId peer, GroupId group) const {
-  const RetainedBuffer* buffer = retained_.find(PeerKey{peer, 0, group});
+  const RetainedBuffer* buffer = retained_.find(util::PeerKey{peer, 0, group});
   return buffer == nullptr ? std::vector<std::pair<std::uint64_t, std::uint64_t>>{}
                            : buffer->ranges();
 }
@@ -560,7 +556,7 @@ GroupManager::DepartureOutcome GroupManager::handle_departure(PeerId peer) {
   alive_[peer] = false;
   // The dead serve no repairs: drop the peer's retained history (NACKs
   // that would have landed here escalate to the next ancestor instead).
-  for (const GroupId group : retained_groups_) retained_.erase(PeerKey{peer, 0, group});
+  for (const GroupId group : retained_groups_) retained_.erase(util::PeerKey{peer, 0, group});
   for (auto& [group, gs] : groups_) {
     // The surviving owner-slot root owes the replica an unmember delta; a
     // dying root cannot send one (the promotion bootstrap covers it).
@@ -652,8 +648,8 @@ GroupManager::DepartureOutcome GroupManager::handle_departure(PeerId peer) {
 
 const GroupStats& GroupManager::stats(GroupId group) const {
   static const GroupStats kEmpty{};
-  const auto it = groups_.find(group);
-  return it == groups_.end() ? kEmpty : it->second.stats;
+  const GroupState* gs = find_state(group);
+  return gs == nullptr ? kEmpty : gs->stats;
 }
 
 GroupStats GroupManager::total_stats() const {

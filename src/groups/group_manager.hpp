@@ -30,11 +30,16 @@
 
 #include "groups/group_stats.hpp"
 #include "groups/group_tree.hpp"
-#include "groups/peer_table.hpp"
+#include "util/peer_table.hpp"
 #include "obs/trace.hpp"
 #include "overlay/graph.hpp"
 
 namespace geomcast::groups {
+
+/// The PeerTable key of group-wide state, which no peer owns.
+[[nodiscard]] inline util::PeerKey group_key(GroupId group) noexcept {
+  return util::PeerKey{0, 0, group};
+}
 
 /// Bounded per-(peer, group) payload retention backing QoS 2 gap repair:
 /// the root and every forwarder keep the last `capacity` waves they pushed
@@ -422,13 +427,22 @@ class GroupManager {
     GroupStats stats;
   };
 
-  /// Inline memo hit (protocol code resolves the same group many times per
-  /// wave); the miss path materializes/looks up out of line.
+  /// The group's state, materialized (roots elected) on first use. Protocol
+  /// code resolves a group several times per hop, so a known group costs
+  /// one probe of the flat index; only creation goes out of line.
   GroupState& state_of(GroupId group) {
-    if (state_cache_ != nullptr && state_cache_group_ == group) return *state_cache_;
-    return state_of_slow(group);
+    if (GroupState* gs = find_state(group)) return *gs;
+    return add_state(group);
   }
-  GroupState& state_of_slow(GroupId group);
+  /// The group's state, or nullptr for a group never touched.
+  [[nodiscard]] const GroupState* find_state(GroupId group) const noexcept {
+    GroupState* const* gs = state_index_.find(group_key(group));
+    return gs == nullptr ? nullptr : *gs;
+  }
+  [[nodiscard]] GroupState* find_state(GroupId group) noexcept {
+    return const_cast<GroupState*>(std::as_const(*this).find_state(group));
+  }
+  GroupState& add_state(GroupId group);
   /// The deterministic hash point for (group, slot); slot 0's is the
   /// group's rendezvous point.
   [[nodiscard]] geometry::Point hash_point(GroupId group, std::uint32_t slot) const;
@@ -473,12 +487,12 @@ class GroupManager {
   GroupConfig config_;
   std::vector<bool> alive_;
   std::vector<double> bounds_lo_, bounds_hi_;  // peer bounding box (immutable)
+  /// Owns every group's state; ascending iteration is the order departures
+  /// sweep and total_stats() sums in.
   std::map<GroupId, GroupState> groups_;
-  /// One-entry memo over groups_: protocol traffic touches the same group
-  /// many times in a row (every hop of a wave), and groups_ nodes are never
-  /// erased, so the cached pointer stays valid for the manager's lifetime.
-  GroupId state_cache_group_ = 0;
-  GroupState* state_cache_ = nullptr;
+  /// The lookup path: group_key(group) -> groups_ node. Nodes are never
+  /// erased, so the pointers stay valid for the manager's lifetime.
+  util::PeerTable<GroupState*> state_index_;
   /// In-flight routed grafts by id, plus the (group, subscriber) guard
   /// that keeps duplicate subscribes from racing two descents for one
   /// subscriber.
@@ -487,7 +501,7 @@ class GroupManager {
   std::uint64_t next_graft_id_ = 1;
   /// QoS 2 retention, one buffer per (peer, group) that retained a wave
   /// (PeerKey{peer, 0, group}).
-  PeerTable<RetainedBuffer> retained_;
+  util::PeerTable<RetainedBuffer> retained_;
   /// Every group that ever retained a wave, ascending: a departure drops
   /// the peer's buffers with one erase per such group, never a table scan.
   std::vector<GroupId> retained_groups_;

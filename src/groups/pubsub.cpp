@@ -382,6 +382,13 @@ void PubSubSystem::set_trace_sink(obs::TraceSink* sink) {
   hop_->set_trace_hooks(std::move(taps));
 }
 
+std::size_t PubSubSystem::pending_hops() const noexcept {
+  std::size_t total = hop_->pending() + coord_hop_->pending();
+  if (graft_hop_) total += graft_hop_->pending();
+  if (replica_hop_) total += replica_hop_->pending();
+  return total;
+}
+
 void PubSubSystem::forward_control(PeerId self, sim::MessageKind kind,
                                    const GroupRequest& request) {
   GroupStats& stats = manager_->stats(request.group);
@@ -390,15 +397,14 @@ void PubSubSystem::forward_control(PeerId self, sim::MessageKind kind,
   // cache in depart_now(). Control traffic converges on a handful of
   // rendezvous targets, so shared path prefixes hit constantly.
   PeerId next;
-  const std::uint64_t route_key =
-      (static_cast<std::uint64_t>(self) << 32) | request.target;
-  const auto cached = route_cache_.find(route_key);
-  if (cached != route_cache_.end()) {
-    next = cached->second;
+  const util::PeerKey route_key{self, 0, request.target};
+  if (const PeerId* cached = route_cache_.find(route_key)) {
+    next = *cached;
   } else {
     next = overlay::greedy_next_hop(
         graph_, self, request.target, [this](PeerId q) { return manager_->alive(q); });
-    route_cache_.emplace(route_key, next);
+    if (route_cache_.size() == kRouteCacheCap) route_cache_ = {};
+    route_cache_.try_emplace(route_key, next);
   }
   if (next == kInvalidPeer) {
     ++stats.stranded_messages;
@@ -505,7 +511,7 @@ void PubSubSystem::on_graft_request(PeerId self, PeerId from, const GraftEnvelop
   graft_hop_->acknowledge(self, from, graft.graft_id);
   // Suppressed silently: duplicate_data is the DATA plane's counter, and
   // the sender half of this event is already visible as graft_retries.
-  if (!graft_seen_.insert(PeerKey{self, 0, graft.graft_id})) return;
+  if (!graft_seen_.insert(util::PeerKey{self, 0, graft.graft_id})) return;
   advance_graft(self, graft);
 }
 
@@ -680,7 +686,7 @@ void PubSubSystem::record_accept_times(GroupId group, std::uint64_t seq_lo,
   // Grants land out of order across slots, so accept times are assigned by
   // index into the dense seq space, not appended. Holes left by a lost
   // grant stay 0.0 — their seqs never flush, so no latency sample reads them.
-  auto& times = accept_times_[group];
+  auto& times = *accept_times_.try_emplace(group_key(group)).first;
   if (times.size() < seq_lo + accepted.size())
     times.resize(seq_lo + accepted.size(), 0.0);
   for (std::size_t i = 0; i < accepted.size(); ++i) times[seq_lo + i] = accepted[i];
@@ -869,7 +875,7 @@ void PubSubSystem::disseminate(PeerId self, PeerId from,
   // repair can have filled part of the range first — then only the fresh
   // remainder is delivered.
   if (acked()) {
-    seen_ranges_.mark(PeerKey{self, delivery.slot, delivery.group}, delivery.seq,
+    seen_ranges_.mark(util::PeerKey{self, delivery.slot, delivery.group}, delivery.seq,
                       delivery.seq_hi, fresh_scratch_);
     if (fresh_scratch_.empty()) {
       // Every seq already processed: a pure duplicate, re-acked above but
@@ -932,9 +938,7 @@ void PubSubSystem::deliver_range(PeerId self, GroupId group, std::uint64_t lo,
                                  std::uint64_t hi) {
   GroupStats& stats = manager_->stats(group);
   const double now = sim_->now();
-  const auto it = accept_times_.find(group);
-  const std::vector<double>* times =
-      it == accept_times_.end() ? nullptr : &it->second;
+  const std::vector<double>* times = accept_times_.find(group_key(group));
   for (std::uint64_t seq = lo; seq <= hi; ++seq) {
     ++stats.deliveries;
     if (times != nullptr && seq < times->size())
@@ -959,20 +963,20 @@ void PubSubSystem::apply_delivery(PeerId self, GroupId group, std::uint64_t seq,
                                   double time) {
   // Publish -> delivery latency, recorded unconditionally (seq indexes the
   // accept-time vector because seqs are assigned densely at the root).
-  const auto it = accept_times_.find(group);
-  if (it != accept_times_.end() && seq < it->second.size())
-    manager_->stats(group).delivery_latency.record(time - it->second[seq]);
+  const std::vector<double>* times = accept_times_.find(group_key(group));
+  if (times != nullptr && seq < times->size())
+    manager_->stats(group).delivery_latency.record(time - (*times)[seq]);
   if (probe_) probe_(self, group, seq, time);
 }
 
 PubSubSystem::WindowState* PubSubSystem::find_window(PeerId self, GroupId group) {
-  const std::uint32_t* slot = window_slots_.find(PeerKey{self, 0, group});
+  const std::uint32_t* slot = window_slots_.find(util::PeerKey{self, 0, group});
   return slot == nullptr ? nullptr : &windows_[*slot];
 }
 
 PubSubSystem::WindowState& PubSubSystem::ensure_window(PeerId self, GroupId group) {
   const auto [slot, inserted] = window_slots_.try_emplace(
-      PeerKey{self, 0, group}, static_cast<std::uint32_t>(windows_.size()));
+      util::PeerKey{self, 0, group}, static_cast<std::uint32_t>(windows_.size()));
   if (inserted)
     windows_.push_back(WindowState{SubscriberWindow{config_.repair.reorder_limit}, {},
                                    nullptr, 0, false});
@@ -1177,7 +1181,7 @@ void PubSubSystem::on_repair(PeerId self, const DeliveryPtr& delivery_ptr) {
   // out — only the fresh remainder runs through the window. The key is the
   // subscriber's own slot, whose tree carried its data waves: a responder
   // relaying for several slots may serve another slot's copy of the range.
-  const PeerKey key{self, manager_->owner_slot(delivery.group, self), delivery.group};
+  const util::PeerKey key{self, manager_->owner_slot(delivery.group, self), delivery.group};
   seen_ranges_.mark(key, delivery.seq, delivery.seq_hi, fresh_scratch_);
   if (fresh_scratch_.empty()) {
     ++stats.duplicate_deliveries;
@@ -1265,7 +1269,7 @@ void PubSubSystem::on_replica_sync(PeerId self, PeerId from, const ReplicaSync& 
   // arrival means our previous ack may have been the lost envelope, but a
   // non-idempotent delta (kPendingJoin) must apply exactly once.
   replica_hop_->acknowledge(self, from, sync.sync_id);
-  if (!sync_seen_.insert(PeerKey{self, 0, sync.sync_id})) return;
+  if (!sync_seen_.insert(util::PeerKey{self, 0, sync.sync_id})) return;
   // Stale stream: the delta was addressed to this peer as the group's
   // replica. If it no longer is (promoted, or replaced while the envelope
   // flew), applying it would corrupt state now owed to someone else.
@@ -1545,8 +1549,9 @@ void PubSubSystem::publish_at(double time, PeerId peer, GroupId group) {
 
 void PubSubSystem::depart_now(PeerId peer) {
   // The alive-set is about to change: every memoized greedy step that
-  // routed through (or around) this peer is suspect. Flush wholesale.
-  route_cache_.clear();
+  // routed through (or around) this peer is suspect. Flush wholesale, and
+  // give the table back: it regrows to what the next interval needs.
+  route_cache_ = {};
   const auto outcome = manager_->handle_departure(peer);
   // The departure sweep aborts every in-flight graft it invalidated; the
   // surviving subscribers re-enter through resubscribe so churn mid-graft

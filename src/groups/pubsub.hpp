@@ -167,7 +167,6 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <unordered_map>
 #include <memory>
 #include <set>
 #include <utility>
@@ -175,7 +174,7 @@
 
 #include "groups/group_manager.hpp"
 #include "groups/message_kinds.hpp"
-#include "groups/peer_table.hpp"
+#include "util/peer_table.hpp"
 #include "groups/seen_ranges.hpp"
 #include "multicast/reliable_hop.hpp"
 #include "obs/trace.hpp"
@@ -553,6 +552,14 @@ class PubSubSystem {
   [[nodiscard]] const multicast::HopStats& hop_stats() const noexcept {
     return hop_->stats();
   }
+  /// The data-plane hop layer, read-only (e.g. its pending_to()).
+  [[nodiscard]] const multicast::ReliableHopLayer& data_hops() const noexcept {
+    return *hop_;
+  }
+  /// Hops still awaiting an ack over the data, graft, replica and coord
+  /// layers. A drained run holds none: each hop was acked, abandoned, or
+  /// dropped with its dead sender.
+  [[nodiscard]] std::size_t pending_hops() const noexcept;
   [[nodiscard]] const PubSubConfig& config() const noexcept { return config_; }
 
   /// Frees the payload pool's cached blocks. Safe only once the run is
@@ -853,24 +860,27 @@ class PubSubSystem {
   /// The current arrival's fresh runs (seen_ranges_.mark's output), reused
   /// so the per-hop dedup never allocates.
   std::vector<std::pair<std::uint64_t, std::uint64_t>> fresh_scratch_;
-  /// Memoized greedy control steps, keyed (self << 32 | target). A pure
+  /// Memoized greedy control steps, keyed PeerKey{self, 0, target}. A pure
   /// function of the alive-set, so depart_now() flushes it; everything
-  /// else (subscribes, promotions, grafts) leaves liveness untouched.
-  std::unordered_map<std::uint64_t, PeerId> route_cache_;
+  /// else (subscribes, promotions, grafts) leaves liveness untouched. A
+  /// memo may forget: it also restarts empty on reaching kRouteCacheCap
+  /// entries, so its table stays at 2 * kRouteCacheCap entries (1.5 MB).
+  static constexpr std::size_t kRouteCacheCap = std::size_t{1} << 15;
+  util::PeerTable<PeerId> route_cache_;
   /// QoS 2 windows, one per (peer, group) that consumed a wave: the
   /// table maps PeerKey{peer, 0, group} to a slot of `windows_`. Windows
   /// are never dropped, so slots are stable indices; a WindowState& is
   /// valid only until the next ensure_window (the slab may reallocate).
-  PeerTable<std::uint32_t> window_slots_;
+  util::PeerTable<std::uint32_t> window_slots_;
   std::vector<WindowState> windows_;
   /// (peer, graft id) pairs whose descent step already ran at that peer —
   /// the dedup that keeps a retransmitted kGraftRequestKind from replaying
   /// a decision (a descent visits each peer at most once, so the id alone
   /// is the per-peer key).
-  PeerTable<NoValue> graft_seen_;
+  util::PeerTable<util::NoValue> graft_seen_;
   /// (peer, sync id) pairs already applied — the dedup that keeps a
   /// retransmitted (non-idempotent) kPendingJoin from double-booking.
-  PeerTable<NoValue> sync_seen_;
+  util::PeerTable<util::NoValue> sync_seen_;
   std::uint64_t next_sync_id_ = 1;
   /// The replica's copy of its group's pending batch (count + accept
   /// times), fed by kPendingJoin/kPendingFlush syncs and consumed at
@@ -895,8 +905,8 @@ class PubSubSystem {
   obs::Tracer tracer_;
   /// Per-group root-accept time of every seq assigned so far (seqs are
   /// dense from 0, so the vector index IS the seq) — the publish side of
-  /// the publish->delivery latency histogram.
-  std::map<GroupId, std::vector<double>> accept_times_;
+  /// the publish->delivery latency histogram. Keyed group_key(group).
+  util::PeerTable<std::vector<double>> accept_times_;
   /// Wave id -> group (wave ids are dense from 0): lets the hop-ack trace
   /// tap attribute an ack — which carries only the wave id — to its group.
   std::vector<GroupId> wave_groups_;

@@ -4,7 +4,7 @@
 
 namespace geomcast::groups {
 
-void SeenRanges::mark(const PeerKey& key, std::uint64_t lo, std::uint64_t hi,
+void SeenRanges::mark(const util::PeerKey& key, std::uint64_t lo, std::uint64_t hi,
                       std::vector<Run>& fresh) {
   fresh.clear();
   auto [covered, inserted] = table_.try_emplace(key);
@@ -70,7 +70,7 @@ void SeenRanges::mark(const PeerKey& key, std::uint64_t lo, std::uint64_t hi,
   }
 }
 
-std::vector<SeenRanges::Run> SeenRanges::ranges(const PeerKey& key) const {
+std::vector<SeenRanges::Run> SeenRanges::ranges(const util::PeerKey& key) const {
   const Covered* c = table_.find(key);
   if (c == nullptr) return {};
   std::vector<Run> out;

@@ -15,7 +15,7 @@
 #include <utility>
 #include <vector>
 
-#include "groups/peer_table.hpp"
+#include "util/peer_table.hpp"
 
 namespace geomcast::groups {
 
@@ -27,11 +27,11 @@ class SeenRanges {
   /// (cleared first) the ascending runs of [lo, hi] that were not seen
   /// before — the whole range on the common path, empty for a pure
   /// duplicate.
-  void mark(const PeerKey& key, std::uint64_t lo, std::uint64_t hi, std::vector<Run>& fresh);
+  void mark(const util::PeerKey& key, std::uint64_t lo, std::uint64_t hi, std::vector<Run>& fresh);
 
   /// The covered ranges of `key`, ascending, disjoint and non-adjacent
   /// (empty when the key was never marked).
-  [[nodiscard]] std::vector<Run> ranges(const PeerKey& key) const;
+  [[nodiscard]] std::vector<Run> ranges(const util::PeerKey& key) const;
 
   [[nodiscard]] std::size_t key_count() const noexcept { return table_.size(); }
   /// Keys that ever held more than one range (each owns a side list).
@@ -46,7 +46,7 @@ class SeenRanges {
     std::uint32_t spill = kNoSpill;  // index into spill_, earlier ranges
   };
 
-  PeerTable<Covered> table_;
+  util::PeerTable<Covered> table_;
   std::vector<std::vector<Run>> spill_;
   std::vector<Run> scratch_;  // the general case's list for a key without one
 };

@@ -23,26 +23,39 @@ void ReliableHopLayer::send(sim::NodeId from, sim::NodeId to, std::uint64_t seq,
     ++stats_.data_messages;
     return;
   }
-  const Key key{from, to, seq};
-  const auto [it, inserted] = pending_.try_emplace(key);
-  if (!inserted)
+  // The cell this hop takes: the last one freed, else a new one.
+  const util::PeerKey key = key_of(from, to, seq);
+  const auto slot =
+      static_cast<std::uint32_t>(free_slots_.empty() ? slots_.size() : free_slots_.back());
+  if (!index_.try_emplace(key, slot).second)
     throw std::logic_error("ReliableHopLayer::send: seq already pending on this hop");
-  it->second.key = key;
-  it->second.payload = std::move(payload);
-  it->second.kind = kind;
+  if (slot == slots_.size())
+    slots_.emplace_back();
+  else
+    free_slots_.pop_back();
+  Pending& entry = slots_[slot];
+  entry.key = key;
+  entry.payload = std::move(payload);
+  entry.kind = kind;
   if (pending_by_receiver_.size() <= to)
     pending_by_receiver_.resize(static_cast<std::size_t>(to) + 1, 0);
   ++pending_by_receiver_[to];
-  transmit(it->second, /*attempt=*/0);
+  transmit(slot, /*attempt=*/0);
 }
 
-void ReliableHopLayer::retire(Key key) {
-  --pending_by_receiver_[key.to];
-  pending_.erase(key);
+void ReliableHopLayer::retire(std::uint32_t slot) {
+  Pending& entry = slots_[slot];
+  --pending_by_receiver_[entry.key.slot];
+  index_.erase(entry.key);
+  entry.payload.reset();
+  free_slots_.push_back(slot);
 }
 
-void ReliableHopLayer::transmit(Pending& entry, std::size_t attempt) {
-  const auto [from, to, seq] = entry.key;
+void ReliableHopLayer::transmit(std::uint32_t slot, std::size_t attempt) {
+  const Pending& entry = slots_[slot];
+  const sim::NodeId from = entry.key.peer;
+  const sim::NodeId to = entry.key.slot;
+  const std::uint64_t seq = entry.key.id;
   sim_.send(from, to, entry.kind == kInvalidKind ? data_kind_ : entry.kind,
             entry.payload);
   ++stats_.data_messages;
@@ -52,35 +65,36 @@ void ReliableHopLayer::transmit(Pending& entry, std::size_t attempt) {
     if (hooks_.on_retransmit) hooks_.on_retransmit(from, to, seq, entry.payload);
   }
   if (trace_.on_transmit) trace_.on_transmit(from, to, seq, attempt, entry.payload);
-  entry.attempt = attempt;
-  // Arm the retransmission timer; on_ack cancels it. The node pointer is
-  // stable and outlives any timer that can still fire (see Pending), so
-  // the event is a raw (thunk, this, node*) triple — the queue's
-  // allocation-free fast path.
-  entry.timer = sim_.schedule_after(
-      config_.ack_timeout, &ReliableHopLayer::timeout_thunk, this,
-      reinterpret_cast<std::uint64_t>(&entry));
+  // Arm the retransmission timer; on_ack cancels it. The event is a raw
+  // (thunk, this, slot) triple — the queue's allocation-free fast path.
+  slots_[slot].attempt = attempt;
+  slots_[slot].timer = sim_.schedule_after(config_.ack_timeout,
+                                           &ReliableHopLayer::timeout_thunk, this, slot);
 }
 
 void ReliableHopLayer::timeout_thunk(void* ctx, std::uint64_t arg) {
-  static_cast<ReliableHopLayer*>(ctx)->on_timeout(
-      *reinterpret_cast<Pending*>(arg));
+  static_cast<ReliableHopLayer*>(ctx)->on_timeout(static_cast<std::uint32_t>(arg));
 }
 
-void ReliableHopLayer::on_timeout(Pending& entry) {
-  const auto [from, to, seq] = entry.key;
-  if (hooks_.sender_alive && !hooks_.sender_alive(from)) {
-    retire(entry.key);
+void ReliableHopLayer::on_timeout(std::uint32_t slot) {
+  const util::PeerKey key = slots_[slot].key;
+  if (hooks_.sender_alive && !hooks_.sender_alive(key.peer)) {
+    retire(slot);
     return;
   }
-  if (entry.attempt < config_.max_retries) {
-    transmit(entry, entry.attempt + 1);
+  if (slots_[slot].attempt < config_.max_retries) {
+    transmit(slot, slots_[slot].attempt + 1);
     return;
   }
   ++stats_.abandoned_hops;
   sim_.network().note_abandoned();
-  if (hooks_.on_abandon) hooks_.on_abandon(from, to, seq, entry.payload);
-  retire(entry.key);
+  if (hooks_.on_abandon) {
+    // The hook may re-send on this layer (coord re-dispatch), which can
+    // grow the slab: hand it a payload that lives outside the slab.
+    const std::any payload = std::move(slots_[slot].payload);
+    hooks_.on_abandon(key.peer, key.slot, key.id, payload);
+  }
+  retire(slot);
 }
 
 void ReliableHopLayer::acknowledge(sim::NodeId self, sim::NodeId sender,
@@ -94,10 +108,11 @@ void ReliableHopLayer::acknowledge(sim::NodeId self, sim::NodeId sender,
 void ReliableHopLayer::on_ack(const sim::Envelope& envelope) {
   // The acker is the hop's receiver, the addressee its sender.
   const auto& ack = std::any_cast<const HopAck&>(envelope.payload);
-  const auto it = pending_.find(Key{envelope.to, envelope.from, ack.seq});
-  if (it == pending_.end()) return;  // late ack: hop already retired
-  sim_.cancel(it->second.timer);
-  retire(it->first);
+  const std::uint32_t* found = index_.find(key_of(envelope.to, envelope.from, ack.seq));
+  if (found == nullptr) return;  // late ack: hop already retired
+  const std::uint32_t slot = *found;
+  sim_.cancel(slots_[slot].timer);
+  retire(slot);
 }
 
 }  // namespace geomcast::multicast

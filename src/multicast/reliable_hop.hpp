@@ -28,16 +28,21 @@
 // counters land in HopStats and are mirrored into the simulator's
 // NetworkStats via the note_* hooks; per-client attribution (e.g.
 // per-group stats) goes through Hooks.
+//
+// Every acked hop costs one insert, one ack lookup and one erase, so the
+// pending state is flat: a slab of Pending records recycled through a free
+// list, and a PeerTable index from (from, to, seq) to the record's slot.
+// The retransmit timer carries the slot index, not a pointer, so the slab
+// may grow while timers are armed.
 #pragma once
 
 #include <any>
 #include <cstdint>
 #include <functional>
-#include <unordered_map>
 #include <vector>
 
 #include "sim/simulator.hpp"
-#include "util/pool.hpp"
+#include "util/peer_table.hpp"
 #include "util/stats_fields.hpp"
 
 namespace geomcast::multicast {
@@ -90,6 +95,8 @@ class ReliableHopLayer {
  public:
   /// Per-event callbacks for client-side attribution (the stored payload is
   /// passed back so e.g. pub/sub can charge the right group's stats).
+  /// on_abandon may send on this layer (the hop is retired right after);
+  /// on_retransmit must not — its payload reference points into the slab.
   struct Hooks {
     std::function<void(sim::NodeId from, sim::NodeId to, std::uint64_t seq,
                        const std::any& payload)>
@@ -151,7 +158,7 @@ class ReliableHopLayer {
   [[nodiscard]] const HopStats& stats() const noexcept { return stats_; }
   [[nodiscard]] const ReliabilityConfig& config() const noexcept { return config_; }
   /// Hops still awaiting an ack (0 once the simulation drained).
-  [[nodiscard]] std::size_t pending() const noexcept { return pending_.size(); }
+  [[nodiscard]] std::size_t pending() const noexcept { return index_.size(); }
   /// Pending hops addressed to `to` — i.e. senders still retransmitting
   /// toward that receiver. The QoS 2 gap-repair plane consults this before
   /// NACKing: while per-hop recovery is in flight the gap may heal on its
@@ -161,43 +168,28 @@ class ReliableHopLayer {
   }
 
  private:
-  /// Pending-table key. Never iterated in order, so the table is an
-  /// unordered_map — O(1) on the per-hop hot path instead of a red-black
-  /// walk per send/ack.
-  struct Key {
-    sim::NodeId from = sim::kInvalidNode;
-    sim::NodeId to = sim::kInvalidNode;
-    std::uint64_t seq = 0;
-    [[nodiscard]] bool operator==(const Key&) const noexcept = default;
-  };
-  struct KeyHash {
-    [[nodiscard]] std::size_t operator()(const Key& k) const noexcept {
-      std::uint64_t h = (static_cast<std::uint64_t>(k.from) << 32) | k.to;
-      h ^= k.seq * 0x9e3779b97f4a7c15ULL;
-      h ^= h >> 29;
-      h *= 0xbf58476d1ce4e5b9ULL;
-      return static_cast<std::size_t>(h ^ (h >> 32));
-    }
-  };
-  /// The key lives inside the node so a timer closure only captures
-  /// {this, node*} — 16 trivially-copyable bytes, which libstdc++'s
-  /// std::function stores inline: arming a retransmit timer allocates
-  /// nothing. unordered_map nodes are pointer-stable, and a pending hop's
-  /// timer is always cancelled (on_ack) or already fired (on_timeout)
-  /// before its node is erased, so a firing timer's pointer is valid.
+  /// Index key of a pending hop: {peer = sender, slot = receiver, id = seq}.
+  [[nodiscard]] static util::PeerKey key_of(sim::NodeId from, sim::NodeId to,
+                                            std::uint64_t seq) noexcept {
+    return util::PeerKey{from, to, seq};
+  }
+  /// One pending hop, in a slab cell. A cell is live from send() until
+  /// retire(); its timer is always cancelled (on_ack) or already fired
+  /// (on_timeout) by then, so a firing timer's slot index names a live
+  /// cell. Code holds a slot index, not a Pending&, across a hook that may
+  /// send on this layer: the send may grow the slab.
   struct Pending {
-    Key key;
+    util::PeerKey key;
     std::any payload;
     std::size_t attempt = 0;
     sim::EventId timer = 0;
     sim::MessageKind kind = kInvalidKind;  // per-transfer override
   };
 
-  void transmit(Pending& entry, std::size_t attempt);
-  void on_timeout(Pending& entry);
+  void transmit(std::uint32_t slot, std::size_t attempt);
+  void on_timeout(std::uint32_t slot);
   static void timeout_thunk(void* ctx, std::uint64_t arg);
-  // By value: callers pass the key living inside the node being erased.
-  void retire(Key key);
+  void retire(std::uint32_t slot);
 
   sim::Simulator& sim_;
   sim::MessageKind data_kind_;
@@ -205,13 +197,11 @@ class ReliableHopLayer {
   ReliabilityConfig config_;
   Hooks hooks_;
   TraceHooks trace_;
-  /// Free-list node allocator: a QoS 1 hop inserts and erases one node
-  /// per transfer, so steady-state ack churn recycles instead of hitting
-  /// the global heap.
-  std::unordered_map<Key, Pending, KeyHash, std::equal_to<Key>,
-                     util::FreeListAllocator<std::pair<const Key, Pending>>>
-      pending_;
-  /// Per-receiver pending-hop counts, maintained alongside `pending_` so
+  /// The slab, its free cells (reused last-freed first) and the ack index.
+  std::vector<Pending> slots_;
+  std::vector<std::uint32_t> free_slots_;
+  util::PeerTable<std::uint32_t> index_;
+  /// Per-receiver pending-hop counts, maintained alongside `index_` so
   /// pending_to() — polled by every QoS 2 gap timer — needs no scan.
   /// Node ids are dense, so this is a flat vector, not a map.
   std::vector<std::size_t> pending_by_receiver_;

@@ -143,8 +143,13 @@ void EventQueue::pop_heap_front() const {
 }
 
 void EventQueue::consume(Lane& lane) const noexcept {
-  ++lane.pos;
-  --lane_count_;
+  // Step past the head and every cancelled entry behind it, so the new
+  // head is live as it is exposed: an acked hop's timer costs this one
+  // check instead of a front() pass when it would have surfaced.
+  do {
+    ++lane.pos;
+    --lane_count_;
+  } while (!lane.drained() && !ids_.contains(lane.entries[lane.pos].id));
   if (lane.drained()) reset_lane(lane);
 }
 
@@ -159,8 +164,9 @@ void EventQueue::reset_lane(Lane& lane) const noexcept {
 const EventQueue::Entry* EventQueue::front(Lane** lane_out) const {
   // Each lane is sorted, so the global (when, order) minimum is the least
   // of the heap front and the lane heads. Only that minimum's liveness is
-  // checked: a dead one is dropped and the search repeats, so a corpse
-  // costs one extra pass when it surfaces and nothing before.
+  // checked: a dead one is dropped and the search repeats. consume() keeps
+  // lane heads live as it exposes them, so the repeat pass is paid by heap
+  // corpses and by heads cancelled after they were exposed.
   for (;;) {
     const Entry* best = heap_.empty() ? nullptr : &heap_.front();
     Lane* best_lane = nullptr;

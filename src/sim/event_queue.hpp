@@ -19,6 +19,12 @@
 // front and the lane heads, which is exactly the order a single heap would
 // produce, whatever the caller passes (Varghese & Lauck's observation that
 // timers of one fixed interval need only a FIFO list).
+//
+// Cancellation is lazy: a cancelled entry stays stored until a lane pop
+// steps over it, it surfaces at the heap front, or a compaction sweeps it.
+// Most cancels are acked hops' retransmit timers, which sit behind live
+// entries on the ack-timeout lane, so they cost one liveness check each
+// when their lane advances — never a front() pass of their own.
 #pragma once
 
 #include <cstdint>
@@ -61,11 +67,11 @@ class EventQueue {
   /// Cancels a pending event; returns false if it already ran, was already
   /// cancelled, or never existed — also once its slot has been reused by a
   /// later event, which is left alone. Lazy removal: the stored entry stays
-  /// until it reaches its lane's head (or the heap front) — but once stale
+  /// until a lane pop steps over it (a lane never exposes a cancelled entry
+  /// as its new head) or it reaches the heap front — and once stale
   /// entries outnumber live ones (every acked hop cancels its retransmit
   /// timer, so under reliable traffic most of the queue is corpses), the
-  /// storage is compacted in one O(n) pass instead of surfacing each
-  /// corpse individually.
+  /// storage is compacted in one O(n) pass.
   bool cancel(EventId id);
 
   [[nodiscard]] bool empty() const noexcept { return ids_.empty(); }
@@ -248,12 +254,14 @@ class EventQueue {
   /// take it in order, else on the heap.
   void place_after(SimTime delay, Entry entry);
   /// The earliest live entry, its lane (nullptr: the heap front) written to
-  /// `lane_out`; nullptr when nothing is live. Drops dead fronts on the way.
+  /// `lane_out`; nullptr when nothing is live. Drops dead fronts on the way:
+  /// heap corpses, and lane heads cancelled after they were exposed.
   [[nodiscard]] const Entry* front(Lane** lane_out) const;
   /// Pops the earliest pending entry; false when empty. Does not run it.
   bool pop_front(Entry* out);
   void pop_heap_front() const;
-  /// Removes a lane's head.
+  /// Removes a lane's head and the run of cancelled entries behind it, so
+  /// the lane's next head is live when exposed (lane_count_ stays exact).
   void consume(Lane& lane) const noexcept;
   /// Empties a lane, giving back its storage above kLaneKeep entries.
   void reset_lane(Lane& lane) const noexcept;

@@ -7,6 +7,11 @@
 // short linear probe through contiguous entries — no pointer chase per
 // tree level, and memory is O(touched cells), not O(n).
 //
+// It is the one hash table of the per-envelope path, shared by the pub/sub
+// layer (groups/: windows, dedup sets, retention, accept times, the route
+// memo and the group index) and the hop layer (multicast/: pending hops by
+// (from, to, seq)).
+//
 // Layout (the MulticastTree index idiom, values stored inline):
 //  * power-of-two entry array, load kept <= 1/2 (doubles before crossing
 //    it, never shrinks);
@@ -14,7 +19,7 @@
 //    (Fibonacci hashing); collisions probe linearly;
 //  * erase is backward-shift deletion, so there are no tombstones and a
 //    probe for an absent key stops at the first empty entry;
-//  * `peer == kInvalidPeer` marks an empty entry.
+//  * `peer == kNoPeer` marks an empty entry.
 // MulticastTree keeps its own index rather than a PeerTable<uint32_t>: its
 // key is a bare PeerId, so its 8-byte slots keep every copy-on-write clone
 // a third the size.
@@ -30,21 +35,21 @@
 #include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <utility>
 #include <vector>
 
-#include "overlay/peer.hpp"
+namespace geomcast::util {
 
-namespace geomcast::groups {
+/// The peer id no peer carries (sim::kInvalidNode): marks an empty entry.
+inline constexpr std::uint32_t kNoPeer = std::numeric_limits<std::uint32_t>::max();
 
-using overlay::PeerId;
-using overlay::kInvalidPeer;
-
-/// One cell of per-peer state: `id` is a group id for group-scoped state
-/// (with `slot` the replica slot where that matters, else 0) or a globally
-/// unique token (graft id, sync id) for per-peer dedup sets.
+/// One cell of per-peer state: `peer` is a node id; `id` is a group id for
+/// group-scoped state (with `slot` the replica slot where that matters,
+/// else 0), a globally unique token (graft id, sync id) for per-peer dedup
+/// sets, or a hop's seq (with `slot` its receiver) in the hop layer.
 struct PeerKey {
-  PeerId peer = kInvalidPeer;
+  std::uint32_t peer = kNoPeer;
   std::uint32_t slot = 0;
   std::uint64_t id = 0;
 
@@ -64,7 +69,7 @@ class PeerTable {
   [[nodiscard]] const Value* find(const PeerKey& key) const noexcept {
     if (entries_.empty()) return nullptr;
     const Entry& e = entries_[probe(key)];
-    return e.key.peer == kInvalidPeer ? nullptr : &e.value;
+    return e.key.peer == kNoPeer ? nullptr : &e.value;
   }
   [[nodiscard]] Value* find(const PeerKey& key) noexcept {
     return const_cast<Value*>(std::as_const(*this).find(key));
@@ -76,7 +81,7 @@ class PeerTable {
   std::pair<Value*, bool> try_emplace(const PeerKey& key, Args&&... args) {
     if (!entries_.empty()) {
       Entry& e = entries_[probe(key)];
-      if (e.key.peer != kInvalidPeer) return {&e.value, false};
+      if (e.key.peer != kNoPeer) return {&e.value, false};
     }
     if (2 * (size_ + 1) > entries_.size()) rehash(std::max(kMinSize, 2 * entries_.size()));
     Entry& e = entries_[probe(key)];
@@ -93,11 +98,11 @@ class PeerTable {
     if (entries_.empty()) return false;
     const std::size_t mask = entries_.size() - 1;
     std::size_t hole = probe(key);
-    if (entries_[hole].key.peer == kInvalidPeer) return false;
+    if (entries_[hole].key.peer == kNoPeer) return false;
     // Backward-shift: pull each later entry of the probe run into the hole
     // unless its home lies cyclically inside (hole, j] — it would then sit
     // before its home and become unfindable.
-    for (std::size_t j = (hole + 1) & mask; entries_[j].key.peer != kInvalidPeer;
+    for (std::size_t j = (hole + 1) & mask; entries_[j].key.peer != kNoPeer;
          j = (j + 1) & mask) {
       if (((j - home(entries_[j].key)) & mask) >= ((j - hole) & mask)) {
         entries_[hole] = std::move(entries_[j]);
@@ -113,7 +118,7 @@ class PeerTable {
   template <class F>
   void for_each(F&& f) const {
     for (const Entry& e : entries_)
-      if (e.key.peer != kInvalidPeer) f(e.key, e.value);
+      if (e.key.peer != kNoPeer) f(e.key, e.value);
   }
 
  private:
@@ -133,7 +138,7 @@ class PeerTable {
   [[nodiscard]] std::size_t probe(const PeerKey& key) const noexcept {
     const std::size_t mask = entries_.size() - 1;
     std::size_t i = home(key);
-    while (entries_[i].key.peer != kInvalidPeer && !(entries_[i].key == key)) i = (i + 1) & mask;
+    while (entries_[i].key.peer != kNoPeer && !(entries_[i].key == key)) i = (i + 1) & mask;
     return i;
   }
   void rehash(std::size_t capacity) {
@@ -141,7 +146,7 @@ class PeerTable {
     old.swap(entries_);
     shift_ = 64U - static_cast<unsigned>(std::countr_zero(capacity));
     for (Entry& e : old)
-      if (e.key.peer != kInvalidPeer) entries_[probe(e.key)] = std::move(e);
+      if (e.key.peer != kNoPeer) entries_[probe(e.key)] = std::move(e);
   }
 
   std::vector<Entry> entries_;
@@ -149,4 +154,4 @@ class PeerTable {
   unsigned shift_ = 64;
 };
 
-}  // namespace geomcast::groups
+}  // namespace geomcast::util

@@ -19,10 +19,13 @@
 // payloads. release() between bench cells frees only the cached blocks;
 // live handles are unaffected and recycle into the emptied list as they
 // drop.
+//
+// RcPool is this header's only allocator: the per-hop pending state that
+// also recycles per transfer is a flat slab in the hop layer itself
+// (multicast/reliable_hop.hpp).
 #pragma once
 
 #include <cstddef>
-#include <memory>
 #include <new>
 #include <utility>
 #include <vector>
@@ -103,80 +106,6 @@ class RcPtr {
   explicit RcPtr(typename RcPool<T>::Box* box) noexcept : box_(box) {}
 
   typename RcPool<T>::Box* box_ = nullptr;
-};
-
-/// Recycling arena behind FreeListAllocator: caches blocks of one size
-/// (the first single-object size requested — a node-based container's node
-/// size) and passes everything else through to the global heap.
-class FreeListArena {
- public:
-  FreeListArena() = default;
-  FreeListArena(const FreeListArena&) = delete;
-  FreeListArena& operator=(const FreeListArena&) = delete;
-  ~FreeListArena() {
-    for (void* block : free_) ::operator delete(block);
-  }
-
-  [[nodiscard]] void* take(std::size_t size) {
-    if (block_size_ == 0) block_size_ = size;
-    if (size == block_size_ && !free_.empty()) {
-      void* block = free_.back();
-      free_.pop_back();
-      return block;
-    }
-    return ::operator new(size);
-  }
-
-  void put(void* block, std::size_t size) noexcept {
-    if (size == block_size_) {
-      free_.push_back(block);
-      return;
-    }
-    ::operator delete(block);
-  }
-
- private:
-  std::vector<void*> free_;
-  std::size_t block_size_ = 0;
-};
-
-/// Allocator for node-based containers on hot paths (e.g. the hop layer's
-/// pending table): single-object allocations — the per-element nodes —
-/// recycle through a FreeListArena shared by every rebound copy, so
-/// steady-state insert/erase churn costs no heap traffic. Array
-/// allocations (hash bucket tables) pass through untouched.
-template <typename T>
-class FreeListAllocator {
- public:
-  using value_type = T;
-
-  FreeListAllocator() : arena_(std::make_shared<FreeListArena>()) {}
-  template <typename U>
-  FreeListAllocator(const FreeListAllocator<U>& other) noexcept
-      : arena_(other.arena()) {}
-
-  [[nodiscard]] T* allocate(std::size_t n) {
-    if (n == 1) return static_cast<T*>(arena_->take(sizeof(T)));
-    return static_cast<T*>(::operator new(n * sizeof(T)));
-  }
-  void deallocate(T* p, std::size_t n) noexcept {
-    if (n == 1) {
-      arena_->put(p, sizeof(T));
-      return;
-    }
-    ::operator delete(p);
-  }
-
-  template <typename U>
-  [[nodiscard]] bool operator==(const FreeListAllocator<U>& other) const noexcept {
-    return arena_ == other.arena();
-  }
-  [[nodiscard]] const std::shared_ptr<FreeListArena>& arena() const noexcept {
-    return arena_;
-  }
-
- private:
-  std::shared_ptr<FreeListArena> arena_;
 };
 
 template <typename T>

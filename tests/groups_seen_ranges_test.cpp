@@ -21,6 +21,7 @@ namespace geomcast::groups {
 namespace {
 
 using Runs = std::vector<SeenRanges::Run>;
+using util::PeerKey;
 
 /// Coalesces ascending seqs into inclusive runs.
 Runs runs_of(const std::vector<std::uint64_t>& seqs) {

@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
 #include <map>
 #include <memory>
+#include <tuple>
 #include <vector>
 
 #include "geometry/random_points.hpp"
@@ -237,6 +240,239 @@ TEST(ReliableHopTest, ReusingAPendingSeqOnTheSameHopThrows) {
   });
   h.sim.run_until_idle();
   EXPECT_EQ(h.layer->stats().data_messages, 1u);
+}
+
+// ---------------------------------------------------------------------------
+// Differential battery: the layer's slab + index against a std::map model.
+// The model is fed by the client's own actions and by the layer's hooks,
+// and every hook checks the hop it names against the model: the hop is
+// pending, its payload is its own, and its timer fires exactly one
+// ack_timeout after its last transmission. A timer or retire that reaches
+// the wrong slab cell breaks one of those checks or the per-step counts.
+// ---------------------------------------------------------------------------
+
+constexpr sim::MessageKind kTestOverrideKind = 43;
+
+class SlabModelTest {
+ public:
+  static constexpr std::size_t kNodes = 16;
+  static constexpr std::uint64_t kSeqs = 2;  // 16 * 15 * 2 = 480 keys
+  static constexpr double kTimeout = 0.05;
+  static constexpr std::size_t kRetries = 2;
+
+  using Key = std::tuple<sim::NodeId, sim::NodeId, std::uint64_t>;
+  struct Hop {
+    sim::MessageKind wire = kTestDataKind;
+    std::size_t attempt = 0;
+    double deadline = 0.0;
+    std::uint64_t armed = 0;  // arming order: same-delay timers fire in it
+  };
+
+  class Node final : public sim::Node {
+   public:
+    Node(sim::NodeId id, SlabModelTest& test) : sim::Node(id), test_(test) {}
+    void on_message(sim::Simulator&, const sim::Envelope& envelope) override {
+      test_.on_message(envelope);
+    }
+
+   private:
+    SlabModelTest& test_;
+  };
+
+  explicit SlabModelTest(std::uint64_t seed) : sim(seed), rng(seed) {
+    for (sim::NodeId i = 0; i < kNodes; ++i) {
+      nodes.push_back(std::make_unique<Node>(i, *this));
+      sim.add_node(*nodes.back());
+    }
+    alive.assign(kNodes, true);
+    deaf.assign(kNodes, false);
+    deaf[3] = deaf[11] = true;  // never ack: their hops exhaust the budget
+    sim::LossModel loss;
+    loss.drop_if = [this](const sim::Envelope& e) {
+      return rng.next_double() < (e.kind == kTestAckKind ? 0.15 : 0.2);
+    };
+    sim.network().set_loss(std::move(loss));
+    ReliableHopLayer::Hooks hooks;
+    hooks.on_retransmit = [this](sim::NodeId from, sim::NodeId to, std::uint64_t seq,
+                                 const std::any& payload) {
+      Hop& hop = expect_due(from, to, seq, payload);
+      EXPECT_LT(hop.attempt, kRetries);
+      ++hop.attempt;
+      ++model_stats.retransmissions;
+      transmitted(hop);
+    };
+    hooks.on_abandon = [this](sim::NodeId from, sim::NodeId to, std::uint64_t seq,
+                              const std::any& payload) {
+      EXPECT_EQ(expect_due(from, to, seq, payload).attempt, kRetries);
+      ++model_stats.abandoned_hops;
+      model.erase(Key{from, to, seq});
+      retired.push_back(Key{from, to, seq});
+    };
+    hooks.sender_alive = [this](sim::NodeId from) {
+      if (alive[from]) return true;
+      // A dead sender's earliest-armed hop is the one whose timer fired.
+      auto first = model.end();
+      for (auto it = model.begin(); it != model.end(); ++it)
+        if (std::get<0>(it->first) == from &&
+            (first == model.end() || it->second.armed < first->second.armed))
+          first = it;
+      EXPECT_NE(first, model.end()) << "timer fired for no pending hop of " << from;
+      if (first != model.end()) {
+        EXPECT_EQ(first->second.deadline, sim.now());
+        retired.push_back(first->first);
+        model.erase(first);
+      }
+      return false;
+    };
+    layer = std::make_unique<ReliableHopLayer>(
+        sim, kTestDataKind, kTestAckKind,
+        ReliabilityConfig{QoS::kAcked, kTimeout, kRetries}, std::move(hooks));
+  }
+
+  void on_message(const sim::Envelope& envelope) {
+    if (envelope.kind == kTestAckKind) {
+      model_ack(envelope);
+      layer->on_ack(envelope);
+      return;
+    }
+    if (deaf[envelope.to]) return;
+    layer->acknowledge(envelope.to, envelope.from,
+                       std::any_cast<std::uint64_t>(envelope.payload));
+    ++model_stats.ack_messages;
+    ++model_sent[kTestAckKind];
+  }
+
+  /// An ack reaching the sender retires the hop iff it is still pending.
+  void model_ack(const sim::Envelope& envelope) {
+    const Key key{envelope.to, envelope.from,
+                  std::any_cast<const HopAck&>(envelope.payload).seq};
+    if (model.erase(key) != 0) retired.push_back(key);
+  }
+
+  void send(sim::NodeId from, sim::NodeId to, std::uint64_t seq, bool override_kind) {
+    const Key key{from, to, seq};
+    const sim::MessageKind kind =
+        override_kind ? kTestOverrideKind : ReliableHopLayer::kInvalidKind;
+    if (model.count(key) != 0) {
+      EXPECT_THROW(layer->send(from, to, seq, seq, kind), std::logic_error);
+      return;
+    }
+    Hop& hop = model[key];
+    hop.wire = override_kind ? kTestOverrideKind : kTestDataKind;
+    transmitted(hop);
+    layer->send(from, to, seq, seq, kind);
+    ++sends;
+  }
+
+  /// An ack delivered straight to on_ack: a duplicate for a pending hop,
+  /// or a late one for a hop already acked, abandoned or dropped.
+  void inject_ack(const Key& key) {
+    const auto [from, to, seq] = key;
+    const sim::Envelope ack{to, from, kTestAckKind, HopAck{seq}};
+    model_ack(ack);
+    layer->on_ack(ack);
+  }
+
+  void check() const {
+    ASSERT_EQ(layer->pending(), model.size());
+    std::vector<std::size_t> to_count(kNodes, 0);
+    for (const auto& [key, hop] : model) ++to_count[std::get<1>(key)];
+    for (sim::NodeId r = 0; r < kNodes; ++r) ASSERT_EQ(layer->pending_to(r), to_count[r]);
+    const HopStats& stats = layer->stats();
+    ASSERT_EQ(stats.data_messages, model_stats.data_messages);
+    ASSERT_EQ(stats.ack_messages, model_stats.ack_messages);
+    ASSERT_EQ(stats.retransmissions, model_stats.retransmissions);
+    ASSERT_EQ(stats.abandoned_hops, model_stats.abandoned_hops);
+    ASSERT_EQ(sim.stats().sent_by_kind, model_sent);
+  }
+
+  sim::Simulator sim;
+  util::Rng rng;
+  std::vector<std::unique_ptr<Node>> nodes;
+  std::unique_ptr<ReliableHopLayer> layer;
+  std::vector<bool> alive, deaf;
+  std::map<Key, Hop> model;
+  std::vector<Key> retired;  // every hop the model saw leave, in order
+  HopStats model_stats;
+  std::map<sim::MessageKind, std::uint64_t> model_sent;
+  std::size_t sends = 0;
+
+ private:
+  /// A hop the layer just (re)sent; its timer is armed next.
+  void transmitted(Hop& hop) {
+    hop.deadline = sim.now() + kTimeout;
+    hop.armed = arms_++;
+    ++model_stats.data_messages;
+    ++model_sent[hop.wire];
+  }
+  /// The hook's hop: pending, carrying its own payload, its timer due now.
+  Hop& expect_due(sim::NodeId from, sim::NodeId to, std::uint64_t seq,
+                  const std::any& payload) {
+    EXPECT_TRUE(alive[from]);
+    EXPECT_EQ(std::any_cast<std::uint64_t>(payload), seq);
+    auto it = model.find(Key{from, to, seq});
+    if (it == model.end()) {
+      ADD_FAILURE() << "hook for a hop that is not pending: " << from << "->" << to
+                    << " seq " << seq;
+      it = model.emplace(Key{from, to, seq}, Hop{}).first;  // keep going
+    }
+    EXPECT_EQ(it->second.deadline, sim.now()) << from << "->" << to << " seq " << seq;
+    return it->second;
+  }
+
+  std::uint64_t arms_ = 0;
+};
+
+TEST(ReliableHopTest, PendingSlabMatchesAMapModel) {
+  SlabModelTest t(29);
+  std::size_t peak = 0;
+  std::size_t late_acks = 0;
+  for (int step = 0; step < 8000; ++step) {
+    const std::uint64_t roll = t.rng.next_below(100);
+    if (roll < 30 || (roll < 60 && t.sim.idle())) {
+      // A burst of sends early on builds concurrency (index growth); later
+      // steps trickle, so retired slots are reused.
+      const int burst = step < 200 ? 4 : 1;
+      for (int i = 0; i < burst; ++i) {
+        const auto from = static_cast<sim::NodeId>(t.rng.next_below(t.kNodes));
+        auto to = static_cast<sim::NodeId>(t.rng.next_below(t.kNodes - 1));
+        if (to >= from) ++to;
+        t.send(from, to, t.rng.next_below(t.kSeqs), t.rng.next_below(2) == 0);
+      }
+    } else if (roll < 34 && !t.model.empty()) {
+      // Duplicate ack for a pending hop (its real ack, if any, arrives late).
+      auto it = t.model.begin();
+      std::advance(it, static_cast<std::ptrdiff_t>(t.rng.next_below(t.model.size())));
+      t.inject_ack(it->first);
+    } else if (roll < 38 && !t.retired.empty()) {
+      // Late ack for a retired hop: acked, abandoned or dropped dead.
+      const SlabModelTest::Key key = t.retired[t.rng.next_below(t.retired.size())];
+      late_acks += t.model.count(key) == 0 ? 1 : 0;
+      t.inject_ack(key);
+    } else if (roll == 38 && step > 1500 && t.rng.next_below(8) == 0) {
+      t.alive[t.rng.next_below(t.kNodes)] = false;  // sender death, for good
+    } else {
+      t.sim.run_until_idle(1);
+    }
+    t.check();
+    if (::testing::Test::HasFatalFailure()) return;
+    peak = std::max(peak, t.layer->pending());
+  }
+  t.sim.run_until_idle();
+  t.check();
+
+  // The mix reached every path it is meant to cover.
+  const HopStats& stats = t.layer->stats();
+  EXPECT_GT(stats.retransmissions, 300u);
+  EXPECT_GT(stats.abandoned_hops, 50u);
+  EXPECT_GT(late_acks, 100u);
+  EXPECT_GT(t.sim.stats().sent_by_kind.at(kTestOverrideKind), 500u);
+  EXPECT_LT(std::count(t.alive.begin(), t.alive.end(), true), 16);
+  // More than 32 pending at once grows the index 16 -> 32 -> 64 -> 128,
+  // and many more sends than the peak means retired cells were reused.
+  EXPECT_GT(peak, 32u);
+  EXPECT_GT(t.sends, 5 * peak);
+  EXPECT_EQ(t.layer->pending(), 0u);
 }
 
 // ---------------------------------------------------------------------------

@@ -3,7 +3,8 @@
 // schedule_after() (lanes), schedule() (heap) and cancel() against a
 // test-local sorted reference, and pin the lane-specific edge paths —
 // inserts behind a lane's tail, more delays than lanes, cross-path ties,
-// cancelled lane heads and compaction under a cancel-heavy lane.
+// cancelled lane heads, cancelled runs behind a head, and compaction under
+// a cancel-heavy lane.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -286,6 +287,28 @@ TEST(SimEventLanes, CancelHeavyLaneIsCompacted) {
   EXPECT_TRUE(std::is_sorted(fired.begin(), fired.end()));
   EXPECT_EQ(fired.front(), 0.001 * 0 + 0.25);
   EXPECT_EQ(fired.back(), 0.001 * 4088 + 0.25);
+}
+
+TEST(SimEventLanes, CancelledRunBehindTheHeadIsSkippedOnConsume) {
+  // Ten entries on one lane, the five behind the head cancelled: too few
+  // for compaction, so only the lane pop can drop them.
+  EventQueue queue;
+  std::vector<EventId> ids;
+  std::vector<int> ran;
+  for (int i = 0; i < 10; ++i)
+    ids.push_back(queue.schedule_after(0.125 * i, 1.0, [&ran, i] { ran.push_back(i); }));
+  for (std::size_t i = 1; i <= 5; ++i) ASSERT_TRUE(queue.cancel(ids[i]));
+  EXPECT_EQ(queue.heap_size(), 10u);
+  EXPECT_EQ(queue.pending(), 5u);
+  ASSERT_TRUE(queue.run_next());
+  EXPECT_EQ(ran, std::vector<int>{0});
+  // The pop stepped over the cancelled run: no corpse stays stored.
+  EXPECT_EQ(queue.heap_size(), queue.pending());
+  EXPECT_EQ(queue.next_time(), 0.125 * 6 + 1.0);
+  while (queue.run_next()) {
+  }
+  EXPECT_EQ(ran, (std::vector<int>{0, 6, 7, 8, 9}));
+  EXPECT_EQ(queue.heap_size(), 0u);
 }
 
 TEST(SimEventLanes, ErrorsMatchTheHeapPath) {

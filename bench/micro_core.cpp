@@ -583,6 +583,37 @@ void BM_GroupFootprint(benchmark::State& state) {
 }
 BENCHMARK(BM_GroupFootprint)->Iterations(1)->Unit(benchmark::kMillisecond);
 
+// What the overlay costs in memory: the VmRSS growth of building a 2-D
+// exact overlay of 100k peers, divided by the peer count. The input points
+// are in the baseline; the graph's own copy of them, its flat coordinates
+// and its CSR adjacency (one id and one selection bit per edge end) are
+// not. The build's freed scratch is handed back before each reading.
+void BM_OverlayFootprint(benchmark::State& state) {
+  constexpr std::size_t kPeers = 100000;
+  const auto points = make_points(kPeers, 2);
+  double bytes_per_peer = 0.0, degree_mean = 0.0;
+  for (auto _ : state) {
+#if defined(__GLIBC__)
+    malloc_trim(0);
+#endif
+    const std::size_t before = resident_bytes();
+    if (before == 0) {
+      state.SkipWithError("VmRSS is unavailable");
+      break;
+    }
+    const auto graph = overlay::build_equilibrium(points, overlay::EmptyRectSelector{});
+#if defined(__GLIBC__)
+    malloc_trim(0);
+#endif
+    const std::size_t after = resident_bytes();
+    bytes_per_peer = static_cast<double>(after > before ? after - before : 0) / kPeers;
+    degree_mean = 2.0 * static_cast<double>(graph.edge_count()) / kPeers;
+  }
+  state.counters["bytes_per_peer"] = bytes_per_peer;
+  state.counters["degree_mean"] = degree_mean;
+}
+BENCHMARK(BM_OverlayFootprint)->Iterations(1)->Unit(benchmark::kMillisecond);
+
 // Routed vs local graft, end to end on the simulated network: 16 early
 // subscribers build the tree, 16 late ones graft into it — arg 1 drives
 // every descent with routed QoS 1 envelopes, arg 0 runs the root-local

@@ -108,7 +108,8 @@ geometry::Point GroupManager::hash_point(GroupId group, std::uint32_t slot) cons
   // draws; slot 0's salt is zero, so its point is the group's unsalted
   // rendezvous point.
   const std::size_t dims = graph_.dims();
-  std::uint64_t sm = config_.rendezvous_seed ^ (group * 0x9e3779b97f4a7c15ULL);
+  constexpr std::uint64_t kRendezvousSeed = 0x67656f6d63617374ULL;  // "geomcast" stream tag
+  std::uint64_t sm = kRendezvousSeed ^ (group * 0x9e3779b97f4a7c15ULL);
   sm ^= static_cast<std::uint64_t>(slot) * 0xbf58476d1ce4e5b9ULL;
   geometry::Point target(dims);
   for (std::size_t d = 0; d < dims; ++d) {

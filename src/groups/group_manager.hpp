@@ -124,8 +124,6 @@ struct GroupConfig {
   /// Waves each QoS 2 repair responder (root / forwarder) retains per
   /// group; 0 disables retention entirely (every NACK misses).
   std::size_t retention_window = 64;
-  /// Stream tag for hashing group ids to rendezvous points.
-  std::uint64_t rendezvous_seed = 0x67656f6d63617374ULL;
   /// Replica-sharded roots: rendezvous-hash each group to this many anchor
   /// points in coordinate space and partition the root's state across the
   /// nearest alive peer to each anchor. 1 (the default) is the one-slot

@@ -11,10 +11,13 @@ namespace geomcast::groups {
 namespace {
 /// The façade's root_replicas knob rides into the manager's GroupConfig so
 /// slots/anchors have one source of truth (0 is normalized to 1 — "no
-/// sharding" — like every other off-value in this config family).
+/// sharding" — like every other off-value in this config family); a
+/// different sharded value there would be silently lost, so it throws.
 GroupConfig sharded_group_config(const PubSubConfig& config) {
   GroupConfig groups = config.groups;
   groups.root_replicas = config.root_replicas > 1 ? config.root_replicas : 1;
+  if (config.groups.root_replicas > 1 && config.groups.root_replicas != groups.root_replicas)
+    throw std::invalid_argument("PubSubConfig: groups.root_replicas != root_replicas");
   return groups;
 }
 }  // namespace
@@ -978,8 +981,7 @@ PubSubSystem::WindowState& PubSubSystem::ensure_window(PeerId self, GroupId grou
   const auto [slot, inserted] = window_slots_.try_emplace(
       util::PeerKey{self, 0, group}, static_cast<std::uint32_t>(windows_.size()));
   if (inserted)
-    windows_.push_back(WindowState{SubscriberWindow{config_.repair.reorder_limit}, {},
-                                   nullptr, 0, false});
+    windows_.push_back(WindowState{SubscriberWindow{}, {}, nullptr, 0, false});
   return windows_[*slot];
 }
 
@@ -1023,8 +1025,7 @@ void PubSubSystem::window_observe(PeerId self, const GroupDelivery& delivery,
 void PubSubSystem::arm_gap_timer(PeerId self, GroupId group, WindowState& ws) {
   if (ws.timer_armed) return;
   ws.timer_armed = true;
-  sim_->schedule_after(config_.repair.gap_timeout,
-                       [this, self, group]() { on_gap_timer(self, group); });
+  sim_->schedule_after(kGapTimeout, [this, self, group]() { on_gap_timer(self, group); });
 }
 
 std::vector<PeerId> PubSubSystem::ancestor_chain(PeerId self, GroupId group,
@@ -1089,8 +1090,7 @@ void PubSubSystem::send_nacks(PeerId self, GroupId group, WindowState& ws,
     // Budget: one attempt per ancestor plus bounded slack for lost
     // NACK/repair envelopes (a root miss short-circuits this in
     // on_repair_miss).
-    if (chain.empty() ||
-        gap.attempts >= chain.size() + config_.repair.max_nack_attempts) {
+    if (chain.empty() || gap.attempts >= chain.size() + kMaxNackAttempts) {
       finish_gap(self, group, ws, seq, /*repaired=*/false);
       continue;
     }
@@ -1394,7 +1394,7 @@ void PubSubSystem::handle_promotion(const GroupManager::RootPromotion& promotion
 
 void PubSubSystem::schedule_heartbeat(GroupId group) {
   HeartbeatState& hb = heartbeat_[group];
-  hb.rounds_left = config_.heartbeat_rounds;
+  hb.rounds_left = kHeartbeatRounds;
   // A new epoch orphans any pending tick of the previous burst — timers
   // never need cancelling, stale ones just fall through.
   const std::uint64_t epoch = ++hb.epoch;
@@ -1504,7 +1504,7 @@ void PubSubSystem::publisher_join(PeerId peer, GroupId group) {
         sim_->schedule_after(config_.publisher_batch_window,
                              [this, peer, group]() { publisher_flush(peer, group); });
   }
-  if (batch.count >= config_.publisher_max_batch) {
+  if (batch.count >= kPublisherMaxBatch) {
     sim_->cancel(batch.timer);
     publisher_flush(peer, group);
   }

@@ -333,23 +333,28 @@ struct GroupHeartbeat {
   std::shared_ptr<const GroupTree> tree;
 };
 
-/// Knobs of the QoS 2 end-to-end repair plane (ignored below QoS 2).
-struct RepairConfig {
-  /// Quiet time between detecting a gap and NACKing it — and between
-  /// repair rounds. Should comfortably exceed one per-hop ack timeout so
-  /// QoS 1 recovery gets the first shot at every gap.
-  double gap_timeout = 0.1;
-  /// Extra NACK transmissions allowed per missing seq beyond one per
-  /// ancestor (the chain itself sets the baseline — walking it is not a
-  /// retry): slack for NACK/repair envelopes the network lost. A miss from
-  /// the chain's end (the root) abandons the gap immediately — nobody
-  /// farther out can serve it — so this bound only governs lossy reruns,
-  /// and the window can never stall on an unservable gap.
-  std::size_t max_nack_attempts = 8;
-  /// Out-of-order waves a subscriber holds back per group before the
-  /// window force-abandons its oldest gaps to release them.
-  std::size_t reorder_limit = 256;
-};
+// Fixed tuning of the QoS 2 end-to-end repair plane (unused below QoS 2).
+/// Quiet time between detecting a gap and NACKing it — and between
+/// repair rounds. Should comfortably exceed one per-hop ack timeout so
+/// QoS 1 recovery gets the first shot at every gap.
+inline constexpr double kGapTimeout = 0.1;
+/// Extra NACK transmissions allowed per missing seq beyond one per
+/// ancestor (the chain itself sets the baseline — walking it is not a
+/// retry): slack for NACK/repair envelopes the network lost. A miss from
+/// the chain's end (the root) abandons the gap immediately — nobody
+/// farther out can serve it — so this bound only governs lossy reruns,
+/// and the window can never stall on an unservable gap.
+inline constexpr std::size_t kMaxNackAttempts = 8;
+/// Out-of-order waves a subscriber holds back per group before the
+/// window force-abandons its oldest gaps to release them.
+inline constexpr std::size_t kReorderLimit = 256;
+/// App messages per publish envelope before the publisher's buffer
+/// flushes early (mirrors PubSubConfig::max_batch on the root side).
+inline constexpr std::size_t kPublisherMaxBatch = 16;
+/// Heartbeat beacon rounds re-armed after each flush (their only
+/// redundancy — beacons are fire-and-forget); bounded so an idle group
+/// goes silent and run() terminates.
+inline constexpr std::size_t kHeartbeatRounds = 2;
 
 struct PubSubConfig {
   GroupConfig groups;
@@ -374,15 +379,13 @@ struct PubSubConfig {
   /// default) is its one-slot case — slot 0 is the group's rendezvous root
   /// and its own seq authority, so the lease plane and the shard handoffs
   /// stay silent and each publish drives one wave over the whole tree.
+  /// Overrides `groups.root_replicas`, which must be <= 1 or equal (else throws).
   std::size_t root_replicas = 1;
   /// Publisher-side batching: app messages published by one peer to one
   /// group within this window ride ONE kPublishKind envelope (carrying a
   /// count) to the root, multiplying with root-side coalescing. 0 (the
   /// default) disables it — bit-passive, the historic per-publish path.
   double publisher_batch_window = 0.0;
-  /// App messages per publish envelope before the publisher's buffer
-  /// flushes early (mirrors max_batch on the root side).
-  std::size_t publisher_max_batch = 16;
   sim::LatencyModel latency = sim::LatencyModel::constant(0.01);
   /// Extra stochastic loss on top of the always-on "departed peers drop
   /// everything" rule.
@@ -390,9 +393,8 @@ struct PubSubConfig {
   /// Payload-path delivery guarantee: QoS 0 (the default) is the historic
   /// fire-and-forget tree push; QoS 1 acks every kDeliverKind hop and
   /// retransmits on timeout per `ack_timeout`/`max_retries`; QoS 2 adds
-  /// subscriber-side gap detection and ancestor repair per `repair`.
+  /// subscriber-side gap detection and ancestor repair (see kGapTimeout).
   multicast::ReliabilityConfig reliability{multicast::QoS::kFireAndForget};
-  RepairConfig repair;
   /// Subscribe path for roots holding a clean cached tree: true (the
   /// default) drives the zone descent with routed kGraftRequestKind
   /// envelopes — one real hop per descent decision, QoS 1, visible in
@@ -407,14 +409,10 @@ struct PubSubConfig {
   /// (the default) keeps the historic cold rebuild — the oracle, and
   /// bit-identical to it on no-kill seeds.
   bool warm_failover = false;
-  /// Root-driven session heartbeats (QoS 2 only): seconds between idle
-  /// beacons after a flush; 0 (the default) disables them. Closes the
-  /// final-wave blind spot — see the header comment.
+  /// Root-driven session heartbeats (QoS 2 only): seconds between the
+  /// kHeartbeatRounds idle beacons after a flush; 0 (the default) disables
+  /// them. Closes the final-wave blind spot — see the header comment.
   double heartbeat_interval = 0.0;
-  /// Beacon rounds re-armed after each flush (their only redundancy —
-  /// beacons are fire-and-forget); bounded so an idle group goes silent
-  /// and run() terminates.
-  std::size_t heartbeat_rounds = 2;
   std::uint64_t seed = 1;
 };
 
@@ -432,7 +430,7 @@ struct PubSubConfig {
 /// dedup already exists): observe() assumes every call is a first sighting.
 class SubscriberWindow {
  public:
-  explicit SubscriberWindow(std::size_t reorder_limit = 256)
+  explicit SubscriberWindow(std::size_t reorder_limit = kReorderLimit)
       : reorder_limit_(reorder_limit == 0 ? 1 : reorder_limit) {}
 
   struct Arrival {
@@ -654,7 +652,7 @@ class PubSubSystem {
                            const std::vector<double>& accepted);
   // -- publisher-side batching ---------------------------------------------
   [[nodiscard]] bool publisher_batching() const noexcept {
-    return config_.publisher_batch_window > 0.0 && config_.publisher_max_batch > 1;
+    return config_.publisher_batch_window > 0.0;
   }
   void publisher_join(PeerId peer, GroupId group);
   void publisher_flush(PeerId peer, GroupId group);
@@ -752,8 +750,7 @@ class PubSubSystem {
 
   // -- session heartbeats ---------------------------------------------------
   [[nodiscard]] bool heartbeats_enabled() const noexcept {
-    return config_.heartbeat_interval > 0.0 && config_.heartbeat_rounds > 0 &&
-           end_to_end();
+    return config_.heartbeat_interval > 0.0 && end_to_end();
   }
   /// (Re)arms a fresh round of beacons for the group — called after every
   /// flush; a newer flush's epoch invalidates older pending ticks.

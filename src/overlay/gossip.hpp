@@ -74,7 +74,6 @@ class GossipNode final : public sim::Node {
   /// ages past Tmax and their next re-selection runs.
   void deactivate() noexcept { active_ = false; }
 
-  [[nodiscard]] bool active() const noexcept { return active_; }
   [[nodiscard]] const geometry::Point& point() const noexcept { return point_; }
   [[nodiscard]] const NodeAddress& address() const noexcept { return address_; }
   /// P's current selection (sorted).

@@ -1,15 +1,14 @@
 #include "overlay/graph.hpp"
 
 #include <algorithm>
-#include <iterator>
 #include <stdexcept>
 
 namespace geomcast::overlay {
 
 OverlayGraph::OverlayGraph(std::vector<geometry::Point> points,
                            std::vector<std::vector<PeerId>> out)
-    : points_(std::move(points)), out_(std::move(out)) {
-  if (points_.size() != out_.size())
+    : points_(std::move(points)) {
+  if (points_.size() != out.size())
     throw std::invalid_argument("OverlayGraph: points/out size mismatch");
 
   const auto n = points_.size();
@@ -24,7 +23,7 @@ OverlayGraph::OverlayGraph(std::vector<geometry::Point> points,
   // array, filled in ascending selector order so each comes out sorted.
   std::vector<std::size_t> in_start(n + 1, 0);
   for (std::size_t p = 0; p < n; ++p) {
-    auto& list = out_[p];
+    auto& list = out[p];
     if (!std::is_sorted(list.begin(), list.end())) std::sort(list.begin(), list.end());
     list.erase(std::unique(list.begin(), list.end()), list.end());
     for (PeerId q : list) {
@@ -37,27 +36,38 @@ OverlayGraph::OverlayGraph(std::vector<geometry::Point> points,
   std::vector<PeerId> in(in_start[n]);
   std::vector<std::size_t> in_next(in_start.begin(), in_start.end() - 1);
   for (std::size_t p = 0; p < n; ++p)
-    for (PeerId q : out_[p]) in[in_next[q]++] = static_cast<PeerId>(p);
+    for (PeerId q : out[p]) in[in_next[q]++] = static_cast<PeerId>(p);
 
-  // Each adjacency is the union of the two sorted lists, stored at its
-  // exact size.
-  undirected_.resize(n);
-  std::vector<PeerId> merged;
-  for (std::size_t p = 0; p < n; ++p) {
-    merged.clear();
-    std::set_union(out_[p].begin(), out_[p].end(),
-                   in.begin() + static_cast<std::ptrdiff_t>(in_start[p]),
-                   in.begin() + static_cast<std::ptrdiff_t>(in_start[p + 1]),
-                   std::back_inserter(merged));
-    undirected_[p].assign(merged.begin(), merged.end());
-    edge_count_ += merged.size();
+  // Each row is the union of the two sorted lists, a mutual selection
+  // once; chose_ marks the entries from the out-list. The first pass only
+  // sizes the rows, so the second writes each at its exact size.
+  offsets_.assign(n + 1, 0);
+  for (const bool write : {false, true}) {
+    adjacency_.resize(offsets_[n]);
+    chose_.resize(offsets_[n]);
+    for (std::size_t p = 0; p < n; ++p) {
+      const PeerId *a = out[p].data(), *a_end = a + out[p].size();
+      const PeerId *b = in.data() + in_start[p], *b_end = in.data() + in_start[p + 1];
+      std::size_t at = offsets_[p];
+      for (; a != a_end || b != b_end; ++at) {
+        const bool chose = b == b_end || (a != a_end && *a <= *b);
+        const PeerId q = chose ? *a++ : *b++;
+        if (chose && b != b_end && *b == q) ++b;
+        if (!write) continue;
+        adjacency_[at] = q;
+        chose_[at] = chose;
+      }
+      if (!write) offsets_[p + 1] = at;
+    }
   }
-  edge_count_ /= 2;
 }
 
-bool OverlayGraph::has_edge(PeerId a, PeerId b) const {
-  const auto& adjacency = neighbors(a);
-  return std::binary_search(adjacency.begin(), adjacency.end(), b);
+std::vector<PeerId> OverlayGraph::selected(PeerId p) const {
+  const auto row = neighbors(p);
+  std::vector<PeerId> chosen;
+  for (std::size_t i = 0; i < row.size(); ++i)
+    if (chose_[offsets_[p] + i]) chosen.push_back(row[i]);
+  return chosen;
 }
 
 }  // namespace geomcast::overlay

@@ -1,8 +1,9 @@
-// The overlay topology: which peers selected which, and the resulting
-// undirected adjacency. The paper reports degree statistics over this
-// graph (Fig 1 a, c) and runs both tree algorithms on top of it.
+// The overlay topology: the undirected union of every peer's selection as
+// one CSR adjacency, with a bit per entry for "p selected q". The paper
+// reports degree statistics over it (Fig 1 a, c) and runs both trees on it.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <span>
 #include <vector>
@@ -17,9 +18,9 @@ class OverlayGraph {
   OverlayGraph() = default;
 
   /// Builds from per-peer selections. `out[p]` is the list of peers p chose
-  /// (sorted or not). The undirected adjacency is the union p~q iff p chose
-  /// q or q chose p — a peer that selects q will exchange traffic with q
-  /// regardless of whether q reciprocates.
+  /// (sorted or not, duplicates allowed). The undirected adjacency is the
+  /// union p~q iff p chose q or q chose p — a peer that selects q will
+  /// exchange traffic with q regardless of whether q reciprocates.
   OverlayGraph(std::vector<geometry::Point> points, std::vector<std::vector<PeerId>> out);
 
   [[nodiscard]] std::size_t size() const noexcept { return points_.size(); }
@@ -36,26 +37,33 @@ class OverlayGraph {
   [[nodiscard]] const std::vector<geometry::Point>& points() const noexcept { return points_; }
 
   /// Peers p selected (its own selection, sorted ascending).
-  [[nodiscard]] const std::vector<PeerId>& selected(PeerId p) const { return out_.at(p); }
-  /// Undirected neighbourhood (sorted ascending, no duplicates).
-  [[nodiscard]] const std::vector<PeerId>& neighbors(PeerId p) const { return undirected_.at(p); }
+  [[nodiscard]] std::vector<PeerId> selected(PeerId p) const;
+  /// Undirected neighbourhood (sorted ascending, no duplicates). Throws
+  /// std::out_of_range for p >= size(): the at() runs before offsets_[p].
+  [[nodiscard]] std::span<const PeerId> neighbors(PeerId p) const {
+    return std::span(adjacency_).first(offsets_.at(std::size_t{p} + 1)).subspan(offsets_[p]);
+  }
 
-  [[nodiscard]] bool has_edge(PeerId a, PeerId b) const;
+  [[nodiscard]] bool has_edge(PeerId a, PeerId b) const {
+    return std::ranges::binary_search(neighbors(a), b);
+  }
   [[nodiscard]] std::size_t degree(PeerId p) const { return neighbors(p).size(); }
   /// Number of undirected edges.
-  [[nodiscard]] std::size_t edge_count() const noexcept { return edge_count_; }
+  [[nodiscard]] std::size_t edge_count() const noexcept { return adjacency_.size() / 2; }
 
   [[nodiscard]] bool operator==(const OverlayGraph& other) const {
-    return points_ == other.points_ && undirected_ == other.undirected_;
+    return points_ == other.points_ && offsets_ == other.offsets_ &&
+           adjacency_ == other.adjacency_;
   }
 
  private:
   std::vector<geometry::Point> points_;
   std::size_t dims_ = 0;
   std::vector<double> coords_;  // size() x dims(), row p = point(p)
-  std::vector<std::vector<PeerId>> out_;
-  std::vector<std::vector<PeerId>> undirected_;
-  std::size_t edge_count_ = 0;
+  // Row p is adjacency_[offsets_[p], offsets_[p + 1]); chose_[i]: p chose adjacency_[i].
+  std::vector<std::size_t> offsets_;
+  std::vector<PeerId> adjacency_;
+  std::vector<bool> chose_;
 };
 
 }  // namespace geomcast::overlay

@@ -16,7 +16,6 @@ std::optional<std::size_t> IncrementalBuilder::insert(const geometry::Point& poi
   alive_.push_back(1);
   ++live_count_;
   out_.emplace_back();
-  undirected_.emplace_back();
   extra_knowledge_.emplace_back();
 
   if (live_count_ > 1) {
@@ -36,8 +35,8 @@ std::optional<std::size_t> IncrementalBuilder::insert(const geometry::Point& poi
     extra_knowledge_[bootstrap].push_back(joiner);
     // Seed the link so the first gossip round can traverse it.
     out_[joiner].push_back(bootstrap);
-    rebuild_undirected();
   }
+  rebuild_undirected();
   return converge();
 }
 
@@ -83,7 +82,7 @@ std::vector<Candidate> IncrementalBuilder::ball_candidates(PeerId ego) const {
     const auto [node, depth] = frontier.front();
     frontier.pop();
     if (depth == config_.br) continue;
-    for (PeerId next : undirected_[node]) {
+    for (PeerId next : links_.neighbors(node)) {
       if (!seen[next] && alive_[next]) {
         seen[next] = 1;
         frontier.emplace(next, depth + 1);
@@ -117,18 +116,9 @@ bool IncrementalBuilder::reselect_round() {
 }
 
 void IncrementalBuilder::rebuild_undirected() {
-  for (auto& adjacency : undirected_) adjacency.clear();
-  for (std::size_t p = 0; p < points_.size(); ++p) {
-    for (PeerId q : out_[p]) {
-      if (!alive_[q]) continue;  // links to departed peers are torn down
-      undirected_[p].push_back(q);
-      undirected_[q].push_back(static_cast<PeerId>(p));
-    }
-  }
-  for (auto& adjacency : undirected_) {
-    std::sort(adjacency.begin(), adjacency.end());
-    adjacency.erase(std::unique(adjacency.begin(), adjacency.end()), adjacency.end());
-  }
+  auto live = out_;  // links to departed peers are torn down
+  for (auto& selection : live) std::erase_if(selection, [&](PeerId q) { return !alive_[q]; });
+  links_ = OverlayGraph(points_, std::move(live));
 }
 
 std::vector<PeerId> IncrementalBuilder::dense_mapping() const {

@@ -74,7 +74,7 @@ class IncrementalBuilder {
   std::vector<char> alive_;
   std::size_t live_count_ = 0;
   std::vector<std::vector<PeerId>> out_;
-  std::vector<std::vector<PeerId>> undirected_;
+  OverlayGraph links_;  // the live links' undirected union, over every peer ever inserted
   // Joiner knowledge persists until overwritten by the BR-ball of the next
   // round, mirroring bootstrap contacts that have not yet expired.
   std::vector<std::vector<PeerId>> extra_knowledge_;

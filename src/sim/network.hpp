@@ -156,11 +156,6 @@ class Network {
   /// Materialises the per-kind map from the dense hot-path counters before
   /// returning — callers see exactly the map they always did.
   [[nodiscard]] const NetworkStats& stats() const;
-  void reset_stats() {
-    stats_ = NetworkStats{};
-    kind_counts_.fill(0);
-    high_kind_counts_.clear();
-  }
 
  private:
   void bump(std::vector<std::uint64_t>& counters, NodeId id);

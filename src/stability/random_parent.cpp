@@ -17,7 +17,8 @@ std::vector<overlay::PeerId> build_random_spanning_tree(const overlay::OverlayGr
   while (!queue.empty()) {
     const overlay::PeerId p = queue.front();
     queue.pop_front();
-    std::vector<overlay::PeerId> order = graph.neighbors(p);
+    const auto neighbors = graph.neighbors(p);
+    std::vector<overlay::PeerId> order(neighbors.begin(), neighbors.end());
     rng.shuffle(order);
     for (overlay::PeerId q : order) {
       if (visited[q]) continue;

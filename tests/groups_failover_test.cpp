@@ -198,7 +198,6 @@ GroupStats run_final_wave(const overlay::OverlayGraph& graph, double hb_interval
   config.reliability.ack_timeout = 0.05;
   config.reliability.max_retries = 5;
   config.heartbeat_interval = hb_interval;
-  config.heartbeat_rounds = 2;
   config.warm_failover = false;  // independent mechanisms: beacons alone close it
   PubSubSystem system(graph, config);
   const auto members = subscribe_members(system, graph, g, 12, 79);
@@ -358,7 +357,6 @@ TEST(GroupsFailoverTest, SoleWaveSeveranceIsCountedAsBlindWindows) {
   config.reliability.ack_timeout = 0.05;
   config.reliability.max_retries = 5;
   config.heartbeat_interval = 0.2;
-  config.heartbeat_rounds = 2;
   PubSubSystem system(graph, config);
   const auto members = subscribe_members(system, graph, g, 12, 101);
   std::vector<bool> member_anywhere(graph.size(), false);

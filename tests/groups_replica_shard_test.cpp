@@ -6,7 +6,8 @@
 // slot-root-death-mid-graft regression (promotion hands the shard over,
 // zero leaked cursors, full post-churn delivery), warm failover of the
 // slot-0 authority at R > 1, snapshot-JSON coverage of the shard counters,
-// and golden digests pinning R = 1 itself.
+// rejection of a conflicting groups.root_replicas, and golden digests
+// pinning R = 1 itself.
 #include "groups/message_kinds.hpp"
 #include "groups/pubsub.hpp"
 
@@ -17,6 +18,7 @@
 #include <iterator>
 #include <memory>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -200,6 +202,25 @@ TEST(GroupsReplicaShardTest, AnchorsPartitionPeersAcrossDistinctSlotRoots) {
       EXPECT_EQ(manager.owner_root(g, p), manager.slot_root(g, slot));
     }
   }
+}
+
+TEST(GroupsReplicaShardTest, ConflictingGroupsRootReplicasIsRejected) {
+  // PubSubConfig::root_replicas overrides groups.root_replicas, so a
+  // sharded value set only on the groups side would silently run at R = 1.
+  const auto graph = make_overlay(60, 2, 1502);
+  PubSubConfig config;
+  config.groups.root_replicas = 4;
+  EXPECT_THROW(PubSubSystem(graph, config), std::invalid_argument);
+  config.root_replicas = 2;
+  EXPECT_THROW(PubSubSystem(graph, config), std::invalid_argument);
+  // Both set to the same R is valid and runs sharded at R.
+  config.root_replicas = 4;
+  PubSubSystem both(graph, config);
+  EXPECT_EQ(both.manager().root_replicas(), 4u);
+  // An unsharded groups value defers to the façade.
+  config.groups.root_replicas = 1;
+  PubSubSystem facade_only(graph, config);
+  EXPECT_EQ(facade_only.manager().root_replicas(), 4u);
 }
 
 TEST(GroupsReplicaShardTest, DeliveredSetsMatchTheSingleRootOracleAcrossCells) {

@@ -385,7 +385,7 @@ TEST(GroupTreeTest, StrandedSubscribersFollowEveryEdit) {
   const GroupId g = 3;
   const PeerId root = GroupManager(graph).root_of(g);
   const auto neighbour_of_root = [&](PeerId p) {
-    const auto& near = graph.neighbors(p);
+    const auto near = graph.neighbors(p);
     return std::find(near.begin(), near.end(), root) != near.end();
   };
   PeerId walled = kInvalidPeer;

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <set>
 #include <string>
 
 #include "analysis/graph_metrics.hpp"
@@ -16,13 +17,27 @@ namespace geomcast::overlay {
 namespace {
 
 /// build_equilibrium's out-lists must equal the per-peer selector run over
-/// every other peer, whatever select_all does to share work.
+/// every other peer, whatever select_all does to share work, and each
+/// neighbourhood the union of those selections.
 void expect_matches_per_peer(const std::vector<geometry::Point>& points,
                              const NeighborSelector& selector, std::size_t threads) {
   const auto graph = build_equilibrium(points, selector, threads);
   ASSERT_EQ(graph.size(), points.size());
+  std::vector<std::set<PeerId>> adjacent(points.size());
   for (PeerId p = 0; p < points.size(); ++p) {
-    EXPECT_EQ(graph.selected(p), selector.select(points[p], candidates_excluding(points, p)))
+    const auto chosen = selector.select(points[p], candidates_excluding(points, p));
+    EXPECT_EQ(graph.selected(p), chosen)
+        << selector.name() << " peer " << p << " of " << points.size() << ", threads "
+        << threads;
+    for (PeerId q : chosen) {
+      adjacent[p].insert(q);
+      adjacent[q].insert(p);
+    }
+  }
+  for (PeerId p = 0; p < points.size(); ++p) {
+    const auto neighbors = graph.neighbors(p);
+    EXPECT_EQ(std::vector<PeerId>(neighbors.begin(), neighbors.end()),
+              std::vector<PeerId>(adjacent[p].begin(), adjacent[p].end()))
         << selector.name() << " peer " << p << " of " << points.size() << ", threads "
         << threads;
   }
@@ -117,6 +132,7 @@ TEST(EquilibriumTest, SelectAllMatchesPerPeerSelectOtherDimsAndSelectors) {
   util::Rng rng(41);
   const auto points3 = geometry::random_points(rng, 200, 3, 100.0);
   expect_matches_per_peer(points3, EmptyRectSelector{}, 4);
+  expect_matches_per_peer(points3, HyperplaneKSelector::orthogonal(3, 2), 4);
   const auto points2 = geometry::random_points(rng, 200, 2, 100.0);
   expect_matches_per_peer(points2, KClosestSelector(4), 4);
 }

@@ -2,7 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
+#include <stdexcept>
+#include <string>
+
 #include "geometry/random_points.hpp"
+#include "overlay/empty_rect.hpp"
+#include "overlay/grid_knn.hpp"
 #include "util/rng.hpp"
 
 namespace geomcast::overlay {
@@ -45,7 +52,9 @@ TEST(OverlayGraphTest, DuplicateSelectionsDeduplicated) {
 
 TEST(OverlayGraphTest, NeighborsSortedAscending) {
   OverlayGraph graph(make_points(4), {{3, 1, 2}, {}, {}, {}});
-  EXPECT_EQ(graph.neighbors(0), (std::vector<PeerId>{1, 2, 3}));
+  const auto neighbors = graph.neighbors(0);
+  EXPECT_EQ(std::vector<PeerId>(neighbors.begin(), neighbors.end()),
+            (std::vector<PeerId>{1, 2, 3}));
 }
 
 TEST(OverlayGraphTest, SelfSelectionThrows) {
@@ -103,6 +112,78 @@ TEST(OverlayGraphTest, EqualityIgnoresSelectionDirection) {
   OverlayGraph a(points, {{1}, {}});
   OverlayGraph b(points, {{}, {0}});
   EXPECT_EQ(a, b);
+}
+
+/// Checks every adjacency accessor of `graph` against a std::set model of
+/// the per-peer selections `out` it was built from and their undirected
+/// union.
+void expect_matches_set_model(const OverlayGraph& graph,
+                              const std::vector<std::vector<PeerId>>& out) {
+  const std::size_t n = out.size();
+  std::vector<std::set<PeerId>> chose(n), adjacent(n);
+  for (PeerId p = 0; p < n; ++p)
+    for (PeerId q : out[p]) {
+      chose[p].insert(q);
+      adjacent[p].insert(q);
+      adjacent[q].insert(p);
+    }
+  ASSERT_EQ(graph.size(), n);
+  std::size_t ends = 0, has_edge_mismatches = 0;
+  for (PeerId p = 0; p < n; ++p) {
+    const auto neighbors = graph.neighbors(p);
+    EXPECT_EQ(std::vector<PeerId>(neighbors.begin(), neighbors.end()),
+              std::vector<PeerId>(adjacent[p].begin(), adjacent[p].end()))
+        << "peer " << p;
+    EXPECT_EQ(graph.selected(p), std::vector<PeerId>(chose[p].begin(), chose[p].end()))
+        << "peer " << p;
+    EXPECT_EQ(graph.degree(p), adjacent[p].size());
+    for (PeerId q = 0; q < n; ++q)
+      has_edge_mismatches += graph.has_edge(p, q) != (adjacent[p].count(q) == 1);
+    ends += adjacent[p].size();
+  }
+  EXPECT_EQ(has_edge_mismatches, 0u);
+  EXPECT_EQ(graph.edge_count(), ends / 2);
+  EXPECT_THROW((void)graph.neighbors(static_cast<PeerId>(n)), std::out_of_range);
+  EXPECT_THROW((void)graph.selected(static_cast<PeerId>(n)), std::out_of_range);
+}
+
+TEST(OverlayGraphTest, RandomAsymmetricSelectionsMatchASetModel) {
+  // Each peer picks up to 8 others, in any order and with repeats, so
+  // some edges are chosen by one end, some by both, some listed twice.
+  util::Rng rng(77);
+  for (std::size_t n : {0u, 1u, 2u, 5u, 40u, 300u}) {
+    SCOPED_TRACE("n=" + std::to_string(n));
+    std::vector<std::vector<PeerId>> out(n);
+    for (PeerId p = 0; p < n && n > 1; ++p)
+      for (std::uint64_t picks = rng.next_below(9); picks > 0; --picks) {
+        const auto q = static_cast<PeerId>(rng.next_below(n));
+        if (q != p) out[p].push_back(q);
+        if (q != p && rng.chance(0.25)) out[p].push_back(q);
+      }
+    expect_matches_set_model(OverlayGraph(make_points(n), out), out);
+  }
+}
+
+TEST(OverlayGraphTest, GridKnnOverlayMatchesASetModel) {
+  // build_equilibrium_local's selections are asymmetric: a peer can pick
+  // one it is not among the k nearest of.
+  util::Rng rng(78);
+  const auto points = geometry::random_points(rng, 1500, 2, 100.0);
+  const EmptyRectSelector selector;
+  const std::size_t k = 16;
+  const auto knowledge = grid_knn(points, k);
+  std::vector<std::vector<PeerId>> out(points.size());
+  std::size_t one_sided = 0;
+  for (PeerId p = 0; p < points.size(); ++p) {
+    std::vector<Candidate> candidates;
+    for (PeerId q : knowledge[p]) candidates.push_back({q, points[q]});
+    out[p] = selector.select(points[p], candidates);
+  }
+  for (PeerId p = 0; p < points.size(); ++p)
+    for (PeerId q : out[p])
+      one_sided += std::find(out[q].begin(), out[q].end(), p) == out[q].end();
+  EXPECT_GT(one_sided, 0u);
+  expect_matches_set_model(build_equilibrium_local(points, selector, k), out);
 }
 
 }  // namespace

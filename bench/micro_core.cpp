@@ -585,9 +585,10 @@ BENCHMARK(BM_GroupFootprint)->Iterations(1)->Unit(benchmark::kMillisecond);
 
 // What the overlay costs in memory: the VmRSS growth of building a 2-D
 // exact overlay of 100k peers, divided by the peer count. The input points
-// are in the baseline; the graph's own copy of them, its flat coordinates
-// and its CSR adjacency (one id and one selection bit per edge end) are
-// not. The build's freed scratch is handed back before each reading.
+// are in the baseline; the graph's flat coordinates (each peer's stored
+// once, at the exact dimension stride) and its CSR adjacency (one id and
+// one selection bit per edge end) are not. The build's freed scratch is
+// handed back before each reading.
 void BM_OverlayFootprint(benchmark::State& state) {
   constexpr std::size_t kPeers = 100000;
   const auto points = make_points(kPeers, 2);

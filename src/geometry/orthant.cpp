@@ -13,15 +13,12 @@ OrthantCode orthant_of(const Point& ego, const Point& q) noexcept {
 }
 
 Rect orthant_rect(const Point& ego, OrthantCode code) noexcept {
-  Rect rect(ego.dims());
+  Rect rect = Rect::whole_space(ego.dims());
   for (std::size_t i = 0; i < ego.dims(); ++i) {
-    if (code & (OrthantCode{1} << i)) {
+    if (code & (OrthantCode{1} << i))
       rect.set_lo(i, ego[i]);
-      rect.set_hi(i, kInf);
-    } else {
-      rect.set_lo(i, -kInf);
+    else
       rect.set_hi(i, ego[i]);
-    }
   }
   return rect;
 }

@@ -5,10 +5,12 @@
 // heap allocation, trivially copyable, cheap to pass by value.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cassert>
 #include <cstddef>
 #include <initializer_list>
+#include <span>
 #include <string>
 
 namespace geomcast::geometry {
@@ -37,6 +39,12 @@ class Point {
     for (double c : coords) coords_[i++] = c;
   }
 
+  /// Copies `coords`, e.g. a row of overlay::OverlayGraph::coords().
+  explicit Point(std::span<const double> coords) noexcept : dims_(coords.size()) {
+    assert(coords.size() >= 1 && coords.size() <= kMaxDims);
+    std::copy(coords.begin(), coords.end(), coords_.begin());
+  }
+
   [[nodiscard]] std::size_t dims() const noexcept { return dims_; }
 
   [[nodiscard]] double operator[](std::size_t i) const noexcept {
@@ -49,10 +57,8 @@ class Point {
   }
 
   [[nodiscard]] bool operator==(const Point& other) const noexcept {
-    if (dims_ != other.dims_) return false;
-    for (std::size_t i = 0; i < dims_; ++i)
-      if (coords_[i] != other.coords_[i]) return false;
-    return true;
+    return dims_ == other.dims_ &&
+           std::equal(coords_.begin(), coords_.begin() + dims_, other.coords_.begin());
   }
   [[nodiscard]] bool operator!=(const Point& other) const noexcept {
     return !(*this == other);

@@ -6,20 +6,13 @@
 
 namespace geomcast::geometry {
 
-Rect Rect::whole_space(std::size_t dims) noexcept {
-  Rect rect(dims);
-  for (std::size_t i = 0; i < dims; ++i) {
-    rect.lo_[i] = -kInf;
-    rect.hi_[i] = kInf;
-  }
-  return rect;
-}
+Rect Rect::whole_space(std::size_t dims) noexcept { return cube(dims, -kInf, kInf); }
 
 Rect Rect::cube(std::size_t dims, double lo, double hi) noexcept {
   Rect rect(dims);
   for (std::size_t i = 0; i < dims; ++i) {
-    rect.lo_[i] = lo;
-    rect.hi_[i] = hi;
+    rect.set_lo(i, lo);
+    rect.set_hi(i, hi);
   }
   return rect;
 }
@@ -28,8 +21,8 @@ Rect Rect::spanned_by(const Point& a, const Point& b) noexcept {
   assert(a.dims() == b.dims());
   Rect rect(a.dims());
   for (std::size_t i = 0; i < a.dims(); ++i) {
-    rect.lo_[i] = std::min(a[i], b[i]);
-    rect.hi_[i] = std::max(a[i], b[i]);
+    rect.set_lo(i, std::min(a[i], b[i]));
+    rect.set_hi(i, std::max(a[i], b[i]));
   }
   return rect;
 }
@@ -37,20 +30,20 @@ Rect Rect::spanned_by(const Point& a, const Point& b) noexcept {
 bool Rect::contains_interior(const Point& p) const noexcept {
   assert(p.dims() == dims_);
   for (std::size_t i = 0; i < dims_; ++i)
-    if (!(lo_[i] < p[i] && p[i] < hi_[i])) return false;
+    if (!(lo(i) < p[i] && p[i] < hi(i))) return false;
   return true;
 }
 
 bool Rect::contains_closed(const Point& p) const noexcept {
   assert(p.dims() == dims_);
   for (std::size_t i = 0; i < dims_; ++i)
-    if (!(lo_[i] <= p[i] && p[i] <= hi_[i])) return false;
+    if (!(lo(i) <= p[i] && p[i] <= hi(i))) return false;
   return true;
 }
 
 bool Rect::interior_empty() const noexcept {
   for (std::size_t i = 0; i < dims_; ++i)
-    if (!(lo_[i] < hi_[i])) return true;
+    if (!(lo(i) < hi(i))) return true;
   return false;
 }
 
@@ -58,8 +51,8 @@ Rect Rect::intersect(const Rect& other) const noexcept {
   assert(dims_ == other.dims_);
   Rect rect(dims_);
   for (std::size_t i = 0; i < dims_; ++i) {
-    rect.lo_[i] = std::max(lo_[i], other.lo_[i]);
-    rect.hi_[i] = std::min(hi_[i], other.hi_[i]);
+    rect.set_lo(i, std::max(lo(i), other.lo(i)));
+    rect.set_hi(i, std::min(hi(i), other.hi(i)));
   }
   return rect;
 }
@@ -68,15 +61,12 @@ bool Rect::interior_subset_of(const Rect& other) const noexcept {
   assert(dims_ == other.dims_);
   if (interior_empty()) return true;  // empty set is a subset of anything
   for (std::size_t i = 0; i < dims_; ++i)
-    if (lo_[i] < other.lo_[i] || hi_[i] > other.hi_[i]) return false;
+    if (lo(i) < other.lo(i) || hi(i) > other.hi(i)) return false;
   return true;
 }
 
 bool Rect::operator==(const Rect& other) const noexcept {
-  if (dims_ != other.dims_) return false;
-  for (std::size_t i = 0; i < dims_; ++i)
-    if (lo_[i] != other.lo_[i] || hi_[i] != other.hi_[i]) return false;
-  return true;
+  return dims_ == other.dims_ && std::ranges::equal(bounds(), other.bounds());
 }
 
 std::string Rect::to_string(int decimals) const {
@@ -88,7 +78,7 @@ std::string Rect::to_string(int decimals) const {
   std::string out;
   for (std::size_t i = 0; i < dims_; ++i) {
     if (i) out += " x ";
-    out += "(" + bound(lo_[i]) + ", " + bound(hi_[i]) + ")";
+    out += "(" + bound(lo(i)) + ", " + bound(hi(i)) + ")";
   }
   return out;
 }

@@ -14,6 +14,7 @@
 #include <cassert>
 #include <limits>
 #include <optional>
+#include <span>
 #include <string>
 
 #include "geometry/point.hpp"
@@ -27,11 +28,7 @@ class Rect {
   Rect() noexcept = default;
 
   /// Degenerate rect (lo == hi == 0 in every dimension); use the factories.
-  explicit Rect(std::size_t dims) noexcept : dims_(dims) {
-    assert(dims >= 1 && dims <= kMaxDims);
-    lo_.fill(0.0);
-    hi_.fill(0.0);
-  }
+  explicit Rect(std::size_t dims) noexcept : dims_(dims) { assert(dims >= 1 && dims <= kMaxDims); }
 
   /// The whole D-dimensional space: (-inf, +inf) in every dimension.
   [[nodiscard]] static Rect whole_space(std::size_t dims) noexcept;
@@ -44,10 +41,15 @@ class Rect {
   [[nodiscard]] static Rect spanned_by(const Point& a, const Point& b) noexcept;
 
   [[nodiscard]] std::size_t dims() const noexcept { return dims_; }
-  [[nodiscard]] double lo(std::size_t i) const noexcept { assert(i < dims_); return lo_[i]; }
-  [[nodiscard]] double hi(std::size_t i) const noexcept { assert(i < dims_); return hi_[i]; }
-  void set_lo(std::size_t i, double v) noexcept { assert(i < dims_); lo_[i] = v; }
-  void set_hi(std::size_t i, double v) noexcept { assert(i < dims_); hi_[i] = v; }
+  /// The 2·dims() bounds (lo_0, hi_0, lo_1, hi_1, ...): multicast/zone.hpp's zone layout.
+  [[nodiscard]] std::span<const double> bounds() const noexcept {
+    return {bounds_.data(), 2 * dims_};
+  }
+  [[nodiscard]] std::span<double> bounds() noexcept { return {bounds_.data(), 2 * dims_}; }
+  [[nodiscard]] double lo(std::size_t i) const noexcept { return bounds()[2 * i]; }
+  [[nodiscard]] double hi(std::size_t i) const noexcept { return bounds()[2 * i + 1]; }
+  void set_lo(std::size_t i, double v) noexcept { bounds()[2 * i] = v; }
+  void set_hi(std::size_t i, double v) noexcept { bounds()[2 * i + 1] = v; }
 
   /// Strict-interior membership: lo_i < x_i < hi_i for all i. This is the
   /// containment used for responsibility zones ("(strict) interior").
@@ -77,8 +79,7 @@ class Rect {
   [[nodiscard]] std::string to_string(int decimals = 2) const;
 
  private:
-  std::array<double, kMaxDims> lo_{};
-  std::array<double, kMaxDims> hi_{};
+  std::array<double, 2 * kMaxDims> bounds_{};
   std::size_t dims_ = 0;
 };
 

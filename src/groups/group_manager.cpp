@@ -1,6 +1,7 @@
 #include "groups/group_manager.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 #include <span>
 #include <stdexcept>
@@ -94,10 +95,10 @@ GroupManager::GroupManager(const overlay::OverlayGraph& graph, GroupConfig confi
   const std::size_t dims = graph.dims();
   bounds_lo_.assign(dims, std::numeric_limits<double>::infinity());
   bounds_hi_.assign(dims, -std::numeric_limits<double>::infinity());
-  for (const geometry::Point& p : graph.points())
+  for (PeerId p = 0; p < graph.size(); ++p)
     for (std::size_t d = 0; d < dims; ++d) {
-      bounds_lo_[d] = std::min(bounds_lo_[d], p[d]);
-      bounds_hi_[d] = std::max(bounds_hi_[d], p[d]);
+      bounds_lo_[d] = std::min(bounds_lo_[d], graph.coords(p)[d]);
+      bounds_hi_[d] = std::max(bounds_hi_[d], graph.coords(p)[d]);
     }
 }
 
@@ -126,7 +127,9 @@ PeerId GroupManager::nearest_to(const geometry::Point& target,
   double best_dist = 0.0;
   for (PeerId p = 0; p < graph_.size(); ++p) {
     if (!alive_[p]) continue;
-    const double dist = geometry::l1_distance(graph_.point(p), target);
+    const auto at = graph_.coords(p);
+    double dist = 0.0;  // l1_distance(point(p), target), term for term
+    for (std::size_t d = 0; d < at.size(); ++d) dist += std::abs(at[d] - target[d]);
     if (best != kInvalidPeer && dist >= best_dist) continue;
     if (std::any_of(taken.begin(), taken.end(),
                     [p](const ShardSlot& slot) { return slot.root == p; }))
@@ -154,7 +157,7 @@ GroupManager::GroupState& GroupManager::add_state(GroupId group) {
 }
 
 std::uint32_t GroupManager::owner_slot_of(const GroupState& gs, PeerId peer) const {
-  const geometry::Point& at = graph_.point(peer);
+  const geometry::Point at = graph_.point(peer);
   std::uint32_t best = 0;
   double best_dist = geometry::l1_distance(at, gs.anchors[0]);
   for (std::uint32_t s = 1; s < gs.anchors.size(); ++s) {

@@ -25,7 +25,7 @@ double GroupStats::mean_batch_occupancy() const noexcept {
   return static_cast<double>(batch_occupancy_sum) / static_cast<double>(flushes);
 }
 
-GroupStats& GroupStats::operator+=(const GroupStats& other) noexcept {
+GroupStats& GroupStats::operator+=(const GroupStats& other) {
 #define GEOMCAST_SUM_FIELD(type, name) name += other.name;
   GEOMCAST_GROUP_STATS_FIELDS(GEOMCAST_SUM_FIELD)
 #undef GEOMCAST_SUM_FIELD

@@ -190,7 +190,7 @@ struct GroupStats {
   [[nodiscard]] double mean_batch_occupancy() const noexcept;
 
   /// Sums every listed scalar and merges the three histograms.
-  GroupStats& operator+=(const GroupStats& other) noexcept;
+  GroupStats& operator+=(const GroupStats& other);
 };
 
 }  // namespace geomcast::groups

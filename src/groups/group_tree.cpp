@@ -100,33 +100,39 @@ GroupTree build_group_tree(const overlay::OverlayGraph& graph, PeerId root,
   gt.tree = multicast::MulticastTree(n, root);
   std::vector<PeerId> subs(subscribers.begin(), subscribers.end());
 
-  // A FIFO over one flat queue of construction requests. Each carries its
-  // peer's zone and owns the run subs[begin, end) of the subscribers
-  // strictly inside it; sibling slices are disjoint, so a run is
-  // partitioned in place into its children's runs and the total pruning
-  // work is O(S x depth), not O(tree_nodes x S).
+  // A FIFO over one flat queue of construction requests. Entry i owns the
+  // zone bounds [i·2d, (i+1)·2d) of `zones` and the run subs[begin, end)
+  // of the subscribers strictly inside that zone; each lies in the slice
+  // of its orthant of the peer, so a run is partitioned in place into its
+  // children's runs, O(S x depth) in all, and only kept slices get a zone.
   struct Pending {
     PeerId peer;
     PeerId* begin;
     PeerId* end;
-    geometry::Rect zone;
   };
-  std::vector<Pending> queue{Pending{root, subs.data(), subs.data() + subs.size(),
-                                     multicast::initiator_zone(graph.dims())}};
+  const std::size_t stride = 2 * graph.dims();
+  const geometry::Rect whole = multicast::initiator_zone(graph.dims());
+  std::vector<double> zones(whole.bounds().begin(), whole.bounds().end());
+  std::vector<Pending> queue{Pending{root, subs.data(), subs.data() + subs.size()}};
   std::vector<multicast::ZoneAssignment> assignments;
   multicast::StepScratch scratch;
   for (std::size_t head = 0; head < queue.size(); ++head) {
     const Pending current = queue[head];
-    multicast::partition_step(graph, current.peer, current.zone, alive, config.policy,
-                              config.metric, nullptr, assignments, scratch);
+    multicast::partition_step(graph, current.peer, std::span(zones).subspan(head * stride, stride),
+                              alive, config.policy, config.metric, nullptr, assignments, scratch);
+    const auto ego = graph.coords(current.peer);
     PeerId* rest = current.begin;
     for (const multicast::ZoneAssignment& a : assignments) {
-      PeerId* slice_end = std::partition(
-          rest, current.end, [&](PeerId s) { return a.zone.contains_interior(graph.point(s)); });
+      PeerId* slice_end = std::partition(rest, current.end, [&](PeerId s) {
+        return multicast::in_orthant(ego, graph.coords(s), a.orthant);
+      });
       if (slice_end == rest) continue;  // pruned: slice holds no subscriber
       ++gt.build_messages;
       gt.tree.add_edge(current.peer, a.child);
-      queue.push_back(Pending{a.child, rest, slice_end, a.zone});
+      zones.resize(zones.size() + stride);
+      multicast::child_zone(std::span(zones).subspan(head * stride, stride), ego, a.orthant,
+                            std::span(zones).last(stride));
+      queue.push_back(Pending{a.child, rest, slice_end});
       rest = slice_end;
     }
     // What no slice took: the peer itself when it subscribes (every slice
@@ -143,7 +149,8 @@ GroupTree build_group_tree(const overlay::OverlayGraph& graph, PeerId root,
 }
 
 GraftCursor graft_cursor(const overlay::OverlayGraph& graph, const GroupTree& gt, PeerId s) {
-  return GraftCursor{s, gt.tree.root(), multicast::initiator_zone(graph.dims()), 0};
+  const geometry::Rect whole = multicast::initiator_zone(graph.dims());
+  return GraftCursor{s, gt.tree.root(), {whole.bounds().begin(), whole.bounds().end()}, 0};
 }
 
 GraftStep graft_step(const overlay::OverlayGraph& graph, GroupTree& gt,
@@ -169,24 +176,22 @@ GraftStep graft_step(const overlay::OverlayGraph& graph, GroupTree& gt,
   if (!gt.tree.reached(cursor.current))
     throw std::out_of_range("graft_step: the cursor's peer is not in the tree");
 
-  const geometry::Point& target = graph.point(s);
   // One set of step buffers per thread: a routed descent takes one step
   // per hop, and after the first few the buffers stop growing.
   thread_local std::vector<multicast::ZoneAssignment> assignments;
   thread_local multicast::StepScratch scratch;
   multicast::partition_step(graph, cursor.current, cursor.zone, alive, config.policy,
                             config.metric, nullptr, assignments, scratch);
-  const multicast::ZoneAssignment* next = nullptr;
-  for (const multicast::ZoneAssignment& a : assignments)
-    if (a.zone.contains_interior(target)) {
-      next = &a;
-      break;
-    }
-  if (next == nullptr) return GraftStep{GraftStatus::kStranded};
+  // s lies strictly inside Z(current), so its slice is its orthant's.
+  const auto ego = graph.coords(cursor.current);
+  const auto next = std::ranges::find_if(assignments, [&](const multicast::ZoneAssignment& a) {
+    return multicast::in_orthant(ego, graph.coords(s), a.orthant);
+  });
+  if (next == assignments.end()) return GraftStep{GraftStatus::kStranded};
   ++cursor.steps;
   if (!gt.tree.reached(next->child)) attach(gt, cursor.current, next->child);
+  multicast::child_zone(cursor.zone, ego, next->orthant, cursor.zone);
   cursor.current = next->child;
-  cursor.zone = next->zone;
   if (cursor.current == s) {
     gt.tree.set_delivers(s, true);
     return GraftStep{GraftStatus::kAttached, s};

@@ -22,8 +22,9 @@
 // build; it marks the zones stale, which blocks further zone-guided grafts
 // until the GroupManager rebuilds.
 // As in the paper, zones are not tree state: a build or graft request
-// carries its peer's zone Z(P), which in a tree whose zones are not stale
-// is a function of the peer's root path.
+// carries its peer's zone Z(P) as 2·dims bounds (multicast/zone.hpp), a
+// function of the peer's root path while the zones are not stale. A build
+// writes zones only for the slices that keep a subscriber.
 //
 // Membership follows the tree too: a spanned subscriber is its node's
 // delivery flag (MulticastTree::delivers), and only the subscribers the tree
@@ -123,7 +124,7 @@ struct GraftResult {
 struct GraftCursor {
   PeerId subscriber = kInvalidPeer;
   PeerId current = kInvalidPeer;  // peer whose descent decision runs next
-  geometry::Rect zone;            // Z(current)
+  std::vector<double> zone;       // Z(current), 2·dims bounds
   std::size_t steps = 0;          // decisions taken (the guard counter)
 };
 

@@ -395,20 +395,8 @@ std::size_t PubSubSystem::pending_hops() const noexcept {
 void PubSubSystem::forward_control(PeerId self, sim::MessageKind kind,
                                    const GroupRequest& request) {
   GroupStats& stats = manager_->stats(request.group);
-  // The greedy step is a pure function of (self, target, alive-set), and
-  // the alive-set only changes on departures — memoize it and flush the
-  // cache in depart_now(). Control traffic converges on a handful of
-  // rendezvous targets, so shared path prefixes hit constantly.
-  PeerId next;
-  const util::PeerKey route_key{self, 0, request.target};
-  if (const PeerId* cached = route_cache_.find(route_key)) {
-    next = *cached;
-  } else {
-    next = overlay::greedy_next_hop(
-        graph_, self, request.target, [this](PeerId q) { return manager_->alive(q); });
-    if (route_cache_.size() == kRouteCacheCap) route_cache_ = {};
-    route_cache_.try_emplace(route_key, next);
-  }
+  const PeerId next = overlay::greedy_next_hop(
+      graph_, self, request.target, [this](PeerId q) { return manager_->alive(q); });
   if (next == kInvalidPeer) {
     ++stats.stranded_messages;
     return;
@@ -1548,10 +1536,6 @@ void PubSubSystem::publish_at(double time, PeerId peer, GroupId group) {
 }
 
 void PubSubSystem::depart_now(PeerId peer) {
-  // The alive-set is about to change: every memoized greedy step that
-  // routed through (or around) this peer is suspect. Flush wholesale, and
-  // give the table back: it regrows to what the next interval needs.
-  route_cache_ = {};
   const auto outcome = manager_->handle_departure(peer);
   // The departure sweep aborts every in-flight graft it invalidated; the
   // surviving subscribers re-enter through resubscribe so churn mid-graft

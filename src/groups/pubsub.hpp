@@ -857,13 +857,6 @@ class PubSubSystem {
   /// The current arrival's fresh runs (seen_ranges_.mark's output), reused
   /// so the per-hop dedup never allocates.
   std::vector<std::pair<std::uint64_t, std::uint64_t>> fresh_scratch_;
-  /// Memoized greedy control steps, keyed PeerKey{self, 0, target}. A pure
-  /// function of the alive-set, so depart_now() flushes it; everything
-  /// else (subscribes, promotions, grafts) leaves liveness untouched. A
-  /// memo may forget: it also restarts empty on reaching kRouteCacheCap
-  /// entries, so its table stays at 2 * kRouteCacheCap entries (1.5 MB).
-  static constexpr std::size_t kRouteCacheCap = std::size_t{1} << 15;
-  util::PeerTable<PeerId> route_cache_;
   /// QoS 2 windows, one per (peer, group) that consumed a wave: the
   /// table maps PeerKey{peer, 0, group} to a slot of `windows_`. Windows
   /// are never dropped, so slots are stable indices; a WindowState& is

@@ -5,12 +5,10 @@
 #include <stdexcept>
 #include <tuple>
 
-#include "multicast/zone.hpp"
-
 namespace geomcast::multicast {
 
 void partition_step(const overlay::OverlayGraph& graph, overlay::PeerId ego,
-                    const geometry::Rect& zone, const std::vector<bool>& alive,
+                    std::span<const double> zone, const std::vector<bool>& alive,
                     PickPolicy policy, geometry::Metric metric, util::Rng* rng,
                     std::vector<ZoneAssignment>& out, StepScratch& scratch) {
   using Survivor = StepScratch::Survivor;
@@ -32,7 +30,7 @@ void partition_step(const overlay::OverlayGraph& graph, overlay::PeerId ego,
     geometry::OrthantCode orthant = 0;
     double dist = 0.0;
     for (std::size_t i = 0; i < dims; ++i) {
-      keep = keep & (zone.lo(i) < c[i]) & (c[i] < zone.hi(i));
+      keep = keep & (zone[2 * i] < c[i]) & (c[i] < zone[2 * i + 1]);
       orthant |= geometry::OrthantCode{c[i] > e[i]} << i;
       const double diff = std::abs(e[i] - c[i]);
       if (metric == geometry::Metric::kLInf) dist = std::max(dist, diff);
@@ -47,7 +45,6 @@ void partition_step(const overlay::OverlayGraph& graph, overlay::PeerId ego,
   std::sort(survivors.data(), survivors.data() + kept, [](const auto& a, const auto& b) {
     return std::tie(a.orthant, a.dist, a.id) < std::tie(b.orthant, b.dist, b.id);
   });
-  const geometry::Point& ego_point = graph.point(ego);
   for (std::size_t begin = 0; begin < kept;) {
     std::size_t end = begin + 1;
     while (end < kept && survivors[end].orthant == survivors[begin].orthant) ++end;
@@ -60,7 +57,7 @@ void partition_step(const overlay::OverlayGraph& graph, overlay::PeerId ego,
       case PickPolicy::kRandom: pick = rng->next_below(size); break;
     }
     const Survivor& delegate = survivors[begin + pick];
-    out.push_back(ZoneAssignment{delegate.id, child_zone(zone, ego_point, delegate.orthant)});
+    out.push_back(ZoneAssignment{delegate.id, delegate.orthant});
     begin = end;
   }
 }

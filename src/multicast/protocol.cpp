@@ -39,10 +39,13 @@ class MulticastNode final : public sim::Node {
     shared_.completion_time = sim.now();
 
     util::Rng* rng_ptr = config_.policy == PickPolicy::kRandom ? &rng_ : nullptr;
-    partition_step(graph_, id(), request.zone, {}, config_.policy, config_.metric, rng_ptr,
-                   assignments_, scratch_);
-    for (const ZoneAssignment& a : assignments_)
-      sim.send(id(), a.child, kBuildRequestKind, BuildRequest{a.zone, request.root});
+    partition_step(graph_, id(), request.zone.bounds(), {}, config_.policy, config_.metric,
+                   rng_ptr, assignments_, scratch_);
+    for (const ZoneAssignment& a : assignments_) {
+      BuildRequest child{request.zone, request.root};
+      child_zone(request.zone.bounds(), graph_.coords(id()), a.orthant, child.zone.bounds());
+      sim.send(id(), a.child, kBuildRequestKind, child);
+    }
   }
 
  private:

@@ -46,10 +46,13 @@ RangeMulticastResult build_range_multicast(const overlay::OverlayGraph& graph,
     // target peer. (Pruning after selection keeps the surviving child zones
     // identical to the whole-space run, so the correctness argument — every
     // target peer of Z(P) lies in exactly one child slice — is untouched.)
-    partition_step(graph, current.peer, current.zone, {}, config.policy, config.metric,
-                   rng_ptr, assignments, scratch);
+    partition_step(graph, current.peer, current.zone.bounds(), {}, config.policy,
+                   config.metric, rng_ptr, assignments, scratch);
     for (const ZoneAssignment& a : assignments) {
-      if (a.zone.intersect(target).interior_empty()) continue;  // no targets inside
+      Pending child{a.child, current.zone};
+      child_zone(current.zone.bounds(), graph.coords(current.peer), a.orthant,
+                 child.zone.bounds());
+      if (child.zone.intersect(target).interior_empty()) continue;  // no targets inside
       ++result.request_messages;
       if (requested[a.child]) {
         ++result.duplicate_deliveries;
@@ -57,7 +60,7 @@ RangeMulticastResult build_range_multicast(const overlay::OverlayGraph& graph,
       }
       requested[a.child] = true;
       result.tree.add_edge(current.peer, a.child);
-      queue.push_back(Pending{a.child, a.zone});
+      queue.push_back(child);
     }
   }
   return result;

@@ -20,22 +20,20 @@ BuildResult build_multicast_tree(const overlay::OverlayGraph& graph, overlay::Pe
   util::Rng rng(config.rng_seed);
   util::Rng* rng_ptr = config.policy == PickPolicy::kRandom ? &rng : nullptr;
 
-  struct Pending {
-    overlay::PeerId peer;
-    geometry::Rect zone;
-  };
   // FIFO processing = breadth-first message wave; the paper implicitly
   // delivers the initiator its own request with the whole space as zone.
-  std::vector<Pending> queue{Pending{root, initiator_zone(dims)}};
+  // Each reached peer's zone is its record in result.zones.
+  std::vector<overlay::PeerId> queue{root};
   result.zones[root] = initiator_zone(dims);
   result.zone_assigned[root] = true;
 
   std::vector<ZoneAssignment> assignments;
   StepScratch scratch;
   for (std::size_t head = 0; head < queue.size(); ++head) {
-    const Pending current = queue[head];
-    partition_step(graph, current.peer, current.zone, {}, config.policy, config.metric,
-                   rng_ptr, assignments, scratch);
+    const overlay::PeerId peer = queue[head];
+    const std::span<const double> zone = result.zones[peer].bounds();
+    partition_step(graph, peer, zone, {}, config.policy, config.metric, rng_ptr, assignments,
+                   scratch);
     for (const ZoneAssignment& a : assignments) {
       ++result.request_messages;
       if (result.zone_assigned[a.child]) {
@@ -43,9 +41,9 @@ BuildResult build_multicast_tree(const overlay::OverlayGraph& graph, overlay::Pe
         continue;
       }
       result.zone_assigned[a.child] = true;
-      result.zones[a.child] = a.zone;
-      result.tree.add_edge(current.peer, a.child);
-      queue.push_back(Pending{a.child, a.zone});
+      child_zone(zone, graph.coords(peer), a.orthant, result.zones[a.child].bounds());
+      result.tree.add_edge(peer, a.child);
+      queue.push_back(a.child);
     }
   }
   return result;

@@ -4,20 +4,18 @@
 
 namespace geomcast::multicast {
 
-geometry::Rect child_zone(const geometry::Rect& parent_zone, const geometry::Point& ego,
-                          geometry::OrthantCode orthant) {
+void child_zone(std::span<const double> parent, std::span<const double> ego,
+                geometry::OrthantCode orthant, std::span<double> child) {
   // Z(P) ∩ orthant_rect(ego, orthant) without building the orthant: its
   // other bound in each dimension is ±inf, which leaves Z(P)'s bound as
   // is, so only one bound per dimension is clamped (same std::max /
   // std::min operands as Rect::intersect, hence bit-identical).
-  geometry::Rect zone = parent_zone;
-  for (std::size_t i = 0; i < ego.dims(); ++i) {
-    if (orthant & (geometry::OrthantCode{1} << i))
-      zone.set_lo(i, std::max(zone.lo(i), ego[i]));
-    else
-      zone.set_hi(i, std::min(zone.hi(i), ego[i]));
+  for (std::size_t i = 0; i < ego.size(); ++i) {
+    const double lo = parent[2 * i], hi = parent[2 * i + 1];
+    const bool above = (orthant >> i) & 1;
+    child[2 * i] = above ? std::max(lo, ego[i]) : lo;
+    child[2 * i + 1] = above ? hi : std::min(hi, ego[i]);
   }
-  return zone;
 }
 
 }  // namespace geomcast::multicast

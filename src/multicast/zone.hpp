@@ -3,10 +3,14 @@
 // data to, directly or indirectly. The initiator's zone is the whole space;
 // a child selected in some orthant region of P receives Z(P) clipped to
 // that orthant's open half-space product.
+//
+// A zone travels as 2·dims bounds (lo_0, hi_0, lo_1, hi_1, ...), the
+// layout of geometry::Rect::bounds(), built only for slices that are kept.
 #pragma once
 
+#include <span>
+
 #include "geometry/orthant.hpp"
-#include "geometry/point.hpp"
 #include "geometry/rect.hpp"
 
 namespace geomcast::multicast {
@@ -16,11 +20,20 @@ namespace geomcast::multicast {
   return geometry::Rect::whole_space(dims);
 }
 
-/// Z(Q) = Z(P) ∩ HR, where HR's side in dimension i is (-inf, x(P,i)) if
-/// x(Q,i) < x(P,i), else (x(P,i), +inf) — exactly the paper's rule. The
-/// orthant code must be `orthant_of(ego, q)` for the chosen child q.
-[[nodiscard]] geometry::Rect child_zone(const geometry::Rect& parent_zone,
-                                        const geometry::Point& ego,
-                                        geometry::OrthantCode orthant);
+/// Writes Z(Q) = Z(P) ∩ HR to `child`, where HR's side in dimension i is
+/// (-inf, x(P,i)) if x(Q,i) < x(P,i), else (x(P,i), +inf) — exactly the
+/// paper's rule. `ego` is P's coordinates and the orthant code must be
+/// `orthant_of(ego, q)` for the chosen child q. `child` may be `parent`.
+void child_zone(std::span<const double> parent, std::span<const double> ego,
+                geometry::OrthantCode orthant, std::span<double> child);
+
+/// Whether `q` lies strictly in orthant `orthant` of `ego`: for q strictly
+/// inside Z(P), exactly whether q lies in child_zone(Z(P), ego, orthant).
+[[nodiscard]] inline bool in_orthant(std::span<const double> ego, std::span<const double> q,
+                                     geometry::OrthantCode orthant) {
+  for (std::size_t i = 0; i < ego.size(); ++i)
+    if (((orthant >> i) & 1) ? !(ego[i] < q[i]) : !(q[i] < ego[i])) return false;
+  return true;
+}
 
 }  // namespace geomcast::multicast

@@ -5,12 +5,13 @@
 
 namespace geomcast::obs {
 
-void Histogram::merge(const Histogram& other) noexcept {
+void Histogram::merge(const Histogram& other) {
   if (other.count_ == 0) return;
   if (count_ == 0 || other.min_ < min_) min_ = other.min_;
   if (count_ == 0 || other.max_ > max_) max_ = other.max_;
   count_ += other.count_;
   sum_ += other.sum_;
+  buckets_.resize(kBuckets);
   for (std::size_t i = 0; i < kBuckets; ++i) buckets_[i] += other.buckets_[i];
 }
 

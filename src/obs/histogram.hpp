@@ -5,8 +5,9 @@
 //
 // Buckets are log-linear (HdrHistogram style): each power-of-two octave of
 // the value range splits into kSubBuckets linear sub-buckets, giving a
-// bounded relative quantile error of 1/kSubBuckets (12.5% at 8) with a
-// fixed-size array — no allocation, trivially copyable, O(1) record.
+// bounded relative quantile error of 1/kSubBuckets (12.5% at 8) and O(1)
+// record. The bucket array (about 2.6 KB) is allocated on the first sample
+// or non-empty merge: groups that never sample pay only the header.
 // Bucketing uses std::frexp on the IEEE representation, so identical
 // inputs land in identical buckets on every platform (no libm rounding in
 // the hot path). Exact min/max/mean ride alongside the buckets; quantiles
@@ -17,11 +18,11 @@
 // in the underflow/overflow buckets and report as min()/max().
 #pragma once
 
-#include <array>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <vector>
 
 namespace geomcast::obs {
 
@@ -35,17 +36,18 @@ class Histogram {
   /// Data buckets plus the underflow (index 0) and overflow (last) bins.
   static constexpr std::size_t kBuckets = kOctaves * kSubBuckets + 2;
 
-  void record(double value) noexcept {
+  void record(double value) {
     ++count_;
     sum_ += value;
     if (count_ == 1 || value < min_) min_ = value;
     if (count_ == 1 || value > max_) max_ = value;
+    if (buckets_.empty()) buckets_.resize(kBuckets);
     ++buckets_[bucket_of(value)];
   }
 
   /// Bucket-wise addition: merging per-group histograms into a system
   /// aggregate yields exactly the histogram of the concatenated samples.
-  void merge(const Histogram& other) noexcept;
+  void merge(const Histogram& other);
 
   [[nodiscard]] std::uint64_t count() const noexcept { return count_; }
   [[nodiscard]] bool empty() const noexcept { return count_ == 0; }
@@ -86,7 +88,7 @@ class Histogram {
   [[nodiscard]] static double bucket_lower(std::size_t index) noexcept;
   [[nodiscard]] static double bucket_width(std::size_t index) noexcept;
 
-  std::array<std::uint64_t, kBuckets> buckets_{};
+  std::vector<std::uint64_t> buckets_;  // empty until the first sample, then kBuckets
   std::uint64_t count_ = 0;
   double sum_ = 0.0;
   double min_ = 0.0;

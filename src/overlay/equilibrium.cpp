@@ -10,9 +10,10 @@ OverlayGraph build_equilibrium(const std::vector<geometry::Point>& points,
 }
 
 bool is_equilibrium(const OverlayGraph& graph, const NeighborSelector& selector) {
+  std::vector<geometry::Point> points;
+  for (PeerId p = 0; p < graph.size(); ++p) points.push_back(graph.point(p));
   for (PeerId p = 0; p < graph.size(); ++p) {
-    const auto candidates = candidates_excluding(graph.points(), p);
-    auto fresh = selector.select(graph.point(p), candidates);
+    auto fresh = selector.select(points[p], candidates_excluding(points, p));
     std::sort(fresh.begin(), fresh.end());
     if (fresh != graph.selected(p)) return false;
   }

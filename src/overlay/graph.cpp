@@ -5,16 +5,15 @@
 
 namespace geomcast::overlay {
 
-OverlayGraph::OverlayGraph(std::vector<geometry::Point> points,
-                           std::vector<std::vector<PeerId>> out)
-    : points_(std::move(points)) {
-  if (points_.size() != out.size())
+OverlayGraph::OverlayGraph(const std::vector<geometry::Point>& points,
+                           std::vector<std::vector<PeerId>> out) {
+  if (points.size() != out.size())
     throw std::invalid_argument("OverlayGraph: points/out size mismatch");
 
-  const auto n = points_.size();
-  dims_ = n == 0 ? 0 : points_.front().dims();
+  const auto n = points.size();
+  dims_ = n == 0 ? 0 : points.front().dims();
   coords_.reserve(n * dims_);
-  for (const geometry::Point& point : points_) {
+  for (const geometry::Point& point : points) {
     if (point.dims() != dims_) throw std::invalid_argument("OverlayGraph: mixed dimensions");
     for (std::size_t i = 0; i < dims_; ++i) coords_.push_back(point[i]);
   }

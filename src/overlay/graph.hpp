@@ -1,6 +1,7 @@
 // The overlay topology: the undirected union of every peer's selection as
-// one CSR adjacency, with a bit per entry for "p selected q". The paper
-// reports degree statistics over it (Fig 1 a, c) and runs both trees on it.
+// one CSR adjacency, with a bit per entry for "p selected q", and each
+// peer's coordinates stored once, at stride dims(). The paper reports
+// degree statistics over it (Fig 1 a, c) and runs both trees on it.
 #pragma once
 
 #include <algorithm>
@@ -21,20 +22,25 @@ class OverlayGraph {
   /// (sorted or not, duplicates allowed). The undirected adjacency is the
   /// union p~q iff p chose q or q chose p — a peer that selects q will
   /// exchange traffic with q regardless of whether q reciprocates.
-  OverlayGraph(std::vector<geometry::Point> points, std::vector<std::vector<PeerId>> out);
+  OverlayGraph(const std::vector<geometry::Point>& points, std::vector<std::vector<PeerId>> out);
 
-  [[nodiscard]] std::size_t size() const noexcept { return points_.size(); }
+  [[nodiscard]] std::size_t size() const noexcept {
+    return offsets_.empty() ? 0 : offsets_.size() - 1;
+  }
   [[nodiscard]] std::size_t dims() const noexcept { return dims_; }
-  [[nodiscard]] const geometry::Point& point(PeerId p) const { return points_.at(p); }
-  /// Peer p's coordinates, point(p)[0 .. dims()), read from one flat array
-  /// at stride dims() that the constructor copies from the points. The
-  /// per-hop geometry (multicast::partition_step, greedy_next_hop) scans
-  /// whole neighbour lists through this: dims() doubles per peer instead
-  /// of a Point padded to kMaxDims. Unchecked: p must be < size().
+  /// Peer p's coordinates, read from one flat array at stride dims() that
+  /// the constructor copies from the points. The per-hop geometry
+  /// (multicast::partition_step, greedy_next_hop) scans whole neighbour
+  /// lists through this: dims() doubles per peer instead of a Point padded
+  /// to kMaxDims. Unchecked: p must be < size().
   [[nodiscard]] std::span<const double> coords(PeerId p) const noexcept {
     return {coords_.data() + static_cast<std::size_t>(p) * dims_, dims_};
   }
-  [[nodiscard]] const std::vector<geometry::Point>& points() const noexcept { return points_; }
+  /// Peer p's coordinates as a Point. Throws std::out_of_range for
+  /// p >= size(): the at() runs before the Point is built.
+  [[nodiscard]] geometry::Point point(PeerId p) const {
+    return geometry::Point(std::span(&coords_.at(std::size_t{p} * dims_), dims_));
+  }
 
   /// Peers p selected (its own selection, sorted ascending).
   [[nodiscard]] std::vector<PeerId> selected(PeerId p) const;
@@ -52,14 +58,13 @@ class OverlayGraph {
   [[nodiscard]] std::size_t edge_count() const noexcept { return adjacency_.size() / 2; }
 
   [[nodiscard]] bool operator==(const OverlayGraph& other) const {
-    return points_ == other.points_ && offsets_ == other.offsets_ &&
+    return dims_ == other.dims_ && coords_ == other.coords_ && offsets_ == other.offsets_ &&
            adjacency_ == other.adjacency_;
   }
 
  private:
-  std::vector<geometry::Point> points_;
   std::size_t dims_ = 0;
-  std::vector<double> coords_;  // size() x dims(), row p = point(p)
+  std::vector<double> coords_;  // size() x dims(), row p = coords(p)
   // Row p is adjacency_[offsets_[p], offsets_[p + 1]); chose_[i]: p chose adjacency_[i].
   std::vector<std::size_t> offsets_;
   std::vector<PeerId> adjacency_;

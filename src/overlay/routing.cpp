@@ -2,8 +2,6 @@
 
 #include <stdexcept>
 
-#include "geometry/rect.hpp"
-
 namespace geomcast::overlay {
 
 RouteResult route_greedy(const OverlayGraph& graph, PeerId source, PeerId destination,

@@ -12,12 +12,12 @@
 // reports failure instead of looping.
 #pragma once
 
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
 #include <stdexcept>
 #include <vector>
 
-#include "geometry/rect.hpp"
 #include "overlay/graph.hpp"
 
 namespace geomcast::overlay {
@@ -54,10 +54,9 @@ template <typename Usable>
     throw std::invalid_argument("greedy_next_hop: peer out of range");
   // Reads the flat coordinates like multicast::partition_step: the
   // corridor test and the distance accumulate without data-dependent
-  // branches, with the arithmetic of Rect::contains_interior and
-  // l1_distance(q, destination).
-  const geometry::Rect corridor =
-      geometry::Rect::spanned_by(graph.point(current), graph.point(destination));
+  // branches, with the arithmetic of Rect::spanned_by(current,
+  // destination).contains_interior and l1_distance(q, destination).
+  const double* from = graph.coords(current).data();
   const double* to = graph.coords(destination).data();
   PeerId next = kInvalidPeer;
   double best = 0.0;
@@ -70,7 +69,7 @@ template <typename Usable>
     bool inside = true;
     double dist = 0.0;
     for (std::size_t i = 0; i < graph.dims(); ++i) {
-      inside = inside & (corridor.lo(i) < c[i]) & (c[i] < corridor.hi(i));
+      inside = inside & (std::min(from[i], to[i]) < c[i]) & (c[i] < std::max(from[i], to[i]));
       dist += std::abs(c[i] - to[i]);
     }
     // First strict minimum in neighbour order wins ties.

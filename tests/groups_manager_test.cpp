@@ -280,12 +280,15 @@ TEST(GroupManagerTest, RoutedGraftSurvivesADepartureAwayFromTheTree) {
 /// `graph` with every link of `isolated` cut: no construction request can
 /// reach it, so a subscription there is a stranded member.
 overlay::OverlayGraph isolate(const overlay::OverlayGraph& graph, PeerId isolated) {
+  std::vector<geometry::Point> points;
   std::vector<std::vector<PeerId>> out(graph.size());
-  for (PeerId p = 0; p < graph.size(); ++p)
+  for (PeerId p = 0; p < graph.size(); ++p) {
+    points.push_back(graph.point(p));
     if (p != isolated)
       for (PeerId q : graph.selected(p))
         if (q != isolated) out[p].push_back(q);
-  return {graph.points(), std::move(out)};
+  }
+  return {points, std::move(out)};
 }
 
 TEST(GroupManagerTest, DepartureBesideStaleTreeKeepsTheSharedCopy) {

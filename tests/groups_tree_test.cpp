@@ -61,6 +61,19 @@ bool is_member(const GroupTree& gt, PeerId p) {
 
 using ZoneMap = std::map<PeerId, geometry::Rect>;
 
+/// The slice of `zone` that `ego` delegates to its orthant `orthant`, by
+/// the paper's literal rule Z(P) ∩ HR on Rects — independent of
+/// multicast::child_zone, which the code under test uses.
+geometry::Rect slice_of(const geometry::Rect& zone, const geometry::Point& ego,
+                        geometry::OrthantCode orthant) {
+  return zone.intersect(geometry::orthant_rect(ego, orthant));
+}
+
+/// A Rect's bounds at exact stride, as a GraftCursor carries them.
+std::vector<double> bounds_of(const geometry::Rect& zone) {
+  return {zone.bounds().begin(), zone.bounds().end()};
+}
+
 /// Each reached peer's zone, recomputed along its root path the way a
 /// construction request carries it: the root holds the whole space, and a
 /// child holds its parent's zone clipped to the child's orthant.
@@ -71,9 +84,9 @@ ZoneMap zones_along_root_paths(const overlay::OverlayGraph& graph, const GroupTr
     const PeerId p = stack.back();
     stack.pop_back();
     for (PeerId child : gt.tree.children(p)) {
-      const geometry::Point& ego = graph.point(p);
-      zones.emplace(child, multicast::child_zone(zones.at(p), ego,
-                                                 geometry::orthant_of(ego, graph.point(child))));
+      const geometry::Point ego = graph.point(p);
+      zones.emplace(child,
+                    slice_of(zones.at(p), ego, geometry::orthant_of(ego, graph.point(child))));
       stack.push_back(child);
     }
   }
@@ -301,14 +314,14 @@ TEST(GroupTreeTest, CarriedZoneMatchesTheTreeAcrossInterleavedEdits) {
   ASSERT_NE(target, kInvalidPeer);
 
   GraftCursor cursor = graft_cursor(graph, gt, target);
-  EXPECT_EQ(cursor.zone, multicast::initiator_zone(graph.dims()));
+  EXPECT_EQ(cursor.zone, bounds_of(multicast::initiator_zone(graph.dims())));
   std::shared_ptr<const GroupTree> wave;  // a publish wave's snapshot
   bool grafted = false, pruned = false, cloned = false;
   for (std::size_t step = 1;; ++step) {
     const GraftStep result = graft_step(graph, gt, cursor);
     ASSERT_NE(result.status, GraftStatus::kStranded);
     ASSERT_NE(result.status, GraftStatus::kExhausted);
-    ASSERT_EQ(cursor.zone, zones_along_root_paths(graph, gt).at(cursor.current))
+    ASSERT_EQ(cursor.zone, bounds_of(zones_along_root_paths(graph, gt).at(cursor.current)))
         << "step " << step << " at peer " << cursor.current;
     if (result.status == GraftStatus::kAttached) break;
 
@@ -530,13 +543,16 @@ void deque_reference_build(const overlay::OverlayGraph& graph, PeerId root,
   while (!queue.empty()) {
     const Pending current = std::move(queue.front());
     queue.pop_front();
-    multicast::partition_step(graph, current.peer, current.zone, alive,
+    multicast::partition_step(graph, current.peer, current.zone.bounds(), alive,
                               multicast::PickPolicy::kMedian, geometry::Metric::kL1, nullptr,
                               assignments, scratch);
+    std::vector<geometry::Rect> slices;
+    for (const multicast::ZoneAssignment& a : assignments)
+      slices.push_back(slice_of(current.zone, graph.point(current.peer), a.orthant));
     std::vector<std::vector<PeerId>> split(assignments.size());
     for (PeerId s : current.subs)
       for (std::size_t i = 0; i < assignments.size(); ++i)
-        if (assignments[i].zone.contains_interior(graph.point(s))) {
+        if (slices[i].contains_interior(graph.point(s))) {
           split[i].push_back(s);
           break;
         }
@@ -544,8 +560,8 @@ void deque_reference_build(const overlay::OverlayGraph& graph, PeerId root,
       if (split[i].empty()) continue;
       ++gt.build_messages;
       gt.tree.add_edge(current.peer, assignments[i].child);
-      zones.emplace(assignments[i].child, assignments[i].zone);
-      queue.push_back(Pending{assignments[i].child, assignments[i].zone, std::move(split[i])});
+      zones.emplace(assignments[i].child, slices[i]);
+      queue.push_back(Pending{assignments[i].child, slices[i], std::move(split[i])});
     }
   }
   for (PeerId s : ids) {

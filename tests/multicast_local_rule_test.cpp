@@ -35,8 +35,16 @@ std::vector<ZoneAssignment> step(const OverlayGraph& graph, const geometry::Rect
                                  util::Rng* rng = nullptr) {
   std::vector<ZoneAssignment> out;
   StepScratch scratch;
-  partition_step(graph, 0, zone, {}, policy, geometry::Metric::kL1, rng, out, scratch);
+  partition_step(graph, 0, zone.bounds(), {}, policy, geometry::Metric::kL1, rng, out, scratch);
   return out;
+}
+
+/// The slice a step at the star's centre delegates with `a`.
+geometry::Rect slice(const OverlayGraph& graph, const geometry::Rect& zone,
+                     const ZoneAssignment& a) {
+  geometry::Rect child = zone;
+  child_zone(zone.bounds(), graph.coords(0), a.orthant, child.bounds());
+  return child;
 }
 
 TEST(LocalRuleTest, NoNeighborsNoAssignments) {
@@ -66,8 +74,8 @@ TEST(LocalRuleTest, DeadNeighborsIgnored) {
   const auto graph = star({0.0, 0.0}, {{1.0, 3.0}, {5.0, 3.5}, {10.0, 10.5}});
   std::vector<ZoneAssignment> out;
   StepScratch scratch;
-  partition_step(graph, 0, initiator_zone(2), {true, true, false, true}, PickPolicy::kMedian,
-                 geometry::Metric::kL1, nullptr, out, scratch);
+  partition_step(graph, 0, initiator_zone(2).bounds(), {true, true, false, true},
+                 PickPolicy::kMedian, geometry::Metric::kL1, nullptr, out, scratch);
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0].child, 1u);
 }
@@ -108,14 +116,17 @@ TEST(LocalRuleTest, RandomPolicyWithoutRngThrows) {
 
 TEST(LocalRuleTest, DelegateZoneMatchesPaperFormula) {
   const auto graph = star({50.0, 50.0}, {{30.0, 80.0}});
-  const auto assignments = step(graph, geometry::Rect::cube(2, 0.0, 100.0));
+  const auto zone = geometry::Rect::cube(2, 0.0, 100.0);
+  const auto assignments = step(graph, zone);
   ASSERT_EQ(assignments.size(), 1u);
+  EXPECT_EQ(assignments[0].orthant, 0b10u);
   // x(Q,1) < x(P,1): side (-inf, 50) clipped to (0, 50);
   // x(Q,2) > x(P,2): side (50, +inf) clipped to (50, 100).
-  EXPECT_EQ(assignments[0].zone.lo(0), 0.0);
-  EXPECT_EQ(assignments[0].zone.hi(0), 50.0);
-  EXPECT_EQ(assignments[0].zone.lo(1), 50.0);
-  EXPECT_EQ(assignments[0].zone.hi(1), 100.0);
+  const geometry::Rect delegated = slice(graph, zone, assignments[0]);
+  EXPECT_EQ(delegated.lo(0), 0.0);
+  EXPECT_EQ(delegated.hi(0), 50.0);
+  EXPECT_EQ(delegated.lo(1), 50.0);
+  EXPECT_EQ(delegated.hi(1), 100.0);
 }
 
 // Structural invariants of a single step over random inputs.
@@ -132,22 +143,29 @@ TEST_P(LocalRuleInvariantTest, AssignmentsPartitionCleanly) {
   const auto zone = geometry::Rect::cube(static_cast<std::size_t>(dims), 10.0, 90.0);
   if (!zone.contains_interior(ego)) return;  // step assumes the ego holds the zone
   const auto assignments = step(graph, zone);
+  std::vector<geometry::Rect> slices;
+  for (const auto& a : assignments) slices.push_back(slice(graph, zone, a));
 
   for (std::size_t i = 0; i < assignments.size(); ++i) {
     const auto& a = assignments[i];
     // Delegate inside its zone; ego outside it; zone nested in parent zone.
-    EXPECT_TRUE(a.zone.contains_interior(points[a.child]));
-    EXPECT_FALSE(a.zone.contains_interior(ego));
-    EXPECT_TRUE(a.zone.interior_subset_of(zone));
+    EXPECT_EQ(a.orthant, geometry::orthant_of(ego, points[a.child]));
+    EXPECT_TRUE(slices[i].contains_interior(points[a.child]));
+    EXPECT_FALSE(slices[i].contains_interior(ego));
+    EXPECT_TRUE(slices[i].interior_subset_of(zone));
     for (std::size_t j = i + 1; j < assignments.size(); ++j)
-      EXPECT_TRUE(a.zone.interior_disjoint(assignments[j].zone));
+      EXPECT_TRUE(slices[i].interior_disjoint(slices[j]));
   }
-  // Every in-zone neighbour is covered by exactly one delegate zone.
+  // Every in-zone neighbour is covered by exactly one delegate zone, the
+  // one of its orthant.
   for (PeerId q = 1; q < points.size(); ++q) {
     if (!zone.contains_interior(points[q])) continue;
     int covering = 0;
-    for (const auto& a : assignments)
-      if (a.zone.contains_interior(points[q])) ++covering;
+    for (std::size_t i = 0; i < assignments.size(); ++i) {
+      const bool in_slice = slices[i].contains_interior(points[q]);
+      EXPECT_EQ(in_slice, in_orthant(graph.coords(0), graph.coords(q), assignments[i].orthant));
+      covering += in_slice ? 1 : 0;
+    }
     EXPECT_EQ(covering, 1) << "neighbour " << q;
   }
   // At most one delegate per orthant.

@@ -4,8 +4,9 @@
 // zones by Rect::intersect. On every step of real recursions — all four
 // policies, all three metrics, dead peers in the alive mask, random,
 // lattice, quantized and coincident point sets in 1 to 12 dimensions — the
-// kernel must name the same delegates with the same zones in the same
-// order.
+// kernel must name the same delegates in the same order, child_zone must
+// write the same zones at exact stride, and in_orthant must put every peer
+// strictly inside the step's zone in the same slice as the Rect zones.
 #include "multicast/local_rule.hpp"
 
 #include <gtest/gtest.h>
@@ -27,8 +28,14 @@ using overlay::Candidate;
 using overlay::OverlayGraph;
 using overlay::PeerId;
 
+/// A delegate with its zone as the old rule built it.
+struct Delegation {
+  PeerId child;
+  geometry::Rect zone;
+};
+
 /// The §2 step as it stood before the flat kernel, verbatim.
-std::vector<ZoneAssignment> reference_step(const geometry::Point& ego,
+std::vector<Delegation> reference_step(const geometry::Point& ego,
                                            const geometry::Rect& zone,
                                            std::span<const Candidate> neighbors,
                                            PickPolicy policy, geometry::Metric metric,
@@ -43,7 +50,7 @@ std::vector<ZoneAssignment> reference_step(const geometry::Point& ego,
     regions[geometry::orthant_of(ego, c.point)].push_back(
         Member{c.id, geometry::distance(metric, ego, c.point)});
   }
-  std::vector<ZoneAssignment> assignments;
+  std::vector<Delegation> assignments;
   for (auto& [orthant, members] : regions) {
     std::sort(members.begin(), members.end(), [](const Member& a, const Member& b) {
       if (a.dist != b.dist) return a.dist < b.dist;
@@ -56,8 +63,8 @@ std::vector<ZoneAssignment> reference_step(const geometry::Point& ego,
       case PickPolicy::kFarthest: pick = members.size() - 1; break;
       case PickPolicy::kRandom: pick = rng->next_below(members.size()); break;
     }
-    assignments.push_back(ZoneAssignment{
-        members[pick].id, zone.intersect(geometry::orthant_rect(ego, orthant))});
+    assignments.push_back(
+        Delegation{members[pick].id, zone.intersect(geometry::orthant_rect(ego, orthant))});
   }
   return assignments;
 }
@@ -106,7 +113,8 @@ OverlayGraph random_overlay(std::vector<geometry::Point> points, std::size_t k, 
 }
 
 struct Coverage {
-  std::size_t steps = 0;  // partition steps compared
+  std::size_t steps = 0;        // partition steps compared
+  std::size_t memberships = 0;  // (slice, peer in the step's zone) pairs compared
 };
 
 /// Runs the recursion from `root` with both rules side by side (the
@@ -130,13 +138,24 @@ Coverage compare_recursion(const OverlayGraph& graph, PeerId root, const std::ve
       if (alive.empty() || alive[q]) candidates.push_back(Candidate{q, graph.point(q)});
     const auto expected =
         reference_step(graph.point(peer), zone, candidates, policy, metric, reference_rng_ptr);
-    partition_step(graph, peer, zone, alive, policy, metric, kernel_rng_ptr, out, scratch);
+    partition_step(graph, peer, zone.bounds(), alive, policy, metric, kernel_rng_ptr, out,
+                   scratch);
     ++run.steps;
     EXPECT_EQ(out.size(), expected.size()) << "step at peer " << peer;
     if (out.size() != expected.size()) return run;
     for (std::size_t i = 0; i < expected.size(); ++i) {
       EXPECT_EQ(out[i].child, expected[i].child) << "peer " << peer << " slot " << i;
-      EXPECT_EQ(out[i].zone, expected[i].zone) << "peer " << peer << " slot " << i;
+      std::vector<double> stride(2 * graph.dims());
+      child_zone(zone.bounds(), graph.coords(peer), out[i].orthant, stride);
+      EXPECT_TRUE(std::ranges::equal(stride, expected[i].zone.bounds()))
+          << "peer " << peer << " slot " << i;
+      for (PeerId q = 0; q < graph.size(); ++q) {
+        if (!zone.contains_interior(graph.point(q))) continue;
+        EXPECT_EQ(in_orthant(graph.coords(peer), graph.coords(q), out[i].orthant),
+                  expected[i].zone.contains_interior(graph.point(q)))
+            << "peer " << peer << " slot " << i << " member " << q;
+        ++run.memberships;
+      }
       if (!visited[expected[i].child]) {
         visited[expected[i].child] = true;
         queue.emplace_back(expected[i].child, expected[i].zone);
@@ -168,6 +187,7 @@ TEST_P(PartitionKernelTest, MatchesTheMapAndSortRule) {
       for (const std::vector<bool>& alive : {some_dead, std::vector<bool>{}}) {
         const Coverage run = compare_recursion(graph, 0, alive, policy, metric, 77, out, scratch);
         EXPECT_GT(run.steps, 1u) << "the recursion never left the root";
+        EXPECT_GT(run.memberships, run.steps);
       }
 }
 

@@ -116,6 +116,37 @@ TEST(Histogram, MergeEqualsCombinedRecording) {
   EXPECT_EQ(empty.to_json(), before);
 }
 
+TEST(Histogram, MergeMatchesSampleBySampleInEveryEmptyCase) {
+  // The bucket array is allocated on the first sample or non-empty merge;
+  // an empty side must neither change the other nor serialise differently.
+  // Samples are multiples of 2^-10, so every sum is exact in any order.
+  const std::vector<double> left = {0.5, 0.25, 3.0, 0.0009765625, 0.125};
+  const std::vector<double> right = {0.75, 12.0, 0.0625};
+  for (const bool left_sampled : {false, true})
+    for (const bool right_sampled : {false, true}) {
+      obs::Histogram a, b, reference;
+      if (left_sampled)
+        for (const double v : left) {
+          a.record(v);
+          reference.record(v);
+        }
+      if (right_sampled)
+        for (const double v : right) {
+          b.record(v);
+          reference.record(v);
+        }
+      a.merge(b);
+      const obs::Histogram copy = a;
+      EXPECT_EQ(a.to_json(), reference.to_json()) << left_sampled << right_sampled;
+      EXPECT_EQ(copy.to_json(), reference.to_json());
+      EXPECT_EQ(a.count(), reference.count());
+      for (const double q : {0.0, 0.1, 0.5, 0.9, 0.99, 1.0})
+        EXPECT_EQ(a.quantile(q), reference.quantile(q)) << "q " << q;
+    }
+  EXPECT_EQ(obs::Histogram{}.to_json(),
+            "{\"count\":0,\"min\":0,\"mean\":0,\"p50\":0,\"p90\":0,\"p99\":0,\"max\":0}");
+}
+
 TEST(KindRegistry, NamesResolve) {
   EXPECT_STREQ(groups::kind_name(groups::kDeliverKind), "deliver");
   EXPECT_STREQ(groups::kind_name(groups::kNackKind), "nack");

@@ -91,6 +91,19 @@ TEST(OverlayGraphTest, CoordsAreThePointsAtExactStride) {
   }
 }
 
+TEST(OverlayGraphTest, PointRoundTripsTheInputPoints) {
+  // point(p) is rebuilt from the exact-stride coordinates; no padded
+  // copy of the points is kept.
+  for (const std::size_t dims : {1u, 2u, 3u, 12u}) {
+    util::Rng rng(40 + dims);
+    const auto points = geometry::random_points(rng, 6, dims, 100.0);
+    const OverlayGraph graph(points, std::vector<std::vector<PeerId>>(points.size()));
+    ASSERT_EQ(graph.dims(), dims);
+    for (PeerId p = 0; p < points.size(); ++p) EXPECT_EQ(graph.point(p), points[p]) << dims;
+    EXPECT_THROW((void)graph.point(static_cast<PeerId>(points.size())), std::out_of_range);
+  }
+}
+
 TEST(OverlayGraphTest, MixedDimensionsThrow) {
   EXPECT_THROW(OverlayGraph({geometry::Point({1.0, 2.0}), geometry::Point({1.0, 2.0, 3.0})},
                             {{}, {}}),
@@ -104,6 +117,16 @@ TEST(OverlayGraphTest, EqualityComparesTopologyAndPoints) {
   OverlayGraph c(points, {{2}, {}, {}});
   EXPECT_EQ(a, b);
   EXPECT_FALSE(a == c);
+}
+
+TEST(OverlayGraphTest, EqualityComparesEveryCoordinate) {
+  // Same topology, one coordinate of one peer apart.
+  auto points = make_points(4);
+  const OverlayGraph a(points, {{1}, {2}, {3}, {}});
+  points[2][1] += 0.5;
+  const OverlayGraph b(points, {{1}, {2}, {3}, {}});
+  EXPECT_FALSE(a == b);
+  EXPECT_EQ(a, OverlayGraph(make_points(4), {{1}, {2}, {3}, {}}));
 }
 
 TEST(OverlayGraphTest, EqualityIgnoresSelectionDirection) {

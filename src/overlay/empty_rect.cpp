@@ -39,12 +39,13 @@ bool by_x(const PointXY& a, const PointXY& b) noexcept { return a.x < b.x; }
 
 /// Walks [first, last) — one side of the ego along an x-sorted sequence,
 /// so |dx| never decreases and is never zero — and appends every point
-/// whose |dy| is <= the smallest |dy| on its side of the ego (above or
-/// below) among the points already passed with a strictly smaller |dx|.
-/// Both minima together form a band lo <= dy <= hi around the ego's row;
-/// points with dy == 0 are always inside it and never narrow it. Equal-x
-/// runs are judged against the band at the run's start, so the walk order
-/// inside a run does not matter.
+/// whose y lies in the band lo <= y <= hi, where hi is the smallest y above
+/// the ego's and lo the largest y below it among the points already passed
+/// with a strictly smaller |dx|. The band compares coordinates, as the
+/// literal rule does, never rounded offsets. Points level with the ego are
+/// always inside it and never narrow it. Equal-x runs are judged against
+/// the band at the run's start, so the walk order inside a run does not
+/// matter.
 template <typename It>
 void walk_staircase(It first, It last, double ego_y, std::vector<PeerId>& out) {
   double lo = -geometry::kInf, hi = geometry::kInf;            // band at the run's start
@@ -56,10 +57,10 @@ void walk_staircase(It first, It last, double ego_y, std::vector<PeerId>& out) {
       hi = seen_hi;
       run_x = first->x;
     }
-    const double dy = first->y - ego_y;
-    if (lo <= dy && dy <= hi) out.push_back(first->id);
-    if (dy > 0.0) seen_hi = std::min(seen_hi, dy);
-    if (dy < 0.0) seen_lo = std::max(seen_lo, dy);
+    const double y = first->y;
+    if (lo <= y && y <= hi) out.push_back(first->id);
+    if (y > ego_y) seen_hi = std::min(seen_hi, y);
+    if (y < ego_y) seen_lo = std::max(seen_lo, y);
   }
 }
 
@@ -86,7 +87,7 @@ std::vector<PeerId> select_2d(const geometry::Point& ego,
 
 /// A point as the 2-D sweep reads it, indexed by its position in (x, y)
 /// order. Equal-x runs are contiguous there and sorted by y inside, so the
-/// points of a run within a dy band form one sub-range.
+/// points of a run within a y band form one sub-range.
 struct SweepPoint {
   double y;
   double y_below, y_above;  // y of the points ranked just below and above; NaN at the ends
@@ -196,7 +197,7 @@ struct Side {
 
 /// walk_staircase on one side of pts[ego], jumping from kept run to kept
 /// run; appends the kept points to `kept`. The y-rank range [a, b) holds
-/// exactly the side's points whose dy = y - ego_y lies in the band, less
+/// exactly the side's points whose y lies in the band lo <= y <= hi, less
 /// those already kept, and its nearest point opens the next kept run.
 void staircase(const SweepLayout& layout, Side& side, std::size_t ego,
                std::vector<PeerId>& kept, std::vector<std::uint32_t>& removed) {
@@ -204,26 +205,21 @@ void staircase(const SweepLayout& layout, Side& side, std::size_t ego,
   const auto& pts = layout.pts;
   const auto& ys = layout.ys;
   const double ego_y = pts[ego].y;
-  // dy is monotone in y, so ranges follow from binary search in dy space,
-  // with the same expression walk_staircase compares: ties and rounding
-  // land exactly where the walk puts them.
+  // Ranges follow from binary search over the coordinates the walk
+  // compares: ties land exactly where the walk puts them.
   const auto rank_where = [&](std::size_t from, std::size_t to, auto pred) {
     const auto it = std::partition_point(ys.begin() + static_cast<std::ptrdiff_t>(from),
-                                         ys.begin() + static_cast<std::ptrdiff_t>(to),
-                                         [&](double y) { return pred(y - ego_y); });
+                                         ys.begin() + static_cast<std::ptrdiff_t>(to), pred);
     return static_cast<std::size_t>(it - ys.begin());
   };
   const auto run_where = [&](std::size_t from, std::size_t to, auto pred) {
     const auto it = std::partition_point(pts.begin() + static_cast<std::ptrdiff_t>(from),
                                          pts.begin() + static_cast<std::ptrdiff_t>(to),
-                                         [&](const SweepPoint& p) { return pred(p.y - ego_y); });
+                                         [&](const SweepPoint& p) { return pred(p.y); });
     return static_cast<std::size_t>(it - pts.begin());
   };
-  // True iff no other point has the same dy as p: its dy block is itself.
-  const auto dy_unique = [&](const SweepPoint& p) {
-    const double dy = p.y - ego_y;
-    return p.y_below - ego_y != dy && p.y_above - ego_y != dy;
-  };
+  // True iff no other point has p's y: its y block is itself.
+  const auto y_unique = [](const SweepPoint& p) { return p.y_below != p.y && p.y_above != p.y; };
   // Kept points still inside the narrowed band must not be found again:
   // they leave the tree until this ego is done.
   const auto drop = [&](std::size_t from, std::size_t to) {
@@ -240,42 +236,43 @@ void staircase(const SweepLayout& layout, Side& side, std::size_t ego,
     if (found == MinTree::kAbsent) break;
     // The found point's run S is judged against the band at its start.
     const SweepPoint& hit = pts[side.index(found)];
-    const std::size_t s_begin = run_where(hit.run_begin, hit.run_end,
-                                          [lo](double dy) { return dy < lo; });
-    const std::size_t s_end =
-        run_where(s_begin, hit.run_end, [hi](double dy) { return dy <= hi; });
+    const std::size_t s_begin =
+        run_where(hit.run_begin, hit.run_end, [lo](double y) { return y < lo; });
+    const std::size_t s_end = run_where(s_begin, hit.run_end, [hi](double y) { return y <= hi; });
     for (std::size_t i = s_begin; i < s_end; ++i) kept.push_back(pts[i].id);
-    const std::size_t neg_end = run_where(s_begin, s_end, [](double dy) { return dy < 0.0; });
-    const std::size_t pos_begin = run_where(neg_end, s_end, [](double dy) { return dy <= 0.0; });
+    const std::size_t below_end =
+        run_where(s_begin, s_end, [ego_y](double y) { return y < ego_y; });
+    const std::size_t above_begin =
+        run_where(below_end, s_end, [ego_y](double y) { return y <= ego_y; });
 
-    // S's smallest positive dy becomes hi. Every point with that dy stays
-    // in the band, so b moves to the end of its dy block, or onto S's
-    // point itself when S holds it alone and no other point shares its dy.
-    if (pos_begin < s_end) {
-      hi = pts[pos_begin].y - ego_y;
-      const std::size_t r = pts[pos_begin].rank;
+    // S's smallest y above the ego becomes hi. Every point at that y stays
+    // in the band, so b moves to the end of its y block, or onto S's point
+    // itself when S holds it alone and no other point shares its y.
+    if (above_begin < s_end) {
+      hi = pts[above_begin].y;
+      const std::size_t r = pts[above_begin].rank;
       const std::size_t at_hi_end =
-          run_where(pos_begin, s_end, [hi](double dy) { return dy <= hi; });
-      if (at_hi_end - pos_begin == 1 && dy_unique(pts[pos_begin])) {
+          run_where(above_begin, s_end, [hi](double y) { return y <= hi; });
+      if (at_hi_end - above_begin == 1 && y_unique(pts[above_begin])) {
         b = std::min(b, r);
       } else {
-        b = std::min(b, rank_where(r, b, [hi](double dy) { return dy <= hi; }));
-        drop(pos_begin, at_hi_end);
+        b = std::min(b, rank_where(r, b, [hi](double y) { return y <= hi; }));
+        drop(above_begin, at_hi_end);
       }
     }
-    if (s_begin < neg_end) {  // mirror image for lo
-      lo = pts[neg_end - 1].y - ego_y;
-      const std::size_t r = pts[neg_end - 1].rank;
+    if (s_begin < below_end) {  // mirror image for lo
+      lo = pts[below_end - 1].y;
+      const std::size_t r = pts[below_end - 1].rank;
       const std::size_t at_lo_begin =
-          run_where(s_begin, neg_end, [lo](double dy) { return dy < lo; });
-      if (neg_end - at_lo_begin == 1 && dy_unique(pts[neg_end - 1])) {
+          run_where(s_begin, below_end, [lo](double y) { return y < lo; });
+      if (below_end - at_lo_begin == 1 && y_unique(pts[below_end - 1])) {
         a = std::max(a, r + 1);
       } else {
-        a = std::max(a, rank_where(a, r, [lo](double dy) { return dy < lo; }));
-        drop(at_lo_begin, neg_end);
+        a = std::max(a, rank_where(a, r, [lo](double y) { return y < lo; }));
+        drop(at_lo_begin, below_end);
       }
     }
-    drop(neg_end, pos_begin);  // dy == 0 never leaves the band
+    drop(below_end, above_begin);  // level with the ego: never leaves the band
   }
   for (const std::uint32_t i : removed) side.tree.assign(pts[i].rank, side.key(i));
   removed.clear();

@@ -19,10 +19,12 @@
 // O(n·A + n log n) per ego, A = answer size.
 //
 // 2-D: a staircase. Walking outward from the ego, right then left, a
-// point is kept iff its dy = y - ego_y lies in the band [lo, hi] formed by
-// the nearest |dy| above and below among the points with strictly smaller
-// |dx| on its side; equal-x runs are judged as a group against the band at
-// the run's start, and dy == 0 never narrows the band. select() sorts its
+// point is kept iff its y lies in the band [lo, hi] formed by the nearest
+// y above and below the ego's among the points with strictly smaller |dx|
+// on its side; equal-x runs are judged as a group against the band at the
+// run's start, and a point level with the ego never narrows the band. The
+// band compares coordinates, never rounded offsets y - ego_y, so the
+// result is the literal rule's even where offsets round. select() sorts its
 // candidates by x and walks them: O(n log n) per ego.
 //
 // select_all() computes the same staircases for the whole point set in
@@ -34,9 +36,9 @@
 // lies in the band opens the next kept run; the run is judged against the
 // band, the band narrows, and the query repeats on the narrower rank range
 // until it is empty. Ties are exact, not perturbed: rank bounds come from
-// binary search over the same rounded dy the walk compares, and a kept
-// point that stays in the narrowed band (dy == 0, or a dy another point
-// shares) leaves its tree until the ego is done. Each worker thread sweeps
+// binary search over the same y values the walk compares, and a kept
+// point that stays in the narrowed band (level with the ego, or at a y
+// another point shares) leaves its tree until the ego is done. Each worker thread sweeps
 // a contiguous range of whole runs with its own trees and writes its egos'
 // out-lists at their exact size; the result does not depend on the thread
 // count.

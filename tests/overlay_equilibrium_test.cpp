@@ -64,10 +64,20 @@ std::vector<geometry::Point> lattice_with_holes(int side) {
 struct TieSet {
   std::string name;
   std::vector<geometry::Point> points;
-  /// False when offsets round: the staircase compares dy = y - ego_y as
-  /// computed, the literal rule exact coordinates, so the two may differ.
-  bool literal = true;
 };
+
+/// `uniform` points in [0, 1) x [0, 4) plus `far` points at y = 1e16 +
+/// 2·(i mod 5). Doubles near 1e16 are 2 apart, so seen from a far ego the
+/// near points' offsets y - ego_y collapse onto a few values, while their
+/// coordinates stay distinct.
+std::vector<geometry::Point> rounding_points(util::Rng& rng, int uniform, int far) {
+  std::vector<geometry::Point> points;
+  for (int i = 0; i < uniform; ++i)
+    points.push_back(geometry::Point({rng.uniform(0.0, 1.0), rng.uniform(0.0, 4.0)}));
+  for (int i = 0; i < far; ++i)
+    points.push_back(geometry::Point({rng.uniform(0.0, 1.0), 1e16 + 2.0 * (i % 5)}));
+  return points;
+}
 
 /// 2-D point sets full of ties: shared x and y values, coincident points,
 /// sets that are a single equal-x or equal-y run, the smallest sizes, and
@@ -99,14 +109,9 @@ std::vector<TieSet> tie_battery() {
   for (std::size_t n : {0u, 1u, 2u, 3u})
     sets.push_back({"random " + std::to_string(n), geometry::random_points(rng, n, 2, 100.0)});
   sets.push_back({"two coincident", std::vector<geometry::Point>(2, geometry::Point({1.0, 2.0}))});
-  // Doubles near 1e16 are 2 apart, so y in [0, 4) seen from y ~ 1e16
-  // collapses onto a few offsets.
-  std::vector<geometry::Point> rounding;
-  for (int i = 0; i < 300; ++i)
-    rounding.push_back(geometry::Point({rng.uniform(0.0, 1.0), rng.uniform(0.0, 4.0)}));
-  for (int i = 0; i < 200; ++i)
-    rounding.push_back(geometry::Point({rng.uniform(0.0, 1.0), 1e16 + 2.0 * (i % 5)}));
-  sets.push_back({"rounding", std::move(rounding), false});
+  sets.push_back({"rounding", rounding_points(rng, 300, 200)});
+  // Small enough for the literal check below.
+  sets.push_back({"rounding 360", rounding_points(rng, 220, 140)});
   return sets;
 }
 
@@ -115,10 +120,10 @@ TEST(EquilibriumTest, SelectAllMatchesPerPeerSelectOnLattice) {
   // must judge equal-x runs as a group, keep zero offsets, and treat
   // coincident points as never blocking each other.
   const EmptyRectSelector selector;
-  for (const auto& [name, points, literal] : tie_battery()) {
+  for (const auto& [name, points] : tie_battery()) {
     SCOPED_TRACE(name);
     for (std::size_t threads : {1u, 2u, 8u}) expect_matches_per_peer(points, selector, threads);
-    if (!literal || points.size() > 400) continue;  // the literal rule is cubic
+    if (points.size() > 400) continue;  // the literal rule is cubic
     const auto graph = build_equilibrium(points, selector);
     for (PeerId p = 0; p < points.size(); ++p) {
       EXPECT_EQ(graph.selected(p),

@@ -14,6 +14,7 @@
 #endif
 
 #include <any>
+#include <cmath>
 #include <fstream>
 #include <memory>
 #include <string>
@@ -93,6 +94,21 @@ BENCHMARK(BM_EquilibriumBuild)
     ->Arg(4000)
     ->Arg(100000)
     ->Unit(benchmark::kMillisecond);
+
+// The tie-heavy case: n points snapped to a 1/30 grid of the unit square,
+// so equal-x runs are long, coincident points common, and the staircases
+// of the left runs much longer than those of the right ones.
+void BM_EquilibriumBuildOnGrid(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  auto points = make_points(n, 2);
+  for (auto& p : points)
+    p = geometry::Point({std::round(p[0] * 30.0) / 30.0, std::round(p[1] * 30.0) / 30.0});
+  const overlay::EmptyRectSelector selector;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(overlay::build_equilibrium(points, selector));
+  }
+}
+BENCHMARK(BM_EquilibriumBuildOnGrid)->Arg(3000)->Unit(benchmark::kMillisecond);
 
 void BM_MulticastBuild(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

@@ -84,10 +84,52 @@ const std::any* RetainedBuffer::find(std::uint64_t seq) const {
   return entry.seq_hi >= seq ? &entry.payload : nullptr;
 }
 
+std::vector<PeerId> peers_by_first_coordinate(const overlay::OverlayGraph& graph) {
+  std::vector<std::pair<double, PeerId>> keyed(graph.size());
+  for (PeerId p = 0; p < keyed.size(); ++p) keyed[p] = {graph.coords(p)[0], p};
+  std::sort(keyed.begin(), keyed.end());
+  std::vector<PeerId> by_x(keyed.size());
+  for (std::size_t i = 0; i < keyed.size(); ++i) by_x[i] = keyed[i].second;
+  return by_x;
+}
+
+PeerId nearest_alive_peer(const overlay::OverlayGraph& graph, std::span<const PeerId> by_x,
+                          const std::vector<bool>& alive, const geometry::Point& target,
+                          std::span<const PeerId> excluded) {
+  const double tx = target[0];
+  const auto x_of = [&graph](PeerId p) { return graph.coords(p)[0]; };
+  // by_x[left, right) has been searched; each side's next |dx| is never
+  // below the last, and exactly the first term of that peer's distance.
+  std::size_t right = static_cast<std::size_t>(
+      std::ranges::partition_point(by_x, [&](PeerId p) { return x_of(p) < tx; }) - by_x.begin());
+  std::size_t left = right;
+  PeerId best = kInvalidPeer;
+  double best_dist = 0.0;
+  while (left > 0 || right < by_x.size()) {
+    // The side with the smaller next |dx| goes first; once it is past the
+    // best distance, so is every peer left on either side.
+    const bool go_right =
+        left == 0 || (right < by_x.size() && x_of(by_x[right]) - tx <= tx - x_of(by_x[left - 1]));
+    const double dx = go_right ? x_of(by_x[right]) - tx : tx - x_of(by_x[left - 1]);
+    if (best != kInvalidPeer && dx > best_dist) break;
+    const PeerId p = go_right ? by_x[right++] : by_x[--left];
+    if (!alive[p]) continue;
+    const auto at = graph.coords(p);
+    double dist = 0.0;  // l1_distance(point(p), target), term for term
+    for (std::size_t d = 0; d < at.size(); ++d) dist += std::abs(at[d] - target[d]);
+    if (best != kInvalidPeer && (dist > best_dist || (dist == best_dist && p > best))) continue;
+    if (std::ranges::find(excluded, p) != excluded.end()) continue;
+    best = p;
+    best_dist = dist;
+  }
+  return best;
+}
+
 GroupManager::GroupManager(const overlay::OverlayGraph& graph, GroupConfig config)
     : graph_(graph),
       config_(config),
-      alive_(graph.size(), true) {
+      alive_(graph.size(), true),
+      by_x_(peers_by_first_coordinate(graph)) {
   if (graph.size() == 0)
     throw std::invalid_argument("GroupManager: empty overlay");
   // The peer set is immutable for this manager's lifetime; cache its
@@ -123,21 +165,10 @@ geometry::Point GroupManager::hash_point(GroupId group, std::uint32_t slot) cons
 
 PeerId GroupManager::nearest_to(const geometry::Point& target,
                                 std::span<const ShardSlot> taken) const {
-  PeerId best = kInvalidPeer;
-  double best_dist = 0.0;
-  for (PeerId p = 0; p < graph_.size(); ++p) {
-    if (!alive_[p]) continue;
-    const auto at = graph_.coords(p);
-    double dist = 0.0;  // l1_distance(point(p), target), term for term
-    for (std::size_t d = 0; d < at.size(); ++d) dist += std::abs(at[d] - target[d]);
-    if (best != kInvalidPeer && dist >= best_dist) continue;
-    if (std::any_of(taken.begin(), taken.end(),
-                    [p](const ShardSlot& slot) { return slot.root == p; }))
-      continue;
-    best = p;
-    best_dist = dist;
-  }
-  return best;
+  std::vector<PeerId> roots;
+  roots.reserve(taken.size());
+  for (const ShardSlot& slot : taken) roots.push_back(slot.root);
+  return nearest_alive_peer(graph_, by_x_, alive_, target, roots);
 }
 
 GroupManager::GroupState& GroupManager::add_state(GroupId group) {

@@ -15,6 +15,10 @@
 // stale zones block a graft, (b) the accumulated incremental changes
 // exceed `rebuild_threshold` times the slot's member count, or (c) the
 // slot's root itself departs and the slot migrates.
+//
+// Root elections search an index of the peers sorted by first coordinate
+// (nearest_alive_peer), walking outward from the anchor: a few peers per
+// election instead of a scan of all n.
 #pragma once
 
 #include <any>
@@ -133,6 +137,24 @@ struct GroupConfig {
   /// churn moves slot roots but never reshuffles the shard partition).
   std::size_t root_replicas = 1;
 };
+
+/// Every peer of `graph`, sorted by (first coordinate, id): the index
+/// nearest_alive_peer searches.
+[[nodiscard]] std::vector<PeerId> peers_by_first_coordinate(const overlay::OverlayGraph& graph);
+
+/// The root election: the peer that minimises (L1 distance to `target`,
+/// id) among the alive peers not in `excluded`; kInvalidPeer when none is
+/// left. The distance is summed term by term as geometry::l1_distance
+/// does. `by_x` is peers_by_first_coordinate(graph). The search walks
+/// outward from the target's first coordinate and stops a side once its
+/// |dx| exceeds the best distance found: exact, because a computed L1 sum
+/// is never below its first term (every term is non-negative and
+/// rounding is monotone).
+[[nodiscard]] PeerId nearest_alive_peer(const overlay::OverlayGraph& graph,
+                                        std::span<const PeerId> by_x,
+                                        const std::vector<bool>& alive,
+                                        const geometry::Point& target,
+                                        std::span<const PeerId> excluded);
 
 class GroupManager {
  public:
@@ -444,8 +466,9 @@ class GroupManager {
   /// The deterministic hash point for (group, slot); slot 0's is the
   /// group's rendezvous point.
   [[nodiscard]] geometry::Point hash_point(GroupId group, std::uint32_t slot) const;
-  /// Nearest alive peer to `target` that roots none of `taken`;
-  /// kInvalidPeer when no candidate remains.
+  /// Nearest alive peer to `target` that roots none of `taken`
+  /// (nearest_alive_peer over by_x_); kInvalidPeer when no candidate
+  /// remains.
   [[nodiscard]] PeerId nearest_to(const geometry::Point& target,
                                   std::span<const ShardSlot> taken) const;
   [[nodiscard]] std::uint32_t owner_slot_of(const GroupState& gs, PeerId peer) const;
@@ -485,6 +508,7 @@ class GroupManager {
   GroupConfig config_;
   std::vector<bool> alive_;
   std::vector<double> bounds_lo_, bounds_hi_;  // peer bounding box (immutable)
+  std::vector<PeerId> by_x_;                   // peers_by_first_coordinate(graph_)
   /// Owns every group's state; ascending iteration is the order departures
   /// sweep and total_stats() sums in.
   std::map<GroupId, GroupState> groups_;

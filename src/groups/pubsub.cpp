@@ -140,6 +140,14 @@ class PubSubSystem::PubSubNode final : public sim::Node {
  public:
   PubSubNode(PeerId id, PubSubSystem& system) : sim::Node(id), system_(system) {}
 
+  /// The event schedule_control<Kind> books: `node` is the origin peer's
+  /// node, `group` the group.
+  template <sim::MessageKind Kind>
+  static void control_thunk(void* node, std::uint64_t group) {
+    auto& self = *static_cast<PubSubNode*>(node);
+    self.system_.issue_control(self.id(), group, Kind);
+  }
+
   void on_message(sim::Simulator& sim, const sim::Envelope& envelope) override {
     (void)sim;
     // The send-time drop rule cannot catch a departure that happens while
@@ -1469,18 +1477,24 @@ void PubSubSystem::on_heartbeat(PeerId self, const GroupHeartbeat& hb) {
   }
 }
 
-void PubSubSystem::schedule_control(double time, PeerId peer, GroupId group,
-                                    sim::MessageKind kind) {
-  sim_->schedule_at(time, [this, peer, group, kind]() {
-    if (!manager_->alive(peer)) return;
-    // Control goes to the origin's OWN slot root — with several slots this
-    // is the load split: each anchor's neighbourhood hits its own replica.
-    const GroupRequest request{group, peer, manager_->owner_root(group, peer)};
-    if (peer == request.target)
-      handle_at_root(peer, kind, request);
-    else
-      forward_control(peer, kind, request);
-  });
+template <sim::MessageKind Kind>
+void PubSubSystem::schedule_control(double time, PeerId peer, GroupId group) {
+  sim_->schedule_at(time, &PubSubNode::control_thunk<Kind>, nodes_.at(peer).get(), group);
+}
+
+void PubSubSystem::issue_control(PeerId peer, GroupId group, sim::MessageKind kind) {
+  if (!manager_->alive(peer)) return;
+  if (kind == kPublishKind && publisher_batching()) {
+    publisher_join(peer, group);
+    return;
+  }
+  // Control goes to the origin's OWN slot root — with several slots this
+  // is the load split: each anchor's neighbourhood hits its own replica.
+  const GroupRequest request{group, peer, manager_->owner_root(group, peer)};
+  if (peer == request.target)
+    handle_at_root(peer, kind, request);
+  else
+    forward_control(peer, kind, request);
 }
 
 void PubSubSystem::publisher_join(PeerId peer, GroupId group) {
@@ -1517,22 +1531,15 @@ void PubSubSystem::publisher_flush(PeerId peer, GroupId group) {
 }
 
 void PubSubSystem::subscribe_at(double time, PeerId peer, GroupId group) {
-  schedule_control(time, peer, group, kSubscribeKind);
+  schedule_control<kSubscribeKind>(time, peer, group);
 }
 
 void PubSubSystem::unsubscribe_at(double time, PeerId peer, GroupId group) {
-  schedule_control(time, peer, group, kUnsubscribeKind);
+  schedule_control<kUnsubscribeKind>(time, peer, group);
 }
 
 void PubSubSystem::publish_at(double time, PeerId peer, GroupId group) {
-  if (publisher_batching()) {
-    sim_->schedule_at(time, [this, peer, group]() {
-      if (!manager_->alive(peer)) return;
-      publisher_join(peer, group);
-    });
-    return;
-  }
-  schedule_control(time, peer, group, kPublishKind);
+  schedule_control<kPublishKind>(time, peer, group);
 }
 
 void PubSubSystem::depart_now(PeerId peer) {

@@ -508,6 +508,8 @@ class PubSubSystem {
   PubSubSystem(const PubSubSystem&) = delete;
   PubSubSystem& operator=(const PubSubSystem&) = delete;
 
+  /// Book an operation of `peer` at `time`; a peer outside the overlay
+  /// throws std::out_of_range here.
   void subscribe_at(double time, PeerId peer, GroupId group);
   void unsubscribe_at(double time, PeerId peer, GroupId group);
   void publish_at(double time, PeerId peer, GroupId group);
@@ -606,7 +608,14 @@ class PubSubSystem {
     std::vector<double> accepted;
   };
 
-  void schedule_control(double time, PeerId peer, GroupId group, sim::MessageKind kind);
+  /// Books a subscribe, unsubscribe or unbatched publish (Kind) of `peer`
+  /// at `time` as a raw (thunk, peer's node, group) event: no closure and
+  /// no table, the thunk's Kind names the operation.
+  template <sim::MessageKind Kind>
+  void schedule_control(double time, PeerId peer, GroupId group);
+  /// A booked operation firing: routes it from `peer` toward its root, or
+  /// adds a publish to the peer's batch when publishers batch.
+  void issue_control(PeerId peer, GroupId group, sim::MessageKind kind);
   void handle_at_root(PeerId self, sim::MessageKind kind, const GroupRequest& request);
   void forward_control(PeerId self, sim::MessageKind kind, const GroupRequest& request);
   /// Books `count` publishes from `origin` accepted at `self` (its owner

@@ -27,24 +27,27 @@
 // result is the literal rule's even where offsets round. select() sorts its
 // candidates by x and walks them: O(n log n) per ego.
 //
-// select_all() computes the same staircases for the whole point set in
-// O((n + E) log n) for E out-edges. One pass visits the equal-x runs left
-// to right with two min-segment trees over y-rank, one per side, holding
-// the points to the left and to the right of the current run; a leaf holds
-// its point's x-order, mirrored on the left so the smallest key is always
-// the nearest in x. For each ego, the nearest point of a side whose y-rank
+// equilibrium() builds the full-knowledge 2-D overlay in O((n + E) log n)
+// for E undirected edges. The relation is symmetric (box(P, Q) is
+// box(Q, P)), so it finds each edge once, from its left end: a pair with
+// equal x from its lower index, any other pair by the left point's
+// staircase to the right. One pass visits the equal-x runs left to right
+// with one min-segment tree over y-rank holding the points right of the
+// current run; a leaf holds its point's x-order, so the smallest key is
+// always the nearest in x. For each ego, the nearest point whose y-rank
 // lies in the band opens the next kept run; the run is judged against the
 // band, the band narrows, and the query repeats on the narrower rank range
 // until it is empty. Ties are exact, not perturbed: rank bounds come from
-// binary search over the same y values the walk compares, and a kept
-// point that stays in the narrowed band (level with the ego, or at a y
-// another point shares) leaves its tree until the ego is done. Each worker thread sweeps
-// a contiguous range of whole runs with its own trees and writes its egos'
-// out-lists at their exact size; the result does not depend on the thread
-// count.
+// binary search over the same y values the walk compares, and a kept point
+// that stays in the narrowed band (level with the ego, or at a y another
+// point shares) leaves the tree until the ego is done. The runs are dealt
+// to the worker threads round-robin, each advancing its own tree past
+// every run; the edge lists go straight into the graph's CSR
+// (OverlayGraph::from_mutual_edges). The result does not depend on the
+// thread count.
 //
 // select_brute_force is the literal O(n²)-per-ego rule select() is tested
-// against; select_all() is tested against select().
+// against; equilibrium() is tested against select().
 #pragma once
 
 #include "overlay/selector.hpp"
@@ -57,10 +60,10 @@ class EmptyRectSelector final : public NeighborSelector {
       const geometry::Point& ego, std::span<const Candidate> candidates) const override;
 
   /// 2-D: the output-sensitive staircase sweep over the whole point set
-  /// (equal to select() for every peer). Other dimensions use the per-peer
-  /// default.
-  [[nodiscard]] std::vector<std::vector<PeerId>> select_all(
-      const std::vector<geometry::Point>& points, std::size_t threads) const override;
+  /// (each peer's selection equals select()), written straight into the
+  /// CSR. Other dimensions use the per-peer default.
+  [[nodiscard]] OverlayGraph equilibrium(const std::vector<geometry::Point>& points,
+                                         std::size_t threads) const override;
 
   [[nodiscard]] std::string name() const override { return "empty-rect"; }
 

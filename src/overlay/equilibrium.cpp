@@ -6,7 +6,7 @@ namespace geomcast::overlay {
 
 OverlayGraph build_equilibrium(const std::vector<geometry::Point>& points,
                                const NeighborSelector& selector, std::size_t threads) {
-  return OverlayGraph(points, selector.select_all(points, threads));
+  return selector.equilibrium(points, threads);
 }
 
 bool is_equilibrium(const OverlayGraph& graph, const NeighborSelector& selector) {

@@ -3,7 +3,7 @@
 // The paper defines the target topology of a neighbour-selection method as
 // the one reached "when every peer P knows all the other peers in the
 // system (i.e. when I(P) contains all the peers except P)". This builder
-// computes that topology directly — NeighborSelector::select_all, whose
+// computes that topology directly — NeighborSelector::equilibrium, whose
 // default runs each peer's selector over the complete candidate set — and
 // is what the figure benches use; the gossip protocol (gossip.hpp) and the
 // incremental builder (incremental.hpp) are tested to converge to
@@ -17,11 +17,11 @@
 
 namespace geomcast::overlay {
 
-/// The full-knowledge overlay: OverlayGraph(points,
-/// selector.select_all(points, threads)). Every peer's out-list equals
-/// selector.select over all other peers; selectors may share work across
-/// peers (EmptyRectSelector's 2-D sweep costs O((n + E) log n) for E
-/// out-edges instead of one O(n log n) selection per peer).
+/// The full-knowledge overlay: selector.equilibrium(points, threads).
+/// Every peer's out-list equals selector.select over all other peers;
+/// selectors may share work across peers (EmptyRectSelector's 2-D sweep
+/// costs O((n + E) log n) for E edges instead of one O(n log n) selection
+/// per peer, and writes the CSR directly).
 /// `threads` = 0 picks a sensible hardware default; the result does not
 /// depend on the thread count.
 [[nodiscard]] OverlayGraph build_equilibrium(const std::vector<geometry::Point>& points,

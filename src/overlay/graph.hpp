@@ -2,11 +2,16 @@
 // one CSR adjacency, with a bit per entry for "p selected q", and each
 // peer's coordinates stored once, at stride dims(). The paper reports
 // degree statistics over it (Fig 1 a, c) and runs both trees on it.
+//
+// Two ways in: the constructor merges per-peer selections (any relation),
+// and from_mutual_edges writes a symmetric selection, given as undirected
+// edges, straight into the CSR (the 2-D empty-rect build).
 #pragma once
 
 #include <algorithm>
 #include <cstddef>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "geometry/point.hpp"
@@ -23,6 +28,18 @@ class OverlayGraph {
   /// union p~q iff p chose q or q chose p — a peer that selects q will
   /// exchange traffic with q regardless of whether q reciprocates.
   OverlayGraph(const std::vector<geometry::Point>& points, std::vector<std::vector<PeerId>> out);
+
+  /// An undirected edge {a, b} of a symmetric selection.
+  using Edge = std::pair<PeerId, PeerId>;
+  /// Builds from a symmetric selection: each edge {p, q} means p chose q
+  /// and q chose p, so every entry's selection bit is set. Each edge comes
+  /// once, in either orientation, in any order, split over any number of
+  /// lists (freed once read). Counts the degrees, prefix-sums them,
+  /// scatters both ends and sorts each row by one transpose: no per-peer
+  /// lists, no comparison sort and no merge. Throws std::invalid_argument
+  /// on an id >= points.size(), a self edge or an edge given twice.
+  [[nodiscard]] static OverlayGraph from_mutual_edges(const std::vector<geometry::Point>& points,
+                                                      std::vector<std::vector<Edge>> edges);
 
   [[nodiscard]] std::size_t size() const noexcept {
     return offsets_.empty() ? 0 : offsets_.size() - 1;
@@ -63,6 +80,9 @@ class OverlayGraph {
   }
 
  private:
+  /// Copies the points into coords_ at stride dims().
+  void set_coords(const std::vector<geometry::Point>& points);
+
   std::size_t dims_ = 0;
   std::vector<double> coords_;  // size() x dims(), row p = coords(p)
   // Row p is adjacency_[offsets_[p], offsets_[p + 1]); chose_[i]: p chose adjacency_[i].

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <thread>
+#include <utility>
 
 namespace geomcast::overlay {
 
@@ -16,27 +17,29 @@ std::vector<Candidate> candidates_excluding(const std::vector<geometry::Point>& 
   return candidates;
 }
 
-std::vector<std::vector<PeerId>> NeighborSelector::select_all(
-    const std::vector<geometry::Point>& points, std::size_t threads) const {
+OverlayGraph NeighborSelector::equilibrium(const std::vector<geometry::Point>& points,
+                                          std::size_t threads) const {
   std::vector<std::vector<PeerId>> out(points.size());
-  if (points.size() <= 1) return out;
-  for_each_peer_chunk(points.size(), threads, [&](std::size_t begin, std::size_t end) {
-    for (std::size_t p = begin; p < end; ++p) {
-      const auto candidates = candidates_excluding(points, static_cast<PeerId>(p));
-      out[p] = select(points[p], candidates);
-    }
-  });
-  return out;
+  if (points.size() > 1)
+    for_each_peer_chunk(points.size(), threads, [&](std::size_t begin, std::size_t end) {
+      for (std::size_t p = begin; p < end; ++p) {
+        const auto candidates = candidates_excluding(points, static_cast<PeerId>(p));
+        out[p] = select(points[p], candidates);
+      }
+    });
+  return OverlayGraph(points, std::move(out));
+}
+
+std::size_t resolve_threads(std::size_t threads) noexcept {
+  if (threads != 0) return threads;
+  const unsigned hw = std::thread::hardware_concurrency();
+  return hw ? hw : 1;
 }
 
 void for_each_peer_chunk(std::size_t n, std::size_t threads,
                          const std::function<void(std::size_t, std::size_t)>& body) {
   if (n == 0) return;
-  if (threads == 0) {
-    const unsigned hw = std::thread::hardware_concurrency();
-    threads = hw ? hw : 1;
-  }
-  threads = std::min(threads, n);
+  threads = std::min(resolve_threads(threads), n);
   if (threads <= 1) {
     body(0, n);
     return;

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "geometry/point.hpp"
+#include "overlay/graph.hpp"
 #include "overlay/peer.hpp"
 
 namespace geomcast::overlay {
@@ -27,17 +28,21 @@ class NeighborSelector {
   [[nodiscard]] virtual std::vector<PeerId> select(
       const geometry::Point& ego, std::span<const Candidate> candidates) const = 0;
 
-  /// Full-knowledge selection for every peer: entry p equals
+  /// The full-knowledge overlay: peer p's selection is
   /// select(points[p], candidates_excluding(points, p)). The default runs
-  /// that per-peer loop on `threads` workers (0 = hardware default);
-  /// selectors with a shared-work algorithm for the whole point set
-  /// override it. The result never depends on the thread count.
-  [[nodiscard]] virtual std::vector<std::vector<PeerId>> select_all(
-      const std::vector<geometry::Point>& points, std::size_t threads) const;
+  /// that per-peer loop on `threads` workers (0 = hardware default) and
+  /// merges the lists; selectors with a shared-work algorithm for the
+  /// whole point set override it. The result never depends on the thread
+  /// count.
+  [[nodiscard]] virtual OverlayGraph equilibrium(const std::vector<geometry::Point>& points,
+                                                 std::size_t threads) const;
 
   /// Human-readable name for tables and logs.
   [[nodiscard]] virtual std::string name() const = 0;
 };
+
+/// The worker count `threads` asks for: 0 = the hardware default.
+[[nodiscard]] std::size_t resolve_threads(std::size_t threads) noexcept;
 
 /// Splits peers [0, n) into contiguous chunks and runs `body(begin, end)`
 /// for each on up to `threads` worker threads (0 = hardware default,

@@ -4,9 +4,11 @@
 
 #include <algorithm>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "geometry/distance.hpp"
 #include "geometry/random_points.hpp"
 #include "overlay/empty_rect.hpp"
 #include "overlay/equilibrium.hpp"
@@ -594,6 +596,104 @@ TEST(GroupManagerTest, DepartingEveryPeerLeavesTheGroupRootless) {
     EXPECT_EQ(manager.subscriber_count(g), 0u);
     EXPECT_EQ(manager.tree(g), nullptr);
   }
+}
+
+/// The election as a scan: the minimum of (L1 distance as computed, id)
+/// over the alive peers not in `excluded`.
+PeerId brute_force_nearest(const overlay::OverlayGraph& graph, const std::vector<bool>& alive,
+                           const geometry::Point& target, const std::vector<PeerId>& excluded) {
+  PeerId best = kInvalidPeer;
+  double best_dist = 0.0;
+  for (PeerId p = 0; p < graph.size(); ++p) {
+    if (!alive[p] || std::find(excluded.begin(), excluded.end(), p) != excluded.end()) continue;
+    const double dist = geometry::l1_distance(graph.point(p), target);
+    if (best == kInvalidPeer || dist < best_dist) {
+      best = p;
+      best_dist = dist;
+    }
+  }
+  return best;
+}
+
+TEST(GroupManagerTest, ElectionMatchesABruteForceScan) {
+  util::Rng rng(211);
+  std::vector<std::pair<std::string, std::vector<geometry::Point>>> sets;
+  for (const std::size_t dims : {1u, 2u, 3u})
+    sets.emplace_back("random " + std::to_string(dims) + "-D",
+                      geometry::random_points(rng, 300, dims, 100.0));
+  std::vector<geometry::Point> lattice, duplicated;
+  for (int i = 0; i < 400; ++i) lattice.push_back(geometry::Point({double(i % 20), double(i / 20)}));
+  sets.emplace_back("lattice", lattice);
+  for (int i = 0; i < 200; ++i)  // every point three times, ids far apart
+    duplicated.push_back(lattice[static_cast<std::size_t>(rng.next_below(lattice.size()))]);
+  for (int copy = 0; copy < 2; ++copy)
+    for (int i = 0; i < 200; ++i) duplicated.push_back(duplicated[static_cast<std::size_t>(i)]);
+  sets.emplace_back("duplicated", duplicated);
+
+  for (const auto& [name, points] : sets) {
+    SCOPED_TRACE(name);
+    const std::size_t n = points.size();
+    const std::size_t dims = points.front().dims();
+    const overlay::OverlayGraph graph(points, std::vector<std::vector<PeerId>>(n));
+    const auto by_x = peers_by_first_coordinate(graph);
+    // Targets at peers, between lattice points (ties), anywhere in the
+    // box, and outside it.
+    std::vector<geometry::Point> targets;
+    for (int i = 0; i < 40; ++i) {
+      targets.push_back(points[static_cast<std::size_t>(rng.next_below(n))]);
+      geometry::Point half(dims), any(dims), outside(dims);
+      for (std::size_t d = 0; d < dims; ++d) {
+        half[d] = double(rng.uniform_int(0, 19)) + 0.5;
+        any[d] = rng.uniform(0.0, 100.0);
+        outside[d] = rng.uniform(-300.0, 400.0);
+      }
+      targets.push_back(half);
+      targets.push_back(any);
+      targets.push_back(outside);
+    }
+    for (const double dead_share : {0.0, 0.3, 0.95, 1.0}) {
+      std::vector<bool> alive(n);
+      for (std::size_t p = 0; p < n; ++p) alive[p] = !rng.chance(dead_share);
+      if (dead_share == 1.0) alive.assign(n, false);
+      for (const auto& target : targets) {
+        // Four slots elected in turn, each excluding the roots before it,
+        // as the manager does at R = 4.
+        std::vector<PeerId> roots;
+        for (int slot = 0; slot < 4; ++slot) {
+          const PeerId expected = brute_force_nearest(graph, alive, target, roots);
+          ASSERT_EQ(nearest_alive_peer(graph, by_x, alive, target, roots), expected)
+              << "dead share " << dead_share << ", slot " << slot;
+          roots.push_back(expected);
+        }
+      }
+    }
+  }
+}
+
+TEST(GroupManagerTest, SlotsDoubleUpWhenFewerPeersThanReplicasAreAlive) {
+  const auto graph = make_overlay(12, 2, 212);
+  GroupConfig config;
+  config.root_replicas = 4;
+  GroupManager manager(graph, config);
+  for (PeerId p = 2; p < graph.size(); ++p) manager.handle_departure(p);
+  const GroupId g = 17;
+  std::set<PeerId> roots;
+  for (std::uint32_t s = 0; s < 4; ++s) {
+    const PeerId root = manager.slot_root(g, s);
+    EXPECT_LT(root, 2u) << "slot " << s;
+    roots.insert(root);
+  }
+  // The first two slots take both alive peers; the rest fall back to the
+  // election without exclusions instead of staying rootless.
+  EXPECT_EQ(roots.size(), 2u);
+  EXPECT_NE(manager.slot_root(g, 0), manager.slot_root(g, 1));
+}
+
+TEST(GroupManagerTest, NoGroupCanBeHostedOnceEveryPeerIsDead) {
+  const auto graph = make_overlay(10, 2, 213);
+  GroupManager manager(graph);
+  for (PeerId p = 0; p < graph.size(); ++p) manager.handle_departure(p);
+  EXPECT_THROW((void)manager.root_of(5), std::runtime_error);
 }
 
 }  // namespace

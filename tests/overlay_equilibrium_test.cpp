@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <set>
 #include <string>
@@ -17,8 +18,8 @@ namespace geomcast::overlay {
 namespace {
 
 /// build_equilibrium's out-lists must equal the per-peer selector run over
-/// every other peer, whatever select_all does to share work, and each
-/// neighbourhood the union of those selections.
+/// every other peer, whatever the selector's equilibrium() does to share
+/// work, and each neighbourhood the union of those selections.
 void expect_matches_per_peer(const std::vector<geometry::Point>& points,
                              const NeighborSelector& selector, std::size_t threads) {
   const auto graph = build_equilibrium(points, selector, threads);
@@ -129,6 +130,26 @@ TEST(EquilibriumTest, SelectAllMatchesPerPeerSelectOnLattice) {
       EXPECT_EQ(graph.selected(p),
                 EmptyRectSelector::select_brute_force(points[p], candidates_excluding(points, p)))
           << "peer " << p;
+    }
+  }
+}
+
+TEST(EquilibriumTest, TwoDimensionalBuildIsSymmetric) {
+  // The empty-rect relation is symmetric and the 2-D build finds each
+  // edge once, from its left end: every neighbour is a selection, and no
+  // row lists a neighbour twice.
+  const EmptyRectSelector selector;
+  for (const auto& [name, points] : tie_battery()) {
+    SCOPED_TRACE(name);
+    for (std::size_t threads : {1u, 2u, 8u}) {
+      const auto graph = build_equilibrium(points, selector, threads);
+      for (PeerId p = 0; p < points.size(); ++p) {
+        const auto row = graph.neighbors(p);
+        EXPECT_EQ(graph.selected(p), std::vector<PeerId>(row.begin(), row.end()))
+            << "peer " << p << ", threads " << threads;
+        EXPECT_EQ(std::adjacent_find(row.begin(), row.end()), row.end())
+            << "peer " << p << ", threads " << threads;
+      }
     }
   }
 }

@@ -209,5 +209,55 @@ TEST(OverlayGraphTest, GridKnnOverlayMatchesASetModel) {
   expect_matches_set_model(build_equilibrium_local(points, selector, k), out);
 }
 
+using Edges = std::vector<std::vector<OverlayGraph::Edge>>;
+
+TEST(OverlayGraphTest, MutualEdgesEqualTheSymmetricSelection) {
+  // Random undirected edges, each once, in either orientation, spread over
+  // several lists: the graph equals the one built from both ends'
+  // selections, and every entry is a selection.
+  util::Rng rng(79);
+  for (std::size_t n : {0u, 1u, 2u, 5u, 40u, 300u}) {
+    SCOPED_TRACE("n=" + std::to_string(n));
+    std::set<std::pair<PeerId, PeerId>> chosen;
+    for (std::size_t i = 0; i < 4 * n && n > 1; ++i) {
+      const auto a = static_cast<PeerId>(rng.next_below(n));
+      const auto b = static_cast<PeerId>(rng.next_below(n));
+      if (a != b) chosen.insert(std::minmax(a, b));
+    }
+    Edges edges(3);
+    std::vector<std::vector<PeerId>> out(n);
+    for (const auto& [a, b] : chosen) {
+      auto& list = edges[rng.next_below(edges.size())];
+      if (rng.chance(0.5))
+        list.emplace_back(a, b);
+      else
+        list.emplace_back(b, a);
+      out[a].push_back(b);
+      out[b].push_back(a);
+    }
+    const auto graph = OverlayGraph::from_mutual_edges(make_points(n), edges);
+    EXPECT_EQ(graph, OverlayGraph(make_points(n), out));
+    expect_matches_set_model(graph, out);
+  }
+}
+
+TEST(OverlayGraphTest, MutualEdgesRejectBadInput) {
+  const auto points = make_points(3);
+  EXPECT_THROW((void)OverlayGraph::from_mutual_edges(points, Edges{{{0, 3}}}),
+               std::invalid_argument);
+  EXPECT_THROW((void)OverlayGraph::from_mutual_edges(points, Edges{{{3, 0}}}),
+               std::invalid_argument);
+  EXPECT_THROW((void)OverlayGraph::from_mutual_edges(points, Edges{{{1, 1}}}),
+               std::invalid_argument);
+  // The same edge twice, as given, reversed, or from another list.
+  EXPECT_THROW((void)OverlayGraph::from_mutual_edges(points, Edges{{{0, 1}, {0, 2}, {0, 1}}}),
+               std::invalid_argument);
+  EXPECT_THROW((void)OverlayGraph::from_mutual_edges(points, Edges{{{0, 1}, {1, 0}}}),
+               std::invalid_argument);
+  EXPECT_THROW((void)OverlayGraph::from_mutual_edges(points, Edges{{{2, 1}}, {{1, 2}}}),
+               std::invalid_argument);
+  EXPECT_NO_THROW((void)OverlayGraph::from_mutual_edges(points, Edges{{{0, 1}}, {{1, 2}}}));
+}
+
 }  // namespace
 }  // namespace geomcast::overlay

@@ -299,7 +299,6 @@ PubSubSystem::PubSubSystem(const overlay::OverlayGraph& graph, PubSubConfig conf
                                        const std::any& payload) {
       const auto& graft = std::any_cast<const GraftEnvelope&>(payload);
       ++manager_->stats(graft.group).graft_retries;
-      sim_->network().note_graft_retry();
     };
     graft_hooks.on_abandon = [this](sim::NodeId, sim::NodeId, std::uint64_t,
                                     const std::any& payload) {
@@ -410,7 +409,6 @@ void PubSubSystem::forward_control(PeerId self, sim::MessageKind kind,
     return;
   }
   ++stats.control_messages;
-  sim_->network().note_control_envelope();
   sim_->send(self, next, kind, request);
 }
 
@@ -476,7 +474,6 @@ void PubSubSystem::advance_graft(PeerId self, const GraftEnvelope& graft) {
   switch (advance.status) {
     case GroupManager::GraftAdvance::Status::kDescend:
       ++stats.graft_hops;
-      sim_->network().note_graft_hop();
       if (tracer_.enabled())
         tracer_.emit({sim_->now(), obs::TraceEventType::kGraftStep, graft.group,
                       graft.graft_id, 0, 0, self, advance.next});
@@ -488,7 +485,6 @@ void PubSubSystem::advance_graft(PeerId self, const GraftEnvelope& graft) {
         // nothing descended, so there is nobody to report back from.
         manager_->graft_finish(graft.graft_id);
       } else {
-        sim_->network().note_control_envelope();
         graft_hop_->send(self, graft.root, graft.graft_id, graft, kGraftAcceptKind);
       }
       return;
@@ -496,7 +492,6 @@ void PubSubSystem::advance_graft(PeerId self, const GraftEnvelope& graft) {
       if (self == graft.root) {
         abort_graft(graft.graft_id);
       } else {
-        sim_->network().note_control_envelope();
         graft_hop_->send(self, graft.root, graft.graft_id, graft, kGraftRejectKind);
       }
       return;
@@ -529,7 +524,6 @@ void PubSubSystem::on_graft_reject(PeerId self, PeerId from, const GraftEnvelope
 void PubSubSystem::abort_graft(std::uint64_t graft_id) {
   const auto aborted = manager_->graft_abort(graft_id);
   if (!aborted) return;  // already retired (duplicate reject, raced sweep)
-  sim_->network().note_graft_abort();
   resubscribe(aborted->group, aborted->subscriber);
 }
 
@@ -656,11 +650,17 @@ void PubSubSystem::shard_commit(GroupId group, std::uint32_t slot, PeerId root,
     launch_wave(group, 0, root, seq_lo, seq_lo + count - 1, origin);
     return;
   }
+  request_seq_lease(PendingLease{group, slot, root, origin, std::move(accepted)});
+}
+
+void PubSubSystem::request_seq_lease(PendingLease pending) {
+  const GroupId group = pending.group;
+  const PeerId root = pending.root;
+  const std::uint64_t count = pending.accepted.size();
   GroupStats& stats = manager_->stats(group);
   const PeerId authority = manager_->slot_root(group, 0);
-  if (authority == kInvalidPeer || !manager_->alive(authority)) {
-    // No authority to lease from (degenerate alive set): these publishes
-    // die like publishes addressed to a dead root.
+  if (!manager_->alive(root) || authority == kInvalidPeer ||
+      !manager_->alive(authority)) {
     stats.batch_publishes_lost += count;
     return;
   }
@@ -669,15 +669,9 @@ void PubSubSystem::shard_commit(GroupId group, std::uint32_t slot, PeerId root,
   if (tracer_.enabled())
     tracer_.emit({sim_->now(), obs::TraceEventType::kSeqLease, group, id, count,
                   count, root, authority});
-  lease_pending_.emplace(id,
-                         PendingLease{group, slot, root, origin, std::move(accepted)});
-  coord_send(root, authority, id, SeqLease{group, slot, count, id}, kSeqLeaseKind);
-}
-
-void PubSubSystem::coord_send(PeerId from, PeerId to, std::uint64_t token,
-                              std::any payload, sim::MessageKind kind) {
-  sim_->network().note_control_envelope();
-  coord_hop_->send(from, to, token, std::move(payload), kind);
+  const SeqLease lease{group, pending.slot, count, id};
+  lease_pending_.emplace(id, std::move(pending));
+  coord_hop_->send(root, authority, id, lease, kSeqLeaseKind);
 }
 
 void PubSubSystem::record_accept_times(GroupId group, std::uint64_t seq_lo,
@@ -693,7 +687,7 @@ void PubSubSystem::record_accept_times(GroupId group, std::uint64_t seq_lo,
 
 void PubSubSystem::on_seq_lease(PeerId self, PeerId from, const SeqLease& lease) {
   coord_hop_->acknowledge(self, from, lease.coord_id);
-  if (!coord_seen_.insert(lease.coord_id).second) return;
+  if (!coord_seen_.insert(util::PeerKey{self, 0, lease.coord_id})) return;
   GroupStats& stats = manager_->stats(lease.group);
   ++stats.seq_leases_granted;
   std::uint64_t& next = next_seq_[lease.group];
@@ -703,15 +697,14 @@ void PubSubSystem::on_seq_lease(PeerId self, PeerId from, const SeqLease& lease)
   if (tracer_.enabled())
     tracer_.emit({sim_->now(), obs::TraceEventType::kSeqGrant, lease.group, id,
                   seq_lo, seq_lo + lease.count - 1, self, from});
-  coord_send(self, from, id,
-             SeqGrant{lease.group, lease.slot, seq_lo, lease.count, lease.coord_id,
-                      id},
-             kSeqGrantKind);
+  coord_hop_->send(self, from, id,
+                   SeqGrant{lease.group, lease.slot, seq_lo, lease.count, lease.coord_id, id},
+                   kSeqGrantKind);
 }
 
 void PubSubSystem::on_seq_grant(PeerId self, PeerId from, const SeqGrant& grant) {
   coord_hop_->acknowledge(self, from, grant.coord_id);
-  if (!coord_seen_.insert(grant.coord_id).second) return;
+  if (!coord_seen_.insert(util::PeerKey{self, 0, grant.coord_id})) return;
   const auto it = lease_pending_.find(grant.lease_id);
   if (it == lease_pending_.end()) return;  // re-keyed by an abandon, or stale
   PendingLease lease = std::move(it->second);
@@ -735,24 +728,24 @@ void PubSubSystem::launch_wave(GroupId group, std::uint32_t origin_slot,
     if (tracer_.enabled())
       tracer_.emit({sim_->now(), obs::TraceEventType::kShardWave, group, id,
                     seq_lo, seq_hi, origin_root, target});
-    coord_send(origin_root, target, id, ShardWave{group, s, seq_lo, seq_hi, id},
-               kShardWaveKind);
+    coord_hop_->send(origin_root, target, id, ShardWave{group, s, seq_lo, seq_hi, id},
+                     kShardWaveKind);
   }
   drive_shard_wave(group, origin_slot, origin_root, seq_lo, seq_hi, origin);
 }
 
 void PubSubSystem::on_shard_wave(PeerId self, PeerId from, const ShardWave& sw) {
   coord_hop_->acknowledge(self, from, sw.coord_id);
-  if (!coord_seen_.insert(sw.coord_id).second) return;
+  if (!coord_seen_.insert(util::PeerKey{self, 0, sw.coord_id})) return;
   const PeerId current = manager_->slot_root(sw.group, sw.slot);
   if (current != self) {
     // Raced a promotion: forward the handoff to the slot's current root so
     // the range still reaches the shard.
     if (current != kInvalidPeer && manager_->alive(current)) {
       const std::uint64_t id = next_coord_id_++;
-      coord_send(self, current, id,
-                 ShardWave{sw.group, sw.slot, sw.seq_lo, sw.seq_hi, id},
-                 kShardWaveKind);
+      coord_hop_->send(self, current, id,
+                       ShardWave{sw.group, sw.slot, sw.seq_lo, sw.seq_hi, id},
+                       kShardWaveKind);
     }
     return;
   }
@@ -781,7 +774,6 @@ void PubSubSystem::drive_shard_wave(GroupId group, std::uint32_t slot, PeerId ro
     const std::uint64_t saved = (count - 1) * snapshot->tree.edge_count() *
                                 (acked() ? 2 : 1);
     stats.envelopes_saved += saved;
-    sim_->network().note_batched_wave(saved);
   }
   // The wave->group map is kept with or without a sink, so attaching one
   // cannot perturb a run.
@@ -806,28 +798,8 @@ void PubSubSystem::on_coord_abandon(const std::any& payload) {
     // The authority died before acking: re-dispatch to the CURRENT
     // authority (the promoted slot-0 root) under a fresh coord id.
     const auto it = lease_pending_.find(lease->coord_id);
-    if (it == lease_pending_.end()) return;
-    PendingLease pending = std::move(it->second);
-    lease_pending_.erase(it);
-    const GroupId group = pending.group;
-    const std::uint32_t slot = pending.slot;
-    const PeerId root = pending.root;
-    const std::uint64_t count = pending.accepted.size();
-    GroupStats& stats = manager_->stats(group);
-    const PeerId authority = manager_->slot_root(group, 0);
-    if (!manager_->alive(root) || authority == kInvalidPeer ||
-        !manager_->alive(authority)) {
-      stats.batch_publishes_lost += count;
-      return;
-    }
-    const std::uint64_t id = next_coord_id_++;
-    ++stats.seq_lease_requests;
-    if (tracer_.enabled())
-      tracer_.emit({sim_->now(), obs::TraceEventType::kSeqLease, group, id, count,
-                    count, root, authority});
-    lease_pending_.emplace(id, std::move(pending));
-    coord_send(root, authority, id, SeqLease{group, slot, count, id},
-               kSeqLeaseKind);
+    if (it != lease_pending_.end())
+      request_seq_lease(std::move(lease_pending_.extract(it).mapped()));
     return;
   }
   if (const auto* grant = std::any_cast<SeqGrant>(&payload)) {
@@ -849,9 +821,9 @@ void PubSubSystem::on_coord_abandon(const std::any& payload) {
     if (tracer_.enabled())
       tracer_.emit({sim_->now(), obs::TraceEventType::kShardWave, sw->group, id,
                     sw->seq_lo, sw->seq_hi, sender, target});
-    coord_send(sender, target, id,
-               ShardWave{sw->group, sw->slot, sw->seq_lo, sw->seq_hi, id},
-               kShardWaveKind);
+    coord_hop_->send(sender, target, id,
+                     ShardWave{sw->group, sw->slot, sw->seq_lo, sw->seq_hi, id},
+                     kShardWaveKind);
   }
 }
 
@@ -880,7 +852,6 @@ void PubSubSystem::disseminate(PeerId self, PeerId from,
       // Every seq already processed: a pure duplicate, re-acked above but
       // never re-delivered or re-forwarded.
       ++stats.duplicate_deliveries;
-      sim_->network().note_duplicate();
       if (tracer_.enabled())
         tracer_.emit({sim_->now(), obs::TraceEventType::kDuplicateSuppressed,
                       delivery.group, delivery.wave, delivery.seq, delivery.seq_hi,
@@ -1103,7 +1074,6 @@ void PubSubSystem::send_nacks(PeerId self, GroupId group, WindowState& ws,
   for (auto& [target, missing] : by_target) {
     ++stats.nacks_sent;
     stats.nacked_seqs += missing.size();
-    sim_->network().note_nack();
     if (tracer_.enabled()) {
       const auto [lo, hi] = std::minmax_element(missing.begin(), missing.end());
       tracer_.emit({sim_->now(), obs::TraceEventType::kNackSent, group,
@@ -1147,7 +1117,6 @@ void PubSubSystem::on_nack(PeerId self, const GapNack& nack) {
       const GroupDelivery& wave = *wave_ptr;
       if (!served_ranges.insert(wave.seq).second) continue;
       ++stats.repairs_served;
-      sim_->network().note_repair_served();
       if (tracer_.enabled())
         tracer_.emit({sim_->now(), obs::TraceEventType::kRepairServed, nack.group,
                       wave.wave, wave.seq, wave.seq_hi, self, nack.origin});
@@ -1181,7 +1150,6 @@ void PubSubSystem::on_repair(PeerId self, const DeliveryPtr& delivery_ptr) {
   seen_ranges_.mark(key, delivery.seq, delivery.seq_hi, fresh_scratch_);
   if (fresh_scratch_.empty()) {
     ++stats.duplicate_deliveries;
-    sim_->network().note_duplicate();
     return;
   }
   for (const auto& [lo, hi] : fresh_scratch_) window_observe(self, delivery, lo, hi);
@@ -1240,11 +1208,7 @@ void PubSubSystem::replica_send(PeerId root, GroupId group, ReplicaSync sync,
   sync.sync_id = next_sync_id_++;
   GroupStats& stats = manager_->stats(group);
   ++stats.replica_sync_envelopes;
-  sim_->network().note_replica_sync();
-  if (migration) {
-    ++stats.migration_envelopes;
-    sim_->network().note_migration_envelope();
-  }
+  if (migration) ++stats.migration_envelopes;
   if (tracer_.enabled())
     tracer_.emit({sim_->now(), obs::TraceEventType::kReplicaSync, group,
                   sync.sync_id, static_cast<std::uint64_t>(sync.what),
@@ -1471,10 +1435,7 @@ void PubSubSystem::on_heartbeat(PeerId self, const GroupHeartbeat& hb) {
       if (!ws.gaps.empty()) arm_gap_timer(self, hb.group, ws);
     }
   }
-  for (const PeerId child : node->children) {
-    sim_->network().note_heartbeat();
-    sim_->send(self, child, kHeartbeatKind, hb);
-  }
+  for (const PeerId child : node->children) sim_->send(self, child, kHeartbeatKind, hb);
 }
 
 template <sim::MessageKind Kind>
@@ -1547,10 +1508,8 @@ void PubSubSystem::depart_now(PeerId peer) {
   // The departure sweep aborts every in-flight graft it invalidated; the
   // surviving subscribers re-enter through resubscribe so churn mid-graft
   // converges (the churn battery pins this).
-  for (const auto& aborted : outcome.aborted_grafts) {
-    sim_->network().note_graft_abort();
+  for (const auto& aborted : outcome.aborted_grafts)
     resubscribe(aborted.group, aborted.subscriber);
-  }
   if (!warm()) return;
   // Promotions first: a promoted root re-establishes its own replication
   // before any same-instant membership delta relies on it. Non-authority

@@ -6,9 +6,11 @@
 // Control plane: subscribe/unsubscribe/publish envelopes are forwarded hop
 // by hop toward the group's rendezvous root with greedy geometric routing
 // (overlay/routing.hpp); each hop uses only local information plus the
-// group id carried by the envelope. Every control envelope is charged to
-// NetworkStats like data traffic (control_envelopes), so finding and
-// maintaining a tree costs measurable messages, not free root-side work.
+// group id carried by the envelope. Every control envelope is a real
+// transport envelope, counted per kind in NetworkStats::sent_by_kind like
+// data traffic (and per group in GroupStats control_messages / graft_hops),
+// so finding and maintaining a tree costs measurable messages, not free
+// root-side work.
 //
 // Routed graft (PubSubConfig::routed_graft, default on): a subscribe that
 // lands at a root holding a clean cached tree does NOT splice the
@@ -24,7 +26,7 @@
 //        |  edge holding the subscriber's point, and forwards the       |
 //        |  request, with that slice as its zone, to that child         |
 //        |  (GroupManager::graft_advance — one decision per             |
-//        |  envelope, counted as graft_hops in Group/NetworkStats)      |
+//        |  envelope, counted as graft_hops in GroupStats)              |
 //        +---------------------------------------------------------+---+
 //              |                            |                      |
 //          reaches the                no slice fits /          peer died /
@@ -159,9 +161,13 @@
 // addressed to departed peers, greedy forwarding routes around them, and
 // the GroupManager repairs or invalidates the affected trees. Tree
 // build/repair accounting stays in GroupStats (control-plane bookkeeping);
-// the simulator's NetworkStats count the routed control and payload
-// envelopes that actually crossed links, plus the reliability layer's
-// retransmitted/duplicate/abandoned tallies.
+// the simulator's NetworkStats count only what the transport sees: every
+// envelope admitted, per kind, delivered or dropped. Each finer count has
+// one owner: the data plane's retransmissions and abandons are
+// hop_stats() (per group: GroupStats retransmissions / abandoned_hops),
+// the control planes' are GroupStats graft_retries / replica_sync_retries,
+// and NACKs, repairs, duplicates, replica syncs, migrations and batching
+// savings are GroupStats fields.
 #pragma once
 
 #include <cstdint>
@@ -398,7 +404,7 @@ struct PubSubConfig {
   /// Subscribe path for roots holding a clean cached tree: true (the
   /// default) drives the zone descent with routed kGraftRequestKind
   /// envelopes — one real hop per descent decision, QoS 1, visible in
-  /// NetworkStats; false runs GroupManager::subscribe's synchronous local
+  /// NetworkStats::sent_by_kind; false runs GroupManager::subscribe's synchronous local
   /// descent (the golden oracle, bit-identical on lossless seeds).
   bool routed_graft = true;
   /// Warm root failover: every group root streams membership deltas,
@@ -607,6 +613,15 @@ class PubSubSystem {
     /// Dropped with the batch when the buffering root dies.
     std::vector<double> accepted;
   };
+  /// A non-authority slot root's accepted publishes, leasing their seqs
+  /// from the authority (slot 0).
+  struct PendingLease {
+    GroupId group = 0;
+    std::uint32_t slot = 0;
+    PeerId root = kInvalidPeer;
+    PeerId origin = kInvalidPeer;  // unbatched publisher, for the accept trace
+    std::vector<double> accepted;
+  };
 
   /// Books a subscribe, unsubscribe or unbatched publish (Kind) of `peer`
   /// at `time` as a raw (thunk, peer's node, group) event: no closure and
@@ -650,10 +665,11 @@ class PubSubSystem {
   /// addressee died re-dispatches to the CURRENT authority / slot root
   /// (the promotion path), a lost grant is a documented seq hole.
   void on_coord_abandon(const std::any& payload);
-  /// One coord-plane unicast (kind 35–37) on coord_hop_, charged as a
-  /// control envelope.
-  void coord_send(PeerId from, PeerId to, std::uint64_t token, std::any payload,
-                  sim::MessageKind kind);
+  /// Sends `pending`'s kSeqLeaseKind from its root to the CURRENT authority
+  /// under a fresh coord id and parks it in lease_pending_ until the grant.
+  /// With the root or the authority dead its publishes are lost, like
+  /// publishes addressed to a dead root.
+  void request_seq_lease(PendingLease pending);
   /// Writes `accepted` into accept_times_[group] at [seq_lo, ...): grants
   /// land out of order across slots, so this assigns by index rather than
   /// appending.
@@ -831,13 +847,6 @@ class PubSubSystem {
   std::map<std::pair<GroupId, std::uint32_t>, PendingBatch> shard_pending_;
   /// A non-authority slot root's accepted publishes awaiting their seq
   /// grant, keyed by the lease's coord_id.
-  struct PendingLease {
-    GroupId group = 0;
-    std::uint32_t slot = 0;
-    PeerId root = kInvalidPeer;
-    PeerId origin = kInvalidPeer;  // unbatched publisher, for the accept trace
-    std::vector<double> accepted;
-  };
   std::map<std::uint64_t, PendingLease> lease_pending_;
   /// Highest seq each slot root has driven over its shard tree — the
   /// per-slot heartbeat horizon. A global next_seq_ horizon would advertise
@@ -845,9 +854,9 @@ class PubSubSystem {
   /// tricking subscribers into NACKs that miss at the root and abandon.
   std::map<std::pair<GroupId, std::uint32_t>, std::uint64_t> shard_horizon_;
   std::uint64_t next_coord_id_ = 1;
-  /// Coord ids already applied (lease/grant/handoff dedup). One set serves
-  /// every peer: a coord id is globally unique and has one addressee.
-  std::set<std::uint64_t> coord_seen_;
+  /// (peer, coord id) pairs already applied (lease/grant/handoff dedup; a
+  /// coord id is globally unique and has one addressee).
+  util::PeerTable<util::NoValue> coord_seen_;
   /// Publisher-side batching buffers, keyed (publisher, group).
   struct PublisherBatch {
     std::size_t count = 0;

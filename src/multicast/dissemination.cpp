@@ -54,7 +54,6 @@ class DisseminationNode final : public sim::Node {
     hop_.acknowledge(id(), from, msg.seq);
     if (has_payload_) {
       ++shared_.duplicate_data;
-      sim.network().note_duplicate();
       return;
     }
     deliver_locally(sim);

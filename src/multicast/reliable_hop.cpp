@@ -61,7 +61,6 @@ void ReliableHopLayer::transmit(std::uint32_t slot, std::size_t attempt) {
   ++stats_.data_messages;
   if (attempt > 0) {
     ++stats_.retransmissions;
-    sim_.network().note_retransmission();
     if (hooks_.on_retransmit) hooks_.on_retransmit(from, to, seq, entry.payload);
   }
   if (trace_.on_transmit) trace_.on_transmit(from, to, seq, attempt, entry.payload);
@@ -87,7 +86,6 @@ void ReliableHopLayer::on_timeout(std::uint32_t slot) {
     return;
   }
   ++stats_.abandoned_hops;
-  sim_.network().note_abandoned();
   if (hooks_.on_abandon) {
     // The hook may re-send on this layer (coord re-dispatch), which can
     // grow the slab: hand it a payload that lives outside the slab.

@@ -10,8 +10,9 @@
 // every arrival — duplicates included — because the duplicate's existence
 // means the previous ack may have been the lost message; duplicate
 // *detection* stays with the client (it owns the dedup key: "payload held"
-// for dissemination, (group, seq) for pub/sub), which reports suppressed
-// copies through Network::note_duplicate().
+// for dissemination, (group, seq) for pub/sub), which counts suppressed
+// copies itself (DisseminationResult::duplicate_data, GroupStats
+// duplicate_deliveries).
 //
 // Under QoS 0 the layer degrades to a plain send: no acks, no timers, no
 // retransmissions — bit-for-bit the fire-and-forget path, so clients can
@@ -25,9 +26,9 @@
 // `seq`, so one pending entry, one ack, and one timeout/retransmit cycle
 // cover the whole [seq_lo, seq_hi] batch; the layer's per-hop cost is
 // amortised by the batch factor with no range awareness here. Aggregate
-// counters land in HopStats and are mirrored into the simulator's
-// NetworkStats via the note_* hooks; per-client attribution (e.g.
-// per-group stats) goes through Hooks.
+// counters land in HopStats, their only home: the simulator's NetworkStats
+// counts envelopes by kind and cannot tell a retransmission from a first
+// copy. Per-client attribution (e.g. per-group stats) goes through Hooks.
 //
 // Every acked hop costs one insert, one ack lookup and one erase, so the
 // pending state is flat: a slab of Pending records recycled through a free

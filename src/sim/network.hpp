@@ -5,6 +5,20 @@
 // point-to-point delivery with a pluggable latency model, optional loss
 // injection (for failure tests), and per-kind message accounting — the §2
 // "exactly N-1 messages" claim is verified against these counters.
+//
+// NetworkStats holds only what the transport itself observes: envelopes
+// admitted (per kind and per sender), delivered (per receiver) and dropped.
+// It cannot tell a retransmission from a first copy or a duplicate from
+// fresh data, so those counts live with the layer that can:
+//   - hop retransmissions / abandons: each ReliableHopLayer's HopStats
+//     (multicast/reliable_hop.hpp) and the client's per-group tallies
+//     (GroupStats retransmissions, abandoned_hops, graft_retries,
+//     replica_sync_retries);
+//   - duplicate arrivals: DisseminationResult::duplicate_data, GroupStats
+//     duplicate_deliveries;
+//   - NACKs, repairs, grafts, replica syncs, migrations, batching savings:
+//     GroupStats (groups/group_stats.hpp);
+//   - heartbeat hops: sent_by_kind[kHeartbeatKind].
 #pragma once
 
 #include <any>
@@ -65,43 +79,10 @@ struct LossModel {
 
 /// NetworkStats' scalar counters, in declaration and JSON order (see
 /// util/stats_fields.hpp).
-#define GEOMCAST_NETWORK_STATS_FIELDS(X)                                               \
-  X(std::uint64_t, sent)                                                               \
-  X(std::uint64_t, delivered)                                                          \
-  X(std::uint64_t, dropped)                                                            \
-  /* Reliability-protocol accounting, reported through the note_* hooks by             \
-     the per-hop ack/retransmit layer (multicast/reliable_hop.hpp) and its             \
-     clients — the transport itself cannot tell a retransmission from a                \
-     first copy or a duplicate from fresh data. */                                     \
-  X(std::uint64_t, retransmitted)  /* copies resent after an ack timeout */            \
-  X(std::uint64_t, duplicate_data) /* duplicate arrivals receivers suppressed */       \
-  X(std::uint64_t, abandoned_hops) /* hops whose retry budget ran out */               \
-  /* End-to-end gap-repair accounting (QoS 2), reported by the pub/sub                 \
-     repair plane: receiver-driven NACKs for missing sequence numbers and              \
-     the retained-payload repairs that answered them. */                               \
-  X(std::uint64_t, nacks)          /* batched gap NACK envelopes sent */               \
-  X(std::uint64_t, repairs_served) /* retained payloads resent to a NACKer */          \
-  /* Wave-coalescing accounting (groups/pubsub batching): range waves the              \
-     rendezvous roots flushed and the per-edge envelopes (payload, plus                \
-     acks at QoS 1+) those ranges avoided versus one wave per publish. */              \
-  X(std::uint64_t, batched_waves)   /* coalesced range waves flushed */                \
-  X(std::uint64_t, envelopes_saved) /* envelopes amortised away by batching */         \
-  /* Control-plane cost attribution (groups routed control + graft plane):             \
-     the envelopes that find/maintain trees, as opposed to the payload                 \
-     envelopes that traverse them. Reported by the pub/sub layer so the                \
-     "tree construction costs real messages" claim is measurable here, not             \
-     just in per-group bookkeeping. */                                                 \
-  X(std::uint64_t, control_envelopes) /* routed control + graft envelopes sent */      \
-  X(std::uint64_t, graft_hops)        /* kGraftRequestKind descent hops sent */        \
-  X(std::uint64_t, graft_retries)     /* graft control envelopes retransmitted */      \
-  X(std::uint64_t, graft_aborts)      /* in-flight grafts given up (resubscribed) */   \
-  /* Warm-failover accounting (groups replica plane): root->replica state              \
-     replication, the per-migration bootstrap subset of it, and the idle               \
-     heartbeat beacons. All three are control traffic and also count into              \
-     control_envelopes. */                                                             \
-  X(std::uint64_t, replica_sync_envelopes) /* kReplicaSyncKind deltas sent */          \
-  X(std::uint64_t, migration_envelopes)    /* syncs re-establishing a replica */       \
-  X(std::uint64_t, heartbeats)             /* kHeartbeatKind beacon hops sent */
+#define GEOMCAST_NETWORK_STATS_FIELDS(X) \
+  X(std::uint64_t, sent)                 \
+  X(std::uint64_t, delivered)            \
+  X(std::uint64_t, dropped)
 
 /// Counters the experiments read back.
 struct NetworkStats {
@@ -125,33 +106,6 @@ class Network {
   [[nodiscard]] std::optional<SimTime> admit(const Envelope& envelope);
 
   void note_delivered(const Envelope& envelope);
-
-  // Reliability-layer reporting (see NetworkStats).
-  void note_retransmission() noexcept { ++stats_.retransmitted; }
-  void note_duplicate() noexcept { ++stats_.duplicate_data; }
-  void note_abandoned() noexcept { ++stats_.abandoned_hops; }
-  void note_nack() noexcept { ++stats_.nacks; }
-  void note_repair_served() noexcept { ++stats_.repairs_served; }
-  void note_batched_wave(std::uint64_t envelopes_saved) noexcept {
-    ++stats_.batched_waves;
-    stats_.envelopes_saved += envelopes_saved;
-  }
-  void note_control_envelope() noexcept { ++stats_.control_envelopes; }
-  void note_graft_hop() noexcept {
-    ++stats_.graft_hops;
-    ++stats_.control_envelopes;
-  }
-  void note_graft_retry() noexcept { ++stats_.graft_retries; }
-  void note_graft_abort() noexcept { ++stats_.graft_aborts; }
-  void note_replica_sync() noexcept {
-    ++stats_.replica_sync_envelopes;
-    ++stats_.control_envelopes;
-  }
-  void note_migration_envelope() noexcept { ++stats_.migration_envelopes; }
-  void note_heartbeat() noexcept {
-    ++stats_.heartbeats;
-    ++stats_.control_envelopes;
-  }
 
   /// Materialises the per-kind map from the dense hot-path counters before
   /// returning — callers see exactly the map they always did.

@@ -249,7 +249,7 @@ TEST(StatsFields, GroupStatsJsonEmitsEveryListedScalar) {
 TEST(StatsFields, NetworkStatsJsonEmitsEveryListedScalar) {
   sim::NetworkStats stats;
   const auto fields = fill(stats, 0);
-  EXPECT_EQ(fields.size(), 17u);
+  EXPECT_EQ(fields.size(), 3u);  // sent, delivered, dropped: what the transport sees
   const std::string json = obs::to_json(stats);
   expect_scalars_lead(json, fields);
   EXPECT_GT(json.find("\"sent_by_kind\":{"), json.find("\"" + fields.back().name + "\":"));

@@ -259,14 +259,14 @@ TEST(GroupsReplicaShardTest, DeliveredSetsMatchTheSingleRootOracleAcrossCells) {
 TEST(GroupsReplicaShardTest, SingleSlotCellsMatchTheirGoldenDigests) {
   const auto graph = make_overlay(200, 2, 1502);
   const std::pair<std::uint64_t, std::uint64_t> golden[] = {
-      {0x2bca168771a9ff45ULL, 0xeba3b4cdeca50715ULL},
-      {0x2bca168771a9ff45ULL, 0x1fab4059356250c0ULL},
-      {0x2bca168771a9ff45ULL, 0x1fab4059356250c0ULL},
-      {0x2bca168771a9ff45ULL, 0x7a94d24bfff2c3c8ULL},
-      {0x2bca168771a9ff45ULL, 0xf30bee49d5d6a418ULL},
-      {0x2bca168771a9ff45ULL, 0x42b57d6008b9f08bULL},
-      {0x2bca168771a9ff45ULL, 0x1c96019a0a5aef6eULL},
-      {0x2bca168771a9ff45ULL, 0x07c0185818d3a543ULL},
+      {0x2bca168771a9ff45ULL, 0x68e881a6a53d18c8ULL},
+      {0x2bca168771a9ff45ULL, 0x3ce16f6e4602ffe9ULL},
+      {0x2bca168771a9ff45ULL, 0x3ce16f6e4602ffe9ULL},
+      {0x2bca168771a9ff45ULL, 0x29ec8d1198d5de9fULL},
+      {0x2bca168771a9ff45ULL, 0x4350d6c56c7b14efULL},
+      {0x2bca168771a9ff45ULL, 0xde355364a4393665ULL},
+      {0x2bca168771a9ff45ULL, 0xd6ead34f9a2bb8afULL},
+      {0x2bca168771a9ff45ULL, 0x91697b944035363fULL},
   };
   const auto cells = oracle_cells();
   ASSERT_EQ(cells.size(), std::size(golden));

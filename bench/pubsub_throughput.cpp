@@ -918,8 +918,9 @@ std::string graft_cell_json(const char* mode, double loss, std::size_t kills,
 /// The ISSUE 5 acceptance harness: per pinned seed (three of them), the
 /// local-descent oracle vs the routed descent at zero loss — delivered
 /// sets and tree edge sets must be bit-identical, with every routed hop
-/// a kGraftRequestKind envelope on the transport — plus a routed churn cell (5% loss, mid-graft
-/// kills) that must leave every surviving registered member attached.
+/// a kGraftRequestKind envelope on the transport — plus a routed churn
+/// cell (5% loss, mid-graft kills) that must leave every surviving
+/// registered member attached.
 int run_graft_cost(ScenarioParams params, std::size_t dims, bool csv,
                    const std::string& json_path) {
   util::Table table({"seed", "mode", "loss", "kills", "subscribes", "grafts",
@@ -1637,9 +1638,9 @@ int run_hot_group(ScenarioParams params, std::size_t dims, bool csv,
   const double flatten_ratio =
       hot_by_r.size() > 1 ? ratio(hot_by_r.front().second, hot_by_r.back().second) : 0.0;
 
-  util::Table table({"replicas", "qos", "publishes", "delivery_ratio", "graft_hops", "seq_leases", "shard_waves", "handoffs",
-                     "send_max", "total_max", "total_p99", "hot_root_load",
-                     "identical", "run_secs"});
+  util::Table table({"replicas", "qos", "publishes", "delivery_ratio", "graft_hops",
+                     "seq_leases", "shard_waves", "handoffs", "send_max", "total_max",
+                     "total_p99", "hot_root_load", "identical", "run_secs"});
   std::vector<std::string> cells_json;
   for (const HotGroupCell& cell : cells) {
     table.begin_row()

@@ -164,7 +164,7 @@ TEST(RoutedGraftTest, BitIdenticalToLocalOracleOnPinnedSeeds) {
     // local oracle's descent is free on the network; the routed one pays
     // real envelopes, every one of them attributed.
     EXPECT_EQ(local.total.graft_hops, 0u) << "seed " << seed;
-    EXPECT_EQ(local.net.sent_by_kind.count(kGraftRequestKind), 0u) << "seed " << seed;
+    EXPECT_FALSE(local.net.sent_by_kind.contains(kGraftRequestKind)) << "seed " << seed;
     EXPECT_GT(routed.total.graft_hops, 0u) << "seed " << seed;
     EXPECT_GT(routed.net.sent, local.net.sent) << "seed " << seed;
     const auto requests = routed.net.sent_by_kind.find(kGraftRequestKind);
@@ -235,8 +235,8 @@ TEST(RoutedGraftTest, ConvergesUnderLoss) {
         }
     }
     const auto net = system.simulator().stats();
-    EXPECT_EQ(net.sent_by_kind.count(kSubscribeKind), 1u) << "seed " << seed;
-    EXPECT_EQ(net.sent_by_kind.count(kGraftRequestKind), 1u) << "seed " << seed;
+    EXPECT_TRUE(net.sent_by_kind.contains(kSubscribeKind)) << "seed " << seed;
+    EXPECT_TRUE(net.sent_by_kind.contains(kGraftRequestKind)) << "seed " << seed;
   }
 }
 

@@ -401,12 +401,13 @@ void BM_RetainedBufferRangeInsert(benchmark::State& state) {
   const auto width = static_cast<std::uint64_t>(state.range(0));
   constexpr std::size_t kCapacity = 64;
   constexpr std::uint64_t kWaves = 1024;
+  util::RcPool<groups::GroupDelivery> pool;
   for (auto _ : state) {
     groups::RetainedBuffer buffer(kCapacity);
     std::size_t evicted = 0;
     for (std::uint64_t w = 0; w < kWaves; ++w) {
       const std::uint64_t lo = w * width;
-      evicted += buffer.retain(lo, lo + width - 1, std::any{w});
+      evicted += buffer.retain(pool.make(groups::GroupDelivery{0, lo, lo + width - 1, w, nullptr, 0}));
     }
     benchmark::DoNotOptimize(evicted);
     benchmark::DoNotOptimize(buffer.find((kWaves - 1) * width));
@@ -433,6 +434,7 @@ void BM_ReceivePathSpread(benchmark::State& state) {
                                     std::vector<std::vector<overlay::PeerId>>(kPeers));
   groups::GroupConfig config;
   config.retention_window = 16;
+  util::RcPool<groups::GroupDelivery> pool;  // outlives the retained handles
   groups::GroupManager manager(graph, config);
   groups::SeenRanges seen;
   std::vector<std::pair<std::uint64_t, std::uint64_t>> fresh;
@@ -449,7 +451,8 @@ void BM_ReceivePathSpread(benchmark::State& state) {
       const std::uint64_t lo = next_seq[k];
       next_seq[k] += kWidth;
       seen.mark(util::PeerKey{peer, 0, group}, lo, lo + kWidth - 1, fresh);
-      evicted += manager.retain_payload(peer, group, lo, lo + kWidth - 1, std::any{lo});
+      evicted += manager.retain_payload(
+          peer, group, pool.make(groups::GroupDelivery{group, lo, lo + kWidth - 1, lo, nullptr, 0}));
     }
     benchmark::DoNotOptimize(evicted);
     benchmark::DoNotOptimize(fresh.data());

@@ -16,7 +16,7 @@ std::size_t RetainedBuffer::count_at_or_below(std::uint64_t seq) const noexcept 
   std::size_t hi = count_;
   while (lo < hi) {
     const std::size_t mid = lo + (hi - lo) / 2;
-    if (at(mid).seq_lo <= seq)
+    if (at(mid)->seq <= seq)
       lo = mid + 1;
     else
       hi = mid;
@@ -29,40 +29,41 @@ void RetainedBuffer::grow() {
   // capacity_ + 1 slots always suffice.
   std::size_t size = std::max<std::size_t>(4, 2 * ring_.size());
   if (size > capacity_) size = capacity_ + 1;
-  std::vector<Entry> ring(size);
+  std::vector<DeliveryPtr> ring(size);
   for (std::size_t i = 0; i < count_; ++i) ring[i] = std::move(at(i));
   ring_.swap(ring);
   head_ = 0;
 }
 
-std::size_t RetainedBuffer::retain(std::uint64_t lo, std::uint64_t hi,
-                                   std::any payload) {
+std::size_t RetainedBuffer::retain(DeliveryPtr wave) {
+  if (!wave) throw std::invalid_argument("RetainedBuffer::retain: null wave");
+  const std::uint64_t lo = wave->seq;
+  const std::uint64_t hi = wave->seq_hi;
   if (hi < lo) throw std::invalid_argument("RetainedBuffer::retain: hi < lo");
   // Waves arrive in seq order, so the common retain appends; anything else
   // (a repair's old wave, a re-retain) binary-searches its slot.
   const std::size_t pos =
-      count_ == 0 || at(count_ - 1).seq_lo < lo ? count_ : count_at_or_below(lo);
-  if (pos > 0 && at(pos - 1).seq_lo == lo) {
+      count_ == 0 || at(count_ - 1)->seq < lo ? count_ : count_at_or_below(lo);
+  if (pos > 0 && at(pos - 1)->seq == lo) {
     // Re-retaining a held range overwrites in place; drop the old width
     // before adding the new so covered_ stays exact either way.
-    Entry& held = at(pos - 1);
-    covered_ -= static_cast<std::size_t>(held.seq_hi - lo + 1);
-    held.seq_hi = hi;
-    held.payload = std::move(payload);
+    DeliveryPtr& held = at(pos - 1);
+    covered_ -= static_cast<std::size_t>(held->seq_hi - lo + 1);
+    held = std::move(wave);
   } else {
     if (count_ == ring_.size()) grow();
     ++count_;
     for (std::size_t i = count_ - 1; i > pos; --i) at(i) = std::move(at(i - 1));
-    at(pos) = Entry{lo, hi, std::move(payload)};
+    at(pos) = std::move(wave);
   }
   covered_ += static_cast<std::size_t>(hi - lo + 1);
   std::size_t evicted = 0;
   while (covered_ > capacity_) {  // lowest ranges go first
-    Entry& oldest = at(0);
-    const std::size_t width = static_cast<std::size_t>(oldest.seq_hi - oldest.seq_lo + 1);
+    DeliveryPtr& oldest = at(0);
+    const std::size_t width = static_cast<std::size_t>(oldest->count());
     covered_ -= width;
     evicted += width;
-    oldest.payload.reset();
+    oldest = DeliveryPtr{};
     head_ = head_ + 1 == ring_.size() ? 0 : head_ + 1;
     --count_;
   }
@@ -72,16 +73,16 @@ std::size_t RetainedBuffer::retain(std::uint64_t lo, std::uint64_t hi,
 std::vector<std::pair<std::uint64_t, std::uint64_t>> RetainedBuffer::ranges() const {
   std::vector<std::pair<std::uint64_t, std::uint64_t>> out;
   out.reserve(count_);
-  for (std::size_t i = 0; i < count_; ++i) out.emplace_back(at(i).seq_lo, at(i).seq_hi);
+  for (std::size_t i = 0; i < count_; ++i) out.emplace_back(at(i)->seq, at(i)->seq_hi);
   return out;
 }
 
-const std::any* RetainedBuffer::find(std::uint64_t seq) const {
+const DeliveryPtr* RetainedBuffer::find(std::uint64_t seq) const {
   // The covering range, if any: the last entry starting at or below seq.
   const std::size_t below = count_at_or_below(seq);
   if (below == 0) return nullptr;
-  const Entry& entry = at(below - 1);
-  return entry.seq_hi >= seq ? &entry.payload : nullptr;
+  const DeliveryPtr& entry = at(below - 1);
+  return entry->seq_hi >= seq ? &entry : nullptr;
 }
 
 std::vector<PeerId> peers_by_first_coordinate(const overlay::OverlayGraph& graph) {
@@ -487,30 +488,39 @@ const GroupTree* GroupManager::cached_tree(GroupId group) const {
   return gs->slots[0].cached.get();
 }
 
-std::size_t GroupManager::retain_payload(PeerId peer, GroupId group, std::uint64_t lo,
-                                         std::uint64_t hi, std::any payload) {
+const RetainedBuffer* GroupManager::find_retained(PeerId peer, GroupId group) const {
+  const std::uint32_t* slot = retained_.find(util::PeerKey{peer, 0, group});
+  return slot == nullptr ? nullptr : &retained_slab_[*slot];
+}
+
+std::size_t GroupManager::retain_payload(PeerId peer, GroupId group, DeliveryPtr wave) {
   if (config_.retention_window == 0) return 0;
-  const auto [buffer, inserted] =
-      retained_.try_emplace(util::PeerKey{peer, 0, group}, config_.retention_window);
+  const auto free_slot = static_cast<std::uint32_t>(
+      retained_free_.empty() ? retained_slab_.size() : retained_free_.back());
+  const auto [slot, inserted] = retained_.try_emplace(util::PeerKey{peer, 0, group}, free_slot);
   if (inserted) {
+    if (retained_free_.empty())
+      retained_slab_.emplace_back(config_.retention_window);
+    else
+      retained_free_.pop_back();
     const auto at = std::lower_bound(retained_groups_.begin(), retained_groups_.end(), group);
     if (at == retained_groups_.end() || *at != group) retained_groups_.insert(at, group);
   }
-  const std::size_t evicted = buffer->retain(lo, hi, std::move(payload));
-  retained_peak_ = std::max(retained_peak_, buffer->size());
+  RetainedBuffer& buffer = retained_slab_[*slot];
+  const std::size_t evicted = buffer.retain(std::move(wave));
+  retained_peak_ = std::max(retained_peak_, buffer.size());
   return evicted;
 }
 
-const std::any* GroupManager::retained_payload(PeerId peer, GroupId group,
-                                               std::uint64_t seq) const {
-  const RetainedBuffer* buffer = retained_.find(util::PeerKey{peer, 0, group});
+const DeliveryPtr* GroupManager::retained_payload(PeerId peer, GroupId group,
+                                                  std::uint64_t seq) const {
+  const RetainedBuffer* buffer = find_retained(peer, group);
   return buffer == nullptr ? nullptr : buffer->find(seq);
 }
 
 std::size_t GroupManager::retained_entry_total() const noexcept {
-  std::size_t total = 0;
-  retained_.for_each(
-      [&total](const util::PeerKey&, const RetainedBuffer& buffer) { total += buffer.size(); });
+  std::size_t total = 0;  // a free slot's buffer is empty
+  for (const RetainedBuffer& buffer : retained_slab_) total += buffer.size();
   return total;
 }
 
@@ -561,7 +571,7 @@ std::vector<PeerId> GroupManager::subscribers_of(GroupId group) const {
 
 std::vector<std::pair<std::uint64_t, std::uint64_t>> GroupManager::retained_ranges(
     PeerId peer, GroupId group) const {
-  const RetainedBuffer* buffer = retained_.find(util::PeerKey{peer, 0, group});
+  const RetainedBuffer* buffer = find_retained(peer, group);
   return buffer == nullptr ? std::vector<std::pair<std::uint64_t, std::uint64_t>>{}
                            : buffer->ranges();
 }
@@ -591,7 +601,14 @@ GroupManager::DepartureOutcome GroupManager::handle_departure(PeerId peer) {
   alive_[peer] = false;
   // The dead serve no repairs: drop the peer's retained history (NACKs
   // that would have landed here escalate to the next ancestor instead).
-  for (const GroupId group : retained_groups_) retained_.erase(util::PeerKey{peer, 0, group});
+  for (const GroupId group : retained_groups_) {
+    const util::PeerKey key{peer, 0, group};
+    const std::uint32_t* slot = retained_.find(key);
+    if (slot == nullptr) continue;
+    retained_slab_[*slot] = RetainedBuffer(config_.retention_window);  // frees the ring
+    retained_free_.push_back(*slot);
+    retained_.erase(key);
+  }
   for (auto& [group, gs] : groups_) {
     // The surviving owner-slot root owes the replica an unmember delta; a
     // dying root cannot send one (the promotion bootstrap covers it).

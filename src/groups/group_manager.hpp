@@ -21,7 +21,6 @@
 // election instead of a scan of all n.
 #pragma once
 
-#include <any>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -32,6 +31,7 @@
 #include <utility>
 #include <vector>
 
+#include "groups/delivery.hpp"
 #include "groups/group_stats.hpp"
 #include "groups/group_tree.hpp"
 #include "util/peer_table.hpp"
@@ -45,38 +45,39 @@ namespace geomcast::groups {
   return util::PeerKey{0, 0, group};
 }
 
-/// Bounded per-(peer, group) payload retention backing QoS 2 gap repair:
-/// the root and every forwarder keep the last `capacity` waves they pushed
-/// down the tree so a subscriber's NACK can be answered from the nearest
-/// in-tree ancestor instead of the publisher. Eviction is oldest-seq-first,
-/// so memory per buffer is hard-bounded by the configured retention window
-/// (each entry also pins its wave's tree snapshot, which is shared across
-/// the window's entries in the common unchanged-tree case).
+/// Bounded per-(peer, group) wave retention backing QoS 2 gap repair:
+/// the root and every forwarder keep the last `capacity` seqs of waves
+/// they pushed down the tree so a subscriber's NACK can be answered from
+/// the nearest in-tree ancestor instead of the publisher. Eviction is
+/// oldest-seq-first, so memory per buffer is hard-bounded by the
+/// configured retention window (each entry also pins its wave's tree
+/// snapshot, which is shared across the window's entries in the common
+/// unchanged-tree case).
 ///
-/// Storage is a contiguous ring of entries sorted by seq_lo: waves arrive
-/// in seq order, so a retain is an append and an eviction pops the oldest;
-/// find is a binary search. The ring grows by doubling up to capacity + 1
-/// entries (every entry covers at least one seq) and never shrinks.
+/// An entry is the wave's own 8-byte DeliveryPtr, the handle its envelopes
+/// already share: the retained range is the wave's [seq, seq_hi], so the
+/// buffer copies neither the range nor the payload. Storage is a
+/// contiguous ring of handles sorted by seq: waves arrive in seq order, so
+/// a retain is an append and an eviction pops the oldest; find is a binary
+/// search. The ring grows by doubling up to capacity + 1 entries (every
+/// entry covers at least one seq) and never shrinks.
 class RetainedBuffer {
  public:
   explicit RetainedBuffer(std::size_t capacity = 0) : capacity_(capacity) {}
 
-  /// Retains `payload` for the dense seq range [lo, hi] (one entry — a
+  /// Retains `wave` for its dense seq range [seq, seq_hi] (one entry — a
   /// batched wave retains once, not per seq); evicts the lowest retained
   /// ranges while the buffer covers more than `capacity` seqs. Returns the
   /// number of seqs evicted (a zero-capacity buffer evicts the new entry
-  /// itself). Re-retaining a held range (same lo) overwrites in place;
+  /// itself). Re-retaining a held range (same seq) overwrites in place;
   /// ranges of one group never partially overlap — the root assigns them.
-  std::size_t retain(std::uint64_t lo, std::uint64_t hi, std::any payload);
-  /// Single-seq convenience (the unbatched pipeline).
-  std::size_t retain(std::uint64_t seq, std::any payload) {
-    return retain(seq, seq, std::move(payload));
-  }
+  /// Throws std::invalid_argument for a null handle or seq_hi < seq.
+  std::size_t retain(DeliveryPtr wave);
 
-  /// The retained payload whose range covers `seq`, or nullptr when absent
+  /// The retained wave whose range covers `seq`, or nullptr when absent
   /// (never held, or already evicted — the caller escalates to an older
   /// ancestor).
-  [[nodiscard]] const std::any* find(std::uint64_t seq) const;
+  [[nodiscard]] const DeliveryPtr* find(std::uint64_t seq) const;
 
   /// Seqs covered across all retained ranges — the unit the capacity
   /// bound is expressed in (a range wave costs its width, so batching
@@ -90,28 +91,22 @@ class RetainedBuffer {
   [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
 
  private:
-  struct Entry {
-    std::uint64_t seq_lo = 0;
-    std::uint64_t seq_hi = 0;
-    std::any payload;
-  };
-
   /// The i-th oldest entry (i < count_).
-  [[nodiscard]] const Entry& at(std::size_t i) const noexcept {
+  [[nodiscard]] const DeliveryPtr& at(std::size_t i) const noexcept {
     const std::size_t k = head_ + i;
     return ring_[k < ring_.size() ? k : k - ring_.size()];
   }
-  [[nodiscard]] Entry& at(std::size_t i) noexcept {
-    return const_cast<Entry&>(std::as_const(*this).at(i));
+  [[nodiscard]] DeliveryPtr& at(std::size_t i) noexcept {
+    return const_cast<DeliveryPtr&>(std::as_const(*this).at(i));
   }
-  /// Number of entries whose seq_lo is <= seq (the insertion point after
+  /// Number of entries whose seq is <= seq (the insertion point after
   /// them).
   [[nodiscard]] std::size_t count_at_or_below(std::uint64_t seq) const noexcept;
   void grow();
 
   std::size_t capacity_;
   std::size_t covered_ = 0;
-  std::vector<Entry> ring_;
+  std::vector<DeliveryPtr> ring_;
   std::size_t head_ = 0;   // ring_ index of the oldest entry
   std::size_t count_ = 0;  // live entries, oldest at head_
 };
@@ -297,16 +292,16 @@ class GroupManager {
   // are dropped with it — the dead cannot serve repairs, which is exactly
   // why NACKs escalate ancestor-by-ancestor.
 
-  /// Retains a wave payload covering seqs [lo, hi] at `peer` for later
+  /// Retains `wave` (covering its seqs [seq, seq_hi]) at `peer` for later
   /// repair service; bounded by GroupConfig::retention_window (counted in
   /// seqs, so batched range waves cannot inflate the memory bound).
   /// Returns seqs evicted so the caller can attribute them to the group's
   /// stats.
-  std::size_t retain_payload(PeerId peer, GroupId group, std::uint64_t lo,
-                             std::uint64_t hi, std::any payload);
-  /// The payload `peer` retained for (group, seq), or nullptr.
-  [[nodiscard]] const std::any* retained_payload(PeerId peer, GroupId group,
-                                                 std::uint64_t seq) const;
+  std::size_t retain_payload(PeerId peer, GroupId group, DeliveryPtr wave);
+  /// The wave `peer` retained covering (group, seq), or nullptr. Valid
+  /// until the next retain or departure.
+  [[nodiscard]] const DeliveryPtr* retained_payload(PeerId peer, GroupId group,
+                                                    std::uint64_t seq) const;
   /// Highest occupancy any single retained buffer ever reached — the
   /// "memory bounded by the retention window" acceptance gate reads this.
   [[nodiscard]] std::size_t retained_peak() const noexcept { return retained_peak_; }
@@ -490,6 +485,8 @@ class GroupManager {
   /// Clones only for a write that changes something: zones already stale
   /// stay stale without a copy.
   void depart_outside_tree(std::shared_ptr<GroupTree>& cached, PeerId peer);
+  /// The (peer, group) retained buffer, or nullptr when it holds none.
+  [[nodiscard]] const RetainedBuffer* find_retained(PeerId peer, GroupId group) const;
 
   struct InFlightGraft {
     GroupId group = 0;
@@ -521,9 +518,14 @@ class GroupManager {
   std::map<std::uint64_t, InFlightGraft> grafts_;
   std::set<std::pair<GroupId, PeerId>> grafting_;
   std::uint64_t next_graft_id_ = 1;
-  /// QoS 2 retention, one buffer per (peer, group) that retained a wave
-  /// (PeerKey{peer, 0, group}).
-  util::PeerTable<RetainedBuffer> retained_;
+  /// QoS 2 retention, one buffer per (peer, group) that retained a wave:
+  /// the table maps PeerKey{peer, 0, group} to a slot of `retained_slab_`
+  /// (a 4-byte index keeps the table's entries at 24 bytes). A departure
+  /// empties the peer's buffers and returns their slots to
+  /// `retained_free_`, where the next new (peer, group) reuses them.
+  util::PeerTable<std::uint32_t> retained_;
+  std::vector<RetainedBuffer> retained_slab_;
+  std::vector<std::uint32_t> retained_free_;
   /// Every group that ever retained a wave, ascending: a departure drops
   /// the peer's buffers with one erase per such group, never a table scan.
   std::vector<GroupId> retained_groups_;

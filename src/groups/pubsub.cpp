@@ -875,8 +875,7 @@ void PubSubSystem::disseminate(PeerId self, PeerId from,
   // served from the nearest ancestor instead of the publisher. One
   // retained entry covers the whole range.
   if (end_to_end() && (gt->tree.root() == self || !node->children.empty())) {
-    stats.retained_evictions += manager_->retain_payload(
-        self, delivery.group, delivery.seq, delivery.seq_hi, delivery_ptr);
+    stats.retained_evictions += manager_->retain_payload(self, delivery.group, delivery_ptr);
     if (warm() && from == kInvalidPeer && delivery.slot == 0) {
       // The authority's own flush: mirror the retained range to the
       // replica so a promoted successor can serve post-migration NACKs for
@@ -942,6 +941,18 @@ void PubSubSystem::apply_delivery(PeerId self, GroupId group, std::uint64_t seq,
 PubSubSystem::WindowState* PubSubSystem::find_window(PeerId self, GroupId group) {
   const std::uint32_t* slot = window_slots_.find(util::PeerKey{self, 0, group});
   return slot == nullptr ? nullptr : &windows_[*slot];
+}
+
+std::vector<PubSubSystem::OpenGapWindow> PubSubSystem::open_gap_windows() const {
+  std::vector<OpenGapWindow> open;
+  window_slots_.for_each([&](const util::PeerKey& key, std::uint32_t slot) {
+    const WindowState& ws = windows_[slot];
+    if (!ws.gaps.empty()) open.push_back({key.peer, key.id, ws.gaps.size(), ws.timer_armed});
+  });
+  std::sort(open.begin(), open.end(), [](const OpenGapWindow& a, const OpenGapWindow& b) {
+    return std::pair(a.peer, a.group) < std::pair(b.peer, b.group);
+  });
+  return open;
 }
 
 PubSubSystem::WindowState& PubSubSystem::ensure_window(PeerId self, GroupId group) {
@@ -1112,15 +1123,14 @@ void PubSubSystem::on_nack(PeerId self, const GapNack& nack) {
   // range wave — resend each retained envelope at most once per NACK.
   std::set<std::uint64_t> served_ranges;  // keyed by the range's seq_lo
   for (const std::uint64_t seq : nack.seqs) {
-    if (const std::any* payload = manager_->retained_payload(self, nack.group, seq)) {
-      const auto& wave_ptr = std::any_cast<const DeliveryPtr&>(*payload);
-      const GroupDelivery& wave = *wave_ptr;
+    if (const DeliveryPtr* wave_ptr = manager_->retained_payload(self, nack.group, seq)) {
+      const GroupDelivery& wave = **wave_ptr;
       if (!served_ranges.insert(wave.seq).second) continue;
       ++stats.repairs_served;
       if (tracer_.enabled())
         tracer_.emit({sim_->now(), obs::TraceEventType::kRepairServed, nack.group,
                       wave.wave, wave.seq, wave.seq_hi, self, nack.origin});
-      sim_->send(self, nack.origin, kRepairKind, wave_ptr);
+      sim_->send(self, nack.origin, kRepairKind, *wave_ptr);
     } else {
       missing.push_back(seq);
     }
@@ -1160,8 +1170,7 @@ void PubSubSystem::on_repair(PeerId self, const DeliveryPtr& delivery_ptr) {
   const GroupTree* latest = ws.latest_tree.get();
   if (latest != nullptr && latest->tree.reached(self) &&
       !latest->tree.children(self).empty())
-    stats.retained_evictions += manager_->retain_payload(
-        self, delivery.group, delivery.seq, delivery.seq_hi, delivery_ptr);
+    stats.retained_evictions += manager_->retain_payload(self, delivery.group, delivery_ptr);
 }
 
 void PubSubSystem::on_repair_miss(PeerId self, PeerId from, const GapRepairMiss& miss) {
@@ -1245,11 +1254,10 @@ void PubSubSystem::on_replica_sync(PeerId self, PeerId from, const ReplicaSync& 
       // Mirrored into the replica's OWN RetainedBuffer (per-peer state that
       // survives promotion) — this line is what turns post-migration NACKs
       // from guaranteed misses into served repairs.
-      // The mirrored wave is re-wrapped through the pool so every retained
-      // slot in the system holds the same DeliveryPtr shape.
-      manager_->stats(sync.group).retained_evictions += manager_->retain_payload(
-          self, sync.group, sync.wave.seq, sync.wave.seq_hi,
-          payload_pool_.make(sync.wave));
+      // The mirrored wave arrives by value; the pool wraps it in the
+      // DeliveryPtr a retained buffer holds.
+      manager_->stats(sync.group).retained_evictions +=
+          manager_->retain_payload(self, sync.group, payload_pool_.make(sync.wave));
       return;
     case ReplicaSync::What::kPendingJoin: {
       ReplicaPending& pending = replica_pending_[sync.group];
@@ -1277,11 +1285,11 @@ void PubSubSystem::bootstrap_replica(GroupId group, bool migration) {
   }
   for (const auto& [lo, hi] : manager_->retained_ranges(root, group)) {
     (void)hi;  // the retained wave carries its own [seq, seq_hi]
-    const std::any* payload = manager_->retained_payload(root, group, lo);
-    if (payload == nullptr) continue;
+    const DeliveryPtr* wave = manager_->retained_payload(root, group, lo);
+    if (wave == nullptr) continue;
     ReplicaSync sync;
     sync.what = ReplicaSync::What::kRetain;
-    sync.wave = *std::any_cast<const DeliveryPtr&>(*payload);
+    sync.wave = **wave;
     replica_send(root, group, std::move(sync), migration);
   }
   if (acked() && batching()) {

@@ -165,9 +165,10 @@
 // envelope admitted, per kind, delivered or dropped. Each finer count has
 // one owner: the data plane's retransmissions and abandons are
 // hop_stats() (per group: GroupStats retransmissions / abandoned_hops),
-// the control planes' are GroupStats graft_retries / replica_sync_retries,
-// and NACKs, repairs, duplicates, replica syncs, migrations and batching
-// savings are GroupStats fields.
+// the control planes' are GroupStats graft_retries / replica_sync_retries
+// and, for the slot-root coordination plane, coord_hop_stats(); NACKs,
+// repairs, duplicates, replica syncs, migrations and batching savings are
+// GroupStats fields.
 #pragma once
 
 #include <cstdint>
@@ -178,6 +179,7 @@
 #include <utility>
 #include <vector>
 
+#include "groups/delivery.hpp"
 #include "groups/group_manager.hpp"
 #include "groups/message_kinds.hpp"
 #include "util/peer_table.hpp"
@@ -202,46 +204,6 @@ struct GroupRequest {
   /// PubSubConfig::publisher_batch_window; always 1 when that is off).
   std::uint32_t count = 1;
 };
-
-/// Payload envelope travelling down a group tree. Each wave carries an
-/// immutable snapshot of the tree it was published on (the forwarding
-/// state "installed" for that wave, the way §2 build requests carry
-/// zones): grafts/prunes/repairs landing mid-wave affect later publishes
-/// only, so delivery accounting is exact against the snapshot. The
-/// snapshot lives as long as some envelope of the wave is in flight.
-///
-/// A wave covers the dense sequence RANGE [seq, seq_hi] (inclusive): the
-/// root coalesces publishes landing within PubSubConfig::batch_window into
-/// one envelope per tree edge instead of one per publish, so every hop,
-/// ack, pending-retransmit entry, and retained-buffer slot is amortised by
-/// the batch factor. An unbatched publish is the degenerate seq_hi == seq
-/// range.
-struct GroupDelivery {
-  GroupId group = 0;
-  std::uint64_t seq = 0;     // lowest publish seq the wave carries
-  std::uint64_t seq_hi = 0;  // highest (== seq for an unbatched wave)
-  /// System-wide wave id — the reliability layer's ack token. Unique across
-  /// groups (per-group seqs are not), so concurrent waves of different
-  /// groups traversing the same link can never cancel each other's timers.
-  /// One wave id covers the whole range: one ack and one retransmit repair
-  /// the entire batch at a hop.
-  std::uint64_t wave = 0;
-  std::shared_ptr<const GroupTree> tree;
-  /// The replica slot whose shard tree `tree` is (always 0 with one slot).
-  /// Receivers dedup per (group, slot): a peer relaying for several slots
-  /// forwards each slot's copy of a range.
-  std::uint32_t slot = 0;
-
-  [[nodiscard]] std::uint64_t count() const noexcept { return seq_hi - seq + 1; }
-};
-
-/// How waves travel the simulated network: one immutable GroupDelivery per
-/// wave, shared by every envelope of the tree push (and by the retained-
-/// buffer slots that serve repairs later). The handle is one pointer wide,
-/// so it rides std::any's inline buffer and the per-edge fan-out copies
-/// are refcount bumps — no heap allocation, no payload copy per envelope.
-/// The pointees live in PubSubSystem's payload pool (util/pool.hpp).
-using DeliveryPtr = util::RcPtr<GroupDelivery>;
 
 /// Batched gap request: `origin` is missing `seqs` of `group` and asks the
 /// addressee (an ancestor from its latest wave snapshot) to resend them.
@@ -558,6 +520,13 @@ class PubSubSystem {
   [[nodiscard]] const multicast::HopStats& hop_stats() const noexcept {
     return hop_->stats();
   }
+  /// Slot-root coordination plane per-hop counters (kSeqLeaseKind,
+  /// kSeqGrantKind and kShardWaveKind sends with their retransmissions,
+  /// kCoordAckKind acks): the one owner of that plane's retransmissions
+  /// and abandons. All zero with one slot, where the plane never sends.
+  [[nodiscard]] const multicast::HopStats& coord_hop_stats() const noexcept {
+    return coord_hop_->stats();
+  }
   /// The data-plane hop layer, read-only (e.g. its pending_to()).
   [[nodiscard]] const multicast::ReliableHopLayer& data_hops() const noexcept {
     return *hop_;
@@ -567,6 +536,18 @@ class PubSubSystem {
   /// dropped with its dead sender.
   [[nodiscard]] std::size_t pending_hops() const noexcept;
   [[nodiscard]] const PubSubConfig& config() const noexcept { return config_; }
+
+  /// A QoS 2 window that still holds gaps, neither repaired nor abandoned.
+  struct OpenGapWindow {
+    PeerId peer = kInvalidPeer;
+    GroupId group = 0;
+    std::size_t gaps = 0;
+    bool timer_armed = false;
+  };
+  /// Every (peer, group) window with open gaps, ascending by (peer, group).
+  /// Observation only. A drained run leaves gaps only at departed peers:
+  /// a dead subscriber's gap timer fires once, finds it dead and stops.
+  [[nodiscard]] std::vector<OpenGapWindow> open_gap_windows() const;
 
   /// Frees the payload pool's cached blocks. Safe only once the run is
   /// idle (no live envelopes/retained handles still borrowing blocks is

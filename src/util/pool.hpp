@@ -6,7 +6,10 @@
 // heap-allocates on every any construction and copy, once per hop on the
 // dissemination fan-out. RcPtr is an 8-byte intrusive-refcount handle that
 // stays inside the any's inline buffer, so a fan-out copy is one pointer
-// store plus one refcount increment: no heap traffic at all.
+// store plus one refcount increment: no heap traffic at all. Holders off
+// the wire keep the handle typed, with no any around it: a QoS 2 retained
+// buffer's entry is the wave's RcPtr alone (groups::RetainedBuffer), 8
+// bytes per retained wave.
 //
 // RcPool owns the backing storage: make() constructs the payload into a
 // {refcount, pool, T} block drawn from a free list, and the last RcPtr to
@@ -16,7 +19,7 @@
 //
 // Lifetime contract: the pool must outlive every handle it produced —
 // declare it before (i.e. destroy it after) the subsystems that can hold
-// payloads. release() between bench cells frees only the cached blocks;
+// payloads: envelopes in flight, pending hops and retained buffers. release() between bench cells frees only the cached blocks;
 // live handles are unaffected and recycle into the emptied list as they
 // drop.
 //
@@ -80,7 +83,8 @@ class RcPool {
 };
 
 /// Shared read-only handle to a pooled T. Exactly one pointer wide, so it
-/// rides std::any's inline storage; copying bumps the count.
+/// rides std::any's inline storage and costs 8 bytes where it is stored
+/// typed; copying bumps the count.
 template <typename T>
 class RcPtr {
  public:

@@ -9,7 +9,6 @@
 
 #include <gtest/gtest.h>
 
-#include <any>
 #include <map>
 #include <memory>
 #include <set>
@@ -25,6 +24,8 @@ namespace {
 
 using testutil::make_overlay;
 using testutil::subscribe_members;
+using testutil::tag_of;
+using testutil::WavePool;
 
 // ---------------------------------------------------- window range tests ----
 
@@ -106,10 +107,11 @@ TEST(SubscriberWindowRangeTest, SingleSeqObserveIsTheDegenerateRange) {
 // -------------------------------------------------- retained-range tests ----
 
 TEST(RetainedBufferRangeTest, FindCoversTheWholeRange) {
+  WavePool waves;
   RetainedBuffer buffer(16);
-  EXPECT_EQ(buffer.retain(8, 15, std::any{1}), 0u);
+  EXPECT_EQ(buffer.retain(waves(8, 15, 1)), 0u);
   EXPECT_EQ(buffer.find(7), nullptr);
-  for (std::uint64_t s = 8; s <= 15; ++s) ASSERT_NE(buffer.find(s), nullptr);
+  for (std::uint64_t s = 8; s <= 15; ++s) ASSERT_EQ(tag_of(buffer.find(s)), 1);
   EXPECT_EQ(buffer.find(16), nullptr);
   EXPECT_EQ(buffer.size(), 8u);
   EXPECT_EQ(buffer.entry_count(), 1u);
@@ -118,18 +120,20 @@ TEST(RetainedBufferRangeTest, FindCoversTheWholeRange) {
 TEST(RetainedBufferRangeTest, CapacityIsCountedInSeqsNotEntries) {
   // A range wave costs its width, so batching cannot inflate the memory
   // bound the retention window promises.
+  WavePool waves;
   RetainedBuffer buffer(8);
-  EXPECT_EQ(buffer.retain(0, 7, std::any{1}), 0u);
-  EXPECT_EQ(buffer.retain(8, 15, std::any{2}), 8u);  // whole first range out
+  EXPECT_EQ(buffer.retain(waves(0, 7, 1)), 0u);
+  EXPECT_EQ(buffer.retain(waves(8, 15, 2)), 8u);  // whole first range out
   EXPECT_EQ(buffer.size(), 8u);
   EXPECT_EQ(buffer.find(0), nullptr);
   ASSERT_NE(buffer.find(12), nullptr);
-  EXPECT_EQ(std::any_cast<int>(*buffer.find(12)), 2);
+  EXPECT_EQ(tag_of(buffer.find(12)), 2);
 }
 
 TEST(RetainedBufferRangeTest, OverWideRangeEvictsItself) {
+  WavePool waves;
   RetainedBuffer buffer(4);
-  EXPECT_EQ(buffer.retain(0, 7, std::any{1}), 8u);
+  EXPECT_EQ(buffer.retain(waves(0, 7, 1)), 8u);
   EXPECT_EQ(buffer.size(), 0u);
   EXPECT_EQ(buffer.find(3), nullptr);
 }
@@ -143,6 +147,7 @@ TEST(RetainedBufferRangeTest, DepartureDropsOnlyTheDepartedPeersBuffers) {
   const auto graph = make_overlay(120, 2, 4242);
   GroupConfig config;
   config.retention_window = 8;
+  WavePool waves;
   GroupManager manager(graph, config);
   const std::vector<GroupId> groups = {3, 40, 1ULL << 33};
   using Ranges = std::vector<std::pair<std::uint64_t, std::uint64_t>>;
@@ -150,9 +155,9 @@ TEST(RetainedBufferRangeTest, DepartureDropsOnlyTheDepartedPeersBuffers) {
   for (PeerId p = 0; p < graph.size(); ++p)
     for (std::size_t i = 0; i < groups.size(); ++i) {
       if ((p + i) % 4 == 0) continue;  // not every peer retains in every group
-      const std::uint64_t waves = 1 + (p + i) % 5;
-      for (std::uint64_t w = 0; w < waves; ++w)
-        manager.retain_payload(p, groups[i], 3 * w, 3 * w + 2, std::any{w});
+      const std::uint64_t count = 1 + (p + i) % 5;
+      for (std::uint64_t w = 0; w < count; ++w)
+        manager.retain_payload(p, groups[i], waves(3 * w, 3 * w + 2, w, groups[i]));
       expected[{p, groups[i]}] = manager.retained_ranges(p, groups[i]);
     }
   auto recount = [&] {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -12,6 +13,7 @@
 #include "geometry/random_points.hpp"
 #include "overlay/empty_rect.hpp"
 #include "overlay/equilibrium.hpp"
+#include "util/pool.hpp"
 #include "util/rng.hpp"
 
 namespace geomcast::groups {
@@ -694,6 +696,126 @@ TEST(GroupManagerTest, NoGroupCanBeHostedOnceEveryPeerIsDead) {
   GroupManager manager(graph);
   for (PeerId p = 0; p < graph.size(); ++p) manager.handle_departure(p);
   EXPECT_THROW((void)manager.root_of(5), std::runtime_error);
+}
+
+/// QoS 2 retention through the manager against a map model: random
+/// retains of each group's dense ranges (new waves, late old waves, and at
+/// R = 2 the other slot's copy of a held range, which overwrites it in
+/// place), departures that drop a peer's buffers, and new (peer, group)
+/// pairs that take the freed buffer slots. After every step the manager's
+/// retained_payload (handle identity), retained_ranges, entry total,
+/// buffer count and peak must match the model.
+TEST(GroupManagerTest, RetentionMatchesAMapModel) {
+  const auto graph = make_overlay(120, 2, 77);
+  const std::vector<GroupId> groups = {3, 40, 1ULL << 33, 7};
+  for (const std::size_t replicas : {1u, 2u})
+    for (const std::size_t window : {0u, 1u, 8u}) {
+      SCOPED_TRACE("R = " + std::to_string(replicas) + ", window " + std::to_string(window));
+      util::RcPool<GroupDelivery> pool;  // outlives the manager's handles
+      GroupConfig config;
+      config.retention_window = window;
+      config.root_replicas = replicas;
+      GroupManager manager(graph, config);
+      // Model: (peer, group) -> lo -> retained wave; covered seqs per pair.
+      using Pair = std::pair<PeerId, GroupId>;
+      std::map<Pair, std::map<std::uint64_t, DeliveryPtr>> model;
+      std::map<Pair, std::size_t> covered;
+      std::size_t peak = 0;
+      // Each group's ranges as its root assigns them: dense, disjoint.
+      std::map<GroupId, std::vector<std::pair<std::uint64_t, std::uint64_t>>> assigned;
+      std::vector<bool> alive(graph.size(), true);
+      util::Rng rng(window * 10 + replicas);
+      std::uint64_t next_tag = 0;
+
+      const auto check_pair = [&](const Pair& key) {
+        const auto [peer, group] = key;
+        const auto it = model.find(key);
+        std::vector<std::pair<std::uint64_t, std::uint64_t>> ranges;
+        if (it != model.end())
+          for (const auto& [lo, wave] : it->second) ranges.emplace_back(lo, wave->seq_hi);
+        ASSERT_EQ(manager.retained_ranges(peer, group), ranges)
+            << "peer " << peer << " group " << group;
+        const auto& spans = assigned[group];
+        const std::uint64_t end = spans.empty() ? 0 : spans.back().second + 1;
+        for (std::uint64_t seq = 0; seq <= end; ++seq) {
+          const GroupDelivery* expect = nullptr;
+          if (it != model.end()) {
+            const auto after = it->second.upper_bound(seq);
+            if (after != it->second.begin() && std::prev(after)->second->seq_hi >= seq)
+              expect = &*std::prev(after)->second;
+          }
+          const DeliveryPtr* got = manager.retained_payload(peer, group, seq);
+          ASSERT_EQ(got == nullptr ? nullptr : &**got, expect)
+              << "peer " << peer << " group " << group << " seq " << seq;
+        }
+      };
+      const auto check_totals = [&] {
+        std::size_t seqs = 0;
+        for (const auto& [key, c] : covered) seqs += c;
+        ASSERT_EQ(manager.retained_entry_total(), seqs);
+        ASSERT_EQ(manager.retained_buffer_count(), model.size());
+        ASSERT_EQ(manager.retained_peak(), peak);
+      };
+
+      for (int step = 0; step < 1500; ++step) {
+        // Peers join the retaining population over time, so new pairs
+        // keep arriving after departures have freed slots.
+        const std::size_t eligible = std::min<std::size_t>(graph.size(), 8 + step / 12);
+        if (rng.next_below(20) == 0) {
+          const auto gone = static_cast<PeerId>(rng.next_below(eligible));
+          if (!alive[gone]) continue;
+          alive[gone] = false;
+          (void)manager.handle_departure(gone);
+          for (auto it = model.begin(); it != model.end();)
+            if (it->first.first == gone) {
+              covered.erase(it->first);
+              it = model.erase(it);
+            } else {
+              ++it;
+            }
+          for (const GroupId g : groups) ASSERT_NO_FATAL_FAILURE(check_pair({gone, g}));
+          ASSERT_NO_FATAL_FAILURE(check_totals());
+          continue;
+        }
+        const auto peer = static_cast<PeerId>(rng.next_below(eligible));
+        if (!alive[peer]) continue;
+        const GroupId group = groups[rng.next_below(groups.size())];
+        auto& spans = assigned[group];
+        std::pair<std::uint64_t, std::uint64_t> span;
+        if (spans.empty() || rng.next_below(3) != 0) {  // a new wave
+          const std::uint64_t lo = spans.empty() ? 0 : spans.back().second + 1;
+          span = {lo, lo + rng.next_below(4)};
+          spans.push_back(span);
+        } else {  // a late wave, or another slot's copy of a held range
+          span = spans[rng.next_below(spans.size())];
+        }
+        const auto slot = static_cast<std::uint32_t>(rng.next_below(replicas));
+        DeliveryPtr wave = pool.make(GroupDelivery{group, span.first, span.second, next_tag++,
+                                                   nullptr, slot});
+        std::size_t evicted = 0;
+        const Pair key{peer, group};
+        if (window > 0) {
+          auto& held = model[key];
+          std::size_t& c = covered[key];
+          if (const auto it = held.find(span.first); it != held.end()) c -= it->second->count();
+          c += wave->count();
+          held[span.first] = wave;
+          while (c > window) {
+            const auto oldest = held.begin();
+            c -= oldest->second->count();
+            evicted += oldest->second->count();
+            held.erase(oldest);
+          }
+          peak = std::max(peak, c);
+        }
+        ASSERT_EQ(manager.retain_payload(peer, group, std::move(wave)), evicted)
+            << "step " << step;
+        ASSERT_NO_FATAL_FAILURE(check_pair(key));
+        ASSERT_NO_FATAL_FAILURE(check_totals());
+      }
+      for (PeerId p = 0; p < graph.size(); ++p)
+        for (const GroupId g : groups) ASSERT_NO_FATAL_FAILURE(check_pair({p, g}));
+    }
 }
 
 }  // namespace

@@ -24,6 +24,8 @@ namespace {
 using testutil::find_leaf_subscriber;
 using testutil::make_overlay;
 using testutil::subscribe_members;
+using testutil::tag_of;
+using testutil::WavePool;
 
 // ---------------------------------------------------------------- window ----
 
@@ -132,28 +134,31 @@ TEST(SubscriberWindowTest, ObservingAnAbandonedSeqLaterIsPreWindow) {
 // ------------------------------------------------------- retained buffer ----
 
 TEST(RetainedBufferTest, EvictsLowestSeqBeyondCapacity) {
+  WavePool waves;
   RetainedBuffer buffer(2);
-  EXPECT_EQ(buffer.retain(5, std::any{1}), 0u);
-  EXPECT_EQ(buffer.retain(6, std::any{2}), 0u);
-  EXPECT_EQ(buffer.retain(7, std::any{3}), 1u);  // 5 evicted
+  EXPECT_EQ(buffer.retain(waves(5, 5, 1)), 0u);
+  EXPECT_EQ(buffer.retain(waves(6, 6, 2)), 0u);
+  EXPECT_EQ(buffer.retain(waves(7, 7, 3)), 1u);  // 5 evicted
   EXPECT_EQ(buffer.size(), 2u);
   EXPECT_EQ(buffer.find(5), nullptr);
   ASSERT_NE(buffer.find(6), nullptr);
   ASSERT_NE(buffer.find(7), nullptr);
-  EXPECT_EQ(std::any_cast<int>(*buffer.find(7)), 3);
+  EXPECT_EQ(tag_of(buffer.find(7)), 3);
 }
 
 TEST(RetainedBufferTest, ReRetainingAHeldSeqOverwritesWithoutEviction) {
+  WavePool waves;
   RetainedBuffer buffer(2);
-  EXPECT_EQ(buffer.retain(1, std::any{1}), 0u);
-  EXPECT_EQ(buffer.retain(1, std::any{9}), 0u);
+  EXPECT_EQ(buffer.retain(waves(1, 1, 1)), 0u);
+  EXPECT_EQ(buffer.retain(waves(1, 1, 9)), 0u);
   EXPECT_EQ(buffer.size(), 1u);
-  EXPECT_EQ(std::any_cast<int>(*buffer.find(1)), 9);
+  EXPECT_EQ(tag_of(buffer.find(1)), 9);
 }
 
 TEST(RetainedBufferTest, ZeroCapacityRetainsNothing) {
+  WavePool waves;
   RetainedBuffer buffer(0);
-  EXPECT_EQ(buffer.retain(1, std::any{1}), 1u);  // evicts the new entry
+  EXPECT_EQ(buffer.retain(waves(1, 1, 1)), 1u);  // evicts the new entry
   EXPECT_EQ(buffer.size(), 0u);
   EXPECT_EQ(buffer.find(1), nullptr);
 }
@@ -161,27 +166,29 @@ TEST(RetainedBufferTest, ZeroCapacityRetainsNothing) {
 TEST(RetainedBufferTest, RetainBelowTheNewestEntryKeepsSeqOrder) {
   // A repair's old wave lands below the newest entry: it is slotted in by
   // seq, not appended, so find and eviction still see ascending ranges.
+  WavePool waves;
   RetainedBuffer buffer(10);
-  EXPECT_EQ(buffer.retain(9, std::any{9}), 0u);
-  EXPECT_EQ(buffer.retain(20, 21, std::any{20}), 0u);
-  EXPECT_EQ(buffer.retain(4, 5, std::any{4}), 0u);   // below everything
-  EXPECT_EQ(buffer.retain(12, 14, std::any{12}), 0u);  // between two entries
+  EXPECT_EQ(buffer.retain(waves(9, 9, 9)), 0u);
+  EXPECT_EQ(buffer.retain(waves(20, 21, 20)), 0u);
+  EXPECT_EQ(buffer.retain(waves(4, 5, 4)), 0u);     // below everything
+  EXPECT_EQ(buffer.retain(waves(12, 14, 12)), 0u);  // between two entries
   EXPECT_EQ(buffer.ranges(), (std::vector<std::pair<std::uint64_t, std::uint64_t>>{
                                  {4, 5}, {9, 9}, {12, 14}, {20, 21}}));
-  EXPECT_EQ(std::any_cast<int>(*buffer.find(13)), 12);
-  EXPECT_EQ(std::any_cast<int>(*buffer.find(5)), 4);
+  EXPECT_EQ(tag_of(buffer.find(13)), 12);
+  EXPECT_EQ(tag_of(buffer.find(5)), 4);
   EXPECT_EQ(buffer.find(10), nullptr);
   EXPECT_EQ(buffer.find(3), nullptr);
   EXPECT_EQ(buffer.find(22), nullptr);
-  EXPECT_EQ(buffer.retain(30, 32, std::any{30}), 2u);  // lowest range [4, 5] goes
+  EXPECT_EQ(buffer.retain(waves(30, 32, 30)), 2u);  // lowest range [4, 5] goes
   EXPECT_EQ(buffer.find(4), nullptr);
   EXPECT_EQ(buffer.size(), 9u);
 }
 
 TEST(RetainedBufferTest, OldRangeArrivingAtCapacityEvictsItself) {
+  WavePool waves;
   RetainedBuffer buffer(3);
-  for (std::uint64_t seq = 10; seq < 13; ++seq) EXPECT_EQ(buffer.retain(seq, std::any{0}), 0u);
-  EXPECT_EQ(buffer.retain(5, std::any{5}), 1u);  // oldest seq held: it goes first
+  for (std::uint64_t seq = 10; seq < 13; ++seq) EXPECT_EQ(buffer.retain(waves(seq, seq, 0)), 0u);
+  EXPECT_EQ(buffer.retain(waves(5, 5, 5)), 1u);  // oldest seq held: it goes first
   EXPECT_EQ(buffer.find(5), nullptr);
   EXPECT_EQ(buffer.size(), 3u);
   EXPECT_EQ(buffer.entry_count(), 3u);
@@ -190,18 +197,46 @@ TEST(RetainedBufferTest, OldRangeArrivingAtCapacityEvictsItself) {
 }
 
 TEST(RetainedBufferTest, ReRetainWithADifferentWidthKeepsSizeExact) {
+  WavePool waves;
   RetainedBuffer buffer(16);
-  EXPECT_EQ(buffer.retain(0, 1, std::any{0}), 0u);
-  EXPECT_EQ(buffer.retain(4, 7, std::any{1}), 0u);
+  EXPECT_EQ(buffer.retain(waves(0, 1, 0)), 0u);
+  EXPECT_EQ(buffer.retain(waves(4, 7, 1)), 0u);
   EXPECT_EQ(buffer.size(), 6u);
-  EXPECT_EQ(buffer.retain(4, 5, std::any{2}), 0u);  // narrower
+  EXPECT_EQ(buffer.retain(waves(4, 5, 2)), 0u);  // narrower
   EXPECT_EQ(buffer.size(), 4u);
   EXPECT_EQ(buffer.find(6), nullptr);
-  EXPECT_EQ(buffer.retain(4, 18, std::any{3}), 2u);  // wider: [0, 1] evicted
+  EXPECT_EQ(buffer.retain(waves(4, 18, 3)), 2u);  // wider: [0, 1] evicted
   EXPECT_EQ(buffer.size(), 15u);
   EXPECT_EQ(buffer.entry_count(), 1u);
-  EXPECT_EQ(std::any_cast<int>(*buffer.find(18)), 3);
+  EXPECT_EQ(tag_of(buffer.find(18)), 3);
   EXPECT_EQ(buffer.find(0), nullptr);
+}
+
+TEST(RetainedBufferTest, RejectsANullOrInvertedWave) {
+  WavePool waves;
+  RetainedBuffer buffer(4);
+  EXPECT_THROW(buffer.retain(DeliveryPtr{}), std::invalid_argument);
+  EXPECT_THROW(buffer.retain(waves(5, 4, 0)), std::invalid_argument);
+  EXPECT_EQ(buffer.size(), 0u);
+  EXPECT_EQ(buffer.entry_count(), 0u);
+}
+
+/// Eviction and overwrite drop the buffer's reference, so the wave's pool
+/// block recycles once no envelope holds it either.
+TEST(RetainedBufferTest, EvictedAndOverwrittenWavesReturnToThePool) {
+  WavePool waves;
+  {
+    RetainedBuffer buffer(2);
+    DeliveryPtr in_flight = waves(0, 0, 0);  // an envelope still holds it
+    (void)buffer.retain(in_flight);
+    (void)buffer.retain(waves(1, 1, 1));
+    (void)buffer.retain(waves(1, 1, 2));  // overwrite: tag 1 recycles
+    EXPECT_EQ(waves.pool.cached(), 1u);
+    (void)buffer.retain(waves(2, 2, 3));  // evicts seq 0; the envelope keeps it
+    EXPECT_EQ(waves.pool.cached(), 0u);
+    EXPECT_EQ(in_flight->wave, 0u);
+  }
+  EXPECT_EQ(waves.pool.cached(), waves.pool.allocated());
 }
 
 /// The buffer against a std::map model of the same contract over random
@@ -214,6 +249,7 @@ TEST(RetainedBufferTest, MatchesAnOrderedMapModel) {
   auto pick = [&rng](std::uint64_t n) {
     return std::uniform_int_distribution<std::uint64_t>(0, n - 1)(rng);
   };
+  WavePool waves;
   for (const std::size_t capacity : {1u, 7u, 64u}) {
     RetainedBuffer buffer(capacity);
     std::map<std::uint64_t, std::pair<std::uint64_t, int>> model;  // lo -> (hi, tag)
@@ -256,7 +292,8 @@ TEST(RetainedBufferTest, MatchesAnOrderedMapModel) {
         evicted += w;
         model.erase(oldest);
       }
-      ASSERT_EQ(buffer.retain(lo, hi, std::any{tag}), evicted) << "call " << call;
+      ASSERT_EQ(buffer.retain(waves(lo, hi, static_cast<std::uint64_t>(tag))), evicted)
+          << "call " << call;
       ASSERT_EQ(buffer.size(), covered);
       ASSERT_EQ(buffer.entry_count(), model.size());
       std::vector<std::pair<std::uint64_t, std::uint64_t>> ranges;
@@ -265,10 +302,10 @@ TEST(RetainedBufferTest, MatchesAnOrderedMapModel) {
       for (std::uint64_t seq = next > 80 ? next - 80 : 0; seq <= next; ++seq) {
         const auto after = model.upper_bound(seq);
         const bool held = after != model.begin() && std::prev(after)->second.first >= seq;
-        const std::any* found = buffer.find(seq);
+        const DeliveryPtr* found = buffer.find(seq);
         ASSERT_EQ(found != nullptr, held) << "call " << call << " seq " << seq;
         if (held) {
-          ASSERT_EQ(std::any_cast<int>(*found), std::prev(after)->second.second);
+          ASSERT_EQ(tag_of(found), std::prev(after)->second.second);
         }
       }
     }

@@ -5,8 +5,17 @@
 // cross the QoS ladder with data-plane loss, churn and a warm root kill:
 // loss drives retransmission and budget exhaustion, churn and the kill
 // leave senders dead with hops in flight.
+//
+// The same holds for QoS 2 gap state: at quiescence every gap a live
+// subscriber detected was repaired or abandoned, and no gap timer is
+// armed. A gap stays open only in the window of a subscriber that departed
+// with it open: its timer fired once, found the peer dead and stopped.
+// (perfbench's repair_qos2 ends each of seeds 1-3 with exactly one such
+// window, one gap each; AGapStaysOpenOnlyInADepartedSubscribersWindow
+// builds one on purpose.)
 #include <gtest/gtest.h>
 
+#include <any>
 #include <string>
 #include <vector>
 
@@ -96,10 +105,56 @@ TEST(GroupsQuiescenceTest, NoPendingHopsOnceTheRunDrains) {
           EXPECT_EQ(system.pending_hops(), 0u);
           for (PeerId p = 0; p < graph.size(); ++p)
             ASSERT_EQ(system.data_hops().pending_to(p), 0u) << "receiver " << p;
+          for (const auto& open : system.open_gap_windows()) {
+            EXPECT_FALSE(system.manager().alive(open.peer))
+                << "peer " << open.peer << " group " << open.group << " holds " << open.gaps
+                << " open gaps";
+            EXPECT_FALSE(open.timer_armed) << "peer " << open.peer << " group " << open.group;
+          }
         }
       }
     }
   }
+}
+
+/// The open gap the invariant allows, made on purpose: seq 1 never reaches
+/// a leaf subscriber, seq 2's arrival opens the gap, and the subscriber
+/// departs while per-hop recovery still owns it. At quiescence its window
+/// is the only one with a gap open: one seq, no timer armed, and the gap
+/// counts detected = repaired + abandoned + 1.
+TEST(GroupsQuiescenceTest, AGapStaysOpenOnlyInADepartedSubscribersWindow) {
+  const auto graph = make_overlay(120, 2, 1201);
+  const GroupId g = 0;
+  const std::uint64_t seed = 37;
+  const std::size_t publishes = 4;
+  const PeerId victim = testutil::find_leaf_subscriber(graph, g, 10, seed, publishes);
+  ASSERT_NE(victim, kInvalidPeer);
+  PubSubConfig config;
+  config.seed = seed;
+  config.reliability.qos = multicast::QoS::kEndToEnd;
+  config.reliability.ack_timeout = 0.05;
+  config.reliability.max_retries = 5;
+  config.loss.drop_if = [victim](const sim::Envelope& e) {
+    return e.kind == kDeliverKind && e.to == victim &&
+           std::any_cast<const DeliveryPtr&>(e.payload)->seq == 1;
+  };
+  PubSubSystem system(graph, config);
+  const auto members = subscribe_members(system, graph, g, 10, seed);
+  for (std::size_t i = 0; i < publishes; ++i)
+    system.publish_at(2.0 + 0.1 * static_cast<double>(i), members[0], g);
+  system.depart_at(2.45, victim);  // gap open from ~2.33 until ~2.55
+  system.run();
+
+  EXPECT_EQ(system.pending_hops(), 0u);
+  const auto open = system.open_gap_windows();
+  ASSERT_EQ(open.size(), 1u);
+  EXPECT_EQ(open[0].peer, victim);
+  EXPECT_EQ(open[0].group, g);
+  EXPECT_EQ(open[0].gaps, 1u);
+  EXPECT_FALSE(open[0].timer_armed);
+  EXPECT_FALSE(system.manager().alive(victim));
+  const GroupStats& stats = system.stats(g);
+  EXPECT_EQ(stats.gap_seqs_detected, stats.gap_seqs_repaired + stats.gap_seqs_abandoned + 1);
 }
 
 }  // namespace

@@ -17,6 +17,23 @@
 
 namespace geomcast::groups::testutil {
 
+/// Pooled waves for the retention tests. Each wave's `wave` id is its tag:
+/// the tests read it back through the retained handle to tell copies of a
+/// range apart. Declare the pool before whatever retains its handles.
+struct WavePool {
+  util::RcPool<GroupDelivery> pool;
+
+  DeliveryPtr operator()(std::uint64_t lo, std::uint64_t hi, std::uint64_t tag,
+                         GroupId group = 0) {
+    return pool.make(GroupDelivery{group, lo, hi, tag, nullptr, 0});
+  }
+};
+
+/// The tag of a retained wave, or -1 when nothing is retained.
+inline std::int64_t tag_of(const DeliveryPtr* wave) {
+  return wave == nullptr ? -1 : static_cast<std::int64_t>((*wave)->wave);
+}
+
 inline overlay::OverlayGraph make_overlay(std::size_t n, std::size_t dims,
                                           std::uint64_t seed) {
   util::Rng rng(seed);

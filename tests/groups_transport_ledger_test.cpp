@@ -10,6 +10,9 @@
 //   - nack, repair, repair_miss = nacks_sent, repairs_served, repair_misses;
 //   - replica_sync = replica_sync_envelopes + replica_sync_retries;
 //   - subscribe + unsubscribe + publish = control_messages;
+//   - seq_lease + seq_grant + shard_wave = coord hop data_messages and
+//     coord_ack = coord hop ack_messages: the slot-root coordination plane
+//     (R > 1) is owned by its own hop layer, retransmissions included;
 //   - the per-kind counts sum to sent;
 //   - graft_request = graft_hops where nothing is lost; under loss the
 //     retransmitted requests come on top, bounded by graft_retries (which
@@ -43,7 +46,8 @@ constexpr std::size_t kDepartures = 5;
 struct CellStats {
   sim::NetworkStats net;
   GroupStats total;
-  multicast::HopStats hop;  // the data plane's
+  multicast::HopStats hop;    // the data plane's
+  multicast::HopStats coord;  // the slot-root coordination plane's
 };
 
 /// Envelopes of `kind` the transport admitted.
@@ -51,6 +55,9 @@ std::uint64_t sent(const sim::NetworkStats& net, sim::MessageKind kind) {
   const auto it = net.sent_by_kind.find(kind);
   return it == net.sent_by_kind.end() ? 0 : it->second;
 }
+
+constexpr const char* kCoordData = "seq_lease + seq_grant + shard_wave = coord data_messages";
+constexpr const char* kCoordAcks = "coord_ack = coord ack_messages";
 
 /// One line of the ledger: the transport's count against its owners'.
 struct Entry {
@@ -79,6 +86,10 @@ std::vector<Entry> ledger(const CellStats& c) {
            sent(c.net, kPublishKind),
        t.control_messages},
       {"sum of sent_by_kind = sent", by_kind, c.net.sent},
+      {kCoordData,
+       sent(c.net, kSeqLeaseKind) + sent(c.net, kSeqGrantKind) + sent(c.net, kShardWaveKind),
+       c.coord.data_messages},
+      {kCoordAcks, sent(c.net, kCoordAckKind), c.coord.ack_messages},
   };
 }
 
@@ -117,7 +128,8 @@ CellStats run_cell(const overlay::OverlayGraph& graph, const PubSubConfig& confi
       system.depart_at(2.15 + 0.05 * static_cast<double>(departed), *it);
   system.depart_at(2.26, system.manager().root_of(0));
   system.run();
-  return {system.simulator().stats(), system.total_stats(), system.hop_stats()};
+  return {system.simulator().stats(), system.total_stats(), system.hop_stats(),
+          system.coord_hop_stats()};
 }
 
 TEST(GroupsTransportLedgerTest, PerKindCountsEqualTheirOwnersAcrossTheCube) {
@@ -152,6 +164,15 @@ TEST(GroupsTransportLedgerTest, PerKindCountsEqualTheirOwnersAcrossTheCube) {
             EXPECT_EQ(entries[e].transport, entries[e].owners) << cell << ": "
                                                                << entries[e].name;
             if (entries[e].transport > 0) exercised[e] = true;
+            // The coordination plane runs only between slot roots: silent
+            // with one slot, busy on every two-slot cell.
+            const std::string name = entries[e].name;
+            if (name == kCoordData || name == kCoordAcks) {
+              if (replicas == 1)
+                EXPECT_EQ(entries[e].transport, 0u) << cell << ": " << name;
+              else
+                EXPECT_GT(entries[e].transport, 0u) << cell << ": " << name;
+            }
           }
           const std::uint64_t requests = sent(stats.net, kGraftRequestKind);
           const GroupStats& t = stats.total;

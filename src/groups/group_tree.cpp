@@ -23,7 +23,7 @@ std::size_t cascade_relays(GroupTree& gt, PeerId v) {
   std::size_t removed = 0;
   while (v != gt.tree.root()) {
     const multicast::MulticastTree::Node* node = gt.tree.node(v);
-    if (node == nullptr || node->delivers || !node->children.empty()) break;
+    if (node == nullptr || node->delivers || !gt.tree.children(*node).empty()) break;
     const PeerId up = node->parent;
     gt.tree.remove_leaf(v);
     ++removed;
@@ -248,7 +248,8 @@ GroupRepairResult repair_group_tree(const overlay::OverlayGraph& graph, GroupTre
 
   // Orphans are processed one at a time so the adopt/splice predicates see
   // the tree as already-mended orphans left it (no stale-cycle surprises).
-  const std::vector<PeerId> orphans = gt.tree.children(departed);
+  const auto departed_children = gt.tree.children(departed);
+  const std::vector<PeerId> orphans(departed_children.begin(), departed_children.end());
   for (PeerId orphan : orphans) {
     // First the stability-layer rule: adopt under an alive in-tree overlay
     // neighbour outside the orphan's own subtree, nearest first.

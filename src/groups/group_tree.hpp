@@ -29,7 +29,9 @@
 // Membership follows the tree too: a spanned subscriber is its node's
 // delivery flag (MulticastTree::delivers), and only the subscribers the tree
 // does not reach are listed apart, as `stranded`. A tree thus costs
-// O(reached peers + stranded), never O(n), and a build is O(S x depth).
+// O(reached peers + stranded), never O(n): about 16 B per reached peer
+// plus 8-16 B of index (multicast/tree.hpp), and a copy-on-write clone is
+// two contiguous vector copies. A build is O(S x depth).
 //
 // General-position caveat (inherited from the paper's open-zone recursion):
 // a subscriber whose identifier ties a delegating peer's coordinate lies on

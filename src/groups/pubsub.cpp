@@ -874,7 +874,7 @@ void PubSubSystem::disseminate(PeerId self, PeerId from,
   // wave (bounded per-(peer, group) window) so downstream NACKs can be
   // served from the nearest ancestor instead of the publisher. One
   // retained entry covers the whole range.
-  if (end_to_end() && (gt->tree.root() == self || !node->children.empty())) {
+  if (end_to_end() && (gt->tree.root() == self || !gt->tree.children(*node).empty())) {
     stats.retained_evictions += manager_->retain_payload(self, delivery.group, delivery_ptr);
     if (warm() && from == kInvalidPeer && delivery.slot == 0) {
       // The authority's own flush: mirror the retained range to the
@@ -897,7 +897,7 @@ void PubSubSystem::disseminate(PeerId self, PeerId from,
         deliver_range(self, delivery.group, lo, hi);
     }
   }
-  for (PeerId child : node->children) {
+  for (PeerId child : gt->tree.children(*node)) {
     ++stats.payload_messages;
     hop_->send(self, child, delivery.wave, delivery_ptr);
   }
@@ -1443,7 +1443,8 @@ void PubSubSystem::on_heartbeat(PeerId self, const GroupHeartbeat& hb) {
       if (!ws.gaps.empty()) arm_gap_timer(self, hb.group, ws);
     }
   }
-  for (const PeerId child : node->children) sim_->send(self, child, kHeartbeatKind, hb);
+  for (const PeerId child : gt->tree.children(*node))
+    sim_->send(self, child, kHeartbeatKind, hb);
 }
 
 template <sim::MessageKind Kind>

@@ -4,6 +4,22 @@
 
 namespace geomcast::groups {
 
+std::uint32_t SeenRanges::acquire_spill() {
+  if (free_spill_.empty()) {
+    spill_.emplace_back();
+    return static_cast<std::uint32_t>(spill_.size() - 1);
+  }
+  const std::uint32_t slot = free_spill_.back();
+  free_spill_.pop_back();
+  return slot;
+}
+
+void SeenRanges::release_spill(Covered& c) {
+  std::vector<Run>().swap(spill_[c.spill]);
+  free_spill_.push_back(c.spill);
+  c.spill = kNoSpill;
+}
+
 void SeenRanges::mark(const util::PeerKey& key, std::uint64_t lo, std::uint64_t hi,
                       std::vector<Run>& fresh) {
   fresh.clear();
@@ -24,10 +40,7 @@ void SeenRanges::mark(const util::PeerKey& key, std::uint64_t lo, std::uint64_t 
     return;
   }
   if (lo > c.hi + 1) {
-    if (c.spill == kNoSpill) {
-      c.spill = static_cast<std::uint32_t>(spill_.size());
-      spill_.emplace_back();
-    }
+    if (c.spill == kNoSpill) c.spill = acquire_spill();
     spill_[c.spill].emplace_back(c.lo, c.hi);
     c.lo = lo;
     c.hi = hi;
@@ -64,9 +77,11 @@ void SeenRanges::mark(const util::PeerKey& key, std::uint64_t lo, std::uint64_t 
   c.lo = all.back().first;
   c.hi = all.back().second;
   all.pop_back();
-  if (c.spill == kNoSpill && !scratch_.empty()) {
-    c.spill = static_cast<std::uint32_t>(spill_.size());
-    spill_.push_back(scratch_);
+  if (c.spill != kNoSpill) {
+    if (all.empty()) release_spill(c);
+  } else if (!scratch_.empty()) {
+    c.spill = acquire_spill();
+    spill_[c.spill] = scratch_;
   }
 }
 

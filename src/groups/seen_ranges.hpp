@@ -7,8 +7,10 @@
 //    extends it in place after a single probe;
 //  * earlier ranges, ascending, sit in a side list the entry points at.
 //    Only a gap (an out-of-order arrival) creates one, and it usually
-//    collapses again once the gap fills.
-// Memory is O(keys + gaps), never O(seqs delivered).
+//    collapses again once the gap fills: the emptied list's storage is
+//    freed, the entry stops pointing at it, and its slot goes on a free
+//    list the next gap reuses.
+// Memory is O(keys + the most gaps open at once), never O(seqs delivered).
 #pragma once
 
 #include <cstdint>
@@ -34,8 +36,12 @@ class SeenRanges {
   [[nodiscard]] std::vector<Run> ranges(const util::PeerKey& key) const;
 
   [[nodiscard]] std::size_t key_count() const noexcept { return table_.size(); }
-  /// Keys that ever held more than one range (each owns a side list).
-  [[nodiscard]] std::size_t spilled_key_count() const noexcept { return spill_.size(); }
+  /// Keys that hold more than one range now (each owns a side list).
+  [[nodiscard]] std::size_t spilled_key_count() const noexcept {
+    return spill_.size() - free_spill_.size();
+  }
+  /// Side-list slots ever allocated: the held ones plus the free ones.
+  [[nodiscard]] std::size_t spill_slot_count() const noexcept { return spill_.size(); }
   [[nodiscard]] std::size_t bucket_count() const noexcept { return table_.bucket_count(); }
 
  private:
@@ -47,7 +53,13 @@ class SeenRanges {
   };
 
   util::PeerTable<Covered> table_;
+  /// A slot for a key's side list, reused from the free list if it can be.
+  [[nodiscard]] std::uint32_t acquire_spill();
+  /// Frees `c`'s emptied side list and puts its slot on the free list.
+  void release_spill(Covered& c);
+
   std::vector<std::vector<Run>> spill_;
+  std::vector<std::uint32_t> free_spill_;  // slots of spill_ no key holds
   std::vector<Run> scratch_;  // the general case's list for a key without one
 };
 

@@ -10,10 +10,6 @@ namespace {
 
 constexpr std::size_t kMinIndexSize = 8;
 
-void unlink(std::vector<PeerId>& siblings, PeerId child) {
-  siblings.erase(std::find(siblings.begin(), siblings.end(), child));
-}
-
 }  // namespace
 
 MulticastTree::MulticastTree(std::size_t peer_count, PeerId root)
@@ -29,37 +25,58 @@ void MulticastTree::throw_out_of_range() {
 }
 
 void MulticastTree::rehash(std::size_t capacity) {
-  index_.assign(capacity, Slot{});
+  index_.assign(capacity, kNoNode);
   shift_ = 64U - static_cast<unsigned>(std::countr_zero(capacity));
-  for (std::uint32_t i = 0; i < nodes_.size(); ++i)
-    index_[probe(nodes_[i].peer)] = {nodes_[i].peer, i};
+  for (NodeIndex i = 0; i < nodes_.size(); ++i) index_[probe(nodes_[i].peer)] = i;
+}
+
+MulticastTree::NodeIndex& MulticastTree::link_to(Node& parent, NodeIndex at) noexcept {
+  NodeIndex* link = &parent.first_child;
+  while (*link != at) link = &nodes_[*link].next_sibling;
+  return *link;
+}
+
+void MulticastTree::append_child(Node& parent, NodeIndex at) noexcept {
+  link_to(parent, kNoNode) = at;
+}
+
+void MulticastTree::unlink(NodeIndex at) noexcept {
+  Node& node = nodes_[at];
+  link_to(*find(node.parent), at) = node.next_sibling;
+  node.next_sibling = kNoNode;
 }
 
 void MulticastTree::insert(PeerId p, PeerId parent) {
   if (2 * (nodes_.size() + 1) > index_.size())
     rehash(std::max(kMinIndexSize, 2 * index_.size()));
-  index_[probe(p)] = {p, static_cast<std::uint32_t>(nodes_.size())};
-  nodes_.push_back({p, 0, parent, {}});
+  const auto at = static_cast<NodeIndex>(nodes_.size());
+  nodes_.push_back({p, 0, parent, kNoNode, kNoNode});
+  index_[probe(p)] = at;
 }
 
 void MulticastTree::erase(PeerId p) {
   const std::size_t mask = index_.size() - 1;
   std::size_t hole = probe(p);
-  const std::uint32_t freed = index_[hole].node;
+  const NodeIndex freed = index_[hole];
   // Backward-shift: pull each later entry of the probe run into the hole
   // unless its home lies cyclically inside (hole, j] — it would then sit
   // before its home and become unfindable.
-  for (std::size_t j = (hole + 1) & mask; index_[j].peer != kInvalidPeer; j = (j + 1) & mask) {
-    if (((j - home(index_[j].peer)) & mask) >= ((j - hole) & mask)) {
+  for (std::size_t j = (hole + 1) & mask; index_[j] != kNoNode; j = (j + 1) & mask) {
+    if (((j - home(nodes_[index_[j]].peer)) & mask) >= ((j - hole) & mask)) {
       index_[hole] = index_[j];
       hole = j;
     }
   }
-  index_[hole] = Slot{};
+  index_[hole] = kNoNode;
   if (nodes_[freed].delivers) --delivering_;
-  if (freed + 1 != nodes_.size()) {
-    nodes_[freed] = std::move(nodes_.back());
-    index_[probe(nodes_[freed].peer)].node = freed;
+  const auto last = static_cast<NodeIndex>(nodes_.size() - 1);
+  if (freed != last) {
+    // The last node is never the root (nodes_[0]) and never the freed
+    // leaf's child, so exactly one link names it: repoint that link and its
+    // index entry (found while nodes_[last] still holds its peer).
+    link_to(*find(nodes_[last].parent), last) = freed;
+    index_[probe(nodes_[last].peer)] = freed;
+    nodes_[freed] = nodes_[last];
   }
   nodes_.pop_back();
 }
@@ -73,7 +90,7 @@ void MulticastTree::add_edge(PeerId parent, PeerId child) {
   if (find(parent) == nullptr)
     throw std::logic_error("MulticastTree::add_edge: parent not reached yet");
   insert(child, parent);  // may move nodes: look the parent up afterwards
-  find(parent)->children.push_back(child);
+  append_child(*find(parent), static_cast<NodeIndex>(nodes_.size() - 1));
 }
 
 void MulticastTree::set_delivers(PeerId p, bool delivers) {
@@ -93,9 +110,9 @@ void MulticastTree::remove_leaf(PeerId leaf) {
   if (leaf == root_) throw std::logic_error("MulticastTree::remove_leaf: cannot remove root");
   const Node* node = find(leaf);
   if (node == nullptr) throw std::logic_error("MulticastTree::remove_leaf: peer not attached");
-  if (!node->children.empty())
+  if (node->first_child != kNoNode)
     throw std::logic_error("MulticastTree::remove_leaf: peer has children");
-  unlink(find(node->parent)->children, leaf);
+  unlink(index_of(*node));
   erase(leaf);
 }
 
@@ -110,9 +127,10 @@ void MulticastTree::reattach(PeerId child, PeerId new_parent) {
     throw std::logic_error("MulticastTree::reattach: new parent not reached");
   if (in_subtree(child, new_parent))
     throw std::logic_error("MulticastTree::reattach: new parent inside child's subtree");
-  unlink(find(node->parent)->children, child);
+  const NodeIndex at = index_of(*node);
+  unlink(at);
   node->parent = new_parent;
-  adopter->children.push_back(child);
+  append_child(*adopter, at);
 }
 
 bool MulticastTree::in_subtree(PeerId ancestor, PeerId descendant) const {
@@ -128,7 +146,7 @@ bool MulticastTree::in_subtree(PeerId ancestor, PeerId descendant) const {
 std::size_t MulticastTree::tree_degree(PeerId p) const {
   const Node* node = find(checked(p));
   if (node == nullptr) return 0;
-  return node->children.size() + (p == root_ ? 0 : 1);
+  return children(*node).size() + (p == root_ ? 0 : 1);
 }
 
 std::vector<std::size_t> MulticastTree::depths() const {
@@ -137,14 +155,15 @@ std::vector<std::size_t> MulticastTree::depths() const {
   depth[root_] = 0;
   // Children always point from already-reached parents, so a BFS over the
   // children lists visits peers in non-decreasing depth.
-  std::vector<const Node*> frontier{&nodes_.front()};
-  std::vector<const Node*> next;
+  std::vector<NodeIndex> frontier{0};
+  std::vector<NodeIndex> next;
   while (!frontier.empty()) {
     next.clear();
-    for (const Node* node : frontier) {
-      for (PeerId c : node->children) {
-        depth[c] = depth[node->peer] + 1;
-        next.push_back(find(c));
+    for (const NodeIndex at : frontier) {
+      const std::size_t below = depth[nodes_[at].peer] + 1;
+      for (NodeIndex c = nodes_[at].first_child; c != kNoNode; c = nodes_[c].next_sibling) {
+        depth[nodes_[c].peer] = below;
+        next.push_back(c);
       }
     }
     frontier.swap(next);
@@ -162,13 +181,13 @@ std::size_t MulticastTree::max_root_to_leaf_path() const {
 std::size_t MulticastTree::max_tree_degree() const {
   std::size_t best = 0;
   for (const Node& node : nodes_)
-    best = std::max(best, node.children.size() + (node.peer == root_ ? 0 : 1));
+    best = std::max(best, children(node).size() + (node.peer == root_ ? 0 : 1));
   return best;
 }
 
 std::size_t MulticastTree::max_children() const {
   std::size_t best = 0;
-  for (const Node& node : nodes_) best = std::max(best, node.children.size());
+  for (const Node& node : nodes_) best = std::max(best, children(node).size());
   return best;
 }
 

@@ -1,5 +1,6 @@
 #include "multicast/validator.hpp"
 
+#include <iterator>
 #include <sstream>
 
 #include "geometry/orthant.hpp"
@@ -32,14 +33,14 @@ ValidationReport validate_build(const overlay::OverlayGraph& graph,
     const geometry::Rect& zone = result.zones[p];
     if (!zone.contains_interior(graph.point(p))) report.peers_inside_zones = false;
 
-    const auto& kids = tree.children(p);
-    for (std::size_t i = 0; i < kids.size(); ++i) {
-      const geometry::Rect& child = result.zones[kids[i]];
+    const auto kids = tree.children(p);
+    for (auto i = kids.begin(); i != kids.end(); ++i) {
+      const geometry::Rect& child = result.zones[*i];
       if (!child.interior_subset_of(zone)) report.child_zones_nested = false;
       if (child.contains_interior(graph.point(p)))
         report.parent_outside_child_zones = false;
-      for (std::size_t j = i + 1; j < kids.size(); ++j)
-        if (!child.interior_disjoint(result.zones[kids[j]]))
+      for (auto j = std::next(i); j != kids.end(); ++j)
+        if (!child.interior_disjoint(result.zones[*j]))
           report.sibling_zones_disjoint = false;
     }
   }

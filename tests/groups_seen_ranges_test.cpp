@@ -80,6 +80,31 @@ TEST(SeenRangesTest, GapFillMergesBackIntoTheNewestRange) {
   EXPECT_EQ(seen.ranges(key), (Runs{{0, 10}}));
 }
 
+TEST(SeenRangesTest, FilledGapGivesItsSideListSlotBack) {
+  SeenRanges seen;
+  Runs fresh;
+  const PeerKey first{0, 0, 1};
+  const PeerKey second{4, 0, 1};
+  seen.mark(first, 0, 1, fresh);
+  seen.mark(first, 4, 4, fresh);  // gap [2, 3]: a side list
+  EXPECT_EQ(seen.spilled_key_count(), 1u);
+  EXPECT_EQ(seen.spill_slot_count(), 1u);
+  seen.mark(first, 2, 3, fresh);  // the gap fills: one range, no side list
+  EXPECT_EQ(fresh, (Runs{{2, 3}}));
+  EXPECT_EQ(seen.ranges(first), (Runs{{0, 4}}));
+  EXPECT_EQ(seen.spilled_key_count(), 0u);
+  seen.mark(second, 0, 0, fresh);
+  seen.mark(second, 2, 2, fresh);  // a later gap takes the freed slot
+  EXPECT_EQ(seen.spilled_key_count(), 1u);
+  EXPECT_EQ(seen.spill_slot_count(), 1u);
+  EXPECT_EQ(seen.ranges(second), (Runs{{0, 0}, {2, 2}}));
+  seen.mark(first, 6, 6, fresh);  // and the first key's next gap a new one
+  EXPECT_EQ(seen.spilled_key_count(), 2u);
+  EXPECT_EQ(seen.spill_slot_count(), 2u);
+  EXPECT_EQ(seen.ranges(first), (Runs{{0, 4}, {6, 6}}));
+  EXPECT_EQ(seen.ranges(second), (Runs{{0, 0}, {2, 2}}));
+}
+
 TEST(SeenRangesTest, ArrivalBelowASingleRangeSpills) {
   SeenRanges seen;
   Runs fresh;

@@ -99,7 +99,7 @@ TEST(DisseminationTest, TargetedLinkFailureAbandonsOneSubtree) {
   const auto tree = make_tree(80, 2, 76);
   // Pick a child of the root and kill its incoming data link entirely.
   ASSERT_FALSE(tree.children(tree.root()).empty());
-  const PeerId victim = tree.children(tree.root()).front();
+  const PeerId victim = *tree.children(tree.root()).begin();
   DisseminationConfig config;
   config.max_retries = 3;
   config.ack_timeout = 0.05;

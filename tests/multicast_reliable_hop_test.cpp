@@ -6,6 +6,7 @@
 #include <iterator>
 #include <map>
 #include <memory>
+#include <stdexcept>
 #include <tuple>
 #include <vector>
 
@@ -83,6 +84,29 @@ TEST(ReliableHopTest, AckBeforeTimeoutMeansNoRetransmission) {
   EXPECT_EQ(h.layer->pending(), 0u);
   // The ack cancelled the timer, so the run ends at the ack's arrival.
   EXPECT_DOUBLE_EQ(h.sim.now(), 0.02);
+}
+
+TEST(ReliableHopTest, PendingSeqCannotBeSentTwiceUntilItsAckRetiresIt) {
+  Harness h(2, ReliabilityConfig{QoS::kAcked, 0.25, 5});
+  h.sim.schedule_at(0.0, [&]() {
+    h.layer->send(0, 1, 7, std::uint64_t{7});
+    EXPECT_THROW(h.layer->send(0, 1, 7, std::uint64_t{7}), std::logic_error);
+    EXPECT_EQ(h.layer->pending(), 1u);
+  });
+  h.sim.run_until_idle();
+  EXPECT_EQ(h.nodes[1]->arrivals[7], 1);
+  EXPECT_EQ(h.layer->pending(), 0u);
+
+  // The ack retired (0, 1, 7): the same key is a fresh hop again.
+  h.sim.schedule_at(h.sim.now(), [&]() {
+    EXPECT_NO_THROW(h.layer->send(0, 1, 7, std::uint64_t{7}));
+    EXPECT_EQ(h.layer->pending(), 1u);
+  });
+  h.sim.run_until_idle();
+  EXPECT_EQ(h.nodes[1]->arrivals[7], 2);
+  EXPECT_EQ(h.layer->pending(), 0u);
+  EXPECT_EQ(h.layer->stats().data_messages, 2u);
+  EXPECT_EQ(h.layer->stats().retransmissions, 0u);
 }
 
 TEST(ReliableHopTest, LostDataIsRetransmittedUntilDelivered) {

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <limits>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -12,6 +15,12 @@
 
 namespace geomcast::multicast {
 namespace {
+
+/// `p`'s children, in list order.
+std::vector<PeerId> kids(const MulticastTree& tree, PeerId p) {
+  const auto children = tree.children(p);
+  return {children.begin(), children.end()};
+}
 
 TEST(MulticastTreeTest, FreshTreeHasOnlyRoot) {
   MulticastTree tree(5, 2);
@@ -32,7 +41,7 @@ TEST(MulticastTreeTest, AddEdgeLinks) {
   tree.add_edge(1, 2);
   EXPECT_EQ(tree.parent(1), 0u);
   EXPECT_EQ(tree.parent(2), 1u);
-  EXPECT_EQ(tree.children(0), (std::vector<PeerId>{1}));
+  EXPECT_EQ(kids(tree, 0), (std::vector<PeerId>{1}));
   EXPECT_EQ(tree.reached_count(), 3u);
   EXPECT_EQ(tree.edge_count(), 2u);
 }
@@ -124,8 +133,8 @@ TEST(MulticastTreeTest, CopyIsIndependent) {
   copy.add_edge(0, 2);
   EXPECT_TRUE(tree.reached(7));
   EXPECT_FALSE(tree.reached(2));
-  EXPECT_EQ(tree.children(0), (std::vector<PeerId>{5}));
-  EXPECT_EQ(copy.children(0), (std::vector<PeerId>{5, 2}));
+  EXPECT_EQ(kids(tree, 0), (std::vector<PeerId>{5}));
+  EXPECT_EQ(kids(copy, 0), (std::vector<PeerId>{5, 2}));
   EXPECT_EQ(copy.reached_count(), 3u);
 }
 
@@ -222,7 +231,7 @@ void expect_same(const MulticastTree& tree, const DenseTree& ref, PeerId probe,
   for (PeerId p = 0; p < n; ++p) {
     ASSERT_EQ(tree.reached(p), ref.reached(p)) << where << " peer " << p;
     ASSERT_EQ(tree.parent(p), ref.parent[p]) << where << " peer " << p;
-    ASSERT_EQ(tree.children(p), ref.children[p]) << where << " peer " << p;
+    ASSERT_EQ(kids(tree, p), ref.children[p]) << where << " peer " << p;
     ASSERT_EQ(tree.tree_degree(p), ref.tree_degree(p)) << where << " peer " << p;
     ASSERT_EQ(tree.in_subtree(probe, p), ref.in_subtree(probe, p)) << where << " peer " << p;
     ASSERT_EQ(tree.in_subtree(p, probe), ref.in_subtree(p, probe)) << where << " peer " << p;
@@ -248,11 +257,18 @@ struct OpMix {
 };
 
 /// Runs `ops` seeded random mutations on both layouts, comparing after each.
-void run_differential(std::size_t n, std::size_t ops, OpMix mix, std::uint64_t seed) {
+/// With `clone_at < ops`, the tree and its model are copied after op
+/// `clone_at`; from then on each op runs on the original and, with a draw
+/// of its own, on the copy, each checked against its own model, so a copy
+/// that shares or drops a sibling link or an index entry diverges.
+void run_differential(std::size_t n, std::size_t ops, OpMix mix, std::uint64_t seed,
+                      std::size_t clone_at = std::numeric_limits<std::size_t>::max()) {
   util::Rng rng(seed);
   const auto root = static_cast<PeerId>(rng.next_below(n));
   MulticastTree tree(n, root);
   DenseTree ref(n, root);
+  std::optional<MulticastTree> copy;
+  std::optional<DenseTree> copy_ref;
   const auto any = [&] { return static_cast<PeerId>(rng.next_below(n + 2)); };
   const auto pick = [&](auto&& wanted) {
     for (int attempt = 0; attempt < 64; ++attempt) {
@@ -261,12 +277,12 @@ void run_differential(std::size_t n, std::size_t ops, OpMix mix, std::uint64_t s
     }
     return any();  // no luck: an arbitrary, usually invalid, peer
   };
-  const auto reached = [&](PeerId p) { return ref.reached(p); };
-  const auto attached_leaf = [&](PeerId p) {
-    return p != root && ref.reached(p) && ref.children[p].empty();
-  };
-  const auto attached = [&](PeerId p) { return p != root && ref.reached(p); };
-  for (std::size_t i = 0; i < ops; ++i) {
+  const auto step = [&](MulticastTree& tree, DenseTree& ref, const std::string& where) {
+    const auto reached = [&](PeerId p) { return ref.reached(p); };
+    const auto attached_leaf = [&](PeerId p) {
+      return p != root && ref.reached(p) && ref.children[p].empty();
+    };
+    const auto attached = [&](PeerId p) { return p != root && ref.reached(p); };
     const auto draw = static_cast<unsigned>(rng.next_below(100));
     Outcome expected;
     Outcome got;
@@ -301,10 +317,22 @@ void run_differential(std::size_t n, std::size_t ops, OpMix mix, std::uint64_t s
           got = outcome_of([&] { tree.reattach(a, b); });
       }
     }
-    const std::string where = "seed " + std::to_string(seed) + " op " + std::to_string(i);
     ASSERT_EQ(got, expected) << where;
     expect_same(tree, ref, static_cast<PeerId>(rng.next_below(n)), where);
+  };
+  for (std::size_t i = 0; i < ops; ++i) {
+    const std::string where = "seed " + std::to_string(seed) + " op " + std::to_string(i);
+    step(tree, ref, where);
     if (::testing::Test::HasFatalFailure()) return;
+    if (copy) {
+      step(*copy, *copy_ref, where + " (copy)");
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+    if (i == clone_at) {
+      copy.emplace(tree);
+      copy_ref.emplace(ref);
+      expect_same(*copy, *copy_ref, root, where + " (fresh copy)");
+    }
   }
 }
 
@@ -319,6 +347,15 @@ TEST(MulticastTreeDifferentialTest, RemovalHeavyRunsMatchDenseReference) {
   for (std::uint64_t seed = 11; seed <= 13; ++seed) {
     run_differential(700, 900, {95, 3, 2}, seed);
     run_differential(700, 2500, {30, 60, 8}, seed);
+  }
+}
+
+TEST(MulticastTreeDifferentialTest, CloneMidwayStaysIndependent) {
+  // The copy is taken once the tree is well grown (several index doublings
+  // at 700 peers), then both sides mutate apart.
+  for (std::uint64_t seed = 31; seed <= 34; ++seed) {
+    run_differential(48, 1500, {45, 25, 25}, seed, 750);
+    run_differential(700, 2500, {60, 25, 12}, seed, 1200);
   }
 }
 

@@ -26,10 +26,12 @@ int main(int argc, char** argv) {
       config.peers = 200;
       config.roots = 20;
     }
+    const bool csv = flags.get_bool("csv", false);
+    flags.reject_unused();
 
     const auto rows = analysis::run_selection_ablation(config);
     const auto table = analysis::selection_ablation_table(rows);
-    if (flags.get_bool("csv", false)) {
+    if (csv) {
       table.print_csv(std::cout);
     } else {
       std::cout << "=== A4: neighbour-selection method under §2 multicast ===\n"

@@ -6,8 +6,9 @@
 // The `max_children` column checks the in-text claim that the multicast
 // tree degree is bounded by the 2^D orthant regions; `invalid` counts
 // validator failures (must be 0: N-1 messages, full coverage, disjoint
-// zones). Only these structural checks are printed as checks; the path
-// length's direction across D is printed as measured.
+// zones). These structural checks fail the run: exit 2, each failed row
+// named on stderr. The path length's direction across D is printed as
+// measured, not checked.
 //
 // Flags: --peers=N --dims=2,3,4,5 --roots=R (0 = all) --seed=S --csv --quick
 #include <iostream>
@@ -31,10 +32,12 @@ int main(int argc, char** argv) {
     config.dims.clear();
     for (const auto d : flags.get_int_list("dims", {2, 3, 4, 5}))
       config.dims.push_back(static_cast<std::size_t>(d));
+    const bool csv = flags.get_bool("csv", false);
+    flags.reject_unused();
 
     const auto rows = analysis::run_fig1b(config);
     const auto table = analysis::fig1b_table(rows);
-    if (flags.get_bool("csv", false)) {
+    if (csv) {
       table.print_csv(std::cout);
     } else {
       std::cout << "=== Fig 1(b): longest root-to-leaf multicast path vs dimension ===\n"
@@ -56,7 +59,22 @@ int main(int argc, char** argv) {
                   << " at D=" << last.dims << ".\n";
       }
     }
-    return 0;
+    // The structural claims are the run's exit code: 2 names each failed row.
+    bool claims_hold = true;
+    for (const auto& row : rows) {
+      const std::size_t orthants = std::size_t{1} << row.dims;
+      if (row.invalid_sessions > 0) {
+        std::cerr << "fig1b_multicast_path: claim failed at D=" << row.dims << ": "
+                  << row.invalid_sessions << " invalid sessions (must be 0)\n";
+        claims_hold = false;
+      }
+      if (row.max_children > orthants) {
+        std::cerr << "fig1b_multicast_path: claim failed at D=" << row.dims
+                  << ": max_children " << row.max_children << " > 2^D = " << orthants << '\n';
+        claims_hold = false;
+      }
+    }
+    return claims_hold ? 0 : 2;
   } catch (const std::exception& error) {
     std::cerr << "fig1b_multicast_path: " << error.what() << '\n';
     return 1;

@@ -5,7 +5,7 @@
 // Paper shape: at D = 2 both degree series track the logarithmic reference
 // ("seem to be proportional to log(N)").
 //
-// Flags: --peer-counts=100,200,... --seed=S --csv --quick
+// Flags: --peer-counts=100,200,... --dims=D --seed=S --csv --quick
 #include <iostream>
 
 #include "analysis/experiments.hpp"
@@ -25,10 +25,12 @@ int main(int argc, char** argv) {
             : std::vector<std::int64_t>{100, 200, 400, 700, 1000, 2000, 4000, 5000};
     for (const auto n : flags.get_int_list("peer-counts", defaults))
       config.peer_counts.push_back(static_cast<std::size_t>(n));
+    const bool csv = flags.get_bool("csv", false);
+    flags.reject_unused();
 
     const auto rows = analysis::run_fig1c(config);
     const auto table = analysis::fig1c_table(rows);
-    if (flags.get_bool("csv", false)) {
+    if (csv) {
       table.print_csv(std::cout);
     } else {
       std::cout << "=== Fig 1(c): overlay degree vs N (D=" << config.dims << ") ===\n"

@@ -5,8 +5,9 @@
 //
 // Paper shape: diameter is largest at K = 1 and decreases as K grows;
 // higher D gives smaller diameters (more orthants => more neighbours =>
-// shallower trees). The single_tree / monotone_T columns assert the §3
-// structural claims on every row.
+// shallower trees). The single_tree / monotone_T columns report the §3
+// structural claims on every row; a row that breaks one fails the run
+// (exit 2, the row named on stderr).
 //
 // Flags: --peers=N --dims=2,...,10 --k-min --k-max --seed=S --csv --quick
 #include <iostream>
@@ -31,10 +32,12 @@ int main(int argc, char** argv) {
       config.k_max = 8;
       config.dims = {2, 5, 10};
     }
+    const bool csv = flags.get_bool("csv", false);
+    flags.reject_unused();
 
     const auto rows = analysis::run_stability_sweep(config);
     const auto table = analysis::stability_table(rows, /*diameter_panel=*/true);
-    if (flags.get_bool("csv", false)) {
+    if (csv) {
       table.print_csv(std::cout);
     } else {
       std::cout << "=== Fig 1(d): stable-tree diameter vs K ===\n"
@@ -45,7 +48,16 @@ int main(int argc, char** argv) {
                    "higher D => smaller diameter; single_tree and monotone_T must be\n"
                    "'yes' on every row (the §3 claims).\n";
     }
-    return 0;
+    // The §3 claims are the run's exit code: 2 names each failed row.
+    bool claims_hold = true;
+    for (const auto& row : rows) {
+      if (row.single_tree && row.monotone) continue;
+      std::cerr << "fig1d_stable_diameter: claim failed at D=" << row.dims << " K=" << row.k << ":"
+                << (row.single_tree ? "" : " preferred links do not form a single tree")
+                << (row.monotone ? "" : " T does not fall toward the leaves") << '\n';
+      claims_hold = false;
+    }
+    return claims_hold ? 0 : 2;
   } catch (const std::exception& error) {
     std::cerr << "fig1d_stable_diameter: " << error.what() << '\n';
     return 1;

@@ -5,7 +5,8 @@
 // Paper shape: max tree degree grows with K and with D; for large D the
 // orthant count exceeds N, every peer knows everyone, all peers prefer the
 // globally longest-lived peer and the tree degenerates to a star with
-// degree ~ N-1.
+// degree ~ N-1. A row whose tree breaks a §3 claim (single_tree,
+// monotone_T) fails the run (exit 2, the row named on stderr).
 //
 // Flags: --peers=N --dims=2,...,10 --k-min --k-max --seed=S --csv --quick
 #include <iostream>
@@ -30,10 +31,12 @@ int main(int argc, char** argv) {
       config.k_max = 8;
       config.dims = {2, 5, 10};
     }
+    const bool csv = flags.get_bool("csv", false);
+    flags.reject_unused();
 
     const auto rows = analysis::run_stability_sweep(config);
     const auto table = analysis::stability_table(rows, /*diameter_panel=*/false);
-    if (flags.get_bool("csv", false)) {
+    if (csv) {
       table.print_csv(std::cout);
     } else {
       std::cout << "=== Fig 1(e): stable-tree max degree vs K ===\n"
@@ -43,7 +46,16 @@ int main(int argc, char** argv) {
       std::cout << "\nPaper shape check: max degree grows with K and D, approaching\n"
                    "N-1 (a star) once 2^D*K saturates the peer set.\n";
     }
-    return 0;
+    // The §3 claims are the run's exit code: 2 names each failed row.
+    bool claims_hold = true;
+    for (const auto& row : rows) {
+      if (row.single_tree && row.monotone) continue;
+      std::cerr << "fig1e_stable_degree: claim failed at D=" << row.dims << " K=" << row.k << ":"
+                << (row.single_tree ? "" : " preferred links do not form a single tree")
+                << (row.monotone ? "" : " T does not fall toward the leaves") << '\n';
+      claims_hold = false;
+    }
+    return claims_hold ? 0 : 2;
   } catch (const std::exception& error) {
     std::cerr << "fig1e_stable_degree: " << error.what() << '\n';
     return 1;

@@ -21,10 +21,12 @@ int main(int argc, char** argv) {
     config.dims.clear();
     for (const auto d : flags.get_int_list("dims", {2, 3, 4, 5}))
       config.dims.push_back(static_cast<std::size_t>(d));
+    const bool csv = flags.get_bool("csv", false);
+    flags.reject_unused();
 
     const auto rows = analysis::run_message_comparison(config);
     const auto table = analysis::message_comparison_table(rows);
-    if (flags.get_bool("csv", false)) {
+    if (csv) {
       table.print_csv(std::cout);
     } else {
       std::cout << "=== A1: construction message cost, space partition vs flooding ===\n"

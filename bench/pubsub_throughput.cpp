@@ -1747,12 +1747,7 @@ int main(int argc, char** argv) {
     // forwarder kills; random churn (which removes subscribers outright)
     // stays a non-sweep knob.
     params.midwave = static_cast<std::size_t>(flags.get_int("midwave", sweep ? 4 : 0));
-    if (const auto unknown = flags.unused(); !unknown.empty()) {
-      std::string names;
-      for (const std::string& name : unknown)
-        names += (names.empty() ? "--" : ", --") + name;
-      throw std::invalid_argument("unknown flag(s): " + names);
-    }
+    flags.reject_unused();
 
     if (sweep) params.departures = 0;
     if (quick) {

@@ -2,13 +2,13 @@
 // pub/sub control and data planes put on the simulated network, in one
 // place, with a compile-time uniqueness check.
 //
-// The registry continues the multicast construction protocol's numbering
-// (kBuildRequestKind = 10, kDataKind = 11, kAckKind = 12) in the 20+ band;
-// the groups kinds share a Simulator with each other (and conceptually
-// with the §2 build wave), so a collision would silently misroute
-// dispatch. Other subsystems run their own simulations in their own bands
-// (overlay gossip: 1–3, stability convergecast: 20 — never co-resident
-// with a PubSubSystem).
+// The registry holds the multicast construction protocol's
+// kBuildRequestKind = 10 and the groups kinds in the 20+ band; the groups
+// kinds share a Simulator with each other (and conceptually with the §2
+// build wave), so a collision would silently misroute dispatch. Other
+// subsystems run their own simulations in their own bands (overlay
+// gossip: 1–3, stability convergecast: 20 — never co-resident with a
+// PubSubSystem).
 //
 // | kind | value | plane   | payload          | reliability            |
 // |------|-------|---------|------------------|------------------------|
@@ -100,20 +100,18 @@ inline constexpr sim::MessageKind kGraftBatchKind = 39; // reserved, never sent
 
 namespace detail {
 /// The full registry this simulation family dispatches on: the multicast
-/// build/data/ack band (protocol.hpp / dissemination.hpp pin 10–12) plus
-/// every groups kind above, each with its canonical snake_case name (the
-/// key observability exports — bench --json sent_by_kind, snapshot JSON —
-/// report per-kind traffic under). Compile-time-checked pairwise distinct
+/// build request (protocol.hpp pins 10) plus every groups kind above, each
+/// with its canonical snake_case name (the key observability exports —
+/// bench --json sent_by_kind, snapshot JSON — report per-kind traffic
+/// under). Compile-time-checked pairwise distinct
 /// so a future kind cannot silently shadow an existing dispatch arm.
 struct KindEntry {
   sim::MessageKind kind;
   const char* name;
 };
 inline constexpr KindEntry kRegistry[] = {
-    // multicast construction band (protocol.hpp / dissemination.hpp)
+    // multicast construction (protocol.hpp)
     {10, "build_request"},
-    {11, "data"},
-    {12, "ack"},
     {kSubscribeKind, "subscribe"},
     {kUnsubscribeKind, "unsubscribe"},
     {kPublishKind, "publish"},

@@ -1,7 +1,7 @@
 // Per-hop reliability for payload traffic on the simulated network — the
-// ack/timeout/retransmit/duplicate-suppression core that run_dissemination
-// pioneered, extracted so every payload path (single-shot dissemination,
-// the groups pub/sub data plane, future subsystems) shares one protocol.
+// ack/timeout/retransmit/duplicate-suppression core that every acked path
+// (the groups pub/sub data plane, its graft, replica-sync and shard
+// coordination planes) shares as one protocol.
 //
 // The protocol is the standard per-hop one (MQTT-SN QoS 1 style): each
 // data envelope is acknowledged by its receiver; the sender retransmits
@@ -9,9 +9,8 @@
 // been resent, at which point the hop is abandoned. Receivers must re-ack
 // every arrival — duplicates included — because the duplicate's existence
 // means the previous ack may have been the lost message; duplicate
-// *detection* stays with the client (it owns the dedup key: "payload held"
-// for dissemination, (group, seq) for pub/sub), which counts suppressed
-// copies itself (DisseminationResult::duplicate_data, GroupStats
+// *detection* stays with the client (it owns the dedup key: (group, seq)
+// for pub/sub), which counts suppressed copies itself (GroupStats
 // duplicate_deliveries).
 //
 // Under QoS 0 the layer degrades to a plain send: no acks, no timers, no
@@ -20,8 +19,8 @@
 //
 // One layer instance serves every peer of a simulation: pending
 // retransmission state is keyed by (sender, receiver, seq), so `seq` must
-// be unique per logical transfer (per wave in pub/sub, per edge in
-// single-shot dissemination). A transfer is whatever the client puts in
+// be unique per logical transfer (e.g. per wave on the pub/sub data
+// plane). A transfer is whatever the client puts in
 // one payload — pub/sub's coalesced range waves ride a single wave-id
 // `seq`, so one pending entry, one ack, and one timeout/retransmit cycle
 // cover the whole [seq_lo, seq_hi] batch; the layer's per-hop cost is

@@ -14,8 +14,7 @@
 //     (multicast/reliable_hop.hpp) and the client's per-group tallies
 //     (GroupStats retransmissions, abandoned_hops, graft_retries,
 //     replica_sync_retries);
-//   - duplicate arrivals: DisseminationResult::duplicate_data, GroupStats
-//     duplicate_deliveries;
+//   - duplicate arrivals: GroupStats duplicate_deliveries;
 //   - NACKs, repairs, grafts, replica syncs, migrations, batching savings:
 //     GroupStats (groups/group_stats.hpp);
 //   - heartbeat hops: sent_by_kind[kHeartbeatKind].

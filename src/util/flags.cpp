@@ -38,6 +38,14 @@ std::vector<std::string> Flags::unused() const {
   return names;
 }
 
+void Flags::reject_unused() const {
+  const std::vector<std::string> names = unused();
+  if (names.empty()) return;
+  std::string list;
+  for (const std::string& name : names) list += (list.empty() ? "--" : ", --") + name;
+  throw std::invalid_argument("unknown flag(s): " + list);
+}
+
 std::map<std::string, std::string>::const_iterator Flags::find(
     const std::string& name) const {
   queried_.insert(name);

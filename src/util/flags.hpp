@@ -31,6 +31,9 @@ class Flags {
   /// then reject these as unknown (a typo would otherwise run the
   /// defaults without a word).
   [[nodiscard]] std::vector<std::string> unused() const;
+  /// Throws std::invalid_argument naming every flag in unused(). A program
+  /// calls it once it has read every flag it knows, before any work.
+  void reject_unused() const;
 
   [[nodiscard]] const std::vector<std::string>& positional() const noexcept {
     return positional_;

@@ -11,19 +11,14 @@
 
 #include "geometry/distance.hpp"
 #include "geometry/random_points.hpp"
-#include "overlay/empty_rect.hpp"
-#include "overlay/equilibrium.hpp"
+#include "groups_test_util.hpp"
 #include "util/pool.hpp"
 #include "util/rng.hpp"
 
 namespace geomcast::groups {
 namespace {
 
-overlay::OverlayGraph make_overlay(std::size_t n, std::size_t dims, std::uint64_t seed) {
-  util::Rng rng(seed);
-  const auto points = geometry::random_points(rng, n, dims, 100.0);
-  return overlay::build_equilibrium(points, overlay::EmptyRectSelector{});
-}
+using testutil::make_overlay;
 
 /// Some peer that is not the group's root and not yet subscribed.
 PeerId fresh_peer(GroupManager& manager, GroupId group, std::size_t n) {

@@ -2,19 +2,13 @@
 
 #include <gtest/gtest.h>
 
-#include "geometry/random_points.hpp"
-#include "overlay/empty_rect.hpp"
-#include "overlay/equilibrium.hpp"
+#include "groups_test_util.hpp"
 #include "util/rng.hpp"
 
 namespace geomcast::groups {
 namespace {
 
-overlay::OverlayGraph make_overlay(std::size_t n, std::size_t dims, std::uint64_t seed) {
-  util::Rng rng(seed);
-  const auto points = geometry::random_points(rng, n, dims, 100.0);
-  return overlay::build_equilibrium(points, overlay::EmptyRectSelector{});
-}
+using testutil::make_overlay;
 
 /// Subscribes `count` distinct non-root peers in [0, n) to `group`,
 /// staggered over (0, 1); returns them.

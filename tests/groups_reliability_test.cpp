@@ -3,8 +3,10 @@
 // the duplicate-must-still-ack regression, bit-identical stats under a
 // fixed seed, and the per-QoS ordering (non-)guarantees — QoS 1's
 // retransmissions deliver out of order by design (the latent gap this
-// battery pins), while QoS 2's window releases in order. Labelled `slow`
-// in ctest: the sweep runs six full simulations on one overlay.
+// battery pins), while QoS 2's window releases in order — plus the
+// lossless full-span case that pins a group over every peer to the §2
+// push. Labelled `slow` in ctest: the sweep runs six full simulations on
+// one overlay.
 #include "groups/pubsub.hpp"
 
 #include <gtest/gtest.h>
@@ -15,20 +17,14 @@
 #include <utility>
 #include <vector>
 
-#include "geometry/random_points.hpp"
 #include "groups_test_util.hpp"
-#include "overlay/empty_rect.hpp"
-#include "overlay/equilibrium.hpp"
+#include "multicast/space_partition.hpp"
 #include "util/rng.hpp"
 
 namespace geomcast::groups {
 namespace {
 
-overlay::OverlayGraph make_overlay(std::size_t n, std::size_t dims, std::uint64_t seed) {
-  util::Rng rng(seed);
-  const auto points = geometry::random_points(rng, n, dims, 100.0);
-  return overlay::build_equilibrium(points, overlay::EmptyRectSelector{});
-}
+using testutil::make_overlay;
 
 struct ScenarioResult {
   GroupStats total;
@@ -312,6 +308,53 @@ TEST(GroupsReliabilityTest, QoSZeroPathIsUnaffectedByReliabilitySettings) {
                            system.simulator().stats().dropped);
   };
   EXPECT_EQ(run_with(0.05, 5), run_with(9.0, 0));
+}
+
+TEST(GroupsReliabilityTest, FullSpanQoS1GroupIsTheSection2Push) {
+  // A group over every peer is the §2 push: one root publish runs down the
+  // tree build_multicast_tree builds from the group's root, one payload
+  // envelope and one ack per tree edge, each peer reached at depth x
+  // latency after the publish.
+  const auto graph = make_overlay(120, 2, 71);
+  const double latency = 0.01;
+  const double publish_time = 2.0;
+  for (const auto qos : {multicast::QoS::kFireAndForget, multicast::QoS::kAcked}) {
+    SCOPED_TRACE("qos=" + std::to_string(static_cast<int>(qos)));
+    PubSubConfig config;
+    config.latency = sim::LatencyModel::constant(latency);
+    config.reliability.qos = qos;
+    PubSubSystem system(graph, config);
+    const PeerId root = system.manager().root_of(0);
+    for (PeerId p = 0; p < graph.size(); ++p)
+      if (p != root) system.subscribe_at(0.001 * static_cast<double>(p + 1), p, 0);
+    std::vector<double> delivered_at(graph.size(), -1.0);
+    system.set_delivery_probe([&delivered_at](PeerId p, GroupId, std::uint64_t, double t) {
+      delivered_at[p] = t;
+    });
+    system.publish_at(publish_time, root, 0);
+    system.run();
+
+    const auto reference = multicast::build_multicast_tree(graph, root).tree;
+    const GroupTree* gt = system.manager().cached_tree(0);
+    ASSERT_NE(gt, nullptr);
+    const auto depths = reference.depths();
+    for (PeerId p = 0; p < graph.size(); ++p) {
+      EXPECT_EQ(gt->tree.parent(p), reference.parent(p)) << "peer " << p;
+      if (p == root) continue;
+      EXPECT_NEAR(delivered_at[p],
+                  publish_time + static_cast<double>(depths[p]) * latency, 1e-12)
+          << "peer " << p;
+    }
+
+    const auto& stats = system.stats(0);
+    const std::uint64_t edges = graph.size() - 1;
+    EXPECT_EQ(stats.deliveries, edges);
+    EXPECT_EQ(stats.payload_messages, edges);
+    EXPECT_EQ(stats.ack_messages, qos == multicast::QoS::kAcked ? edges : 0u);
+    EXPECT_EQ(stats.retransmissions, 0u);
+    EXPECT_EQ(stats.duplicate_deliveries, 0u);
+    EXPECT_EQ(stats.abandoned_hops, 0u);
+  }
 }
 
 }  // namespace

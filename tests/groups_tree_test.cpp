@@ -10,23 +10,17 @@
 #include <vector>
 
 #include "geometry/orthant.hpp"
-#include "geometry/random_points.hpp"
 #include "groups/group_manager.hpp"
+#include "groups_test_util.hpp"
 #include "multicast/local_rule.hpp"
 #include "multicast/space_partition.hpp"
 #include "multicast/zone.hpp"
-#include "overlay/empty_rect.hpp"
-#include "overlay/equilibrium.hpp"
 #include "util/rng.hpp"
 
 namespace geomcast::groups {
 namespace {
 
-overlay::OverlayGraph make_overlay(std::size_t n, std::size_t dims, std::uint64_t seed) {
-  util::Rng rng(seed);
-  const auto points = geometry::random_points(rng, n, dims, 100.0);
-  return overlay::build_equilibrium(points, overlay::EmptyRectSelector{});
-}
+using testutil::make_overlay;
 
 std::vector<bool> subscriber_mask(std::size_t n, std::initializer_list<PeerId> ids) {
   std::vector<bool> mask(n, false);

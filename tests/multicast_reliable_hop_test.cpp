@@ -10,11 +10,6 @@
 #include <tuple>
 #include <vector>
 
-#include "geometry/random_points.hpp"
-#include "multicast/dissemination.hpp"
-#include "multicast/space_partition.hpp"
-#include "overlay/empty_rect.hpp"
-#include "overlay/equilibrium.hpp"
 #include "sim/node.hpp"
 #include "util/rng.hpp"
 
@@ -500,55 +495,6 @@ TEST(ReliableHopTest, PendingSlabMatchesAMapModel) {
   EXPECT_GT(peak, 32u);
   EXPECT_GT(t.sends, 5 * peak);
   EXPECT_EQ(t.layer->pending(), 0u);
-}
-
-// ---------------------------------------------------------------------------
-// run_dissemination is now a thin client of the extracted layer. The golden
-// numbers below were captured from the pre-refactor implementation (the
-// inline ack/timeout/retransmit code in dissemination.cpp) on four seed
-// scenarios; the refactor must reproduce them bit for bit.
-// ---------------------------------------------------------------------------
-
-struct GoldenCase {
-  std::size_t n, dims;
-  std::uint64_t tree_seed;
-  double loss;
-  std::size_t retries;
-  double timeout;
-  std::uint64_t sim_seed;
-  std::size_t delivered;
-  std::uint64_t data, acks, retx, dups, abandoned;
-  double completion;
-};
-
-TEST(ReliableHopTest, RunDisseminationSeedScenariosUnchangedByRefactor) {
-  const GoldenCase cases[] = {
-      {120, 2, 71, 0.00, 5, 0.25, 1, 120, 119, 119, 0, 0, 0, 0.089999999999999997},
-      {100, 2, 73, 0.30, 25, 0.05, 7, 100, 210, 149, 111, 50, 0, 0.41999999999999998},
-      {80, 3, 77, 0.20, 5, 0.25, 4, 80, 130, 102, 51, 23, 0, 1.05},
-      {90, 2, 91, 0.15, 4, 0.10, 11, 90, 117, 104, 28, 15, 0, 0.3600000000000001},
-  };
-  for (const auto& c : cases) {
-    util::Rng rng(c.tree_seed);
-    const auto points = geometry::random_points(rng, c.n, c.dims, 100.0);
-    const auto graph = overlay::build_equilibrium(points, overlay::EmptyRectSelector{});
-    const auto tree = build_multicast_tree(graph, 0).tree;
-    DisseminationConfig config;
-    config.max_retries = c.retries;
-    config.ack_timeout = c.timeout;
-    sim::LossModel loss;
-    loss.drop_probability = c.loss;
-    const auto r = run_dissemination(tree, config, sim::LatencyModel::constant(0.01),
-                                     loss, c.sim_seed);
-    SCOPED_TRACE("tree_seed=" + std::to_string(c.tree_seed));
-    EXPECT_EQ(r.delivered, c.delivered);
-    EXPECT_EQ(r.data_messages, c.data);
-    EXPECT_EQ(r.ack_messages, c.acks);
-    EXPECT_EQ(r.retransmissions, c.retx);
-    EXPECT_EQ(r.duplicate_data, c.dups);
-    EXPECT_EQ(r.abandoned_hops, c.abandoned);
-    EXPECT_DOUBLE_EQ(r.completion_time, c.completion);
-  }
 }
 
 }  // namespace

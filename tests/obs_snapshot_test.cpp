@@ -151,7 +151,6 @@ TEST(KindRegistry, NamesResolve) {
   EXPECT_STREQ(groups::kind_name(groups::kDeliverKind), "deliver");
   EXPECT_STREQ(groups::kind_name(groups::kNackKind), "nack");
   EXPECT_STREQ(groups::kind_name(groups::kGraftRequestKind), "graft_request");
-  EXPECT_STREQ(groups::kind_name(11), "data");
   EXPECT_EQ(groups::kind_name(999), nullptr);
 }
 

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "analysis/graph_metrics.hpp"
 #include "geometry/random_points.hpp"
 #include "overlay/empty_rect.hpp"
@@ -66,6 +68,23 @@ TEST(IncrementalTest, GossipScopedKnowledgeApproximatesEquilibrium) {
   const auto oracle = build_equilibrium(points, selector);
   EXPECT_GE(edge_similarity(gossip_graph, oracle), 0.8)
       << "BR-scoped equilibrium strayed too far from the full-knowledge topology";
+}
+
+TEST(IncrementalTest, PaperProcedureLandsExactlyOnTheEquilibrium) {
+  // The paper's procedure: peers join one at a time under BR = 2 gossip
+  // and the overlay converges after each join. At N = 200 it lands on the
+  // full-knowledge equilibrium exactly, not just close to it.
+  for (const std::size_t dims : {2, 3}) {
+    SCOPED_TRACE("D=" + std::to_string(dims));
+    util::Rng rng(42);
+    const auto points = geometry::random_points(rng, 200, dims);
+    EmptyRectSelector selector;
+    IncrementalConfig config;
+    config.br = 2;
+    IncrementalBuilder builder(selector, config, util::Rng(1));
+    for (const auto& p : points) ASSERT_TRUE(builder.insert(p).has_value());
+    EXPECT_EQ(builder.graph(), build_equilibrium(points, selector));
+  }
 }
 
 TEST(IncrementalTest, ConvergesWithinRoundCap) {

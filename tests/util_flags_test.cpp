@@ -101,6 +101,21 @@ TEST(FlagsTest, UnusedListsFlagsNeverQueried) {
   EXPECT_EQ(flags.unused(), (std::vector<std::string>{"qos2"}));
 }
 
+TEST(FlagsTest, RejectUnusedNamesEveryUnreadFlag) {
+  const auto flags = make_flags({"--peer=100", "--quick", "--seed=3", "--csvv"});
+  (void)flags.get_bool("quick", false);
+  (void)flags.get_int("seed", 0);
+  try {
+    flags.reject_unused();
+    FAIL() << "reject_unused() accepted a typo";
+  } catch (const std::invalid_argument& error) {
+    EXPECT_STREQ(error.what(), "unknown flag(s): --csvv, --peer");
+  }
+  (void)flags.get_int("peer", 0);
+  (void)flags.get_bool("csvv", false);
+  EXPECT_NO_THROW(flags.reject_unused());
+}
+
 TEST(FlagsTest, LastValueWins) {
   const auto flags = make_flags({"--n=1", "--n=2"});
   EXPECT_EQ(flags.get_int("n", 0), 2);

@@ -5,8 +5,9 @@
 // Paper shape: both series grow steeply with D (max degree into the
 // hundreds by D = 5); D = 2 has the smallest degrees.
 //
-// Flags: --peers=N --dims=2,3,4,5 --seed=S --csv --quick
+// Flags: --peers=N --dims=2,3,4,5 --seed=S --csv --quick --json=FILE
 #include <cstdio>
+#include <fstream>
 #include <iostream>
 
 #include "analysis/experiments.hpp"
@@ -24,10 +25,16 @@ int main(int argc, char** argv) {
     for (const auto d : flags.get_int_list("dims", {2, 3, 4, 5}))
       config.dims.push_back(static_cast<std::size_t>(d));
     const bool csv = flags.get_bool("csv", false);
+    const std::string json_path = flags.get_string("json", "");
     flags.reject_unused();
 
     const auto rows = analysis::run_fig1a(config);
     const auto table = analysis::fig1a_table(rows);
+    if (!json_path.empty()) {
+      std::ofstream json(json_path);
+      if (!json) throw std::runtime_error("cannot write --json file: " + json_path);
+      table.print_json(json);
+    }
     if (csv) {
       table.print_csv(std::cout);
     } else {

@@ -5,7 +5,8 @@
 // Paper shape: at D = 2 both degree series track the logarithmic reference
 // ("seem to be proportional to log(N)").
 //
-// Flags: --peer-counts=100,200,... --dims=D --seed=S --csv --quick
+// Flags: --peer-counts=100,200,... --dims=D --seed=S --csv --quick --json=FILE
+#include <fstream>
 #include <iostream>
 
 #include "analysis/experiments.hpp"
@@ -26,10 +27,16 @@ int main(int argc, char** argv) {
     for (const auto n : flags.get_int_list("peer-counts", defaults))
       config.peer_counts.push_back(static_cast<std::size_t>(n));
     const bool csv = flags.get_bool("csv", false);
+    const std::string json_path = flags.get_string("json", "");
     flags.reject_unused();
 
     const auto rows = analysis::run_fig1c(config);
     const auto table = analysis::fig1c_table(rows);
+    if (!json_path.empty()) {
+      std::ofstream json(json_path);
+      if (!json) throw std::runtime_error("cannot write --json file: " + json_path);
+      table.print_json(json);
+    }
     if (csv) {
       table.print_csv(std::cout);
     } else {

@@ -9,7 +9,8 @@
 // structural claims on every row; a row that breaks one fails the run
 // (exit 2, the row named on stderr).
 //
-// Flags: --peers=N --dims=2,...,10 --k-min --k-max --seed=S --csv --quick
+// Flags: --peers=N --dims=2,...,10 --k-min --k-max --seed=S --csv --quick --json=FILE
+#include <fstream>
 #include <iostream>
 
 #include "analysis/experiments.hpp"
@@ -33,10 +34,16 @@ int main(int argc, char** argv) {
       config.dims = {2, 5, 10};
     }
     const bool csv = flags.get_bool("csv", false);
+    const std::string json_path = flags.get_string("json", "");
     flags.reject_unused();
 
     const auto rows = analysis::run_stability_sweep(config);
     const auto table = analysis::stability_table(rows, /*diameter_panel=*/true);
+    if (!json_path.empty()) {
+      std::ofstream json(json_path);
+      if (!json) throw std::runtime_error("cannot write --json file: " + json_path);
+      table.print_json(json);
+    }
     if (csv) {
       table.print_csv(std::cout);
     } else {

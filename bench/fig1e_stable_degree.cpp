@@ -8,7 +8,8 @@
 // degree ~ N-1. A row whose tree breaks a §3 claim (single_tree,
 // monotone_T) fails the run (exit 2, the row named on stderr).
 //
-// Flags: --peers=N --dims=2,...,10 --k-min --k-max --seed=S --csv --quick
+// Flags: --peers=N --dims=2,...,10 --k-min --k-max --seed=S --csv --quick --json=FILE
+#include <fstream>
 #include <iostream>
 
 #include "analysis/experiments.hpp"
@@ -32,10 +33,16 @@ int main(int argc, char** argv) {
       config.dims = {2, 5, 10};
     }
     const bool csv = flags.get_bool("csv", false);
+    const std::string json_path = flags.get_string("json", "");
     flags.reject_unused();
 
     const auto rows = analysis::run_stability_sweep(config);
     const auto table = analysis::stability_table(rows, /*diameter_panel=*/false);
+    if (!json_path.empty()) {
+      std::ofstream json(json_path);
+      if (!json) throw std::runtime_error("cannot write --json file: " + json_path);
+      table.print_json(json);
+    }
     if (csv) {
       table.print_csv(std::cout);
     } else {

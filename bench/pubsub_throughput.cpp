@@ -19,7 +19,10 @@
 //   --root-kill      cold rebuild vs warm root failover (run_root_kill)
 //   --simcore        the simulator's own events/sec (run_simcore)
 //   --hot-group      one hot group over the replica axis (run_hot_group)
-// Every mode runs its cells through one runner (run_cell) and ends in one
+// Every mode builds its overlays, draws its peers and runs its cells through
+// the scenario library (bench/scenario/: make_overlay, draw_peers,
+// run_cell), the one the groups test batteries use too; what stays here is
+// each mode's schedule, its table and its gates. Every mode ends in one
 // epilogue (report: the table, one acceptance line per gate, the --json
 // document with its gate_* fields, exit code 0 or 2). The checked-in
 // BENCH_*.json files are full-size runs of the modes.
@@ -33,12 +36,11 @@
 //        --hot-group --replicas=1,2,4 --publisher-batch-window=W
 //        --simcore --simcore-peers=N --simcore-k=K
 // Any other flag is rejected (exit 1) before a mode runs, so a typo never
-// runs the defaults silently.
+// runs the defaults silently; so is a workload no mode can run
+// (--publishes=0, --subscribers=0, --graft-cost with --subscribers=1).
 #include <algorithm>
 #include <array>
-#include <chrono>
 #include <fstream>
-#include <functional>
 #include <iostream>
 #include <iterator>
 #include <map>
@@ -47,19 +49,15 @@
 #include <sstream>
 #include <string>
 #include <thread>
-#include <tuple>
 #include <utility>
 #include <vector>
 
 #include "geometry/distance.hpp"
-#include "geometry/random_points.hpp"
 #include "groups/failure_injection.hpp"
 #include "groups/pubsub.hpp"
 #include "obs/snapshot.hpp"
 #include "obs/trace.hpp"
-#include "overlay/empty_rect.hpp"
-#include "overlay/equilibrium.hpp"
-#include "overlay/grid_knn.hpp"
+#include "scenario/scenario.hpp"
 #include "util/flags.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
@@ -67,6 +65,15 @@
 namespace {
 
 using namespace geomcast;
+using scenario::CellResult;
+using scenario::DeliveryKey;
+using scenario::draw_peers;
+using scenario::make_overlay;
+using scenario::Overlay;
+using scenario::Record;
+using scenario::run_cell;
+using scenario::sent_of;
+using scenario::tree_edges;
 
 struct ScenarioParams {
   std::size_t peers = 1000;
@@ -98,45 +105,10 @@ struct ScenarioParams {
   std::uint64_t seed = 42;
 };
 
-/// One application-level delivery, the unit the equivalence gates compare
-/// (batched vs unbatched, routed vs local, warm vs cold, R vs R=1).
-using DeliveryKey = std::tuple<overlay::PeerId, groups::GroupId, std::uint64_t>;
-
 /// num / den, or 0 when den is 0.
 double ratio(double num, double den) { return den != 0.0 ? num / den : 0.0; }
 
-/// Envelopes of `kind` the transport admitted.
-std::uint64_t sent_of(const sim::NetworkStats& net, sim::MessageKind kind) {
-  const auto it = net.sent_by_kind.find(kind);
-  return it == net.sent_by_kind.end() ? 0 : it->second;
-}
-
-double secs_since(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
-}
-
 // ------------------------------------------------------------ plumbing ----
-
-/// A seeded overlay and its build's wall time: `peers` uniform points in
-/// [0, 100)^dims drawn from Rng(seed), linked by the full-knowledge
-/// empty-rect equilibrium or, with knn_k > 0, by the grid-kNN
-/// local-knowledge build.
-struct Overlay {
-  overlay::OverlayGraph graph;
-  double secs = 0.0;
-};
-
-Overlay build_overlay(std::size_t peers, std::size_t dims, std::uint64_t seed,
-                      std::size_t knn_k = 0) {
-  util::Rng rng(seed);
-  const auto points = geometry::random_points(rng, peers, dims, 100.0);
-  const auto t0 = std::chrono::steady_clock::now();
-  auto graph =
-      knn_k > 0
-          ? overlay::build_equilibrium_local(points, overlay::EmptyRectSelector{}, knn_k)
-          : overlay::build_equilibrium(points, overlay::EmptyRectSelector{});
-  return {std::move(graph), secs_since(t0)};
-}
 
 /// The config every mode starts from: seed, QoS, per-link loss and the hop
 /// layer's retry budget. Each mode adds the knobs it prices on top.
@@ -161,74 +133,6 @@ groups::PubSubConfig scenario_config(const ScenarioParams& params, multicast::Qo
   config.root_replicas = params.root_replicas;
   config.publisher_batch_window = params.publisher_batch_window;
   return config;
-}
-
-/// What every cell reports, whatever the mode.
-struct CellResult {
-  groups::GroupStats total;
-  sim::NetworkStats net;
-  std::set<DeliveryKey> delivered;  // only with CellHooks::record_delivered
-  std::size_t events = 0;
-  double run_secs = 0.0;
-};
-
-/// Sees one delivery: (peer, group, seq, simulated time).
-using DeliveryObserver =
-    std::function<void(overlay::PeerId, groups::GroupId, std::uint64_t, double)>;
-
-/// What a mode hangs on run_cell besides its schedule.
-struct CellHooks {
-  bool record_delivered = false;
-  DeliveryObserver observe = {};
-  /// Reads the finished system after the stats grab — state the stats do
-  /// not carry, or work that must not count in them.
-  std::function<void(groups::PubSubSystem&)> harvest = {};
-};
-
-/// The one cell runner: constructs the system, wires the delivery probe,
-/// books the mode's workload, times run() and grabs the stats. Mode-
-/// specific readings ride on a struct derived from CellResult, whose base
-/// the caller assigns from the return value.
-CellResult run_cell(const overlay::OverlayGraph& graph, const groups::PubSubConfig& config,
-                    const std::function<void(groups::PubSubSystem&)>& schedule,
-                    const CellHooks& hooks = {}) {
-  groups::PubSubSystem system(graph, config);
-  CellResult cell;
-  if (hooks.record_delivered || hooks.observe)
-    system.set_delivery_probe([&cell, &hooks](overlay::PeerId peer, groups::GroupId group,
-                                              std::uint64_t seq, double time) {
-      if (hooks.record_delivered) cell.delivered.emplace(peer, group, seq);
-      if (hooks.observe) hooks.observe(peer, group, seq, time);
-    });
-  schedule(system);
-  const auto t_run = std::chrono::steady_clock::now();
-  cell.events = system.run();
-  cell.run_secs = secs_since(t_run);
-  cell.total = system.total_stats();
-  cell.net = system.simulator().stats();
-  if (hooks.harvest) hooks.harvest(system);
-  return cell;
-}
-
-/// Draws `count` distinct peers outside `excluded` uniformly from `rng`.
-/// `on_pick(peer, index)` runs right after each draw, so the draws a
-/// schedule makes for the peer (its subscribe or departure time)
-/// interleave with the picks — the stream order every pinned BENCH result
-/// depends on.
-std::vector<overlay::PeerId> draw_peers(
-    util::Rng& rng, std::size_t peers, std::size_t count,
-    const std::vector<bool>& excluded,
-    const std::function<void(overlay::PeerId, std::size_t)>& on_pick) {
-  std::vector<bool> chosen(peers, false);
-  std::vector<overlay::PeerId> picked;
-  while (picked.size() < count) {
-    const auto p = static_cast<overlay::PeerId>(rng.next_below(peers));
-    if (chosen[p] || excluded[p]) continue;
-    chosen[p] = true;
-    picked.push_back(p);
-    on_pick(p, picked.size() - 1);
-  }
-  return picked;
 }
 
 // ---------------------------------------------------------------- JSON ----
@@ -394,7 +298,6 @@ ScenarioOutcome run_scenario(const overlay::OverlayGraph& graph,
   std::optional<obs::Sampler> sampler;
   std::vector<bool> member_anywhere(peers, false);  // the kill injector reads it in run()
   const auto schedule = [&](groups::PubSubSystem& system) {
-    if (trace_sink != nullptr) system.set_trace_sink(trace_sink);
     // The sampler's ticks are simulator events, so a sampled run's
     // sim_events count differs from an unsampled one — attach only on
     // request; the stats themselves are unaffected.
@@ -412,7 +315,6 @@ ScenarioOutcome run_scenario(const overlay::OverlayGraph& graph,
     std::size_t non_roots = 0;
     for (std::size_t p = 0; p < peers; ++p)
       if (!is_root[p]) ++non_roots;
-    if (params.subscribers == 0) throw std::invalid_argument("--subscribers must be >= 1");
     if (params.subscribers > non_roots)
       throw std::invalid_argument(
           "not enough non-root peers for --subscribers=" +
@@ -514,7 +416,9 @@ ScenarioOutcome run_scenario(const overlay::OverlayGraph& graph,
   };
   static_cast<CellResult&>(outcome) =
       run_cell(graph, scenario_config(params, qos, loss), schedule,
-               {.record_delivered = record_delivered, .harvest = harvest});
+               {.record = record_delivered ? Record::kDeliveredSet : Record::kNothing,
+                .trace = trace_sink,
+                .harvest = harvest});
   return outcome;
 }
 
@@ -531,7 +435,7 @@ int run_single(const ScenarioParams& params, std::size_t dims, multicast::QoS qo
                double loss, bool csv, const std::string& json_path,
                const std::string& trace_path, const std::string& snapshot_path,
                double snapshot_interval) {
-  const Overlay overlay = build_overlay(params.peers, dims, params.seed);
+  const auto overlay = make_overlay(params.peers, dims, params.seed);
   obs::TraceSink sink(1u << 20);  // ~1M events: covers a full-size run
   std::string snapshot_json;
   const auto outcome =
@@ -562,7 +466,7 @@ int run_single(const ScenarioParams& params, std::size_t dims, multicast::QoS qo
   row("severed_subscribers", static_cast<double>(outcome.severed_subscribers), 0);
   row("loss", loss);
   row("qos", static_cast<double>(qos), 0);
-  row("overlay_build_secs", overlay.secs);
+  row("overlay_build_secs", overlay.build_secs);
   row("sim_events", static_cast<double>(outcome.events), 0);
   row("run_secs", outcome.run_secs);
   row("publishes", static_cast<double>(total.publishes), 0);
@@ -650,7 +554,7 @@ int run_single(const ScenarioParams& params, std::size_t dims, multicast::QoS qo
 /// kills QoS 2 holds >= 0.9999 while QoS 1, blind to a severed subtree,
 /// drops below it, and retention stays bounded.
 int run_sweep(const ScenarioParams& params, std::size_t dims, bool csv) {
-  const Overlay overlay = build_overlay(params.peers, dims, params.seed);
+  const auto overlay = make_overlay(params.peers, dims, params.seed);
   const std::vector<double> loss_axis{0.0, 0.05, 0.15};
   // Kills and severed-subscriber counts are per cell: stochastic loss also
   // drops subscribe control envelopes, so membership — and with it the
@@ -714,7 +618,7 @@ int run_sweep(const ScenarioParams& params, std::size_t dims, bool csv) {
          << params.midwave
          << " mid-wave forwarder kill rounds (per-cell kills/severed in the"
             " table), seed=" << params.seed << " (overlay built in "
-         << util::format_number(overlay.secs, 2) << "s) ===";
+         << util::format_number(overlay.build_secs, 2) << "s) ===";
   return report(
       "sweep",
       {{"qos1_ok", "QoS 1 delivery_ratio >= 0.99 at loss points <= 5%", qos1_ok},
@@ -743,7 +647,7 @@ int run_sweep(const ScenarioParams& params, std::size_t dims, bool csv) {
 /// tests/groups_batching_test.cpp where a QoS guarantee pins the set).
 int run_batch_compare(ScenarioParams params, std::size_t dims, bool csv,
                       const std::string& json_path) {
-  const Overlay overlay = build_overlay(params.peers, dims, params.seed);
+  const auto overlay = make_overlay(params.peers, dims, params.seed);
   params.departures = 0;
   params.midwave = 0;
   if (params.pub_burst <= 1) params.pub_burst = 8;
@@ -797,7 +701,7 @@ int run_batch_compare(ScenarioParams params, std::size_t dims, bool csv,
          << " subscribers on " << params.peers << " peers, batch_window="
          << params.batch_window << ", max_batch=" << params.max_batch
          << ", seed=" << params.seed << " (overlay built in "
-         << util::format_number(overlay.secs, 2) << "s) ===";
+         << util::format_number(overlay.build_secs, 2) << "s) ===";
   return report(
       "batch_compare",
       {{"gate_identical", "delivered (peer, group, seq) sets bit-identical at QoS 0/1/2",
@@ -864,14 +768,10 @@ GraftCell run_graft_scenario(const overlay::OverlayGraph& graph,
   const auto harvest = [&](groups::PubSubSystem& system) {
     cell.inflight = system.manager().inflight_graft_count();
     for (std::size_t g = 0; g < params.group_count; ++g) {
-      std::vector<std::pair<overlay::PeerId, overlay::PeerId>> edges;
-      if (const groups::GroupTree* gt = system.manager().cached_tree(g)) {
-        for (overlay::PeerId p = 0; p < peers; ++p)
-          if (p != gt->tree.root() && gt->tree.reached(p))
-            edges.emplace_back(gt->tree.parent(p), p);
-        std::sort(edges.begin(), edges.end());
-      }
-      cell.trees.push_back(std::move(edges));
+      if (const groups::GroupTree* gt = system.manager().cached_tree(g))
+        cell.trees.push_back(tree_edges(*gt));
+      else
+        cell.trees.emplace_back();
     }
     // The attach gate reads REFRESHED trees (an abort defers the subscriber
     // to the next rebuild; tree() performs it) — run after the stats grab
@@ -886,7 +786,7 @@ GraftCell run_graft_scenario(const overlay::OverlayGraph& graph,
     }
   };
   static_cast<CellResult&>(cell) =
-      run_cell(graph, config, schedule, {.record_delivered = true, .harvest = harvest});
+      run_cell(graph, config, schedule, {.record = Record::kDeliveredSet, .harvest = harvest});
   return cell;
 }
 
@@ -933,7 +833,7 @@ int run_graft_cost(ScenarioParams params, std::size_t dims, bool csv,
   for (std::uint64_t seed = params.seed; seed < params.seed + 3; ++seed) {
     ScenarioParams cell_params = params;
     cell_params.seed = seed;
-    const Overlay overlay = build_overlay(params.peers, dims, seed);
+    const auto overlay = make_overlay(params.peers, dims, seed);
     const auto& graph = overlay.graph;
 
     const auto local = run_graft_scenario(graph, cell_params, /*routed=*/false, 0.0, 0);
@@ -1041,7 +941,7 @@ int run_latency(ScenarioParams params, std::size_t dims, bool csv,
   for (std::uint64_t seed = params.seed; seed < params.seed + 3; ++seed) {
     ScenarioParams cell_params = params;
     cell_params.seed = seed;
-    const Overlay overlay = build_overlay(params.peers, dims, seed);
+    const auto overlay = make_overlay(params.peers, dims, seed);
     for (const double loss : loss_axis) {
       for (const auto qos : {multicast::QoS::kFireAndForget, multicast::QoS::kAcked,
                              multicast::QoS::kEndToEnd}) {
@@ -1198,7 +1098,7 @@ FailoverCell run_failover_cell(const overlay::OverlayGraph& graph,
     }
   };
   static_cast<CellResult&>(cell) = run_cell(
-      graph, config, schedule, {.record_delivered = true, .observe = observe});
+      graph, config, schedule, {.record = Record::kDeliveredSet, .observe = observe});
   double sum = 0.0;
   std::size_t counted = 0;
   for (std::size_t g = 0; g < params.group_count; ++g)
@@ -1257,7 +1157,7 @@ int run_root_kill(ScenarioParams params, std::size_t dims, bool csv,
   for (std::uint64_t seed = params.seed; seed < params.seed + 3; ++seed) {
     ScenarioParams cell_params = params;
     cell_params.seed = seed;
-    const Overlay overlay = build_overlay(params.peers, dims, seed);
+    const auto overlay = make_overlay(params.peers, dims, seed);
     const auto cell = [&](bool warm_on, bool kill_on) {
       return run_failover_cell(overlay.graph, cell_params, warm_on, kill_on);
     };
@@ -1389,7 +1289,7 @@ int run_simcore(ScenarioParams params, std::size_t dims, multicast::QoS qos,
     table.begin_row()
         .add_cell(name)
         .add_number(static_cast<double>(overlay.graph.size()), 0)
-        .add_number(overlay.secs, 3)
+        .add_number(overlay.build_secs, 3)
         .add_number(static_cast<double>(r.events), 0)
         .add_number(r.run_secs, 4)
         .add_number(events_per_sec, 0)
@@ -1397,12 +1297,12 @@ int run_simcore(ScenarioParams params, std::size_t dims, multicast::QoS qos,
     std::ostringstream o;
     o.precision(10);
     o << "{\"cell\":\"" << name << "\",\"peers\":" << overlay.graph.size()
-      << ",\"overlay_secs\":" << overlay.secs << ",\"sim_events\":" << r.events
+      << ",\"overlay_secs\":" << overlay.build_secs << ",\"sim_events\":" << r.events
       << ",\"events_per_sec\":" << events_per_sec
       << ",\n     \"run\":" << scenario_json(cell_params, qos, loss, r) << "}";
     cells.push_back(o.str());
   };
-  measure("gate1k", build_overlay(params.peers, dims, params.seed), params);
+  measure("gate1k", make_overlay(params.peers, dims, params.seed), params);
   if (sweep_peers > 0) {
     ScenarioParams sweep = params;
     sweep.peers = sweep_peers;
@@ -1411,7 +1311,7 @@ int run_simcore(ScenarioParams params, std::size_t dims, multicast::QoS qos,
     // the CI budget, not to maximise wave traffic.
     sweep.publishes = std::min<std::size_t>(sweep.publishes, 8);
     sweep.local_members = true;
-    measure("sweep100k", build_overlay(sweep.peers, dims, params.seed + 1, knn_k), sweep);
+    measure("sweep100k", make_overlay(sweep.peers, dims, params.seed + 1, knn_k), sweep);
   }
   std::ostringstream banner;
   banner << "=== pub/sub simulator core: events/sec, qos=" << static_cast<int>(qos)
@@ -1502,7 +1402,7 @@ HotGroupCell run_hot_group_cell(const overlay::OverlayGraph& graph,
       cell.slot_roots.push_back(system.manager().slot_root(g, s));
   };
   static_cast<CellResult&>(cell) =
-      run_cell(graph, config, schedule, {.record_delivered = true, .harvest = harvest});
+      run_cell(graph, config, schedule, {.record = Record::kDeliveredSet, .harvest = harvest});
   std::vector<std::uint64_t> load(peers, 0);
   for (std::size_t p = 0; p < peers; ++p)
     load[p] = (p < cell.net.sent_by_node.size() ? cell.net.sent_by_node[p] : 0) +
@@ -1562,7 +1462,7 @@ int run_hot_group(ScenarioParams params, std::size_t dims, bool csv,
   if (axis.empty() || axis.front() != 1) axis.insert(axis.begin(), 1);
   params.group_count = 1;
 
-  const Overlay overlay = build_overlay(params.peers, dims, params.seed);
+  const auto overlay = make_overlay(params.peers, dims, params.seed);
   const auto& graph = overlay.graph;
 
   // Membership must be the same set in every cell, so no peer that is a
@@ -1674,7 +1574,7 @@ int run_hot_group(ScenarioParams params, std::size_t dims, bool csv,
          << ", batch_window=" << params.batch_window
          << ", publisher_batch_window=" << params.publisher_batch_window
          << ", replicas axis {" << axis_text << "}, seed=" << params.seed
-         << " (overlay built in " << util::format_number(overlay.secs, 2) << "s) ===";
+         << " (overlay built in " << util::format_number(overlay.build_secs, 2) << "s) ===";
   return report(
       "hot_group",
       {{"gate_delivered_identical",
@@ -1692,7 +1592,7 @@ int run_hot_group(ScenarioParams params, std::size_t dims, bool csv,
       table, banner.str(), csv, json_path,
       {{"params", params_json(params)},
        {"replica_axis", axis_json + "]"},
-       {"overlay_secs", json_number(overlay.secs)},
+       {"overlay_secs", json_number(overlay.build_secs)},
        {"cells", json_array(cells_json)},
        {"hot_root_load_qos1", hot_json + "}"},
        {"load_flatten_ratio", json_number(flatten_ratio)},
@@ -1774,29 +1674,39 @@ int main(int argc, char** argv) {
       if (!flags.has("publishes")) params.publishes = 64;
       if (!flags.has("batch-window")) params.batch_window = 0.1;
       if (!flags.has("pub-burst")) params.pub_burst = 8;
-      const auto simcore_qos = flags.has("qos") ? qos : multicast::QoS::kAcked;
-      return run_simcore(params, dims, simcore_qos, loss, csv, json_path, simcore_peers,
-                         simcore_k);
-    }
-
-    // Hot group (ISSUE 10): one group, all eligible peers subscribed,
-    // burst publishes, swept over the --replicas axis at every QoS rung.
-    // Defaults make the workload the regime replica sharding exists for:
-    // bursts of 8 coalesced at both ends (root batching + publisher
-    // batching).
-    if (hot_group) {
+    } else if (hot_group) {
+      // Hot group (ISSUE 10): one group, all eligible peers subscribed,
+      // burst publishes, swept over the --replicas axis at every QoS rung.
+      // Defaults make the workload the regime replica sharding exists for:
+      // bursts of 8 coalesced at both ends (root batching + publisher
+      // batching).
       if (!flags.has("publishes")) params.publishes = 64;
       if (!flags.has("pub-burst")) params.pub_burst = 8;
       if (!flags.has("batch-window")) params.batch_window = 0.05;
       if (!flags.has("publisher-batch-window")) params.publisher_batch_window = 0.02;
-      std::vector<std::size_t> axis;
-      for (const std::int64_t r : replica_list) {
-        if (r < 1) throw std::invalid_argument("--replicas entries must be >= 1");
-        axis.push_back(static_cast<std::size_t>(r));
-      }
-      return run_hot_group(params, dims, csv, json_path, std::move(axis));
     }
 
+    // The workload checks, in one place: after the mode's defaults, before
+    // any overlay is built. Each group's warm publish is one of
+    // --publishes; the hot group subscribes every eligible peer instead of
+    // --subscribers; the graft-cost workload grafts the late half of each
+    // membership. --simcore wins over --hot-group, which wins over the rest.
+    if (params.publishes == 0) throw std::invalid_argument("--publishes must be >= 1");
+    if (!hot_group || simcore) {
+      if (params.subscribers == 0) throw std::invalid_argument("--subscribers must be >= 1");
+      if (graft_cost && !simcore && params.subscribers < 2)
+        throw std::invalid_argument("--graft-cost needs --subscribers >= 2");
+    }
+    std::vector<std::size_t> axis;
+    for (const std::int64_t r : replica_list) {
+      if (r < 1) throw std::invalid_argument("--replicas entries must be >= 1");
+      axis.push_back(static_cast<std::size_t>(r));
+    }
+
+    if (simcore)
+      return run_simcore(params, dims, flags.has("qos") ? qos : multicast::QoS::kAcked, loss,
+                         csv, json_path, simcore_peers, simcore_k);
+    if (hot_group) return run_hot_group(params, dims, csv, json_path, std::move(axis));
     if (graft_cost) return run_graft_cost(params, dims, csv, json_path);
     if (latency) return run_latency(params, dims, csv, json_path);
     if (root_kill) return run_root_kill(params, dims, csv, json_path);

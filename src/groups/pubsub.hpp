@@ -535,6 +535,11 @@ class PubSubSystem {
   /// layers. A drained run holds none: each hop was acked, abandoned, or
   /// dropped with its dead sender.
   [[nodiscard]] std::size_t pending_hops() const noexcept;
+  /// Seq leases a non-authority slot root still awaits a grant for.
+  /// Observation only; a drained run holds none.
+  [[nodiscard]] std::size_t pending_lease_count() const noexcept {
+    return lease_pending_.size();
+  }
   [[nodiscard]] const PubSubConfig& config() const noexcept { return config_; }
 
   /// A QoS 2 window that still holds gaps, neither repaired nor abandoned.

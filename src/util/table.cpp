@@ -1,6 +1,8 @@
 #include "util/table.hpp"
 
 #include <algorithm>
+#include <cstdio>
+#include <cstring>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
@@ -91,6 +93,66 @@ std::string Table::to_csv() const {
   std::ostringstream out;
   print_csv(out);
   return out.str();
+}
+
+namespace {
+std::string json_string(const std::string& text) {
+  std::string quoted = "\"";
+  for (const char ch : text) {
+    if (ch == '"' || ch == '\\') {
+      quoted += '\\';
+      quoted += ch;
+    } else if (static_cast<unsigned char>(ch) < 0x20) {
+      char escaped[8];
+      std::snprintf(escaped, sizeof(escaped), "\\u%04x", static_cast<unsigned>(ch));
+      quoted += escaped;
+    } else {
+      quoted += ch;
+    }
+  }
+  return quoted + '"';
+}
+
+/// Whether `cell` is a JSON number: -?(0|[1-9][0-9]*)(.[0-9]+)?([eE][+-]?[0-9]+)?
+bool is_json_number(const std::string& cell) {
+  std::size_t i = 0;
+  const auto at = [&](const char* chars) {
+    return i < cell.size() && cell[i] != '\0' && std::strchr(chars, cell[i]) != nullptr;
+  };
+  const auto digits = [&] {
+    const std::size_t from = i;
+    while (at("0123456789")) ++i;
+    return i > from;
+  };
+  if (at("-")) ++i;
+  if (at("0")) {
+    ++i;
+  } else if (!digits()) {
+    return false;
+  }
+  if (at(".") && (++i, !digits())) return false;
+  if (at("eE")) {
+    ++i;
+    if (at("+-")) ++i;
+    if (!digits()) return false;
+  }
+  return i == cell.size();
+}
+
+std::string json_value(const std::string& cell) {
+  return is_json_number(cell) ? cell : json_string(cell);
+}
+}  // namespace
+
+void Table::print_json(std::ostream& out) const {
+  out << '[';
+  for (std::size_t r = 0; r < rows_.size(); ++r) {
+    out << (r > 0 ? ",\n  {" : "\n  {");
+    for (std::size_t c = 0; c < rows_[r].size(); ++c)
+      out << (c > 0 ? ", " : "") << json_string(header_[c]) << ": " << json_value(rows_[r][c]);
+    out << '}';
+  }
+  out << "\n]\n";
 }
 
 }  // namespace geomcast::util

@@ -1,4 +1,4 @@
-// Plain-text and CSV table rendering for the benchmark harness. Every
+// Plain-text, CSV and JSON table rendering for the benchmark harness. Every
 // figure/table reproduction prints through this so the output format is
 // uniform and machine-extractable.
 #pragma once
@@ -35,6 +35,10 @@ class Table {
   /// Renders RFC-4180-ish CSV (quotes cells containing comma/quote/newline).
   void print_csv(std::ostream& out) const;
   [[nodiscard]] std::string to_csv() const;
+  /// Renders the rows as a JSON array, one object per row keyed by the
+  /// header. A cell that reads as a JSON number is written as one, any
+  /// other cell as a string.
+  void print_json(std::ostream& out) const;
 
  private:
   std::vector<std::string> header_;

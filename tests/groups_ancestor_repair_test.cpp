@@ -11,17 +11,17 @@
 #include <algorithm>
 #include <vector>
 
-#include "groups_test_util.hpp"
+#include "scenario/scenario.hpp"
 
 namespace geomcast::groups {
 namespace {
 
-using testutil::find_leaf_subscriber;
-using testutil::make_overlay;
-using testutil::subscribe_members;
+using scenario::find_leaf_subscriber;
+using scenario::make_overlay;
+using scenario::subscribe_members;
 
 TEST(GroupsAncestorRepairTest, EscalationWalksTheAncestorChainParentFirstToRoot) {
-  const auto graph = make_overlay(150, 2, 1301);
+  const auto graph = make_overlay(150, 2, 1301).graph;
   const GroupId g = 0;
   const std::uint64_t seed = 43;
   const std::size_t publishes = 3;
@@ -78,7 +78,7 @@ TEST(GroupsAncestorRepairTest, EscalationWalksTheAncestorChainParentFirstToRoot)
 }
 
 TEST(GroupsAncestorRepairTest, NackForAnEvictedSeqEscalatesInsteadOfStalling) {
-  const auto graph = make_overlay(150, 2, 1302);
+  const auto graph = make_overlay(150, 2, 1302).graph;
   const GroupId g = 0;
   const std::uint64_t seed = 47;
   const std::size_t publishes = 6;
@@ -143,21 +143,21 @@ GroupStats run_pinned(const overlay::OverlayGraph& graph, multicast::QoS qos) {
     if (e.kind != kDeliverKind || e.to != *victim) return false;
     return std::any_cast<const DeliveryPtr&>(e.payload)->seq == 2;
   };
-  PubSubSystem system(graph, config);
-  const auto members = subscribe_members(system, graph, 0, 12, 61);
-  *victim = members[6];
-  // Publishing from the root keeps all five waves in the pin: a publish
-  // envelope lost en route to the root would silently shrink the workload
-  // (and with it the severed seq the QoS 2 cell is pinned around).
-  const PeerId root = system.manager().root_of(0);
-  for (std::size_t i = 0; i < 5; ++i)
-    system.publish_at(2.0 + 0.3 * static_cast<double>(i), root, 0);
-  system.run();
-  return system.stats(0);
+  return scenario::run_cell(graph, config, [&](PubSubSystem& system) {
+           *victim = subscribe_members(system, graph, 0, 12, 61)[6];
+           // Publishing from the root keeps all five waves in the pin: a
+           // publish envelope lost en route to the root would silently
+           // shrink the workload (and with it the severed seq the QoS 2
+           // cell is pinned around).
+           const PeerId root = system.manager().root_of(0);
+           for (std::size_t i = 0; i < 5; ++i)
+             system.publish_at(2.0 + 0.3 * static_cast<double>(i), root, 0);
+         })
+      .total;
 }
 
 TEST(GroupsAncestorRepairTest, SeededStatsArePinnedAcrossTheQoSLadder) {
-  const auto graph = make_overlay(150, 2, 1303);
+  const auto graph = make_overlay(150, 2, 1303).graph;
 
   // Rerunning the same cell must be bit-identical before pinning means
   // anything.

@@ -11,19 +11,18 @@
 
 #include <map>
 #include <memory>
-#include <set>
-#include <tuple>
 #include <vector>
 
 #include "groups/failure_injection.hpp"
 #include "groups/group_manager.hpp"
 #include "groups_test_util.hpp"
+#include "scenario/scenario.hpp"
 
 namespace geomcast::groups {
 namespace {
 
-using testutil::make_overlay;
-using testutil::subscribe_members;
+using scenario::make_overlay;
+using scenario::subscribe_members;
 using testutil::tag_of;
 using testutil::WavePool;
 
@@ -144,7 +143,7 @@ TEST(RetainedBufferRangeTest, OverWideRangeEvictsItself) {
 /// departures exercise its deletion path; the manager's aggregate
 /// accessors must keep matching a recount through retained_ranges().
 TEST(RetainedBufferRangeTest, DepartureDropsOnlyTheDepartedPeersBuffers) {
-  const auto graph = make_overlay(120, 2, 4242);
+  const auto graph = make_overlay(120, 2, 4242).graph;
   GroupConfig config;
   config.retention_window = 8;
   WavePool waves;
@@ -192,15 +191,6 @@ TEST(RetainedBufferRangeTest, DepartureDropsOnlyTheDepartedPeersBuffers) {
 
 // ------------------------------------------------- coalescing behaviour ----
 
-/// One delivered application-level message.
-using DeliveryKey = std::tuple<PeerId, GroupId, std::uint64_t>;
-
-struct WorkloadResult {
-  std::set<DeliveryKey> delivered;
-  std::uint64_t delivery_count = 0;  // probe firings; == set size iff no dupes
-  GroupStats stats;
-};
-
 /// The shared seeded workload: 2 groups x 12 subscribers on a 96-peer
 /// overlay, a warm publish per group, then three bursts of 8 back-to-back
 /// publishes. `midwave` adds a dedicated root-published wave with a
@@ -213,9 +203,9 @@ struct WorkloadResult {
 /// diverge — that is workload divergence, not pipeline divergence. With
 /// the memberships and publishes pinned equal, QoS 2 completeness makes
 /// the delivered sets comparable envelope-by-envelope fates aside.
-WorkloadResult run_workload(const overlay::OverlayGraph& graph, multicast::QoS qos,
-                            double loss, double batch_window, std::size_t max_batch,
-                            bool midwave = false) {
+scenario::CellResult run_workload(const overlay::OverlayGraph& graph, multicast::QoS qos,
+                                  double loss, double batch_window, std::size_t max_batch,
+                                  bool midwave = false) {
   PubSubConfig config;
   config.seed = 7;
   if (loss > 0.0) {
@@ -231,42 +221,36 @@ WorkloadResult run_workload(const overlay::OverlayGraph& graph, multicast::QoS q
   config.reliability.ack_timeout = 0.05;
   config.batch_window = batch_window;
   config.max_batch = max_batch;
-  PubSubSystem system(graph, config);
-  WorkloadResult result;
-  system.set_delivery_probe(
-      [&result](PeerId peer, GroupId group, std::uint64_t seq, double) {
-        result.delivered.emplace(peer, group, seq);
-        ++result.delivery_count;
-      });
-  std::vector<bool> member_anywhere(graph.size(), false);
-  for (GroupId g = 0; g < 2; ++g) {
-    const auto members = subscribe_members(system, graph, g, 12, /*seed=*/31 + g);
-    for (const PeerId p : members) member_anywhere[p] = true;
-    system.publish_at(2.0, members[0], g);
-    for (int burst = 0; burst < 3; ++burst) {
-      const double when = 3.0 + 1.0 * burst + 0.1 * static_cast<double>(g);
-      for (int i = 0; i < 8; ++i) system.publish_at(when, members[1], g);
+  std::vector<bool> member_anywhere(graph.size(), false);  // the injector reads it in run()
+  const auto schedule = [&](PubSubSystem& system) {
+    for (GroupId g = 0; g < 2; ++g) {
+      const auto members = subscribe_members(system, graph, g, 12, /*seed=*/31 + g);
+      for (const PeerId p : members) member_anywhere[p] = true;
+      system.publish_at(2.0, members[0], g);
+      for (int burst = 0; burst < 3; ++burst) {
+        const double when = 3.0 + 1.0 * burst + 0.1 * static_cast<double>(g);
+        for (int i = 0; i < 8; ++i) system.publish_at(when, members[1], g);
+      }
+      if (midwave) {
+        const PeerId root = system.manager().root_of(g);
+        const double wave_time = 8.0 + static_cast<double>(g);
+        system.publish_at(wave_time, root, g);
+        // Batched runs flush the root's own publish one window later; time
+        // the kill against the flushed wave so BOTH pipelines lose a live
+        // subtree mid-flight (the scenario being pinned equal).
+        schedule_midwave_kill(system, g, wave_time, member_anywhere, nullptr,
+                              max_batch > 1 ? batch_window : 0.0);
+        system.publish_at(wave_time + 0.4, root, g);  // flushes reveal the gaps
+        system.publish_at(wave_time + 0.8, root, g);
+      }
     }
-    if (midwave) {
-      const PeerId root = system.manager().root_of(g);
-      const double wave_time = 8.0 + static_cast<double>(g);
-      system.publish_at(wave_time, root, g);
-      // Batched runs flush the root's own publish one window later; time
-      // the kill against the flushed wave so BOTH pipelines lose a live
-      // subtree mid-flight (the scenario being pinned equal).
-      schedule_midwave_kill(system, g, wave_time, member_anywhere, nullptr,
-                            max_batch > 1 ? batch_window : 0.0);
-      system.publish_at(wave_time + 0.4, root, g);  // flushes reveal the gaps
-      system.publish_at(wave_time + 0.8, root, g);
-    }
-  }
-  system.run();
-  result.stats = system.total_stats();
-  return result;
+  };
+  return scenario::run_cell(graph, config, schedule,
+                            {.record = scenario::Record::kDeliveredSet});
 }
 
 TEST(BatchCoalescingTest, BurstCoalescesIntoOneRangeWave) {
-  const auto graph = make_overlay(96, 3, 11);
+  const auto graph = make_overlay(96, 3, 11).graph;
   const auto unbatched =
       run_workload(graph, multicast::QoS::kFireAndForget, 0.0, 0.0, 16);
   const auto batched =
@@ -274,31 +258,31 @@ TEST(BatchCoalescingTest, BurstCoalescesIntoOneRangeWave) {
   // 2 groups x (1 warm + 3 bursts): every burst of 8 coalesces into one
   // wave, so the batched run pushes 8 waves where the unbatched run
   // pushed 50 — with the identical delivered set.
-  EXPECT_EQ(batched.stats.batch_flushes_window + batched.stats.batch_flushes_full,
+  EXPECT_EQ(batched.total.batch_flushes_window + batched.total.batch_flushes_full,
             8u);
-  EXPECT_EQ(batched.stats.batched_publishes, 50u);
-  EXPECT_EQ(batched.stats.batch_publishes_lost, 0u);
-  EXPECT_NEAR(batched.stats.mean_batch_occupancy(), 50.0 / 8.0, 1e-9);
-  EXPECT_GT(batched.stats.envelopes_saved, 0u);
-  EXPECT_LT(batched.stats.payload_messages, unbatched.stats.payload_messages / 4);
+  EXPECT_EQ(batched.total.batched_publishes, 50u);
+  EXPECT_EQ(batched.total.batch_publishes_lost, 0u);
+  EXPECT_NEAR(batched.total.mean_batch_occupancy(), 50.0 / 8.0, 1e-9);
+  EXPECT_GT(batched.total.envelopes_saved, 0u);
+  EXPECT_LT(batched.total.payload_messages, unbatched.total.payload_messages / 4);
   EXPECT_EQ(batched.delivered, unbatched.delivered);
 }
 
 TEST(BatchCoalescingTest, MaxBatchForcesEarlyFlush) {
-  const auto graph = make_overlay(96, 3, 11);
+  const auto graph = make_overlay(96, 3, 11).graph;
   const auto batched =
       run_workload(graph, multicast::QoS::kFireAndForget, 0.0, 0.05, 3);
   // Each 8-burst splits 3+3+2: two size-capped flushes plus the window
   // flush for the remainder; warm publishes flush by window.
-  EXPECT_EQ(batched.stats.batch_flushes_full, 2u * 6u);
-  EXPECT_EQ(batched.stats.batch_flushes_window, 6u + 2u);
-  EXPECT_EQ(batched.stats.batch_publishes_lost, 0u);
+  EXPECT_EQ(batched.total.batch_flushes_full, 2u * 6u);
+  EXPECT_EQ(batched.total.batch_flushes_window, 6u + 2u);
+  EXPECT_EQ(batched.total.batch_publishes_lost, 0u);
 }
 
 // ------------------------------------------------------- equivalence pins ----
 
 TEST(BatchEquivalenceTest, CleanLinksDeliverIdenticalSetsAtEveryQoS) {
-  const auto graph = make_overlay(96, 3, 11);
+  const auto graph = make_overlay(96, 3, 11).graph;
   for (const auto qos : {multicast::QoS::kFireAndForget, multicast::QoS::kAcked,
                          multicast::QoS::kEndToEnd}) {
     const auto unbatched = run_workload(graph, qos, 0.0, 0.0, 16);
@@ -307,25 +291,25 @@ TEST(BatchEquivalenceTest, CleanLinksDeliverIdenticalSetsAtEveryQoS) {
         << "qos=" << static_cast<int>(qos);
     // No double deliveries on either pipeline: every (peer, group, seq)
     // released exactly once.
-    EXPECT_EQ(batched.delivery_count, batched.delivered.size());
-    EXPECT_EQ(unbatched.delivery_count, unbatched.delivered.size());
-    EXPECT_EQ(batched.stats.deliveries, batched.stats.expected_deliveries);
+    EXPECT_EQ(batched.probe_calls, batched.delivered.size());
+    EXPECT_EQ(unbatched.probe_calls, unbatched.delivered.size());
+    EXPECT_EQ(batched.total.deliveries, batched.total.expected_deliveries);
   }
 }
 
 TEST(BatchEquivalenceTest, QoS2DeliversIdenticalSetsUnderLoss) {
-  const auto graph = make_overlay(96, 3, 11);
+  const auto graph = make_overlay(96, 3, 11).graph;
   const auto unbatched = run_workload(graph, multicast::QoS::kEndToEnd, 0.05, 0.0, 16);
   const auto batched = run_workload(graph, multicast::QoS::kEndToEnd, 0.05, 0.05, 16);
   // The end-to-end repair plane recovers every lost wave on both
   // pipelines, so the sets are pinned equal — and complete.
   EXPECT_EQ(batched.delivered, unbatched.delivered);
-  EXPECT_EQ(batched.stats.deliveries, batched.stats.expected_deliveries);
-  EXPECT_EQ(unbatched.stats.deliveries, unbatched.stats.expected_deliveries);
+  EXPECT_EQ(batched.total.deliveries, batched.total.expected_deliveries);
+  EXPECT_EQ(unbatched.total.deliveries, unbatched.total.expected_deliveries);
 }
 
 TEST(BatchEquivalenceTest, QoS2DeliversIdenticalSetsAcrossAMidWaveKill) {
-  const auto graph = make_overlay(96, 3, 11);
+  const auto graph = make_overlay(96, 3, 11).graph;
   const auto unbatched =
       run_workload(graph, multicast::QoS::kEndToEnd, 0.0, 0.0, 16, /*midwave=*/true);
   const auto batched =
@@ -333,16 +317,16 @@ TEST(BatchEquivalenceTest, QoS2DeliversIdenticalSetsAcrossAMidWaveKill) {
   EXPECT_EQ(batched.delivered, unbatched.delivered);
   // The kill severs a live subtree mid-wave; the flush waves trigger the
   // NACK/repair plane, which must restore completeness on both pipelines.
-  EXPECT_EQ(batched.stats.deliveries, batched.stats.expected_deliveries);
-  EXPECT_EQ(unbatched.stats.deliveries, unbatched.stats.expected_deliveries);
+  EXPECT_EQ(batched.total.deliveries, batched.total.expected_deliveries);
+  EXPECT_EQ(unbatched.total.deliveries, unbatched.total.expected_deliveries);
 }
 
 TEST(BatchEquivalenceTest, QoS1EnvelopeCountShrinksAtLeastThreefold) {
-  const auto graph = make_overlay(96, 3, 11);
+  const auto graph = make_overlay(96, 3, 11).graph;
   const auto unbatched = run_workload(graph, multicast::QoS::kAcked, 0.0, 0.0, 16);
   const auto batched = run_workload(graph, multicast::QoS::kAcked, 0.0, 0.05, 16);
-  const auto envelopes = [](const WorkloadResult& r) {
-    return r.stats.payload_messages + r.stats.ack_messages;
+  const auto envelopes = [](const scenario::CellResult& r) {
+    return r.total.payload_messages + r.total.ack_messages;
   };
   EXPECT_GE(static_cast<double>(envelopes(unbatched)),
             3.0 * static_cast<double>(envelopes(batched)));

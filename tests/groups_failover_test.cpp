@@ -15,14 +15,14 @@
 #include <tuple>
 #include <vector>
 
-#include "groups_test_util.hpp"
 #include "obs/snapshot.hpp"
+#include "scenario/scenario.hpp"
 
 namespace geomcast::groups {
 namespace {
 
-using testutil::make_overlay;
-using testutil::subscribe_members;
+using scenario::make_overlay;
+using scenario::subscribe_members;
 
 TEST(SubscriberWindowTest, MarkThroughOpensGapsOnlyAboveTheFrontier) {
   SubscriberWindow w;
@@ -50,7 +50,7 @@ TEST(SubscriberWindowTest, MarkThroughOpensGapsOnlyAboveTheFrontier) {
 }
 
 TEST(GroupsFailoverTest, ReplicaShadowsMembershipAndRetainedHistory) {
-  const auto graph = make_overlay(150, 2, 1401);
+  const auto graph = make_overlay(150, 2, 1401).graph;
   const GroupId g = 0;
   PubSubConfig config;
   config.seed = 71;
@@ -101,30 +101,33 @@ GroupStats run_root_kill(const overlay::OverlayGraph& graph, bool warm_on,
   config.reliability.ack_timeout = 0.05;
   config.reliability.max_retries = 5;
   config.warm_failover = warm_on;
-  PubSubSystem system(graph, config);
-  const auto members = subscribe_members(system, graph, g, 12, 73);
-  std::vector<bool> member_anywhere(graph.size(), false);
-  for (const PeerId m : members) member_anywhere[m] = true;
-  const PeerId root = system.manager().root_of(g);
-  system.publish_at(2.0, root, g);
-  system.publish_at(2.3, root, g);
-  system.publish_at(5.0, root, g);
+  std::vector<bool> member_anywhere(graph.size(), false);  // the injector reads it in run()
   KillReport local;
-  schedule_root_kill(
-      system, g, 5.0, member_anywhere,
-      [&local](PeerId r, PeerId relay, std::size_t severed) {
-        local = {r, relay, severed};
-      },
-      /*wave_start_delay=*/0.0, /*root_kill_delay=*/0.02);
-  system.publish_at(6.0, members[0], g);
-  system.publish_at(6.3, members[0], g);
-  system.run();
+  const GroupStats stats = scenario::run_cell(
+      graph, config,
+      [&](PubSubSystem& system) {
+        const auto members = subscribe_members(system, graph, g, 12, 73);
+        for (const PeerId m : members) member_anywhere[m] = true;
+        const PeerId root = system.manager().root_of(g);
+        system.publish_at(2.0, root, g);
+        system.publish_at(2.3, root, g);
+        system.publish_at(5.0, root, g);
+        schedule_root_kill(
+            system, g, 5.0, member_anywhere,
+            [&local](PeerId r, PeerId relay, std::size_t severed) {
+              local = {r, relay, severed};
+            },
+            /*wave_start_delay=*/0.0, /*root_kill_delay=*/0.02);
+        system.publish_at(6.0, members[0], g);
+        system.publish_at(6.3, members[0], g);
+      })
+      .total;
   if (report != nullptr) *report = local;
-  return system.stats(g);
+  return stats;
 }
 
 TEST(GroupsFailoverTest, RootKillColdAbandonsWarmRepairsFromReplicatedHistory) {
-  const auto graph = make_overlay(150, 2, 1402);
+  const auto graph = make_overlay(150, 2, 1402).graph;
 
   KillReport cold_kill;
   const GroupStats cold = run_root_kill(graph, /*warm_on=*/false, &cold_kill);
@@ -159,7 +162,7 @@ TEST(GroupsFailoverTest, RootKillColdAbandonsWarmRepairsFromReplicatedHistory) {
 }
 
 TEST(GroupsFailoverTest, SnapshotJsonCarriesTheFailoverCounters) {
-  const auto graph = make_overlay(150, 2, 1402);
+  const auto graph = make_overlay(150, 2, 1402).graph;
   const GroupId g = 0;
   PubSubConfig config;
   config.seed = 73;
@@ -198,24 +201,27 @@ GroupStats run_final_wave(const overlay::OverlayGraph& graph, double hb_interval
   config.reliability.max_retries = 5;
   config.heartbeat_interval = hb_interval;
   config.warm_failover = false;  // independent mechanisms: beacons alone close it
-  PubSubSystem system(graph, config);
-  const auto members = subscribe_members(system, graph, g, 12, 79);
-  std::vector<bool> member_anywhere(graph.size(), false);
-  for (const PeerId m : members) member_anywhere[m] = true;
-  const PeerId root = system.manager().root_of(g);
-  system.publish_at(2.0, root, g);
-  system.publish_at(2.3, root, g);
-  system.publish_at(5.0, root, g);  // the final wave
-  auto severed = std::make_shared<std::size_t>(0);
-  schedule_midwave_kill(system, g, 5.0, member_anywhere,
-                        [severed](PeerId, std::size_t s) { *severed = s; });
-  system.run();
-  if (severed_out != nullptr) *severed_out = *severed;
-  return system.stats(g);
+  std::vector<bool> member_anywhere(graph.size(), false);  // the injector reads it in run()
+  std::size_t severed = 0;
+  const GroupStats stats = scenario::run_cell(
+      graph, config,
+      [&](PubSubSystem& system) {
+        const auto members = subscribe_members(system, graph, g, 12, 79);
+        for (const PeerId m : members) member_anywhere[m] = true;
+        const PeerId root = system.manager().root_of(g);
+        system.publish_at(2.0, root, g);
+        system.publish_at(2.3, root, g);
+        system.publish_at(5.0, root, g);  // the final wave
+        schedule_midwave_kill(system, g, 5.0, member_anywhere,
+                              [&severed](PeerId, std::size_t s) { severed = s; });
+      })
+      .total;
+  if (severed_out != nullptr) *severed_out = severed;
+  return stats;
 }
 
 TEST(GroupsFailoverTest, HeartbeatsCloseTheFinalWaveBlindSpot) {
-  const auto graph = make_overlay(150, 2, 1403);
+  const auto graph = make_overlay(150, 2, 1403).graph;
 
   std::size_t severed_off = 0;
   const GroupStats off = run_final_wave(graph, /*hb_interval=*/0.0, &severed_off);
@@ -248,19 +254,21 @@ GroupStats run_batch_kill(const overlay::OverlayGraph& graph, bool warm_on,
   config.reliability.qos = qos;
   config.batch_window = 0.1;
   config.warm_failover = warm_on;
-  PubSubSystem system(graph, config);
-  subscribe_members(system, graph, g, 12, 83);
-  const PeerId root = system.manager().root_of(g);
-  system.publish_at(5.0, root, g);
-  system.publish_at(5.01, root, g);
-  system.publish_at(5.02, root, g);
-  system.depart_at(5.05, root);  // inside the batch window
-  system.run();
-  return system.stats(g);
+  return scenario::run_cell(
+      graph, config,
+      [&](PubSubSystem& system) {
+        subscribe_members(system, graph, g, 12, 83);
+        const PeerId root = system.manager().root_of(g);
+        system.publish_at(5.0, root, g);
+        system.publish_at(5.01, root, g);
+        system.publish_at(5.02, root, g);
+        system.depart_at(5.05, root);  // inside the batch window
+      })
+      .total;
 }
 
 TEST(GroupsFailoverTest, WarmPromotionAdoptsThePendingBatch) {
-  const auto graph = make_overlay(150, 2, 1404);
+  const auto graph = make_overlay(150, 2, 1404).graph;
 
   const GroupStats cold = run_batch_kill(graph, false, multicast::QoS::kEndToEnd);
   EXPECT_EQ(cold.batch_publishes_lost, 3u);
@@ -294,7 +302,7 @@ TEST(GroupsFailoverTest, WarmPromotionAdoptsThePendingBatch) {
 /// min(stale=3, at_root=1) invented an inherited publish with batch A's
 /// accept time.
 TEST(GroupsFailoverTest, ReplicaLossDropsTheDeadCopysPendingBatch) {
-  const auto graph = make_overlay(150, 2, 1406);
+  const auto graph = make_overlay(150, 2, 1406).graph;
   const GroupId g = 0;
   PubSubConfig config;
   config.seed = 97;
@@ -348,7 +356,7 @@ TEST(GroupsFailoverTest, ReplicaLossDropsTheDeadCopysPendingBatch) {
 /// gap plane. The heartbeat_blind_windows counter is what makes it
 /// observable: every beacon that reaches a window-less subscriber counts.
 TEST(GroupsFailoverTest, SoleWaveSeveranceIsCountedAsBlindWindows) {
-  const auto graph = make_overlay(150, 2, 1407);
+  const auto graph = make_overlay(150, 2, 1407).graph;
   const GroupId g = 0;
   PubSubConfig config;
   config.seed = 101;
@@ -383,7 +391,7 @@ TEST(GroupsFailoverTest, SoleWaveSeveranceIsCountedAsBlindWindows) {
 /// one a publish at the group root builds: the mid-wave victim is a relay of
 /// that shard, and only the shard's subscribers are severed.
 TEST(GroupsFailoverTest, MidwaveKillAtTwoSlotsPicksFromSlotZerosShard) {
-  const auto graph = make_overlay(150, 2, 1409);
+  const auto graph = make_overlay(150, 2, 1409).graph;
   const GroupId g = 0;
   PubSubConfig config;
   config.seed = 103;
@@ -426,29 +434,29 @@ TEST(GroupsFailoverTest, MidwaveKillAtTwoSlotsPicksFromSlotZerosShard) {
 }
 
 TEST(GroupsFailoverTest, WarmKnobIsPassiveOnNoKillSeeds) {
-  const auto graph = make_overlay(150, 2, 1405);
+  const auto graph = make_overlay(150, 2, 1405).graph;
   const GroupId g = 0;
   using Delivered = std::vector<std::tuple<PeerId, std::uint64_t, double>>;
-  const auto run_cell = [&graph, g](bool warm_on) {
+  const auto run_knob = [&graph, g](bool warm_on) {
     PubSubConfig config;
     config.seed = 89;
     config.reliability.qos = multicast::QoS::kEndToEnd;
     config.batch_window = 0.05;
     config.warm_failover = warm_on;
-    PubSubSystem system(graph, config);
+    const auto cell = scenario::run_cell(
+        graph, config,
+        [&](PubSubSystem& system) {
+          const auto members = subscribe_members(system, graph, g, 12, 89);
+          for (std::size_t i = 0; i < 6; ++i)
+            system.publish_at(2.0 + 0.07 * static_cast<double>(i), members[i % 4], g);
+        },
+        {.record = scenario::Record::kProbeLog});
     Delivered delivered;
-    system.set_delivery_probe(
-        [&delivered](PeerId p, GroupId, std::uint64_t seq, double t) {
-          delivered.emplace_back(p, seq, t);
-        });
-    const auto members = subscribe_members(system, graph, g, 12, 89);
-    for (std::size_t i = 0; i < 6; ++i)
-      system.publish_at(2.0 + 0.07 * static_cast<double>(i), members[i % 4], g);
-    system.run();
-    return std::make_pair(delivered, system.stats(g));
+    for (const scenario::Delivery& d : cell.probes) delivered.emplace_back(d.peer, d.seq, d.time);
+    return std::make_pair(delivered, cell.total);
   };
-  const auto [cold_del, cold] = run_cell(false);
-  const auto [warm_del, warm] = run_cell(true);
+  const auto [cold_del, cold] = run_knob(false);
+  const auto [warm_del, warm] = run_knob(true);
   // The oracle guarantee: with nobody dying, warm replication is pure
   // extra traffic — the delivered (peer, seq, time) stream is identical.
   EXPECT_EQ(warm_del, cold_del);

@@ -22,31 +22,18 @@
 
 #include "groups/message_kinds.hpp"
 #include "groups/pubsub.hpp"
-#include "groups_test_util.hpp"
+#include "scenario/scenario.hpp"
 
 namespace geomcast::groups {
 namespace {
 
-using testutil::make_overlay;
+using scenario::make_overlay;
 
 constexpr GroupId kGroup = 7;
 constexpr double kLateSubscribe = 3.0;
 constexpr double kFinalPublish = 6.0;
 
-/// Deterministic non-root member pick (mirrors the routed-graft battery).
-std::vector<PeerId> pick_members(const overlay::OverlayGraph& graph, PeerId root,
-                                 std::size_t count, std::uint64_t seed) {
-  util::Rng rng(seed ^ 0x9e3779b97f4a7c15ULL);
-  std::vector<bool> chosen(graph.size(), false);
-  std::vector<PeerId> members;
-  while (members.size() < count) {
-    const auto p = static_cast<PeerId>(rng.next_below(graph.size()));
-    if (chosen[p] || p == root) continue;
-    chosen[p] = true;
-    members.push_back(p);
-  }
-  return members;
-}
+using scenario::pick_members;
 
 struct RunOutcome {
   std::set<std::pair<PeerId, std::uint64_t>> delivered;  // (peer, seq) of kGroup
@@ -77,57 +64,57 @@ RunOutcome run_once(const overlay::OverlayGraph& graph, std::uint64_t seed,
   PubSubConfig config;
   config.seed = seed;
   config.routed_graft = true;
-  PubSubSystem system(graph, config);
   RunOutcome outcome;
-  outcome.initial_root = system.manager().root_of(kGroup);
-  const auto members = pick_members(graph, outcome.initial_root, 10, seed);
-  system.set_delivery_probe(
-      [&outcome](PeerId peer, GroupId group, std::uint64_t seq, double) {
-        if (group == kGroup) outcome.delivered.emplace(peer, seq);
-      });
-  system.simulator().set_delivery_observer(
-      [&outcome](double time, const sim::Envelope& envelope) {
-        if (envelope.kind == kGraftRequestKind)
-          outcome.request_hops.emplace_back(time, envelope.to);
-        else if (envelope.kind == kGraftAcceptKind)
-          outcome.accept_time = time;
-      });
-  for (std::size_t i = 0; i < members.size(); ++i)
-    system.subscribe_at(0.001 * static_cast<double>(i + 1), members[i], kGroup);
-  system.subscribe_at(kLateSubscribe, late, kGroup);
-  if (publisher == kInvalidPeer) publisher = members[0];
-  system.publish_at(2.0, publisher, kGroup);          // seq 0: pays the build
-  system.publish_at(kFinalPublish, publisher, kGroup);  // seq 1: the gate
-  if (kill.when >= 0.0) system.depart_at(kill.when, kill.target);
-  system.run();
-
-  outcome.stats = system.stats(kGroup);
-  outcome.inflight = system.manager().inflight_graft_count();
-  if (member_out != nullptr) {
-    member_out->assign(graph.size(), false);
-    for (PeerId p = 0; p < graph.size(); ++p)
-      (*member_out)[p] = system.manager().alive(p) &&
-                         system.manager().is_subscribed(kGroup, p);
-  }
-  if (spanned_out != nullptr) {
-    spanned_out->assign(graph.size(), false);
-    const GroupTree* gt = system.manager().cached_tree(kGroup);
-    if (gt != nullptr)
+  const auto schedule = [&](PubSubSystem& system) {
+    outcome.initial_root = system.manager().root_of(kGroup);
+    const auto members = scenario::subscribe_members(system, graph, kGroup, 10, seed);
+    system.simulator().set_delivery_observer(
+        [&outcome](double time, const sim::Envelope& envelope) {
+          if (envelope.kind == kGraftRequestKind)
+            outcome.request_hops.emplace_back(time, envelope.to);
+          else if (envelope.kind == kGraftAcceptKind)
+            outcome.accept_time = time;
+        });
+    system.subscribe_at(kLateSubscribe, late, kGroup);
+    if (publisher == kInvalidPeer) publisher = members[0];
+    system.publish_at(2.0, publisher, kGroup);          // seq 0: pays the build
+    system.publish_at(kFinalPublish, publisher, kGroup);  // seq 1: the gate
+    if (kill.when >= 0.0) system.depart_at(kill.when, kill.target);
+  };
+  const auto harvest = [&](PubSubSystem& system) {
+    outcome.stats = system.stats(kGroup);
+    outcome.inflight = system.manager().inflight_graft_count();
+    if (member_out != nullptr) {
+      member_out->assign(graph.size(), false);
       for (PeerId p = 0; p < graph.size(); ++p)
-        (*spanned_out)[p] = gt->tree.delivers(p);
-  }
-  if (leaves_ok_out != nullptr) {
-    // The "no half-attached edges" invariant: in a clean cached tree every
-    // childless reached peer (except the root) carries the delivery flag —
-    // an abandoned descent path would end in a relay-only leaf.
-    *leaves_ok_out = true;
+        (*member_out)[p] = system.manager().alive(p) &&
+                           system.manager().is_subscribed(kGroup, p);
+    }
     const GroupTree* gt = system.manager().cached_tree(kGroup);
-    if (gt != nullptr)
-      for (PeerId p = 0; p < graph.size(); ++p)
-        if (p != gt->tree.root() && gt->tree.reached(p) &&
-            gt->tree.children(p).empty() && !gt->tree.delivers(p))
-          *leaves_ok_out = false;
-  }
+    if (spanned_out != nullptr) {
+      spanned_out->assign(graph.size(), false);
+      if (gt != nullptr)
+        for (PeerId p = 0; p < graph.size(); ++p) (*spanned_out)[p] = gt->tree.delivers(p);
+    }
+    if (leaves_ok_out != nullptr) {
+      // The "no half-attached edges" invariant: in a clean cached tree
+      // every childless reached peer (except the root) carries the
+      // delivery flag — an abandoned descent path would end in a
+      // relay-only leaf.
+      *leaves_ok_out = true;
+      if (gt != nullptr)
+        for (PeerId p = 0; p < graph.size(); ++p)
+          if (p != gt->tree.root() && gt->tree.reached(p) &&
+              gt->tree.children(p).empty() && !gt->tree.delivers(p))
+            *leaves_ok_out = false;
+    }
+  };
+  scenario::run_cell(graph, config, schedule,
+                     {.observe = [&outcome](PeerId peer, GroupId group, std::uint64_t seq,
+                                            double) {
+                        if (group == kGroup) outcome.delivered.emplace(peer, seq);
+                      },
+                      .harvest = harvest});
   return outcome;
 }
 
@@ -139,7 +126,7 @@ PeerId find_deep_late_subscriber(const overlay::OverlayGraph& graph,
   config.seed = seed;
   PubSubSystem probe(graph, config);
   const PeerId root = probe.manager().root_of(kGroup);
-  const auto members = pick_members(graph, root, 10, seed);
+  const auto members = pick_members(graph.size(), root, 10, seed);
   std::vector<bool> taken(graph.size(), false);
   taken[root] = true;
   for (const PeerId m : members) taken[m] = true;
@@ -179,7 +166,7 @@ void assert_common_invariants(const RunOutcome& outcome,
 TEST(GraftChurnFuzzTest, KillsMidGraftAcrossSeeds) {
   std::size_t exercised = 0;
   for (const std::uint64_t seed : {501ULL, 502ULL, 503ULL, 504ULL}) {
-    const auto graph = make_overlay(120, 2, seed);
+    const auto graph = make_overlay(120, 2, seed).graph;
     RunOutcome probe;
     const PeerId late = find_deep_late_subscriber(graph, seed, probe);
     if (late == kInvalidPeer) continue;  // no deep graft on this seed's geometry
@@ -199,7 +186,7 @@ TEST(GraftChurnFuzzTest, KillsMidGraftAcrossSeeds) {
       on_path[probe.initial_root] = true;
       for (const auto& [time, to] : probe.request_hops) on_path[to] = true;
       for (const PeerId m :
-           pick_members(graph, pub_probe.manager().root_of(kGroup), 10, seed))
+           pick_members(graph.size(), pub_probe.manager().root_of(kGroup), 10, seed))
         if (!on_path[m]) {
           publisher = m;
           break;

@@ -11,14 +11,14 @@
 
 #include "geometry/distance.hpp"
 #include "geometry/random_points.hpp"
-#include "groups_test_util.hpp"
+#include "scenario/scenario.hpp"
 #include "util/pool.hpp"
 #include "util/rng.hpp"
 
 namespace geomcast::groups {
 namespace {
 
-using testutil::make_overlay;
+using scenario::make_overlay;
 
 /// Some peer that is not the group's root and not yet subscribed.
 PeerId fresh_peer(GroupManager& manager, GroupId group, std::size_t n) {
@@ -30,7 +30,7 @@ PeerId fresh_peer(GroupManager& manager, GroupId group, std::size_t n) {
 }
 
 TEST(GroupManagerTest, SubscribePublishUnsubscribeRoundTrip) {
-  const auto graph = make_overlay(60, 2, 201);
+  const auto graph = make_overlay(60, 2, 201).graph;
   GroupManager manager(graph);
   const GroupId g = 42;
 
@@ -58,7 +58,7 @@ TEST(GroupManagerTest, SubscribePublishUnsubscribeRoundTrip) {
 }
 
 TEST(GroupManagerTest, TreeCachedAcrossPublishes) {
-  const auto graph = make_overlay(60, 2, 202);
+  const auto graph = make_overlay(60, 2, 202).graph;
   GroupManager manager(graph);
   const GroupId g = 1;
   manager.subscribe(g, fresh_peer(manager, g, graph.size()));
@@ -73,7 +73,7 @@ TEST(GroupManagerTest, TreeCachedAcrossPublishes) {
 }
 
 TEST(GroupManagerTest, LateSubscriberIsGraftedNotRebuilt) {
-  const auto graph = make_overlay(80, 2, 203);
+  const auto graph = make_overlay(80, 2, 203).graph;
   GroupConfig config;
   config.rebuild_threshold = 10.0;  // keep drift from forcing a rebuild here
   GroupManager manager(graph, config);
@@ -92,7 +92,7 @@ TEST(GroupManagerTest, LateSubscriberIsGraftedNotRebuilt) {
 }
 
 TEST(GroupManagerTest, RepairDriftTriggersRebuildButExactChangesDoNot) {
-  const auto graph = make_overlay(80, 2, 204);
+  const auto graph = make_overlay(80, 2, 204).graph;
   GroupConfig config;
   config.rebuild_threshold = 0.25;
   GroupManager manager(graph, config);
@@ -119,7 +119,7 @@ TEST(GroupManagerTest, RepairDriftTriggersRebuildButExactChangesDoNot) {
 }
 
 TEST(GroupManagerTest, DepartureRepairsMembershipAndTree) {
-  const auto graph = make_overlay(80, 2, 205);
+  const auto graph = make_overlay(80, 2, 205).graph;
   GroupManager manager(graph);
   const GroupId g = 3;
   std::vector<PeerId> members;
@@ -142,7 +142,7 @@ TEST(GroupManagerTest, DepartureRepairsMembershipAndTree) {
 }
 
 TEST(GroupManagerTest, NonTreeNeighbourDepartureStalesZonesForGrafts) {
-  const auto graph = make_overlay(80, 2, 209);
+  const auto graph = make_overlay(80, 2, 209).graph;
   GroupManager manager(graph);
   const GroupId g = 13;
   for (int i = 0; i < 5; ++i) manager.subscribe(g, fresh_peer(manager, g, graph.size()));
@@ -183,7 +183,7 @@ TEST(GroupManagerTest, RoutedGraftSurvivesADepartureAwayFromTheTree) {
   // take, so a later step's candidate set really shrinks.
   std::size_t cases = 0, on_path_cases = 0;
   for (std::uint64_t seed = 301; seed < 321; ++seed) {
-    const auto graph = make_overlay(150, 2, seed);
+    const auto graph = make_overlay(150, 2, seed).graph;
     GroupManager manager(graph);
     const GroupId g = 5;
     for (int i = 0; i < 5; ++i) manager.subscribe(g, fresh_peer(manager, g, graph.size()));
@@ -291,7 +291,7 @@ overlay::OverlayGraph isolate(const overlay::OverlayGraph& graph, PeerId isolate
 }
 
 TEST(GroupManagerTest, DepartureBesideStaleTreeKeepsTheSharedCopy) {
-  const auto base = make_overlay(80, 2, 209);
+  const auto base = make_overlay(80, 2, 209).graph;
   const GroupId g = 13;
   const PeerId stranded = GroupManager(base).root_of(g) == 0 ? 1 : 0;
   const auto graph = isolate(base, stranded);
@@ -338,7 +338,7 @@ TEST(GroupManagerTest, DepartureBesideStaleTreeKeepsTheSharedCopy) {
 }
 
 TEST(GroupManagerTest, RootDepartureMigratesGroup) {
-  const auto graph = make_overlay(60, 2, 206);
+  const auto graph = make_overlay(60, 2, 206).graph;
   GroupManager manager(graph);
   const GroupId g = 11;
   for (int i = 0; i < 4; ++i) manager.subscribe(g, fresh_peer(manager, g, graph.size()));
@@ -356,7 +356,7 @@ TEST(GroupManagerTest, RootDepartureMigratesGroup) {
 }
 
 TEST(GroupManagerTest, EmptyGroupPublishesNothing) {
-  const auto graph = make_overlay(40, 2, 207);
+  const auto graph = make_overlay(40, 2, 207).graph;
   GroupManager manager(graph);
   EXPECT_EQ(manager.tree(99), nullptr);
   const auto receipt = manager.publish(99);
@@ -365,7 +365,7 @@ TEST(GroupManagerTest, EmptyGroupPublishesNothing) {
 }
 
 TEST(GroupManagerTest, DistinctGroupsGetIndependentTreesAndStats) {
-  const auto graph = make_overlay(80, 2, 208);
+  const auto graph = make_overlay(80, 2, 208).graph;
   GroupManager manager(graph);
   manager.subscribe(1, fresh_peer(manager, 1, graph.size()));
   manager.subscribe(2, fresh_peer(manager, 2, graph.size()));
@@ -396,7 +396,7 @@ PeerId fresh_slot_peer(GroupManager& manager, GroupId group, std::size_t n,
 // authority's shard otherwise. It must follow slot 0's membership through
 // subscribe, unsubscribe and departure.
 TEST(GroupManagerTest, TreeIsSlotZeroAndFollowsItsMembersAtEveryR) {
-  const auto graph = make_overlay(120, 2, 209);
+  const auto graph = make_overlay(120, 2, 209).graph;
   for (const std::size_t replicas : {1u, 2u, 4u}) {
     SCOPED_TRACE("root_replicas=" + std::to_string(replicas));
     GroupConfig config;
@@ -436,7 +436,7 @@ TEST(GroupManagerTest, TreeIsSlotZeroAndFollowsItsMembersAtEveryR) {
 // The stranded_subscribers gauge sums every slot's tree: a rebuild of a
 // clean slot must not erase another slot's stranded member.
 TEST(GroupManagerTest, StrandedGaugeSumsTheSlotsAtR2) {
-  const auto base = make_overlay(80, 2, 211);
+  const auto base = make_overlay(80, 2, 211).graph;
   GroupConfig config;
   config.root_replicas = 2;
   const GroupId g = 17;
@@ -472,7 +472,7 @@ TEST(GroupManagerTest, StrandedGaugeSumsTheSlotsAtR2) {
 // model, and each warm promotion's consistency verdict equal to the
 // model's comparison of the replica's copy with the members.
 TEST(GroupManagerTest, MembershipMatchesASetModelAtR4) {
-  const auto graph = make_overlay(150, 2, 212);
+  const auto graph = make_overlay(150, 2, 212).graph;
   const std::size_t n = graph.size();
   GroupConfig config;
   config.root_replicas = 4;
@@ -576,7 +576,7 @@ TEST(GroupManagerTest, MembershipMatchesASetModelAtR4) {
 // The last departure leaves every slot rootless; no departure may throw
 // part-way through.
 TEST(GroupManagerTest, DepartingEveryPeerLeavesTheGroupRootless) {
-  const auto graph = make_overlay(30, 2, 210);
+  const auto graph = make_overlay(30, 2, 210).graph;
   for (const std::size_t replicas : {1u, 2u}) {
     SCOPED_TRACE("root_replicas=" + std::to_string(replicas));
     GroupConfig config;
@@ -668,7 +668,7 @@ TEST(GroupManagerTest, ElectionMatchesABruteForceScan) {
 }
 
 TEST(GroupManagerTest, SlotsDoubleUpWhenFewerPeersThanReplicasAreAlive) {
-  const auto graph = make_overlay(12, 2, 212);
+  const auto graph = make_overlay(12, 2, 212).graph;
   GroupConfig config;
   config.root_replicas = 4;
   GroupManager manager(graph, config);
@@ -687,7 +687,7 @@ TEST(GroupManagerTest, SlotsDoubleUpWhenFewerPeersThanReplicasAreAlive) {
 }
 
 TEST(GroupManagerTest, NoGroupCanBeHostedOnceEveryPeerIsDead) {
-  const auto graph = make_overlay(10, 2, 213);
+  const auto graph = make_overlay(10, 2, 213).graph;
   GroupManager manager(graph);
   for (PeerId p = 0; p < graph.size(); ++p) manager.handle_departure(p);
   EXPECT_THROW((void)manager.root_of(5), std::runtime_error);
@@ -701,7 +701,7 @@ TEST(GroupManagerTest, NoGroupCanBeHostedOnceEveryPeerIsDead) {
 /// retained_payload (handle identity), retained_ranges, entry total,
 /// buffer count and peak must match the model.
 TEST(GroupManagerTest, RetentionMatchesAMapModel) {
-  const auto graph = make_overlay(120, 2, 77);
+  const auto graph = make_overlay(120, 2, 77).graph;
   const std::vector<GroupId> groups = {3, 40, 1ULL << 33, 7};
   for (const std::size_t replicas : {1u, 2u})
     for (const std::size_t window : {0u, 1u, 8u}) {

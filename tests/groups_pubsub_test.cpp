@@ -2,38 +2,23 @@
 
 #include <gtest/gtest.h>
 
-#include "groups_test_util.hpp"
+#include "scenario/scenario.hpp"
 #include "util/rng.hpp"
 
 namespace geomcast::groups {
 namespace {
 
-using testutil::make_overlay;
-
-/// Subscribes `count` distinct non-root peers in [0, n) to `group`,
-/// staggered over (0, 1); returns them.
-std::vector<PeerId> subscribe_wave(PubSubSystem& system, GroupId group, std::size_t n,
-                                   std::size_t count, std::uint64_t seed) {
-  util::Rng rng(seed);
-  const PeerId root = system.manager().root_of(group);
-  std::vector<bool> chosen(n, false);
-  std::vector<PeerId> members;
-  while (members.size() < count) {
-    const auto p = static_cast<PeerId>(rng.next_below(n));
-    if (chosen[p] || p == root) continue;
-    chosen[p] = true;
-    members.push_back(p);
-    system.subscribe_at(0.001 * static_cast<double>(members.size()), p, group);
-  }
-  return members;
-}
+using scenario::make_overlay;
 
 TEST(PubSubSystemTest, LosslessDeliveryReachesEverySubscriber) {
-  const auto graph = make_overlay(60, 2, 301);
+  const auto graph = make_overlay(60, 2, 301).graph;
   PubSubSystem system(graph);
   const std::vector<GroupId> gs{5, 6, 7};
   std::map<GroupId, std::vector<PeerId>> members;
-  for (GroupId g : gs) members[g] = subscribe_wave(system, g, graph.size(), 8, 40 + g);
+  for (GroupId g : gs) {
+    util::Rng rng(40 + g);
+    members[g] = scenario::subscribe_drawn(system, graph.size(), rng, g, 8);
+  }
   for (GroupId g : gs) {
     system.publish_at(2.0, members[g].front(), g);
     system.publish_at(3.0, members[g].back(), g);
@@ -58,13 +43,14 @@ TEST(PubSubSystemTest, LosslessDeliveryReachesEverySubscriber) {
 }
 
 TEST(PubSubSystemTest, DeterministicUnderFixedSeed) {
-  const auto graph = make_overlay(50, 2, 302);
+  const auto graph = make_overlay(50, 2, 302).graph;
   auto run_once = [&]() {
     PubSubConfig config;
     config.seed = 9;
     config.loss.drop_probability = 0.1;
     PubSubSystem system(graph, config);
-    const auto members = subscribe_wave(system, 1, graph.size(), 10, 77);
+    util::Rng rng(77);
+    const auto members = scenario::subscribe_drawn(system, graph.size(), rng, 1, 10);
     system.publish_at(2.0, members[0], 1);
     system.publish_at(2.5, members[5], 1);
     system.run();
@@ -76,12 +62,13 @@ TEST(PubSubSystemTest, DeterministicUnderFixedSeed) {
 }
 
 TEST(PubSubSystemTest, LossSurfacesAsMissingDeliveries) {
-  const auto graph = make_overlay(60, 2, 303);
+  const auto graph = make_overlay(60, 2, 303).graph;
   PubSubConfig config;
   config.seed = 4;
   config.loss.drop_probability = 0.25;
   PubSubSystem system(graph, config);
-  const auto members = subscribe_wave(system, 2, graph.size(), 12, 55);
+  util::Rng rng(55);
+  const auto members = scenario::subscribe_drawn(system, graph.size(), rng, 2, 12);
   for (int i = 0; i < 6; ++i)
     system.publish_at(2.0 + 0.5 * i, members[static_cast<std::size_t>(i)], 2);
   system.run();
@@ -95,10 +82,11 @@ TEST(PubSubSystemTest, LossSurfacesAsMissingDeliveries) {
 }
 
 TEST(PubSubSystemTest, ChurnRepairsAndKeepsDelivering) {
-  const auto graph = make_overlay(80, 2, 304);
+  const auto graph = make_overlay(80, 2, 304).graph;
   PubSubSystem system(graph);
   const GroupId g = 3;
-  const auto members = subscribe_wave(system, g, graph.size(), 10, 66);
+  util::Rng rng(66);
+  const auto members = scenario::subscribe_drawn(system, graph.size(), rng, g, 10);
   system.publish_at(2.0, members[0], g);
   system.depart_at(3.0, members[1]);
   system.publish_at(4.0, members[2], g);
@@ -116,7 +104,7 @@ TEST(PubSubSystemTest, ChurnRepairsAndKeepsDelivering) {
 TEST(PubSubSystemTest, SubscribeInFlightWhenOriginDepartsIsIgnored) {
   // The subscribe envelope outlives its sender: it must be discarded at
   // the root, not crash the run or register a dead subscriber.
-  const auto graph = make_overlay(60, 2, 306);
+  const auto graph = make_overlay(60, 2, 306).graph;
   PubSubSystem system(graph);
   const GroupId g = 4;
   const PeerId root = system.manager().root_of(g);
@@ -131,10 +119,11 @@ TEST(PubSubSystemTest, RootDepartingUnderAnInFlightPublishIgnoresIt) {
   // The publish envelope is already addressed to the root when the root
   // departs: the dead root must not process it (no publish counted, no
   // rebuild triggered, accounting stays at ratio 1).
-  const auto graph = make_overlay(60, 2, 307);
+  const auto graph = make_overlay(60, 2, 307).graph;
   PubSubSystem system(graph);
   const GroupId g = 9;
-  const auto members = subscribe_wave(system, g, graph.size(), 6, 88);
+  util::Rng rng(88);
+  const auto members = scenario::subscribe_drawn(system, graph.size(), rng, g, 6);
   system.publish_at(2.0, members[0], g);
 
   const PeerId root = system.manager().root_of(g);
@@ -150,7 +139,7 @@ TEST(PubSubSystemTest, RootDepartingUnderAnInFlightPublishIgnoresIt) {
 }
 
 TEST(PubSubSystemTest, PublishToEmptyGroupIsHarmless) {
-  const auto graph = make_overlay(40, 2, 305);
+  const auto graph = make_overlay(40, 2, 305).graph;
   PubSubSystem system(graph);
   system.publish_at(1.0, 0, 8);
   system.run();

@@ -3,8 +3,7 @@
 // scenarios on the simulated network — NACK batching and its deferral to
 // in-flight per-hop recovery, and the headline case: a forwarder killed
 // mid-wave loses its whole subtree under QoS 1 while QoS 2 repairs it from
-// retained copies up the ancestor chain. The seeded sweep runs several
-// full simulations and is labelled `slow` in ctest.
+// retained copies up the ancestor chain.
 #include "groups/pubsub.hpp"
 
 #include <gtest/gtest.h>
@@ -17,13 +16,14 @@
 
 #include "groups/failure_injection.hpp"
 #include "groups_test_util.hpp"
+#include "scenario/scenario.hpp"
 
 namespace geomcast::groups {
 namespace {
 
-using testutil::find_leaf_subscriber;
-using testutil::make_overlay;
-using testutil::subscribe_members;
+using scenario::find_leaf_subscriber;
+using scenario::make_overlay;
+using scenario::subscribe_members;
 using testutil::tag_of;
 using testutil::WavePool;
 
@@ -315,7 +315,7 @@ TEST(RetainedBufferTest, MatchesAnOrderedMapModel) {
 // ------------------------------------------------------------ end-to-end ----
 
 TEST(GroupsQoS2Test, NacksAreBatchedAndDeferToInflightPerHopRecovery) {
-  const auto graph = make_overlay(120, 2, 1201);
+  const auto graph = make_overlay(120, 2, 1201).graph;
   const GroupId g = 0;
   const std::uint64_t seed = 37;
   const std::size_t publishes = 4;
@@ -380,7 +380,7 @@ TEST(GroupsQoS2Test, NacksAreBatchedAndDeferToInflightPerHopRecovery) {
 /// retained ranges [2,3] and [4,5]. on_nack's per-request dedup serves
 /// each covering range exactly once — two repair envelopes, no misses.
 TEST(GroupsQoS2Test, NackRunStraddlingTwoRetainedWavesIsServedFromBoth) {
-  const auto graph = make_overlay(120, 2, 1203);
+  const auto graph = make_overlay(120, 2, 1203).graph;
   const GroupId g = 0;
   const std::uint64_t seed = 41;
   const PeerId victim = find_leaf_subscriber(graph, g, 10, seed, 4);
@@ -444,44 +444,44 @@ KillSweepResult run_kill_scenario(const overlay::OverlayGraph& graph, multicast:
   config.reliability.qos = qos;
   config.reliability.ack_timeout = 0.05;
   config.reliability.max_retries = 5;
-  PubSubSystem system(graph, config);
 
   const std::size_t group_count = 4;
-  std::vector<bool> member_anywhere(graph.size(), false);
-  std::vector<std::vector<PeerId>> members(group_count);
-  for (GroupId g = 0; g < group_count; ++g) {
-    members[g] = subscribe_members(system, graph, g, 12, seed + g);
-    for (const PeerId p : members[g]) member_anywhere[p] = true;
-  }
-  std::vector<std::size_t> killed(group_count, 0);
-  for (GroupId g = 0; g < group_count; ++g) {
-    const PeerId root = system.manager().root_of(g);
-    // All waves publish from the root itself: the kill wave's start time —
-    // and therefore "mid-wave" — is exact, the flushes cannot strand in
-    // greedy control routing around the fresh departure, and the warm wave
-    // cannot be lost en route (a severed subscriber whose FIRST wave is
-    // the killed one initializes its window there and cannot know about
-    // the gap — the documented NACK-scheme blind spot, not under test).
-    system.publish_at(2.0, root, g);  // warm build
-    system.publish_at(4.0, root, g);
-    schedule_midwave_kill(system, g, 4.0, member_anywhere,
-                          [&killed, g](PeerId, std::size_t severed) {
-                            killed[g] = severed;
-                          });
-    system.publish_at(5.0, root, g);  // flush: reveals the gaps
-    system.publish_at(6.0, root, g);
-  }
-  system.run();
-
+  std::vector<bool> member_anywhere(graph.size(), false);  // the injector reads it in run()
   KillSweepResult result;
-  result.total = system.total_stats();
-  for (const std::size_t subs : killed) result.subtree_subs += subs;
-  result.retained_peak = system.manager().retained_peak();
+  const auto schedule = [&](PubSubSystem& system) {
+    for (GroupId g = 0; g < group_count; ++g)
+      for (const PeerId p : subscribe_members(system, graph, g, 12, seed + g))
+        member_anywhere[p] = true;
+    for (GroupId g = 0; g < group_count; ++g) {
+      const PeerId root = system.manager().root_of(g);
+      // All waves publish from the root itself: the kill wave's start time
+      // — and therefore "mid-wave" — is exact, the flushes cannot strand in
+      // greedy control routing around the fresh departure, and the warm
+      // wave cannot be lost en route (a severed subscriber whose FIRST wave
+      // is the killed one initializes its window there and cannot know
+      // about the gap — the documented NACK-scheme blind spot, not under
+      // test).
+      system.publish_at(2.0, root, g);  // warm build
+      system.publish_at(4.0, root, g);
+      schedule_midwave_kill(system, g, 4.0, member_anywhere,
+                            [&result](PeerId, std::size_t severed) {
+                              result.subtree_subs += severed;
+                            });
+      system.publish_at(5.0, root, g);  // flush: reveals the gaps
+      system.publish_at(6.0, root, g);
+    }
+  };
+  result.total = scenario::run_cell(graph, config, schedule,
+                                    {.harvest = [&result](PubSubSystem& system) {
+                                      result.retained_peak =
+                                          system.manager().retained_peak();
+                                    }})
+                     .total;
   return result;
 }
 
 TEST(GroupsQoS2Test, MidWaveForwarderKillLosesSubtreeUnderQoS1ButNotQoS2) {
-  const auto graph = make_overlay(220, 2, 1202);
+  const auto graph = make_overlay(220, 2, 1202).graph;
   for (const double loss : {0.0, 0.05}) {
     SCOPED_TRACE("loss=" + std::to_string(loss));
     const auto q1 = run_kill_scenario(graph, multicast::QoS::kAcked, loss, 51);
@@ -516,7 +516,7 @@ TEST(GroupsQoS2Test, MidWaveForwarderKillLosesSubtreeUnderQoS1ButNotQoS2) {
 }
 
 TEST(GroupsQoS2Test, RetentionMemoryIsBoundedByTheConfiguredWindow) {
-  const auto graph = make_overlay(120, 2, 1203);
+  const auto graph = make_overlay(120, 2, 1203).graph;
   const GroupId g = 0;
   PubSubConfig config;
   config.seed = 71;

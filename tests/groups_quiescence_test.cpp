@@ -21,14 +21,14 @@
 
 #include "groups/failure_injection.hpp"
 #include "groups/pubsub.hpp"
-#include "groups_test_util.hpp"
+#include "scenario/scenario.hpp"
 #include "util/rng.hpp"
 
 namespace geomcast::groups {
 namespace {
 
-using testutil::make_overlay;
-using testutil::subscribe_members;
+using scenario::make_overlay;
+using scenario::subscribe_members;
 
 struct Cell {
   multicast::QoS qos;
@@ -43,7 +43,7 @@ struct Cell {
 };
 
 TEST(GroupsQuiescenceTest, NoPendingHopsOnceTheRunDrains) {
-  const auto graph = make_overlay(150, 2, 1402);
+  const auto graph = make_overlay(150, 2, 1402).graph;
   for (const auto qos : {multicast::QoS::kFireAndForget, multicast::QoS::kAcked,
                          multicast::QoS::kEndToEnd}) {
     for (const bool lossy : {false, true}) {
@@ -58,58 +58,62 @@ TEST(GroupsQuiescenceTest, NoPendingHopsOnceTheRunDrains) {
           config.reliability.max_retries = 3;
           config.loss.drop_probability = lossy ? 0.05 : 0.0;
           config.warm_failover = root_kill;
-          PubSubSystem system(graph, config);
-
-          std::vector<bool> member_anywhere(graph.size(), false);
-          std::vector<PeerId> members;
-          for (const GroupId g : {GroupId{0}, GroupId{1}})
-            for (const PeerId m : subscribe_members(system, graph, g, 12, 73 + g)) {
-              member_anywhere[m] = true;
-              members.push_back(m);
+          std::vector<bool> member_anywhere(graph.size(), false);  // read in run()
+          const auto schedule = [&](PubSubSystem& system) {
+            std::vector<PeerId> members;
+            for (const GroupId g : {GroupId{0}, GroupId{1}})
+              for (const PeerId m : subscribe_members(system, graph, g, 12, 73 + g)) {
+                member_anywhere[m] = true;
+                members.push_back(m);
+              }
+            // Group 0 as in the failover battery: root publishes around the
+            // kill at 5.0, then a member publishes to the promoted root.
+            const PeerId root = system.manager().root_of(0);
+            for (const double t : {2.0, 2.3, 5.0}) system.publish_at(t, root, 0);
+            for (const double t : {6.0, 6.3}) system.publish_at(t, members[0], 0);
+            for (const double t : {2.1, 4.0, 6.1})
+              system.publish_at(t, system.manager().root_of(1), 1);
+            if (root_kill) {
+              schedule_root_kill(system, 0, 5.0, member_anywhere,
+                                 [](PeerId, PeerId, std::size_t) {});
             }
-          // Group 0 as in the failover battery: root publishes around the
-          // kill at 5.0, then a member publishes to the promoted root.
-          const PeerId root = system.manager().root_of(0);
-          for (const double t : {2.0, 2.3, 5.0}) system.publish_at(t, root, 0);
-          for (const double t : {6.0, 6.3}) system.publish_at(t, members[0], 0);
-          for (const double t : {2.1, 4.0, 6.1})
-            system.publish_at(t, system.manager().root_of(1), 1);
-          if (root_kill) {
-            schedule_root_kill(system, 0, 5.0, member_anywhere,
-                               [](PeerId, PeerId, std::size_t) {});
-          }
-          if (churn) {
-            // Non-member, non-root departures spread over the publishes,
-            // so relays die with hops pending toward and from them.
-            util::Rng rng(7);
-            for (int i = 0; i < 6; ++i) {
-              PeerId victim;
-              do {
-                victim = static_cast<PeerId>(rng.next_below(graph.size()));
-              } while (member_anywhere[victim] || victim == root ||
-                       victim == system.manager().root_of(1));
-              system.depart_at(2.0 + 0.7 * i, victim);
+            if (churn) {
+              // Non-member, non-root departures spread over the publishes,
+              // so relays die with hops pending toward and from them.
+              util::Rng rng(7);
+              for (int i = 0; i < 6; ++i) {
+                PeerId victim;
+                do {
+                  victim = static_cast<PeerId>(rng.next_below(graph.size()));
+                } while (member_anywhere[victim] || victim == root ||
+                         victim == system.manager().root_of(1));
+                system.depart_at(2.0 + 0.7 * i, victim);
+              }
             }
-          }
-          system.run();
+          };
+          // What the drained run must no longer hold.
+          const auto drained = [&](PubSubSystem& system) {
+            EXPECT_EQ(system.pending_hops(), 0u);
+            for (PeerId p = 0; p < graph.size(); ++p)
+              ASSERT_EQ(system.data_hops().pending_to(p), 0u) << "receiver " << p;
+            for (const auto& open : system.open_gap_windows()) {
+              EXPECT_FALSE(system.manager().alive(open.peer))
+                  << "peer " << open.peer << " group " << open.group << " holds "
+                  << open.gaps << " open gaps";
+              EXPECT_FALSE(open.timer_armed)
+                  << "peer " << open.peer << " group " << open.group;
+            }
+          };
+          const scenario::CellResult run =
+              scenario::run_cell(graph, config, schedule, {.harvest = drained});
 
-          // The cell exercised what it names...
-          EXPECT_GT(system.hop_stats().data_messages, 0u);
+          // The cell exercised what it names.
+          EXPECT_GT(run.hop.data_messages, 0u);
           if (lossy && multicast::requires_ack(qos)) {
-            EXPECT_GT(system.hop_stats().retransmissions, 0u);
+            EXPECT_GT(run.hop.retransmissions, 0u);
           }
           if (root_kill) {
-            EXPECT_EQ(system.total_stats().warm_promotions, 1u);
-          }
-          // ...and left nothing pending.
-          EXPECT_EQ(system.pending_hops(), 0u);
-          for (PeerId p = 0; p < graph.size(); ++p)
-            ASSERT_EQ(system.data_hops().pending_to(p), 0u) << "receiver " << p;
-          for (const auto& open : system.open_gap_windows()) {
-            EXPECT_FALSE(system.manager().alive(open.peer))
-                << "peer " << open.peer << " group " << open.group << " holds " << open.gaps
-                << " open gaps";
-            EXPECT_FALSE(open.timer_armed) << "peer " << open.peer << " group " << open.group;
+            EXPECT_EQ(run.total.warm_promotions, 1u);
           }
         }
       }
@@ -123,11 +127,11 @@ TEST(GroupsQuiescenceTest, NoPendingHopsOnceTheRunDrains) {
 /// is the only one with a gap open: one seq, no timer armed, and the gap
 /// counts detected = repaired + abandoned + 1.
 TEST(GroupsQuiescenceTest, AGapStaysOpenOnlyInADepartedSubscribersWindow) {
-  const auto graph = make_overlay(120, 2, 1201);
+  const auto graph = make_overlay(120, 2, 1201).graph;
   const GroupId g = 0;
   const std::uint64_t seed = 37;
   const std::size_t publishes = 4;
-  const PeerId victim = testutil::find_leaf_subscriber(graph, g, 10, seed, publishes);
+  const PeerId victim = scenario::find_leaf_subscriber(graph, g, 10, seed, publishes);
   ASSERT_NE(victim, kInvalidPeer);
   PubSubConfig config;
   config.seed = seed;

@@ -5,8 +5,7 @@
 // retransmissions deliver out of order by design (the latent gap this
 // battery pins), while QoS 2's window releases in order — plus the
 // lossless full-span case that pins a group over every peer to the §2
-// push. Labelled `slow` in ctest: the sweep runs six full simulations on
-// one overlay.
+// push.
 #include "groups/pubsub.hpp"
 
 #include <gtest/gtest.h>
@@ -17,28 +16,23 @@
 #include <utility>
 #include <vector>
 
-#include "groups_test_util.hpp"
 #include "multicast/space_partition.hpp"
+#include "scenario/scenario.hpp"
 #include "util/rng.hpp"
 
 namespace geomcast::groups {
 namespace {
 
-using testutil::make_overlay;
-
-struct ScenarioResult {
-  GroupStats total;
-  sim::NetworkStats net;
-};
+using scenario::make_overlay;
 
 /// The battery's standard workload: `group_count` groups x `subscribers`
 /// members each (staggered subscribes in (0, 1)), `publishes` publishes per
 /// group over [2, 6), no churn — loss is the variable under test.
-ScenarioResult run_scenario(const overlay::OverlayGraph& graph, multicast::QoS qos,
-                            double loss_p, std::uint64_t seed,
-                            std::function<bool(const sim::Envelope&)> drop_if = {},
-                            std::size_t group_count = 4, std::size_t subscribers = 14,
-                            std::size_t publishes = 5) {
+scenario::CellResult run_scenario(const overlay::OverlayGraph& graph, multicast::QoS qos,
+                                  double loss_p, std::uint64_t seed,
+                                  std::function<bool(const sim::Envelope&)> drop_if = {},
+                                  std::size_t group_count = 4, std::size_t subscribers = 14,
+                                  std::size_t publishes = 5) {
   PubSubConfig config;
   config.seed = seed;
   config.loss.drop_probability = loss_p;
@@ -46,29 +40,19 @@ ScenarioResult run_scenario(const overlay::OverlayGraph& graph, multicast::QoS q
   config.reliability.qos = qos;
   config.reliability.ack_timeout = 0.05;
   config.reliability.max_retries = 5;
-  PubSubSystem system(graph, config);
-
-  util::Rng rng(seed ^ 0x9e3779b97f4a7c15ULL);
-  for (GroupId g = 0; g < group_count; ++g) {
-    const PeerId root = system.manager().root_of(g);
-    std::vector<bool> chosen(graph.size(), false);
-    std::vector<PeerId> members;
-    while (members.size() < subscribers) {
-      const auto p = static_cast<PeerId>(rng.next_below(graph.size()));
-      if (chosen[p] || p == root) continue;
-      chosen[p] = true;
-      members.push_back(p);
-      system.subscribe_at(0.001 * static_cast<double>(members.size()), p, g);
+  return scenario::run_cell(graph, config, [&](PubSubSystem& system) {
+    // One member stream across the groups: each group's draw continues it.
+    util::Rng rng(seed ^ 0x9e3779b97f4a7c15ULL);
+    for (GroupId g = 0; g < group_count; ++g) {
+      const auto members = scenario::subscribe_drawn(system, graph.size(), rng, g, subscribers);
+      for (std::size_t i = 0; i < publishes; ++i)
+        system.publish_at(2.0 + 0.8 * static_cast<double>(i), members[i % subscribers], g);
     }
-    for (std::size_t i = 0; i < publishes; ++i)
-      system.publish_at(2.0 + 0.8 * static_cast<double>(i), members[i % subscribers], g);
-  }
-  system.run();
-  return {system.total_stats(), system.simulator().stats()};
+  });
 }
 
 TEST(GroupsReliabilityTest, LossSweepQoS1HoldsDeliveryWhereQoS0Degrades) {
-  const auto graph = make_overlay(220, 2, 901);
+  const auto graph = make_overlay(220, 2, 901).graph;
   for (const double p : {0.0, 0.05, 0.15}) {
     SCOPED_TRACE("loss=" + std::to_string(p));
     const auto q0 = run_scenario(graph, multicast::QoS::kFireAndForget, p, 17);
@@ -102,7 +86,7 @@ TEST(GroupsReliabilityTest, LossSweepQoS1HoldsDeliveryWhereQoS0Degrades) {
 }
 
 TEST(GroupsReliabilityTest, RetryBudgetExhaustionSurfacesAsAbandonedHops) {
-  const auto graph = make_overlay(120, 2, 902);
+  const auto graph = make_overlay(120, 2, 902).graph;
   // Sever one subscriber's incoming payload link entirely: every wave's hop
   // to it must burn the full budget and be reported abandoned.
   const GroupId g = 0;
@@ -144,7 +128,7 @@ TEST(GroupsReliabilityTest, DuplicateDeliverIsStillAckedRegression) {
   // duplicate. The duplicate MUST still be acked — otherwise the sender
   // keeps retransmitting until its budget dies on a link that already
   // delivered (abandoned_hops > 0, retransmissions = budget x links).
-  const auto graph = make_overlay(120, 2, 903);
+  const auto graph = make_overlay(120, 2, 903).graph;
   auto acks_dropped = std::make_shared<std::set<std::pair<sim::NodeId, sim::NodeId>>>();
   auto drop_first_ack_per_link = [acks_dropped](const sim::Envelope& e) {
     if (e.kind != kDeliverAckKind) return false;
@@ -167,7 +151,7 @@ TEST(GroupsReliabilityTest, DuplicateDeliverIsStillAckedRegression) {
 }
 
 TEST(GroupsReliabilityTest, StatsAreBitIdenticalAcrossRunsWithTheSameSeed) {
-  const auto graph = make_overlay(150, 2, 904);
+  const auto graph = make_overlay(150, 2, 904).graph;
   const auto a = run_scenario(graph, multicast::QoS::kAcked, 0.15, 31);
   const auto b = run_scenario(graph, multicast::QoS::kAcked, 0.15, 31);
 
@@ -212,30 +196,32 @@ OrderingOutcome run_ordering_scenario(const overlay::OverlayGraph& graph,
     *dropped = true;
     return true;
   };
-  PubSubSystem system(graph, config);
   OrderingOutcome outcome;
-  system.set_delivery_probe(
-      [&outcome, victim](PeerId p, GroupId, std::uint64_t seq, double) {
-        if (p == victim) outcome.victim_order.push_back(seq);
-      });
-  testutil::subscribe_members(system, graph, 0, 12, seed);
-  // Root-published so wave timing is exact: seq 2 leaves 30ms after seq 1,
-  // well inside the 50ms retransmission the dropped copy must wait for.
-  const PeerId root = system.manager().root_of(0);
-  system.publish_at(2.0, root, 0);
-  system.publish_at(3.0, root, 0);
-  system.publish_at(3.03, root, 0);
-  system.run();
-  outcome.stats = system.stats(0);
+  const auto schedule = [&](PubSubSystem& system) {
+    scenario::subscribe_members(system, graph, 0, 12, seed);
+    // Root-published so wave timing is exact: seq 2 leaves 30ms after seq
+    // 1, well inside the 50ms retransmission the dropped copy waits for.
+    const PeerId root = system.manager().root_of(0);
+    system.publish_at(2.0, root, 0);
+    system.publish_at(3.0, root, 0);
+    system.publish_at(3.03, root, 0);
+  };
+  outcome.stats =
+      scenario::run_cell(graph, config, schedule,
+                         {.observe = [&outcome, victim](PeerId p, GroupId, std::uint64_t seq,
+                                                        double) {
+                           if (p == victim) outcome.victim_order.push_back(seq);
+                         }})
+          .total;
   return outcome;
 }
 
 TEST(GroupsReliabilityTest, OrderingGuaranteesDifferAcrossTheQoSLadder) {
-  const auto graph = make_overlay(150, 2, 906);
+  const auto graph = make_overlay(150, 2, 906).graph;
   const std::uint64_t seed = 67;
   // The tree is a pure function of (graph, root, membership), so the dry
   // run's leaf pick holds for the lossy ordering scenarios too.
-  const PeerId victim = testutil::find_leaf_subscriber(graph, 0, 12, seed, 1);
+  const PeerId victim = scenario::find_leaf_subscriber(graph, 0, 12, seed, 1);
   ASSERT_NE(victim, kInvalidPeer);
 
   {
@@ -278,7 +264,7 @@ TEST(GroupsReliabilityTest, OrderingGuaranteesDifferAcrossTheQoSLadder) {
 TEST(GroupsReliabilityTest, QoSZeroPathIsUnaffectedByReliabilitySettings) {
   // Under QoS 0 the ack_timeout/max_retries knobs must be inert: the layer
   // is a passthrough and the run is bit-identical whatever they say.
-  const auto graph = make_overlay(100, 2, 905);
+  const auto graph = make_overlay(100, 2, 905).graph;
   auto run_with = [&](double timeout, std::size_t retries) {
     PubSubConfig config;
     config.seed = 11;
@@ -286,26 +272,14 @@ TEST(GroupsReliabilityTest, QoSZeroPathIsUnaffectedByReliabilitySettings) {
     config.reliability.qos = multicast::QoS::kFireAndForget;
     config.reliability.ack_timeout = timeout;
     config.reliability.max_retries = retries;
-    PubSubSystem system(graph, config);
-    const auto members_seed = 61;
-    util::Rng rng(members_seed);
-    const PeerId root = system.manager().root_of(1);
-    std::vector<PeerId> members;
-    std::vector<bool> chosen(graph.size(), false);
-    while (members.size() < 12) {
-      const auto p = static_cast<PeerId>(rng.next_below(graph.size()));
-      if (chosen[p] || p == root) continue;
-      chosen[p] = true;
-      members.push_back(p);
-      system.subscribe_at(0.001 * static_cast<double>(members.size()), p, 1);
-    }
-    for (std::size_t i = 0; i < 4; ++i)
-      system.publish_at(2.0 + 0.5 * static_cast<double>(i), members[i], 1);
-    system.run();
-    return std::make_tuple(system.stats(1).deliveries, system.stats(1).payload_messages,
-                           system.stats(1).control_messages,
-                           system.simulator().stats().sent,
-                           system.simulator().stats().dropped);
+    const auto cell = scenario::run_cell(graph, config, [&](PubSubSystem& system) {
+      util::Rng rng(61);
+      const auto members = scenario::subscribe_drawn(system, graph.size(), rng, 1, 12);
+      for (std::size_t i = 0; i < 4; ++i)
+        system.publish_at(2.0 + 0.5 * static_cast<double>(i), members[i], 1);
+    });
+    return std::make_tuple(cell.total.deliveries, cell.total.payload_messages,
+                           cell.total.control_messages, cell.net.sent, cell.net.dropped);
   };
   EXPECT_EQ(run_with(0.05, 5), run_with(9.0, 0));
 }
@@ -315,7 +289,7 @@ TEST(GroupsReliabilityTest, FullSpanQoS1GroupIsTheSection2Push) {
   // tree build_multicast_tree builds from the group's root, one payload
   // envelope and one ack per tree edge, each peer reached at depth x
   // latency after the publish.
-  const auto graph = make_overlay(120, 2, 71);
+  const auto graph = make_overlay(120, 2, 71).graph;
   const double latency = 0.01;
   const double publish_time = 2.0;
   for (const auto qos : {multicast::QoS::kFireAndForget, multicast::QoS::kAcked}) {

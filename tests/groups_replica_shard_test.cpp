@@ -14,7 +14,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdio>
 #include <iterator>
 #include <memory>
 #include <set>
@@ -23,25 +22,26 @@
 #include <utility>
 #include <vector>
 
-#include "groups_test_util.hpp"
 #include "obs/snapshot.hpp"
 #include "obs/trace.hpp"
+#include "scenario/scenario.hpp"
 
 namespace geomcast::groups {
 namespace {
 
-using testutil::make_overlay;
-using testutil::subscribe_members;
+using scenario::fnv1a;
+using scenario::make_overlay;
+using scenario::subscribe_members;
 
-using DeliveredSet = std::set<std::pair<PeerId, std::uint64_t>>;
+/// Some (peer, group, seq) reported twice.
+bool probe_duplicates(const scenario::CellResult& r) {
+  return r.probe_calls != r.delivered.size();
+}
 
-struct CellResult {
-  DeliveredSet delivered;
-  bool probe_duplicates = false;  // same (peer, seq) reported twice
-  GroupStats stats;
-  /// obs::to_json of the run's GroupStats + NetworkStats + HopStats.
-  std::string stats_json;
-};
+/// obs::to_json of the run's GroupStats + NetworkStats + HopStats.
+std::string stats_json(const scenario::CellResult& r) {
+  return obs::to_json(r.total) + obs::to_json(r.net) + obs::to_json(r.hop);
+}
 
 struct CellConfig {
   std::size_t replicas = 1;
@@ -78,8 +78,8 @@ sim::LossModel lossy_data_plane() {
 
 /// The shared workload: 16 subscribers, then 12 publishes from 4 distinct
 /// origins spread over the graph (so at R > 1 several slots ingest).
-CellResult run_cell(const overlay::OverlayGraph& graph, const CellConfig& cell,
-                    obs::TraceSink* sink = nullptr) {
+scenario::CellResult run_shard_cell(const overlay::OverlayGraph& graph,
+                                    const CellConfig& cell, obs::TraceSink* sink = nullptr) {
   const GroupId g = 0;
   PubSubConfig config;
   config.seed = 211;
@@ -90,22 +90,14 @@ CellResult run_cell(const overlay::OverlayGraph& graph, const CellConfig& cell,
   config.batch_window = cell.batch_window;
   config.publisher_batch_window = cell.publisher_batch_window;
   if (cell.loss) config.loss = lossy_data_plane();
-  PubSubSystem system(graph, config);
-  system.set_trace_sink(sink);
-  CellResult result;
-  system.set_delivery_probe(
-      [&result](PeerId p, GroupId, std::uint64_t seq, double) {
-        if (!result.delivered.emplace(p, seq).second) result.probe_duplicates = true;
-      });
-  const auto members = subscribe_members(system, graph, g, 16, 211);
-  for (std::size_t i = 0; i < 12; ++i)
-    system.publish_at(2.0 + 0.11 * static_cast<double>(i), members[i % 4], g);
-  system.run();
-  result.stats = system.stats(g);
-  result.stats_json = obs::to_json(system.total_stats()) +
-                      obs::to_json(system.simulator().stats()) +
-                      obs::to_json(system.hop_stats());
-  return result;
+  return scenario::run_cell(
+      graph, config,
+      [&](PubSubSystem& system) {
+        const auto members = subscribe_members(system, graph, g, 16, 211);
+        for (std::size_t i = 0; i < 12; ++i)
+          system.publish_at(2.0 + 0.11 * static_cast<double>(i), members[i % 4], g);
+      },
+      {.record = scenario::Record::kDeliveredSet, .trace = sink});
 }
 
 /// The delivered-set battery's cells: QoS rungs, data-plane loss, and
@@ -127,41 +119,17 @@ std::vector<CellConfig> oracle_cells() {
   };
 }
 
-/// 64-bit FNV-1a: the golden pins below compare digests of the delivered
-/// set, the stats JSON and the trace stream instead of the raw bytes.
-std::uint64_t fnv1a(const std::string& bytes) {
-  std::uint64_t hash = 0xcbf29ce484222325ULL;
-  for (const unsigned char c : bytes) {
-    hash ^= c;
-    hash *= 0x100000001b3ULL;
-  }
-  return hash;
-}
-
-std::uint64_t delivered_digest(const DeliveredSet& delivered) {
+/// The golden pins below compare digests of the delivered set, the stats
+/// JSON and the trace stream instead of the raw bytes.
+std::uint64_t delivered_digest(const std::set<scenario::DeliveryKey>& delivered) {
   std::string bytes;
-  for (const auto& [peer, seq] : delivered)
+  for (const auto& [peer, group, seq] : delivered)
     bytes += std::to_string(peer) + ':' + std::to_string(seq) + ';';
   return fnv1a(bytes);
 }
 
-/// Every field of every event, the time bit-exact (hex float).
-std::uint64_t trace_digest(const std::vector<obs::TraceEvent>& events) {
-  std::string bytes;
-  char line[256];
-  for (const obs::TraceEvent& e : events) {
-    std::snprintf(line, sizeof(line), "%a %u %llu %llu %llu %llu %u %u\n", e.time,
-                  static_cast<unsigned>(e.type), static_cast<unsigned long long>(e.group),
-                  static_cast<unsigned long long>(e.wave),
-                  static_cast<unsigned long long>(e.seq_lo),
-                  static_cast<unsigned long long>(e.seq_hi), e.peer, e.other);
-    bytes += line;
-  }
-  return fnv1a(bytes);
-}
-
 TEST(GroupsReplicaShardTest, AnchorsPartitionPeersAcrossDistinctSlotRoots) {
-  const auto graph = make_overlay(200, 2, 1501);
+  const auto graph = make_overlay(200, 2, 1501).graph;
   const GroupId g = 0;
   // At R = 100 half of the 200 peers root a slot, and all must be distinct.
   for (const std::size_t replicas : {std::size_t{4}, std::size_t{100}}) {
@@ -207,7 +175,7 @@ TEST(GroupsReplicaShardTest, AnchorsPartitionPeersAcrossDistinctSlotRoots) {
 TEST(GroupsReplicaShardTest, ConflictingGroupsRootReplicasIsRejected) {
   // PubSubConfig::root_replicas overrides groups.root_replicas, so a
   // sharded value set only on the groups side would silently run at R = 1.
-  const auto graph = make_overlay(60, 2, 1502);
+  const auto graph = make_overlay(60, 2, 1502).graph;
   PubSubConfig config;
   config.groups.root_replicas = 4;
   EXPECT_THROW(PubSubSystem(graph, config), std::invalid_argument);
@@ -224,29 +192,29 @@ TEST(GroupsReplicaShardTest, ConflictingGroupsRootReplicasIsRejected) {
 }
 
 TEST(GroupsReplicaShardTest, DeliveredSetsMatchTheSingleRootOracleAcrossCells) {
-  const auto graph = make_overlay(200, 2, 1502);
+  const auto graph = make_overlay(200, 2, 1502).graph;
   for (const CellConfig& base : oracle_cells()) {
     CellConfig oracle_cell = base;
     oracle_cell.replicas = 1;
-    const CellResult oracle = run_cell(graph, oracle_cell);
+    const scenario::CellResult oracle = run_shard_cell(graph, oracle_cell);
     ASSERT_FALSE(oracle.delivered.empty());
     // The oracle delivers everything: 16 subscribers x 12 publishes.
     EXPECT_EQ(oracle.delivered.size(), 16u * 12u);
-    EXPECT_FALSE(oracle.probe_duplicates);
+    EXPECT_FALSE(probe_duplicates(oracle));
     for (const std::size_t r : {std::size_t{2}, std::size_t{4}}) {
       CellConfig sharded_cell = base;
       sharded_cell.replicas = r;
-      const CellResult sharded = run_cell(graph, sharded_cell);
+      const scenario::CellResult sharded = run_shard_cell(graph, sharded_cell);
       EXPECT_EQ(sharded.delivered, oracle.delivered)
           << "R=" << r << " qos=" << static_cast<int>(base.qos)
           << " loss=" << base.loss << " batch=" << base.batch_window
           << " pub_batch=" << base.publisher_batch_window;
-      EXPECT_FALSE(sharded.probe_duplicates);
-      EXPECT_EQ(sharded.stats.publishes, oracle.stats.publishes);
+      EXPECT_FALSE(probe_duplicates(sharded));
+      EXPECT_EQ(sharded.total.publishes, oracle.total.publishes);
       // The shard pipeline really ran: every committed range fanned out to
       // the R - 1 other slots.
-      EXPECT_GT(sharded.stats.shard_waves, 0u);
-      EXPECT_GT(sharded.stats.shard_handoffs, 0u);
+      EXPECT_GT(sharded.total.shard_waves, 0u);
+      EXPECT_GT(sharded.total.shard_handoffs, 0u);
     }
   }
 }
@@ -257,7 +225,7 @@ TEST(GroupsReplicaShardTest, DeliveredSetsMatchTheSingleRootOracleAcrossCells) {
 /// independent reference: the delivered (peer, seq) set and the full stats
 /// JSON of every battery cell, byte for byte.
 TEST(GroupsReplicaShardTest, SingleSlotCellsMatchTheirGoldenDigests) {
-  const auto graph = make_overlay(200, 2, 1502);
+  const auto graph = make_overlay(200, 2, 1502).graph;
   const std::pair<std::uint64_t, std::uint64_t> golden[] = {
       {0x2bca168771a9ff45ULL, 0x68e881a6a53d18c8ULL},
       {0x2bca168771a9ff45ULL, 0x3ce16f6e4602ffe9ULL},
@@ -271,38 +239,38 @@ TEST(GroupsReplicaShardTest, SingleSlotCellsMatchTheirGoldenDigests) {
   const auto cells = oracle_cells();
   ASSERT_EQ(cells.size(), std::size(golden));
   for (std::size_t i = 0; i < cells.size(); ++i) {
-    const CellResult result = run_cell(graph, cells[i]);
+    const scenario::CellResult result = run_shard_cell(graph, cells[i]);
     EXPECT_EQ(delivered_digest(result.delivered), golden[i].first)
         << "cell " << i << std::hex << " got 0x" << delivered_digest(result.delivered);
-    EXPECT_EQ(fnv1a(result.stats_json), golden[i].second)
-        << "cell " << i << std::hex << " got 0x" << fnv1a(result.stats_json);
+    EXPECT_EQ(fnv1a(stats_json(result)), golden[i].second)
+        << "cell " << i << std::hex << " got 0x" << fnv1a(stats_json(result));
   }
 }
 
 /// The full trace stream of one lossy, batched QoS 2 cell at R = 1 —
 /// event order included — pinned the same way.
 TEST(GroupsReplicaShardTest, SingleSlotTraceStreamMatchesItsGoldenDigest) {
-  const auto graph = make_overlay(200, 2, 1502);
+  const auto graph = make_overlay(200, 2, 1502).graph;
   obs::TraceSink sink;
-  (void)run_cell(graph, {1, multicast::QoS::kEndToEnd, true, 0.05, 0.05}, &sink);
+  (void)run_shard_cell(graph, {1, multicast::QoS::kEndToEnd, true, 0.05, 0.05}, &sink);
   ASSERT_EQ(sink.dropped(), 0u) << "ring overflowed: the digest would miss events";
-  const std::uint64_t digest = trace_digest(sink.events());
+  const std::uint64_t digest = scenario::trace_digest(sink.events());
   EXPECT_EQ(digest, 0x4f4ac9eb373a7c8eULL) << std::hex << "got 0x" << digest;
 }
 
 TEST(GroupsReplicaShardTest, SeqLeaseKeepsTheSeqSpaceDenseAndUnique) {
-  const auto graph = make_overlay(200, 2, 1503);
+  const auto graph = make_overlay(200, 2, 1503).graph;
   CellConfig cell;
   cell.replicas = 4;
   cell.qos = multicast::QoS::kEndToEnd;
-  const CellResult result = run_cell(graph, cell);
+  const scenario::CellResult result = run_shard_cell(graph, cell);
 
   // Globally unique: no subscriber saw any (group, seq) twice.
-  EXPECT_FALSE(result.probe_duplicates);
+  EXPECT_FALSE(probe_duplicates(result));
   // Dense: per subscriber the delivered seqs are exactly {0..11} — no hole,
   // no overlap, regardless of which slot root committed each publish.
   std::set<PeerId> subscribers;
-  for (const auto& [peer, seq] : result.delivered) {
+  for (const auto& [peer, group, seq] : result.delivered) {
     subscribers.insert(peer);
     EXPECT_LT(seq, 12u);
   }
@@ -310,9 +278,9 @@ TEST(GroupsReplicaShardTest, SeqLeaseKeepsTheSeqSpaceDenseAndUnique) {
   EXPECT_EQ(result.delivered.size(), 16u * 12u);
   // Non-authority slots leased their ranges; lossless means every lease
   // was granted and no granted range died with its requester.
-  EXPECT_GT(result.stats.seq_lease_requests, 0u);
-  EXPECT_EQ(result.stats.seq_leases_granted, result.stats.seq_lease_requests);
-  EXPECT_EQ(result.stats.seq_grants_lost, 0u);
+  EXPECT_GT(result.total.seq_lease_requests, 0u);
+  EXPECT_EQ(result.total.seq_leases_granted, result.total.seq_lease_requests);
+  EXPECT_EQ(result.total.seq_grants_lost, 0u);
 }
 
 /// Satellite regression: a NON-authority slot root dies while routed
@@ -321,7 +289,7 @@ TEST(GroupsReplicaShardTest, SeqLeaseKeepsTheSeqSpaceDenseAndUnique) {
 /// via promotion — aborted cursors re-enter through resubscribe, none leak
 /// — and post-churn publishes must deliver in full.
 TEST(GroupsReplicaShardTest, SlotRootDeathMidGraftLeaksNoCursorsAndRecovers) {
-  const auto graph = make_overlay(200, 2, 1504);
+  const auto graph = make_overlay(200, 2, 1504).graph;
   const GroupId g = 0;
   PubSubConfig config;
   config.seed = 223;
@@ -380,7 +348,7 @@ TEST(GroupsReplicaShardTest, SlotRootDeathMidGraftLeaksNoCursorsAndRecovers) {
 }
 
 TEST(GroupsReplicaShardTest, WarmFailoverPromotesTheShardedAuthority) {
-  const auto graph = make_overlay(200, 2, 1505);
+  const auto graph = make_overlay(200, 2, 1505).graph;
   const GroupId g = 0;
   PubSubConfig config;
   config.seed = 227;
@@ -418,29 +386,27 @@ TEST(GroupsReplicaShardTest, WarmFailoverPromotesTheShardedAuthority) {
 }
 
 TEST(GroupsReplicaShardTest, PublisherBatchingCoalescesAtTheSource) {
-  const auto graph = make_overlay(200, 2, 1507);
+  const auto graph = make_overlay(200, 2, 1507).graph;
   const GroupId g = 0;
-  const auto run_cell = [&graph, g](double window) {
+  const auto run_burst = [&graph, g](double window) {
     PubSubConfig config;
     config.seed = 233;
     config.root_replicas = 2;
     config.reliability.qos = multicast::QoS::kEndToEnd;
     config.publisher_batch_window = window;
-    PubSubSystem system(graph, config);
-    const auto members = subscribe_members(system, graph, g, 12, 233);
-    DeliveredSet delivered;
-    system.set_delivery_probe(
-        [&delivered](PeerId peer, GroupId, std::uint64_t seq, double) {
-          delivered.emplace(peer, seq);
-        });
-    // One hot publisher bursting 6 app messages inside the window.
-    for (std::size_t i = 0; i < 6; ++i)
-      system.publish_at(2.0 + 0.002 * static_cast<double>(i), members[0], g);
-    system.run();
-    return std::make_pair(delivered, system.stats(g));
+    const auto cell = scenario::run_cell(
+        graph, config,
+        [&](PubSubSystem& system) {
+          const auto members = subscribe_members(system, graph, g, 12, 233);
+          // One hot publisher bursting 6 app messages inside the window.
+          for (std::size_t i = 0; i < 6; ++i)
+            system.publish_at(2.0 + 0.002 * static_cast<double>(i), members[0], g);
+        },
+        {.record = scenario::Record::kDeliveredSet});
+    return std::make_pair(cell.delivered, cell.total);
   };
-  const auto [off_del, off] = run_cell(0.0);
-  const auto [on_del, on] = run_cell(0.05);
+  const auto [off_del, off] = run_burst(0.0);
+  const auto [on_del, on] = run_burst(0.05);
   // Same app messages delivered either way; the on-cell sent one envelope
   // where the off-cell sent six.
   EXPECT_EQ(on_del, off_del);
@@ -452,11 +418,11 @@ TEST(GroupsReplicaShardTest, PublisherBatchingCoalescesAtTheSource) {
 }
 
 TEST(GroupsReplicaShardTest, SnapshotJsonCarriesTheShardCounters) {
-  const auto graph = make_overlay(200, 2, 1502);
+  const auto graph = make_overlay(200, 2, 1502).graph;
   CellConfig cell;
   cell.replicas = 4;
   cell.publisher_batch_window = 0.02;
-  (void)run_cell(graph, cell);  // exercise; the JSON shape is what's pinned
+  (void)run_shard_cell(graph, cell);  // exercise; the JSON shape is what's pinned
 
   PubSubConfig config;
   config.seed = 211;

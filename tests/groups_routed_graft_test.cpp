@@ -11,24 +11,20 @@
 // plane must still converge: every registered subscriber ends up spanned.
 // (The churn-mid-graft half of the story lives in
 // tests/groups_graft_churn_test.cpp.)
-#include <algorithm>
-#include <set>
-#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "groups/message_kinds.hpp"
 #include "groups/pubsub.hpp"
-#include "groups_test_util.hpp"
+#include "scenario/scenario.hpp"
 
 namespace geomcast::groups {
 namespace {
 
-using testutil::make_overlay;
+using scenario::make_overlay;
 
-/// One application-level delivery, the unit the equivalence gate compares.
-using DeliveryKey = std::tuple<PeerId, GroupId, std::uint64_t>;
+using scenario::pick_members;
 
 /// Canonical form of a group tree for bit-identical comparison: the sorted
 /// (parent, child) edge set, the flagged peers and the stranded ones.
@@ -40,40 +36,16 @@ struct TreeShape {
 };
 
 TreeShape shape_of(const GroupTree& gt) {
-  TreeShape shape;
-  for (PeerId p = 0; p < gt.tree.peer_count(); ++p) {
-    if (p != gt.tree.root() && gt.tree.reached(p))
-      shape.edges.emplace_back(gt.tree.parent(p), p);
+  TreeShape shape{scenario::tree_edges(gt), {}, gt.stranded};
+  for (PeerId p = 0; p < gt.tree.peer_count(); ++p)
     if (gt.tree.delivers(p)) shape.flagged.push_back(p);
-  }
-  std::sort(shape.edges.begin(), shape.edges.end());
-  shape.stranded = gt.stranded;
   return shape;
 }
 
-struct WorkloadResult {
-  std::set<DeliveryKey> delivered;
+struct WorkloadResult : scenario::CellResult {
   std::vector<TreeShape> trees;  // one per group, in group-id order
-  GroupStats total;
-  sim::NetworkStats net;
   std::size_t inflight = 0;
 };
-
-/// Deterministic member pick: `count` distinct non-root peers for `group`,
-/// a pure function of (graph, group, seed).
-std::vector<PeerId> pick_members(const overlay::OverlayGraph& graph, PeerId root,
-                                 std::size_t count, std::uint64_t seed) {
-  util::Rng rng(seed ^ 0x9e3779b97f4a7c15ULL);
-  std::vector<bool> chosen(graph.size(), false);
-  std::vector<PeerId> members;
-  while (members.size() < count) {
-    const auto p = static_cast<PeerId>(rng.next_below(graph.size()));
-    if (chosen[p] || p == root) continue;
-    chosen[p] = true;
-    members.push_back(p);
-  }
-  return members;
-}
 
 /// The graft-heavy workload: half the members subscribe before the warm
 /// publish (the lazy build), the other half after it — every late member
@@ -90,34 +62,34 @@ WorkloadResult run_graft_workload(const overlay::OverlayGraph& graph, bool route
   config.seed = seed;
   config.routed_graft = routed;
   config.loss.drop_probability = loss;
-  PubSubSystem system(graph, config);
   WorkloadResult result;
-  system.set_delivery_probe(
-      [&result](PeerId peer, GroupId group, std::uint64_t seq, double) {
-        result.delivered.emplace(peer, group, seq);
-      });
-  for (GroupId g = 0; g < group_count; ++g) {
-    const PeerId root = system.manager().root_of(g);
-    const auto members = pick_members(graph, root, members_per_group, seed * 131 + g);
-    const std::size_t early = members_per_group / 2;
-    for (std::size_t i = 0; i < members.size(); ++i) {
-      const double when = i < early
-                              ? 0.001 * static_cast<double>(i + 1)        // pre-build
-                              : 3.0 + 0.05 * static_cast<double>(i + 1);  // grafts
-      system.subscribe_at(when, members[i], g);
+  const auto schedule = [&](PubSubSystem& system) {
+    for (GroupId g = 0; g < group_count; ++g) {
+      const PeerId root = system.manager().root_of(g);
+      const auto members =
+          pick_members(graph.size(), root, members_per_group, seed * 131 + g);
+      const std::size_t early = members_per_group / 2;
+      for (std::size_t i = 0; i < members.size(); ++i) {
+        const double when = i < early
+                                ? 0.001 * static_cast<double>(i + 1)        // pre-build
+                                : 3.0 + 0.05 * static_cast<double>(i + 1);  // grafts
+        system.subscribe_at(when, members[i], g);
+      }
+      system.publish_at(2.0, members[0], g);  // warm: pays the lazy build
+      system.publish_at(6.0, members[1], g);  // post-graft wave
+      system.publish_at(7.0, members[2], g);
     }
-    system.publish_at(2.0, members[0], g);  // warm: pays the lazy build
-    system.publish_at(6.0, members[1], g);  // post-graft wave
-    system.publish_at(7.0, members[2], g);
-  }
-  system.run();
-  result.total = system.total_stats();
-  result.net = system.simulator().stats();
-  result.inflight = system.manager().inflight_graft_count();
-  for (GroupId g = 0; g < group_count; ++g) {
-    const GroupTree* gt = system.manager().cached_tree(g);
-    result.trees.push_back(gt == nullptr ? TreeShape{} : shape_of(*gt));
-  }
+  };
+  const auto harvest = [&](PubSubSystem& system) {
+    result.inflight = system.manager().inflight_graft_count();
+    for (GroupId g = 0; g < group_count; ++g) {
+      const GroupTree* gt = system.manager().cached_tree(g);
+      result.trees.push_back(gt == nullptr ? TreeShape{} : shape_of(*gt));
+    }
+  };
+  static_cast<scenario::CellResult&>(result) = scenario::run_cell(
+      graph, config, schedule,
+      {.record = scenario::Record::kDeliveredSet, .harvest = harvest});
   return result;
 }
 
@@ -141,7 +113,7 @@ TEST(RoutedGraftTest, MessageKindRegistryIsPinned) {
 
 TEST(RoutedGraftTest, BitIdenticalToLocalOracleOnPinnedSeeds) {
   for (const std::uint64_t seed : {401ULL, 402ULL, 403ULL}) {
-    const auto graph = make_overlay(150, 3, seed);
+    const auto graph = make_overlay(150, 3, seed).graph;
     const auto local = run_graft_workload(graph, /*routed=*/false, seed, 0.0);
     const auto routed = run_graft_workload(graph, /*routed=*/true, seed, 0.0);
 
@@ -183,7 +155,7 @@ TEST(RoutedGraftTest, DescentEnvelopeCountTracksDecisionCount) {
   // concurrent descent — sends one envelope per decision instead. Hence
   // the aggregate is bracketed, not exactly decisions - grafts:
   //   decisions - grafts <= hops <= decisions.
-  const auto graph = make_overlay(150, 3, 404);
+  const auto graph = make_overlay(150, 3, 404).graph;
   const auto routed = run_graft_workload(graph, /*routed=*/true, 404, 0.0);
   ASSERT_GT(routed.total.grafts, 0u);
   ASSERT_GE(routed.total.graft_messages, routed.total.grafts);
@@ -199,7 +171,7 @@ TEST(RoutedGraftTest, ConvergesUnderLoss) {
   // group's tree — the "no stranded subscriber" half of the acceptance
   // gate. Lost subscribes shrink membership, never strand it.
   for (const std::uint64_t seed : {411ULL, 412ULL}) {
-    const auto graph = make_overlay(150, 3, seed);
+    const auto graph = make_overlay(150, 3, seed).graph;
     PubSubConfig config;
     config.seed = seed;
     config.routed_graft = true;
@@ -208,7 +180,7 @@ TEST(RoutedGraftTest, ConvergesUnderLoss) {
     constexpr GroupId kGroups = 4;
     for (GroupId g = 0; g < kGroups; ++g) {
       const PeerId root = system.manager().root_of(g);
-      const auto members = pick_members(graph, root, 10, seed * 131 + g);
+      const auto members = pick_members(graph.size(), root, 10, seed * 131 + g);
       for (std::size_t i = 0; i < members.size(); ++i) {
         const double when = i < 5 ? 0.001 * static_cast<double>(i + 1)
                                   : 3.0 + 0.05 * static_cast<double>(i + 1);
@@ -248,11 +220,11 @@ TEST(RoutedGraftTest, UnsubscribeResubscribeRacingInFlightAcceptRebuilds) {
   // blocked by that guard. graft_finish must notice the member is owed a
   // span the tree no longer gives and defer to a rebuild — the regression
   // was a clean, un-dirtied cache that never delivered to the member.
-  const auto graph = make_overlay(100, 2, 430);
+  const auto graph = make_overlay(100, 2, 430).graph;
   GroupManager manager(graph);
   const GroupId g = 3;
   const PeerId root = manager.root_of(g);
-  for (const PeerId m : pick_members(graph, root, 6, 555)) manager.subscribe(g, m);
+  for (const PeerId m : pick_members(graph.size(), root, 6, 555)) manager.subscribe(g, m);
   ASSERT_NE(manager.tree(g), nullptr);  // build + cache
   PeerId late = kInvalidPeer;
   for (PeerId p = 0; p < graph.size() && late == kInvalidPeer; ++p)
@@ -291,13 +263,13 @@ TEST(RoutedGraftTest, UnsubscribeResubscribeRacingInFlightAcceptRebuilds) {
 TEST(RoutedGraftTest, ResubscribeIsIdempotentWithConcurrentDescent) {
   // A duplicate subscribe while a descent is in flight must neither start
   // a second descent for the same subscriber nor disturb the first.
-  const auto graph = make_overlay(100, 2, 420);
+  const auto graph = make_overlay(100, 2, 420).graph;
   PubSubConfig config;
   config.seed = 420;
   PubSubSystem system(graph, config);
   const GroupId g = 1;
   const PeerId root = system.manager().root_of(g);
-  const auto members = pick_members(graph, root, 6, 999);
+  const auto members = pick_members(graph.size(), root, 6, 999);
   for (std::size_t i = 0; i + 1 < members.size(); ++i)
     system.subscribe_at(0.001 * static_cast<double>(i + 1), members[i], g);
   system.publish_at(2.0, members[0], g);

@@ -11,16 +11,16 @@
 
 #include "geometry/orthant.hpp"
 #include "groups/group_manager.hpp"
-#include "groups_test_util.hpp"
 #include "multicast/local_rule.hpp"
 #include "multicast/space_partition.hpp"
 #include "multicast/zone.hpp"
+#include "scenario/scenario.hpp"
 #include "util/rng.hpp"
 
 namespace geomcast::groups {
 namespace {
 
-using testutil::make_overlay;
+using scenario::make_overlay;
 
 std::vector<bool> subscriber_mask(std::size_t n, std::initializer_list<PeerId> ids) {
   std::vector<bool> mask(n, false);
@@ -136,7 +136,7 @@ void expect_spans_subscribers(const overlay::OverlayGraph& graph, const GroupTre
 }
 
 TEST(GroupTreeTest, SpansAllSubscribersAndPrunesTheRest) {
-  const auto graph = make_overlay(80, 2, 101);
+  const auto graph = make_overlay(80, 2, 101).graph;
   const auto subs = random_mask(graph.size(), 12, 7);
   const auto gt = build_group_tree(graph, 0, ids_of(subs));
   EXPECT_EQ(gt.subscriber_count(), 12u);
@@ -147,7 +147,7 @@ TEST(GroupTreeTest, SpansAllSubscribersAndPrunesTheRest) {
 }
 
 TEST(GroupTreeTest, FullSubscriptionMatchesWholeSpaceConstruction) {
-  const auto graph = make_overlay(60, 3, 102);
+  const auto graph = make_overlay(60, 3, 102).graph;
   std::vector<bool> everyone(graph.size(), true);
   const auto gt = build_group_tree(graph, 5, ids_of(everyone));
   const auto whole = multicast::build_multicast_tree(graph, 5);
@@ -158,7 +158,7 @@ TEST(GroupTreeTest, FullSubscriptionMatchesWholeSpaceConstruction) {
 }
 
 TEST(GroupTreeTest, DeterministicAcrossRuns) {
-  const auto graph = make_overlay(70, 2, 103);
+  const auto graph = make_overlay(70, 2, 103).graph;
   const auto subs = random_mask(graph.size(), 10, 11);
   const auto a = build_group_tree(graph, 3, ids_of(subs));
   const auto b = build_group_tree(graph, 3, ids_of(subs));
@@ -167,7 +167,7 @@ TEST(GroupTreeTest, DeterministicAcrossRuns) {
 }
 
 TEST(GroupTreeTest, GraftEqualsFreshBuild) {
-  const auto graph = make_overlay(80, 2, 104);
+  const auto graph = make_overlay(80, 2, 104).graph;
   auto subs = random_mask(graph.size(), 8, 13);
   // Pick a peer not yet subscribed to graft in.
   PeerId extra = kInvalidPeer;
@@ -193,7 +193,7 @@ TEST(GroupTreeTest, GraftEqualsFreshBuild) {
 }
 
 TEST(GroupTreeTest, PruneEqualsFreshBuild) {
-  const auto graph = make_overlay(80, 2, 105);
+  const auto graph = make_overlay(80, 2, 105).graph;
   auto subs = random_mask(graph.size(), 9, 17);
   auto shrunk = build_group_tree(graph, 0, ids_of(subs));
   // A leaf subscriber, so the prune really cascades edges away.
@@ -219,7 +219,7 @@ TEST(GroupTreeTest, PruneEqualsFreshBuild) {
 }
 
 TEST(GroupTreeTest, GraftThenPruneIsIdentity) {
-  const auto graph = make_overlay(60, 2, 106);
+  const auto graph = make_overlay(60, 2, 106).graph;
   const auto subs = random_mask(graph.size(), 6, 19);
   PeerId extra = kInvalidPeer;
   for (PeerId p = 0; p < graph.size(); ++p)
@@ -241,7 +241,7 @@ TEST(GroupTreeTest, GraftThenPruneIsIdentity) {
 }
 
 TEST(GroupTreeTest, RepairRemovesDepartedAndKeepsCoverage) {
-  const auto graph = make_overlay(80, 2, 107);
+  const auto graph = make_overlay(80, 2, 107).graph;
   std::vector<bool> everyone(graph.size(), true);
   auto gt = build_group_tree(graph, 0, ids_of(everyone));
 
@@ -266,7 +266,7 @@ TEST(GroupTreeTest, RepairRemovesDepartedAndKeepsCoverage) {
 }
 
 TEST(GroupTreeTest, GraftOnStaleZonesThrows) {
-  const auto graph = make_overlay(40, 2, 108);
+  const auto graph = make_overlay(40, 2, 108).graph;
   const auto subs = subscriber_mask(graph.size(), {3, 9, 20});
   auto gt = build_group_tree(graph, 0, ids_of(subs));
   gt.zones_stale = true;
@@ -274,7 +274,7 @@ TEST(GroupTreeTest, GraftOnStaleZonesThrows) {
 }
 
 TEST(GroupTreeTest, GraftStepFromAnUnreachedPeerThrows) {
-  const auto graph = make_overlay(40, 2, 108);
+  const auto graph = make_overlay(40, 2, 108).graph;
   const auto subs = subscriber_mask(graph.size(), {3});
   auto gt = build_group_tree(graph, 0, ids_of(subs));
   PeerId outside = kInvalidPeer;
@@ -302,7 +302,7 @@ TEST(GroupTreeTest, CarriedZoneMatchesTheTreeAcrossInterleavedEdits) {
   // a copy-on-write clone taking over. After every step the zone the
   // cursor carries must be the zone of its peer recomputed along the
   // tree's root path, and the final tree must equal a fresh build.
-  const auto graph = make_overlay(300, 2, 111);
+  const auto graph = make_overlay(300, 2, 111).graph;
   auto subs = random_mask(graph.size(), 10, 29);
   GroupTree gt = build_group_tree(graph, 0, ids_of(subs));
   PeerId target = kInvalidPeer;
@@ -390,7 +390,7 @@ TEST(GroupTreeTest, StrandedSubscribersFollowEveryEdit) {
   // every overlay neighbour dead, so neither the recursion nor a greedy
   // splice can reach it; one dead delegate, `cut`, walls off slices of
   // other subscribers, which a greedy splice can still reach.
-  const auto graph = make_overlay(300, 2, 131);
+  const auto graph = make_overlay(300, 2, 131).graph;
   const std::size_t n = graph.size();
   const GroupId g = 3;
   const PeerId root = GroupManager(graph).root_of(g);
@@ -494,7 +494,7 @@ TEST(GroupTreeTest, StrandedSubscribersFollowEveryEdit) {
 }
 
 TEST(GroupTreeTest, BuildRejectsIdsThatAreNotAscendingUniqueAndInRange) {
-  const auto graph = make_overlay(30, 2, 110);
+  const auto graph = make_overlay(30, 2, 110).graph;
   const PeerId n = static_cast<PeerId>(graph.size());
   for (const std::vector<PeerId>& ids :
        {std::vector<PeerId>{4, 2}, std::vector<PeerId>{3, 3}, std::vector<PeerId>{1, n}})
@@ -503,7 +503,7 @@ TEST(GroupTreeTest, BuildRejectsIdsThatAreNotAscendingUniqueAndInRange) {
 }
 
 TEST(GroupTreeTest, RandomPolicyRejected) {
-  const auto graph = make_overlay(30, 2, 109);
+  const auto graph = make_overlay(30, 2, 109).graph;
   const auto subs = subscriber_mask(graph.size(), {1, 2});
   multicast::MulticastConfig config;
   config.policy = multicast::PickPolicy::kRandom;
@@ -592,7 +592,7 @@ class FlatBuildTest : public ::testing::TestWithParam<std::tuple<std::size_t, st
 
 TEST_P(FlatBuildTest, EqualsDequeReferenceBeforeAndAfterAGraft) {
   const auto [dims, seed] = GetParam();
-  const auto graph = make_overlay(150, dims, seed);
+  const auto graph = make_overlay(150, dims, seed).graph;
   const std::size_t n = graph.size();
   util::Rng rng(seed * 31);
   std::vector<bool> alive(n, true);

@@ -1,24 +1,15 @@
 #include <gtest/gtest.h>
 
-#include "geometry/random_points.hpp"
 #include "multicast/bfs_tree.hpp"
 #include "multicast/flooding.hpp"
 #include "multicast/space_partition.hpp"
-#include "overlay/empty_rect.hpp"
-#include "overlay/equilibrium.hpp"
-#include "util/rng.hpp"
+#include "scenario/scenario.hpp"
 
 namespace geomcast::multicast {
 namespace {
 
-overlay::OverlayGraph make_overlay(std::size_t n, std::size_t dims, std::uint64_t seed) {
-  util::Rng rng(seed);
-  const auto points = geometry::random_points(rng, n, dims, 100.0);
-  return overlay::build_equilibrium(points, overlay::EmptyRectSelector{});
-}
-
 TEST(FloodingTest, ReachesEveryPeer) {
-  const auto graph = make_overlay(100, 2, 51);
+  const auto graph = scenario::make_overlay(100, 2, 51).graph;
   const auto result = build_flooding_tree(graph, 0);
   EXPECT_EQ(result.tree.reached_count(), graph.size());
 }
@@ -26,13 +17,13 @@ TEST(FloodingTest, ReachesEveryPeer) {
 TEST(FloodingTest, MessageCountIs2EMinusNMinus1) {
   // Every reached non-root peer forwards deg(v)-1 messages; the root sends
   // deg(root). On a connected overlay that totals 2E - (N-1).
-  const auto graph = make_overlay(100, 2, 52);
+  const auto graph = scenario::make_overlay(100, 2, 52).graph;
   const auto result = build_flooding_tree(graph, 3);
   EXPECT_EQ(result.request_messages, 2 * graph.edge_count() - (graph.size() - 1));
 }
 
 TEST(FloodingTest, DuplicatesAreTheOverhead) {
-  const auto graph = make_overlay(100, 2, 53);
+  const auto graph = scenario::make_overlay(100, 2, 53).graph;
   const auto result = build_flooding_tree(graph, 3);
   EXPECT_EQ(result.request_messages,
             (graph.size() - 1) + result.duplicate_deliveries);
@@ -42,7 +33,7 @@ TEST(FloodingTest, DuplicatesAreTheOverhead) {
 TEST(FloodingTest, CostsStrictlyMoreThanSpacePartition) {
   // The quantitative version of the paper's motivation.
   for (int dims : {2, 3, 4}) {
-    const auto graph = make_overlay(120, static_cast<std::size_t>(dims), 54 + dims);
+    const auto graph = scenario::make_overlay(120, static_cast<std::size_t>(dims), 54 + dims).graph;
     const auto flood = build_flooding_tree(graph, 0);
     const auto sp = build_multicast_tree(graph, 0);
     EXPECT_GT(flood.request_messages, sp.request_messages) << "dims " << dims;
@@ -52,21 +43,21 @@ TEST(FloodingTest, CostsStrictlyMoreThanSpacePartition) {
 TEST(FloodingTest, TreeIsBfsShaped) {
   // With a FIFO wave, flooding parents arrive along shortest paths, so
   // depths must match the BFS tree's depths.
-  const auto graph = make_overlay(90, 2, 55);
+  const auto graph = scenario::make_overlay(90, 2, 55).graph;
   const auto flood = build_flooding_tree(graph, 2);
   const auto bfs = build_bfs_tree(graph, 2);
   EXPECT_EQ(flood.tree.depths(), bfs.depths());
 }
 
 TEST(BfsTreeTest, SpansConnectedOverlay) {
-  const auto graph = make_overlay(80, 2, 56);
+  const auto graph = scenario::make_overlay(80, 2, 56).graph;
   const auto tree = build_bfs_tree(graph, 0);
   EXPECT_EQ(tree.reached_count(), graph.size());
   EXPECT_EQ(tree.edge_count(), graph.size() - 1);
 }
 
 TEST(BfsTreeTest, DepthsAreShortestHopDistances) {
-  const auto graph = make_overlay(80, 2, 57);
+  const auto graph = scenario::make_overlay(80, 2, 57).graph;
   const auto tree = build_bfs_tree(graph, 5);
   const auto depths = tree.depths();
   // Every tree edge spans adjacent BFS levels and uses an overlay edge.
@@ -80,14 +71,14 @@ TEST(BfsTreeTest, DepthsAreShortestHopDistances) {
 TEST(BfsTreeTest, PathsNeverLongerThanSpacePartition) {
   // BFS is the hop-count optimum on the overlay; the decentralized scheme
   // pays some stretch. Check the orderings the ablation bench reports.
-  const auto graph = make_overlay(150, 2, 58);
+  const auto graph = scenario::make_overlay(150, 2, 58).graph;
   const auto bfs = build_bfs_tree(graph, 0);
   const auto sp = build_multicast_tree(graph, 0);
   EXPECT_LE(bfs.max_root_to_leaf_path(), sp.tree.max_root_to_leaf_path());
 }
 
 TEST(BaselineTest, RootOutOfRangeThrows) {
-  const auto graph = make_overlay(10, 2, 59);
+  const auto graph = scenario::make_overlay(10, 2, 59).graph;
   EXPECT_THROW(build_flooding_tree(graph, 10), std::invalid_argument);
   EXPECT_THROW(build_bfs_tree(graph, 10), std::invalid_argument);
 }

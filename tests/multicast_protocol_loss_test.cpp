@@ -4,24 +4,15 @@
 // seed. (The happy path lives in multicast_protocol_test.cpp.)
 #include <gtest/gtest.h>
 
-#include "geometry/random_points.hpp"
 #include "multicast/protocol.hpp"
 #include "multicast/validator.hpp"
-#include "overlay/empty_rect.hpp"
-#include "overlay/equilibrium.hpp"
-#include "util/rng.hpp"
+#include "scenario/scenario.hpp"
 
 namespace geomcast::multicast {
 namespace {
 
-overlay::OverlayGraph make_overlay(std::size_t n, std::size_t dims, std::uint64_t seed) {
-  util::Rng rng(seed);
-  const auto points = geometry::random_points(rng, n, dims, 100.0);
-  return overlay::build_equilibrium(points, overlay::EmptyRectSelector{});
-}
-
 TEST(MulticastProtocolLossTest, DroppedRequestsAreCountedAndLeaveHoles) {
-  const auto graph = make_overlay(80, 2, 501);
+  const auto graph = scenario::make_overlay(80, 2, 501).graph;
   sim::LossModel loss;
   loss.drop_probability = 0.25;
   const auto result = run_multicast_protocol(graph, 0, {}, sim::LatencyModel::constant(0.01),
@@ -41,7 +32,7 @@ TEST(MulticastProtocolLossTest, DroppedRequestsAreCountedAndLeaveHoles) {
 }
 
 TEST(MulticastProtocolLossTest, LossTrajectoryIsDeterministicUnderFixedSeed) {
-  const auto graph = make_overlay(70, 3, 502);
+  const auto graph = scenario::make_overlay(70, 3, 502).graph;
   sim::LossModel loss;
   loss.drop_probability = 0.3;
   auto run_once = [&]() {
@@ -58,7 +49,7 @@ TEST(MulticastProtocolLossTest, LossTrajectoryIsDeterministicUnderFixedSeed) {
 }
 
 TEST(MulticastProtocolLossTest, DifferentSeedsExploreDifferentFailures) {
-  const auto graph = make_overlay(70, 2, 503);
+  const auto graph = scenario::make_overlay(70, 2, 503).graph;
   sim::LossModel loss;
   loss.drop_probability = 0.3;
   const auto a = run_multicast_protocol(graph, 0, {}, sim::LatencyModel::constant(0.01),
@@ -71,7 +62,7 @@ TEST(MulticastProtocolLossTest, DifferentSeedsExploreDifferentFailures) {
 }
 
 TEST(MulticastProtocolLossTest, ZeroLossControlIsComplete) {
-  const auto graph = make_overlay(80, 2, 504);
+  const auto graph = scenario::make_overlay(80, 2, 504).graph;
   const auto result = run_multicast_protocol(graph, 0, {}, sim::LatencyModel::constant(0.01),
                                              sim::LossModel{}, /*seed=*/11);
   EXPECT_EQ(result.dropped_requests, 0u);

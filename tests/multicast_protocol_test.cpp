@@ -2,25 +2,16 @@
 
 #include <gtest/gtest.h>
 
-#include "geometry/random_points.hpp"
 #include "multicast/validator.hpp"
-#include "overlay/empty_rect.hpp"
-#include "overlay/equilibrium.hpp"
-#include "util/rng.hpp"
+#include "scenario/scenario.hpp"
 
 namespace geomcast::multicast {
 namespace {
 
-overlay::OverlayGraph make_overlay(std::size_t n, std::size_t dims, std::uint64_t seed) {
-  util::Rng rng(seed);
-  const auto points = geometry::random_points(rng, n, dims, 100.0);
-  return overlay::build_equilibrium(points, overlay::EmptyRectSelector{});
-}
-
 TEST(MulticastProtocolTest, MatchesSynchronousBuilder) {
   // The message-driven protocol and the in-memory builder run the same
   // local rule, so the resulting trees must be identical edge-for-edge.
-  const auto graph = make_overlay(80, 2, 41);
+  const auto graph = scenario::make_overlay(80, 2, 41).graph;
   const auto sync = build_multicast_tree(graph, 4);
   const auto protocol = run_multicast_protocol(graph, 4);
   EXPECT_EQ(protocol.build.request_messages, sync.request_messages);
@@ -32,7 +23,7 @@ TEST(MulticastProtocolTest, MatchesSynchronousBuilder) {
 
 TEST(MulticastProtocolTest, MatchesAcrossDimsAndRoots) {
   for (int dims : {2, 3, 4}) {
-    const auto graph = make_overlay(60, static_cast<std::size_t>(dims), 42 + dims);
+    const auto graph = scenario::make_overlay(60, static_cast<std::size_t>(dims), 42 + dims).graph;
     for (overlay::PeerId root : {0u, 31u, 59u}) {
       const auto sync = build_multicast_tree(graph, root);
       const auto protocol = run_multicast_protocol(graph, root);
@@ -44,7 +35,7 @@ TEST(MulticastProtocolTest, MatchesAcrossDimsAndRoots) {
 }
 
 TEST(MulticastProtocolTest, ValidAndExactlyNMinus1Messages) {
-  const auto graph = make_overlay(100, 3, 43);
+  const auto graph = scenario::make_overlay(100, 3, 43).graph;
   const auto result = run_multicast_protocol(graph, 0);
   const auto report = validate_build(graph, result.build);
   EXPECT_TRUE(report.valid()) << report.summary();
@@ -53,7 +44,7 @@ TEST(MulticastProtocolTest, ValidAndExactlyNMinus1Messages) {
 }
 
 TEST(MulticastProtocolTest, CompletionTimeScalesWithDepth) {
-  const auto graph = make_overlay(100, 2, 44);
+  const auto graph = scenario::make_overlay(100, 2, 44).graph;
   const auto result =
       run_multicast_protocol(graph, 0, {}, sim::LatencyModel::constant(1.0));
   // Constant unit latency => completion time == tree depth in hops.
@@ -62,7 +53,7 @@ TEST(MulticastProtocolTest, CompletionTimeScalesWithDepth) {
 }
 
 TEST(MulticastProtocolTest, RandomLatencyStillBuildsSameCoverage) {
-  const auto graph = make_overlay(80, 2, 45);
+  const auto graph = scenario::make_overlay(80, 2, 45).graph;
   const auto result = run_multicast_protocol(graph, 7, {},
                                              sim::LatencyModel::uniform(0.01, 0.5));
   // Tree *shape* may differ from the synchronous wave under reordering, but
@@ -75,7 +66,7 @@ TEST(MulticastProtocolTest, RandomLatencyStillBuildsSameCoverage) {
 TEST(MulticastProtocolTest, MessageLossCausesCoverageGap) {
   // Failure injection: a dropped request must surface as unreached peers
   // (the validator sees it), never as a silent success.
-  const auto graph = make_overlay(60, 2, 46);
+  const auto graph = scenario::make_overlay(60, 2, 46).graph;
   sim::LossModel loss;
   loss.drop_probability = 0.3;
   const auto result = run_multicast_protocol(graph, 0, {}, sim::LatencyModel::constant(0.01),
@@ -87,7 +78,7 @@ TEST(MulticastProtocolTest, MessageLossCausesCoverageGap) {
 }
 
 TEST(MulticastProtocolTest, TargetedPartitionBlocksSubtree) {
-  const auto graph = make_overlay(60, 2, 47);
+  const auto graph = scenario::make_overlay(60, 2, 47).graph;
   // Cut every request addressed to peer 5: 5 and its would-be subtree stay dark.
   sim::LossModel loss;
   loss.drop_if = [](const sim::Envelope& e) { return e.to == 5; };

@@ -2,22 +2,14 @@
 
 #include <gtest/gtest.h>
 
-#include "geometry/random_points.hpp"
-#include "overlay/empty_rect.hpp"
-#include "overlay/equilibrium.hpp"
+#include "scenario/scenario.hpp"
 #include "util/rng.hpp"
 
 namespace geomcast::multicast {
 namespace {
 
-overlay::OverlayGraph make_overlay(std::size_t n, std::size_t dims, std::uint64_t seed) {
-  util::Rng rng(seed);
-  const auto points = geometry::random_points(rng, n, dims, 100.0);
-  return overlay::build_equilibrium(points, overlay::EmptyRectSelector{});
-}
-
 TEST(RangeMulticastTest, WholeSpaceTargetEqualsRegularMulticast) {
-  const auto graph = make_overlay(100, 2, 61);
+  const auto graph = scenario::make_overlay(100, 2, 61).graph;
   const auto ranged =
       build_range_multicast(graph, 0, geometry::Rect::whole_space(2));
   const auto regular = build_multicast_tree(graph, 0);
@@ -29,7 +21,7 @@ TEST(RangeMulticastTest, WholeSpaceTargetEqualsRegularMulticast) {
 }
 
 TEST(RangeMulticastTest, EmptyTargetDeliversNothing) {
-  const auto graph = make_overlay(80, 2, 62);
+  const auto graph = scenario::make_overlay(80, 2, 62).graph;
   // A target beyond every coordinate: peer-free, but zone slices toward the
   // corner still intersect it, so the recursion probes a relay chain in
   // that direction before running out of candidates.
@@ -43,7 +35,7 @@ TEST(RangeMulticastTest, EmptyTargetDeliversNothing) {
 }
 
 TEST(RangeMulticastTest, DimensionMismatchThrows) {
-  const auto graph = make_overlay(20, 2, 63);
+  const auto graph = scenario::make_overlay(20, 2, 63).graph;
   EXPECT_THROW(build_range_multicast(graph, 0, geometry::Rect::whole_space(3)),
                std::invalid_argument);
   EXPECT_THROW(build_range_multicast(graph, 20, geometry::Rect::whole_space(2)),
@@ -57,7 +49,7 @@ class RangeCoverageTest
 
 TEST_P(RangeCoverageTest, AllTargetPeersDeliveredNoDuplicates) {
   const auto [dims, extent, seed] = GetParam();
-  const auto graph = make_overlay(150, static_cast<std::size_t>(dims), seed);
+  const auto graph = scenario::make_overlay(150, static_cast<std::size_t>(dims), seed).graph;
   util::Rng rng(seed ^ 0xabcdef);
   for (int trial = 0; trial < 8; ++trial) {
     geometry::Rect target(static_cast<std::size_t>(dims));
@@ -88,7 +80,7 @@ INSTANTIATE_TEST_SUITE_P(Sweep, RangeCoverageTest,
                                             ::testing::Values(71u, 72u)));
 
 TEST(RangeMulticastTest, SmallTargetCheaperThanFullMulticast) {
-  const auto graph = make_overlay(300, 2, 64);
+  const auto graph = scenario::make_overlay(300, 2, 64).graph;
   const auto target = geometry::Rect::cube(2, 10.0, 30.0);  // 4% of the area
   const auto ranged = build_range_multicast(graph, 0, target);
   const auto full = build_multicast_tree(graph, 0);
@@ -100,14 +92,14 @@ TEST(RangeMulticastTest, SmallTargetCheaperThanFullMulticast) {
 TEST(RangeMulticastTest, RelayCountBounded) {
   // Relays exist (the initiator may be outside the target) but the pruned
   // recursion should not touch the whole overlay for a small zone.
-  const auto graph = make_overlay(300, 2, 65);
+  const auto graph = scenario::make_overlay(300, 2, 65).graph;
   const auto target = geometry::Rect::cube(2, 70.0, 90.0);
   const auto result = build_range_multicast(graph, 0, target);
   EXPECT_LT(result.relays, graph.size() / 2);
 }
 
 TEST(RangeMulticastTest, DeterministicAcrossRuns) {
-  const auto graph = make_overlay(100, 3, 66);
+  const auto graph = scenario::make_overlay(100, 3, 66).graph;
   const auto target = geometry::Rect::cube(3, 20.0, 60.0);
   const auto a = build_range_multicast(graph, 5, target);
   const auto b = build_range_multicast(graph, 5, target);

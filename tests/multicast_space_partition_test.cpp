@@ -8,16 +8,11 @@
 #include "multicast/zone.hpp"
 #include "overlay/empty_rect.hpp"
 #include "overlay/equilibrium.hpp"
+#include "scenario/scenario.hpp"
 #include "util/rng.hpp"
 
 namespace geomcast::multicast {
 namespace {
-
-overlay::OverlayGraph make_overlay(std::size_t n, std::size_t dims, std::uint64_t seed) {
-  util::Rng rng(seed);
-  const auto points = geometry::random_points(rng, n, dims, 100.0);
-  return overlay::build_equilibrium(points, overlay::EmptyRectSelector{});
-}
 
 TEST(SpacePartitionTest, SingletonOverlay) {
   util::Rng rng(1);
@@ -29,7 +24,7 @@ TEST(SpacePartitionTest, SingletonOverlay) {
 }
 
 TEST(SpacePartitionTest, RootOutOfRangeThrows) {
-  const auto graph = make_overlay(10, 2, 2);
+  const auto graph = scenario::make_overlay(10, 2, 2).graph;
   EXPECT_THROW(build_multicast_tree(graph, 10), std::invalid_argument);
 }
 
@@ -49,7 +44,7 @@ class SpacePartitionPropertyTest
 
 TEST_P(SpacePartitionPropertyTest, AllInvariantsHold) {
   const auto [dims, seed] = GetParam();
-  const auto graph = make_overlay(120, static_cast<std::size_t>(dims), seed);
+  const auto graph = scenario::make_overlay(120, static_cast<std::size_t>(dims), seed).graph;
   for (overlay::PeerId root : {0u, 7u, 63u, 119u}) {
     const auto result = build_multicast_tree(graph, root);
     const auto report = validate_build(graph, result);
@@ -67,7 +62,7 @@ INSTANTIATE_TEST_SUITE_P(Sweep, SpacePartitionPropertyTest,
                                             ::testing::Values(11u, 22u, 33u)));
 
 TEST(SpacePartitionTest, DeterministicForFixedInputs) {
-  const auto graph = make_overlay(80, 3, 4);
+  const auto graph = scenario::make_overlay(80, 3, 4).graph;
   const auto a = build_multicast_tree(graph, 5);
   const auto b = build_multicast_tree(graph, 5);
   EXPECT_EQ(a.request_messages, b.request_messages);
@@ -80,7 +75,7 @@ TEST(SpacePartitionTest, DeterministicForFixedInputs) {
 TEST(SpacePartitionTest, EveryPolicyCoversEverything) {
   // Median is the paper's choice, but the coverage argument only needs
   // *some* neighbour per non-empty region — any policy must still reach all.
-  const auto graph = make_overlay(100, 2, 5);
+  const auto graph = scenario::make_overlay(100, 2, 5).graph;
   for (auto policy : {PickPolicy::kMedian, PickPolicy::kClosest, PickPolicy::kFarthest,
                       PickPolicy::kRandom}) {
     MulticastConfig config;
@@ -93,7 +88,7 @@ TEST(SpacePartitionTest, EveryPolicyCoversEverything) {
 }
 
 TEST(SpacePartitionTest, RandomPolicySeedControlsShape) {
-  const auto graph = make_overlay(100, 2, 6);
+  const auto graph = scenario::make_overlay(100, 2, 6).graph;
   MulticastConfig config;
   config.policy = PickPolicy::kRandom;
   config.rng_seed = 1;
@@ -112,7 +107,7 @@ TEST(SpacePartitionTest, RandomPolicySeedControlsShape) {
 }
 
 TEST(SpacePartitionTest, RootZoneIsWholeSpace) {
-  const auto graph = make_overlay(50, 2, 7);
+  const auto graph = scenario::make_overlay(50, 2, 7).graph;
   const auto result = build_multicast_tree(graph, 3);
   EXPECT_EQ(result.zones[3], initiator_zone(2));
 }
@@ -120,7 +115,7 @@ TEST(SpacePartitionTest, RootZoneIsWholeSpace) {
 TEST(SpacePartitionTest, EveryNonRootZoneIsBoundedOnOneSide) {
   // Each non-root zone was clipped at least once, so at least one side per
   // delegation is finite; spot-check that zones are not the whole space.
-  const auto graph = make_overlay(50, 2, 8);
+  const auto graph = scenario::make_overlay(50, 2, 8).graph;
   const auto result = build_multicast_tree(graph, 3);
   for (overlay::PeerId p = 0; p < graph.size(); ++p) {
     if (p == 3) continue;
@@ -130,7 +125,7 @@ TEST(SpacePartitionTest, EveryNonRootZoneIsBoundedOnOneSide) {
 
 TEST(SpacePartitionTest, L2MetricAlsoValid) {
   // The paper sorts by L1, but the invariants are metric-independent.
-  const auto graph = make_overlay(90, 3, 9);
+  const auto graph = scenario::make_overlay(90, 3, 9).graph;
   MulticastConfig config;
   config.metric = geometry::Metric::kL2;
   const auto result = build_multicast_tree(graph, 0, config);

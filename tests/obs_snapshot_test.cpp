@@ -10,10 +10,10 @@
 #include <string>
 #include <vector>
 
-#include "groups_test_util.hpp"
 #include "multicast/reliable_hop.hpp"
 #include "obs/histogram.hpp"
 #include "obs/snapshot.hpp"
+#include "scenario/scenario.hpp"
 #include "sim/network.hpp"
 #include "util/log.hpp"
 
@@ -23,8 +23,8 @@ namespace {
 using groups::GroupId;
 using groups::PubSubConfig;
 using groups::PubSubSystem;
-using groups::testutil::make_overlay;
-using groups::testutil::subscribe_members;
+using scenario::make_overlay;
+using scenario::subscribe_members;
 
 TEST(Histogram, EmptyConventions) {
   const obs::Histogram h;
@@ -308,7 +308,7 @@ PubSubConfig snapshot_config() {
 }
 
 TEST(Snapshot, StatsJsonCarriesHistogramsAndNamedKinds) {
-  const auto graph = make_overlay(60, 2, 11);
+  const auto graph = make_overlay(60, 2, 11).graph;
   PubSubSystem system(graph, snapshot_config());
   const GroupId group = 3;
   const auto members = subscribe_members(system, graph, group, 12, 11);
@@ -316,14 +316,7 @@ TEST(Snapshot, StatsJsonCarriesHistogramsAndNamedKinds) {
     system.publish_at(2.0 + 0.05 * i, members[i % members.size()], group);
   // Late joiners after the tree exists: the routed graft plane attaches
   // them, populating graft_latency.
-  std::vector<bool> taken(graph.size(), false);
-  for (const groups::PeerId m : members) taken[m] = true;
-  taken[system.manager().root_of(group)] = true;
-  std::size_t late = 0;
-  for (groups::PeerId p = 0; p < graph.size() && late < 4; ++p) {
-    if (taken[p]) continue;
-    system.subscribe_at(3.5 + 0.01 * static_cast<double>(++late), p, group);
-  }
+  scenario::subscribe_late(system, graph.size(), group, members, 4, 3.5);
   for (int i = 0; i < 5; ++i)
     system.publish_at(4.0 + 0.05 * i, members[i % members.size()], group);
   system.run();
@@ -354,7 +347,7 @@ TEST(Snapshot, StatsJsonCarriesHistogramsAndNamedKinds) {
 
 TEST(Snapshot, SamplerProducesMonotoneDeterministicSeries) {
   const auto run = [](std::string* json) {
-    const auto graph = make_overlay(60, 2, 11);
+    const auto graph = make_overlay(60, 2, 11).graph;
     PubSubSystem system(graph, snapshot_config());
     obs::Sampler sampler(system, 0.25);
     sampler.start();

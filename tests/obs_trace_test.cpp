@@ -6,12 +6,11 @@
 
 #include <set>
 #include <string>
-#include <tuple>
 #include <vector>
 
-#include "groups_test_util.hpp"
 #include "obs/snapshot.hpp"
 #include "obs/trace.hpp"
+#include "scenario/scenario.hpp"
 
 namespace geomcast {
 namespace {
@@ -20,31 +19,11 @@ using groups::GroupId;
 using groups::PeerId;
 using groups::PubSubConfig;
 using groups::PubSubSystem;
-using groups::testutil::make_overlay;
-using groups::testutil::subscribe_members;
-
-using DeliveredSet = std::set<std::tuple<PeerId, GroupId, std::uint64_t>>;
-
-/// Subscribes `count` peers not yet members at `time` — they arrive after
-/// the tree exists, so they enter through the routed graft plane.
-std::vector<PeerId> subscribe_late(PubSubSystem& system,
-                                   const overlay::OverlayGraph& graph, GroupId group,
-                                   const std::vector<PeerId>& members,
-                                   std::size_t count, double time) {
-  std::vector<bool> taken(graph.size(), false);
-  for (const PeerId m : members) taken[m] = true;
-  taken[system.manager().root_of(group)] = true;
-  std::vector<PeerId> late;
-  for (PeerId p = 0; p < graph.size() && late.size() < count; ++p) {
-    if (taken[p]) continue;
-    late.push_back(p);
-    system.subscribe_at(time + 0.01 * static_cast<double>(late.size()), p, group);
-  }
-  return late;
-}
+using scenario::make_overlay;
+using scenario::subscribe_members;
 
 struct RunResult {
-  DeliveredSet delivered;
+  std::set<scenario::DeliveryKey> delivered;
   std::string group_stats_json;    // totals, histograms included
   std::string network_stats_json;  // counters + per-kind + per-node loads
   std::vector<obs::TraceEvent> events;
@@ -54,37 +33,37 @@ struct RunResult {
 /// One deterministic lossy QoS 2 + churn workload: 80 peers, 20
 /// subscribers, coalesced publishes, a mid-run subscriber departure.
 RunResult run_workload(bool traced) {
-  const auto graph = make_overlay(80, 2, 7);
+  const auto graph = make_overlay(80, 2, 7).graph;
   PubSubConfig config;
   config.seed = 42;
   config.reliability.qos = multicast::QoS::kEndToEnd;
   config.loss.drop_probability = 0.05;
   config.batch_window = 0.02;
   config.max_batch = 4;
-  PubSubSystem system(graph, config);
   obs::TraceSink sink;
-  if (traced) system.set_trace_sink(&sink);
+  const auto schedule = [&graph](PubSubSystem& system) {
+    const GroupId group = 1;
+    const auto members = subscribe_members(system, graph, group, 20, 42);
+    for (std::size_t i = 0; i < 30; ++i)
+      system.publish_at(2.0 + 0.015 * static_cast<double>(i),
+                        members[i % members.size()], group);
+    system.depart_at(2.2, members[5]);
+    // Late joiners after the tree exists (first flush ~2.02) but before the
+    // churn (a departure leaves the zones stale, which disables grafting)
+    // exercise the routed graft plane.
+    scenario::subscribe_late(system, graph.size(), group, members, 4, 2.1);
+    for (std::size_t i = 0; i < 5; ++i)
+      system.publish_at(3.5 + 0.05 * static_cast<double>(i),
+                        members[i % members.size()], group);
+  };
+  const scenario::CellResult cell =
+      scenario::run_cell(graph, config, schedule,
+                         {.record = scenario::Record::kDeliveredSet,
+                          .trace = traced ? &sink : nullptr});
   RunResult result;
-  system.set_delivery_probe(
-      [&result](PeerId peer, GroupId group, std::uint64_t seq, double) {
-        result.delivered.emplace(peer, group, seq);
-      });
-  const GroupId group = 1;
-  const auto members = subscribe_members(system, graph, group, 20, 42);
-  for (std::size_t i = 0; i < 30; ++i)
-    system.publish_at(2.0 + 0.015 * static_cast<double>(i),
-                      members[i % members.size()], group);
-  system.depart_at(2.2, members[5]);
-  // Late joiners after the tree exists (first flush ~2.02) but before the
-  // churn (a departure leaves the zones stale, which disables grafting)
-  // exercise the routed graft plane.
-  subscribe_late(system, graph, group, members, 4, 2.1);
-  for (std::size_t i = 0; i < 5; ++i)
-    system.publish_at(3.5 + 0.05 * static_cast<double>(i),
-                      members[i % members.size()], group);
-  system.run();
-  result.group_stats_json = obs::to_json(system.total_stats());
-  result.network_stats_json = obs::to_json(system.simulator().network().stats());
+  result.delivered = cell.delivered;
+  result.group_stats_json = obs::to_json(cell.total);
+  result.network_stats_json = obs::to_json(cell.net);
   result.events = sink.events();
   result.trace_json = obs::chrome_trace_json(result.events);
   return result;
@@ -134,7 +113,7 @@ TEST(ObsTrace, EventsForWaveCollectsTheWaveLifecycle) {
   // lifecycle (accept, flush, hop sends, acks, deliveries). With several
   // root replicas the publish's own wave is the one its owner slot root
   // drives at accept time; the other slots drive handoff copies later.
-  const auto graph = make_overlay(40, 2, 3);
+  const auto graph = make_overlay(40, 2, 3).graph;
   for (const std::size_t replicas : {std::size_t{1}, std::size_t{4}}) {
     SCOPED_TRACE("root_replicas=" + std::to_string(replicas));
     PubSubConfig config;
@@ -212,7 +191,7 @@ TEST(ObsTrace, ChromeTraceExportShape) {
 }
 
 TEST(ObsTrace, DetachStopsRecording) {
-  const auto graph = make_overlay(30, 2, 5);
+  const auto graph = make_overlay(30, 2, 5).graph;
   PubSubConfig config;
   config.seed = 4;
   PubSubSystem system(graph, config);

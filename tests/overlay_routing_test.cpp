@@ -4,22 +4,16 @@
 
 #include "analysis/graph_metrics.hpp"
 #include "geometry/random_points.hpp"
-#include "overlay/empty_rect.hpp"
 #include "overlay/equilibrium.hpp"
 #include "overlay/k_closest.hpp"
+#include "scenario/scenario.hpp"
 #include "util/rng.hpp"
 
 namespace geomcast::overlay {
 namespace {
 
-OverlayGraph make_overlay(std::size_t n, std::size_t dims, std::uint64_t seed) {
-  util::Rng rng(seed);
-  const auto points = geometry::random_points(rng, n, dims, 100.0);
-  return build_equilibrium(points, EmptyRectSelector{});
-}
-
 TEST(RoutingTest, SourceEqualsDestination) {
-  const auto graph = make_overlay(20, 2, 91);
+  const auto graph = scenario::make_overlay(20, 2, 91).graph;
   const auto result = route_greedy(graph, 4, 4);
   EXPECT_TRUE(result.delivered);
   EXPECT_EQ(result.hops(), 0u);
@@ -27,7 +21,7 @@ TEST(RoutingTest, SourceEqualsDestination) {
 }
 
 TEST(RoutingTest, OutOfRangeThrows) {
-  const auto graph = make_overlay(10, 2, 92);
+  const auto graph = scenario::make_overlay(10, 2, 92).graph;
   EXPECT_THROW(route_greedy(graph, 0, 10), std::invalid_argument);
   EXPECT_THROW(route_greedy(graph, 10, 0), std::invalid_argument);
 }
@@ -39,7 +33,7 @@ class RoutingDeliveryTest
 
 TEST_P(RoutingDeliveryTest, AlwaysDelivers) {
   const auto [dims, seed] = GetParam();
-  const auto graph = make_overlay(80, static_cast<std::size_t>(dims), seed);
+  const auto graph = scenario::make_overlay(80, static_cast<std::size_t>(dims), seed).graph;
   for (PeerId s = 0; s < graph.size(); s += 7) {
     for (PeerId d = 0; d < graph.size(); d += 11) {
       const auto result = route_greedy(graph, s, d);
@@ -57,7 +51,7 @@ INSTANTIATE_TEST_SUITE_P(Sweep, RoutingDeliveryTest,
 TEST(RoutingTest, AlwaysDeliversAt10kPeers) {
   // The exact full-knowledge overlay at a size the small sweeps above do
   // not reach: 2000 seeded random pairs, every one delivered.
-  const auto graph = make_overlay(10000, 2, 90);
+  const auto graph = scenario::make_overlay(10000, 2, 90).graph;
   util::Rng rng(90);
   std::size_t delivered = 0;
   for (int i = 0; i < 2000; ++i) {
@@ -69,7 +63,7 @@ TEST(RoutingTest, AlwaysDeliversAt10kPeers) {
 }
 
 TEST(RoutingTest, EveryHopUsesAnOverlayEdgeAndShrinksL1) {
-  const auto graph = make_overlay(100, 3, 95);
+  const auto graph = scenario::make_overlay(100, 3, 95).graph;
   const auto result = route_greedy(graph, 0, 99);
   ASSERT_TRUE(result.delivered);
   const auto& target = graph.point(99);
@@ -81,7 +75,7 @@ TEST(RoutingTest, EveryHopUsesAnOverlayEdgeAndShrinksL1) {
 }
 
 TEST(RoutingTest, NoPeerVisitedTwice) {
-  const auto graph = make_overlay(100, 2, 96);
+  const auto graph = scenario::make_overlay(100, 2, 96).graph;
   for (PeerId d = 1; d < 20; ++d) {
     const auto result = route_greedy(graph, 0, d);
     ASSERT_TRUE(result.delivered);
@@ -92,7 +86,7 @@ TEST(RoutingTest, NoPeerVisitedTwice) {
 }
 
 TEST(RoutingTest, HopsAtLeastBfsDistance) {
-  const auto graph = make_overlay(120, 2, 97);
+  const auto graph = scenario::make_overlay(120, 2, 97).graph;
   const auto bfs = analysis::bfs_depths(graph, 3);
   for (PeerId d = 0; d < graph.size(); d += 13) {
     const auto result = route_greedy(graph, 3, d);
@@ -118,7 +112,7 @@ TEST(RoutingTest, StrandsGracefullyOnNonCoveringOverlay) {
 }
 
 TEST(RoutingTest, MaxHopsBudgetRespected) {
-  const auto graph = make_overlay(200, 2, 99);
+  const auto graph = scenario::make_overlay(200, 2, 99).graph;
   const auto result = route_greedy(graph, 0, 199, /*max_hops=*/1);
   // Either delivered in one hop (they happen to be adjacent) or cut off.
   if (!result.delivered) { EXPECT_LE(result.path.size(), 2u); }

@@ -62,6 +62,21 @@ TEST(TableTest, CsvBasic) {
   EXPECT_EQ(table.to_csv(), "a,b\n1,2\n");
 }
 
+TEST(TableTest, JsonRowsAreObjectsKeyedByTheHeader) {
+  Table table({"D", "avg", "tree"});
+  table.begin_row().add_integer(2).add_number(21.97, 2).add_cell("yes");
+  table.begin_row().add_integer(-3).add_cell("1e5").add_cell("say \"hi\"\n");
+  table.begin_row().add_cell("007").add_cell("nan").add_cell("");
+  table.begin_row().add_cell("1.").add_cell(".5").add_cell("-");
+  std::ostringstream json;
+  table.print_json(json);
+  EXPECT_EQ(json.str(),
+            "[\n  {\"D\": 2, \"avg\": 21.97, \"tree\": \"yes\"},"
+            "\n  {\"D\": -3, \"avg\": 1e5, \"tree\": \"say \\\"hi\\\"\\u000a\"},"
+            "\n  {\"D\": \"007\", \"avg\": \"nan\", \"tree\": \"\"},"
+            "\n  {\"D\": \"1.\", \"avg\": \".5\", \"tree\": \"-\"}\n]\n");
+}
+
 TEST(TableTest, CsvEscapesCommasAndQuotes) {
   Table table({"text"});
   table.begin_row().add_cell("hello, world");
